@@ -42,6 +42,8 @@ FORWARD_CAP = 20
 LASSO_TOL = 1e-8
 LASSO_MAX_ITER = 10_000
 LASSO_NONZERO = 1e-10
+KKT_TOL = 1e-12  # relative to max|X'y/n|
+ACTIVE_SET_MAX_STEPS = 1_000
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,14 @@ def lasso_coordinate_descent(
 ) -> np.ndarray:
     """Cyclic coordinate descent for (1/2n)||y - Xb||^2 + lam*||b||_1.
 
-    Stops when the largest single-coefficient change in a sweep is <= tol.
-    beta0 warm-starts the iteration (pathwise fits over a lambda grid are far
-    cheaper when each fit continues from its neighbour's solution).
+    Stops when the largest single-coefficient change in a sweep is <= tol,
+    and raises ConvergenceFailureError if that takes more than max_iter
+    sweeps. beta0 warm-starts the iteration.
+
+    lasso_select uses it as the certificate of every active-set solution:
+    started from the optimum it settles in a sweep or two, and its verdict
+    decides whether a fit converged. Tests use it, run to a tight tol, as
+    the reference optimum.
     """
     n, p = X.shape
     col_norm2 = (X * X).sum(axis=0) / n
@@ -169,6 +176,74 @@ def lasso_coordinate_descent(
     )
 
 
+def _lasso_objective(G: np.ndarray, c: np.ndarray, lam: float, b: np.ndarray) -> float:
+    return float(0.5 * b @ G @ b - c @ b + lam * np.abs(b).sum())
+
+
+def _kkt_violation(G: np.ndarray, c: np.ndarray, lam: float, beta: np.ndarray) -> float:
+    """Largest breach of the LASSO optimality conditions in the Gram form:
+    grad_j = -lam*sign(b_j) where b_j != 0, and |grad_j| <= lam where b_j = 0."""
+    grad = G @ beta - c
+    breach = np.where(
+        beta != 0.0,
+        np.abs(grad + lam * np.sign(beta)),
+        np.maximum(np.abs(grad) - lam, 0.0),
+    )
+    return float(breach.max(initial=0.0))
+
+
+def _lasso_active_set(
+    G: np.ndarray, c: np.ndarray, lam: float, beta0: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Feature-sign search (Lee, Battle, Raina & Ng 2007) for
+    1/2 b'Gb - c'b + lam*||b||_1, with G = X'X/n and c = X'y/n.
+
+    Each step solves G_SS b_S = c_S - lam*theta_S on the support S with sign
+    vector theta, then keeps the best of the new point and the points where a
+    coefficient crosses zero on the way there. A zero coefficient whose
+    gradient exceeds lam joins S only once the nonzero ones are optimal, so
+    it moves in the direction of its sign. Returns the iterate and the number
+    of steps taken. The iterate is exact when the KKT conditions hold; when a
+    solve is singular or a step cannot lower the objective, the last iterate
+    is returned as is and the caller's certificate finishes the fit.
+    """
+    beta = beta0.astype(float).copy()
+    tol = KKT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
+    steps = 0
+    settled = False  # the last step landed on its face optimum
+    while steps < ACTIVE_SET_MAX_STEPS:
+        grad = G @ beta - c
+        theta = np.sign(beta)
+        nonzero = theta != 0.0
+        if settled or np.all(np.abs(grad[nonzero] + lam * theta[nonzero]) <= tol):
+            outside = np.where(nonzero, 0.0, np.abs(grad))
+            j = int(np.argmax(outside))
+            if outside[j] <= lam + tol:
+                break
+            theta[j] = -np.sign(grad[j])
+        S = np.flatnonzero(theta)
+        G_SS, c_S = G[np.ix_(S, S)], c[S]
+        try:
+            target = np.linalg.solve(G_SS, c_S - lam * theta[S])
+        except np.linalg.LinAlgError:
+            break
+        steps += 1
+        old = beta[S]
+        best, best_obj = target, _lasso_objective(G_SS, c_S, lam, target)
+        settled = bool(np.all(np.sign(target) == theta[S]))  # no zero crossings
+        for k in np.flatnonzero((old != 0.0) & (np.sign(target) != np.sign(old))):
+            t = old[k] / (old[k] - target[k])
+            point = old + t * (target - old)
+            point[k] = 0.0
+            obj = _lasso_objective(G_SS, c_S, lam, point)
+            if obj < best_obj:
+                best, best_obj = point, obj
+        if best_obj >= _lasso_objective(G_SS, c_S, lam, old):
+            break
+        beta[S] = best
+    return beta, steps
+
+
 def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -187,6 +262,11 @@ def lasso_select(
     With lam=None the penalty comes from a 50-point log grid on
     [1e-4*lam_max, lam_max], scored by MAE on the final 20% of the training
     range; ties resolve toward the larger (sparser) value.
+
+    Each fit is solved exactly by an active-set (feature-sign) solver on the
+    Gram form, warm-started down the grid, and then certified by
+    lasso_coordinate_descent(tol, max_iter) started from that solution: the
+    certificate returns the coefficients or raises ConvergenceFailureError.
     """
     frame = candidates.frame
     ids = candidates.candidate_ids
@@ -198,9 +278,19 @@ def lasso_select(
         [np.asarray(frame.indicator(cid).require_complete()) for cid in ids]
     ) if ids else np.zeros((n, 0))
 
+    steps = 0
+
+    def fit(X: np.ndarray, y: np.ndarray, G: np.ndarray, c: np.ndarray, g: float, warm):
+        # G and c are X'X/n and X'y/n, built once per window.
+        nonlocal steps
+        beta, taken = _lasso_active_set(G, c, g, warm)
+        steps += taken
+        return lasso_coordinate_descent(X, y, g, tol, max_iter, beta0=beta)
+
     Xs, _, _ = _standardize(X_raw)
     yc = y_raw - y_raw.mean()
-    lam_max = float(np.max(np.abs(Xs.T @ yc)) / n) if ids else 0.0
+    G_full, c_full = Xs.T @ Xs / n, Xs.T @ yc / n
+    lam_max = float(np.max(np.abs(c_full))) if ids else 0.0
 
     chosen = lam
     grid_scores: list[tuple[float, float]] = []
@@ -214,17 +304,21 @@ def lasso_select(
             y_fit, y_val = y_raw[: n - n_val], y_raw[n - n_val :]
             Xf, mu, sd = _standardize(X_fit)
             yf = y_fit - y_fit.mean()
+            G_fit, c_fit = Xf.T @ Xf / len(yf), Xf.T @ yf / len(yf)
             best_score, chosen = None, None
             warm = np.zeros(Xf.shape[1])
             for g in grid[::-1]:  # descending: ties keep the larger lambda
-                warm = lasso_coordinate_descent(Xf, yf, float(g), tol, max_iter, beta0=warm)
+                warm = fit(Xf, yf, G_fit, c_fit, float(g), warm)
                 pred = y_fit.mean() + ((X_val - mu) / sd) @ warm
                 score = float(np.mean(np.abs(pred - y_val)))
                 grid_scores.append((float(g), score))
                 if best_score is None or score < best_score:
                     best_score, chosen = score, float(g)
 
-    beta = lasso_coordinate_descent(Xs, yc, float(chosen), tol, max_iter) if ids else np.zeros(0)
+    if ids:
+        beta = fit(Xs, yc, G_full, c_full, float(chosen), np.zeros(len(ids)))
+    else:
+        beta = np.zeros(0)
     selected = tuple(cid for cid, b in zip(ids, beta) if abs(b) > LASSO_NONZERO)
     return SelectionResult(
         method="lasso",
@@ -234,6 +328,10 @@ def lasso_select(
             "lambda": float(chosen),
             "lambda_max": lam_max,
             "grid_scores": grid_scores,
+            "solver": {
+                "active_set_steps": steps,
+                "kkt_max_violation": _kkt_violation(G_full, c_full, float(chosen), beta),
+            },
         },
     )
 

@@ -5,6 +5,7 @@ from exocast.errors import SelectionError, UndefinedCorrelationError
 from exocast.selection import (
     CandidateSet,
     SelectionTrace,
+    _lasso_active_set,
     correlation_select,
     export_trace_csv,
     forward_select,
@@ -16,7 +17,7 @@ from exocast.selection import (
     soft_threshold,
     validate_manual,
 )
-from exocast.series import Month, MonthlySeries, align_merge
+from exocast.series import Month, MonthlySeries, align_merge, min_max_normalize
 from exocast.synth import SyntheticSpec, generate_synthetic
 
 M = Month
@@ -104,6 +105,48 @@ class TestCorrelationSelect:
     def test_constant_candidate_rejected(self):
         with pytest.raises(UndefinedCorrelationError):
             correlation_select(make_candidates([1, 2, 3, 4], [("flat", [5, 5, 5, 5])]))
+
+
+def short_normalized_candidates(seed):
+    """The 28-month range of a collinear six-indicator synthetic frame,
+    min-max normalised the way the experiment grid prepares it."""
+    frame, _ = generate_synthetic(SyntheticSpec(
+        n_months=76, n_indicators=6, n_drivers=2,
+        driver_betas=(1.5, 1.0), noise_sigma=0.5, seed=seed,
+    ))
+    sliced = frame.slice_months(M(2019, 1), M(2021, 4))
+    target, _ = min_max_normalize(sliced.target)
+    normalized = [min_max_normalize(s)[0] for s in sliced.indicators]
+    return make_candidates(list(target.values), [(s.id, list(s.values)) for s in normalized])
+
+
+def standardized_gram(X, y):
+    """The standardized design, centred target, X'X/n and X'y/n that
+    lasso_select solves on."""
+    sd = X.std(axis=0)
+    Xs = (X - X.mean(axis=0)) / np.where(sd == 0.0, 1.0, sd)
+    yc = y - y.mean()
+    n = len(y)
+    return Xs, yc, Xs.T @ Xs / n, Xs.T @ yc / n
+
+
+def oracle_frames():
+    """Near-collinear frames with a constant column, and one frame with more
+    columns than rows."""
+    frames = []
+    for seed in range(3):
+        rng = np.random.default_rng(100 + seed)
+        n, p = 40, 6
+        X = rng.normal(0, 1, (n, 1)) + 0.1 * rng.normal(0, 1, (n, p))
+        X[:, 2] = 3.0
+        y = X @ np.array([1.0, -0.5, 0.0, 0.8, 0.0, 0.3]) + rng.normal(0, 0.3, n)
+        frames.append((X, y))
+    rng = np.random.default_rng(200)
+    X = rng.normal(0, 1, (20, 30))
+    X[:, 7] = -1.0
+    y = X[:, :3] @ np.array([2.0, -1.5, 1.0]) + rng.normal(0, 0.2, 20)
+    frames.append((X, y))
+    return frames
 
 
 class TestLasso:
@@ -211,21 +254,45 @@ class TestLasso:
         assert warm == pytest.approx(cold.tolist(), abs=1e-6)
 
     def test_grid_policy_survives_short_collinear_frames(self):
-        # Short window over highly collinear walk candidates: the pathwise
-        # warm start keeps every grid fit inside the sweep cap.
-        from exocast.synth import SyntheticSpec, generate_synthetic
-        from exocast.series import Month, min_max_normalize
-
-        frame, _ = generate_synthetic(SyntheticSpec(
-            n_months=76, n_indicators=6, n_drivers=2,
-            driver_betas=(1.5, 1.0), noise_sigma=0.5, seed=0,
-        ))
-        sliced = frame.slice_months(Month(2019, 1), Month(2021, 4))
-        target, _ = min_max_normalize(sliced.target)
-        normalized = [min_max_normalize(s)[0] for s in sliced.indicators]
-        cands = make_candidates(list(target.values), [(s.id, list(s.values)) for s in normalized])
+        # Short window over highly collinear walk candidates: each grid fit
+        # is solved exactly, so its coordinate-descent certificate settles
+        # far inside the sweep cap.
+        cands = short_normalized_candidates(seed=0)
         result = lasso_select(cands)
         assert result.diagnostics["lambda"] > 0
+
+    def test_grid_policy_certifies_seed_7_short_range(self):
+        # Plain coordinate descent over this grid hits the 10,000-sweep cap.
+        cands = short_normalized_candidates(seed=7)
+        result = lasso_select(cands)
+        ids = cands.candidate_ids
+        X = np.column_stack([np.asarray(cands.frame.indicator(i).values) for i in ids])
+        _, _, G, c = standardized_gram(X, np.asarray(cands.frame.target.values))
+        beta = np.array([result.diagnostics["coefficients"][i] for i in ids])
+        lam = result.diagnostics["lambda"]
+        grad = G @ beta - c
+        for j in range(len(ids)):
+            if beta[j] != 0.0:
+                assert abs(grad[j] + lam * np.sign(beta[j])) <= 1e-9
+            else:
+                assert abs(grad[j]) <= lam + 1e-9
+        assert result.diagnostics["solver"]["kkt_max_violation"] <= 1e-9
+        assert result.diagnostics["solver"]["active_set_steps"] > 0
+
+    @pytest.mark.parametrize("frame_index", range(4))
+    def test_active_set_matches_coordinate_descent_oracle(self, frame_index):
+        X, y = oracle_frames()[frame_index]
+        Xs, yc, G, c = standardized_gram(X, y)
+        lam_max = float(np.max(np.abs(c)))
+        warm = np.zeros(X.shape[1])
+        for lam in np.geomspace(lam_max, 1e-3 * lam_max, 10):
+            warm, _ = _lasso_active_set(G, c, float(lam), warm)
+            cold, _ = _lasso_active_set(G, c, float(lam), np.zeros(X.shape[1]))
+            oracle = lasso_coordinate_descent(Xs, yc, float(lam), tol=1e-12, max_iter=10**6)
+            for got in (warm, cold):
+                assert got == pytest.approx(oracle.tolist(), abs=1e-6)
+                assert np.array_equal(np.abs(got) > 1e-10, np.abs(oracle) > 1e-10)
+                assert not np.any(got[np.ptp(X, axis=0) == 0.0])
 
 
 def naive_greedy(candidate_ids, evaluator, cap):
