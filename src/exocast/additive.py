@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -405,18 +405,20 @@ def _config_to_dict(config: AdditiveConfig) -> dict:
 
 
 def _config_from_dict(doc: dict) -> AdditiveConfig:
-    return AdditiveConfig(
-        n_changepoints=doc["n_changepoints"],
-        changepoint_range=doc["changepoint_range"],
-        seasonalities=tuple((float(p), int(o)) for p, o in doc["seasonalities"]),
-        ar_lags=doc["ar_lags"],
-        regressor_lags=doc["regressor_lags"],
-        events=tuple(
-            (eid, frozenset(Month.parse(m) for m in months)) for eid, months in doc["events"]
+    """Config from its JSON form. Missing keys take AdditiveConfig's
+    defaults; unknown keys are rejected, so a misspelt key cannot silently
+    fall back to a default."""
+    unknown = sorted(set(doc) - {f.name for f in fields(AdditiveConfig)})
+    if unknown:
+        raise ValueError(f"unknown additive config keys: {', '.join(unknown)}")
+    convert = {
+        "seasonalities": lambda v: tuple((float(p), int(o)) for p, o in v),
+        "events": lambda v: tuple(
+            (eid, frozenset(Month.parse(m) for m in months)) for eid, months in v
         ),
-        ridge_lambda=doc["ridge_lambda"],
-        future_known=tuple(doc.get("future_known", ())),
-    )
+        "future_known": tuple,
+    }
+    return AdditiveConfig(**{key: convert.get(key, lambda v: v)(v) for key, v in doc.items()})
 
 
 def save_fitted(fitted: FittedAdditive, path: str | Path) -> None:

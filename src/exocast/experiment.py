@@ -820,6 +820,7 @@ Experiment config (JSON object):
              {"name": "sarimax", "grid": [[0,0,0,0,0,0,12],[1,0,0,0,0,0,12]]},
              {"name": "additive", "auto": true},
              {"name": "additive", "config": { ... additive config ... }}],
+              // an additive "config" may omit keys (they default); unknown keys are errors
   "preprocessing": {"smooth_window": 1, "detrend": false, "normalize": true},
   "forward_cap": 20,                 // greedy ladder cap
   "jobs": 1,                         // worker pool size for grid cells

@@ -5,16 +5,30 @@ The model for the (d, D)-differenced target w is
     w_t = c + beta . x_t + sum_i ar_i * w_{t-i} + sum_j sar_j * w_{t-j*s}
           + sum_i ma_i * eps_{t-i} + sum_j sma_j * eps_{t-j*s} + eps_t
 
-with exogenous values x entering undifferenced, aligned to the differenced
-index. MA terms carry a positive sign in the model (the statsmodels
-convention), so the residual recursion subtracts them. Estimation minimises
-the conditional sum of squared residuals; stationarity and invertibility are
-enforced by optimising in an unconstrained space that maps onto partial
-autocorrelations.
+with exogenous values x entering undifferenced (or differenced, on request),
+aligned to the differenced index. Seasonal and non-seasonal terms add; they
+are not multiplied. MA terms carry a positive sign in the model (the
+statsmodels convention), so the residual recursion subtracts them.
+
+Estimation minimises the conditional sum of squared residuals (CSS) from
+t = max(p, P*s) onward. Stationarity and invertibility are enforced by
+optimising in unconstrained coordinates x that map to partial
+autocorrelations r = x / sqrt(1 + x^2) and, by Durbin-Levinson, to
+polynomial coefficients; |x| <= COORD_BOUND keeps |r| <= R_MAX.
+
+`fit` gives L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) the CSS together with
+its exact gradient: the adjoint of the residual recursion, chained through
+the coordinate map. When q = Q = 0 the CSS is linear least squares in
+(c, ar, sar, beta), so the optimum is solved directly and passed as the
+starting point: the unconstrained solution when its partial
+autocorrelations lie within R_MAX, the bounded solution in closed form when
+p <= 1 and P <= 1, and zero otherwise. L-BFGS-B then certifies the start,
+typically at iteration 0, and alone decides convergence.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -59,8 +73,9 @@ __all__ = [
 
 MAX_ITER = 500
 CSS_TOL = 1e-8
-# Bound on the unconstrained coordinates; maps to |pacf| <= ~0.9998.
+# Bound on the unconstrained coordinates; maps to |pacf| <= R_MAX ~ 0.9998.
 COORD_BOUND = 50.0
+R_MAX = COORD_BOUND / math.sqrt(1.0 + COORD_BOUND * COORD_BOUND)
 
 
 @dataclass(frozen=True, order=True)
@@ -152,6 +167,9 @@ class FittedSarimax:
     presample_mean: float = 0.0
     difference_regressors: bool = False
     regressor_tails: tuple[tuple[float, ...], ...] = ()
+    # What `fit` did: {"start", "status", "nit", "nfev", "at_bound"}; None
+    # for models assembled from given coefficients.
+    optimizer: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -170,6 +188,37 @@ def _pacf_to_poly(pacf: np.ndarray) -> np.ndarray:
     return np.asarray(coeffs)
 
 
+def _pacf_to_poly_jacobian(pacf: np.ndarray) -> np.ndarray:
+    """d coeffs / d pacf for `_pacf_to_poly`, carried through the same
+    recursion."""
+    n = len(pacf)
+    coeffs = np.zeros(0)
+    jac = np.zeros((0, n))
+    for k, r in enumerate(pacf):
+        step = np.zeros((k + 1, n))
+        step[:k] = jac - r * jac[::-1]
+        step[:k, k] = -coeffs[::-1]
+        step[k, k] = 1.0
+        coeffs = np.append(coeffs - r * coeffs[::-1], r)
+        jac = step
+    return jac
+
+
+def _poly_to_pacf(coeffs: np.ndarray) -> np.ndarray | None:
+    """Step-down (inverse Durbin-Levinson); None unless every partial
+    autocorrelation lies in (-1, 1)."""
+    a = np.asarray(coeffs, dtype=float)
+    pacf = []
+    while len(a):
+        r = float(a[-1])
+        if not abs(r) < 1.0:
+            return None
+        pacf.append(r)
+        head = a[:-1]
+        a = (head + r * head[::-1]) / (1.0 - r * r)
+    return np.asarray(pacf[::-1])
+
+
 def _unconstrained_to_coeffs(x: np.ndarray, invertible: bool) -> np.ndarray:
     if x.size == 0:
         return x
@@ -177,6 +226,32 @@ def _unconstrained_to_coeffs(x: np.ndarray, invertible: bool) -> np.ndarray:
     a = _pacf_to_poly(r)
     # The MA polynomial 1 + m1*B + ... is invertible iff (-m) is stationary.
     return -a if invertible else a
+
+
+def _ar_to_unconstrained(coeffs: np.ndarray) -> np.ndarray | None:
+    """Inverse of `_unconstrained_to_coeffs` for an AR block; None when a
+    partial autocorrelation lies beyond R_MAX. |r| = R_MAX maps to the bound
+    exactly."""
+    r = _poly_to_pacf(coeffs)
+    if r is None or np.any(np.abs(r) > R_MAX):
+        return None
+    x = r / np.sqrt(1.0 - r * r)
+    at_bound = np.abs(r) == R_MAX
+    x[at_bound] = np.sign(r[at_bound]) * COORD_BOUND
+    return np.clip(x, -COORD_BOUND, COORD_BOUND)
+
+
+def _lags(regular: int, seasonal: int, s: int) -> list[int]:
+    """Lags of a block with `regular` terms at 1.. and `seasonal` at s, 2s..."""
+    return list(range(1, regular + 1)) + [j * s for j in range(1, seasonal + 1)]
+
+
+def _lagged(v: np.ndarray, lag: int, fill: float) -> np.ndarray:
+    """v delayed by `lag` steps; the first `lag` entries are `fill`."""
+    out = np.full(len(v), fill)
+    if lag < len(v):
+        out[lag:] = v[: len(v) - lag]
+    return out
 
 
 def _residual_recursion(
@@ -187,42 +262,22 @@ def _residual_recursion(
     wbar: float,
 ) -> np.ndarray:
     """Residuals for all t, conditioning on pre-sample w = wbar, eps = 0."""
-    p, q = len(params.ar), len(params.ma)
-    sp, sq = len(params.seasonal_ar), len(params.seasonal_ma)
-    m = len(w)
-    base = w - params.c - xb
-    if q == 0 and sq == 0:
-        # Pure AR: no recursion needed.
-        eps = base.copy()
-        for i, a in enumerate(params.ar, start=1):
-            lagged = np.concatenate([np.full(i, wbar), w[:-i]]) if i < m else np.full(m, wbar)
-            eps -= a * lagged
-        for j, f in enumerate(params.seasonal_ar, start=1):
-            lag = j * s
-            lagged = np.concatenate([np.full(lag, wbar), w[:-lag]]) if lag < m else np.full(m, wbar)
-            eps -= f * lagged
+    eps = w - params.c - xb
+    ar = params.ar + params.seasonal_ar
+    for a, lag in zip(ar, _lags(len(params.ar), len(params.seasonal_ar), s)):
+        eps -= a * _lagged(w, lag, wbar)
+    ma = params.ma + params.seasonal_ma
+    if not ma:
         return eps
-    eps = np.empty(m)
-    ar, ma = params.ar, params.ma
-    sar, sma = params.seasonal_ar, params.seasonal_ma
-    for t in range(m):
-        acc = base[t]
-        for i in range(p):
-            u = t - i - 1
-            acc -= ar[i] * (w[u] if u >= 0 else wbar)
-        for j in range(sp):
-            u = t - (j + 1) * s
-            acc -= sar[j] * (w[u] if u >= 0 else wbar)
-        for i in range(q):
-            u = t - i - 1
-            if u >= 0:
-                acc -= ma[i] * eps[u]
-        for j in range(sq):
-            u = t - (j + 1) * s
-            if u >= 0:
-                acc -= sma[j] * eps[u]
-        eps[t] = acc
-    return eps
+    ma_lags = _lags(len(params.ma), len(params.seasonal_ma), s)
+    out = eps.tolist()
+    for t in range(len(out)):
+        acc = out[t]
+        for th, lag in zip(ma, ma_lags):
+            if t >= lag:
+                acc -= th * out[t - lag]
+        out[t] = acc
+    return np.asarray(out)
 
 
 def _prepare(
@@ -277,27 +332,133 @@ def css_residuals(
     return scored.tolist(), float(scored @ scored)
 
 
-def _unpack(x: np.ndarray, order: SarimaxOrder, k: int, sigma2: float = 1.0) -> SarimaxParams:
-    p, q, sp, sq = order.p, order.q, order.P, order.Q
-    pos = 1
-    ar = _unconstrained_to_coeffs(x[pos : pos + p], invertible=False)
-    pos += p
-    ma = _unconstrained_to_coeffs(x[pos : pos + q], invertible=True)
-    pos += q
-    sar = _unconstrained_to_coeffs(x[pos : pos + sp], invertible=False)
-    pos += sp
-    sma = _unconstrained_to_coeffs(x[pos : pos + sq], invertible=True)
-    pos += sq
-    beta = x[pos : pos + k]
-    return SarimaxParams(
-        c=float(x[0]),
-        ar=tuple(ar),
-        ma=tuple(ma),
-        seasonal_ar=tuple(sar),
-        seasonal_ma=tuple(sma),
-        beta=tuple(float(b) for b in beta),
-        sigma2=sigma2,
+def _poly_blocks(order: SarimaxOrder) -> tuple[tuple[int, list[int], bool, str], ...]:
+    """(offset in x, lags, invertible, params field) for each lag-polynomial
+    block of the coordinates x = [c, ar, ma, sar, sma, beta]. The invertible
+    (MA) blocks act on lagged residuals, the others on lagged w."""
+    p, q, sp, sq, s = order.p, order.q, order.P, order.Q, order.s
+    return (
+        (1, _lags(p, 0, s), False, "ar"),
+        (1 + p, _lags(q, 0, s), True, "ma"),
+        (1 + p + q, _lags(0, sp, s), False, "seasonal_ar"),
+        (1 + p + q + sp, _lags(0, sq, s), True, "seasonal_ma"),
     )
+
+
+def _unpack(x: np.ndarray, order: SarimaxOrder, k: int, sigma2: float = 1.0) -> SarimaxParams:
+    coeffs = {
+        name: tuple(_unconstrained_to_coeffs(x[pos : pos + len(lags)], invertible))
+        for pos, lags, invertible, name in _poly_blocks(order)
+    }
+    beta = x[len(x) - k :]
+    return SarimaxParams(
+        c=float(x[0]), beta=tuple(float(b) for b in beta), sigma2=sigma2, **coeffs
+    )
+
+
+def _css_and_gradient(
+    x: np.ndarray, order: SarimaxOrder, w: np.ndarray, X: np.ndarray, wbar: float
+) -> tuple[float, np.ndarray]:
+    """The CSS at unconstrained coordinates x and its exact gradient in x."""
+    k = X.shape[1]
+    params = _unpack(x, order, k)
+    eps = _residual_recursion(w, X @ np.asarray(params.beta), params, order.s, wbar)
+    t0 = order.presample
+    scored = eps[t0:]
+    css = float(scored @ scored)
+    if not math.isfinite(css):
+        return 1e300, np.zeros_like(x)
+    # Adjoint of the recursion, run backwards:
+    # g_u = 2 eps_u [u >= t0] - sum_i ma_i g_{u+i} - sum_j sma_j g_{u+js}.
+    g = 2.0 * eps
+    g[:t0] = 0.0
+    ma = params.ma + params.seasonal_ma
+    if ma:
+        ma_lags = _lags(order.q, order.Q, order.s)
+        adj = g.tolist()
+        for u in range(len(adj) - 1, -1, -1):
+            acc = adj[u]
+            for th, lag in zip(ma, ma_lags):
+                if u + lag < len(adj):
+                    acc -= th * adj[u + lag]
+            adj[u] = acc
+        g = np.asarray(adj)
+    grad = np.empty_like(x)
+    grad[0] = -g.sum()
+    for pos, lags, invertible, _ in _poly_blocks(order):
+        if not lags:
+            continue
+        source, fill = (eps, 0.0) if invertible else (w, wbar)
+        d_coeffs = np.array([-(g @ _lagged(source, lag, fill)) for lag in lags])
+        xs = x[pos : pos + len(lags)]
+        r = xs / np.sqrt(1.0 + xs * xs)
+        d_xs = (_pacf_to_poly_jacobian(r).T @ d_coeffs) * (1.0 + xs * xs) ** -1.5
+        grad[pos : pos + len(lags)] = -d_xs if invertible else d_xs
+    grad[len(x) - k :] = -(X.T @ g)
+    return css, grad
+
+
+def _bounded_least_squares(design: np.ndarray, y: np.ndarray, bounded: list[int]) -> np.ndarray:
+    """argmin |y - design @ theta|^2 subject to |theta_i| <= R_MAX for i in
+    `bounded`. The problem is convex, so the optimum is the best feasible
+    solution over the faces of the box: each bounded coefficient either
+    free or fixed at +-R_MAX. Called only when the free solution is
+    infeasible, so the all-free face is skipped."""
+    n = design.shape[1]
+    best, best_css = np.zeros(n), math.inf
+    for fixed in itertools.product((None, R_MAX, -R_MAX), repeat=len(bounded)):
+        at = [i for i, v in zip(bounded, fixed) if v is not None]
+        if not at:
+            continue
+        theta = np.zeros(n)
+        theta[at] = [v for v in fixed if v is not None]
+        free = [j for j in range(n) if j not in at]
+        rhs = y - design[:, at] @ theta[at]
+        theta[free] = np.linalg.lstsq(design[:, free], rhs, rcond=None)[0]
+        if np.any(np.abs(theta[bounded]) > R_MAX):
+            continue
+        resid = y - design @ theta
+        css = float(resid @ resid)
+        if css < best_css:
+            best, best_css = theta, css
+    return best
+
+
+def _theta_to_unconstrained(theta: np.ndarray, p: int, sp: int) -> np.ndarray | None:
+    """Least-squares (c, ar, sar, beta) to coordinates; None when an AR
+    block lies outside the bounded region."""
+    ar = _ar_to_unconstrained(theta[1 : 1 + p])
+    sar = _ar_to_unconstrained(theta[1 + p : 1 + p + sp])
+    if ar is None or sar is None:
+        return None
+    return np.concatenate([theta[:1], ar, sar, theta[1 + p + sp :]])
+
+
+def _least_squares_start(
+    order: SarimaxOrder, w: np.ndarray, X: np.ndarray, wbar: float
+) -> tuple[np.ndarray, str]:
+    """Starting coordinates for L-BFGS-B and how they were found.
+
+    With q = Q = 0 the CSS is linear least squares in (c, ar, sar, beta) on
+    the design [1, lags of w, X] from row max(p, P*s), so its optimum is
+    solved directly: unconstrained when stationary within R_MAX, else in
+    closed form on the box when p <= 1 and P <= 1. Otherwise: zero."""
+    p, sp = order.p, order.P
+    zero = np.zeros(1 + p + order.q + sp + order.Q + X.shape[1])
+    if order.q or order.Q:
+        return zero, "zero"
+    t0 = order.presample
+    lagged = [_lagged(w, lag, wbar) for lag in _lags(p, sp, order.s)]
+    design = np.column_stack([np.ones(len(w)), *lagged, X])[t0:]
+    y = w[t0:]
+    theta = np.linalg.lstsq(design, y, rcond=None)[0]
+    x0 = _theta_to_unconstrained(theta, p, sp)
+    if x0 is not None:
+        return x0, "least_squares"
+    if p <= 1 and sp <= 1:
+        theta = _bounded_least_squares(design, y, list(range(1, 1 + p + sp)))
+        return _theta_to_unconstrained(theta, p, sp), "bounded_least_squares"
+    return zero, "zero"
 
 
 def fitted_from_params(
@@ -354,8 +515,14 @@ def fit(
     max_iter: int = MAX_ITER,
     tol: float = CSS_TOL,
 ) -> FittedSarimax:
-    """Minimise the conditional sum of squares with L-BFGS-B from the
-    all-zero starting point. Deterministic for identical inputs."""
+    """Minimise the conditional sum of squares with L-BFGS-B on the exact
+    gradient. For q = Q = 0 the run starts from the least-squares optimum
+    (bounded in closed form when p <= 1 and P <= 1), which L-BFGS-B
+    certifies; otherwise it starts from zero. Raises
+    ConvergenceFailureError, carrying the best point, when the iteration
+    budget runs out. The result records the start and the optimizer's
+    status, iterations, evaluations and whether a coefficient sits at its
+    bound. Deterministic for identical inputs."""
     k = len(train.indicators)
     n = len(train)
     if n <= order.min_train_length(k):
@@ -365,29 +532,30 @@ def fit(
         )
     w, X = _prepare(order, train.target, train.indicators, difference_regressors)
     wbar = float(w.mean()) if mean_conditioning else 0.0
-    t0 = order.presample
-    n_coeff = 1 + order.p + order.q + order.P + order.Q + k
+    x0, start = _least_squares_start(order, w, X, wbar)
+    n_poly = order.p + order.q + order.P + order.Q
 
-    def objective(x: np.ndarray) -> float:
-        params = _unpack(x, order, k)
-        xb = X @ np.asarray(params.beta) if k else np.zeros(len(w))
-        eps = _residual_recursion(w, xb, params, order.s, wbar)
-        scored = eps[t0:]
-        css = float(scored @ scored)
-        return css if math.isfinite(css) else 1e300
-
-    x0 = np.zeros(n_coeff)
     bounds = [(None, None)]  # constant
-    bounds += [(-COORD_BOUND, COORD_BOUND)] * (order.p + order.q + order.P + order.Q)
+    bounds += [(-COORD_BOUND, COORD_BOUND)] * n_poly
     bounds += [(None, None)] * k
+    args = (order, w, X, wbar)
     result = minimize(
-        objective,
+        _css_and_gradient,
         x0,
+        args=args,
         method="L-BFGS-B",
+        jac=True,
         bounds=bounds,
         options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-10},
     )
-    best_x = result.x if result.fun <= objective(x0) else x0
+    best_x = result.x if result.fun <= _css_and_gradient(x0, *args)[0] else x0
+    optimizer = {
+        "start": start,
+        "status": int(result.status),
+        "nit": int(result.nit),
+        "nfev": int(result.nfev),
+        "at_bound": bool(np.any(np.abs(best_x[1 : 1 + n_poly]) >= COORD_BOUND * (1 - 1e-8))),
+    }
 
     def build(x: np.ndarray) -> FittedSarimax:
         params = _unpack(x, order, k)
@@ -408,7 +576,7 @@ def fit(
             difference_regressors=difference_regressors,
             normalization=normalization,
         )
-        return fitted
+        return replace(fitted, optimizer=optimizer)
 
     if result.status == 1:  # iteration/function budget exhausted
         raise ConvergenceFailureError(
@@ -604,6 +772,7 @@ def _fitted_to_dict(fitted: FittedSarimax) -> dict:
         "presample_mean": fitted.presample_mean,
         "difference_regressors": fitted.difference_regressors,
         "regressor_tails": [list(t) for t in fitted.regressor_tails],
+        "optimizer": fitted.optimizer,
     }
 
 
@@ -634,6 +803,7 @@ def _fitted_from_dict(doc: dict) -> FittedSarimax:
         presample_mean=doc["presample_mean"],
         difference_regressors=doc["difference_regressors"],
         regressor_tails=tuple(tuple(t) for t in doc.get("regressor_tails", [])),
+        optimizer=doc.get("optimizer"),
     )
 
 

@@ -321,6 +321,33 @@ class TestConfigFile:
         assert load_config(path).datasets[0].synthetic.seed == 0
         assert load_config(path, seed_override=9).datasets[0].synthetic.seed == 9
 
+    def test_partial_additive_config_defaults_missing_keys(self, tmp_path):
+        doc = {
+            "datasets": [{"label": "s", "kind": "synthetic",
+                          "spec": {"n_months": 40, "seed": 0}}],
+            "ranges": [{"start": "2016-01", "end": "2017-04"}],
+            "methods": ["none"],
+            "models": [{"name": "additive",
+                        "config": {"ar_lags": 2, "seasonalities": [[12, 2]]}}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        cfg = load_config(path).models[0].additive_config
+        assert cfg == AdditiveConfig(ar_lags=2, seasonalities=((12.0, 2),))
+
+    def test_unknown_additive_config_key_rejected(self, tmp_path):
+        doc = {
+            "datasets": [{"label": "s", "kind": "synthetic",
+                          "spec": {"n_months": 40, "seed": 0}}],
+            "ranges": [{"start": "2016-01", "end": "2017-04"}],
+            "methods": ["none"],
+            "models": [{"name": "additive", "config": {"ar_lag": 2}}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="ar_lag"):
+            load_config(path)
+
     def test_schema_text_mentions_all_sections(self):
         text = config_schema_text()
         for word in ("datasets", "ranges", "horizon", "methods", "models",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from exocast.errors import (
     InsufficientDataError,
 )
 from exocast.sarimax import (
+    R_MAX,
     FittedSarimax,
     RegressorForecast,
     SarimaxOrder,
@@ -20,6 +23,7 @@ from exocast.sarimax import (
     load_fitted,
     save_fitted,
 )
+from exocast.sarimax import _css_and_gradient
 from exocast.series import Month, MonthlySeries, align_merge
 
 M = Month
@@ -181,6 +185,71 @@ class TestFit:
         fitted = fit(frame(y), SarimaxOrder(p=1, q=1))
         _, css = css_residuals(fitted.order, fitted.params, ms(y))
         assert css == pytest.approx(fitted.css, rel=1e-8)
+
+
+class TestExactFit:
+    @pytest.mark.parametrize(
+        "order",
+        [
+            SarimaxOrder(p=1),
+            SarimaxOrder(p=2, q=1),
+            SarimaxOrder(p=1, q=2, P=1, Q=1, s=4),
+            SarimaxOrder(p=3, P=2, s=4),
+        ],
+        ids=["ar1", "arma21", "seasonal-arma", "seasonal-ar"],
+    )
+    def test_gradient_matches_central_differences(self, order):
+        rng = np.random.default_rng(order.p + 10 * order.q + 100 * order.P)
+        m = 80
+        w = np.cumsum(rng.normal(0, 0.1, m)) + rng.normal(0, 1, m)
+        X = rng.normal(0, 1, (m, 2))
+        n_coeff = 1 + order.p + order.q + order.P + order.Q + 2
+        x = rng.normal(0, 0.7, n_coeff)
+        _, grad = _css_and_gradient(x, order, w, X, 0.3)
+        h = 1e-6
+        numeric = [
+            (_css_and_gradient(x + h * e, order, w, X, 0.3)[0]
+             - _css_and_gradient(x - h * e, order, w, X, 0.3)[0]) / (2 * h)
+            for e in np.eye(n_coeff)
+        ]
+        assert grad == pytest.approx(numeric, rel=1e-7, abs=1e-7 * np.max(np.abs(grad)))
+
+    def test_stationary_ar1_with_regressors_is_least_squares(self):
+        rng = np.random.default_rng(11)
+        n = 120
+        X = rng.normal(0, 1, (n, 3))
+        u = simulate_ar1(11, n=n, phi=0.6, sigma=0.5)
+        y = 1.0 + X @ np.array([1.5, -0.8, 0.3]) + u
+        f = frame(y.tolist(), indicators=[(f"x{i}", X[:, i].tolist()) for i in range(3)])
+        fitted = fit(f, SarimaxOrder(p=1))
+        design = np.column_stack([np.ones(n - 1), y[:-1], X[1:]])
+        oracle = np.linalg.lstsq(design, y[1:], rcond=None)[0]
+        got = [fitted.params.c, *fitted.params.ar, *fitted.params.beta]
+        assert got == pytest.approx(oracle, rel=0, abs=1e-9)
+        assert fitted.optimizer["start"] == "least_squares"
+        assert fitted.optimizer["nit"] == 0
+        assert not fitted.optimizer["at_bound"]
+
+    def test_trending_series_pins_ar_at_bound(self):
+        # Explosive growth: the free least-squares ar exceeds 1, so the
+        # bounded optimum fixes ar at R_MAX and fits c by least squares.
+        rng = np.random.default_rng(2)
+        t = np.arange(60)
+        y = np.exp(0.03 * t) + rng.normal(0, 0.01, 60)
+        fitted = fit(frame(y.tolist()), SarimaxOrder(p=1))
+        assert fitted.params.ar[0] == R_MAX
+        face = y[1:] - R_MAX * y[:-1]
+        resid = face - face.mean()
+        assert fitted.css == pytest.approx(float(resid @ resid), rel=1e-12)
+        assert fitted.optimizer["start"] == "bounded_least_squares"
+        assert fitted.optimizer["at_bound"]
+
+    def test_ma_order_starts_from_zero(self):
+        y = simulate_ar1(4, n=150).tolist()
+        fitted = fit(frame(y), SarimaxOrder(p=1, q=1))
+        assert fitted.optimizer["start"] == "zero"
+        assert fitted.optimizer["status"] == 0
+        assert fitted.optimizer["nit"] > 0
 
 
 class TestExtrapolate:
@@ -357,6 +426,19 @@ class TestSerialization:
         loaded = load_fitted(path)
         _, css = css_residuals(loaded.order, loaded.params, ms(y))
         assert css == pytest.approx(loaded.css, rel=1e-8)
+
+    def test_optimizer_record_round_trips_and_may_be_absent(self, tmp_path):
+        y = simulate_ar1(9, n=80).tolist()
+        fitted = fit(frame(y), SarimaxOrder(p=1))
+        path = tmp_path / "model.json"
+        save_fitted(fitted, path)
+        doc = json.loads(path.read_text())
+        assert doc["optimizer"] == fitted.optimizer
+        del doc["optimizer"]
+        path.write_text(json.dumps(doc))
+        assert load_fitted(path).optimizer is None
+        given = fitted_from_params(fitted.order, fitted.params, frame(y))
+        assert given.optimizer is None
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"
