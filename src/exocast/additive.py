@@ -10,11 +10,10 @@ predictions.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -35,9 +34,13 @@ __all__ = [
     "auto_config",
     "decompose",
     "export_components_csv",
-    "save_fitted",
-    "load_fitted",
+    "config_to_doc",
+    "config_from_doc",
+    "to_doc",
+    "from_doc",
 ]
+
+SCHEMA = "exocast.additive.fitted/1"
 
 COMPONENT_TAGS = ("intercept", "T", "S", "E", "F", "A", "L")
 
@@ -125,13 +128,6 @@ class FittedAdditive:
     def train_end(self) -> Month:
         return self.train_start.shift(self.train_length - 1)
 
-    def time_value(self, month: Month) -> float:
-        denom = max(self.train_length - 1, 1)
-        return self.train_start.months_until(month) / denom
-
-    def month_index(self, month: Month) -> int:
-        return self.train_start.months_until(month)
-
 
 def trend_features(t: float, changepoints: Sequence[float]) -> list[float]:
     """Base slope plus one hinge per changepoint: [t, max(0, t-c1), ...]."""
@@ -168,25 +164,30 @@ def _row_features(
     changepoints: Sequence[float],
     t_norm: float,
     month_index: int,
-    target_lag,
-    regressor_value,
+    event_months: Sequence[Collection[Month]],
+    target: Sequence[float],
+    regressors: Mapping[str, Sequence[float]],
+    pos: int,
     indicator_ids: Sequence[str],
 ) -> list[float]:
+    """The design row, in `_layout_for` order, of the month at index `pos`
+    of `target` and of each regressor series. `event_months` holds each
+    configured event's months, in config order."""
     row: list[float] = [1.0]
     row += trend_features(t_norm, changepoints)
     for period, order in config.seasonalities:
         row += fourier_features(month_index, period, order)
-    for _, months in config.events:
+    for months in event_months:
         row.append(1.0 if month in months else 0.0)
     lagged_ids = [i for i in indicator_ids if i not in config.future_known]
     for ind in indicator_ids:
         if ind in config.future_known:
-            row.append(regressor_value(ind, 0))
+            row.append(regressors[ind][pos])
     for lag in range(1, config.ar_lags + 1):
-        row.append(target_lag(lag))
+        row.append(target[pos - lag])
     for ind in lagged_ids:
         for lag in range(0, config.regressor_lags + 1):
-            row.append(regressor_value(ind, lag))
+            row.append(regressors[ind][pos - lag])
     return row
 
 
@@ -204,6 +205,7 @@ def build_design(train: AlignedFrame, config: AdditiveConfig) -> DesignMatrix:
     changepoints = config.changepoints()
     denom = max(n - 1, 1)
     layout = _layout_for(config, train.indicator_ids)
+    event_months = [months for _, months in config.events]
     rows = []
     for i in range(drop, n):
         month = train.index[i]
@@ -213,8 +215,10 @@ def build_design(train: AlignedFrame, config: AdditiveConfig) -> DesignMatrix:
             changepoints,
             t_norm=i / denom,
             month_index=i,
-            target_lag=lambda lag, i=i: y[i - lag],
-            regressor_value=lambda ind, lag, i=i: indicator_values[ind][i - lag],
+            event_months=event_months,
+            target=y,
+            regressors=indicator_values,
+            pos=i,
             indicator_ids=train.indicator_ids,
         )
         rows.append(row)
@@ -273,64 +277,49 @@ def forecast_with_components(
     config = fitted.config
     future_events = future_events or {}
     by_id = {rf.id: rf for rf in future_regressors}
-    if fitted.indicator_ids:
-        missing = [i for i in fitted.indicator_ids if i not in by_id]
-        if missing:
-            raise ValueError(f"missing future values for regressors: {missing}")
-        for ind in fitted.indicator_ids:
-            if len(by_id[ind].future_values) < horizon:
-                raise ValueError(f"regressor {ind!r} supplies fewer than {horizon} values")
+    missing = [i for i in fitted.indicator_ids if i not in by_id]
+    if missing:
+        raise ValueError(f"missing future values for regressors: {missing}")
+    for ind in fitted.indicator_ids:
+        if len(by_id[ind].future_values) < horizon:
+            raise ValueError(f"regressor {ind!r} supplies fewer than {horizon} values")
 
     changepoints = config.changepoints()
     n = fitted.train_length
+    # Tails continued by the forecast: the target by its predictions, regressors by their futures.
     tail_len = len(fitted.target_tail)
-    target_history: list[float] = list(fitted.target_tail)
-    reg_history = {
-        ind: list(tail) for ind, tail in zip(fitted.indicator_ids, fitted.regressor_tails)
+    target = list(fitted.target_tail)
+    regressors = {
+        ind: [*tail, *by_id[ind].future_values]
+        for ind, tail in zip(fitted.indicator_ids, fitted.regressor_tails)
     }
-    event_months = {
-        event_id: set(months) | set(future_events.get(event_id, ()))
-        for event_id, months in config.events
-    }
+    event_months = [
+        set(months) | set(future_events.get(event_id, ())) for event_id, months in config.events
+    ]
 
     components: dict[str, list[float]] = {tag: [0.0] * horizon for tag in COMPONENT_TAGS}
-    values: list[float] = []
     denom = max(n - 1, 1)
     for step in range(1, horizon + 1):
-        month = fitted.train_end.shift(step)
         i = n - 1 + step
-        row: list[float] = [1.0]
-        row += trend_features(i / denom, changepoints)
-        for period, order in config.seasonalities:
-            row += fourier_features(i, period, order)
-        for event_id, _ in config.events:
-            row.append(1.0 if month in event_months[event_id] else 0.0)
-        for ind in fitted.indicator_ids:
-            if ind in config.future_known:
-                row.append(by_id[ind].future_values[step - 1])
-        for lag in range(1, config.ar_lags + 1):
-            offset = step - lag
-            if offset >= 1:
-                row.append(values[offset - 1])
-            else:
-                row.append(target_history[tail_len + offset - 1])
-        for ind in fitted.indicator_ids:
-            if ind in config.future_known:
-                continue
-            for lag in range(0, config.regressor_lags + 1):
-                offset = step - lag
-                if offset >= 1:
-                    row.append(by_id[ind].future_values[offset - 1])
-                else:
-                    hist = reg_history[ind]
-                    row.append(hist[len(hist) + offset - 1])
+        row = _row_features(
+            fitted.train_end.shift(step),
+            config,
+            changepoints,
+            t_norm=i / denom,
+            month_index=i,
+            event_months=event_months,
+            target=target,
+            regressors=regressors,
+            pos=tail_len + step - 1,
+            indicator_ids=fitted.indicator_ids,
+        )
         total = 0.0
         for (tag, _), coeff, feature in zip(fitted.layout, fitted.coefficients, row):
             contribution = coeff * feature
             components[tag][step - 1] += contribution
             total += contribution
-        values.append(total)
-    series = MonthlySeries(fitted.target_id, fitted.train_end.shift(1), values)
+        target.append(total)
+    series = MonthlySeries(fitted.target_id, fitted.train_end.shift(1), target[tail_len:])
     return series, {tag: tuple(v) for tag, v in components.items()}
 
 
@@ -391,7 +380,7 @@ def export_components_csv(fitted: FittedAdditive, train: AlignedFrame, path: str
 # ---------------------------------------------------------------------------
 # JSON serialization (schema documented in docs/schemas.md)
 
-def _config_to_dict(config: AdditiveConfig) -> dict:
+def config_to_doc(config: AdditiveConfig) -> dict:
     return {
         "n_changepoints": config.n_changepoints,
         "changepoint_range": config.changepoint_range,
@@ -404,7 +393,7 @@ def _config_to_dict(config: AdditiveConfig) -> dict:
     }
 
 
-def _config_from_dict(doc: dict) -> AdditiveConfig:
+def config_from_doc(doc: dict) -> AdditiveConfig:
     """Config from its JSON form. Missing keys take AdditiveConfig's
     defaults; unknown keys are rejected, so a misspelt key cannot silently
     fall back to a default."""
@@ -421,10 +410,10 @@ def _config_from_dict(doc: dict) -> AdditiveConfig:
     return AdditiveConfig(**{key: convert.get(key, lambda v: v)(v) for key, v in doc.items()})
 
 
-def save_fitted(fitted: FittedAdditive, path: str | Path) -> None:
-    doc = {
-        "schema": "exocast.additive.fitted/1",
-        "config": _config_to_dict(fitted.config),
+def to_doc(fitted: FittedAdditive) -> dict:
+    return {
+        "schema": SCHEMA,
+        "config": config_to_doc(fitted.config),
         "layout": [list(c) for c in fitted.layout],
         "coefficients": list(fitted.coefficients),
         "target_id": fitted.target_id,
@@ -436,15 +425,12 @@ def save_fitted(fitted: FittedAdditive, path: str | Path) -> None:
         "fitted_values": list(fitted.fitted_values),
         "fitted_start": str(fitted.fitted_start),
     }
-    Path(path).write_text(json.dumps(doc, indent=2))
 
 
-def load_fitted(path: str | Path) -> FittedAdditive:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != "exocast.additive.fitted/1":
-        raise ValueError(f"unknown fitted-model schema: {doc.get('schema')!r}")
+def from_doc(doc: dict) -> FittedAdditive:
+    """Inverse of `to_doc`; `models.from_doc` has matched the schema."""
     return FittedAdditive(
-        config=_config_from_dict(doc["config"]),
+        config=config_from_doc(doc["config"]),
         layout=tuple((t, n) for t, n in doc["layout"]),
         coefficients=tuple(doc["coefficients"]),
         target_id=doc["target_id"],

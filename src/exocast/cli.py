@@ -10,7 +10,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import additive, sarimax
+from . import models
 from .errors import ExocastError
 from .eurostat import DEFAULT_KEYWORDS, run_funnel
 from .experiment import (
@@ -19,10 +19,10 @@ from .experiment import (
     emit_table,
     load_config,
     reload_run,
+    render_grid,
     run_experiment,
-    _preprocess_train,
-    _render_grid,
-    _select,
+    select,
+    training_frames,
 )
 from .selection import save_result
 from .series import Month, write_series_csv
@@ -153,27 +153,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _training_frames(config):
-    """(dataset label, range, preprocessed training frame, normalization)."""
-    from .experiment import _resolve_dataset
-
-    for dataset in config.datasets:
-        frame, _ = _resolve_dataset(dataset)
-        for rng in config.ranges:
-            train_raw = frame.slice_months(rng.start, rng.end)
-            train, _transform, norm = _preprocess_train(train_raw, config.preprocessing)
-            yield dataset.label, rng, train, norm
-
-
 def cmd_select(args) -> int:
     config = _load(args)
     out = Path(args.out or config.out_dir or "selections")
     out.mkdir(parents=True, exist_ok=True)
-    for label, rng, train, _ in _training_frames(config):
+    for label, rng, train, _ in training_frames(config):
         for method in config.methods:
-            models = config.models if method.name == "forward" else config.models[:1]
-            for model in models:
-                result = _select(method, model, train, config.horizon, config.forward_cap)
+            specs = config.models if method.name == "forward" else config.models[:1]
+            for model in specs:
+                result = select(method, model, train, config.horizon, config.forward_cap)
                 suffix = f"__{model.label}" if method.name == "forward" else ""
                 name = f"{label}__{rng.label}__{method.label}{suffix}.json".replace("/", "_")
                 save_result(result, out / name)
@@ -183,26 +171,22 @@ def cmd_select(args) -> int:
 
 def cmd_fit(args) -> int:
     config = _load(args)
+    method = next((m for m in config.methods if args.method in (None, m.name)), None)
+    if method is None:
+        names = ", ".join(m.name for m in config.methods)
+        raise ExocastError(f"--method {args.method} is not configured; choose one of: {names}")
+    if not 0 <= args.model_index < len(config.models):
+        choices = ", ".join(f"{i} ({m.label})" for i, m in enumerate(config.models))
+        raise ExocastError(f"--model-index {args.model_index} out of range; choose from: {choices}")
+    model = config.models[args.model_index]
     out = Path(args.out or config.out_dir or "models")
     out.mkdir(parents=True, exist_ok=True)
-    method = next(
-        (m for m in config.methods if args.method in (None, m.name)), config.methods[0]
-    )
-    model = config.models[args.model_index]
-    for label, rng, train, norm in _training_frames(config):
-        selection = _select(method, model, train, config.horizon, config.forward_cap)
+    for label, rng, train, transform in training_frames(config):
+        selection = select(method, model, train, config.horizon, config.forward_cap)
         model_frame = train.with_indicators(selection.selected_ids)
         name = f"{label}__{rng.label}__{method.label}__{model.label}".replace("/", "_")
-        if model.name == "sarimax":
-            order = model.order
-            if order is None:
-                order, _ = sarimax.grid_search_order(model_frame, model.grid, config.horizon)
-            fitted = sarimax.fit(model_frame, order, normalization=norm)
-            sarimax.save_fitted(fitted, out / f"{name}.json")
-        else:
-            cfg = model.additive_config or additive.auto_config(model_frame)
-            fitted = additive.fit(model_frame, cfg)
-            additive.save_fitted(fitted, out / f"{name}.json")
+        fitted = models.fit(model, model_frame, config.horizon, transform.normalization)
+        (out / f"{name}.json").write_text(json.dumps(models.to_doc(fitted), indent=2))
         save_result(selection, out / f"{name}.selection.json")
         print(f"fitted {name} ({len(selection.selected_ids)} regressors)")
     return 0
@@ -211,28 +195,11 @@ def cmd_fit(args) -> int:
 def cmd_forecast(args) -> int:
     config = _load(args)
     horizon = args.horizon or config.horizon
-    doc = json.loads(Path(args.model_file).read_text())
-    schema = doc.get("schema", "")
+    fitted = models.from_doc(json.loads(Path(args.model_file).read_text()))
     out = Path(args.out or config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    frames = list(_training_frames(config))
-    label, rng, train, _ = frames[0]
-    if schema.startswith("exocast.sarimax"):
-        fitted = sarimax.load_fitted(args.model_file)
-        future = [
-            sarimax.extrapolate_regressor(train.indicator(i), horizon)
-            for i in fitted.regressor_ids
-        ]
-        predicted = sarimax.forecast(fitted, horizon, future)
-    elif schema.startswith("exocast.additive"):
-        fitted = additive.load_fitted(args.model_file)
-        future = [
-            sarimax.extrapolate_regressor(train.indicator(i), horizon)
-            for i in fitted.indicator_ids
-        ]
-        predicted = additive.forecast(fitted, horizon, future)
-    else:
-        raise ExocastError(f"unrecognised model schema {schema!r}")
+    _, _, train, _ = next(training_frames(config))
+    predicted = models.forecast(fitted, horizon, models.regressor_forecasts(train, horizon))
     path = out / "forecast.csv"
     write_series_csv(predicted, path)
     print(f"wrote {horizon}-month forecast (model scale) to {path}")
@@ -249,7 +216,7 @@ def cmd_experiment(args) -> int:
     if out:
         print(f"artifacts under {out}")
     failures = [k for k, c in table.cells.items() if c.failed]
-    header, rows, extra = _render_grid(table)
+    header, rows, extra = render_grid(table)
     width = max(len(r[0]) for r in rows + [header])
     print("  ".join([header[0].ljust(width), *header[1:]]))
     for row in rows + extra:

@@ -49,3 +49,7 @@ class NotCachedError(ExocastError, FileNotFoundError):
 
 class PayloadError(ExocastError, ValueError):
     """A remote payload (catalog or dataset) could not be parsed."""
+
+
+class SchemaError(ExocastError, ValueError):
+    """A persisted document names a schema this version cannot read."""

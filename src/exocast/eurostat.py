@@ -151,13 +151,6 @@ class _Throttle:
 
 
 _throttle = _Throttle()
-_inflight_locks: dict[str, threading.Lock] = {}
-_inflight_guard = threading.Lock()
-
-
-def _single_flight(code: str) -> threading.Lock:
-    with _inflight_guard:
-        return _inflight_locks.setdefault(code, threading.Lock())
 
 
 def base_url() -> str:
@@ -368,12 +361,11 @@ def fetch_dataset(
     timeout: float = REQUEST_TIMEOUT,
 ) -> RawDataset:
     """Fetch one dataset's observations; a fixture file bypasses the network."""
-    with _single_flight(code):
-        if offline_fixture is not None:
-            payload = Path(offline_fixture).read_text()
-        else:
-            url = (base or base_url()) + DATA_PATH.format(code=code)
-            payload = _http_get(url, timeout)
+    if offline_fixture is not None:
+        payload = Path(offline_fixture).read_text()
+    else:
+        url = (base or base_url()) + DATA_PATH.format(code=code)
+        payload = _http_get(url, timeout)
     return _parse_dataset_payload(code, payload)
 
 

@@ -14,11 +14,12 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator
 
-from . import additive, sarimax
+from . import models
 from .errors import ExocastError
 from .eurostat import list_cached_series
+from .models import ModelSpec  # re-exported: experiment configs are built from here
 from .selection import (
     CandidateSet,
     SelectionResult,
@@ -61,6 +62,9 @@ __all__ = [
     "ResultsTable",
     "RunArtifacts",
     "run_experiment",
+    "training_frames",
+    "select",
+    "render_grid",
     "emit_table",
     "emit_plot_data",
     "load_config",
@@ -117,29 +121,6 @@ class MethodSpec:
     @property
     def label(self) -> str:
         return self.name
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    name: str  # sarimax | additive
-    order: sarimax.SarimaxOrder | None = None
-    grid: tuple[sarimax.SarimaxOrder, ...] = ()
-    additive_config: additive.AdditiveConfig | None = None  # None -> auto
-
-    def __post_init__(self):
-        if self.name not in ("sarimax", "additive"):
-            raise ValueError(f"unknown model {self.name!r}")
-        if self.name == "sarimax" and self.order is None and not self.grid:
-            raise ValueError("sarimax model needs an order or a grid")
-
-    @property
-    def label(self) -> str:
-        if self.name == "sarimax":
-            if self.order is not None:
-                o = self.order
-                return f"sarimax({o.p},{o.d},{o.q})({o.P},{o.D},{o.Q})_{o.s}"
-            return f"sarimax[grid:{len(self.grid)}]"
-        return "additive[auto]" if self.additive_config is None else "additive"
 
 
 @dataclass(frozen=True)
@@ -261,6 +242,10 @@ class TargetTransform:
     steps: tuple[tuple, ...]  # ("normalize", params) / ("detrend", slope, intercept)
     train_length: int
 
+    @property
+    def normalization(self) -> NormalizationParams | None:
+        return next((s[1] for s in self.steps if s[0] == "normalize"), None)
+
     def invert(self, series: MonthlySeries) -> MonthlySeries:
         out = series
         for step in reversed(self.steps):
@@ -292,55 +277,47 @@ def _preprocess_train(frame: AlignedFrame, prep: PreprocessingSpec):
     target, steps = _preprocess_series(frame.target, prep)
     indicators = tuple(_preprocess_series(s, prep)[0] for s in frame.indicators)
     processed = AlignedFrame(frame.index, target, indicators)
-    norm = next((s[1] for s in steps if s[0] == "normalize"), None)
-    return processed, TargetTransform(tuple(steps), len(frame)), norm
+    return processed, TargetTransform(tuple(steps), len(frame))
+
+
+def training_frames(
+    config: ExperimentConfig,
+) -> Iterator[tuple[str, RangeSpec, AlignedFrame, TargetTransform]]:
+    """(dataset label, range, preprocessed training frame, target transform)
+    for each dataset x range, built lazily. The frame spans the whole range,
+    as the grid's first origin does."""
+    for spec in config.datasets:
+        frame, _ = _resolve_dataset(spec)
+        for rng in config.ranges:
+            train_raw = frame.slice_months(rng.start, rng.end)
+            yield (spec.label, rng, *_preprocess_train(train_raw, config.preprocessing))
 
 
 # ---------------------------------------------------------------------------
-# Model adapters
-
-def _fit_and_forecast(
-    model: ModelSpec,
-    train: AlignedFrame,
-    horizon: int,
-    normalization: NormalizationParams | None,
-) -> tuple[MonthlySeries, dict]:
-    future = [sarimax.extrapolate_regressor(s, horizon) for s in train.indicators]
-    if model.name == "sarimax":
-        order = model.order
-        if order is None:
-            order, _ = sarimax.grid_search_order(train, model.grid, horizon)
-        fitted = sarimax.fit(train, order, normalization=normalization)
-        predicted = sarimax.forecast(fitted, horizon, future)
-        return predicted, sarimax._fitted_to_dict(fitted)
-    config = model.additive_config or additive.auto_config(train)
-    fitted = additive.fit(train, config)
-    predicted = additive.forecast(fitted, horizon, future)
-    doc = json.loads(json.dumps(additive._config_to_dict(config)))
-    return predicted, {"schema": "exocast.additive.cell/1", "config": doc,
-                       "coefficients": list(fitted.coefficients)}
-
+# Selection
 
 def _forward_evaluator(model: ModelSpec, train: AlignedFrame, horizon: int):
     """Subset -> MAE on the last `horizon` months of the training range."""
     sub_train, validation = split_train_test(train, SplitSpec(horizon))
     actual = validation.target.require_complete()
+    future = models.regressor_forecasts(sub_train, horizon)
 
     def evaluate(subset: tuple[str, ...]) -> float:
-        model_frame = sub_train.with_indicators(subset)
-        predicted, _ = _fit_and_forecast(model, model_frame, horizon, None)
-        return mae(actual, predicted.require_complete())
+        fitted = models.fit(model, sub_train.with_indicators(subset), horizon, None)
+        return mae(actual, models.forecast(fitted, horizon, future).require_complete())
 
     return evaluate
 
 
-def _select(
+def select(
     method: MethodSpec,
     model: ModelSpec,
     train: AlignedFrame,
     horizon: int,
     forward_cap: int,
 ) -> SelectionResult:
+    """Run `method` on `train`; forward selection scores subsets with
+    `model`, the other methods ignore it."""
     candidates = CandidateSet(train)
     if method.name == "none":
         return SelectionResult(method="none", selected_ids=())
@@ -366,22 +343,6 @@ def _failure_code(exc: Exception) -> str:
     return name[:-5] if name.endswith("Error") else name
 
 
-def _run_origin(
-    config: ExperimentConfig,
-    method: MethodSpec,
-    model: ModelSpec,
-    train_raw: AlignedFrame,
-    test_actual: tuple[float, ...],
-):
-    train, transform, norm = _preprocess_train(train_raw, config.preprocessing)
-    selection = _select(method, model, train, config.horizon, config.forward_cap)
-    model_frame = train.with_indicators(selection.selected_ids)
-    predicted, model_doc = _fit_and_forecast(model, model_frame, config.horizon, norm)
-    predicted = transform.invert(predicted)
-    forecast_values = predicted.require_complete()
-    return selection, model_doc, forecast_values, mae(test_actual, forecast_values)
-
-
 def _run_cell(
     config: ExperimentConfig,
     dataset_label: str,
@@ -395,13 +356,17 @@ def _run_cell(
     try:
         scores = []
         for i, (train_raw, test_actual, _months) in enumerate(origins):
-            selection, model_doc, forecast_values, score = _run_origin(
-                config, method, model, train_raw, test_actual
-            )
-            scores.append(score)
+            train, transform = _preprocess_train(train_raw, config.preprocessing)
+            selection = select(method, model, train, config.horizon, config.forward_cap)
+            model_frame = train.with_indicators(selection.selected_ids)
+            fitted = models.fit(model, model_frame, config.horizon, transform.normalization)
+            future = models.regressor_forecasts(model_frame, config.horizon)
+            predicted = transform.invert(models.forecast(fitted, config.horizon, future))
+            forecast_values = predicted.require_complete()
+            scores.append(mae(test_actual, forecast_values))
             if i == 0:
                 artifacts.selection = selection
-                artifacts.model_doc = model_doc
+                artifacts.model_doc = models.to_doc(fitted)
                 artifacts.forecast = forecast_values
         n_exog = len(artifacts.selection.selected_ids)
         return CellResult(mae=sum(scores) / len(scores), n_exog=n_exog), artifacts
@@ -457,8 +422,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts
                     jobs.append((spec.label, rng, method, model, origins))
 
     def execute(job):
-        dataset_label, rng, method, model, origins = job
-        return _run_cell(config, dataset_label, rng, method, model, origins)
+        return _run_cell(config, *job)
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -467,10 +431,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts
         outcomes = [execute(job) for job in jobs]
 
     cells: dict[CellKey, CellResult] = {}
-    for (dataset_label, rng, method, model, *_), (result, cell_art) in zip(jobs, outcomes):
-        key = (dataset_label, rng.label, method.label, model.label)
-        cells[key] = result
-        artifacts.cells[key] = cell_art
+    for result, cell_art in outcomes:
+        cells[cell_art.key] = result
+        artifacts.cells[cell_art.key] = cell_art
         if cell_art.selection is not None and cell_art.selection.trace is not None:
             artifacts.traces.append(cell_art.selection.trace)
 
@@ -498,7 +461,7 @@ def _cell_key(row: tuple[str, str], col: str) -> CellKey:
     return (dataset, rng, row[0], row[1])
 
 
-def _render_grid(table: ResultsTable) -> tuple[list[str], list[list[str]], list[list[str]]]:
+def render_grid(table: ResultsTable) -> tuple[list[str], list[list[str]], list[list[str]]]:
     """Header, score rows (one per row key, plus count sub-rows), and the
     per-column best row labels."""
     header = ["forecasting setting", *table.col_keys]
@@ -529,7 +492,7 @@ def _render_grid(table: ResultsTable) -> tuple[list[str], list[list[str]], list[
 def emit_table(table: ResultsTable, fmt: str, path: str | Path) -> Path:
     """Write the results grid as CSV or markdown; the numeric strings are
     identical in both formats and the per-column best cell is flagged."""
-    header, rows, extra = _render_grid(table)
+    header, rows, extra = render_grid(table)
     path = Path(path)
     if fmt == "csv":
         import csv as _csv
@@ -705,12 +668,6 @@ def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
 # ---------------------------------------------------------------------------
 # Config file loading (schema printed by `exocast experiment --print-schema`)
 
-def _order_from_list(values: Sequence[int]) -> sarimax.SarimaxOrder:
-    if len(values) != 7:
-        raise ValueError(f"order must be [p,d,q,P,D,Q,s], got {values}")
-    return sarimax.SarimaxOrder(*values)
-
-
 def load_config(path: str | Path, *, seed_override: int | None = None) -> ExperimentConfig:
     doc = json.loads(Path(path).read_text())
     datasets = []
@@ -759,24 +716,6 @@ def load_config(path: str | Path, *, seed_override: int | None = None) -> Experi
                 )
             )
 
-    models = []
-    for entry in doc["models"]:
-        if entry["name"] == "sarimax":
-            if "order" in entry:
-                models.append(ModelSpec("sarimax", order=_order_from_list(entry["order"])))
-            else:
-                models.append(
-                    ModelSpec(
-                        "sarimax",
-                        grid=tuple(_order_from_list(o) for o in entry["grid"]),
-                    )
-                )
-        else:
-            cfg = None
-            if not entry.get("auto", "config" not in entry):
-                cfg = additive._config_from_dict(entry["config"])
-            models.append(ModelSpec("additive", additive_config=cfg))
-
     prep_doc = doc.get("preprocessing", {})
     return ExperimentConfig(
         datasets=tuple(datasets),
@@ -784,7 +723,7 @@ def load_config(path: str | Path, *, seed_override: int | None = None) -> Experi
             RangeSpec(Month.parse(r["start"]), Month.parse(r["end"])) for r in doc["ranges"]
         ),
         methods=tuple(methods),
-        models=tuple(models),
+        models=tuple(models.spec_from_config(entry) for entry in doc["models"]),
         horizon=doc.get("horizon", 12),
         preprocessing=PreprocessingSpec(
             smooth_window=prep_doc.get("smooth_window", 1),

@@ -1,0 +1,126 @@
+"""The one interface to both forecasting models.
+
+Everything outside this module treats a model as a `ModelSpec` to fit, a
+fitted object to forecast from, and a JSON document to persist and reload.
+Only this module knows that the spec names SARIMAX or the additive model and
+which module serves each; reloading dispatches on the document's `schema`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Mapping, Union
+
+from . import additive, sarimax
+from .errors import SchemaError
+from .series import AlignedFrame, MonthlySeries, NormalizationParams
+from .sarimax import RegressorForecast
+
+__all__ = [
+    "ModelSpec",
+    "Fitted",
+    "spec_from_config",
+    "fit",
+    "regressor_forecasts",
+    "forecast",
+    "to_doc",
+    "from_doc",
+]
+
+Fitted = Union[sarimax.FittedSarimax, additive.FittedAdditive]
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    name: str  # sarimax | additive
+    order: sarimax.SarimaxOrder | None = None
+    grid: tuple[sarimax.SarimaxOrder, ...] = ()
+    additive_config: additive.AdditiveConfig | None = None  # None -> auto
+
+    def __post_init__(self):
+        if self.name not in ("sarimax", "additive"):
+            raise ValueError(f"unknown model {self.name!r}")
+        if self.name == "sarimax" and self.order is None and not self.grid:
+            raise ValueError("sarimax model needs an order or a grid")
+
+    @property
+    def label(self) -> str:
+        if self.name == "sarimax":
+            if self.order is not None:
+                o = self.order
+                return f"sarimax({o.p},{o.d},{o.q})({o.P},{o.D},{o.Q})_{o.s}"
+            return f"sarimax[grid:{len(self.grid)}]"
+        return "additive[auto]" if self.additive_config is None else "additive"
+
+
+def _order_from_list(values) -> sarimax.SarimaxOrder:
+    if len(values) != 7:
+        raise ValueError(f"order must be [p,d,q,P,D,Q,s], got {values}")
+    return sarimax.SarimaxOrder(*values)
+
+
+def spec_from_config(entry: dict) -> ModelSpec:
+    """One entry of an experiment config's "models" list."""
+    if entry["name"] == "sarimax":
+        if "order" in entry:
+            return ModelSpec("sarimax", order=_order_from_list(entry["order"]))
+        return ModelSpec("sarimax", grid=tuple(_order_from_list(o) for o in entry["grid"]))
+    cfg = None
+    if not entry.get("auto", "config" not in entry):
+        cfg = additive.config_from_doc(entry["config"])
+    return ModelSpec("additive", additive_config=cfg)
+
+
+def fit(
+    spec: ModelSpec,
+    train: AlignedFrame,
+    horizon: int,
+    normalization: NormalizationParams | None,
+) -> Fitted:
+    """Fit `spec` on every indicator of `train`. A SARIMAX order grid is
+    searched on the last `horizon` training months; an additive spec without
+    a config takes `additive.auto_config`. `normalization` is recorded on
+    SARIMAX fits only."""
+    if spec.name == "sarimax":
+        order = spec.order or sarimax.grid_search_order(train, spec.grid, horizon)[0]
+        return sarimax.fit(train, order, normalization=normalization)
+    return additive.fit(train, spec.additive_config or additive.auto_config(train))
+
+
+def regressor_forecasts(train: AlignedFrame, horizon: int) -> dict[str, RegressorForecast]:
+    """The straight-line continuation of each indicator of `train`, by id."""
+    return {s.id: sarimax.extrapolate_regressor(s, horizon) for s in train.indicators}
+
+
+def _module(fitted: Fitted):
+    """The model module that produced `fitted`."""
+    return sarimax if isinstance(fitted, sarimax.FittedSarimax) else additive
+
+
+def forecast(
+    fitted: Fitted,
+    horizon: int,
+    regressor_forecasts_by_id: Mapping[str, RegressorForecast],
+) -> MonthlySeries:
+    """`horizon` months past the training end, on the fitted scale. Only the
+    regressors the model was fitted on are read from the mapping; the model
+    rejects a forecast that lacks one."""
+    ids = fitted.regressor_ids if _module(fitted) is sarimax else fitted.indicator_ids
+    future = [regressor_forecasts_by_id[i] for i in ids if i in regressor_forecasts_by_id]
+    return _module(fitted).forecast(fitted, horizon, future)
+
+
+def to_doc(fitted: Fitted) -> dict:
+    """The fitted model's JSON document; `from_doc` reloads it exactly."""
+    return _module(fitted).to_doc(fitted)
+
+
+def from_doc(doc: dict) -> Fitted:
+    """Reload a `to_doc` document; a `schema` of neither model is an error."""
+    module = {sarimax.SCHEMA: sarimax, additive.SCHEMA: additive}.get(doc.get("schema"))
+    if module is None:
+        raise SchemaError(
+            f"unrecognised model schema {doc.get('schema')!r}; "
+            f"expected {sarimax.SCHEMA} or {additive.SCHEMA}"
+        )
+    return module.from_doc(doc)

@@ -29,10 +29,8 @@ typically at iteration 0, and alone decides convergence.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -67,9 +65,11 @@ __all__ = [
     "forecast",
     "extrapolate_regressor",
     "grid_search_order",
-    "save_fitted",
-    "load_fitted",
+    "to_doc",
+    "from_doc",
 ]
+
+SCHEMA = "exocast.sarimax.fitted/1"
 
 MAX_ITER = 500
 CSS_TOL = 1e-8
@@ -323,13 +323,27 @@ def css_residuals(
     difference_regressors: bool = False,
 ) -> tuple[list[float], float]:
     """Conditional residuals from t = max(p, P*s) onward, and their sum of squares."""
+    scored, _ = _scored_residuals(
+        order, params, target, exog, mean_conditioning, difference_regressors
+    )
+    return scored.tolist(), float(scored @ scored)
+
+
+def _scored_residuals(
+    order: SarimaxOrder,
+    params: SarimaxParams,
+    target: MonthlySeries,
+    exog: Sequence[MonthlySeries],
+    mean_conditioning: bool,
+    difference_regressors: bool,
+) -> tuple[np.ndarray, float]:
+    """`css_residuals` as an array, and the pre-sample mean it conditions on."""
     params.check_against(order, len(exog))
     w, X = _prepare(order, target, exog, difference_regressors)
     wbar = float(w.mean()) if mean_conditioning else 0.0
     xb = X @ np.asarray(params.beta) if len(params.beta) else np.zeros(len(w))
     eps = _residual_recursion(w, xb, params, order.s, wbar)
-    scored = eps[order.presample :]
-    return scored.tolist(), float(scored @ scored)
+    return eps[order.presample :], wbar
 
 
 def _poly_blocks(order: SarimaxOrder) -> tuple[tuple[int, list[int], bool, str], ...]:
@@ -471,15 +485,10 @@ def fitted_from_params(
     normalization: NormalizationParams | None = None,
 ) -> FittedSarimax:
     """Assemble the forecast-ready state for explicitly given coefficients."""
-    residuals, css = css_residuals(
-        order,
-        params,
-        train.target,
-        train.indicators,
-        mean_conditioning=mean_conditioning,
-        difference_regressors=difference_regressors,
+    scored, wbar = _scored_residuals(
+        order, params, train.target, train.indicators, mean_conditioning, difference_regressors
     )
-    w, _ = _prepare(order, train.target, train.indicators, difference_regressors)
+    residuals = scored.tolist()
     n_tail = max(order.p, order.q, order.P * order.s, order.Q * order.s) + order.dropped
     y = train.target.require_complete()
     n_resid_tail = max(order.q, order.Q * order.s)
@@ -496,10 +505,10 @@ def fitted_from_params(
         train_end=train.end,
         tail_values=tuple(y[len(y) - min(n_tail, len(y)) :]),
         tail_residuals=tuple(residuals[len(residuals) - min(n_resid_tail, len(residuals)) :]),
-        css=css,
+        css=float(scored @ scored),
         normalization=normalization,
         mean_conditioning=mean_conditioning,
-        presample_mean=float(w.mean()) if mean_conditioning else 0.0,
+        presample_mean=wbar,
         difference_regressors=difference_regressors,
         regressor_tails=reg_tails,
     )
@@ -558,25 +567,16 @@ def fit(
     }
 
     def build(x: np.ndarray) -> FittedSarimax:
-        params = _unpack(x, order, k)
-        residuals, css = css_residuals(
-            order,
-            params,
-            train.target,
-            train.indicators,
-            mean_conditioning=mean_conditioning,
-            difference_regressors=difference_regressors,
-        )
-        params = replace(params, sigma2=max(css / len(residuals), 1e-300))
         fitted = fitted_from_params(
             order,
-            params,
+            _unpack(x, order, k),
             train,
             mean_conditioning=mean_conditioning,
             difference_regressors=difference_regressors,
             normalization=normalization,
         )
-        return replace(fitted, optimizer=optimizer)
+        sigma2 = max(fitted.css / (len(w) - order.presample), 1e-300)
+        return replace(fitted, params=replace(fitted.params, sigma2=sigma2), optimizer=optimizer)
 
     if result.status == 1:  # iteration/function budget exhausted
         raise ConvergenceFailureError(
@@ -744,9 +744,9 @@ def grid_search_order(
 # ---------------------------------------------------------------------------
 # JSON serialization (schema documented in docs/schemas.md)
 
-def _fitted_to_dict(fitted: FittedSarimax) -> dict:
+def to_doc(fitted: FittedSarimax) -> dict:
     return {
-        "schema": "exocast.sarimax.fitted/1",
+        "schema": SCHEMA,
         "order": list(fitted.order.as_tuple()),
         "params": {
             "c": fitted.params.c,
@@ -776,9 +776,8 @@ def _fitted_to_dict(fitted: FittedSarimax) -> dict:
     }
 
 
-def _fitted_from_dict(doc: dict) -> FittedSarimax:
-    if doc.get("schema") != "exocast.sarimax.fitted/1":
-        raise ValueError(f"unknown fitted-model schema: {doc.get('schema')!r}")
+def from_doc(doc: dict) -> FittedSarimax:
+    """Inverse of `to_doc`; `models.from_doc` has matched the schema."""
     p = doc["params"]
     norm = doc.get("normalization")
     return FittedSarimax(
@@ -805,11 +804,3 @@ def _fitted_from_dict(doc: dict) -> FittedSarimax:
         regressor_tails=tuple(tuple(t) for t in doc.get("regressor_tails", [])),
         optimizer=doc.get("optimizer"),
     )
-
-
-def save_fitted(fitted: FittedSarimax, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_fitted_to_dict(fitted), indent=2))
-
-
-def load_fitted(path: str | Path) -> FittedSarimax:
-    return _fitted_from_dict(json.loads(Path(path).read_text()))

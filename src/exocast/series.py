@@ -31,7 +31,6 @@ __all__ = [
     "mae",
     "min_max_normalize",
     "denormalize",
-    "apply_normalization",
     "interpolate_missing",
     "difference",
     "difference_with_initials",
@@ -254,13 +253,6 @@ def denormalize(series: MonthlySeries, params: NormalizationParams) -> MonthlySe
     vals = series.require_complete()
     span = params.max - params.min
     return series.with_values(v * span + params.min for v in vals)
-
-
-def apply_normalization(series: MonthlySeries, params: NormalizationParams) -> MonthlySeries:
-    """Apply previously fitted params (values may fall outside [0, 1])."""
-    vals = series.require_complete()
-    span = params.max - params.min
-    return series.with_values((v - params.min) / span for v in vals)
 
 
 def interpolate_missing(series: MonthlySeries) -> MonthlySeries:

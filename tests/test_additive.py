@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,10 +14,9 @@ from exocast.additive import (
     forecast,
     forecast_with_components,
     fourier_features,
-    load_fitted,
-    save_fitted,
     trend_features,
 )
+from exocast import models
 from exocast.errors import InsufficientDataError
 from exocast.sarimax import RegressorForecast, extrapolate_regressor
 from exocast.series import Month, MonthlySeries, align_merge, mae
@@ -351,14 +351,14 @@ class TestDecomposeAndSerialize:
         )
         fitted = fit(f, config)
         path = tmp_path / "additive.json"
-        save_fitted(fitted, path)
-        loaded = load_fitted(path)
+        path.write_text(json.dumps(models.to_doc(fitted), indent=2))
+        loaded = models.from_doc(json.loads(path.read_text()))
         assert loaded == fitted
 
     def test_round_trip_forecast_identical(self, tmp_path):
         y = [1.0 + 0.2 * i for i in range(24)]
         fitted = fit(frame(y), AdditiveConfig(ar_lags=2))
         path = tmp_path / "m.json"
-        save_fitted(fitted, path)
-        loaded = load_fitted(path)
+        path.write_text(json.dumps(models.to_doc(fitted), indent=2))
+        loaded = models.from_doc(json.loads(path.read_text()))
         assert forecast(loaded, 6).values == forecast(fitted, 6).values

@@ -1,10 +1,16 @@
 import json
 
+import pytest
+
 from exocast.cli import main
 from exocast.series import read_series_csv
 
 
-def write_experiment_config(tmp_path, out_dir=None, methods=None, months=76):
+SARIMAX = {"name": "sarimax", "order": [1, 0, 0, 0, 0, 0, 12]}
+ADDITIVE = {"name": "additive", "auto": True}
+
+
+def write_experiment_config(tmp_path, out_dir=None, methods=None, months=76, models=(SARIMAX,)):
     doc = {
         "datasets": [
             {"label": "synth-0", "kind": "synthetic",
@@ -14,7 +20,7 @@ def write_experiment_config(tmp_path, out_dir=None, methods=None, months=76):
         "ranges": [{"start": "2016-01", "end": "2021-04"}],
         "horizon": 12,
         "methods": methods or ["none", "correlation"],
-        "models": [{"name": "sarimax", "order": [1, 0, 0, 0, 0, 0, 12]}],
+        "models": list(models),
         "forward_cap": 4,
     }
     if out_dir:
@@ -88,8 +94,9 @@ class TestSelectFitForecast:
         assert any("correlation" in n for n in files)
         assert any("forward" in n for n in files)
 
-    def test_fit_then_forecast(self, tmp_path):
-        config = write_experiment_config(tmp_path, methods=["correlation"])
+    @pytest.mark.parametrize("model", [SARIMAX, ADDITIVE], ids=["sarimax", "additive"])
+    def test_fit_then_forecast(self, tmp_path, model):
+        config = write_experiment_config(tmp_path, methods=["correlation"], models=[model])
         models = tmp_path / "models"
         rc = main(["fit", "--config", str(config), "--out", str(models)])
         assert rc == 0
@@ -103,6 +110,31 @@ class TestSelectFitForecast:
         forecast = read_series_csv(fc_dir / "forecast.csv")
         assert len(forecast) == 6
         assert str(forecast.start) == "2021-05"
+
+    def test_fit_rejects_unconfigured_method(self, tmp_path, capsys):
+        config = write_experiment_config(tmp_path)  # methods: none, correlation
+        rc = main(["fit", "--config", str(config), "--method", "lasso",
+                   "--out", str(tmp_path / "models")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "lasso" in err and "none, correlation" in err
+
+    def test_fit_rejects_out_of_range_model_index(self, tmp_path, capsys):
+        config = write_experiment_config(tmp_path, models=(SARIMAX, ADDITIVE))
+        rc = main(["fit", "--config", str(config), "--model-index", "2",
+                   "--out", str(tmp_path / "models")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--model-index 2" in err and "0 (sarimax" in err and "1 (additive" in err
+
+    def test_forecast_rejects_unknown_schema(self, tmp_path, capsys):
+        config = write_experiment_config(tmp_path)
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps({"schema": "exocast.unknown/1"}))
+        rc = main(["forecast", "--config", str(config), "--model-file", str(model_file),
+                   "--out", str(tmp_path / "fc")])
+        assert rc == 2
+        assert "schema" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -104,12 +104,6 @@ class TestThrottle:
             throttle.wait()
         assert time.monotonic() - start >= 0.1  # two enforced gaps
 
-    def test_single_flight_lock_is_per_code(self):
-        from exocast.eurostat import _single_flight
-
-        assert _single_flight("A") is _single_flight("A")
-        assert _single_flight("A") is not _single_flight("B")
-
 
 class TestFetchCatalog:
     def test_five_entry_fixture(self, tmp_path):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from exocast import models
 from exocast.additive import AdditiveConfig
 from exocast.experiment import (
     DatasetSpec,
@@ -17,6 +18,7 @@ from exocast.experiment import (
     reload_run,
     run_experiment,
     config_schema_text,
+    training_frames,
 )
 from exocast.sarimax import SarimaxOrder
 from exocast.sarimax import fit as sarimax_fit
@@ -27,6 +29,7 @@ from exocast.series import (
     SplitSpec,
     align_merge,
     mae,
+    read_series_csv,
     split_train_test,
     write_series_csv,
 )
@@ -417,6 +420,39 @@ class TestProtocolShape:
         assert text.count("@") >= 2  # two range columns
         manual_cells = [c for k, c in table.cells.items() if k[2] == "manual"]
         assert all(c.n_exog == 2 for c in manual_cells)
+
+
+class TestPersistedModels:
+    def test_every_cell_model_reloads_to_its_stored_forecast(self, tmp_path):
+        # Each cell's model.json is the full fitted document: reloaded and
+        # run on the cell's training frame, it reproduces the stored
+        # forecast bit for bit, for either model.
+        config = ExperimentConfig(
+            datasets=(synth_dataset(seed=0, n_indicators=6),),
+            ranges=(RangeSpec(M(2016, 1), M(2021, 4)), RangeSpec(M(2019, 1), M(2021, 4))),
+            methods=(MethodSpec("none"), MethodSpec("correlation"), MethodSpec("forward"),
+                     MethodSpec("manual", manual_ids=("ind01", "ind02"))),
+            models=(ModelSpec("sarimax", order=SarimaxOrder(p=1)), ModelSpec("additive")),
+            horizon=12,
+            forward_cap=2,
+            out_dir=str(tmp_path / "run"),
+        )
+        table, _ = run_experiment(config)
+        frames = {(d, rng.label): (train, t) for d, rng, train, t in training_frames(config)}
+        folders = sorted((tmp_path / "run" / "cells").glob("*/model.json"))
+        assert len(folders) == sum(not c.failed for c in table.cells.values()) == 16
+        schemas = set()
+        for path in folders:
+            doc = json.loads(path.read_text())
+            schemas.add(doc["schema"])
+            dataset, rng = path.parent.name.split("__")[:2]
+            train, transform = frames[(dataset, rng)]
+            future = models.regressor_forecasts(train, config.horizon)
+            fitted = models.from_doc(doc)
+            predicted = transform.invert(models.forecast(fitted, config.horizon, future))
+            stored = read_series_csv(path.parent / "forecast.csv")
+            assert predicted.values == stored.values, path.parent.name
+        assert schemas == {"exocast.sarimax.fitted/1", "exocast.additive.fitted/1"}
 
 
 class TestConfigValidation:

@@ -1,0 +1,67 @@
+"""No exocast module reaches into another module's private names.
+
+A leading underscore marks a name as internal to its module. Importing one
+from a sibling module (`from .experiment import _select`), or reading one as
+an attribute of an imported sibling (`sarimax._prepare`), couples the
+two modules through code the owner may change freely.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "exocast"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _is_package(node: ast.ImportFrom) -> bool:
+    """`from . import x`, `from .x import y`, `from exocast[.x] import y`."""
+    module = node.module or ""
+    return node.level > 0 or module == "exocast" or module.startswith("exocast.")
+
+
+def private_uses(source: str) -> list[str]:
+    """Each place `source` imports, or reads as an attribute, a private name
+    of another exocast module."""
+    tree = ast.parse(source)
+    modules: set[str] = set()  # local names bound to sibling modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_package(node):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+                elif node.module in (None, "exocast"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            found.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_checker_catches_both_forms():
+    source = (
+        "from . import sarimax\n"
+        "from .experiment import _select, run_experiment\n"
+        "w = sarimax._prepare(order, target)\n"
+        "ok = sarimax.fit, sarimax.__name__\n"
+    )
+    assert private_uses(source) == [
+        "line 2: imports _select",
+        "line 3: reads sarimax._prepare",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_uses_no_private_name_of_another(path):
+    assert private_uses(path.read_text()) == []

@@ -20,9 +20,8 @@ from exocast.sarimax import (
     fitted_from_params,
     forecast,
     grid_search_order,
-    load_fitted,
-    save_fitted,
 )
+from exocast import models
 from exocast.sarimax import _css_and_gradient
 from exocast.series import Month, MonthlySeries, align_merge
 
@@ -414,16 +413,16 @@ class TestSerialization:
         x = np.random.default_rng(6).normal(0, 1, 100).tolist()
         fitted = fit(frame(y, indicators=[("x", x)]), SarimaxOrder(p=1, d=1, q=1))
         path = tmp_path / "model.json"
-        save_fitted(fitted, path)
-        loaded = load_fitted(path)
+        path.write_text(json.dumps(models.to_doc(fitted), indent=2))
+        loaded = models.from_doc(json.loads(path.read_text()))
         assert loaded == fitted
 
     def test_loaded_params_reproduce_css(self, tmp_path):
         y = simulate_ar1(8, n=90).tolist()
         fitted = fit(frame(y), SarimaxOrder(p=1, q=1))
         path = tmp_path / "model.json"
-        save_fitted(fitted, path)
-        loaded = load_fitted(path)
+        path.write_text(json.dumps(models.to_doc(fitted), indent=2))
+        loaded = models.from_doc(json.loads(path.read_text()))
         _, css = css_residuals(loaded.order, loaded.params, ms(y))
         assert css == pytest.approx(loaded.css, rel=1e-8)
 
@@ -431,12 +430,12 @@ class TestSerialization:
         y = simulate_ar1(9, n=80).tolist()
         fitted = fit(frame(y), SarimaxOrder(p=1))
         path = tmp_path / "model.json"
-        save_fitted(fitted, path)
+        path.write_text(json.dumps(models.to_doc(fitted), indent=2))
         doc = json.loads(path.read_text())
         assert doc["optimizer"] == fitted.optimizer
         del doc["optimizer"]
         path.write_text(json.dumps(doc))
-        assert load_fitted(path).optimizer is None
+        assert models.from_doc(json.loads(path.read_text())).optimizer is None
         given = fitted_from_params(fitted.order, fitted.params, frame(y))
         assert given.optimizer is None
 
@@ -444,7 +443,7 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text('{"schema": "something-else"}')
         with pytest.raises(ValueError):
-            load_fitted(path)
+            models.from_doc(json.loads(path.read_text()))
 
 
 class TestOrderValidation:
