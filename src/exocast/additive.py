@@ -365,12 +365,12 @@ def decompose(fitted: FittedAdditive, train: AlignedFrame) -> dict[str, tuple[fl
 
 def export_components_csv(fitted: FittedAdditive, train: AlignedFrame, path: str | Path) -> None:
     parts = decompose(fitted, train)
-    design = build_design(train, fitted.config)
+    months = train.index[fitted.config.dropped_rows :]  # the design rows
     tags = [t for t in COMPONENT_TAGS if t in parts]
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["period", "fitted", *tags])
-        for i, month in enumerate(design.months):
+        for i, month in enumerate(months):
             writer.writerow(
                 [str(month), repr(fitted.fitted_values[i])]
                 + [repr(parts[t][i]) for t in tags]

@@ -36,7 +36,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override the synthetic seed")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--offline", action="store_true", help="never touch the network")
-    parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
+    parser.add_argument("--jobs", type=int, help="threads over dataset x range groups")
     parser.add_argument("-v", "--verbose", action="store_true")
 
 

@@ -13,6 +13,7 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
@@ -343,50 +344,81 @@ def _failure_code(exc: Exception) -> str:
     return name[:-5] if name.endswith("Error") else name
 
 
-def _run_cell(
-    config: ExperimentConfig,
-    dataset_label: str,
-    range_spec: RangeSpec,
-    method: MethodSpec,
-    model: ModelSpec,
-    origins: list[tuple[AlignedFrame, tuple[float, ...], tuple[Month, ...]]],
-) -> tuple[CellResult, CellArtifacts]:
-    key: CellKey = (dataset_label, range_spec.label, method.label, model.label)
-    artifacts = CellArtifacts(key=key, months=origins[0][2], actual=origins[0][1])
-    try:
-        scores = []
-        for i, (train_raw, test_actual, _months) in enumerate(origins):
-            train, transform = _preprocess_train(train_raw, config.preprocessing)
-            selection = select(method, model, train, config.horizon, config.forward_cap)
-            model_frame = train.with_indicators(selection.selected_ids)
-            fitted = models.fit(model, model_frame, config.horizon, transform.normalization)
-            future = models.regressor_forecasts(model_frame, config.horizon)
-            predicted = transform.invert(models.forecast(fitted, config.horizon, future))
-            forecast_values = predicted.require_complete()
-            scores.append(mae(test_actual, forecast_values))
-            if i == 0:
-                artifacts.selection = selection
-                artifacts.model_doc = models.to_doc(fitted)
-                artifacts.forecast = forecast_values
-        n_exog = len(artifacts.selection.selected_ids)
-        return CellResult(mae=sum(scores) / len(scores), n_exog=n_exog), artifacts
-    except Exception as exc:  # noqa: BLE001 - a failed cell never aborts the grid
-        log.warning("cell %s failed: %s", key, exc)
-        return CellResult(mae=None, n_exog=None, error=_failure_code(exc)), artifacts
+def _once(stages: dict, key, fn, *args):
+    """`fn(*args)`, computed once per key of `stages`: later calls get the
+    stored result, or the stored exception raised again."""
+    if key not in stages:
+        try:
+            stages[key] = fn(*args)
+        except Exception as exc:  # noqa: BLE001 - raised below, to every caller
+            stages[key] = exc
+    if isinstance(stages[key], Exception):
+        raise stages[key]
+    return stages[key]
+
+
+def _score_cell(config, method, model, origin, stages, keep: CellArtifacts | None) -> float:
+    """One cell's MAE at one origin. `stages` shares the origin's
+    preprocessing and model-independent selections between its cells;
+    `keep`, if given, receives the selection, model and forecast."""
+    train_raw, test_actual, _ = origin
+    train, transform = _once(stages, "preprocess", _preprocess_train, train_raw, config.preprocessing)
+    # Only forward selection depends on the model.
+    by = (method.label, model.label if method.name == "forward" else None)
+    selection = _once(stages, by, select, method, model, train, config.horizon, config.forward_cap)
+    model_frame = train.with_indicators(selection.selected_ids)
+    fitted = models.fit(model, model_frame, config.horizon, transform.normalization)
+    future = models.regressor_forecasts(model_frame, config.horizon)
+    predicted = transform.invert(models.forecast(fitted, config.horizon, future))
+    forecast_values = predicted.require_complete()
+    score = mae(test_actual, forecast_values)
+    if keep is not None:
+        keep.selection = selection
+        keep.model_doc = models.to_doc(fitted)
+        keep.forecast = forecast_values
+    return score
+
+
+def _run_group(config: ExperimentConfig, group) -> list[tuple[CellResult, CellArtifacts]]:
+    """Every (method, model) cell of one (dataset label, range, origins)
+    group, origin by origin, so that one preprocessed frame is alive at a
+    time. A cell fails on its first exception and is skipped at later
+    origins; origin 0 supplies its artifacts."""
+    dataset_label, range_spec, origins = group
+    cells = {
+        (dataset_label, range_spec.label, method.label, model.label): (method, model)
+        for method in config.methods
+        for model in config.models
+    }
+    artifacts = {k: CellArtifacts(key=k, months=origins[0][2], actual=origins[0][1]) for k in cells}
+    scores: dict[CellKey, list[float]] = {key: [] for key in cells}
+    results: dict[CellKey, CellResult] = {}  # failed cells, until the last origin
+    for i, origin in enumerate(origins):
+        stages: dict = {}  # this origin's preprocessing and selections
+        for key, (method, model) in cells.items():
+            if key in results:
+                continue
+            keep = artifacts[key] if i == 0 else None
+            try:
+                scores[key].append(_score_cell(config, method, model, origin, stages, keep))
+            except Exception as exc:  # noqa: BLE001 - a failed cell never aborts the grid
+                log.warning("cell %s failed: %s", key, exc)
+                results[key] = CellResult(mae=None, n_exog=None, error=_failure_code(exc))
+    for key, cell_scores in scores.items():
+        if key not in results:
+            n_exog = len(artifacts[key].selection.selected_ids)
+            results[key] = CellResult(mae=sum(cell_scores) / len(cell_scores), n_exog=n_exog)
+    return [(results[key], artifacts[key]) for key in cells]
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts]:
     # Resolve everything up front so a bad config fails before any work.
-    frames: dict[str, AlignedFrame] = {}
     artifacts = RunArtifacts(horizon=config.horizon)
+    groups = []
     for spec in config.datasets:
         frame, truth = _resolve_dataset(spec)
-        frames[spec.label] = frame
         if truth is not None:
             artifacts.truths[spec.label] = truth
-    slices: dict[tuple[str, str], list] = {}
-    for spec in config.datasets:
-        frame = frames[spec.label]
         for rng in config.ranges:
             origins = []
             for origin in range(config.rolling_origins):
@@ -411,27 +443,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts
                 origins.append(
                     (train_raw, test_target.require_complete(), test_target.months)
                 )
-            slices[(spec.label, rng.label)] = origins
-
-    jobs = []
-    for spec in config.datasets:
-        for rng in config.ranges:
-            origins = slices[(spec.label, rng.label)]
-            for method in config.methods:
-                for model in config.models:
-                    jobs.append((spec.label, rng, method, model, origins))
-
-    def execute(job):
-        return _run_cell(config, *job)
+            groups.append((spec.label, rng, origins))
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(execute, jobs))
+            outcomes = list(pool.map(partial(_run_group, config), groups))
     else:
-        outcomes = [execute(job) for job in jobs]
+        outcomes = [_run_group(config, group) for group in groups]
 
     cells: dict[CellKey, CellResult] = {}
-    for result, cell_art in outcomes:
+    for result, cell_art in (outcome for group in outcomes for outcome in group):
         cells[cell_art.key] = result
         artifacts.cells[cell_art.key] = cell_art
         if cell_art.selection is not None and cell_art.selection.trace is not None:
@@ -762,7 +783,7 @@ Experiment config (JSON object):
               // an additive "config" may omit keys (they default); unknown keys are errors
   "preprocessing": {"smooth_window": 1, "detrend": false, "normalize": true},
   "forward_cap": 20,                 // greedy ladder cap
-  "jobs": 1,                         // worker pool size for grid cells
+  "jobs": 1,                         // thread pool over dataset x range groups
   "rolling_origins": 1,              // >1 averages MAE over stepped-back origins
   "out_dir": "runs/exp1"             // artifacts land here (optional)
 }

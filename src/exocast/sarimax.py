@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     ConvergenceFailureError,
@@ -76,6 +75,14 @@ CSS_TOL = 1e-8
 # Bound on the unconstrained coordinates; maps to |pacf| <= R_MAX ~ 0.9998.
 COORD_BOUND = 50.0
 R_MAX = COORD_BOUND / math.sqrt(1.0 + COORD_BOUND * COORD_BOUND)
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on first use: the import is most
+    of the package's start-up time, and most CLI commands fit nothing."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True, order=True)
@@ -722,10 +729,12 @@ def grid_search_order(
         raise ValueError("order grid is empty")
     sub_train, validation = split_train_test(train, SplitSpec(horizon))
     table: list[OrderScore] = []
+    future = None  # the regressor continuations, shared by every order
     for order in grid:
         try:
             fitted = fit(sub_train, order, **fit_kwargs)
-            future = [extrapolate_regressor(x, horizon) for x in sub_train.indicators]
+            if future is None:
+                future = [extrapolate_regressor(x, horizon) for x in sub_train.indicators]
             predicted = forecast(fitted, horizon, future)
             score = mae(validation.target.require_complete(), predicted.require_complete())
             table.append(OrderScore(order, score))

@@ -16,6 +16,7 @@ from exocast.additive import (
     fourier_features,
     trend_features,
 )
+from exocast import additive as additive_module
 from exocast import models
 from exocast.errors import InsufficientDataError
 from exocast.sarimax import RegressorForecast, extrapolate_regressor
@@ -339,6 +340,29 @@ class TestDecomposeAndSerialize:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "period,fitted,intercept,T,S"
         assert len(lines) == 25
+
+    def test_components_csv_builds_design_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        f = frame(rng.normal(5, 1, 36).tolist())
+        fitted = fit(f, AdditiveConfig(n_changepoints=2, seasonalities=((12.0, 2),), ar_lags=2))
+        calls = []
+
+        def counting(train, config):
+            calls.append(len(train))
+            return build_design(train, config)
+
+        monkeypatch.setattr(additive_module, "build_design", counting)
+        path = tmp_path / "components.csv"
+        export_components_csv(fitted, f, path)
+        assert calls == [36]
+        parts = decompose(fitted, f)
+        months = build_design(f, fitted.config).months
+        rows = path.read_text().splitlines()
+        assert rows[0] == ",".join(["period", "fitted", *parts])
+        assert rows[1:] == [
+            ",".join([str(m), repr(fitted.fitted_values[i])] + [repr(v[i]) for v in parts.values()])
+            for i, m in enumerate(months)
+        ]
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exocast
 from exocast.cli import main
 from exocast.series import read_series_csv
 
@@ -28,6 +33,15 @@ def write_experiment_config(tmp_path, out_dir=None, methods=None, months=76, mod
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize is most of the start-up time; only a SARIMAX fit needs it.
+    src = str(Path(exocast.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, exocast.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSynthCommand:

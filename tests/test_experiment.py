@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from exocast import models
+from exocast import experiment, models
 from exocast.additive import AdditiveConfig
+from exocast.errors import InsufficientDataError
 from exocast.experiment import (
     DatasetSpec,
     ExperimentConfig,
@@ -420,6 +422,97 @@ class TestProtocolShape:
         assert text.count("@") >= 2  # two range columns
         manual_cells = [c for k, c in table.cells.items() if k[2] == "manual"]
         assert all(c.n_exog == 2 for c in manual_cells)
+
+
+class TestSharedStages:
+    # Preprocessing depends on neither method nor model, and only forward
+    # selection depends on the model: each runs once per origin it serves.
+    MODELS = (ModelSpec("sarimax", order=SarimaxOrder(p=1)),
+              ModelSpec("additive", additive_config=LEAN_ADDITIVE))
+
+    def _count(self, monkeypatch, names):
+        counts = Counter()
+        for name in names:
+            def counting(*args, _name=name, _original=getattr(experiment, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, counting)
+        return counts
+
+    def test_each_stage_runs_once_per_origin(self, monkeypatch):
+        config = ExperimentConfig(
+            datasets=(synth_dataset(seed=0, n_indicators=6),),
+            ranges=(RangeSpec(M(2016, 1), M(2021, 4)), RangeSpec(M(2019, 1), M(2021, 4))),
+            methods=(MethodSpec("none"), MethodSpec("correlation"), MethodSpec("lasso"),
+                     MethodSpec("forward"), MethodSpec("manual", manual_ids=("ind01", "ind02"))),
+            models=self.MODELS,
+            forward_cap=2,
+            rolling_origins=3,
+        )
+        names = ("_preprocess_train", "correlation_select", "lasso_select",
+                 "validate_manual", "forward_select")
+        counts = self._count(monkeypatch, names)
+        table, _ = run_experiment(config)
+        assert not [k for k, c in table.cells.items() if c.failed]
+        per_origin = 2 * 3  # ranges x origins
+        assert counts == {
+            "_preprocess_train": per_origin,
+            "correlation_select": per_origin,
+            "lasso_select": per_origin,
+            "validate_manual": per_origin,
+            "forward_select": per_origin * len(self.MODELS),
+        }
+
+    def _failure_config(self):
+        return quick_config(
+            ranges=(RangeSpec(M(2016, 1), M(2021, 4)), RangeSpec(M(2019, 1), M(2021, 4))),
+            methods=(MethodSpec("none"), MethodSpec("correlation"), MethodSpec("lasso"),
+                     MethodSpec("manual", manual_ids=("ind01", "ind02"))),
+            models=self.MODELS,
+            rolling_origins=2,
+        )
+
+    def _raise_when(self, monkeypatch, name, when):
+        original = getattr(experiment, name)
+
+        def flaky(*args, **kwargs):
+            if when(args[0]):
+                raise InsufficientDataError("planted failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, flaky)
+
+    def test_shared_selection_failure_fails_its_method_only(self, monkeypatch, caplog):
+        config = self._failure_config()
+        base_table, base_artifacts = run_experiment(config)
+        # Origin 1 of either range ends one month before the range does.
+        self._raise_when(monkeypatch, "correlation_select", lambda c: c.frame.end == M(2021, 3))
+        with caplog.at_level("WARNING", logger="exocast.experiment"):
+            table, artifacts = run_experiment(config)
+        failed = [k for k in table.cells if k[2] == "correlation"]
+        assert len(failed) == 4
+        assert [r.message.count("planted failure") for r in caplog.records] == [1] * 4
+        for key, cell in table.cells.items():
+            if key in failed:
+                assert cell.error == "InsufficientData", key
+                # Origin 0 finished, so it still supplies the artifacts.
+                assert artifacts.cells[key].forecast == base_artifacts.cells[key].forecast
+            else:
+                assert cell == base_table.cells[key], key
+
+    def test_preprocessing_failure_fails_its_group_only(self, monkeypatch):
+        config = self._failure_config()
+        base_table, _ = run_experiment(config)
+        self._raise_when(
+            monkeypatch, "_preprocess_train", lambda f: (f.start, f.end) == (M(2019, 1), M(2021, 3))
+        )
+        table, _ = run_experiment(config)
+        for key, cell in table.cells.items():
+            if key[1] == "2019-01..2021-04":
+                assert cell.error == "InsufficientData", key
+            else:
+                assert cell == base_table.cells[key], key
 
 
 class TestPersistedModels:

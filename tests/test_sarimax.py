@@ -22,8 +22,9 @@ from exocast.sarimax import (
     grid_search_order,
 )
 from exocast import models
+from exocast import sarimax as sarimax_module
 from exocast.sarimax import _css_and_gradient
-from exocast.series import Month, MonthlySeries, align_merge
+from exocast.series import Month, MonthlySeries, SplitSpec, align_merge, mae, split_train_test
 
 M = Month
 
@@ -405,6 +406,45 @@ class TestGridSearch:
         )
         assert table[0].score == table[1].score
         assert best == SarimaxOrder(s=4)  # (...,4) < (...,12)
+
+    def _grid_frame(self):
+        rng = np.random.default_rng(3)
+        y = simulate_ar1(3, n=72).tolist()
+        return frame(y, indicators=[(f"x{i}", rng.normal(0, 1, 72).tolist()) for i in range(3)])
+
+    def test_regressors_extrapolated_once_for_every_order(self, monkeypatch):
+        train = self._grid_frame()
+        grid = [SarimaxOrder(), SarimaxOrder(p=1), SarimaxOrder(p=2)]
+        # Reference: each order scored on its own, with fresh continuations.
+        sub_train, validation = split_train_test(train, SplitSpec(12))
+        expected = []
+        for order in grid:
+            future = [extrapolate_regressor(x, 12) for x in sub_train.indicators]
+            predicted = forecast(fit(sub_train, order), 12, future)
+            expected.append(mae(validation.target.require_complete(), predicted.require_complete()))
+
+        calls = []
+
+        def counting(series, horizon):
+            calls.append(series.id)
+            return extrapolate_regressor(series, horizon)
+
+        monkeypatch.setattr(sarimax_module, "extrapolate_regressor", counting)
+        best, table = grid_search_order(train, grid, 12)
+        assert calls == ["x0", "x1", "x2"]
+        assert [e.order for e in table] == grid
+        assert [e.score for e in table] == expected
+        assert all(e.error is None for e in table)
+
+    def test_extrapolation_error_recorded_for_every_order(self, monkeypatch):
+        def broken(series, horizon):
+            raise ValueError("no continuation")
+
+        monkeypatch.setattr(sarimax_module, "extrapolate_regressor", broken)
+        grid = [SarimaxOrder(), SarimaxOrder(p=1)]
+        with pytest.raises(GridSearchError) as excinfo:
+            grid_search_order(self._grid_frame(), grid, 12)
+        assert str(excinfo.value).count("ValueError: no continuation") == len(grid)
 
 
 class TestSerialization:
