@@ -2,9 +2,12 @@
 regressors + target autoregression + lagged indicators.
 
 Fitting is ridge-regularised linear least squares on an explicit design
-matrix; the intercept and the base trend slope stay unpenalised. Forecasting
-steps one month at a time so the autoregressive block can consume its own
-predictions.
+matrix, built one column block at a time; the intercept and the base trend
+slope stay unpenalised. A forecast takes every column that does not depend
+on the target for the whole horizon at once, one matrix product per
+component, and steps only the autoregressive block month by month, so that
+it consumes its own predictions. `subset_forecaster` fits and forecasts
+every indicator subset of one frame from a single design of all of them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +34,7 @@ __all__ = [
     "fit",
     "forecast",
     "forecast_with_components",
+    "subset_forecaster",
     "auto_config",
     "decompose",
     "export_components_csv",
@@ -158,37 +162,31 @@ def _layout_for(config: AdditiveConfig, indicator_ids: Sequence[str]) -> tuple[t
     return tuple(layout)
 
 
-def _row_features(
-    month: Month,
-    config: AdditiveConfig,
-    changepoints: Sequence[float],
-    t_norm: float,
-    month_index: int,
-    event_months: Sequence[Collection[Month]],
-    target: Sequence[float],
-    regressors: Mapping[str, Sequence[float]],
-    pos: int,
-    indicator_ids: Sequence[str],
-) -> list[float]:
-    """The design row, in `_layout_for` order, of the month at index `pos`
-    of `target` and of each regressor series. `event_months` holds each
-    configured event's months, in config order."""
-    row: list[float] = [1.0]
-    row += trend_features(t_norm, changepoints)
+def _known_rows(
+    config: AdditiveConfig, start: Month, n: int, rows: np.ndarray,
+    events: Sequence[Collection[Month]], regressors: Mapping[str, np.ndarray], at: np.ndarray,
+) -> np.ndarray:
+    """Design rows, in `_layout_for(config, regressors)` order, of the
+    positions `rows` of a frame that starts at `start` and trains on `n`
+    months, with zeros in the A (AR-lag) columns: every other column is
+    known without the target. `events` holds each configured event's
+    months, in config order; `regressors[id][at]` is each indicator's value
+    at `rows`."""
+    t = rows / max(n - 1, 1)
+    columns = [np.ones(len(rows)), t]
+    columns += [np.maximum(0.0, t - c) for c in config.changepoints()]
     for period, order in config.seasonalities:
-        row += fourier_features(month_index, period, order)
-    for months in event_months:
-        row.append(1.0 if month in months else 0.0)
-    lagged_ids = [i for i in indicator_ids if i not in config.future_known]
-    for ind in indicator_ids:
-        if ind in config.future_known:
-            row.append(regressors[ind][pos])
-    for lag in range(1, config.ar_lags + 1):
-        row.append(target[pos - lag])
-    for ind in lagged_ids:
-        for lag in range(0, config.regressor_lags + 1):
-            row.append(regressors[ind][pos - lag])
-    return row
+        for k in range(1, order + 1):
+            angle = 2.0 * math.pi * k * rows / period
+            columns += [np.sin(angle), np.cos(angle)]
+    for event in events:
+        columns.append(np.array([start.shift(int(i)) in event for i in rows], dtype=float))
+    columns += [regressors[i][at] for i in regressors if i in config.future_known]
+    columns += [np.zeros(len(rows))] * config.ar_lags
+    for i in regressors:
+        if i not in config.future_known:
+            columns += [regressors[i][at - lag] for lag in range(config.regressor_lags + 1)]
+    return np.column_stack(columns)
 
 
 def build_design(train: AlignedFrame, config: AdditiveConfig) -> DesignMatrix:
@@ -200,52 +198,50 @@ def build_design(train: AlignedFrame, config: AdditiveConfig) -> DesignMatrix:
         raise InsufficientDataError(
             f"only {n - drop} usable rows after dropping {drop}; need at least 3"
         )
-    y = train.target.require_complete()
-    indicator_values = {s.id: s.require_complete() for s in train.indicators}
-    changepoints = config.changepoints()
-    denom = max(n - 1, 1)
+    y = np.asarray(train.target.require_complete())
+    regressors = {s.id: np.asarray(s.require_complete()) for s in train.indicators}
     layout = _layout_for(config, train.indicator_ids)
-    event_months = [months for _, months in config.events]
-    rows = []
-    for i in range(drop, n):
-        month = train.index[i]
-        row = _row_features(
-            month,
-            config,
-            changepoints,
-            t_norm=i / denom,
-            month_index=i,
-            event_months=event_months,
-            target=y,
-            regressors=indicator_values,
-            pos=i,
-            indicator_ids=train.indicator_ids,
-        )
-        rows.append(row)
-    return DesignMatrix(layout, tuple(train.index[drop:]), np.asarray(rows, dtype=float))
+    rows = np.arange(drop, n)
+    events = [months for _, months in config.events]
+    values = _known_rows(config, train.start, n, rows, events, regressors, rows)
+    for lag in range(1, config.ar_lags + 1):
+        values[:, layout.index(("A", f"lag{lag:02d}"))] = y[drop - lag : n - lag]
+    return DesignMatrix(layout, tuple(train.index[drop:]), values)
 
 
-def _solve_ridge(design: DesignMatrix, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
-    """Stacked least squares [D; sqrt(pen)] so rank deficiency is harmless.
-    Intercept and base trend slope are never penalised."""
-    penalties = np.array(
+def _ridge_solver(design: DesignMatrix, y: np.ndarray, ridge_lambda: float):
+    """`columns -> coefficients` of the ridge fit of `y` on those columns of
+    `design`. Only the intercept and base trend slope go unpenalised, so for
+    ridge_lambda > 0 Cholesky solves the positive definite normal equations,
+    from one Gram matrix for every subset; at 0 least squares copes with a
+    rank-deficient design."""
+    if ridge_lambda == 0:
+        return lambda columns: np.linalg.lstsq(design.values[:, columns], y, rcond=None)[0]
+    from scipy.linalg.lapack import dposv  # here, so that importing exocast loads no scipy
+
+    penalty = np.array(
         [0.0 if (tag == "intercept" or (tag == "T" and name == "t")) else ridge_lambda
          for tag, name in design.layout]
     )
-    if ridge_lambda > 0:
-        stacked = np.vstack([design.values, np.diag(np.sqrt(penalties))])
-        rhs = np.concatenate([y, np.zeros(design.width)])
-    else:
-        stacked, rhs = design.values, y
-    coeffs, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    return coeffs
+    gram = design.values.T @ design.values
+    moment = design.values.T @ y
+
+    def solve(columns):
+        normal = gram.take(columns, 0).take(columns, 1)
+        normal.flat[:: len(columns) + 1] += penalty[columns]
+        _, coeffs, info = dposv(normal, moment[columns])  # Cholesky factor and solve
+        if info:
+            raise np.linalg.LinAlgError(f"ridge normal equations: LAPACK dposv info {info}")
+        return coeffs
+
+    return solve
 
 
 def fit(train: AlignedFrame, config: AdditiveConfig) -> FittedAdditive:
     design = build_design(train, config)
     y_full = np.asarray(train.target.require_complete())
     y = y_full[config.dropped_rows :]
-    coeffs = _solve_ridge(design, y, config.ridge_lambda)
+    coeffs = _ridge_solver(design, y, config.ridge_lambda)(np.arange(design.width))
     fitted_values = design.values @ coeffs
     tail = max(config.ar_lags, config.regressor_lags, 1)
     return FittedAdditive(
@@ -265,6 +261,36 @@ def fit(train: AlignedFrame, config: AdditiveConfig) -> FittedAdditive:
     )
 
 
+def _continued(
+    pasts: Mapping[str, Sequence[float]], futures: Sequence[RegressorForecast], horizon: int
+) -> dict[str, np.ndarray]:
+    """Each indicator's past values followed by its first `horizon` future ones."""
+    by_id = {rf.id: rf for rf in futures}
+    missing = [i for i in pasts if i not in by_id]
+    if missing:
+        raise ValueError(f"missing future values for regressors: {missing}")
+    for ind in pasts:
+        if len(by_id[ind].future_values) < horizon:
+            raise ValueError(f"regressor {ind!r} supplies fewer than {horizon} values")
+    return {i: np.array([*past, *by_id[i].future_values[:horizon]]) for i, past in pasts.items()}
+
+
+def _ar_steps(
+    exogenous: np.ndarray, ar: np.ndarray, target: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The forecast and its A (AR-lag) part. Each step adds to `exogenous`
+    the `ar` coefficients (lag 1 first) times the values before it: the end
+    of `target`, then the forecast so far."""
+    p = len(ar)
+    lags = ar[::-1].tolist()  # lag p first, as `path` runs
+    path = [float(v) for v in target[len(target) - p :]]
+    part = []
+    for exog in exogenous.tolist():
+        part.append(sum((c * v for c, v in zip(lags, path[len(path) - p :])), 0.0))
+        path.append(exog + part[-1])
+    return np.array(path[p:]), np.array(part)
+
+
 def forecast_with_components(
     fitted: FittedAdditive,
     horizon: int,
@@ -276,51 +302,22 @@ def forecast_with_components(
         raise ValueError("horizon must be positive")
     config = fitted.config
     future_events = future_events or {}
-    by_id = {rf.id: rf for rf in future_regressors}
-    missing = [i for i in fitted.indicator_ids if i not in by_id]
-    if missing:
-        raise ValueError(f"missing future values for regressors: {missing}")
-    for ind in fitted.indicator_ids:
-        if len(by_id[ind].future_values) < horizon:
-            raise ValueError(f"regressor {ind!r} supplies fewer than {horizon} values")
-
-    changepoints = config.changepoints()
-    n = fitted.train_length
-    # Tails continued by the forecast: the target by its predictions, regressors by their futures.
-    tail_len = len(fitted.target_tail)
-    target = list(fitted.target_tail)
-    regressors = {
-        ind: [*tail, *by_id[ind].future_values]
-        for ind, tail in zip(fitted.indicator_ids, fitted.regressor_tails)
-    }
-    event_months = [
+    tails = dict(zip(fitted.indicator_ids, fitted.regressor_tails))
+    regressors = _continued(tails, future_regressors, horizon)
+    n, tail_len = fitted.train_length, len(fitted.target_tail)  # a tail ends at row n - 1
+    events = [
         set(months) | set(future_events.get(event_id, ())) for event_id, months in config.events
     ]
-
-    components: dict[str, list[float]] = {tag: [0.0] * horizon for tag in COMPONENT_TAGS}
-    denom = max(n - 1, 1)
-    for step in range(1, horizon + 1):
-        i = n - 1 + step
-        row = _row_features(
-            fitted.train_end.shift(step),
-            config,
-            changepoints,
-            t_norm=i / denom,
-            month_index=i,
-            event_months=event_months,
-            target=target,
-            regressors=regressors,
-            pos=tail_len + step - 1,
-            indicator_ids=fitted.indicator_ids,
-        )
-        total = 0.0
-        for (tag, _), coeff, feature in zip(fitted.layout, fitted.coefficients, row):
-            contribution = coeff * feature
-            components[tag][step - 1] += contribution
-            total += contribution
-        target.append(total)
-    series = MonthlySeries(fitted.target_id, fitted.train_end.shift(1), target[tail_len:])
-    return series, {tag: tuple(v) for tag, v in components.items()}
+    rows = np.arange(n, n + horizon)
+    at = rows - (n - tail_len)
+    known = _known_rows(config, fitted.train_start, n, rows, events, regressors, at)
+    coeffs = np.asarray(fitted.coefficients)
+    tags = np.array([tag for tag, _ in fitted.layout])
+    # One product per tag; the A columns of `known` are zero until stepped.
+    parts = {tag: known[:, tags == tag] @ coeffs[tags == tag] for tag in COMPONENT_TAGS}
+    values, parts["A"] = _ar_steps(sum(parts.values()), coeffs[tags == "A"], fitted.target_tail)
+    series = MonthlySeries(fitted.target_id, fitted.train_end.shift(1), values)
+    return series, {tag: tuple(v.tolist()) for tag, v in parts.items()}
 
 
 def forecast(
@@ -330,6 +327,34 @@ def forecast(
     future_events: Mapping[str, frozenset[Month]] | None = None,
 ) -> MonthlySeries:
     return forecast_with_components(fitted, horizon, future_regressors, future_events)[0]
+
+
+def subset_forecaster(
+    train: AlignedFrame, config: AdditiveConfig, horizon: int, futures: Sequence[RegressorForecast]
+) -> Callable[[Sequence[str]], np.ndarray]:
+    """`subset -> forecast values`: to rounding, the values of
+    `forecast(fit(train.with_indicators(subset), config), horizon, ...)`.
+    The design, its Gram matrix and the forecast rows are built once for
+    every indicator of `train`; each subset selects its columns of them."""
+    design = build_design(train, config)
+    y = np.asarray(train.target.require_complete())
+    solve = _ridge_solver(design, y[config.dropped_rows :], config.ridge_lambda)
+    pasts = {s.id: s.require_complete() for s in train.indicators}
+    regressors = _continued(pasts, futures, horizon)
+    n = len(train)
+    rows = np.arange(n, n + horizon)
+    events = [months for _, months in config.events]
+    known = _known_rows(config, train.start, n, rows, events, regressors, rows)
+    column = {col: j for j, col in enumerate(design.layout)}
+    ar_columns = [column["A", f"lag{lag:02d}"] for lag in range(1, config.ar_lags + 1)]
+
+    def forecast_values(subset: Sequence[str]) -> np.ndarray:
+        columns = [column[col] for col in _layout_for(config, subset)]
+        coeffs = np.zeros(design.width)
+        coeffs[columns] = solve(columns)
+        return _ar_steps(known @ coeffs, coeffs[ar_columns], y)[0]
+
+    return forecast_values
 
 
 def auto_config(train: AlignedFrame) -> AdditiveConfig:

@@ -192,13 +192,28 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _training_frame_of(fitted, config) -> "AlignedFrame":
+    """The one configured training frame that ends where `fitted` was
+    trained and holds its regressors."""
+    end, ids = models.trained_on(fitted)
+    frames = {f"{label} @ {rng.label}": train for label, rng, train, _ in training_frames(config)}
+    matches = [name for name, train in frames.items()
+               if train.end == end and set(ids) <= set(train.indicator_ids)]
+    if len(matches) == 1:
+        return frames[matches[0]]
+    raise ExocastError(
+        f"{len(matches)} training frames end at {end} and hold regressors {list(ids)}; "
+        f"need exactly one of: {', '.join(matches or frames)}"
+    )
+
+
 def cmd_forecast(args) -> int:
     config = _load(args)
     horizon = args.horizon or config.horizon
     fitted = models.from_doc(json.loads(Path(args.model_file).read_text()))
+    train = _training_frame_of(fitted, config)
     out = Path(args.out or config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    _, _, train, _ = next(training_frames(config))
     predicted = models.forecast(fitted, horizon, models.regressor_forecasts(train, horizon))
     path = out / "forecast.csv"
     write_series_csv(predicted, path)

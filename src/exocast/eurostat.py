@@ -331,17 +331,17 @@ def _parse_dataset_payload(code: str, payload: str) -> RawDataset:
     strides = [1] * len(sizes)
     for i in range(len(sizes) - 2, -1, -1):
         strides[i] = strides[i + 1] * sizes[i + 1]
+    # A flat index's coordinate on axis i is (flat // strides[i]) % sizes[i].
+    axes = [
+        (strides[i], sizes[i], labels[name]) for i, name in enumerate(dim_order) if name != "time"
+    ]
+    time_stride, time_size = strides[time_axis], sizes[time_axis]
     for flat_str, value in values.items():
         if value is None:
             continue  # explicit nulls stay missing
         flat = int(flat_str)
-        coords_all = []
-        for i, size in enumerate(sizes):
-            coords_all.append((flat // strides[i]) % size)
-        key = tuple(
-            labels[name][coords_all[dim_order.index(name)]] for name in non_time
-        )
-        month = periods[coords_all[time_axis]]
+        key = tuple(cats[(flat // stride) % size] for stride, size, cats in axes)
+        month = periods[(flat // time_stride) % time_size]
         observations.setdefault(key, {})[month] = float(value)
     if not observations:
         raise PayloadError(f"dataset {code}: no observations")

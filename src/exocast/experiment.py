@@ -302,12 +302,8 @@ def _forward_evaluator(model: ModelSpec, train: AlignedFrame, horizon: int):
     sub_train, validation = split_train_test(train, SplitSpec(horizon))
     actual = validation.target.require_complete()
     future = models.regressor_forecasts(sub_train, horizon)
-
-    def evaluate(subset: tuple[str, ...]) -> float:
-        fitted = models.fit(model, sub_train.with_indicators(subset), horizon, None)
-        return mae(actual, models.forecast(fitted, horizon, future).require_complete())
-
-    return evaluate
+    forecast_subset = models.subset_forecaster(model, sub_train, horizon, future)
+    return lambda subset: mae(actual, forecast_subset(subset))
 
 
 def select(

@@ -9,11 +9,11 @@ which module serves each; reloading dispatches on the document's `schema`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from . import additive, sarimax
 from .errors import SchemaError
-from .series import AlignedFrame, MonthlySeries, NormalizationParams
+from .series import AlignedFrame, Month, MonthlySeries, NormalizationParams
 from .sarimax import RegressorForecast
 
 __all__ = [
@@ -22,7 +22,9 @@ __all__ = [
     "spec_from_config",
     "fit",
     "regressor_forecasts",
+    "trained_on",
     "forecast",
+    "subset_forecaster",
     "to_doc",
     "from_doc",
 ]
@@ -92,9 +94,40 @@ def regressor_forecasts(train: AlignedFrame, horizon: int) -> dict[str, Regresso
     return {s.id: sarimax.extrapolate_regressor(s, horizon) for s in train.indicators}
 
 
+def subset_forecaster(
+    spec: ModelSpec, train: AlignedFrame, horizon: int, future: Mapping[str, RegressorForecast]
+) -> Callable[[tuple[str, ...]], Sequence[float]]:
+    """`subset -> forecast values` of `spec` fitted on those indicators of
+    `train`. An additive spec, whose config depends only on the frame's
+    length, shares one design between subsets; if that cannot be built, no
+    subset's fit could be, and every call raises its exception."""
+    if spec.name == "additive":
+        try:
+            config = spec.additive_config or additive.auto_config(train)
+            return additive.subset_forecaster(train, config, horizon, list(future.values()))
+        except Exception as exc:  # noqa: BLE001 - raised to each subset's caller
+            def fail(subset: tuple[str, ...], failure=exc, origin=exc.__traceback__):
+                raise failure.with_traceback(origin)  # not one grown by each earlier raise
+
+            return fail
+
+    def forecast_subset(subset: tuple[str, ...]) -> Sequence[float]:
+        fitted = fit(spec, train.with_indicators(subset), horizon, None)
+        return forecast(fitted, horizon, future).require_complete()
+
+    return forecast_subset
+
+
 def _module(fitted: Fitted):
     """The model module that produced `fitted`."""
     return sarimax if isinstance(fitted, sarimax.FittedSarimax) else additive
+
+
+def trained_on(fitted: Fitted) -> tuple[Month, tuple[str, ...]]:
+    """The last training month of `fitted` and the ids of the regressors it
+    was fitted on, in order."""
+    ids = fitted.regressor_ids if _module(fitted) is sarimax else fitted.indicator_ids
+    return fitted.train_end, ids
 
 
 def forecast(
@@ -105,7 +138,7 @@ def forecast(
     """`horizon` months past the training end, on the fitted scale. Only the
     regressors the model was fitted on are read from the mapping; the model
     rejects a forecast that lacks one."""
-    ids = fitted.regressor_ids if _module(fitted) is sarimax else fitted.indicator_ids
+    _, ids = trained_on(fitted)
     future = [regressor_forecasts_by_id[i] for i in ids if i in regressor_forecasts_by_id]
     return _module(fitted).forecast(fitted, horizon, future)
 

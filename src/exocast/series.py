@@ -103,6 +103,8 @@ class MonthlySeries:
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "values", vals)
+        # Not a field: equality and repr stay those of (id, start, values).
+        object.__setattr__(self, "_has_missing", None in vals)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -117,7 +119,7 @@ class MonthlySeries:
 
     @property
     def has_missing(self) -> bool:
-        return any(v is None for v in self.values)
+        return self._has_missing
 
     def value_at(self, month: Month) -> float | None:
         i = self.start.months_until(month)

@@ -36,6 +36,58 @@ def frame(target_vals, indicators=(), start=M(2016, 1)):
     )
 
 
+def reference_row(config, indicator_ids, start, n, i, events, target, regressors, pos):
+    """Design row of frame position `i`, column by column from the public
+    feature functions; `target` and `regressors` are read at `pos`."""
+    row = [1.0] + trend_features(i / max(n - 1, 1), config.changepoints())
+    for period, order in config.seasonalities:
+        row += fourier_features(i, period, order)
+    row += [1.0 if start.shift(i) in months else 0.0 for months in events]
+    row += [regressors[k][pos] for k in indicator_ids if k in config.future_known]
+    row += [target[pos - lag] for lag in range(1, config.ar_lags + 1)]
+    for k in indicator_ids:
+        if k not in config.future_known:
+            row += [regressors[k][pos - lag] for lag in range(config.regressor_lags + 1)]
+    return row
+
+
+def reference_forecast(fitted, horizon, future, future_events=None):
+    """Step-by-step forecast and per-tag parts, one reference row a month."""
+    config = fitted.config
+    n, tail_len = fitted.train_length, len(fitted.target_tail)
+    target = list(fitted.target_tail)
+    regressors = {
+        k: [*tail, *future[k].future_values]
+        for k, tail in zip(fitted.indicator_ids, fitted.regressor_tails)
+    }
+    events = [set(m) | set((future_events or {}).get(e, ())) for e, m in config.events]
+    parts = {tag: [0.0] * horizon for tag, _ in fitted.layout}
+    for h in range(horizon):
+        row = reference_row(config, fitted.indicator_ids, fitted.train_start, n, n + h, events,
+                            target, regressors, tail_len + h)
+        total = 0.0
+        for (tag, _), coeff, x in zip(fitted.layout, fitted.coefficients, row):
+            parts[tag][h] += coeff * x
+            total += coeff * x
+        target.append(total)
+    return target[tail_len:], parts
+
+
+RICH = AdditiveConfig(
+    n_changepoints=3, seasonalities=((12.0, 2), (6.0, 1)), ar_lags=3, regressor_lags=2,
+    events=(("fair", frozenset({M(2016, 5), M(2017, 5), M(2018, 5)})),
+            ("promo", frozenset({M(2017, 2)}))),
+    ridge_lambda=0.3, future_known=("x",),
+)
+LAGGED = AdditiveConfig(n_changepoints=2, seasonalities=((12.0, 3),), ar_lags=2, regressor_lags=4)
+
+
+def rich_frame(n=40):
+    rng = np.random.default_rng(11)
+    y = (np.linspace(0, 3, n) + rng.normal(0, 0.3, n)).tolist()
+    return frame(y, indicators=[(k, rng.normal(0, 1, n).tolist()) for k in ("w", "x", "z")])
+
+
 class TestTrendFeatures:
     def test_no_changepoints(self):
         assert trend_features(0.25, []) == [0.25]
@@ -128,6 +180,20 @@ class TestBuildDesign:
         )
         # intercept + (1 + 3) trend + 4 fourier + 1 event + 2 AR + 2 lagged
         assert design.width == 1 + 4 + 4 + 1 + 2 + 2
+
+
+    @pytest.mark.parametrize("config", [RICH, LAGGED], ids=["rich", "lagged"])
+    def test_block_design_matches_row_by_row_reference(self, config):
+        f = rich_frame()
+        design = build_design(f, config)
+        y = f.target.require_complete()
+        regressors = {s.id: s.require_complete() for s in f.indicators}
+        events = [months for _, months in config.events]
+        expected = [
+            reference_row(config, f.indicator_ids, f.start, len(f), i, events, y, regressors, i)
+            for i in range(config.dropped_rows, len(f))
+        ]
+        assert np.max(np.abs(design.values - np.array(expected))) <= 1e-12
 
 
 class TestFit:
@@ -258,6 +324,20 @@ class TestForecast:
             assert out.values[j] == pytest.approx(
                 sum(parts[tag][j] for tag in parts), abs=1e-9
             )
+
+    @pytest.mark.parametrize("config", [RICH, LAGGED], ids=["rich", "lagged"])
+    def test_precomputed_forecast_matches_step_by_step_reference(self, config):
+        f = rich_frame()
+        fitted = fit(f, config)
+        future = {s.id: extrapolate_regressor(s, 9) for s in f.indicators}
+        events = {"fair": frozenset({M(2019, 5)})}
+        out, parts = forecast_with_components(fitted, 9, list(future.values()), events)
+        expected, expected_parts = reference_forecast(fitted, 9, future, events)
+        assert np.max(np.abs(np.array(out.values) - expected)) <= 1e-12
+        for tag, values in expected_parts.items():
+            assert np.max(np.abs(np.array(parts[tag]) - values)) <= 1e-12, tag
+        totals = [sum(parts[tag][h] for tag in parts) for h in range(9)]
+        assert np.max(np.abs(np.array(out.values) - totals)) <= 1e-12
 
     def test_future_event_affects_forecast(self):
         months = frozenset({M(2016, 4)})

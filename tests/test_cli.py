@@ -7,22 +7,25 @@ from pathlib import Path
 import pytest
 
 import exocast
+from exocast import models as models_module
 from exocast.cli import main
-from exocast.series import read_series_csv
+from exocast.experiment import load_config, training_frames
+from exocast.series import read_series_csv, write_series_csv
 
 
 SARIMAX = {"name": "sarimax", "order": [1, 0, 0, 0, 0, 0, 12]}
 ADDITIVE = {"name": "additive", "auto": True}
 
 
-def write_experiment_config(tmp_path, out_dir=None, methods=None, months=76, models=(SARIMAX,)):
+def write_experiment_config(tmp_path, out_dir=None, methods=None, months=76, models=(SARIMAX,),
+                            ranges=(("2016-01", "2021-04"),)):
     doc = {
         "datasets": [
             {"label": "synth-0", "kind": "synthetic",
              "spec": {"n_months": months, "n_indicators": 4, "n_drivers": 1,
                       "driver_betas": [1.5], "noise_sigma": 0.5, "seed": 0}}
         ],
-        "ranges": [{"start": "2016-01", "end": "2021-04"}],
+        "ranges": [{"start": start, "end": end} for start, end in ranges],
         "horizon": 12,
         "methods": methods or ["none", "correlation"],
         "models": list(models),
@@ -124,6 +127,42 @@ class TestSelectFitForecast:
         forecast = read_series_csv(fc_dir / "forecast.csv")
         assert len(forecast) == 6
         assert str(forecast.start) == "2021-05"
+
+    @pytest.mark.parametrize("model", [SARIMAX, ADDITIVE], ids=["sarimax", "additive"])
+    def test_forecast_continues_the_frame_the_model_was_fitted_on(self, tmp_path, model):
+        config = write_experiment_config(
+            tmp_path, methods=["correlation"], models=[model],
+            ranges=(("2016-01", "2021-04"), ("2017-01", "2020-12")),
+        )
+        out = tmp_path / "models"
+        assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
+        frames = {rng.label: train for _, rng, train, _ in training_frames(load_config(config))}
+        assert len(frames) == 2
+        for label, train in frames.items():
+            model_file = next(p for p in out.glob(f"synth-0__{label}__*.json")
+                              if not p.name.endswith("selection.json"))
+            fc_dir = tmp_path / f"fc-{label}"
+            assert main(["forecast", "--config", str(config), "--model-file", str(model_file),
+                         "--out", str(fc_dir), "--horizon", "6"]) == 0
+            fitted = models_module.from_doc(json.loads(model_file.read_text()))
+            expected = models_module.forecast(fitted, 6, models_module.regressor_forecasts(train, 6))
+            write_series_csv(expected, tmp_path / "expected.csv")
+            assert (fc_dir / "forecast.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_forecast_rejects_an_ambiguous_training_frame(self, tmp_path, capsys):
+        config = write_experiment_config(
+            tmp_path, methods=["none"], ranges=(("2016-01", "2021-04"), ("2018-01", "2021-04")),
+        )
+        out = tmp_path / "models"
+        assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
+        model_file = next(p for p in out.glob("synth-0__2016-01..2021-04__*.json")
+                          if not p.name.endswith("selection.json"))
+        rc = main(["forecast", "--config", str(config), "--model-file", str(model_file),
+                   "--out", str(tmp_path / "fc")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "synth-0 @ 2016-01..2021-04" in err and "synth-0 @ 2018-01..2021-04" in err
+        assert not (tmp_path / "fc").exists()
 
     def test_fit_rejects_unconfigured_method(self, tmp_path, capsys):
         config = write_experiment_config(tmp_path)  # methods: none, correlation

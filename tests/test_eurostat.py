@@ -221,6 +221,42 @@ class TestFetchDataset:
         assert M(2016, 4) not in obs
         assert obs[M(2016, 3)] == 2.0
 
+    def test_time_axis_in_the_middle_decodes_as_per_value_coordinates(self, tmp_path):
+        dims = [
+            ("geo", ["AT", "DE", "FR"]), ("time", months("2016-01", 5)), ("unit", ["I15", "PCH"]),
+        ]
+        values = {
+            (geo, t, unit): float(100 * g + 10 * i + u)
+            for g, geo in enumerate(dims[0][1])
+            for i, t in enumerate(dims[1][1])
+            for u, unit in enumerate(dims[2][1])
+            if (g + i + u) % 4  # leave some cells absent
+        }
+        values[("DE", "2016-03", "PCH")] = None
+        fixture = tmp_path / "d.json"
+        fixture.write_text(jsonstat_payload(dims, values))
+        dataset = fetch_dataset("d", offline_fixture=fixture)
+
+        # Reference: every observation's full coordinate list, each axis
+        # looked up by name, as a straightforward decoder does.
+        doc = json.loads(fixture.read_text())
+        names, sizes = doc["id"], doc["size"]
+        labels = dict(dims)
+        expected = {}
+        for flat_str, value in doc["value"].items():
+            coords = []
+            rest = int(flat_str)
+            for size in reversed(sizes):
+                coords.insert(0, rest % size)
+                rest //= size
+            key = tuple(labels[n][coords[names.index(n)]] for n in names if n != "time")
+            month = Month.parse(labels["time"][coords[names.index("time")]])
+            expected.setdefault(key, {})[month] = float(value)
+        assert dataset.dimension_names == ("geo", "unit")
+        assert dataset.periods == tuple(Month.parse(t) for t in labels["time"])
+        assert dataset.observations == expected
+        assert M(2016, 3) not in dataset.observations[("DE", "PCH")]
+
     def test_empty_dataset_rejected(self, tmp_path):
         fixture = tmp_path / "d.json"
         fixture.write_text(

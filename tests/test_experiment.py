@@ -6,7 +6,7 @@ import pytest
 
 from exocast import experiment, models
 from exocast.additive import AdditiveConfig
-from exocast.errors import InsufficientDataError
+from exocast.errors import InsufficientDataError, SelectionError
 from exocast.experiment import (
     DatasetSpec,
     ExperimentConfig,
@@ -546,6 +546,57 @@ class TestPersistedModels:
             stored = read_series_csv(path.parent / "forecast.csv")
             assert predicted.values == stored.values, path.parent.name
         assert schemas == {"exocast.sarimax.fitted/1", "exocast.additive.fitted/1"}
+
+
+class TestSharedForwardDesign:
+    # Forward selection scores every additive subset of one validation split
+    # from one design; each subset must forecast as its own fit does.
+    SPECS = {
+        "ridge0": ModelSpec("additive", additive_config=AdditiveConfig(
+            n_changepoints=1, seasonalities=((12.0, 1),), ar_lags=1, regressor_lags=1)),
+        "ridge": ModelSpec("additive", additive_config=LEAN_ADDITIVE),
+        "auto": ModelSpec("additive"),
+        "known-events": ModelSpec("additive", additive_config=AdditiveConfig(
+            n_changepoints=2, seasonalities=((12.0, 2), (6.0, 1)), ar_lags=2, regressor_lags=3,
+            events=(("fair", frozenset({M(2016, 5), M(2017, 5), M(2018, 5), M(2019, 5)})),),
+            ridge_lambda=0.5, future_known=("ind02",))),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_each_subset_forecasts_as_its_own_fit(self, name):
+        spec = self.SPECS[name]
+        _, _, train, _ = next(training_frames(quick_config()))
+        selection = experiment.select(MethodSpec("forward"), spec, train, 12, forward_cap=3)
+        subsets = [subset for subset, _ in selection.trace.entries]
+        assert len(subsets) == 1 + 6 + 5 + 4 and not selection.trace.failures
+        sub_train, _ = split_train_test(train, SplitSpec(12))
+        future = models.regressor_forecasts(sub_train, 12)
+        forecast_subset = models.subset_forecaster(spec, sub_train, 12, future)
+        for subset in subsets:
+            fitted = models.fit(spec, sub_train.with_indicators(subset), 12, None)
+            direct = models.forecast(fitted, 12, future).require_complete()
+            assert np.max(np.abs(np.asarray(forecast_subset(subset)) - direct)) <= 1e-9, subset
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec("additive", additive_config=AdditiveConfig(ar_lags=14)), ModelSpec("additive")],
+        ids=["ar-lags", "auto"],
+    )
+    def test_frame_too_short_for_the_design_fails_every_subset(self, spec):
+        # 23 training months leave 11 for forward selection's fits: too few
+        # for 14 AR lags or for an auto config, yet enough for the final fit.
+        config = quick_config(ranges=(RangeSpec(M(2019, 6), M(2021, 4)),),
+                              methods=(MethodSpec("none"), MethodSpec("forward")), models=(spec,))
+        table, _ = run_experiment(config)
+        errors = {key[2]: cell.error for key, cell in table.cells.items()}
+        assert errors == {"none": None, "forward": "Selection"}
+        _, _, train, _ = next(training_frames(config))
+        with pytest.raises(SelectionError) as raised:
+            experiment.select(MethodSpec("forward"), spec, train, 12, forward_cap=2)
+        listed = str(raised.value).split(": ", 1)[1].split("; ")
+        reasons = {item.split(" -> ")[1] for item in listed}
+        assert len(listed) > 1 and len(reasons) == 1
+        assert reasons.pop().startswith("InsufficientDataError: ")
 
 
 class TestConfigValidation:

@@ -55,6 +55,15 @@ class TestMonth:
             M(2020, 13)
 
 
+class TestMonthlySeries:
+    def test_missing_flag_is_not_a_field(self):
+        gappy = ms([1.0, None, 3.0])
+        assert gappy.has_missing and not ms([1.0, 2.0]).has_missing
+        assert gappy == MonthlySeries("s", M(2016, 1), (1, None, 3))
+        assert "missing" not in repr(gappy)
+        assert hash(gappy) == hash(ms([1.0, None, 3.0]))
+
+
 class TestMae:
     def test_identical(self):
         assert mae([1, 2, 3], [1, 2, 3]) == 0
