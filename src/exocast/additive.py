@@ -254,7 +254,7 @@ def fit(train: AlignedFrame, config: AdditiveConfig) -> FittedAdditive:
         train_length=len(train),
         target_tail=tuple(y_full[-tail:]),
         regressor_tails=tuple(
-            tuple(s.require_complete()[-tail:]) for s in train.indicators
+            tuple(s.require_complete()[-tail:].tolist()) for s in train.indicators
         ),
         fitted_values=tuple(float(v) for v in fitted_values),
         fitted_start=design.months[0],

@@ -193,17 +193,18 @@ def cmd_fit(args) -> int:
 
 
 def _training_frame_of(fitted, config) -> "AlignedFrame":
-    """The one configured training frame that ends where `fitted` was
-    trained and holds its regressors."""
-    end, ids = models.trained_on(fitted)
+    """The one configured training frame that spans the months `fitted` was
+    trained on (only the end, if its document lacks the start) and holds
+    its regressors."""
+    start, end, ids = models.trained_on(fitted)
     frames = {f"{label} @ {rng.label}": train for label, rng, train, _ in training_frames(config)}
-    matches = [name for name, train in frames.items()
-               if train.end == end and set(ids) <= set(train.indicator_ids)]
+    matches = [name for name, train in frames.items() if train.end == end
+               and start in (None, train.start) and set(ids) <= set(train.indicator_ids)]
     if len(matches) == 1:
         return frames[matches[0]]
     raise ExocastError(
-        f"{len(matches)} training frames end at {end} and hold regressors {list(ids)}; "
-        f"need exactly one of: {', '.join(matches or frames)}"
+        f"{len(matches)} training frames span {start or '...'}..{end} and hold regressors "
+        f"{list(ids)}; need exactly one of: {', '.join(matches or frames)}"
     )
 
 

@@ -10,17 +10,21 @@ module. Cached runs make zero network calls.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import logging
+import math
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
+import numpy as np
 import requests
 
 from .errors import NotCachedError, PayloadError
@@ -114,12 +118,17 @@ class SeriesKey:
         return hashlib.sha1(self.canonical().encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawDataset:
+    """Row r of `values` is the series at coordinates `keys[r]` (one category
+    per dimension name), column t is `periods[t]`, NaN is a missing value;
+    rows without any value are left out."""
+
     code: str
     dimension_names: tuple[str, ...]  # excluding the time axis
     periods: tuple[Month, ...]
-    observations: Mapping[tuple[str, ...], Mapping[Month, float]]
+    keys: tuple[tuple[str, ...], ...]
+    values: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -169,6 +178,7 @@ def _now_utc() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+@functools.lru_cache(maxsize=4096)  # payloads repeat the same period labels
 def _parse_period(text: str) -> Month | None:
     text = text.strip()
     if not text:
@@ -310,7 +320,7 @@ def _parse_dataset_payload(code: str, payload: str) -> RawDataset:
     def categories(name: str) -> list[str]:
         index = dimensions[name]["category"]["index"]
         if isinstance(index, dict):
-            return [k for k, _ in sorted(index.items(), key=lambda kv: kv[1])]
+            return sorted(index, key=index.get)
         return list(index)
 
     labels = {name: categories(name) for name in dim_order}
@@ -318,39 +328,31 @@ def _parse_dataset_payload(code: str, payload: str) -> RawDataset:
         if len(cats) != sizes[dim_order.index(name)]:
             raise PayloadError(f"dataset {code}: size mismatch for dimension {name!r}")
 
-    time_axis = dim_order.index("time")
-    periods: list[Month] = []
-    for text in labels["time"]:
-        month = _parse_period(text)
+    periods = tuple(map(_parse_period, labels["time"]))
+    for text, month in zip(labels["time"], periods):
         if month is None:
             raise PayloadError(f"dataset {code}: unparseable period {text!r}")
-        periods.append(month)
 
+    # Scatter the flat row-major indices into a dense cube, then move the
+    # time axis last: one row per coordinate tuple of the other axes.
+    if isinstance(values, list):  # JSON-stat's dense form
+        values = dict(enumerate(values))
+    flat = np.array(list(values), dtype=np.int64)
+    data = np.array(list(values.values()), dtype=float)  # explicit nulls -> NaN
+    cube = np.full(math.prod(sizes), np.nan)
+    if len(flat) and (flat.min() < 0 or flat.max() >= cube.size):
+        raise PayloadError(f"dataset {code}: value index outside the {sizes} cube")
+    cube[flat] = data
+    cube = np.moveaxis(cube.reshape(sizes), dim_order.index("time"), -1)
+    present = ~np.isnan(cube).all(axis=-1)  # per coordinate tuple, in row-major order
     non_time = [name for name in dim_order if name != "time"]
-    observations: dict[tuple[str, ...], dict[Month, float]] = {}
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    # A flat index's coordinate on axis i is (flat // strides[i]) % sizes[i].
-    axes = [
-        (strides[i], sizes[i], labels[name]) for i, name in enumerate(dim_order) if name != "time"
-    ]
-    time_stride, time_size = strides[time_axis], sizes[time_axis]
-    for flat_str, value in values.items():
-        if value is None:
-            continue  # explicit nulls stay missing
-        flat = int(flat_str)
-        key = tuple(cats[(flat // stride) % size] for stride, size, cats in axes)
-        month = periods[(flat // time_stride) % time_size]
-        observations.setdefault(key, {})[month] = float(value)
-    if not observations:
+    coords = itertools.product(*(labels[name] for name in non_time))
+    keys = tuple(key for key, kept in zip(coords, present.ravel().tolist()) if kept)
+    if not keys:
         raise PayloadError(f"dataset {code}: no observations")
-    return RawDataset(
-        code=code,
-        dimension_names=tuple(non_time),
-        periods=tuple(periods),
-        observations=observations,
-    )
+    rows = cube[present]
+    rows.flags.writeable = False
+    return RawDataset(code, tuple(non_time), periods, keys, rows)
 
 
 def fetch_dataset(
@@ -372,27 +374,21 @@ def fetch_dataset(
 def pick_representative(dataset: RawDataset, since: Month) -> tuple[SeriesKey, MonthlySeries]:
     """One series per dataset: complete coverage from `since` wins, then
     fewest gaps, ties broken by lexicographically smallest coordinates."""
-    candidates = []
-    last: Month | None = None
-    for months in dataset.observations.values():
-        top = max(months)
-        if last is None or top > last:
-            last = top
-    if last is None or last < since:
+    offsets = np.array([since.months_until(p) for p in dataset.periods])
+    observed = offsets[~np.isnan(dataset.values).all(axis=0)]
+    if not len(observed) or observed.max() < 0:
         raise PayloadError(f"dataset {dataset.code}: no values at or after {since}")
-    span = since.months_until(last) + 1
-    for coords in sorted(dataset.observations):
-        months = dataset.observations[coords]
-        values = [months.get(since.shift(i)) for i in range(span)]
-        present = sum(v is not None for v in values)
-        if present == 0:
-            continue
-        candidates.append((span - present, coords, values))
+    span = int(observed.max()) + 1  # since .. the last month any row observes
+    inside = (offsets >= 0) & (offsets < span)
+    window = np.full((len(dataset.keys), span), np.nan)
+    window[:, offsets[inside]] = dataset.values[:, inside]
+    present = (~np.isnan(window)).sum(axis=1).tolist()
+    candidates = [r for r, count in enumerate(present) if count]
     if not candidates:
         raise PayloadError(f"dataset {dataset.code}: no series has values after {since}")
-    missing, coords, values = min(candidates, key=lambda c: (c[0], c[1]))
-    key = SeriesKey(dataset.code, tuple(zip(dataset.dimension_names, coords)))
-    return key, MonthlySeries(dataset.code, since, values)
+    best = min(candidates, key=lambda r: (span - present[r], dataset.keys[r]))
+    key = SeriesKey(dataset.code, tuple(zip(dataset.dimension_names, dataset.keys[best])))
+    return key, MonthlySeries(dataset.code, since, window[best])
 
 
 # ---------------------------------------------------------------------------

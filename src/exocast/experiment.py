@@ -276,9 +276,8 @@ def _preprocess_series(series: MonthlySeries, prep: PreprocessingSpec):
 
 def _preprocess_train(frame: AlignedFrame, prep: PreprocessingSpec):
     target, steps = _preprocess_series(frame.target, prep)
-    indicators = tuple(_preprocess_series(s, prep)[0] for s in frame.indicators)
-    processed = AlignedFrame(frame.index, target, indicators)
-    return processed, TargetTransform(tuple(steps), len(frame))
+    indicators = [_preprocess_series(s, prep)[0] for s in frame.indicators]
+    return align_merge(target, indicators), TargetTransform(tuple(steps), len(frame))
 
 
 def training_frames(
@@ -342,15 +341,17 @@ def _failure_code(exc: Exception) -> str:
 
 def _once(stages: dict, key, fn, *args):
     """`fn(*args)`, computed once per key of `stages`: later calls get the
-    stored result, or the stored exception raised again."""
+    stored result, or the stored exception raised again with its original
+    traceback (not one grown by each earlier raise)."""
     if key not in stages:
         try:
-            stages[key] = fn(*args)
+            stages[key] = fn(*args), None
         except Exception as exc:  # noqa: BLE001 - raised below, to every caller
-            stages[key] = exc
-    if isinstance(stages[key], Exception):
-        raise stages[key]
-    return stages[key]
+            stages[key] = exc, exc.__traceback__
+    result, origin = stages[key]
+    if origin is not None:
+        raise result.with_traceback(origin)
+    return result
 
 
 def _score_cell(config, method, model, origin, stages, keep: CellArtifacts | None) -> float:
@@ -366,12 +367,11 @@ def _score_cell(config, method, model, origin, stages, keep: CellArtifacts | Non
     fitted = models.fit(model, model_frame, config.horizon, transform.normalization)
     future = models.regressor_forecasts(model_frame, config.horizon)
     predicted = transform.invert(models.forecast(fitted, config.horizon, future))
-    forecast_values = predicted.require_complete()
-    score = mae(test_actual, forecast_values)
+    score = mae(test_actual, predicted.require_complete())
     if keep is not None:
         keep.selection = selection
         keep.model_doc = models.to_doc(fitted)
-        keep.forecast = forecast_values
+        keep.forecast = predicted.values
     return score
 
 
@@ -436,9 +436,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts
                 test_target = frame.target.slice_months(train_end.shift(1), test_end)
                 if test_target.has_missing:
                     test_target = interpolate_missing(test_target)
-                origins.append(
-                    (train_raw, test_target.require_complete(), test_target.months)
-                )
+                origins.append((train_raw, test_target.values, test_target.months))
             groups.append((spec.label, rng, origins))
 
     if config.jobs > 1:

@@ -123,11 +123,12 @@ def _module(fitted: Fitted):
     return sarimax if isinstance(fitted, sarimax.FittedSarimax) else additive
 
 
-def trained_on(fitted: Fitted) -> tuple[Month, tuple[str, ...]]:
-    """The last training month of `fitted` and the ids of the regressors it
-    was fitted on, in order."""
+def trained_on(fitted: Fitted) -> tuple[Month | None, Month, tuple[str, ...]]:
+    """The first and last training months of `fitted` and the ids of the
+    regressors it was fitted on, in order. The first month is None for a
+    SARIMAX document written before it was recorded."""
     ids = fitted.regressor_ids if _module(fitted) is sarimax else fitted.indicator_ids
-    return fitted.train_end, ids
+    return fitted.train_start, fitted.train_end, ids
 
 
 def forecast(
@@ -138,7 +139,7 @@ def forecast(
     """`horizon` months past the training end, on the fitted scale. Only the
     regressors the model was fitted on are read from the mapping; the model
     rejects a forecast that lacks one."""
-    _, ids = trained_on(fitted)
+    *_, ids = trained_on(fitted)
     future = [regressor_forecasts_by_id[i] for i in ids if i in regressor_forecasts_by_id]
     return _module(fitted).forecast(fitted, horizon, future)
 

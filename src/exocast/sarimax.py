@@ -177,6 +177,7 @@ class FittedSarimax:
     # What `fit` did: {"start", "status", "nit", "nfev", "at_bound"}; None
     # for models assembled from given coefficients.
     optimizer: dict | None = None
+    train_start: Month | None = None  # None when reloaded from a document without it
 
 
 @dataclass(frozen=True)
@@ -304,16 +305,16 @@ def _prepare(
         if x.start != target.start or len(x) != n:
             raise ValueError(f"regressor {x.id!r} is not aligned to the target")
     diffed, _ = difference_with_initials(target, order.d, order.D, order.s)
-    w = np.asarray(diffed.values, dtype=float)
+    w = diffed.require_complete()
     m = len(w)
     if exog:
         cols = []
         for x in exog:
             if difference_regressors:
                 dx, _ = difference_with_initials(x, order.d, order.D, order.s)
-                cols.append(np.asarray(dx.values, dtype=float))
+                cols.append(dx.require_complete())
             else:
-                cols.append(np.asarray(x.require_complete(), dtype=float)[order.dropped :])
+                cols.append(x.require_complete()[order.dropped :])
         X = np.column_stack(cols)
     else:
         X = np.zeros((m, 0))
@@ -502,15 +503,16 @@ def fitted_from_params(
     reg_tails: tuple[tuple[float, ...], ...] = ()
     if difference_regressors and order.dropped and train.indicators:
         reg_tails = tuple(
-            tuple(x.require_complete()[-order.dropped :]) for x in train.indicators
+            tuple(x.require_complete()[-order.dropped :].tolist()) for x in train.indicators
         )
     return FittedSarimax(
         order=order,
         params=params,
         regressor_ids=train.indicator_ids,
         target_id=train.target.id,
+        train_start=train.start,
         train_end=train.end,
-        tail_values=tuple(y[len(y) - min(n_tail, len(y)) :]),
+        tail_values=tuple(y[len(y) - min(n_tail, len(y)) :].tolist()),
         tail_residuals=tuple(residuals[len(residuals) - min(n_resid_tail, len(residuals)) :]),
         css=float(scored @ scored),
         normalization=normalization,
@@ -768,6 +770,7 @@ def to_doc(fitted: FittedSarimax) -> dict:
         },
         "regressor_ids": list(fitted.regressor_ids),
         "target_id": fitted.target_id,
+        "train_start": None if fitted.train_start is None else str(fitted.train_start),
         "train_end": str(fitted.train_end),
         "tail_values": list(fitted.tail_values),
         "tail_residuals": list(fitted.tail_residuals),
@@ -802,6 +805,7 @@ def from_doc(doc: dict) -> FittedSarimax:
         ),
         regressor_ids=tuple(doc["regressor_ids"]),
         target_id=doc["target_id"],
+        train_start=Month.parse(doc["train_start"]) if doc.get("train_start") else None,
         train_end=Month.parse(doc["train_end"]),
         tail_values=tuple(doc["tail_values"]),
         tail_residuals=tuple(doc["tail_residuals"]),

@@ -90,9 +90,8 @@ def correlation_select(
     drop mutually redundant ones in descending |target correlation| order."""
     frame = candidates.frame
     target = frame.target.require_complete()
-    target_corr: dict[str, float] = {}
-    for cid in candidates.candidate_ids:
-        target_corr[cid] = pearson_correlation(target, frame.indicator(cid).require_complete())
+    column = {cid: frame.indicator(cid).require_complete() for cid in candidates.candidate_ids}
+    target_corr = {cid: pearson_correlation(target, column[cid]) for cid in candidates.candidate_ids}
 
     survivors = [cid for cid in candidates.candidate_ids if abs(target_corr[cid]) >= target_threshold]
     order = {cid: i for i, cid in enumerate(candidates.candidate_ids)}
@@ -101,9 +100,7 @@ def correlation_select(
     pairwise: dict[str, float] = {}
     for i, a in enumerate(survivors):
         for b in survivors[i + 1 :]:
-            pairwise[f"{a}|{b}"] = pearson_correlation(
-                frame.indicator(a).require_complete(), frame.indicator(b).require_complete()
-            )
+            pairwise[f"{a}|{b}"] = pearson_correlation(column[a], column[b])
 
     def mutual(a: str, b: str) -> float:
         return pairwise.get(f"{a}|{b}", pairwise.get(f"{b}|{a}", 0.0))

@@ -1,24 +1,29 @@
 """Monthly time-series value types, preprocessing transforms and the MAE metric.
 
 Everything downstream (models, selection, the experiment harness) works in
-terms of :class:`MonthlySeries` and :class:`AlignedFrame`. All operations are
-pure: inputs are never mutated and every value type is immutable after
-construction.
+terms of :class:`MonthlySeries` and :class:`AlignedFrame`. Inside the program
+a series is a read-only float64 array with NaN for a missing value, and a
+frame is its target plus one (T x k) indicator matrix; both carry only their
+start month and length. At the edges, ``MonthlySeries.values`` is a tuple
+view with ``None`` for a missing value, and ``months``/``AlignedFrame.index``
+build tuples of :class:`Month` when asked for.
+
+All operations are pure: inputs are never mutated. The transforms add left
+to right, as a plain loop does, where numpy's ``sum`` would add pairwise.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import (
-    DegenerateRangeError,
-    MissingValueError,
-    UndefinedCorrelationError,
-)
+import numpy as np
+
+from .errors import DegenerateRangeError, MissingValueError, UndefinedCorrelationError
 
 __all__ = [
     "Month",
@@ -69,11 +74,8 @@ class Month:
     @staticmethod
     def parse(text: str) -> "Month":
         """Parse 'YYYY-MM'."""
-        year_s, _, month_s = text.partition("-")
-        try:
-            return Month(int(year_s), int(month_s))
-        except ValueError as exc:
-            raise ValueError(f"not a YYYY-MM period: {text!r}") from exc
+        ordinal = _ordinal(text)
+        return Month(ordinal // 12, ordinal % 12 + 1)
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
@@ -83,70 +85,103 @@ def month_range(start: Month, length: int) -> tuple[Month, ...]:
     return tuple(start.shift(i) for i in range(length))
 
 
-@dataclass(frozen=True)
+def _ordinal(text: str) -> int:
+    """Months since year 0 of a 'YYYY-MM' period."""
+    year, _, month = text.strip().partition("-")
+    try:
+        if 1 <= int(month) <= 12:
+            return int(year) * 12 + int(month) - 1
+    except ValueError:
+        pass
+    raise ValueError(f"not a YYYY-MM period: {text.strip()!r}")
+
+
+@functools.lru_cache(maxsize=4096)  # a program meets few distinct months
+def _label(ordinal: int) -> str:
+    """The 'YYYY-MM' period of an ordinal, as `str(Month)` writes it."""
+    return f"{ordinal // 12:04d}-{ordinal % 12 + 1:02d}"
+
+
 class MonthlySeries:
-    """A regularly sampled monthly sequence.
+    """A regularly sampled monthly sequence, treated as immutable. The index
+    has no gaps; values may be missing (NaN in the read-only `array`, None in
+    `values`) until :func:`interpolate_missing` has run, and model-facing
+    transforms reject series that still have gaps. Equality, hash and repr
+    are those of ``(id, start, values)``."""
 
-    The index has no gaps; individual values may be missing (``None``) until
-    :func:`interpolate_missing` has run. Model-facing transforms reject series
-    that still contain gaps.
-    """
-
-    id: str
-    start: Month
-    values: tuple[float | None, ...]
+    __slots__ = ("id", "start", "array", "_missing")
 
     def __init__(self, id: str, start: Month, values: Iterable[float | None]):
-        vals = tuple(None if v is None else float(v) for v in values)
-        if len(vals) == 0:
+        array = values  # a read-only float64 array is shared, anything else copied
+        if not (isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable):
+            array = np.array(values if hasattr(values, "__len__") else list(values), dtype=float)
+            array.flags.writeable = False
+        if array.ndim != 1 or not len(array):
             raise ValueError(f"series {id!r} must have at least one value")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "values", vals)
-        # Not a field: equality and repr stay those of (id, start, values).
-        object.__setattr__(self, "_has_missing", None in vals)
+        self.id, self.start, self.array, self._missing = id, start, array, None
+
+    @property
+    def values(self) -> tuple[float | None, ...]:
+        """The values as Python floats, ``None`` where missing; built anew."""
+        values = self.array.tolist()
+        if self.has_missing:
+            for i in np.isnan(self.array).nonzero()[0].tolist():
+                values[i] = None
+        return tuple(values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = (self.id, self.start) == (other.id, other.start)
+        return same and np.array_equal(self.array, other.array, equal_nan=True)
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.start, self.values))
+
+    def __repr__(self) -> str:
+        return f"MonthlySeries(id={self.id!r}, start={self.start!r}, values={self.values!r})"
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
     @property
     def end(self) -> Month:
-        return self.start.shift(len(self.values) - 1)
+        return self.start.shift(len(self.array) - 1)
 
     @property
     def months(self) -> tuple[Month, ...]:
-        return month_range(self.start, len(self.values))
+        return month_range(self.start, len(self.array))
 
     @property
     def has_missing(self) -> bool:
-        return self._has_missing
-
-    def value_at(self, month: Month) -> float | None:
-        i = self.start.months_until(month)
-        if not 0 <= i < len(self.values):
-            raise KeyError(f"{month} outside series {self.id!r} range")
-        return self.values[i]
+        if self._missing is None:
+            self._missing = bool(np.isnan(self.array).any())
+        return self._missing
 
     def slice_months(self, start: Month, end: Month) -> "MonthlySeries":
         """Sub-series covering start..end inclusive; both must be in range."""
         i = self.start.months_until(start)
         j = self.start.months_until(end)
-        if i < 0 or j >= len(self.values) or i > j:
-            raise ValueError(
-                f"slice {start}..{end} outside series {self.id!r} "
-                f"({self.start}..{self.end})"
-            )
-        return MonthlySeries(self.id, start, self.values[i : j + 1])
+        if i < 0 or j >= len(self.array) or i > j:
+            span = f"{self.start}..{self.end}"
+            raise ValueError(f"slice {start}..{end} outside series {self.id!r} ({span})")
+        if i == 0 and j == len(self.array) - 1:
+            return self
+        return MonthlySeries(self.id, start, self.array[i : j + 1])
 
-    def with_values(self, values: Iterable[float | None], start: Month | None = None) -> "MonthlySeries":
-        return MonthlySeries(self.id, self.start if start is None else start, values)
-
-    def require_complete(self) -> tuple[float, ...]:
+    def require_complete(self) -> np.ndarray:
+        """The read-only values; a series with gaps is an error."""
         if self.has_missing:
-            raise MissingValueError(
-                f"series {self.id!r} has missing values; interpolate first"
-            )
-        return self.values  # type: ignore[return-value]
+            raise MissingValueError(f"series {self.id!r} has missing values; interpolate first")
+        return self.array
+
+
+def _derived(series: MonthlySeries, array: np.ndarray, start: Month | None = None) -> MonthlySeries:
+    """`series` with new, complete values from `array`, which it takes over."""
+    array.flags.writeable = False
+    out = object.__new__(MonthlySeries)
+    out.id, out.start, out.array, out._missing = series.id, start or series.start, array, False
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,60 +198,81 @@ class NormalizationParams:
             )
 
 
-@dataclass(frozen=True)
 class AlignedFrame:
-    """A target plus indicator series sharing one month index."""
+    """A target plus indicator series sharing one month index, treated as
+    immutable: the target series and one read-only (T x k) `matrix` whose
+    column j is indicator `indicator_ids[j]`."""
 
-    index: tuple[Month, ...]
-    target: MonthlySeries
-    indicators: tuple[MonthlySeries, ...]
+    __slots__ = ("target", "matrix", "indicator_ids", "_column", "_indicators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", tuple(self.index))
-        object.__setattr__(self, "indicators", tuple(self.indicators))
-        if not self.index:
+    def __new__(cls, index: Sequence[Month], target: MonthlySeries, indicators: Sequence[MonthlySeries]):
+        index, indicators = tuple(index), tuple(indicators)
+        if not index:
             raise ValueError("frame index must be nonempty")
-        for s in (self.target, *self.indicators):
-            if s.start != self.index[0] or len(s) != len(self.index):
-                raise ValueError(
-                    f"series {s.id!r} does not cover the frame index exactly"
-                )
-        ids = [s.id for s in self.indicators]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate indicator ids: {ids}")
+        for s in (target, *indicators):
+            if s.start != index[0] or len(s) != len(index):
+                raise ValueError(f"series {s.id!r} does not cover the frame index exactly")
+        return _frame(target, indicators)
+
+    def __reduce__(self):  # copy and pickle rebuild through `_frame`, not `__new__`
+        return _frame, (self.target, self.indicator_ids, self.matrix)
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.target)
 
     @property
     def start(self) -> Month:
-        return self.index[0]
+        return self.target.start
 
     @property
     def end(self) -> Month:
-        return self.index[-1]
+        return self.target.end
 
     @property
-    def indicator_ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.indicators)
+    def index(self) -> tuple[Month, ...]:
+        return self.target.months
+
+    @property
+    def indicators(self) -> tuple[MonthlySeries, ...]:
+        if self._indicators is None:
+            columns = zip(self.indicator_ids, self.matrix.T)
+            self._indicators = tuple(MonthlySeries(i, self.start, column) for i, column in columns)
+            for series, gaps in zip(self._indicators, np.isnan(self.matrix).any(axis=0).tolist()):
+                series._missing = gaps  # every column's flag from one reduction
+        return self._indicators
 
     def indicator(self, id: str) -> MonthlySeries:
-        for s in self.indicators:
-            if s.id == id:
-                return s
-        raise KeyError(f"no indicator {id!r} in frame")
+        if id not in self._column:
+            raise KeyError(f"no indicator {id!r} in frame")
+        return self.indicators[self._column[id]]
 
     def with_indicators(self, ids: Sequence[str]) -> "AlignedFrame":
         """Frame restricted to the given indicators, in the given order."""
-        return AlignedFrame(self.index, self.target, tuple(self.indicator(i) for i in ids))
+        ids = tuple(ids)
+        for i in ids:
+            if i not in self._column:
+                raise KeyError(f"no indicator {i!r} in frame")
+        return _frame(self.target, ids, self.matrix[:, [self._column[i] for i in ids]])
 
     def slice_months(self, start: Month, end: Month) -> "AlignedFrame":
-        n = start.months_until(end) + 1
-        return AlignedFrame(
-            month_range(start, n),
-            self.target.slice_months(start, end),
-            tuple(s.slice_months(start, end) for s in self.indicators),
-        )
+        target = self.target.slice_months(start, end)  # checks the range
+        i = self.start.months_until(start)
+        return _frame(target, self.indicator_ids, self.matrix[i : i + len(target)])
+
+
+def _frame(target: MonthlySeries, indicators, matrix: np.ndarray | None = None) -> AlignedFrame:
+    """A frame over `target`'s months of `indicators`, series or `matrix`'s column ids."""
+    if matrix is None:
+        shape = (len(indicators), len(target))
+        matrix = np.array([s.array for s in indicators], dtype=float).reshape(shape).T
+        indicators = tuple(s.id for s in indicators)
+    if len(set(indicators)) != len(indicators):
+        raise ValueError(f"duplicate indicator ids: {list(indicators)}")
+    matrix.flags.writeable = False
+    frame = object.__new__(AlignedFrame)
+    frame.target, frame.matrix, frame.indicator_ids = target, matrix, tuple(indicators)
+    frame._column, frame._indicators = {i: j for j, i in enumerate(indicators)}, None
+    return frame
 
 
 @dataclass(frozen=True)
@@ -230,52 +286,47 @@ class SplitSpec:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
+def _sum(values: np.ndarray) -> float:
+    """Left-to-right sum of a nonempty array."""
+    return float(np.add.accumulate(values)[-1])
+
+
 def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Mean absolute error between two equal-length sequences."""
     if len(actual) != len(predicted):
-        raise ValueError(
-            f"length mismatch: {len(actual)} actual vs {len(predicted)} predicted"
-        )
+        raise ValueError(f"length mismatch: {len(actual)} actual vs {len(predicted)} predicted")
     if len(actual) == 0:
         raise ValueError("mae of empty sequences is undefined")
-    return sum(abs(float(a) - float(p)) for a, p in zip(actual, predicted)) / len(actual)
+    errors = np.abs(np.asarray(actual, dtype=float) - np.asarray(predicted, dtype=float))
+    return _sum(errors) / len(errors)
 
 
 def min_max_normalize(series: MonthlySeries) -> tuple[MonthlySeries, NormalizationParams]:
     """Rescale onto [0, 1]; the returned params invert the map exactly enough
     for a 1e-12-relative round trip."""
     vals = series.require_complete()
-    lo, hi = min(vals), max(vals)
+    lo, hi = float(vals.min()), float(vals.max())
     params = NormalizationParams(lo, hi)  # raises DegenerateRangeError if flat
-    span = hi - lo
-    return series.with_values((v - lo) / span for v in vals), params
+    return _derived(series, (vals - lo) / (hi - lo)), params
 
 
 def denormalize(series: MonthlySeries, params: NormalizationParams) -> MonthlySeries:
     vals = series.require_complete()
-    span = params.max - params.min
-    return series.with_values(v * span + params.min for v in vals)
+    return _derived(series, vals * (params.max - params.min) + params.min)
 
 
 def interpolate_missing(series: MonthlySeries) -> MonthlySeries:
     """Fill gaps: interior ones linearly between the nearest known neighbours,
     leading/trailing ones with the nearest known value."""
-    vals = list(series.values)
-    known = [i for i, v in enumerate(vals) if v is not None]
-    if not known:
+    vals = series.array
+    missing = np.isnan(vals)
+    known = (~missing).nonzero()[0]
+    if not len(known):
         raise MissingValueError(f"series {series.id!r} is entirely missing")
-    first, last = known[0], known[-1]
-    for i in range(first):
-        vals[i] = vals[first]
-    for i in range(last + 1, len(vals)):
-        vals[i] = vals[last]
-    for a, b in zip(known, known[1:]):
-        if b - a > 1:
-            ya, yb = vals[a], vals[b]
-            step = (yb - ya) / (b - a)
-            for k in range(1, b - a):
-                vals[a + k] = ya + step * k
-    return series.with_values(vals)
+    gaps = missing.nonzero()[0]
+    out = vals.copy()
+    out[gaps] = np.interp(gaps, known, vals[known])
+    return _derived(series, out)
 
 
 @dataclass(frozen=True)
@@ -294,10 +345,6 @@ class DifferenceInitials:
         return sum(len(init) for _, init in self.stages)
 
 
-def _diff_once(vals: list[float], lag: int) -> list[float]:
-    return [vals[i + lag] - vals[i] for i in range(len(vals) - lag)]
-
-
 def difference_with_initials(
     series: MonthlySeries, d: int = 0, D: int = 0, s: int = 12
 ) -> tuple[MonthlySeries, DifferenceInitials]:
@@ -305,19 +352,14 @@ def difference_with_initials(
     dropped leading values so :func:`undifference` can reconstruct."""
     if d < 0 or D < 0 or s < 1:
         raise ValueError(f"bad differencing spec d={d} D={D} s={s}")
-    vals = list(series.require_complete())
+    vals = series.require_complete()
     if len(vals) <= d + D * s:
-        raise ValueError(
-            f"series {series.id!r} too short ({len(vals)}) for d={d}, D={D}, s={s}"
-        )
+        raise ValueError(f"series {series.id!r} too short ({len(vals)}) for d={d}, D={D}, s={s}")
     stages: list[tuple[str, tuple[float, ...]]] = []
-    for _ in range(d):
-        stages.append(("d", tuple(vals[:1])))
-        vals = _diff_once(vals, 1)
-    for _ in range(D):
-        stages.append(("s", tuple(vals[:s])))
-        vals = _diff_once(vals, s)
-    out = series.with_values(vals, start=series.start.shift(d + D * s))
+    for kind, lag in [("d", 1)] * d + [("s", s)] * D:
+        stages.append((kind, tuple(vals[:lag].tolist())))
+        vals = vals[lag:] - vals[:-lag]
+    out = _derived(series, vals, start=series.start.shift(d + D * s))
     return out, DifferenceInitials(tuple(stages))
 
 
@@ -327,48 +369,50 @@ def difference(series: MonthlySeries, d: int = 0, D: int = 0, s: int = 12) -> Mo
 
 def undifference(series: MonthlySeries, initials: DifferenceInitials) -> MonthlySeries:
     """Invert :func:`difference_with_initials`."""
-    vals = list(series.require_complete())
-    for kind, init in reversed(initials.stages):
-        out = list(init)
-        if kind == "d":
-            for v in vals:
-                out.append(out[-1] + v)
-        else:
-            for i, v in enumerate(vals):
-                out.append(out[i] + v)
-        vals = out
-    start = series.start.shift(-initials.total_dropped)
-    return series.with_values(vals, start=start)
+    vals = series.require_complete()
+    for _, init in reversed(initials.stages):
+        # A running sum down each column of the values laid out lag to a row.
+        n, lag = len(init) + len(vals), len(init)
+        rows = np.zeros(-(-n // lag) * lag)
+        rows[:n] = np.concatenate((init, vals))
+        vals = rows.reshape(-1, lag).cumsum(axis=0).ravel()[:n]
+    return _derived(series, vals, start=series.start.shift(-initials.total_dropped))
+
+
+@functools.lru_cache(maxsize=64)
+def _line_basis(n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Index 0..n-1, its deviations from their mean and their sum of squares."""
+    index = np.arange(n, dtype=float)
+    centred = index - (n - 1) / 2.0
+    index.flags.writeable = centred.flags.writeable = False
+    return index, centred, _sum(centred * centred)
 
 
 def least_squares_line(values: Sequence[float]) -> tuple[float, float]:
     """Slope and intercept of the least-squares line over index 0..n-1."""
+    values = np.asarray(values, dtype=float)
     n = len(values)
     if n < 2:
         raise ValueError("need at least two points to fit a line")
-    mean_x = (n - 1) / 2.0
-    mean_y = sum(values) / n
-    sxx = sum((i - mean_x) ** 2 for i in range(n))
-    sxy = sum((i - mean_x) * (v - mean_y) for i, v in enumerate(values))
-    slope = sxy / sxx
-    return slope, mean_y - slope * mean_x
+    _, centred, sxx = _line_basis(n)
+    mean_y = _sum(values) / n
+    slope = _sum(centred * (values - mean_y)) / sxx
+    return slope, mean_y - slope * ((n - 1) / 2.0)
 
 
 def linear_detrend(series: MonthlySeries) -> tuple[MonthlySeries, float, float]:
     """Subtract the least-squares line; returns (residual series, slope, intercept)."""
     vals = series.require_complete()
     slope, intercept = least_squares_line(vals)
-    resid = [v - (intercept + slope * i) for i, v in enumerate(vals)]
-    return series.with_values(resid), slope, intercept
+    index = _line_basis(len(vals))[0]
+    return _derived(series, vals - (intercept + slope * index)), slope, intercept
 
 
 def retrend(series: MonthlySeries, slope: float, intercept: float, offset: int = 0) -> MonthlySeries:
     """Add a line back; offset is the index of the first value on the
     original fitting axis (e.g. training length for a forecast)."""
     vals = series.require_complete()
-    return series.with_values(
-        v + intercept + slope * (offset + i) for i, v in enumerate(vals)
-    )
+    return _derived(series, vals + intercept + slope * np.arange(offset, offset + len(vals)))
 
 
 def smooth(series: MonthlySeries, window: int = 1) -> MonthlySeries:
@@ -381,11 +425,22 @@ def smooth(series: MonthlySeries, window: int = 1) -> MonthlySeries:
     if window > n:
         raise ValueError(f"window {window} exceeds series length {n}")
     half = window // 2
-    out = []
-    for i in range(n):
-        lo, hi = max(0, i - half), min(n, i + half + 1)
-        out.append(sum(vals[lo:hi]) / (hi - lo))
-    return series.with_values(out)
+    # Each window summed from its left end, as a running total from zero.
+    total = np.zeros(n)
+    for offset in range(-half, half + 1):
+        if offset < 0:
+            total[-offset:] += vals[:offset]
+        else:
+            total[: n - offset] += vals[offset:]
+    return _derived(series, total / _window_sizes(n, window))
+
+
+@functools.lru_cache(maxsize=64)
+def _window_sizes(n: int, window: int) -> np.ndarray:
+    """How many values each centred window of `smooth` holds."""
+    sizes = np.convolve(np.ones(n), np.ones(window), "same")
+    sizes.flags.writeable = False  # shared between calls
+    return sizes
 
 
 def pearson_correlation(a: Sequence[float], b: Sequence[float]) -> float:
@@ -394,15 +449,12 @@ def pearson_correlation(a: Sequence[float], b: Sequence[float]) -> float:
     n = len(a)
     if n < 2:
         raise ValueError("need at least two points")
-    mean_a = sum(a) / n
-    mean_b = sum(b) / n
-    da = [x - mean_a for x in a]
-    db = [x - mean_b for x in b]
-    var_a = sum(x * x for x in da)
-    var_b = sum(x * x for x in db)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    da, db = a - _sum(a) / n, b - _sum(b) / n
+    var_a, var_b = _sum(da * da), _sum(db * db)
     if var_a == 0.0 or var_b == 0.0:
         raise UndefinedCorrelationError("correlation with a constant input is undefined")
-    r = sum(x * y for x, y in zip(da, db)) / math.sqrt(var_a * var_b)
+    r = _sum(da * db) / math.sqrt(var_a * var_b)
     return max(-1.0, min(1.0, r))
 
 
@@ -413,57 +465,41 @@ def align_merge(target: MonthlySeries, indicators: Sequence[MonthlySeries]) -> A
     end = min(s.end for s in all_series)
     if start.months_until(end) < 0:
         raise ValueError("month ranges have an empty intersection")
-    n = start.months_until(end) + 1
-    return AlignedFrame(
-        month_range(start, n),
-        target.slice_months(start, end),
-        tuple(s.slice_months(start, end) for s in indicators),
-    )
+    return _frame(target.slice_months(start, end), [s.slice_months(start, end) for s in indicators])
 
 
 def split_train_test(frame: AlignedFrame, spec: SplitSpec) -> tuple[AlignedFrame, AlignedFrame]:
     """Final `horizon` months become the test frame, everything before trains."""
     if spec.horizon >= len(frame):
-        raise ValueError(
-            f"horizon {spec.horizon} must be smaller than frame length {len(frame)}"
-        )
-    cut = frame.index[len(frame) - spec.horizon]
-    train = frame.slice_months(frame.start, cut.shift(-1))
-    test = frame.slice_months(cut, frame.end)
-    return train, test
+        raise ValueError(f"horizon {spec.horizon} must be smaller than frame length {len(frame)}")
+    cut = frame.start.shift(len(frame) - spec.horizon)
+    return frame.slice_months(frame.start, cut.shift(-1)), frame.slice_months(cut, frame.end)
 
 
 def read_series_csv(path: str | Path, id: str | None = None) -> MonthlySeries:
-    """Read the `period,value` format; empty value fields become gaps.
-
-    The id defaults to the file stem. Periods must be consecutive months.
-    """
+    """Read the `period,value` format; empty value fields become gaps. The id
+    defaults to the file stem. Periods must be consecutive months."""
     path = Path(path)
-    rows: list[tuple[Month, float | None]] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["period", "value"]:
             raise ValueError(f"{path}: expected header 'period,value', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            period = Month.parse(row[0].strip())
-            raw = row[1].strip() if len(row) > 1 else ""
-            rows.append((period, float(raw) if raw else None))
+        rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    start = rows[0][0]
-    for i, (m, _) in enumerate(rows):
-        if start.shift(i) != m:
-            raise ValueError(f"{path}: non-consecutive period {m} at row {i + 2}")
-    return MonthlySeries(id or path.stem, start, (v for _, v in rows))
+    first = _ordinal(rows[0][0])
+    for i, row in enumerate(rows):
+        if row[0] != _label(first + i) and _ordinal(row[0]) != first + i:
+            raise ValueError(f"{path}: non-consecutive period {_label(_ordinal(row[0]))} at row {i + 2}")
+    values = [float(row[1]) if len(row) > 1 and row[1].strip() else None for row in rows]
+    return MonthlySeries(id or path.stem, Month(first // 12, first % 12 + 1), values)
 
 
 def write_series_csv(series: MonthlySeries, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    first = series.start.year * 12 + series.start.month - 1
+    rows = [(_label(first + i), "" if v != v else repr(v)) for i, v in enumerate(series.array.tolist())]
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["period", "value"])
-        for m, v in zip(series.months, series.values):
-            writer.writerow([str(m), "" if v is None else repr(v)])
+        writer.writerows(rows)

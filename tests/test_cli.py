@@ -149,10 +149,48 @@ class TestSelectFitForecast:
             write_series_csv(expected, tmp_path / "expected.csv")
             assert (fc_dir / "forecast.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
-    def test_forecast_rejects_an_ambiguous_training_frame(self, tmp_path, capsys):
+    @pytest.mark.parametrize("model", [SARIMAX, ADDITIVE], ids=["sarimax", "additive"])
+    def test_forecast_tells_apart_ranges_that_share_their_end(self, tmp_path, model):
+        # The study protocol's dual-range grid: both frames end in 2021-04
+        # and hold the same indicators, so only the range start tells them apart.
         config = write_experiment_config(
-            tmp_path, methods=["none"], ranges=(("2016-01", "2021-04"), ("2018-01", "2021-04")),
+            tmp_path, methods=["correlation"], models=[model],
+            ranges=(("2016-01", "2021-04"), ("2019-01", "2021-04")),
         )
+        out = tmp_path / "models"
+        assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
+        frames = {rng.label: train for _, rng, train, _ in training_frames(load_config(config))}
+        for label, train in frames.items():
+            model_file = next(p for p in out.glob(f"synth-0__{label}__*.json")
+                              if not p.name.endswith("selection.json"))
+            fc_dir = tmp_path / f"fc-{label}"
+            assert main(["forecast", "--config", str(config), "--model-file", str(model_file),
+                         "--out", str(fc_dir)]) == 0
+            fitted = models_module.from_doc(json.loads(model_file.read_text()))
+            expected = models_module.forecast(fitted, 12, models_module.regressor_forecasts(train, 12))
+            assert read_series_csv(fc_dir / "forecast.csv").values == expected.values
+
+    def test_forecast_matches_a_document_without_a_start_on_its_end(self, tmp_path):
+        config = write_experiment_config(
+            tmp_path, methods=["none"], ranges=(("2016-01", "2021-04"), ("2017-01", "2020-12")),
+        )
+        out = tmp_path / "models"
+        assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
+        model_file = next(p for p in out.glob("synth-0__2016-01..2021-04__*.json")
+                          if not p.name.endswith("selection.json"))
+        doc = json.loads(model_file.read_text())
+        del doc["train_start"]  # as written before the start was recorded
+        model_file.write_text(json.dumps(doc))
+        assert main(["forecast", "--config", str(config), "--model-file", str(model_file),
+                     "--out", str(tmp_path / "fc")]) == 0
+
+    def test_forecast_rejects_an_ambiguous_training_frame(self, tmp_path, capsys):
+        # Two datasets with the same range and indicators: nothing in the
+        # model file tells their frames apart.
+        config = write_experiment_config(tmp_path, methods=["none"])
+        doc = json.loads(config.read_text())
+        doc["datasets"].append({**doc["datasets"][0], "label": "synth-0b"})
+        config.write_text(json.dumps(doc))
         out = tmp_path / "models"
         assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
         model_file = next(p for p in out.glob("synth-0__2016-01..2021-04__*.json")
@@ -161,7 +199,7 @@ class TestSelectFitForecast:
                    "--out", str(tmp_path / "fc")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "synth-0 @ 2016-01..2021-04" in err and "synth-0 @ 2018-01..2021-04" in err
+        assert "synth-0 @ 2016-01..2021-04" in err and "synth-0b @ 2016-01..2021-04" in err
         assert not (tmp_path / "fc").exists()
 
     def test_fit_rejects_unconfigured_method(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
+import itertools
 import json
 import socket
 
+import numpy as np
 import pytest
 import requests
 
@@ -24,6 +26,15 @@ from exocast.eurostat import (
 from exocast.series import Month, MonthlySeries
 
 M = Month
+
+
+def observations(dataset):
+    """The dense rows of `dataset` as {coordinates: {month: value}}, gaps
+    left out: the sparse form a per-value decoder builds."""
+    return {
+        key: {m: v for m, v in zip(dataset.periods, row.tolist()) if v == v}
+        for key, row in zip(dataset.keys, dataset.values)
+    }
 
 
 def catalog_entry(code, frequency="monthly", parameters=("business",), earliest="2015-01", title=None):
@@ -199,10 +210,10 @@ class TestFetchDataset:
         dataset = fetch_dataset("STS_A", offline_fixture=fixture)
         assert dataset.dimension_names == ("geo", "unit")
         assert len(dataset.periods) == 24
-        total = sum(len(v) for v in dataset.observations.values())
+        total = sum(len(v) for v in observations(dataset).values())
         assert total == 48
-        assert dataset.observations[("AT", "I15")][M(2016, 1)] == 0.0
-        assert dataset.observations[("DE", "I15")][M(2016, 3)] == 2.5
+        assert observations(dataset)[("AT", "I15")][M(2016, 1)] == 0.0
+        assert observations(dataset)[("DE", "I15")][M(2016, 3)] == 2.5
 
     def test_missing_values_preserved(self, tmp_path):
         time_labels = months("2016-01", 4)
@@ -216,7 +227,7 @@ class TestFetchDataset:
             )
         )
         dataset = fetch_dataset("d", offline_fixture=fixture)
-        obs = dataset.observations[("AT", "I15")]
+        obs = observations(dataset)[("AT", "I15")]
         assert M(2016, 2) not in obs
         assert M(2016, 4) not in obs
         assert obs[M(2016, 3)] == 2.0
@@ -254,8 +265,55 @@ class TestFetchDataset:
             expected.setdefault(key, {})[month] = float(value)
         assert dataset.dimension_names == ("geo", "unit")
         assert dataset.periods == tuple(Month.parse(t) for t in labels["time"])
-        assert dataset.observations == expected
-        assert M(2016, 3) not in dataset.observations[("DE", "PCH")]
+        assert observations(dataset) == expected
+        assert M(2016, 3) not in observations(dataset)[("DE", "PCH")]
+
+    def test_dense_decode_matches_a_per_value_decoder(self, tmp_path):
+        # Three axes with time in the middle, categories listed out of
+        # lexicographic order, a sparse `value` with explicit nulls; and the
+        # same cube as JSON-stat's dense list form.
+        sizes, geos, times, units = [3, 4, 2], ["FR", "AT", "DE"], months("2016-01", 4), ["PCH", "I15"]
+        rng = np.random.default_rng(5)
+        dense = [None if rng.random() < 0.3 else round(float(v), 3) for v in rng.normal(0, 50, 24)]
+        dense[2 * 8 : 3 * 8] = [None] * 8  # every DE cell missing: the row is left out
+        sparse = {str(i): v for i, v in enumerate(dense) if v is not None or i % 3 == 0}
+        assert None in sparse.values()
+        doc = {
+            "id": ["geo", "time", "unit"], "size": sizes,
+            "dimension": {
+                "geo": {"category": {"index": {g: i for i, g in enumerate(geos)}}},
+                "time": {"category": {"index": times}},
+                "unit": {"category": {"index": {u: i for i, u in enumerate(units)}}},
+            },
+        }
+        decoded = []
+        for value in (sparse, dense):
+            fixture = tmp_path / "d.json"
+            fixture.write_text(json.dumps({**doc, "value": value}))
+            decoded.append(fetch_dataset("d", offline_fixture=fixture))
+        expected = {}
+        for flat_str, value in sparse.items():
+            g, rest = divmod(int(flat_str), sizes[1] * sizes[2])
+            t, u = divmod(rest, sizes[2])
+            if value is not None:
+                expected.setdefault((geos[g], units[u]), {})[M.parse(times[t])] = float(value)
+        for dataset in decoded:
+            assert dataset.dimension_names == ("geo", "unit")
+            assert dataset.periods == tuple(M.parse(t) for t in times)
+            assert observations(dataset) == expected
+            assert dataset.keys == tuple(k for k in itertools.product(geos, units) if k in expected)
+            assert not dataset.values.flags.writeable
+
+    def test_value_index_outside_the_cube_rejected(self, tmp_path):
+        fixture = tmp_path / "d.json"
+        fixture.write_text(json.dumps({
+            "id": ["geo", "time"], "size": [1, 2],
+            "dimension": {"geo": {"category": {"index": ["AT"]}},
+                          "time": {"category": {"index": ["2016-01", "2016-02"]}}},
+            "value": {"0": 1.0, "2": 2.0},
+        }))
+        with pytest.raises(PayloadError, match="outside"):
+            fetch_dataset("d", offline_fixture=fixture)
 
     def test_empty_dataset_rejected(self, tmp_path):
         fixture = tmp_path / "d.json"
@@ -310,6 +368,20 @@ class TestPickRepresentative:
         key, series = pick_representative(dataset, M(2016, 1))
         assert key.dimension_values == (("geo", "DE"),)
         assert series.values[3] is None
+
+    def test_equal_gaps_go_to_the_smallest_coordinates_whatever_the_category_order(self, tmp_path):
+        one_gap = {i: float(i) for i in range(12) if i != 4}
+        other_gap = {i: float(i) for i in range(12) if i != 9}
+        time_labels = months("2016-01", 12)
+        values = {(g, t): spec[i] for g, spec in (("DE", one_gap), ("AT", other_gap))
+                  for i, t in enumerate(time_labels) if i in spec}
+        fixture = tmp_path / "d.json"
+        fixture.write_text(jsonstat_payload([("geo", ["DE", "AT"]), ("time", time_labels)], values))
+        dataset = fetch_dataset("d", offline_fixture=fixture)
+        assert dataset.keys == (("DE",), ("AT",))
+        key, series = pick_representative(dataset, M(2016, 1))
+        assert key.dimension_values == (("geo", "AT"),)
+        assert series.values[9] is None
 
     def test_no_values_after_since(self, tmp_path):
         old = {i: float(i) for i in range(12)}

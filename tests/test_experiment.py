@@ -1,4 +1,5 @@
 import json
+import traceback
 from collections import Counter
 
 import numpy as np
@@ -513,6 +514,23 @@ class TestSharedStages:
                 assert cell.error == "InsufficientData", key
             else:
                 assert cell == base_table.cells[key], key
+
+
+    def test_a_stored_failure_is_raised_with_the_same_traceback_each_time(self, monkeypatch):
+        def failing():
+            raise InsufficientDataError("planted failure")
+
+        stages, depths = {}, []
+        for _ in range(50):
+            with pytest.raises(InsufficientDataError) as caught:
+                experiment._once(stages, "stage", failing)
+            depths.append(len(traceback.extract_tb(caught.value.__traceback__)))
+        assert len(set(depths)) == 1, depths[:4]
+        # Every cell that shares the failed stage keeps its failure code.
+        config = self._failure_config()
+        self._raise_when(monkeypatch, "_preprocess_train", lambda f: True)
+        table, _ = run_experiment(config)
+        assert {cell.error for cell in table.cells.values()} == {"InsufficientData"}
 
 
 class TestPersistedModels:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -370,3 +373,199 @@ class TestFrameInvariants:
         )
         sub = frame.with_indicators(["c", "a"])
         assert sub.indicator_ids == ("c", "a")
+
+    def test_copies_and_pickles(self):
+        frame = align_merge(ms([1, 2, 3], id="t"), [ms([1, None, 3], id="a"), ms([3, 4, 5], id="b")])
+        for other in (copy.copy(frame), copy.deepcopy(frame), pickle.loads(pickle.dumps(frame))):
+            assert other.target == frame.target and other.indicators == frame.indicators
+            assert not other.matrix.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# The transforms as pure-Python loops over tuples, the form they had before
+# the array core, kept as oracles. Sums run left to right from 0.0, the
+# order of Python's `sum` over floats before 3.12 added compensation.
+
+def _loop_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def oracle_interpolate(vals):
+    vals = list(vals)
+    known = [i for i, v in enumerate(vals) if v is not None]
+    if not known:
+        raise MissingValueError("entirely missing")
+    first, last = known[0], known[-1]
+    for i in range(first):
+        vals[i] = vals[first]
+    for i in range(last + 1, len(vals)):
+        vals[i] = vals[last]
+    for a, b in zip(known, known[1:]):
+        ya, yb = vals[a], vals[b]
+        step = (yb - ya) / (b - a)
+        for k in range(1, b - a):
+            vals[a + k] = ya + step * k
+    return vals
+
+
+def oracle_smooth(vals, window):
+    if window > len(vals):
+        raise ValueError("window exceeds series length")
+    n, half = len(vals), window // 2
+    out = []
+    for i in range(n):
+        lo, hi = max(0, i - half), min(n, i + half + 1)
+        out.append(_loop_sum(vals[lo:hi]) / (hi - lo))
+    return out
+
+
+def oracle_detrend(vals):
+    n = len(vals)
+    mean_x = (n - 1) / 2.0
+    mean_y = _loop_sum(vals) / n
+    sxx = _loop_sum((i - mean_x) ** 2 for i in range(n))
+    sxy = _loop_sum((i - mean_x) * (v - mean_y) for i, v in enumerate(vals))
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    return [v - (intercept + slope * i) for i, v in enumerate(vals)], slope, intercept
+
+
+def oracle_normalize(vals):
+    lo, hi = min(vals), max(vals)
+    if not hi > lo:
+        raise DegenerateRangeError("flat")
+    return [(v - lo) / (hi - lo) for v in vals]
+
+
+def oracle_pearson(a, b):
+    n = len(a)
+    da = [x - _loop_sum(a) / n for x in a]
+    db = [x - _loop_sum(b) / n for x in b]
+    var_a, var_b = _loop_sum(x * x for x in da), _loop_sum(x * x for x in db)
+    if var_a == 0.0 or var_b == 0.0:
+        raise UndefinedCorrelationError("constant input")
+    return max(-1.0, min(1.0, _loop_sum(x * y for x, y in zip(da, db)) / math.sqrt(var_a * var_b)))
+
+
+def assert_within_ulps(actual, expected, ulps=4):
+    actual, expected = np.atleast_1d(actual), np.atleast_1d(np.asarray(expected, dtype=float))
+    scale = np.spacing(np.maximum(np.abs(actual), np.abs(expected)))
+    assert actual.shape == expected.shape
+    assert np.all(np.abs(actual - expected) <= ulps * scale), (actual, expected)
+
+
+def gappy_series(seed, n):
+    """Seeded values with a leading, an interior and a trailing gap where
+    the length allows, and at least one known value."""
+    rng = np.random.default_rng([seed, n])
+    vals = (rng.normal(0, 10, n) + rng.normal(0, 100)).tolist()
+    for i in {0, n // 2, n - 1} if n >= 4 else {seed % n} if seed else ():
+        vals[i] = None
+    return vals
+
+
+class TestArrayTransformsMatchLoopOracles:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 30, 96])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_series(self, seed, n):
+        raw = gappy_series(seed, n)
+        filled = interpolate_missing(ms(raw))
+        assert_within_ulps(filled.array, oracle_interpolate(raw))
+        vals = oracle_interpolate(raw)
+        s = ms(vals)
+        for window in (1, 3, 5):
+            if window <= n:
+                assert smooth(s, window).values == tuple(oracle_smooth(vals, window))
+            else:
+                with pytest.raises(ValueError):
+                    smooth(s, window)
+        resid, slope, intercept = linear_detrend(s)
+        expected, e_slope, e_intercept = oracle_detrend(vals)
+        assert_within_ulps(resid.array, expected)
+        assert_within_ulps([slope, intercept], [e_slope, e_intercept])
+        other = oracle_interpolate(gappy_series(seed + 10, n))
+        if len(set(vals)) > 1:
+            assert_within_ulps(min_max_normalize(s)[0].array, oracle_normalize(vals))
+        else:  # a length-2 series with one gap is constant
+            with pytest.raises(DegenerateRangeError):
+                min_max_normalize(s)
+        if len(set(vals)) > 1 and len(set(other)) > 1:
+            assert_within_ulps(pearson_correlation(vals, other), oracle_pearson(vals, other))
+        else:
+            with pytest.raises(UndefinedCorrelationError):
+                pearson_correlation(vals, other)
+
+    def test_same_exceptions(self):
+        with pytest.raises(MissingValueError):
+            oracle_interpolate([None, None])
+        with pytest.raises(MissingValueError):
+            interpolate_missing(ms([None, None]))
+        with pytest.raises(DegenerateRangeError):
+            oracle_normalize([2.0, 2.0, 2.0])
+        with pytest.raises(DegenerateRangeError):
+            min_max_normalize(ms([2.0, 2.0, 2.0]))
+        with pytest.raises(UndefinedCorrelationError):
+            oracle_pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(UndefinedCorrelationError):
+            pearson_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            oracle_smooth([1.0, 2.0], 3)
+        with pytest.raises(ValueError):
+            smooth(ms([1.0, 2.0]), 3)
+
+
+@dataclasses.dataclass(frozen=True)
+class TupleSeries:
+    """A series as a frozen dataclass over a tuple of values: the reference
+    for equality, hash and repr."""
+
+    id: str
+    start: Month
+    values: tuple
+
+
+class TestSeriesValueSemantics:
+    CASES = [("s", M(2016, 1), (1.0, None, 3.0)), ("x", M(2019, 11), (1.5, -2.25, 1e-9)),
+             ("y", M(2020, 2), (None,)), ("z", M(2020, 2), (0.0, -0.0))]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
+    def test_as_a_tuple_dataclass(self, case):
+        series, reference = MonthlySeries(*case), TupleSeries(*case)
+        assert series.values == reference.values
+        assert repr(series) == repr(reference).replace("TupleSeries", "MonthlySeries")
+        assert hash(series) == hash(reference)
+        for other in self.CASES:
+            assert (series == MonthlySeries(*other)) == (reference == TupleSeries(*other))
+
+    def test_array_is_read_only_and_shared_only_when_read_only(self):
+        values = np.array([1.0, 2.0])
+        s = MonthlySeries("s", M(2016, 1), values)
+        values[0] = 9.0  # a writeable input is copied
+        assert s.values == (1.0, 2.0)
+        with pytest.raises(ValueError):
+            s.array[0] = 5.0
+        assert MonthlySeries("t", M(2016, 1), s.array).array is s.array
+
+
+class TestCsvBytes:
+    EXPECTED = "period,value\r\n2019-11,1.5\r\n2019-12,\r\n2020-01,-2.25\r\n2020-02,1e-09\r\n"
+
+    def test_written_bytes_and_round_trip(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        write_series_csv(MonthlySeries("demand", M(2019, 11), (1.5, None, -2.25, 1e-9)), path)
+        assert path.read_bytes() == self.EXPECTED.encode()
+        back = read_series_csv(path)
+        write_series_csv(back, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == self.EXPECTED.encode()
+        assert back.values == (1.5, None, -2.25, 1e-9)
+
+    def test_non_canonical_periods_are_read_by_value(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("period,value\n2019-12,1\n 2020-1,2\n2020-02 ,3\n")
+        assert read_series_csv(path).start == M(2019, 12)
+        path.write_text("period,value\n2019-12,1\n2020-13,2\n")
+        with pytest.raises(ValueError, match="not a YYYY-MM period"):
+            read_series_csv(path)
