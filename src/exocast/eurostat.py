@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import math
@@ -333,26 +332,30 @@ def _parse_dataset_payload(code: str, payload: str) -> RawDataset:
         if month is None:
             raise PayloadError(f"dataset {code}: unparseable period {text!r}")
 
-    # Scatter the flat row-major indices into a dense cube, then move the
-    # time axis last: one row per coordinate tuple of the other axes.
+    # Split each flat row-major index into its time digit and the index of
+    # its other coordinates, then scatter into one row per occupied tuple:
+    # memory grows with the values given, not with the declared cube.
     if isinstance(values, list):  # JSON-stat's dense form
         values = dict(enumerate(values))
     flat = np.array(list(values), dtype=np.int64)
     data = np.array(list(values.values()), dtype=float)  # explicit nulls -> NaN
-    cube = np.full(math.prod(sizes), np.nan)
-    if len(flat) and (flat.min() < 0 or flat.max() >= cube.size):
+    if len(flat) and (flat.min() < 0 or flat.max() >= math.prod(sizes)):
         raise PayloadError(f"dataset {code}: value index outside the {sizes} cube")
-    cube[flat] = data
-    cube = np.moveaxis(cube.reshape(sizes), dim_order.index("time"), -1)
-    present = ~np.isnan(cube).all(axis=-1)  # per coordinate tuple, in row-major order
-    non_time = [name for name in dim_order if name != "time"]
-    coords = itertools.product(*(labels[name] for name in non_time))
-    keys = tuple(key for key, kept in zip(coords, present.ravel().tolist()) if kept)
-    if not keys:
+    flat, data = flat[~np.isnan(data)], data[~np.isnan(data)]
+    if not len(flat):
         raise PayloadError(f"dataset {code}: no observations")
-    rows = cube[present]
+    axis = dim_order.index("time")
+    stride = math.prod(sizes[axis + 1 :])
+    outer, inner = np.divmod(flat, stride)
+    occupied, row = np.unique(outer // sizes[axis] * stride + inner, return_inverse=True)
+    rows = np.full((len(occupied), sizes[axis]), np.nan)
+    rows[row, outer % sizes[axis]] = data
     rows.flags.writeable = False
-    return RawDataset(code, tuple(non_time), periods, keys, rows)
+    non_time = [name for name in dim_order if name != "time"]
+    # The leading axis of size 1 lets a time-only dataset, one row keyed (), through.
+    digits = np.unravel_index(occupied, [1, *(sizes[dim_order.index(name)] for name in non_time)])[1:]
+    keys = tuple(zip(*(np.array(labels[name], dtype=object)[d] for name, d in zip(non_time, digits))))
+    return RawDataset(code, tuple(non_time), periods, keys or ((),), rows)
 
 
 def fetch_dataset(
@@ -382,11 +385,8 @@ def pick_representative(dataset: RawDataset, since: Month) -> tuple[SeriesKey, M
     inside = (offsets >= 0) & (offsets < span)
     window = np.full((len(dataset.keys), span), np.nan)
     window[:, offsets[inside]] = dataset.values[:, inside]
-    present = (~np.isnan(window)).sum(axis=1).tolist()
-    candidates = [r for r, count in enumerate(present) if count]
-    if not candidates:
-        raise PayloadError(f"dataset {dataset.code}: no series has values after {since}")
-    best = min(candidates, key=lambda r: (span - present[r], dataset.keys[r]))
+    gaps = np.isnan(window).sum(axis=1).tolist()  # `span` for an empty row, fewer for the last-seen one
+    best = min(range(len(gaps)), key=lambda r: (gaps[r], dataset.keys[r]))
     key = SeriesKey(dataset.code, tuple(zip(dataset.dimension_names, dataset.keys[best])))
     return key, MonthlySeries(dataset.code, since, window[best])
 

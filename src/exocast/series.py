@@ -15,7 +15,6 @@ to right, as a plain loop does, where numpy's ``sum`` would add pairwise.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,29 +95,34 @@ def _ordinal(text: str) -> int:
     raise ValueError(f"not a YYYY-MM period: {text.strip()!r}")
 
 
-@functools.lru_cache(maxsize=4096)  # a program meets few distinct months
-def _label(ordinal: int) -> str:
-    """The 'YYYY-MM' period of an ordinal, as `str(Month)` writes it."""
-    return f"{ordinal // 12:04d}-{ordinal % 12 + 1:02d}"
+def _readonly(array: np.ndarray) -> np.ndarray:
+    """`array`, marked read-only."""
+    array.flags.writeable = False
+    return array
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class MonthlySeries:
-    """A regularly sampled monthly sequence, treated as immutable. The index
-    has no gaps; values may be missing (NaN in the read-only `array`, None in
-    `values`) until :func:`interpolate_missing` has run, and model-facing
-    transforms reject series that still have gaps. Equality, hash and repr
-    are those of ``(id, start, values)``."""
+    """A regularly sampled monthly sequence. The index has no gaps; values
+    may be missing (NaN in the read-only `array`, None in `values`) until
+    :func:`interpolate_missing` has run, and model-facing transforms reject
+    series that still have gaps. Equality, hash and repr are those of
+    ``(id, start, values)``."""
 
-    __slots__ = ("id", "start", "array", "_missing")
+    id: str
+    start: Month
+    array: np.ndarray
 
     def __init__(self, id: str, start: Month, values: Iterable[float | None]):
         array = values  # a read-only float64 array is shared, anything else copied
         if not (isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable):
-            array = np.array(values if hasattr(values, "__len__") else list(values), dtype=float)
-            array.flags.writeable = False
+            array = _readonly(np.array(values if hasattr(values, "__len__") else list(values), dtype=float))
         if array.ndim != 1 or not len(array):
             raise ValueError(f"series {id!r} must have at least one value")
-        self.id, self.start, self.array, self._missing = id, start, array, None
+        vars(self).update(id=id, start=start, array=array, _missing=None)  # past the frozen __setattr__
+
+    def __reduce__(self):
+        return MonthlySeries, (self.id, self.start, self.array)
 
     @property
     def values(self) -> tuple[float | None, ...]:
@@ -155,7 +159,7 @@ class MonthlySeries:
     @property
     def has_missing(self) -> bool:
         if self._missing is None:
-            self._missing = bool(np.isnan(self.array).any())
+            vars(self)["_missing"] = bool(np.isnan(self.array).any())
         return self._missing
 
     def slice_months(self, start: Month, end: Month) -> "MonthlySeries":
@@ -176,14 +180,6 @@ class MonthlySeries:
         return self.array
 
 
-def _derived(series: MonthlySeries, array: np.ndarray, start: Month | None = None) -> MonthlySeries:
-    """`series` with new, complete values from `array`, which it takes over."""
-    array.flags.writeable = False
-    out = object.__new__(MonthlySeries)
-    out.id, out.start, out.array, out._missing = series.id, start or series.start, array, False
-    return out
-
-
 @dataclass(frozen=True)
 class NormalizationParams:
     """Observed range of a series; maps [min, max] onto [0, 1]."""
@@ -198,12 +194,15 @@ class NormalizationParams:
             )
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class AlignedFrame:
-    """A target plus indicator series sharing one month index, treated as
-    immutable: the target series and one read-only (T x k) `matrix` whose
-    column j is indicator `indicator_ids[j]`."""
+    """A target plus indicator series sharing one month index: the target
+    series and one read-only (T x k) `matrix` whose column j is indicator
+    `indicator_ids[j]`."""
 
-    __slots__ = ("target", "matrix", "indicator_ids", "_column", "_indicators")
+    target: MonthlySeries
+    matrix: np.ndarray
+    indicator_ids: tuple[str, ...]
 
     def __new__(cls, index: Sequence[Month], target: MonthlySeries, indicators: Sequence[MonthlySeries]):
         index, indicators = tuple(index), tuple(indicators)
@@ -236,9 +235,10 @@ class AlignedFrame:
     def indicators(self) -> tuple[MonthlySeries, ...]:
         if self._indicators is None:
             columns = zip(self.indicator_ids, self.matrix.T)
-            self._indicators = tuple(MonthlySeries(i, self.start, column) for i, column in columns)
-            for series, gaps in zip(self._indicators, np.isnan(self.matrix).any(axis=0).tolist()):
-                series._missing = gaps  # every column's flag from one reduction
+            indicators = tuple(MonthlySeries(i, self.start, column) for i, column in columns)
+            for series, gaps in zip(indicators, np.isnan(self.matrix).any(axis=0).tolist()):
+                vars(series)["_missing"] = gaps  # every column's flag from one reduction
+            vars(self)["_indicators"] = indicators
         return self._indicators
 
     def indicator(self, id: str) -> MonthlySeries:
@@ -268,10 +268,10 @@ def _frame(target: MonthlySeries, indicators, matrix: np.ndarray | None = None) 
         indicators = tuple(s.id for s in indicators)
     if len(set(indicators)) != len(indicators):
         raise ValueError(f"duplicate indicator ids: {list(indicators)}")
-    matrix.flags.writeable = False
     frame = object.__new__(AlignedFrame)
-    frame.target, frame.matrix, frame.indicator_ids = target, matrix, tuple(indicators)
-    frame._column, frame._indicators = {i: j for j, i in enumerate(indicators)}, None
+    column = {i: j for j, i in enumerate(indicators)}
+    vars(frame).update(target=target, matrix=_readonly(matrix), indicator_ids=tuple(indicators),
+                       _column=column, _indicators=None)
     return frame
 
 
@@ -307,12 +307,12 @@ def min_max_normalize(series: MonthlySeries) -> tuple[MonthlySeries, Normalizati
     vals = series.require_complete()
     lo, hi = float(vals.min()), float(vals.max())
     params = NormalizationParams(lo, hi)  # raises DegenerateRangeError if flat
-    return _derived(series, (vals - lo) / (hi - lo)), params
+    return MonthlySeries(series.id, series.start, _readonly((vals - lo) / (hi - lo))), params
 
 
 def denormalize(series: MonthlySeries, params: NormalizationParams) -> MonthlySeries:
     vals = series.require_complete()
-    return _derived(series, vals * (params.max - params.min) + params.min)
+    return MonthlySeries(series.id, series.start, _readonly(vals * (params.max - params.min) + params.min))
 
 
 def interpolate_missing(series: MonthlySeries) -> MonthlySeries:
@@ -326,7 +326,7 @@ def interpolate_missing(series: MonthlySeries) -> MonthlySeries:
     gaps = missing.nonzero()[0]
     out = vals.copy()
     out[gaps] = np.interp(gaps, known, vals[known])
-    return _derived(series, out)
+    return MonthlySeries(series.id, series.start, _readonly(out))
 
 
 @dataclass(frozen=True)
@@ -359,7 +359,7 @@ def difference_with_initials(
     for kind, lag in [("d", 1)] * d + [("s", s)] * D:
         stages.append((kind, tuple(vals[:lag].tolist())))
         vals = vals[lag:] - vals[:-lag]
-    out = _derived(series, vals, start=series.start.shift(d + D * s))
+    out = MonthlySeries(series.id, series.start.shift(d + D * s), _readonly(vals))
     return out, DifferenceInitials(tuple(stages))
 
 
@@ -376,16 +376,7 @@ def undifference(series: MonthlySeries, initials: DifferenceInitials) -> Monthly
         rows = np.zeros(-(-n // lag) * lag)
         rows[:n] = np.concatenate((init, vals))
         vals = rows.reshape(-1, lag).cumsum(axis=0).ravel()[:n]
-    return _derived(series, vals, start=series.start.shift(-initials.total_dropped))
-
-
-@functools.lru_cache(maxsize=64)
-def _line_basis(n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Index 0..n-1, its deviations from their mean and their sum of squares."""
-    index = np.arange(n, dtype=float)
-    centred = index - (n - 1) / 2.0
-    index.flags.writeable = centred.flags.writeable = False
-    return index, centred, _sum(centred * centred)
+    return MonthlySeries(series.id, series.start.shift(-initials.total_dropped), _readonly(vals))
 
 
 def least_squares_line(values: Sequence[float]) -> tuple[float, float]:
@@ -394,9 +385,9 @@ def least_squares_line(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
     if n < 2:
         raise ValueError("need at least two points to fit a line")
-    _, centred, sxx = _line_basis(n)
+    centred = np.arange(n) - (n - 1) / 2.0
     mean_y = _sum(values) / n
-    slope = _sum(centred * (values - mean_y)) / sxx
+    slope = _sum(centred * (values - mean_y)) / (n * (n * n - 1) / 12)  # / sum(centred**2), exactly
     return slope, mean_y - slope * ((n - 1) / 2.0)
 
 
@@ -404,15 +395,16 @@ def linear_detrend(series: MonthlySeries) -> tuple[MonthlySeries, float, float]:
     """Subtract the least-squares line; returns (residual series, slope, intercept)."""
     vals = series.require_complete()
     slope, intercept = least_squares_line(vals)
-    index = _line_basis(len(vals))[0]
-    return _derived(series, vals - (intercept + slope * index)), slope, intercept
+    out = vals - (intercept + slope * np.arange(len(vals)))
+    return MonthlySeries(series.id, series.start, _readonly(out)), slope, intercept
 
 
 def retrend(series: MonthlySeries, slope: float, intercept: float, offset: int = 0) -> MonthlySeries:
     """Add a line back; offset is the index of the first value on the
     original fitting axis (e.g. training length for a forecast)."""
     vals = series.require_complete()
-    return _derived(series, vals + intercept + slope * np.arange(offset, offset + len(vals)))
+    out = vals + intercept + slope * np.arange(offset, offset + len(vals))
+    return MonthlySeries(series.id, series.start, _readonly(out))
 
 
 def smooth(series: MonthlySeries, window: int = 1) -> MonthlySeries:
@@ -432,15 +424,10 @@ def smooth(series: MonthlySeries, window: int = 1) -> MonthlySeries:
             total[-offset:] += vals[:offset]
         else:
             total[: n - offset] += vals[offset:]
-    return _derived(series, total / _window_sizes(n, window))
-
-
-@functools.lru_cache(maxsize=64)
-def _window_sizes(n: int, window: int) -> np.ndarray:
-    """How many values each centred window of `smooth` holds."""
-    sizes = np.convolve(np.ones(n), np.ones(window), "same")
-    sizes.flags.writeable = False  # shared between calls
-    return sizes
+    out = total / window
+    for i in range(half):  # the truncated windows at both edges hold half + 1 + i values
+        out[i], out[n - 1 - i] = total[i] / (half + 1 + i), total[n - 1 - i] / (half + 1 + i)
+    return MonthlySeries(series.id, series.start, _readonly(out))
 
 
 def pearson_correlation(a: Sequence[float], b: Sequence[float]) -> float:
@@ -490,15 +477,16 @@ def read_series_csv(path: str | Path, id: str | None = None) -> MonthlySeries:
         raise ValueError(f"{path}: no data rows")
     first = _ordinal(rows[0][0])
     for i, row in enumerate(rows):
-        if row[0] != _label(first + i) and _ordinal(row[0]) != first + i:
-            raise ValueError(f"{path}: non-consecutive period {_label(_ordinal(row[0]))} at row {i + 2}")
+        if _ordinal(row[0]) != first + i:
+            raise ValueError(f"{path}: non-consecutive period {Month.parse(row[0])} at row {i + 2}")
     values = [float(row[1]) if len(row) > 1 and row[1].strip() else None for row in rows]
     return MonthlySeries(id or path.stem, Month(first // 12, first % 12 + 1), values)
 
 
 def write_series_csv(series: MonthlySeries, path: str | Path) -> None:
     first = series.start.year * 12 + series.start.month - 1
-    rows = [(_label(first + i), "" if v != v else repr(v)) for i, v in enumerate(series.array.tolist())]
+    rows = [(f"{k // 12:04d}-{k % 12 + 1:02d}", "" if v != v else repr(v))
+            for k, v in enumerate(series.array.tolist(), first)]
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["period", "value"])

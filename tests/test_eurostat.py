@@ -1,6 +1,7 @@
 import itertools
 import json
 import socket
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,40 @@ class TestFetchDataset:
             assert observations(dataset) == expected
             assert dataset.keys == tuple(k for k in itertools.product(geos, units) if k in expected)
             assert not dataset.values.flags.writeable
+
+    def test_sparse_values_of_a_large_declared_cube_decode_in_small_memory(self, tmp_path):
+        # 1,000 x 100 x 120 months declares 12 M cells (96 MB as float64);
+        # the payload holds 5 values in 3 rows.
+        naces, geos, times = [f"N{i:04d}" for i in range(1000)], [f"G{i:03d}" for i in range(100)], months("2010-01", 120)
+        dims = [("nace", naces), ("geo", geos), ("time", times)]
+        values = {
+            ("N0999", "G000", "2010-01"): 1.0, ("N0999", "G000", "2019-12"): 2.0,
+            ("N0007", "G042", "2015-06"): 3.0, ("N0500", "G099", "2012-02"): 4.0,
+            ("N0500", "G099", "2012-03"): 5.0,
+        }
+        fixture = tmp_path / "d.json"
+        fixture.write_text(jsonstat_payload(dims, values))
+        tracemalloc.start()
+        try:
+            dataset = fetch_dataset("d", offline_fixture=fixture)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert dataset.keys == (("N0007", "G042"), ("N0500", "G099"), ("N0999", "G000"))
+        assert dataset.values.shape == (3, 120)
+        assert observations(dataset) == {
+            ("N0007", "G042"): {M(2015, 6): 3.0},
+            ("N0500", "G099"): {M(2012, 2): 4.0, M(2012, 3): 5.0},
+            ("N0999", "G000"): {M(2010, 1): 1.0, M(2019, 12): 2.0},
+        }
+
+    def test_time_only_dataset_is_one_row_without_coordinates(self, tmp_path):
+        fixture = tmp_path / "d.json"
+        fixture.write_text(jsonstat_payload([("time", months("2016-01", 3))], {("2016-02",): 7.0}))
+        dataset = fetch_dataset("d", offline_fixture=fixture)
+        assert dataset.dimension_names == () and dataset.keys == ((),)
+        assert observations(dataset) == {(): {M(2016, 2): 7.0}}
 
     def test_value_index_outside_the_cube_rejected(self, tmp_path):
         fixture = tmp_path / "d.json"

@@ -549,6 +549,19 @@ class TestSeriesValueSemantics:
             s.array[0] = 5.0
         assert MonthlySeries("t", M(2016, 1), s.array).array is s.array
 
+    def test_series_and_frames_reject_assignment_as_frozen_dataclasses_did(self):
+        s = MonthlySeries("s", M(2016, 1), (1.0, None, 3.0))
+        frame = align_merge(ms([1, 2, 3], id="t"), [s, ms([3, 4, 5], id="b")])
+        before = hash(s)
+        for obj, name in [(s, "array"), (s, "id"), (s, "start"), (frame, "matrix"), (frame, "target")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        assert hash(s) == before and frame.indicator("s") == s
+        for other in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert other == s and hash(other) == before and not other.array.flags.writeable
+
 
 class TestCsvBytes:
     EXPECTED = "period,value\r\n2019-11,1.5\r\n2019-12,\r\n2020-01,-2.25\r\n2020-02,1e-09\r\n"
