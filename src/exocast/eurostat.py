@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-import requests
 
 from .errors import NotCachedError, PayloadError
 from .series import Month, MonthlySeries, read_series_csv, write_series_csv
@@ -166,6 +165,8 @@ def base_url() -> str:
 
 
 def _http_get(url: str, timeout: float) -> str:
+    import requests  # only a live fetch needs it, and it slows every start-up
+
     _throttle.wait()
     log.info("GET %s", url)
     response = requests.get(url, timeout=timeout)

@@ -99,23 +99,26 @@ def subset_forecaster(
 ) -> Callable[[tuple[str, ...]], Sequence[float]]:
     """`subset -> forecast values` of `spec` fitted on those indicators of
     `train`. An additive spec, whose config depends only on the frame's
-    length, shares one design between subsets; if that cannot be built, no
-    subset's fit could be, and every call raises its exception."""
-    if spec.name == "additive":
-        try:
-            config = spec.additive_config or additive.auto_config(train)
-            return additive.subset_forecaster(train, config, horizon, list(future.values()))
-        except Exception as exc:  # noqa: BLE001 - raised to each subset's caller
-            def fail(subset: tuple[str, ...], failure=exc, origin=exc.__traceback__):
-                raise failure.with_traceback(origin)  # not one grown by each earlier raise
+    length, and a SARIMAX spec of one order each share one design between
+    subsets; if that cannot be built, no subset's fit could be, and every
+    call raises its exception. Only a SARIMAX order grid, searched anew for
+    each subset, fits and forecasts every subset on its own."""
+    if spec.name == "sarimax" and spec.order is None:
+        def forecast_subset(subset: tuple[str, ...]) -> Sequence[float]:
+            fitted = fit(spec, train.with_indicators(subset), horizon, None)
+            return forecast(fitted, horizon, future).require_complete()
 
-            return fail
+        return forecast_subset
+    try:
+        if spec.name == "sarimax":
+            return sarimax.subset_forecaster(train, spec.order, horizon, list(future.values()))
+        config = spec.additive_config or additive.auto_config(train)
+        return additive.subset_forecaster(train, config, horizon, list(future.values()))
+    except Exception as exc:  # noqa: BLE001 - raised to each subset's caller
+        def fail(subset: tuple[str, ...], failure=exc, origin=exc.__traceback__):
+            raise failure.with_traceback(origin)  # not one grown by each earlier raise
 
-    def forecast_subset(subset: tuple[str, ...]) -> Sequence[float]:
-        fitted = fit(spec, train.with_indicators(subset), horizon, None)
-        return forecast(fitted, horizon, future).require_complete()
-
-    return forecast_subset
+        return fail
 
 
 def _module(fitted: Fitted):

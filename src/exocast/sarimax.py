@@ -22,8 +22,15 @@ the coordinate map. When q = Q = 0 the CSS is linear least squares in
 (c, ar, sar, beta), so the optimum is solved directly and passed as the
 starting point: the unconstrained solution when its partial
 autocorrelations lie within R_MAX, the bounded solution in closed form when
-p <= 1 and P <= 1, and zero otherwise. L-BFGS-B then certifies the start,
+p <= 1 and P <= 1, and zero otherwise. L-BFGS-B then confirms the start,
 typically at iteration 0, and alone decides convergence.
+
+`subset_forecaster` fits one order on many regressor subsets of one frame,
+as forward selection does. The differenced target and the lagged design
+are built once, and each subset takes its columns of them. A start that
+passes L-BFGS-B's own stopping test at iteration 0 (inside the bounds,
+projected gradient at most PGTOL) is taken as it is, the point L-BFGS-B
+would return; any other start runs the L-BFGS-B call of `fit`.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from .errors import (
     ConvergenceFailureError,
     GridSearchError,
     InsufficientDataError,
+    MissingValueError,
 )
 from .series import (
     AlignedFrame,
@@ -62,6 +70,7 @@ __all__ = [
     "fit",
     "fitted_from_params",
     "forecast",
+    "subset_forecaster",
     "extrapolate_regressor",
     "grid_search_order",
     "to_doc",
@@ -75,6 +84,10 @@ CSS_TOL = 1e-8
 # Bound on the unconstrained coordinates; maps to |pacf| <= R_MAX ~ 0.9998.
 COORD_BOUND = 50.0
 R_MAX = COORD_BOUND / math.sqrt(1.0 + COORD_BOUND * COORD_BOUND)
+# L-BFGS-B stops when the sup norm of the projected gradient is at most this.
+PGTOL = 1e-10
+# `_css_and_gradient`'s value where the residuals overflow.
+NON_FINITE_CSS = 1e300
 
 
 def minimize(*args, **kwargs):
@@ -349,9 +362,20 @@ def _scored_residuals(
     params.check_against(order, len(exog))
     w, X = _prepare(order, target, exog, difference_regressors)
     wbar = float(w.mean()) if mean_conditioning else 0.0
+    return _scored(order, params, w, X, wbar), wbar
+
+
+def _scored(
+    order: SarimaxOrder, params: SarimaxParams, w: np.ndarray, X: np.ndarray, wbar: float
+) -> np.ndarray:
+    """The residuals of `params` on w and X from t = max(p, P*s) onward."""
     xb = X @ np.asarray(params.beta) if len(params.beta) else np.zeros(len(w))
-    eps = _residual_recursion(w, xb, params, order.s, wbar)
-    return eps[order.presample :], wbar
+    return _residual_recursion(w, xb, params, order.s, wbar)[order.presample :]
+
+
+def _tail(values: np.ndarray, n: int) -> tuple[float, ...]:
+    """The last `n` of `values`, or all of them when there are fewer."""
+    return tuple(values[len(values) - min(n, len(values)) :].tolist())
 
 
 def _poly_blocks(order: SarimaxOrder) -> tuple[tuple[int, list[int], bool, str], ...]:
@@ -389,7 +413,7 @@ def _css_and_gradient(
     scored = eps[t0:]
     css = float(scored @ scored)
     if not math.isfinite(css):
-        return 1e300, np.zeros_like(x)
+        return NON_FINITE_CSS, np.zeros_like(x)
     # Adjoint of the recursion, run backwards:
     # g_u = 2 eps_u [u >= t0] - sum_i ma_i g_{u+i} - sum_j sma_j g_{u+js}.
     g = 2.0 * eps
@@ -456,23 +480,27 @@ def _theta_to_unconstrained(theta: np.ndarray, p: int, sp: int) -> np.ndarray | 
     return np.concatenate([theta[:1], ar, sar, theta[1 + p + sp :]])
 
 
+def _lagged_block(order: SarimaxOrder, w: np.ndarray, wbar: float) -> np.ndarray:
+    """[1, lags of w] over every row of w: the columns of the least-squares
+    design that come before the regressors."""
+    lagged = [_lagged(w, lag, wbar) for lag in _lags(order.p, order.P, order.s)]
+    return np.column_stack([np.ones(len(w)), *lagged])
+
+
 def _least_squares_start(
-    order: SarimaxOrder, w: np.ndarray, X: np.ndarray, wbar: float
+    order: SarimaxOrder, design: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, str]:
     """Starting coordinates for L-BFGS-B and how they were found.
 
     With q = Q = 0 the CSS is linear least squares in (c, ar, sar, beta) on
-    the design [1, lags of w, X] from row max(p, P*s), so its optimum is
-    solved directly: unconstrained when stationary within R_MAX, else in
-    closed form on the box when p <= 1 and P <= 1. Otherwise: zero."""
+    `design`, the rows from max(p, P*s) of [1, lags of w, X], against y, w
+    from that row. So its optimum is solved directly: unconstrained when
+    stationary within R_MAX, else in closed form on the box when p <= 1 and
+    P <= 1. Otherwise: zero."""
     p, sp = order.p, order.P
-    zero = np.zeros(1 + p + order.q + sp + order.Q + X.shape[1])
+    zero = np.zeros(order.q + order.Q + design.shape[1])
     if order.q or order.Q:
         return zero, "zero"
-    t0 = order.presample
-    lagged = [_lagged(w, lag, wbar) for lag in _lags(p, sp, order.s)]
-    design = np.column_stack([np.ones(len(w)), *lagged, X])[t0:]
-    y = w[t0:]
     theta = np.linalg.lstsq(design, y, rcond=None)[0]
     x0 = _theta_to_unconstrained(theta, p, sp)
     if x0 is not None:
@@ -481,6 +509,73 @@ def _least_squares_start(
         theta = _bounded_least_squares(design, y, list(range(1, 1 + p + sp)))
         return _theta_to_unconstrained(theta, p, sp), "bounded_least_squares"
     return zero, "zero"
+
+
+def _tail_lengths(order: SarimaxOrder) -> tuple[int, int]:
+    """How many of the last target values and of the last residuals a
+    forecast reads."""
+    n_values = max(order.p, order.q, order.P * order.s, order.Q * order.s) + order.dropped
+    return n_values, max(order.q, order.Q * order.s)
+
+
+def _check_length(order: SarimaxOrder, k: int, n: int) -> None:
+    if n <= order.min_train_length(k):
+        raise InsufficientDataError(
+            f"order {order.as_tuple()} with {k} regressors needs more than "
+            f"{order.min_train_length(k)} observations, got {n}"
+        )
+
+
+def _lbfgsb(
+    x0: np.ndarray, order: SarimaxOrder, w: np.ndarray, X: np.ndarray, wbar: float,
+    max_iter: int, tol: float,
+):
+    """L-BFGS-B on the CSS from x0, with the coordinates of the lag
+    polynomials held within +-COORD_BOUND. Returns the better of its end
+    point and x0, and the optimizer's result."""
+    n_poly = order.p + order.q + order.P + order.Q
+    bounds = [(None, None)]  # constant
+    bounds += [(-COORD_BOUND, COORD_BOUND)] * n_poly
+    bounds += [(None, None)] * X.shape[1]
+    args = (order, w, X, wbar)
+    result = minimize(
+        _css_and_gradient,
+        x0,
+        args=args,
+        method="L-BFGS-B",
+        jac=True,
+        bounds=bounds,
+        options={"maxiter": max_iter, "ftol": tol, "gtol": PGTOL},
+    )
+    best_x = result.x if result.fun <= _css_and_gradient(x0, *args)[0] else x0
+    return np.asarray(best_x), result
+
+
+def _out_of_budget(order: SarimaxOrder, max_iter: int, result) -> str | None:
+    """The failure message when L-BFGS-B ran out of iterations, else None."""
+    if result.status != 1:  # 1: iteration/function budget exhausted
+        return None
+    return (
+        f"optimizer hit the iteration budget ({max_iter}) for order "
+        f"{order.as_tuple()}: {result.message}"
+    )
+
+
+def _at_optimum(x0: np.ndarray, css: float, grad: np.ndarray, n_poly: int) -> bool:
+    """L-BFGS-B's stopping test at iteration 0: x0 lies within the bounds,
+    its CSS is finite and the sup norm of its projected gradient is at most
+    PGTOL. L-BFGS-B returns such a start as it is, without a step. A
+    gradient component that points out of the box through a near bound is
+    cut to the distance to that bound, as L-BFGS-B's projection does."""
+    poly = x0[1 : 1 + n_poly]
+    if not (np.all(np.abs(poly) <= COORD_BOUND) and css < NON_FINITE_CSS):
+        return False
+    g = grad.copy()
+    d = g[1 : 1 + n_poly]
+    g[1 : 1 + n_poly] = np.where(
+        d < 0, np.maximum(poly - COORD_BOUND, d), np.minimum(poly + COORD_BOUND, d)
+    )
+    return bool(np.max(np.abs(g)) <= PGTOL)
 
 
 def fitted_from_params(
@@ -496,10 +591,7 @@ def fitted_from_params(
     scored, wbar = _scored_residuals(
         order, params, train.target, train.indicators, mean_conditioning, difference_regressors
     )
-    residuals = scored.tolist()
-    n_tail = max(order.p, order.q, order.P * order.s, order.Q * order.s) + order.dropped
-    y = train.target.require_complete()
-    n_resid_tail = max(order.q, order.Q * order.s)
+    n_tail, n_resid_tail = _tail_lengths(order)
     reg_tails: tuple[tuple[float, ...], ...] = ()
     if difference_regressors and order.dropped and train.indicators:
         reg_tails = tuple(
@@ -512,8 +604,8 @@ def fitted_from_params(
         target_id=train.target.id,
         train_start=train.start,
         train_end=train.end,
-        tail_values=tuple(y[len(y) - min(n_tail, len(y)) :].tolist()),
-        tail_residuals=tuple(residuals[len(residuals) - min(n_resid_tail, len(residuals)) :]),
+        tail_values=_tail(train.target.require_complete(), n_tail),
+        tail_residuals=_tail(scored, n_resid_tail),
         css=float(scored @ scored),
         normalization=normalization,
         mean_conditioning=mean_conditioning,
@@ -542,31 +634,14 @@ def fit(
     status, iterations, evaluations and whether a coefficient sits at its
     bound. Deterministic for identical inputs."""
     k = len(train.indicators)
-    n = len(train)
-    if n <= order.min_train_length(k):
-        raise InsufficientDataError(
-            f"order {order.as_tuple()} with {k} regressors needs more than "
-            f"{order.min_train_length(k)} observations, got {n}"
-        )
+    _check_length(order, k, len(train))
     w, X = _prepare(order, train.target, train.indicators, difference_regressors)
     wbar = float(w.mean()) if mean_conditioning else 0.0
-    x0, start = _least_squares_start(order, w, X, wbar)
+    t0 = order.presample
+    design = np.column_stack([_lagged_block(order, w, wbar), X])[t0:]
+    x0, start = _least_squares_start(order, design, w[t0:])
     n_poly = order.p + order.q + order.P + order.Q
-
-    bounds = [(None, None)]  # constant
-    bounds += [(-COORD_BOUND, COORD_BOUND)] * n_poly
-    bounds += [(None, None)] * k
-    args = (order, w, X, wbar)
-    result = minimize(
-        _css_and_gradient,
-        x0,
-        args=args,
-        method="L-BFGS-B",
-        jac=True,
-        bounds=bounds,
-        options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-10},
-    )
-    best_x = result.x if result.fun <= _css_and_gradient(x0, *args)[0] else x0
+    best_x, result = _lbfgsb(x0, order, w, X, wbar, max_iter, tol)
     optimizer = {
         "start": start,
         "status": int(result.status),
@@ -587,13 +662,10 @@ def fit(
         sigma2 = max(fitted.css / (len(w) - order.presample), 1e-300)
         return replace(fitted, params=replace(fitted.params, sigma2=sigma2), optimizer=optimizer)
 
-    if result.status == 1:  # iteration/function budget exhausted
-        raise ConvergenceFailureError(
-            f"optimizer hit the iteration budget ({max_iter}) for order "
-            f"{order.as_tuple()}: {result.message}",
-            best=build(np.asarray(best_x)),
-        )
-    return build(np.asarray(best_x))
+    failure = _out_of_budget(order, max_iter, result)
+    if failure:
+        raise ConvergenceFailureError(failure, best=build(best_x))
+    return build(best_x)
 
 
 def extrapolate_regressor(series: MonthlySeries, horizon: int) -> RegressorForecast:
@@ -678,12 +750,30 @@ def forecast(
     else:
         x_future = [[] for _ in range(horizon)]
 
-    stages, w_hist = _stage_histories(fitted.tail_values, order.d, order.D, order.s)
-    eps_hist = list(fitted.tail_residuals)
+    history = _stage_histories(fitted.tail_values, order.d, order.D, order.s)
+    values = _forecast_path(
+        order, params, history, fitted.tail_residuals, fitted.presample_mean, x_future
+    )
+    return MonthlySeries(fitted.target_id, fitted.train_end.shift(1), values)
+
+
+def _forecast_path(
+    order: SarimaxOrder,
+    params: SarimaxParams,
+    history: tuple[list[tuple[int, list[float]]], list[float]],
+    tail_residuals: Sequence[float],
+    presample_mean: float,
+    x_future: Sequence[Sequence[float]],
+) -> list[float]:
+    """The recursion run forward one step per row of `x_future`, from the
+    `_stage_histories` of the target's tail, then integrated back to the
+    target's scale."""
+    stages, w_hist = history
+    eps_hist = list(tail_residuals)
     n_w = len(w_hist)
     n_e = len(eps_hist)
     w_fc: list[float] = []
-    for j in range(horizon):
+    for j in range(len(x_future)):
         acc = params.c
         acc += sum(b * x for b, x in zip(params.beta, x_future[j]))
         for i, a in enumerate(params.ar, start=1):
@@ -693,7 +783,7 @@ def forecast(
             elif n_w + u >= 0:
                 acc += a * w_hist[n_w + u]
             else:
-                acc += a * fitted.presample_mean
+                acc += a * presample_mean
         for jj, f in enumerate(params.seasonal_ar, start=1):
             u = j - jj * order.s
             if u >= 0:
@@ -701,7 +791,7 @@ def forecast(
             elif n_w + u >= 0:
                 acc += f * w_hist[n_w + u]
             else:
-                acc += f * fitted.presample_mean
+                acc += f * presample_mean
         for i, th in enumerate(params.ma, start=1):
             u = j - i
             if u < 0 and n_e + u >= 0:
@@ -713,9 +803,83 @@ def forecast(
         w_fc.append(acc)
 
     values = w_fc
-    for lag, history in reversed(stages):
-        values = _integrate_forward(history, lag, values)
-    return MonthlySeries(fitted.target_id, fitted.train_end.shift(1), values)
+    for lag, past in reversed(stages):
+        values = _integrate_forward(past, lag, values)
+    return values
+
+
+def subset_forecaster(
+    train: AlignedFrame, order: SarimaxOrder, horizon: int, futures: Sequence[RegressorForecast]
+) -> Callable[[Sequence[str]], np.ndarray]:
+    """`subset -> forecast values`: bit for bit the values of
+    `forecast(fit(train.with_indicators(subset), order), horizon, ...)`,
+    and where that raises, the same error. The differenced target, each
+    indicator's aligned column and the [1, lags of w] block are built once;
+    a subset gathers its columns of them in its own order. A start that
+    passes `_at_optimum` is the fit; any other runs `fit`'s L-BFGS-B call.
+    A target that cannot be differenced fails every subset, an indicator
+    with gaps only the subsets that hold it."""
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    future = {rf.id: rf.future_values[:horizon] for rf in futures}
+    short = [i for i in train.indicator_ids if len(future.get(i, ())) < horizon]
+    if short:
+        raise ValueError(f"regressors without {horizon} future values: {short}")
+    n = len(train)
+    try:
+        w, _ = _prepare(order, train.target, (), difference_regressors=False)
+    except Exception as exc:  # noqa: BLE001 - every subset's fit raises it
+        def fail(subset: Sequence[str], failure=exc, origin=exc.__traceback__):
+            _check_length(order, len(subset), n)
+            raise failure.with_traceback(origin)  # not one grown by each earlier raise
+
+        return fail
+
+    columns: dict[str, np.ndarray] = {}
+    gappy: dict[str, tuple[MissingValueError, object]] = {}  # raised by the subsets holding it
+    for x in train.indicators:
+        try:
+            columns[x.id] = x.require_complete()[order.dropped :]
+        except MissingValueError as exc:
+            gappy[x.id] = exc, exc.__traceback__
+    slot = {i: j for j, i in enumerate(columns)}
+    exog = np.column_stack(list(columns.values())) if columns else np.zeros((len(w), 0))
+    wbar = float(w.mean())
+    t0 = order.presample
+    block = _lagged_block(order, w, wbar)
+    width = block.shape[1]
+    design, y = np.column_stack([block, exog])[t0:], w[t0:]
+    n_values, n_residuals = _tail_lengths(order)
+    history = _stage_histories(
+        _tail(train.target.require_complete(), n_values), order.d, order.D, order.s
+    )
+    n_poly = order.p + order.q + order.P + order.Q
+    start = train.end.shift(1)
+
+    def forecast_values(subset: Sequence[str]) -> np.ndarray:
+        _check_length(order, len(subset), n)
+        for i in subset:
+            if i in gappy:
+                failure, origin = gappy[i]
+                raise failure.with_traceback(origin)
+        at = [slot[i] for i in subset]
+        X = exog.take(at, axis=1)  # C-ordered like fit's, so the products round alike
+        lagged_and_x = [*range(width), *(width + j for j in at)]
+        x0, _ = _least_squares_start(order, design.take(lagged_and_x, axis=1), y)
+        css, grad = _css_and_gradient(x0, order, w, X, wbar)
+        x = x0
+        if not _at_optimum(x0, css, grad, n_poly):
+            x, result = _lbfgsb(x0, order, w, X, wbar, MAX_ITER, CSS_TOL)
+            failure = _out_of_budget(order, MAX_ITER, result)
+            if failure:
+                raise ConvergenceFailureError(failure)
+        params = _unpack(x, order, len(at))
+        residuals = _tail(_scored(order, params, w, X, wbar), n_residuals) if n_residuals else ()
+        rows = [[future[i][j] for i in subset] for j in range(horizon)]
+        path = _forecast_path(order, params, history, residuals, wbar, rows)
+        return MonthlySeries(train.target.id, start, path).require_complete()
+
+    return forecast_values
 
 
 def grid_search_order(

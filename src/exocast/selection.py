@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -337,15 +336,10 @@ def forward_select(
     candidates: CandidateSet,
     evaluator: Callable[[tuple[str, ...]], float],
     cap: int = FORWARD_CAP,
-    n_jobs: int = 1,
 ) -> SelectionResult:
     """Greedy wrapper selection: grow the subset one best candidate at a
     time, record every evaluation, return the best subset seen anywhere.
-
-    The per-round candidate batch may be evaluated concurrently; results are
-    recorded and reduced in candidate order, so the trace is identical for
-    any n_jobs.
-    """
+    Each round is recorded and reduced in candidate order."""
     if cap < 1:
         raise ValueError("cap must be positive")
     ids = candidates.candidate_ids
@@ -359,12 +353,6 @@ def forward_select(
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
             return None, f"{type(exc).__name__}: {exc}"
 
-    def evaluate_batch(subsets: list[tuple[str, ...]]):
-        if n_jobs > 1 and len(subsets) > 1:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                return list(pool.map(evaluate, subsets))
-        return [evaluate(s) for s in subsets]
-
     def record(subset: tuple[str, ...], outcome: tuple[float | None, str | None]):
         score, error = outcome
         if error is None:
@@ -377,10 +365,10 @@ def forward_select(
     current: list[str] = []
     remaining = list(ids)
     while len(current) < cap and remaining:
-        batch = [tuple(current) + (cid,) for cid in remaining]
-        outcomes = evaluate_batch(batch)
         round_best: tuple[float, int, str] | None = None
-        for cid, subset, outcome in zip(remaining, batch, outcomes):
+        for cid in remaining:
+            subset = tuple(current) + (cid,)
+            outcome = evaluate(subset)
             record(subset, outcome)
             if outcome[1] is None:
                 key = (outcome[0], index_of[cid], cid)

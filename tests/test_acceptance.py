@@ -333,10 +333,6 @@ def test_criterion_07_ffs_oracle_equivalence():
         assert (result.selected_ids, result.score) == naive_best
         assert result.score == min(s for _, s in result.trace.entries)
 
-        parallel = forward_select(cands, evaluator, cap=4, n_jobs=8)
-        assert parallel.trace == result.trace
-        assert parallel.selected_ids == result.selected_ids
-
 
 LEAN_ADDITIVE = AdditiveConfig(
     n_changepoints=2, seasonalities=((12.0, 2),), ar_lags=2,

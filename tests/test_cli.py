@@ -39,10 +39,14 @@ def write_experiment_config(tmp_path, out_dir=None, methods=None, months=76, mod
 
 
 def test_import_loads_no_scipy():
-    # scipy.optimize is most of the start-up time; only a SARIMAX fit needs it.
+    # scipy.optimize is most of the start-up time; only a SARIMAX fit needs
+    # it. requests costs tens of milliseconds more; only a live fetch needs it.
     src = str(Path(exocast.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, exocast.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, exocast.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'requests')))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

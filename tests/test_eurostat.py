@@ -511,7 +511,7 @@ class TestLivePath:
                 raise requests.exceptions.HTTPError(f"404 for {url}")
             return FakeResponse(payloads[url])
 
-        monkeypatch.setattr(eu.requests, "get", fake_get)
+        monkeypatch.setattr(requests, "get", fake_get)
         monkeypatch.setattr(eu._throttle, "interval", 0.0)  # no test slowdown
         cache = tmp_path / "cache"
         report = run_funnel(cache, since=M(2016, 1), keywords=("business", "energy"))

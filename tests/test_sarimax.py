@@ -1,4 +1,6 @@
+import itertools
 import json
+import traceback
 
 import numpy as np
 import pytest
@@ -7,8 +9,12 @@ from exocast.errors import (
     ConvergenceFailureError,
     GridSearchError,
     InsufficientDataError,
+    MissingValueError,
 )
 from exocast.sarimax import (
+    COORD_BOUND,
+    CSS_TOL,
+    MAX_ITER,
     R_MAX,
     FittedSarimax,
     RegressorForecast,
@@ -20,10 +26,12 @@ from exocast.sarimax import (
     fitted_from_params,
     forecast,
     grid_search_order,
+    subset_forecaster,
 )
 from exocast import models
 from exocast import sarimax as sarimax_module
 from exocast.sarimax import _css_and_gradient
+from exocast.selection import CandidateSet, forward_select
 from exocast.series import Month, MonthlySeries, SplitSpec, align_merge, mae, split_train_test
 
 M = Month
@@ -445,6 +453,228 @@ class TestGridSearch:
         with pytest.raises(GridSearchError) as excinfo:
             grid_search_order(self._grid_frame(), grid, 12)
         assert str(excinfo.value).count("ValueError: no continuation") == len(grid)
+
+
+def subset_frame(seed, n=60, n_indicators=5, growth=0.0):
+    """AR(1) noise around two planted drivers; `growth` > 0 adds explosive
+    growth, which pins the AR coefficient of a (1,0,0) fit at its bound."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (n, n_indicators))
+    y = 1.0 + X[:, :2] @ np.array([1.2, -0.7]) + simulate_ar1(seed, n=n, phi=0.5, sigma=0.5)
+    y = y + np.exp(growth * np.arange(n)) if growth else y
+    return frame(y.tolist(), indicators=[(f"x{i}", X[:, i].tolist()) for i in range(n_indicators)])
+
+
+def fitted_forecast(train, order, subset, horizon, futures):
+    """What forward selection computed before sharing: a fit of its own."""
+    fitted = fit(train.with_indicators(subset), order)
+    by_id = {rf.id: rf for rf in futures}
+    return forecast(fitted, horizon, [by_id[i] for i in subset]).require_complete()
+
+
+def continuations(train, horizon):
+    return [extrapolate_regressor(x, horizon) for x in train.indicators]
+
+
+class TestSubsetForecaster:
+    # Forward selection fits one order on many subsets of one frame; each
+    # subset must forecast bit for bit as its own fit does.
+    SUBSETS = [(), ("x1",), ("x3", "x0"), ("x4", "x2", "x0"), ("x4", "x3", "x2", "x1", "x0")]
+
+    @pytest.mark.parametrize(
+        "order",
+        [SarimaxOrder(p=1), SarimaxOrder(p=1, d=1), SarimaxOrder(p=1, P=1, s=4),
+         SarimaxOrder(p=1, q=1)],
+        ids=["100", "110", "100x100_4", "101"],
+    )
+    def test_each_subset_forecasts_as_its_own_fit(self, order, monkeypatch):
+        train = subset_frame(1)
+        futures = continuations(train, 12)
+        direct = [fitted_forecast(train, order, subset, 12, futures) for subset in self.SUBSETS]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scipy_minimize(*args, **kwargs)
+
+        scipy_minimize = sarimax_module.minimize
+        monkeypatch.setattr(sarimax_module, "minimize", counting)
+        forecast_subset = subset_forecaster(train, order, 12, futures)
+        for subset, expected in zip(self.SUBSETS, direct):
+            assert np.array_equal(forecast_subset(subset), expected), subset
+        # Only an MA order, whose start is zero, needs the optimizer.
+        assert len(calls) == (len(self.SUBSETS) if order.q else 0)
+
+    def test_a_start_at_the_bound_forecasts_as_its_own_fit(self):
+        train = subset_frame(2, growth=0.08)
+        order = SarimaxOrder(p=1)
+        futures = continuations(train, 12)
+        forecast_subset = subset_forecaster(train, order, 12, futures)
+        for subset in self.SUBSETS:
+            fitted = fit(train.with_indicators(subset), order)
+            assert fitted.optimizer["start"] == "bounded_least_squares", subset
+            assert abs(fitted.params.ar[0]) == R_MAX
+            expected = fitted_forecast(train, order, subset, 12, futures)
+            assert np.array_equal(forecast_subset(subset), expected), subset
+
+    def test_models_serves_a_fixed_order_from_the_shared_design(self, monkeypatch):
+        train = subset_frame(3)
+        future = models.regressor_forecasts(train, 12)
+        spec = models.ModelSpec("sarimax", order=SarimaxOrder(p=1))
+        expected = [fitted_forecast(train, spec.order, s, 12, list(future.values())) for s in self.SUBSETS]
+        monkeypatch.setattr(sarimax_module, "fit", None)  # a per-subset fit would fail
+        forecast_subset = models.subset_forecaster(spec, train, 12, future)
+        for subset, values in zip(self.SUBSETS, expected):
+            assert np.array_equal(forecast_subset(subset), values), subset
+
+
+class TestSubsetFailures:
+    def test_too_many_regressors_fail_as_fit_does(self):
+        train = subset_frame(4, n=14, n_indicators=12)
+        order = SarimaxOrder(p=1)
+        forecast_subset = subset_forecaster(train, order, 6, continuations(train, 6))
+        subset = tuple(f"x{i}" for i in range(12))
+        with pytest.raises(InsufficientDataError) as direct:
+            fit(train.with_indicators(subset), order)
+        with pytest.raises(InsufficientDataError) as shared:
+            forecast_subset(subset)
+        assert str(shared.value) == str(direct.value)
+        assert np.array_equal(
+            forecast_subset(("x1",)), fitted_forecast(train, order, ("x1",), 6, continuations(train, 6))
+        )
+
+    def test_an_indicator_with_a_gap_fails_only_the_subsets_that_hold_it(self):
+        base = subset_frame(5)
+        gappy = base.indicator("x2").values[:30] + (None,) + base.indicator("x2").values[31:]
+        train = frame(
+            base.target.values,
+            indicators=[(i, gappy if i == "x2" else base.indicator(i).values) for i in base.indicator_ids],
+        )
+        order = SarimaxOrder(p=1)
+        futures = [extrapolate_regressor(base.indicator(i), 12) for i in base.indicator_ids]
+        forecast_subset = subset_forecaster(train, order, 12, futures)
+        for subset in [("x0", "x2"), ("x2",), ("x4", "x2", "x1")]:
+            with pytest.raises(MissingValueError) as direct:
+                fit(train.with_indicators(subset), order)
+            with pytest.raises(MissingValueError) as shared:
+                forecast_subset(subset)
+            assert str(shared.value) == str(direct.value)
+        for subset in [(), ("x0",), ("x4", "x1")]:
+            expected = fitted_forecast(train, order, subset, 12, futures)
+            assert np.array_equal(forecast_subset(subset), expected), subset
+
+    def test_a_target_that_cannot_be_differenced_fails_every_subset(self):
+        base = subset_frame(6, n=20, n_indicators=3)
+        target = list(base.target.values)
+        target[7] = None
+        train = frame(target, indicators=[(i, base.indicator(i).values) for i in base.indicator_ids])
+        order = SarimaxOrder(p=1, d=1)
+        forecast_subset = subset_forecaster(train, order, 6, continuations(train, 6))
+        raised, depths = set(), []
+        for _ in range(20):
+            with pytest.raises(MissingValueError) as shared:
+                forecast_subset(("x1", "x0"))
+            raised.add(id(shared.value))
+            depths.append(len(traceback.extract_tb(shared.value.__traceback__)))
+        assert len(raised) == 1 and len(set(depths)) == 1, depths[:4]
+        with pytest.raises(MissingValueError) as direct:
+            fit(train.with_indicators(("x1", "x0")), order)
+        assert str(shared.value) == str(direct.value)
+
+    def test_forward_traces_keep_every_failure_string(self):
+        # Subsets of 11 or more regressors are too long for 14 months, and
+        # x5 has a gap; then the target gets one, which fails every subset.
+        base = subset_frame(7, n=14, n_indicators=12)
+        futures = continuations(base, 4)
+        x5 = base.indicator("x5").values
+        columns = [(i, base.indicator(i).values) for i in base.indicator_ids]
+        columns[5] = ("x5", x5[:6] + (None,) + x5[7:])
+        target = list(base.target.values)
+        order = SarimaxOrder(p=1, d=1)
+        actual = np.linspace(0, 1, 4)
+        traces = []
+        for gap in (None, 3):
+            if gap is not None:
+                target[gap] = None
+            train = frame(target, indicators=columns)
+            shared = subset_forecaster(train, order, 4, futures)
+            evaluators = [
+                lambda subset: mae(actual, fitted_forecast(train, order, subset, 4, futures)),
+                lambda subset: mae(actual, shared(subset)),
+            ]
+            if gap is None:
+                own, via_shared = (forward_select(CandidateSet(train), e, cap=12) for e in evaluators)
+                assert via_shared.trace == own.trace
+                reasons = {reason.split(":")[0] for _, reason in own.trace.failures}
+                assert reasons == {"InsufficientDataError", "MissingValueError"}
+                continue
+            raised = []
+            for evaluate in evaluators:
+                with pytest.raises(Exception) as caught:
+                    forward_select(CandidateSet(train), evaluate, cap=12)
+                raised.append(str(caught.value))
+            assert raised[0] == raised[1] and "MissingValueError" in raised[0]
+            too_long = tuple(f"x{i}" for i in range(11))
+            with pytest.raises(InsufficientDataError) as direct:
+                fit(train.with_indicators(too_long), order)
+            with pytest.raises(InsufficientDataError) as caught:
+                shared(too_long)
+            assert str(caught.value) == str(direct.value)
+
+
+class TestStartCertificate:
+    # The shared path accepts a least-squares start when it passes
+    # L-BFGS-B's own iteration-0 test; L-BFGS-B must then agree.
+    @staticmethod
+    def _problem(train, order, subset):
+        w, X = sarimax_module._prepare(order, train.target, train.with_indicators(subset).indicators, False)
+        wbar = float(w.mean())
+        t0 = order.presample
+        design = np.column_stack([sarimax_module._lagged_block(order, w, wbar), X])[t0:]
+        x0, _ = sarimax_module._least_squares_start(order, design, w[t0:])
+        return x0, (order, w, X, wbar)
+
+    @pytest.mark.parametrize("growth", [0.0, 0.08], ids=["free", "bounded"])
+    def test_an_accepted_start_is_where_lbfgsb_stops(self, growth):
+        train = subset_frame(8, n_indicators=10, growth=growth)
+        order = SarimaxOrder(p=1)
+        n_poly = order.p
+        accepted = 0
+        for size in range(11):
+            for subset in itertools.combinations(train.indicator_ids, size):
+                x0, args = self._problem(train, order, subset)
+                css, grad = _css_and_gradient(x0, *args)
+                if not sarimax_module._at_optimum(x0, css, grad, n_poly):
+                    continue
+                accepted += 1
+                best_x, result = sarimax_module._lbfgsb(x0, *args, MAX_ITER, CSS_TOL)
+                assert result.nit == 0, subset
+                assert np.array_equal(result.x, x0) and np.array_equal(best_x, x0), subset
+        assert accepted == 2 ** 10
+        if growth:
+            assert abs(x0[1]) == COORD_BOUND
+
+    def test_a_refused_start_runs_lbfgsb(self, monkeypatch):
+        train = subset_frame(9)
+        order = SarimaxOrder(p=1)
+        x0, args = self._problem(train, order, ("x0", "x1"))
+        css, grad = _css_and_gradient(x0 + 1e-3, *args)
+        assert not sarimax_module._at_optimum(x0 + 1e-3, css, grad, order.p)
+
+        least_squares_start = sarimax_module._least_squares_start
+
+        def perturbed(*args):
+            x0, start = least_squares_start(*args)
+            return x0 + 1e-3, start
+
+        monkeypatch.setattr(sarimax_module, "_least_squares_start", perturbed)
+        futures = continuations(train, 12)
+        forecast_subset = subset_forecaster(train, order, 12, futures)
+        for subset in TestSubsetForecaster.SUBSETS:
+            fitted = fit(train.with_indicators(subset), order)
+            assert fitted.optimizer["nit"] > 0
+            expected = fitted_forecast(train, order, subset, 12, futures)
+            assert np.array_equal(forecast_subset(subset), expected), subset
 
 
 class TestSerialization:

@@ -354,18 +354,6 @@ class TestForwardSelect:
         assert result.selected_ids == expected_subset
         assert result.score == expected_score
 
-    def test_deterministic_across_jobs(self):
-        cands = self._simple_candidates(6)
-
-        def evaluator(subset):
-            return float(len(subset)) + sum(hash(c) % 97 for c in subset) / 1000.0
-
-        a = forward_select(cands, evaluator, cap=4, n_jobs=1)
-        b = forward_select(cands, evaluator, cap=4, n_jobs=8)
-        assert a.trace == b.trace
-        assert a.selected_ids == b.selected_ids
-        assert a.score == b.score
-
     def test_score_is_min_over_trace(self):
         cands = self._simple_candidates(3)
         rng = np.random.default_rng(7)
