@@ -521,7 +521,8 @@ class TestSubsetForecaster:
         train = subset_frame(3)
         future = models.regressor_forecasts(train, 12)
         spec = models.ModelSpec("sarimax", order=SarimaxOrder(p=1))
-        expected = [fitted_forecast(train, spec.order, s, 12, list(future.values())) for s in self.SUBSETS]
+        futures = list(future.values())
+        expected = [fitted_forecast(train, spec.order, s, 12, futures) for s in self.SUBSETS]
         monkeypatch.setattr(sarimax_module, "fit", None)  # a per-subset fit would fail
         forecast_subset = models.subset_forecaster(spec, train, 12, future)
         for subset, values in zip(self.SUBSETS, expected):
@@ -532,23 +533,24 @@ class TestSubsetFailures:
     def test_too_many_regressors_fail_as_fit_does(self):
         train = subset_frame(4, n=14, n_indicators=12)
         order = SarimaxOrder(p=1)
-        forecast_subset = subset_forecaster(train, order, 6, continuations(train, 6))
+        futures = continuations(train, 6)
+        forecast_subset = subset_forecaster(train, order, 6, futures)
         subset = tuple(f"x{i}" for i in range(12))
         with pytest.raises(InsufficientDataError) as direct:
             fit(train.with_indicators(subset), order)
         with pytest.raises(InsufficientDataError) as shared:
             forecast_subset(subset)
         assert str(shared.value) == str(direct.value)
-        assert np.array_equal(
-            forecast_subset(("x1",)), fitted_forecast(train, order, ("x1",), 6, continuations(train, 6))
-        )
+        expected = fitted_forecast(train, order, ("x1",), 6, futures)
+        assert np.array_equal(forecast_subset(("x1",)), expected)
 
     def test_an_indicator_with_a_gap_fails_only_the_subsets_that_hold_it(self):
         base = subset_frame(5)
         gappy = base.indicator("x2").values[:30] + (None,) + base.indicator("x2").values[31:]
+        ids = base.indicator_ids
         train = frame(
             base.target.values,
-            indicators=[(i, gappy if i == "x2" else base.indicator(i).values) for i in base.indicator_ids],
+            indicators=[(i, gappy if i == "x2" else base.indicator(i).values) for i in ids],
         )
         order = SarimaxOrder(p=1)
         futures = [extrapolate_regressor(base.indicator(i), 12) for i in base.indicator_ids]
@@ -567,7 +569,8 @@ class TestSubsetFailures:
         base = subset_frame(6, n=20, n_indicators=3)
         target = list(base.target.values)
         target[7] = None
-        train = frame(target, indicators=[(i, base.indicator(i).values) for i in base.indicator_ids])
+        ids = base.indicator_ids
+        train = frame(target, indicators=[(i, base.indicator(i).values) for i in ids])
         order = SarimaxOrder(p=1, d=1)
         forecast_subset = subset_forecaster(train, order, 6, continuations(train, 6))
         raised, depths = set(), []
@@ -603,7 +606,9 @@ class TestSubsetFailures:
                 lambda subset: mae(actual, shared(subset)),
             ]
             if gap is None:
-                own, via_shared = (forward_select(CandidateSet(train), e, cap=12) for e in evaluators)
+                own, via_shared = (
+                    forward_select(CandidateSet(train), e, cap=12) for e in evaluators
+                )
                 assert via_shared.trace == own.trace
                 reasons = {reason.split(":")[0] for _, reason in own.trace.failures}
                 assert reasons == {"InsufficientDataError", "MissingValueError"}
@@ -627,7 +632,8 @@ class TestStartCertificate:
     # L-BFGS-B's own iteration-0 test; L-BFGS-B must then agree.
     @staticmethod
     def _problem(train, order, subset):
-        w, X = sarimax_module._prepare(order, train.target, train.with_indicators(subset).indicators, False)
+        exog = train.with_indicators(subset).indicators
+        w, X = sarimax_module._prepare(order, train.target, exog, False)
         wbar = float(w.mean())
         t0 = order.presample
         design = np.column_stack([sarimax_module._lagged_block(order, w, wbar), X])[t0:]
