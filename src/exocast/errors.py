@@ -51,5 +51,9 @@ class PayloadError(ExocastError, ValueError):
     """A remote payload (catalog or dataset) could not be parsed."""
 
 
+class ConfigError(ExocastError, ValueError):
+    """An experiment config file is missing, unreadable or not a valid config."""
+
+
 class SchemaError(ExocastError, ValueError):
     """A persisted document names a schema this version cannot read."""

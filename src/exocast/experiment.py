@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from . import models
-from .errors import ExocastError
+from .errors import ConfigError, ExocastError, SchemaError
 from .eurostat import list_cached_series
 from .models import ModelSpec  # re-exported: experiment configs are built from here
 from .selection import (
@@ -257,27 +259,26 @@ class TargetTransform:
         return out
 
 
-def _preprocess_series(series: MonthlySeries, prep: PreprocessingSpec):
-    steps: list[tuple] = []
-    out = interpolate_missing(series) if series.has_missing else series
-    if prep.smooth_window > 1:
-        out = smooth(out, prep.smooth_window)
-    if prep.detrend:
-        out, slope, intercept = linear_detrend(out)
-        steps.append(("detrend", slope, intercept))
-    if prep.normalize:
-        try:
-            out, params = min_max_normalize(out)
-            steps.append(("normalize", params))
-        except ExocastError:
-            log.debug("series %s is constant; skipping normalization", series.id)
-    return out, steps
-
-
 def _preprocess_train(frame: AlignedFrame, prep: PreprocessingSpec):
-    target, steps = _preprocess_series(frame.target, prep)
-    indicators = [_preprocess_series(s, prep)[0] for s in frame.indicators]
-    return align_merge(target, indicators), TargetTransform(tuple(steps), len(frame))
+    """`frame` with the target and every indicator preprocessed as the columns
+    of one matrix, and the transform that takes the target back. A constant
+    column is not normalised."""
+    values = frame.stacked()  # column 0 is the target
+    if np.isnan(values).any():
+        values = interpolate_missing(values)
+    steps: list[tuple] = []
+    if prep.smooth_window > 1:
+        values = smooth(values, prep.smooth_window)
+    if prep.detrend:
+        values, slope, intercept = linear_detrend(values)
+        steps.append(("detrend", float(slope[0]), float(intercept[0])))
+    if prep.normalize:
+        values, (lo, hi) = min_max_normalize(values)
+        if hi[0] > lo[0]:
+            steps.append(("normalize", NormalizationParams(float(lo[0]), float(hi[0]))))
+        else:
+            log.debug("target %s is constant; skipping normalization", frame.target.id)
+    return frame.with_stacked(values), TargetTransform(tuple(steps), len(frame))
 
 
 def training_frames(
@@ -650,9 +651,12 @@ def persist_run(
 def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
     """Rebuild the table and (score-bearing) artifacts from a persisted run."""
     out_dir = Path(out_dir)
-    doc = json.loads((out_dir / "artifacts.json").read_text())
+    path = out_dir / "artifacts.json"
+    if not path.is_file():
+        raise ExocastError(f"no finished run in {out_dir}: {path.name} is missing")
+    doc = json.loads(path.read_text())
     if doc.get("schema") != "exocast.experiment.artifacts/1":
-        raise ValueError(f"unknown artifacts schema {doc.get('schema')!r}")
+        raise SchemaError(f"{path}: unknown artifacts schema {doc.get('schema')!r}")
     artifacts = RunArtifacts(horizon=doc["horizon"])
     cells: dict[CellKey, CellResult] = {}
     row_keys = [tuple(k) for k in doc["row_keys"]]
@@ -683,13 +687,46 @@ def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
 # ---------------------------------------------------------------------------
 # Config file loading (schema printed by `exocast experiment --print-schema`)
 
+CONFIG_KEYS = ("datasets", "ranges", "horizon", "methods", "models", "preprocessing",
+               "forward_cap", "jobs", "out_dir", "rolling_origins")
+
+
+def _checked(doc, where: str, allowed, required=()) -> dict:
+    """`doc`, a JSON object whose keys are all `allowed` and include `required`."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(missing)}")
+    return doc
+
+
 def load_config(path: str | Path, *, seed_override: int | None = None) -> ExperimentConfig:
-    doc = json.loads(Path(path).read_text())
+    """The experiment config in the JSON file `path`. A file that cannot be
+    read or is not a valid config raises ConfigError naming it."""
+    try:
+        return _config_from_doc(json.loads(Path(path).read_text()), seed_override)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"config {path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:  # a JSON syntax error is a ValueError
+        raise ConfigError(f"config {path}: {exc}") from exc
+
+
+def _config_from_doc(doc, seed_override: int | None) -> ExperimentConfig:
+    _checked(doc, "config", CONFIG_KEYS, required=("datasets", "ranges", "methods", "models"))
     datasets = []
     for entry in doc["datasets"]:
         kind = entry["kind"]
         if kind == "synthetic":
-            spec_doc = dict(entry["spec"])
+            spec_fields = fields(SyntheticSpec)
+            spec_doc = dict(_checked(entry["spec"], f"dataset {entry['label']!r} spec",
+                                     [f.name for f in spec_fields],
+                                     required=[f.name for f in spec_fields if f.default is MISSING]))
             if seed_override is not None:
                 spec_doc["seed"] = seed_override
             start = Month.parse(spec_doc.pop("start", "2016-01"))
@@ -731,7 +768,8 @@ def load_config(path: str | Path, *, seed_override: int | None = None) -> Experi
                 )
             )
 
-    prep_doc = doc.get("preprocessing", {})
+    prep_doc = _checked(doc.get("preprocessing", {}), "preprocessing",
+                        [f.name for f in fields(PreprocessingSpec)])
     return ExperimentConfig(
         datasets=tuple(datasets),
         ranges=tuple(
@@ -781,6 +819,9 @@ Experiment config (JSON object):
   "rolling_origins": 1,              // >1 averages MAE over stepped-back origins
   "out_dir": "runs/exp1"             // artifacts land here (optional)
 }
+"datasets", "ranges", "methods" and "models" are required. An unknown key at
+the top level, in "preprocessing" or in a synthetic "spec" is an error, as is
+a "spec" without "n_months".
 Series CSV format: header "period,value"; period is YYYY-MM; empty value
 field marks a gap. One series per file; the file stem is the series id.
 """

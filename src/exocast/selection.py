@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, SelectionError
+from .errors import ConvergenceFailureError, SchemaError, SelectionError
 from .series import AlignedFrame, pearson_correlation
 
 __all__ = [
@@ -87,19 +87,20 @@ def correlation_select(
 ) -> SelectionResult:
     """Keep candidates strongly correlated with the target, then greedily
     drop mutually redundant ones in descending |target correlation| order."""
-    frame = candidates.frame
-    target = frame.target.require_complete()
-    column = {cid: frame.indicator(cid).require_complete() for cid in candidates.candidate_ids}
-    target_corr = {cid: pearson_correlation(target, column[cid]) for cid in candidates.candidate_ids}
+    ids = candidates.candidate_ids
+    frame = candidates.frame.with_indicators(ids)
+    X = frame.require_complete()
+    order = {cid: i for i, cid in enumerate(ids)}
+    r = pearson_correlation(frame.target.array, X).tolist() if ids else []
+    target_corr = dict(zip(ids, r))
 
-    survivors = [cid for cid in candidates.candidate_ids if abs(target_corr[cid]) >= target_threshold]
-    order = {cid: i for i, cid in enumerate(candidates.candidate_ids)}
+    survivors = [cid for cid in ids if abs(target_corr[cid]) >= target_threshold]
     survivors.sort(key=lambda cid: (-abs(target_corr[cid]), order[cid]))
 
     pairwise: dict[str, float] = {}
     for i, a in enumerate(survivors):
         for b in survivors[i + 1 :]:
-            pairwise[f"{a}|{b}"] = pearson_correlation(column[a], column[b])
+            pairwise[f"{a}|{b}"] = pearson_correlation(X[:, order[a]], X[:, order[b]])
 
     def mutual(a: str, b: str) -> float:
         return pairwise.get(f"{a}|{b}", pairwise.get(f"{b}|{a}", 0.0))
@@ -270,9 +271,7 @@ def lasso_select(
     n = len(y_raw)
     if n < 3:
         raise SelectionError("lasso needs at least 3 training rows")
-    X_raw = np.column_stack(
-        [np.asarray(frame.indicator(cid).require_complete()) for cid in ids]
-    ) if ids else np.zeros((n, 0))
+    X_raw = np.ascontiguousarray(frame.with_indicators(ids).require_complete())
 
     steps = 0
 
@@ -454,7 +453,7 @@ def save_result(result: SelectionResult, path: str | Path) -> None:
 def load_result(path: str | Path) -> SelectionResult:
     doc = json.loads(Path(path).read_text())
     if doc.get("schema") != "exocast.selection.result/1":
-        raise ValueError(f"unknown selection-result schema: {doc.get('schema')!r}")
+        raise SchemaError(f"{path}: unknown selection-result schema {doc.get('schema')!r}")
     trace = None
     if "trace" in doc:
         trace = SelectionTrace(

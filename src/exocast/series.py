@@ -8,14 +8,18 @@ start month and length. At the edges, ``MonthlySeries.values`` is a tuple
 view with ``None`` for a missing value, and ``months``/``AlignedFrame.index``
 build tuples of :class:`Month` when asked for.
 
-All operations are pure: inputs are never mutated. The transforms add left
-to right, as a plain loop does, where numpy's ``sum`` would add pairwise.
+A transform takes a series, or a float array: 1-D, or (T x k) with each
+column transformed as its own series. An array comes back as an array, a
+series as a series. Sums run down axis 0 and add left to right, as a plain
+loop does, where numpy's ``sum`` would add pairwise; so every column of a
+matrix result is bit for bit the result for that column alone.
+
+All operations are pure: inputs are never mutated.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -176,8 +180,12 @@ class MonthlySeries:
     def require_complete(self) -> np.ndarray:
         """The read-only values; a series with gaps is an error."""
         if self.has_missing:
-            raise MissingValueError(f"series {self.id!r} has missing values; interpolate first")
+            raise _gaps_error(self.id)
         return self.array
+
+
+def _gaps_error(id: str) -> MissingValueError:
+    return MissingValueError(f"series {id!r} has missing values; interpolate first")
 
 
 @dataclass(frozen=True)
@@ -259,6 +267,26 @@ class AlignedFrame:
         i = self.start.months_until(start)
         return _frame(target, self.indicator_ids, self.matrix[i : i + len(target)])
 
+    def require_complete(self) -> np.ndarray:
+        """The read-only indicator matrix; a gap in it or in the target is an error."""
+        self.target.require_complete()
+        gaps = np.isnan(self.matrix).any(axis=0)
+        if gaps.any():
+            raise _gaps_error(self.indicator_ids[int(gaps.argmax())])
+        return self.matrix
+
+    def stacked(self) -> np.ndarray:
+        """A new column-major (T x (1 + k)) array: the target, then each indicator."""
+        return np.vstack((self.target.array, self.matrix.T)).T
+
+    def with_stacked(self, values: np.ndarray) -> "AlignedFrame":
+        """This frame's months and ids over `values`, laid out as by :meth:`stacked`."""
+        if np.shape(values) != (len(self), 1 + len(self.indicator_ids)):
+            raise ValueError(f"expected a {len(self)} x {1 + len(self.indicator_ids)} array")
+        values = _readonly(np.array(values, dtype=float, order="F"))  # columns contiguous
+        target = MonthlySeries(self.target.id, self.start, values[:, 0])
+        return _frame(target, self.indicator_ids, values[:, 1:])
+
 
 def _frame(target: MonthlySeries, indicators, matrix: np.ndarray | None = None) -> AlignedFrame:
     """A frame over `target`'s months of `indicators`, series or `matrix`'s column ids."""
@@ -286,9 +314,32 @@ class SplitSpec:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
-def _sum(values: np.ndarray) -> float:
-    """Left-to-right sum of a nonempty array."""
-    return float(np.add.accumulate(values)[-1])
+def _sum(values: np.ndarray):
+    """Left-to-right sum down axis 0 of a nonempty array: a scalar, or one
+    per column."""
+    return np.add.accumulate(values, axis=0)[-1]
+
+
+def _down(vector: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A length-n `vector` shaped to run down axis 0 of `like`."""
+    return vector if like.ndim == 1 else vector[:, None]
+
+
+def _values(data: MonthlySeries | np.ndarray) -> np.ndarray:
+    """The values of a series or an array; a gap in either is an error."""
+    if isinstance(data, MonthlySeries):
+        return data.require_complete()
+    values = np.asarray(data, dtype=float)
+    if np.isnan(values).any():
+        raise MissingValueError("array has missing values; interpolate first")
+    return values
+
+
+def _like(data: MonthlySeries | np.ndarray, values: np.ndarray) -> MonthlySeries | np.ndarray:
+    """`values` in the form `data` came in: a series keeps its id and start."""
+    if isinstance(data, MonthlySeries):
+        return MonthlySeries(data.id, data.start, _readonly(values))
+    return values
 
 
 def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
@@ -298,16 +349,22 @@ def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
     if len(actual) == 0:
         raise ValueError("mae of empty sequences is undefined")
     errors = np.abs(np.asarray(actual, dtype=float) - np.asarray(predicted, dtype=float))
-    return _sum(errors) / len(errors)
+    return float(_sum(errors) / len(errors))
 
 
-def min_max_normalize(series: MonthlySeries) -> tuple[MonthlySeries, NormalizationParams]:
-    """Rescale onto [0, 1]; the returned params invert the map exactly enough
-    for a 1e-12-relative round trip."""
-    vals = series.require_complete()
-    lo, hi = float(vals.min()), float(vals.max())
-    params = NormalizationParams(lo, hi)  # raises DegenerateRangeError if flat
-    return MonthlySeries(series.id, series.start, _readonly((vals - lo) / (hi - lo))), params
+def min_max_normalize(data: MonthlySeries | np.ndarray):
+    """Rescale onto [0, 1]. A series gives (series, NormalizationParams),
+    whose inverse map round-trips to 1e-12 relative, and a constant series is
+    an error. An array gives (array, (column minima, column maxima)), and a
+    constant column is left as it is."""
+    vals = _values(data)
+    lo, hi = vals.min(axis=0), vals.max(axis=0)
+    flat = ~(hi > lo)
+    out = (vals - np.where(flat, 0.0, lo)) / np.where(flat, 1.0, hi - lo)
+    if not isinstance(data, MonthlySeries):
+        return out, (lo, hi)
+    params = NormalizationParams(float(lo), float(hi))  # raises DegenerateRangeError if flat
+    return _like(data, out), params
 
 
 def denormalize(series: MonthlySeries, params: NormalizationParams) -> MonthlySeries:
@@ -315,18 +372,22 @@ def denormalize(series: MonthlySeries, params: NormalizationParams) -> MonthlySe
     return MonthlySeries(series.id, series.start, _readonly(vals * (params.max - params.min) + params.min))
 
 
-def interpolate_missing(series: MonthlySeries) -> MonthlySeries:
-    """Fill gaps: interior ones linearly between the nearest known neighbours,
-    leading/trailing ones with the nearest known value."""
-    vals = series.array
-    missing = np.isnan(vals)
-    known = (~missing).nonzero()[0]
-    if not len(known):
-        raise MissingValueError(f"series {series.id!r} is entirely missing")
-    gaps = missing.nonzero()[0]
-    out = vals.copy()
-    out[gaps] = np.interp(gaps, known, vals[known])
-    return MonthlySeries(series.id, series.start, _readonly(out))
+def interpolate_missing(data: MonthlySeries | np.ndarray) -> MonthlySeries | np.ndarray:
+    """Fill gaps, in each column of an array on its own: interior ones
+    linearly between the nearest known neighbours, leading/trailing ones
+    with the nearest known value."""
+    vals = data.array if isinstance(data, MonthlySeries) else np.asarray(data, dtype=float)
+    out = vals.copy(order="K")
+    columns = out[:, None] if out.ndim == 1 else out  # a view: filling it fills `out`
+    for j in np.isnan(columns).any(axis=0).nonzero()[0].tolist():
+        missing = np.isnan(columns[:, j])
+        known = (~missing).nonzero()[0]
+        if not len(known):
+            name = f"series {data.id!r}" if isinstance(data, MonthlySeries) else f"column {j}"
+            raise MissingValueError(f"{name} is entirely missing")
+        gaps = missing.nonzero()[0]
+        columns[gaps, j] = np.interp(gaps, known, columns[known, j])
+    return _like(data, out)
 
 
 @dataclass(frozen=True)
@@ -379,24 +440,27 @@ def undifference(series: MonthlySeries, initials: DifferenceInitials) -> Monthly
     return MonthlySeries(series.id, series.start.shift(-initials.total_dropped), _readonly(vals))
 
 
-def least_squares_line(values: Sequence[float]) -> tuple[float, float]:
-    """Slope and intercept of the least-squares line over index 0..n-1."""
+def least_squares_line(values: Sequence[float] | np.ndarray):
+    """Slope and intercept of the least-squares line over index 0..n-1: two
+    floats, or two arrays with one entry per column of an (n x k) array."""
     values = np.asarray(values, dtype=float)
     n = len(values)
     if n < 2:
         raise ValueError("need at least two points to fit a line")
-    centred = np.arange(n) - (n - 1) / 2.0
+    centred = _down(np.arange(n) - (n - 1) / 2.0, values)
     mean_y = _sum(values) / n
     slope = _sum(centred * (values - mean_y)) / (n * (n * n - 1) / 12)  # / sum(centred**2), exactly
-    return slope, mean_y - slope * ((n - 1) / 2.0)
+    intercept = mean_y - slope * ((n - 1) / 2.0)
+    return (float(slope), float(intercept)) if values.ndim == 1 else (slope, intercept)
 
 
-def linear_detrend(series: MonthlySeries) -> tuple[MonthlySeries, float, float]:
-    """Subtract the least-squares line; returns (residual series, slope, intercept)."""
-    vals = series.require_complete()
+def linear_detrend(data: MonthlySeries | np.ndarray):
+    """Subtract the least-squares line; returns (residuals, slope, intercept),
+    with one slope and intercept per column of an array."""
+    vals = _values(data)
     slope, intercept = least_squares_line(vals)
-    out = vals - (intercept + slope * np.arange(len(vals)))
-    return MonthlySeries(series.id, series.start, _readonly(out)), slope, intercept
+    out = vals - (intercept + slope * _down(np.arange(len(vals)), vals))
+    return _like(data, out), slope, intercept
 
 
 def retrend(series: MonthlySeries, slope: float, intercept: float, offset: int = 0) -> MonthlySeries:
@@ -407,18 +471,18 @@ def retrend(series: MonthlySeries, slope: float, intercept: float, offset: int =
     return MonthlySeries(series.id, series.start, _readonly(out))
 
 
-def smooth(series: MonthlySeries, window: int = 1) -> MonthlySeries:
-    """Centred moving average; the window is truncated to what exists near
-    the edges. window=1 is the identity."""
+def smooth(data: MonthlySeries | np.ndarray, window: int = 1) -> MonthlySeries | np.ndarray:
+    """Centred moving average down axis 0; the window is truncated to what
+    exists near the edges. window=1 is the identity."""
     if window % 2 == 0 or window < 1:
         raise ValueError(f"window must be odd and positive, got {window}")
-    vals = series.require_complete()
+    vals = _values(data)
     n = len(vals)
     if window > n:
         raise ValueError(f"window {window} exceeds series length {n}")
     half = window // 2
     # Each window summed from its left end, as a running total from zero.
-    total = np.zeros(n)
+    total = np.zeros_like(vals)
     for offset in range(-half, half + 1):
         if offset < 0:
             total[-offset:] += vals[:offset]
@@ -427,10 +491,12 @@ def smooth(series: MonthlySeries, window: int = 1) -> MonthlySeries:
     out = total / window
     for i in range(half):  # the truncated windows at both edges hold half + 1 + i values
         out[i], out[n - 1 - i] = total[i] / (half + 1 + i), total[n - 1 - i] / (half + 1 + i)
-    return MonthlySeries(series.id, series.start, _readonly(out))
+    return _like(data, out)
 
 
-def pearson_correlation(a: Sequence[float], b: Sequence[float]) -> float:
+def pearson_correlation(a: Sequence[float], b: Sequence[float] | np.ndarray):
+    """Pearson's r of `a` and `b`: a float, or an array with one r per
+    column of an (n x k) `b`. A constant input, or column, is an error."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
@@ -439,10 +505,10 @@ def pearson_correlation(a: Sequence[float], b: Sequence[float]) -> float:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     da, db = a - _sum(a) / n, b - _sum(b) / n
     var_a, var_b = _sum(da * da), _sum(db * db)
-    if var_a == 0.0 or var_b == 0.0:
+    if var_a == 0.0 or np.any(var_b == 0.0):
         raise UndefinedCorrelationError("correlation with a constant input is undefined")
-    r = _sum(da * db) / math.sqrt(var_a * var_b)
-    return max(-1.0, min(1.0, r))
+    r = np.clip(_sum(_down(da, b) * db) / np.sqrt(var_a * var_b), -1.0, 1.0)
+    return float(r) if b.ndim == 1 else r
 
 
 def align_merge(target: MonthlySeries, indicators: Sequence[MonthlySeries]) -> AlignedFrame:

@@ -245,6 +245,58 @@ class TestReportCommand:
         assert (rerun / "score_development.csv").exists()
 
 
+class TestMalformedInput:
+    """Bad input ends with exit code 2 and one `error:` line, never a
+    traceback and never exit 1, which means that some cells failed."""
+
+    def _fails_cleanly(self, capsys, argv, *words):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for word in words:
+            assert word in err
+
+    def _config(self, tmp_path, **changes):
+        path = write_experiment_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc.update(changes)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_synthetic_spec_without_n_months(self, tmp_path, capsys):
+        config = self._config(tmp_path, datasets=[
+            {"label": "synth-0", "kind": "synthetic", "spec": {"n_indicators": 4, "seed": 0}}
+        ])
+        self._fails_cleanly(capsys, ["experiment", "--config", str(config)], str(config), "n_months")
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        config = tmp_path / "absent.json"
+        self._fails_cleanly(capsys, ["experiment", "--config", str(config)], str(config))
+
+    def test_config_that_is_not_json(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{")
+        self._fails_cleanly(capsys, ["select", "--config", str(config)], str(config))
+
+    @pytest.mark.parametrize("changes, key", [
+        ({"rolling_origin": 6}, "rolling_origin"),
+        ({"preprocessing": {"smooth_window": 3, "detrended": True}}, "detrended"),
+    ])
+    def test_unknown_config_key(self, tmp_path, capsys, changes, key):
+        config = self._config(tmp_path, **changes)
+        self._fails_cleanly(capsys, ["experiment", "--config", str(config)], str(config), key)
+
+    def test_report_on_an_unknown_schema(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "artifacts.json").write_text(json.dumps({"schema": "exocast.unknown/1"}))
+        self._fails_cleanly(capsys, ["report", "--run-dir", str(run)], "exocast.unknown/1")
+
+    def test_report_without_a_run(self, tmp_path, capsys):
+        self._fails_cleanly(capsys, ["report", "--run-dir", str(tmp_path / "absent")], "artifacts.json")
+
+
 class TestFetchCommand:
     def test_offline_fetch_with_fixtures(self, tmp_path, capsys):
         fixtures = tmp_path / "fx"

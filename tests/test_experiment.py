@@ -7,7 +7,7 @@ import pytest
 
 from exocast import experiment, models
 from exocast.additive import AdditiveConfig
-from exocast.errors import InsufficientDataError, SelectionError
+from exocast.errors import ConfigError, DegenerateRangeError, InsufficientDataError, SelectionError
 from exocast.experiment import (
     DatasetSpec,
     ExperimentConfig,
@@ -31,8 +31,12 @@ from exocast.series import (
     MonthlySeries,
     SplitSpec,
     align_merge,
+    interpolate_missing,
+    linear_detrend,
     mae,
+    min_max_normalize,
     read_series_csv,
+    smooth,
     split_train_test,
     write_series_csv,
 )
@@ -115,6 +119,90 @@ class TestMinimalRun:
         assert sum(not c.failed for c in cells) == 1
         failed = next(c for c in cells if c.failed)
         assert failed.error == "InsufficientData"
+
+
+def series_preprocess(series, prep):
+    """Preprocessing one series at a time, as the grid did before it
+    transformed whole matrices: the oracle for each column."""
+    steps = []
+    out = interpolate_missing(series) if series.has_missing else series
+    if prep.smooth_window > 1:
+        out = smooth(out, prep.smooth_window)
+    if prep.detrend:
+        out, slope, intercept = linear_detrend(out)
+        steps.append(("detrend", slope, intercept))
+    if prep.normalize:
+        try:
+            out, params = min_max_normalize(out)
+            steps.append(("normalize", params))
+        except DegenerateRangeError:
+            pass
+    return out, tuple(steps)
+
+
+class TestPreprocessTrain:
+    PREPS = [
+        PreprocessingSpec(1, False, False),
+        PreprocessingSpec(1, False, True),
+        PreprocessingSpec(3, True, True),
+        PreprocessingSpec(5, False, True),
+        PreprocessingSpec(7, True, False),
+    ]
+
+    @staticmethod
+    def gappy_frame(seed, n=30, constant_target=False):
+        rng = np.random.default_rng(seed)
+        target = [2.0] * n if constant_target else rng.normal(50, 5, n).tolist()
+        target[n // 3] = None
+        columns = {f"x{j}": rng.normal(0, 10, n).tolist() for j in range(4)}
+        for j, gaps in enumerate([(0, 1), (n // 2,), (n - 2, n - 1), ()]):
+            for i in gaps:
+                columns[f"x{j}"][i] = None
+        columns["flat"] = [7.25] * n
+        indicators = [MonthlySeries(i, M(2016, 1), v) for i, v in columns.items()]
+        return align_merge(MonthlySeries("y", M(2016, 1), target), indicators)
+
+    @pytest.mark.parametrize("prep", PREPS, ids=str)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_column_as_its_own_series(self, seed, prep):
+        frame = self.gappy_frame(seed)
+        train, transform = experiment._preprocess_train(frame, prep)
+        target, steps = series_preprocess(frame.target, prep)
+        assert train.target == target and transform.steps == steps
+        assert transform.train_length == len(frame)
+        assert train.indicator_ids == frame.indicator_ids and train.index == frame.index
+        for series in frame.indicators:
+            assert train.indicator(series.id) == series_preprocess(series, prep)[0], series.id
+
+    def test_a_constant_column_stays_unnormalised(self):
+        frame = self.gappy_frame(0, constant_target=True)
+        train, transform = experiment._preprocess_train(frame, PreprocessingSpec(3, False, True))
+        assert transform.steps == ()
+        assert np.array_equal(train.target.array, np.full(len(frame), 2.0))
+        assert np.array_equal(train.indicator("flat").array, np.full(len(frame), 7.25))
+        assert train.indicator("x0").array.max() == 1.0
+
+    def test_an_all_gap_column_fails_its_group(self, tmp_path):
+        frame, _ = generate_synthetic(SyntheticSpec(n_months=76, n_indicators=3, seed=1))
+        paths = []
+        for series in (frame.target, *frame.indicators):
+            values = list(series.values)
+            if series.id == "ind02":  # known in 2016-2018 only
+                values[36:] = [None] * (len(values) - 36)
+            paths.append(tmp_path / f"{series.id}.csv")
+            write_series_csv(MonthlySeries(series.id, series.start, values), paths[-1])
+        config = quick_config(
+            datasets=(DatasetSpec("demand", "csv", target_csv=str(paths[0]),
+                                  indicator_csvs=tuple(map(str, paths[1:]))),),
+            ranges=(RangeSpec(M(2016, 1), M(2021, 4)), RangeSpec(M(2019, 1), M(2021, 4))),
+            methods=(MethodSpec("none"), MethodSpec("correlation")),
+        )
+        table, _ = run_experiment(config)
+        for key, cell in table.cells.items():
+            if key[1] == "2019-01..2021-04":
+                assert cell.error == "MissingValue", key
+            else:
+                assert not cell.failed, key
 
 
 class TestIsolationAndDeterminism:
@@ -353,6 +441,39 @@ class TestConfigFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="ar_lag"):
             load_config(path)
+
+    def _doc(self, **changes):
+        doc = {
+            "datasets": [{"label": "s", "kind": "synthetic", "spec": {"n_months": 40, "seed": 0}}],
+            "ranges": [{"start": "2016-01", "end": "2017-04"}],
+            "methods": ["none"],
+            "models": [{"name": "sarimax", "order": [0, 0, 0, 0, 0, 0, 12]}],
+        }
+        return {**doc, **changes}
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"rolling_origin": 6}, "unknown config keys: rolling_origin"),
+        ({"preprocessing": {"window": 3, "normalise": False}},
+         "unknown preprocessing keys: normalise, window"),
+        ({"datasets": [{"label": "s", "kind": "synthetic", "spec": {"months": 40}}]},
+         "unknown dataset 's' spec keys: months"),
+        ({"datasets": [{"label": "s", "kind": "synthetic", "spec": {"seed": 0}}]},
+         "dataset 's' spec lacks n_months"),
+        ({"ranges": None}, "config lacks ranges"),
+        ({"preprocessing": [3]}, "preprocessing must be a JSON object"),
+    ])
+    def test_malformed_config_names_the_file_and_the_field(self, tmp_path, changes, message):
+        path = tmp_path / "config.json"
+        doc = {k: v for k, v in self._doc(**changes).items() if v is not None}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == f"config {path}: {message}"
+
+    def test_jobs_key_is_accepted(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self._doc(jobs=2)))
+        assert load_config(path).jobs == 2
 
     def test_schema_text_mentions_all_sections(self):
         text = config_schema_text()

@@ -17,7 +17,7 @@ from exocast.selection import (
     soft_threshold,
     validate_manual,
 )
-from exocast.series import Month, MonthlySeries, align_merge, min_max_normalize
+from exocast.series import Month, MonthlySeries, align_merge, min_max_normalize, pearson_correlation
 from exocast.synth import SyntheticSpec, generate_synthetic
 
 M = Month
@@ -105,6 +105,34 @@ class TestCorrelationSelect:
     def test_constant_candidate_rejected(self):
         with pytest.raises(UndefinedCorrelationError):
             correlation_select(make_candidates([1, 2, 3, 4], [("flat", [5, 5, 5, 5])]))
+        rng = np.random.default_rng(4)
+        pairs = [(f"x{j}", rng.normal(0, 1, 12).tolist()) for j in range(5)]
+        pairs.insert(3, ("flat", [5.0] * 12))
+        with pytest.raises(UndefinedCorrelationError):
+            correlation_select(make_candidates(rng.normal(0, 1, 12).tolist(), pairs))
+
+    @pytest.mark.parametrize("ids", [None, ("x4", "x0", "x2", "x7")])
+    def test_correlations_equal_one_call_per_pair(self, ids):
+        # One column-wise call gives every target correlation; each must be
+        # what a call on that candidate alone gives, bit for bit.
+        rng = np.random.default_rng(7)
+        target = rng.normal(0, 1, 40)
+        drivers = {f"x{j}": (target * rng.uniform(0.5, 2) + rng.normal(0, 0.4, 40)).tolist()
+                   for j in range(8)}
+        frame = make_candidates(target.tolist(), list(drivers.items())).frame
+        result = correlation_select(CandidateSet(frame, ids or ()), target_threshold=0.5,
+                                    mutual_threshold=0.99)
+        chosen = ids or frame.indicator_ids
+        corr = result.diagnostics["target_correlations"]
+        assert list(corr) == list(chosen)
+        for cid in chosen:
+            assert corr[cid] == pearson_correlation(target.tolist(), drivers[cid])
+            assert type(corr[cid]) is float
+        pairs = result.diagnostics["pairwise_correlations"]
+        assert pairs and all(type(r) is float for r in pairs.values())
+        for key, r in pairs.items():
+            a, b = key.split("|")
+            assert r == pearson_correlation(drivers[a], drivers[b])
 
 
 def short_normalized_candidates(seed):

@@ -517,6 +517,126 @@ class TestArrayTransformsMatchLoopOracles:
             smooth(ms([1.0, 2.0]), 3)
 
 
+def gappy_matrix(seed, n, k=5):
+    """Seeded (n x k) values: column j has the gaps of gappy_series(seed + j, n),
+    and a constant column is appended."""
+    columns = [[np.nan if v is None else v for v in gappy_series(seed + j, n)] for j in range(k)]
+    return np.array(columns + [[3.5] * n]).T
+
+
+class TestColumnKernelsMatchSeriesTransforms:
+    """A transform given a (T x k) matrix returns, in each column, exactly
+    what it returns for that column as a series."""
+
+    @staticmethod
+    def column(values, j):
+        return MonthlySeries(f"c{j}", M(2016, 1), values[:, j])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 31])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_column_bit_for_bit(self, seed, n, order):
+        raw = np.array(gappy_matrix(seed, n), order=order)
+        k = raw.shape[1]
+        filled = interpolate_missing(raw)
+        assert filled.shape == raw.shape and not np.isnan(filled).any()
+        for j in range(k):
+            assert np.array_equal(filled[:, j], interpolate_missing(self.column(raw, j)).array)
+        for window in (1, 3, 5, n if n % 2 else n - 1, n + 1 + n % 2):
+            if window > n:
+                with pytest.raises(ValueError, match="exceeds"):
+                    smooth(filled, window)
+                continue
+            smoothed = smooth(filled, window)
+            for j in range(k):
+                assert np.array_equal(smoothed[:, j], smooth(self.column(filled, j), window).array)
+        resid, slopes, intercepts = linear_detrend(filled)
+        for j in range(k):
+            expected, slope, intercept = linear_detrend(self.column(filled, j))
+            assert np.array_equal(resid[:, j], expected.array)
+            assert (slopes[j], intercepts[j]) == (slope, intercept)
+        scaled, (lo, hi) = min_max_normalize(filled)
+        for j in range(k):
+            if hi[j] > lo[j]:
+                expected, params = min_max_normalize(self.column(filled, j))
+                assert np.array_equal(scaled[:, j], expected.array)
+                assert (lo[j], hi[j]) == (params.min, params.max)
+            else:  # the constant column, and any column a short length leaves flat
+                assert np.array_equal(scaled[:, j], filled[:, j])
+                with pytest.raises(DegenerateRangeError):
+                    min_max_normalize(self.column(filled, j))
+        assert np.array_equal(scaled[:, -1], np.full(n, 3.5))
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 64])
+    def test_pearson_down_columns(self, n):
+        rng = np.random.default_rng(n)
+        target = rng.normal(0, 1, n)
+        X = np.asfortranarray(rng.normal(5, 3, (n, 7)))
+        X[:, 3] = -2.0 * target + 1.0  # exactly anti-correlated: r clips to -1
+        X[:, 4] = target  # r clips to 1
+        r = pearson_correlation(target, X)
+        assert r.shape == (7,)
+        for j in range(7):
+            assert r[j] == pearson_correlation(target, X[:, j])
+            assert r[j] == pearson_correlation(target.tolist(), X[:, j].tolist())
+
+    def test_pearson_with_a_constant_column_is_undefined(self):
+        X = np.column_stack([np.arange(6.0), np.full(6, 2.0), np.arange(6.0) ** 2])
+        with pytest.raises(UndefinedCorrelationError):
+            pearson_correlation(np.linspace(0, 1, 6), X)
+        with pytest.raises(UndefinedCorrelationError):
+            pearson_correlation(np.full(6, 1.0), X[:, [0, 2]])
+
+    def test_all_gap_column_names_its_index(self):
+        raw = gappy_matrix(0, 8)
+        raw[:, 2] = np.nan
+        with pytest.raises(MissingValueError, match="column 2 is entirely missing"):
+            interpolate_missing(raw)
+
+    @pytest.mark.parametrize("transform", [smooth, linear_detrend, min_max_normalize])
+    def test_gaps_are_rejected(self, transform):
+        with pytest.raises(MissingValueError):
+            transform(gappy_matrix(1, 8))
+
+    def test_inputs_are_not_mutated(self):
+        raw = gappy_matrix(2, 12)
+        before = raw.copy()
+        filled = interpolate_missing(raw)
+        kept = filled.copy()
+        smooth(filled, 3)
+        linear_detrend(filled)
+        min_max_normalize(filled)
+        assert np.array_equal(raw, before, equal_nan=True) and np.array_equal(filled, kept)
+        assert raw.flags.writeable and filled.flags.writeable
+
+
+class TestStackedFrame:
+    def frame(self):
+        return align_merge(ms([1, 2, 3], id="t"), [ms([4, None, 6], id="a"), ms([7, 8, 9.5], id="b")])
+
+    def test_round_trip(self):
+        frame = self.frame()
+        values = frame.stacked()
+        assert values.shape == (3, 3) and values.flags.f_contiguous
+        assert np.array_equal(values[:, 0], frame.target.array)
+        assert np.array_equal(values[:, 1:], frame.matrix, equal_nan=True)
+        again = frame.with_stacked(values)
+        assert again.target == frame.target and again.indicators == frame.indicators
+        assert again.start == frame.start and again.indicator_ids == ("a", "b")
+        assert not again.matrix.flags.writeable and not again.target.array.flags.writeable
+        assert values.flags.writeable  # the caller's array is copied, not frozen
+
+    def test_shape_must_match(self):
+        with pytest.raises(ValueError, match="3 x 3"):
+            self.frame().with_stacked(np.zeros((3, 2)))
+
+    def test_require_complete_names_the_gappy_indicator(self):
+        frame = self.frame()
+        with pytest.raises(MissingValueError, match="'a'"):
+            frame.require_complete()
+        assert frame.with_indicators(["b"]).require_complete() is not None
+
+
 @dataclasses.dataclass(frozen=True)
 class TupleSeries:
     """A series as a frozen dataclass over a tuple of values: the reference
