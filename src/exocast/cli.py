@@ -101,11 +101,23 @@ def _load(args) -> "ExperimentConfig":
     return config
 
 
+def _read_input(path: str, flag: str) -> str:
+    """The text of the file given to `flag`; an error naming it when it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ExocastError(f"cannot read {flag} {path}: {exc.strerror}") from exc
+
+
 def cmd_fetch(args) -> int:
     keywords = DEFAULT_KEYWORDS
     if args.keywords:
-        lines = Path(args.keywords).read_text().splitlines()
+        lines = _read_input(args.keywords, "--keywords").splitlines()
         keywords = tuple(k.strip() for k in lines if k.strip())
+        if not keywords:
+            raise ExocastError(f"--keywords {args.keywords} lists no keyword")
+    if args.catalog_fixture and not Path(args.catalog_fixture).is_file():
+        raise ExocastError(f"cannot read --catalog-fixture {args.catalog_fixture}: no such file")
     report = run_funnel(
         args.cache_dir,
         since=Month.parse(args.since),
@@ -211,7 +223,11 @@ def _training_frame_of(fitted, config) -> "AlignedFrame":
 def cmd_forecast(args) -> int:
     config = _load(args)
     horizon = args.horizon or config.horizon
-    fitted = models.from_doc(json.loads(Path(args.model_file).read_text()))
+    try:
+        doc = json.loads(_read_input(args.model_file, "--model-file"))
+    except json.JSONDecodeError as exc:
+        raise ExocastError(f"--model-file {args.model_file} is not JSON: {exc}") from exc
+    fitted = models.from_doc(doc)
     train = _training_frame_of(fitted, config)
     out = Path(args.out or config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,6 @@ module. Cached runs make zero network calls.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import logging
 import math
@@ -25,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotCachedError, PayloadError
-from .series import Month, MonthlySeries, read_series_csv, write_series_csv
+from .errors import NotCachedError, PayloadError, SchemaError
+from .series import Month, MonthlySeries
 
 __all__ = [
     "DatasetDescriptor",
@@ -78,8 +77,9 @@ DEFAULT_KEYWORDS = (
     "employment",
 )
 
-MANIFEST_SCHEMA = "exocast.eurostat.manifest/1"
+MANIFEST_SCHEMA = "exocast.eurostat.manifest/2"
 CATALOG_SCHEMA = "exocast.eurostat.catalog/1"
+SERIES_SCHEMA = "exocast.eurostat.series/2"
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,6 @@ class SeriesKey:
 
     def canonical(self) -> str:
         return "|".join(f"{name}={value}" for name, value in self.dimension_values)
-
-    def digest(self) -> str:
-        return hashlib.sha1(self.canonical().encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,6 +209,14 @@ def _parse_frequency(text: str) -> str:
     return "other"
 
 
+def _check_code(code: str) -> str:
+    """A dataset code names a file in the cache, so it must be one plain
+    file-name component."""
+    if code in ("", ".", "..") or any(c in code for c in "/\\\0"):
+        raise PayloadError(f"dataset code {code!r} is not a plain file name")
+    return code
+
+
 def _parse_catalog_payload(payload: str) -> tuple[DatasetDescriptor, ...]:
     try:
         doc = json.loads(payload)
@@ -232,6 +237,11 @@ def _parse_catalog_payload(payload: str) -> tuple[DatasetDescriptor, ...]:
         if not isinstance(entry, dict) or not entry.get("code"):
             raise PayloadError(f"catalog entry {i} has no dataset code")
         code = str(entry["code"])
+        try:
+            _check_code(code)
+        except PayloadError as exc:
+            log.warning("%s; skipping catalog entry %d", exc, i)
+            continue
         if code in seen:
             log.warning("duplicate dataset code %r in catalog; keeping first", code)
             continue
@@ -393,7 +403,7 @@ def pick_representative(dataset: RawDataset, since: Month) -> tuple[SeriesKey, M
 
 
 # ---------------------------------------------------------------------------
-# Cache: catalog.json + <code>/<key-hash>.csv (+ sidecar key) + manifest.json
+# Cache: catalog.json + manifest.json + series/<dataset_code>.json
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -449,56 +459,55 @@ def load_catalog(root: str | Path) -> CatalogSnapshot:
 
 
 def store_series(root: str | Path, key: SeriesKey, series: MonthlySeries) -> Path:
-    folder = Path(root) / key.dataset_code
-    folder.mkdir(parents=True, exist_ok=True)
-    csv_path = folder / f"{key.digest()}.csv"
-    tmp = csv_path.with_suffix(".csv.tmp")
-    write_series_csv(series, tmp)
-    os.replace(tmp, csv_path)
-    sidecar = {
+    path = _series_path(root, key.dataset_code)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    doc = {
+        "schema": SERIES_SCHEMA,
         "dataset_code": key.dataset_code,
         "dimension_values": [list(p) for p in key.dimension_values],
         "series_id": series.id,
+        "start": str(series.start),
+        "values": list(series.values),  # floats by repr, so bit-exact; null for a gap
     }
-    _atomic_write(folder / f"{key.digest()}.key.json", json.dumps(sidecar, indent=2))
-    return csv_path
+    _atomic_write(path, json.dumps(doc))
+    return path
 
 
-def _load_one(folder: Path, digest: str) -> tuple[SeriesKey, MonthlySeries]:
-    sidecar = json.loads((folder / f"{digest}.key.json").read_text())
-    key = SeriesKey(
-        sidecar["dataset_code"],
-        tuple((n, v) for n, v in sidecar["dimension_values"]),
-    )
-    series = read_series_csv(folder / f"{digest}.csv", id=sidecar["series_id"])
-    return key, series
+def _series_path(root: str | Path, dataset_code: str) -> Path:
+    return Path(root) / "series" / f"{_check_code(dataset_code)}.json"
+
+
+def _read_series(path: Path) -> tuple[SeriesKey, MonthlySeries]:
+    doc = json.loads(path.read_text())
+    if doc.get("schema") != SERIES_SCHEMA:
+        raise SchemaError(f"{path}: unknown cached series schema {doc.get('schema')!r}")
+    key = SeriesKey(doc["dataset_code"], tuple((n, v) for n, v in doc["dimension_values"]))
+    return key, MonthlySeries(doc["series_id"], Month.parse(doc["start"]), doc["values"])
+
+
+def _require_this_format(root: Path) -> None:
+    if (root / "manifest.json").exists():
+        read_manifest(root)
 
 
 def load_series(
     root: str | Path, dataset_code: str, key: SeriesKey | None = None
 ) -> tuple[SeriesKey, MonthlySeries]:
-    folder = Path(root) / dataset_code
-    if not folder.is_dir():
+    _require_this_format(Path(root))
+    path = _series_path(root, dataset_code)
+    if not path.exists():
         raise NotCachedError(f"no cached series for {dataset_code} under {root}")
-    if key is not None:
-        if not (folder / f"{key.digest()}.csv").exists():
-            raise NotCachedError(f"series {key.canonical()} not cached for {dataset_code}")
-        return _load_one(folder, key.digest())
-    digests = sorted(p.stem for p in folder.glob("*.csv"))
-    if not digests:
-        raise NotCachedError(f"no cached series for {dataset_code} under {root}")
-    return _load_one(folder, digests[0])
+    stored, series = _read_series(path)
+    if key is not None and stored != key:
+        raise NotCachedError(f"series {key.canonical()} not cached for {dataset_code}")
+    return stored, series
 
 
 def list_cached_series(root: str | Path) -> list[tuple[SeriesKey, MonthlySeries]]:
+    """Every cached series, ordered by dataset code."""
     root = Path(root)
-    out = []
-    if not root.is_dir():
-        return out
-    for folder in sorted(p for p in root.iterdir() if p.is_dir()):
-        for csv_path in sorted(folder.glob("*.csv")):
-            out.append(_load_one(folder, csv_path.stem))
-    return out
+    _require_this_format(root)
+    return [_read_series(p) for p in sorted((root / "series").glob("*.json"), key=lambda p: p.stem)]
 
 
 def write_manifest(
@@ -519,7 +528,10 @@ def read_manifest(root: str | Path) -> dict:
     path = Path(root) / "manifest.json"
     if not path.exists():
         raise NotCachedError(f"no manifest under {root}")
-    return json.loads(path.read_text())
+    doc = json.loads(path.read_text())
+    if doc.get("schema") != MANIFEST_SCHEMA:
+        raise SchemaError(f"{path}: cache format {doc.get('schema')!r} is not {MANIFEST_SCHEMA}")
+    return doc
 
 
 def run_funnel(
@@ -536,6 +548,7 @@ def run_funnel(
     dataset. Offline mode never opens a connection: it uses fixtures or the
     existing cache and fails a dataset otherwise."""
     cache_root = Path(cache_root)
+    _require_this_format(cache_root)
     keywords = tuple(keywords)
     source = endpoint or (base_url() + CATALOG_PATH)
     if catalog_fixture is not None:

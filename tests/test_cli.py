@@ -296,6 +296,30 @@ class TestMalformedInput:
     def test_report_without_a_run(self, tmp_path, capsys):
         self._fails_cleanly(capsys, ["report", "--run-dir", str(tmp_path / "absent")], "artifacts.json")
 
+    @pytest.mark.parametrize("flag", ["--keywords", "--catalog-fixture"])
+    def test_fetch_with_a_missing_input_file(self, tmp_path, capsys, flag):
+        absent = str(tmp_path / "absent.txt")
+        argv = ["fetch", "--cache-dir", str(tmp_path / "cache"), "--since", "2016-01", "--offline",
+                flag, absent]
+        self._fails_cleanly(capsys, argv, flag, absent)
+        assert not (tmp_path / "cache").exists()
+
+    def test_fetch_with_an_empty_keyword_file(self, tmp_path, capsys):
+        keywords = tmp_path / "kw.txt"
+        keywords.write_text("\n  \n")
+        argv = ["fetch", "--cache-dir", str(tmp_path / "cache"), "--since", "2016-01", "--offline",
+                "--keywords", str(keywords)]
+        self._fails_cleanly(capsys, argv, "--keywords", str(keywords))
+
+    @pytest.mark.parametrize("text", [None, "{"])
+    def test_forecast_with_a_missing_or_non_json_model_file(self, tmp_path, capsys, text):
+        model_file = tmp_path / "model.json"
+        if text is not None:
+            model_file.write_text(text)
+        argv = ["forecast", "--config", str(write_experiment_config(tmp_path)),
+                "--model-file", str(model_file), "--out", str(tmp_path / "fc")]
+        self._fails_cleanly(capsys, argv, "--model-file", str(model_file))
+
 
 class TestFetchCommand:
     def test_offline_fetch_with_fixtures(self, tmp_path, capsys):
@@ -336,4 +360,4 @@ class TestFetchCommand:
         printed = capsys.readouterr().out
         assert "monthly      -> 1" in printed
         assert (cache / "manifest.json").exists()
-        assert (cache / "STS_A").is_dir()
+        assert (cache / "series" / "STS_A.json").is_file()

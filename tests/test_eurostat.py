@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import requests
 
-from exocast.errors import NotCachedError, PayloadError
+from exocast.cli import main
+from exocast.errors import NotCachedError, PayloadError, SchemaError
 from exocast.eurostat import (
     CatalogSnapshot,
     DatasetDescriptor,
@@ -143,6 +144,12 @@ class TestFetchCatalog:
         fixture.write_text("{not json")
         with pytest.raises(PayloadError):
             fetch_catalog(offline_fixture=fixture)
+
+    def test_code_that_is_not_a_plain_file_name_skipped(self, tmp_path, caplog):
+        entries = [catalog_entry(code) for code in ("STS_A", "../escape", ".", "a\\b", "STS_B")]
+        path = write_catalog_fixture(tmp_path / "toc.json", entries)
+        assert fetch_catalog(offline_fixture=path).codes() == ("STS_A", "STS_B")
+        assert "'../escape' is not a plain file name" in caplog.text
 
     def test_entry_without_code_rejected_entirely(self, tmp_path):
         fixture = tmp_path / "toc.json"
@@ -448,7 +455,7 @@ class TestCache:
         key = SeriesKey("DS", (("geo", "AT"), ("unit", "I15")))
         series = MonthlySeries("DS", M(2016, 1), (1.5, None, 2.25))
         path = store_series(tmp_path, key, series)
-        assert path.read_text().splitlines()[2] == "2016-02,"
+        assert json.loads(path.read_text())["values"][1] is None
         loaded_key, loaded = load_series(tmp_path, "DS")
         assert loaded_key == key
         assert loaded == series
@@ -462,6 +469,45 @@ class TestCache:
         _, loaded = load_series(tmp_path, "DS2")
         assert loaded.values == tuple(vals)
 
+    def test_round_trip_is_bit_exact_at_the_edges(self, tmp_path):
+        values = (None, -0.0, 5e-324, None, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, None)
+        series = MonthlySeries("EDGE", M(2016, 1), values)
+        store_series(tmp_path, SeriesKey("EDGE", ()), series)
+        _, loaded = load_series(tmp_path, "EDGE")
+        assert loaded.start == series.start
+        assert loaded.array.tobytes() == series.array.tobytes()
+        assert loaded.values == values
+
+    def test_one_document_per_series(self, tmp_path):
+        key = SeriesKey("DS", (("geo", "AT"),))
+        path = store_series(tmp_path, key, MonthlySeries("DS", M(2016, 3), (1.0, None)))
+        assert path == tmp_path / "series" / "DS.json"
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()] == [path.relative_to(tmp_path)]
+        assert json.loads(path.read_text()) == {
+            "schema": "exocast.eurostat.series/2",
+            "dataset_code": "DS",
+            "dimension_values": [["geo", "AT"]],
+            "series_id": "DS",
+            "start": "2016-03",
+            "values": [1.0, None],
+        }
+
+    def test_another_key_is_not_cached(self, tmp_path):
+        key = SeriesKey("DS", (("geo", "AT"),))
+        store_series(tmp_path, key, MonthlySeries("DS", M(2016, 1), (1.0,)))
+        assert load_series(tmp_path, "DS", key)[0] == key
+        with pytest.raises(NotCachedError, match="geo=DE"):
+            load_series(tmp_path, "DS", SeriesKey("DS", (("geo", "DE"),)))
+
+    @pytest.mark.parametrize("code", ["", ".", "..", "../outside", "a/b", "a\\b", "a\0b"])
+    def test_code_that_is_not_a_plain_file_name_rejected(self, tmp_path, code):
+        root = tmp_path / "cache"
+        with pytest.raises(PayloadError, match="plain file name"):
+            store_series(root, SeriesKey(code, ()), MonthlySeries(code, M(2016, 1), (1.0,)))
+        with pytest.raises(PayloadError, match="plain file name"):
+            load_series(root, code)
+        assert [p.name for p in tmp_path.iterdir()] == []
+
     def test_empty_root(self, tmp_path):
         with pytest.raises(NotCachedError):
             load_catalog(tmp_path / "nothing")
@@ -469,13 +515,62 @@ class TestCache:
             load_series(tmp_path / "nothing", "DS")
 
     def test_list_cached(self, tmp_path):
-        for code in ("B", "A"):
+        # "A-B.json" sorts before "A.json": the order is the codes', not the file names'.
+        for code in ("B", "A-B", "A"):
             store_series(
                 tmp_path, SeriesKey(code, (("geo", "AT"),)),
                 MonthlySeries(code, M(2016, 1), (1.0, 2.0)),
             )
         cached = list_cached_series(tmp_path)
-        assert [k.dataset_code for k, _ in cached] == ["A", "B"]
+        assert [k.dataset_code for k, _ in cached] == ["A", "A-B", "B"]
+        assert [s.id for _, s in cached] == ["A", "A-B", "B"]
+        assert list_cached_series(tmp_path / "nothing") == []
+
+
+def write_v1_cache(root):
+    """A cache in the format before `exocast.eurostat.series/2`: a folder per
+    dataset holding a series CSV and a key sidecar."""
+    folder = root / "STS_A"
+    folder.mkdir(parents=True)
+    (folder / "0123456789abcdef.csv").write_text("period,value\r\n2016-01,1.0\r\n")
+    (folder / "0123456789abcdef.key.json").write_text(
+        json.dumps({"dataset_code": "STS_A", "dimension_values": [["geo", "AT"]], "series_id": "STS_A"})
+    )
+    (root / "manifest.json").write_text(json.dumps({
+        "schema": "exocast.eurostat.manifest/1", "endpoint": "toc.json",
+        "fetched_at": "2026-01-01T00:00:00+00:00", "filters": ["monthly"],
+    }))
+    return root
+
+
+class TestOldCacheFormat:
+    @pytest.mark.parametrize("read", [
+        read_manifest,
+        list_cached_series,
+        lambda root: load_series(root, "STS_A"),
+        lambda root: run_funnel(root, since=M(2016, 1), keywords=("business",), offline=True),
+    ], ids=["read_manifest", "list_cached_series", "load_series", "run_funnel"])
+    def test_rejected_by_name(self, tmp_path, read):
+        root = write_v1_cache(tmp_path / "cache")
+        with pytest.raises(SchemaError, match="exocast.eurostat.manifest/1"):
+            read(root)
+
+    def test_experiment_on_it_exits_2(self, tmp_path, capsys):
+        root = write_v1_cache(tmp_path / "cache")
+        target = tmp_path / "target.csv"
+        target.write_text("period,value\n" + "".join(f"{m},{i}.5\n" for i, m in enumerate(months("2016-01", 48))))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "datasets": [{"label": "market", "kind": "eurostat_cache", "target": str(target),
+                          "cache_root": str(root)}],
+            "ranges": [{"start": "2016-01", "end": "2018-12"}],
+            "methods": ["none"],
+            "models": [{"name": "sarimax", "order": [1, 0, 0, 0, 0, 0, 12]}],
+        }))
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "exocast.eurostat.manifest/1" in err
 
 
 class TestLivePath:
@@ -559,7 +654,9 @@ class TestFunnel:
         assert report.stored == ["STS_A", "STS_C"]
         assert not report.failures
         manifest = read_manifest(cache)
+        assert manifest["schema"] == "exocast.eurostat.manifest/2"
         assert manifest["filters"][0] == "monthly"
+        assert list(cache.rglob("*.tmp")) == []
         key, series = load_series(cache, "STS_A")
         assert series.start == M(2016, 1)
         assert len(series) == 18  # 2016-01 .. 2017-06
@@ -589,9 +686,12 @@ class TestFunnel:
             dataset_fixture_dir=funnel_fixtures,
         )
         monkeypatch.setattr(socket, "socket", lambda *a, **k: (_ for _ in ()).throw(AssertionError))
+        first = list_cached_series(cache)
         report = run_funnel(cache, since=M(2016, 1), keywords=("business", "energy"), offline=True)
         assert report.stored == ["STS_A", "STS_C"]
         assert not report.failures
+        assert sorted(p.name for p in (cache / "series").iterdir()) == ["STS_A.json", "STS_C.json"]
+        assert list_cached_series(cache) == first
 
     def test_offline_missing_dataset_recorded(self, tmp_path, funnel_fixtures):
         cache = tmp_path / "cache"
@@ -612,3 +712,17 @@ class TestFunnel:
         )
         assert "STS_C" in report2.failures
         assert report2.stored == ["STS_A"]
+
+    def test_code_escaping_the_root_skips_only_that_dataset(self, tmp_path, funnel_fixtures):
+        entries = FIVE_ENTRIES + [catalog_entry("../escape", parameters=("energy",))]
+        toc = write_catalog_fixture(funnel_fixtures / "toc.json", entries)
+        (funnel_fixtures.parent / "escape.json").write_text((funnel_fixtures / "STS_A.json").read_text())
+        cache = tmp_path / "work" / "cache"
+        report = run_funnel(
+            cache, since=M(2016, 1), keywords=("business", "energy"),
+            offline=True, catalog_fixture=toc, dataset_fixture_dir=funnel_fixtures,
+        )
+        assert report.stored == ["STS_A", "STS_C"]
+        assert not report.failures
+        assert [p.name for p in (tmp_path / "work").iterdir()] == ["cache"]
+        assert [k.dataset_code for k, _ in list_cached_series(cache)] == ["STS_A", "STS_C"]
