@@ -577,14 +577,12 @@ def run_funnel(
             if fixture_dir is not None and (fixture_dir / f"{code}.json").exists():
                 fixture = fixture_dir / f"{code}.json"
             if fixture is None and offline:
-                try:
-                    load_series(cache_root, code)
-                    report.stored.append(code)
-                    continue
-                except NotCachedError:
-                    raise NotCachedError(
-                        f"offline mode: no fixture or cache for dataset {code}"
-                    )
+                cached = _series_path(cache_root, code)
+                if not cached.exists():
+                    raise NotCachedError(f"offline mode: no fixture or cache for dataset {code}")
+                _read_series(cached)  # the root's format was checked once, above
+                report.stored.append(code)
+                continue
             dataset = fetch_dataset(code, offline_fixture=fixture)
             key, series = pick_representative(dataset, since)
             store_series(cache_root, key, series)

@@ -153,7 +153,10 @@ def to_doc(fitted: Fitted) -> dict:
 
 
 def from_doc(doc: dict) -> Fitted:
-    """Reload a `to_doc` document; a `schema` of neither model is an error."""
+    """Reload a `to_doc` document; a `schema` of neither model is an error,
+    and so is a document that is not a JSON object."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"a model document is a JSON object, not {type(doc).__name__}")
     module = {sarimax.SCHEMA: sarimax, additive.SCHEMA: additive}.get(doc.get("schema"))
     if module is None:
         raise SchemaError(

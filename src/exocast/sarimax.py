@@ -5,10 +5,10 @@ The model for the (d, D)-differenced target w is
     w_t = c + beta . x_t + sum_i ar_i * w_{t-i} + sum_j sar_j * w_{t-j*s}
           + sum_i ma_i * eps_{t-i} + sum_j sma_j * eps_{t-j*s} + eps_t
 
-with exogenous values x entering undifferenced (or differenced, on request),
-aligned to the differenced index. Seasonal and non-seasonal terms add; they
-are not multiplied. MA terms carry a positive sign in the model (the
-statsmodels convention), so the residual recursion subtracts them.
+with exogenous values x entering undifferenced, aligned to the differenced
+index. Seasonal and non-seasonal terms add; they are not multiplied. MA
+terms carry a positive sign in the model (the statsmodels convention), so
+the residual recursion subtracts them.
 
 Estimation minimises the conditional sum of squared residuals (CSS) from
 t = max(p, P*s) onward. Stationarity and invertibility are enforced by
@@ -47,6 +47,7 @@ from .errors import (
     GridSearchError,
     InsufficientDataError,
     MissingValueError,
+    SchemaError,
 )
 from .series import (
     AlignedFrame,
@@ -185,8 +186,6 @@ class FittedSarimax:
     normalization: NormalizationParams | None = None
     mean_conditioning: bool = True
     presample_mean: float = 0.0
-    difference_regressors: bool = False
-    regressor_tails: tuple[tuple[float, ...], ...] = ()
     # What `fit` did: {"start", "status", "nit", "nfev", "at_bound"}; None
     # for models assembled from given coefficients.
     optimizer: dict | None = None
@@ -301,37 +300,28 @@ def _residual_recursion(
     return np.asarray(out)
 
 
-def _prepare(
-    order: SarimaxOrder,
-    target: MonthlySeries,
-    exog: Sequence[MonthlySeries],
-    difference_regressors: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Differenced target w plus the exog matrix aligned to w's index."""
+def _differenced_target(order: SarimaxOrder, target: MonthlySeries) -> np.ndarray:
+    """The (d, D)-differenced target w."""
     n = len(target)
     if n < order.dropped + order.presample + 1:
         raise InsufficientDataError(
             f"need more than {order.dropped + order.presample} observations "
             f"for order {order.as_tuple()}, got {n}"
         )
-    for x in exog:
-        if x.start != target.start or len(x) != n:
-            raise ValueError(f"regressor {x.id!r} is not aligned to the target")
     diffed, _ = difference_with_initials(target, order.d, order.D, order.s)
-    w = diffed.require_complete()
-    m = len(w)
-    if exog:
-        cols = []
-        for x in exog:
-            if difference_regressors:
-                dx, _ = difference_with_initials(x, order.d, order.D, order.s)
-                cols.append(dx.require_complete())
-            else:
-                cols.append(x.require_complete()[order.dropped :])
-        X = np.column_stack(cols)
-    else:
-        X = np.zeros((m, 0))
-    return w, X
+    return diffed.require_complete()
+
+
+def _regressor_matrix(
+    order: SarimaxOrder, target: MonthlySeries, exog: Sequence[MonthlySeries]
+) -> np.ndarray:
+    """One column per regressor, undifferenced and aligned to w's index."""
+    for x in exog:
+        if x.start != target.start or len(x) != len(target):
+            raise ValueError(f"regressor {x.id!r} is not aligned to the target")
+    if not exog:
+        return np.zeros((len(target) - order.dropped, 0))
+    return np.column_stack([x.require_complete()[order.dropped :] for x in exog])
 
 
 def css_residuals(
@@ -341,28 +331,13 @@ def css_residuals(
     exog: Sequence[MonthlySeries] = (),
     *,
     mean_conditioning: bool = True,
-    difference_regressors: bool = False,
 ) -> tuple[list[float], float]:
     """Conditional residuals from t = max(p, P*s) onward, and their sum of squares."""
-    scored, _ = _scored_residuals(
-        order, params, target, exog, mean_conditioning, difference_regressors
-    )
-    return scored.tolist(), float(scored @ scored)
-
-
-def _scored_residuals(
-    order: SarimaxOrder,
-    params: SarimaxParams,
-    target: MonthlySeries,
-    exog: Sequence[MonthlySeries],
-    mean_conditioning: bool,
-    difference_regressors: bool,
-) -> tuple[np.ndarray, float]:
-    """`css_residuals` as an array, and the pre-sample mean it conditions on."""
     params.check_against(order, len(exog))
-    w, X = _prepare(order, target, exog, difference_regressors)
-    wbar = float(w.mean()) if mean_conditioning else 0.0
-    return _scored(order, params, w, X, wbar), wbar
+    w = _differenced_target(order, target)
+    X = _regressor_matrix(order, target, exog)
+    scored = _scored(order, params, w, X, float(w.mean()) if mean_conditioning else 0.0)
+    return scored.tolist(), float(scored @ scored)
 
 
 def _scored(
@@ -391,15 +366,13 @@ def _poly_blocks(order: SarimaxOrder) -> tuple[tuple[int, list[int], bool, str],
     )
 
 
-def _unpack(x: np.ndarray, order: SarimaxOrder, k: int, sigma2: float = 1.0) -> SarimaxParams:
+def _unpack(x: np.ndarray, order: SarimaxOrder, k: int) -> SarimaxParams:
     coeffs = {
         name: tuple(_unconstrained_to_coeffs(x[pos : pos + len(lags)], invertible))
         for pos, lags, invertible, name in _poly_blocks(order)
     }
     beta = x[len(x) - k :]
-    return SarimaxParams(
-        c=float(x[0]), beta=tuple(float(b) for b in beta), sigma2=sigma2, **coeffs
-    )
+    return SarimaxParams(c=float(x[0]), beta=tuple(float(b) for b in beta), **coeffs)
 
 
 def _css_and_gradient(
@@ -527,8 +500,7 @@ def _check_length(order: SarimaxOrder, k: int, n: int) -> None:
 
 
 def _lbfgsb(
-    x0: np.ndarray, order: SarimaxOrder, w: np.ndarray, X: np.ndarray, wbar: float,
-    max_iter: int, tol: float,
+    x0: np.ndarray, order: SarimaxOrder, w: np.ndarray, X: np.ndarray, wbar: float, max_iter: int
 ):
     """L-BFGS-B on the CSS from x0, with the coordinates of the lag
     polynomials held within +-COORD_BOUND. Returns the better of its end
@@ -545,7 +517,7 @@ def _lbfgsb(
         method="L-BFGS-B",
         jac=True,
         bounds=bounds,
-        options={"maxiter": max_iter, "ftol": tol, "gtol": PGTOL},
+        options={"maxiter": max_iter, "ftol": CSS_TOL, "gtol": PGTOL},
     )
     best_x = result.x if result.fun <= _css_and_gradient(x0, *args)[0] else x0
     return np.asarray(best_x), result
@@ -578,25 +550,14 @@ def _at_optimum(x0: np.ndarray, css: float, grad: np.ndarray, n_poly: int) -> bo
     return bool(np.max(np.abs(g)) <= PGTOL)
 
 
-def fitted_from_params(
-    order: SarimaxOrder,
-    params: SarimaxParams,
-    train: AlignedFrame,
-    *,
-    mean_conditioning: bool = True,
-    difference_regressors: bool = False,
-    normalization: NormalizationParams | None = None,
+def _assemble(
+    order: SarimaxOrder, params: SarimaxParams, train: AlignedFrame, scored: np.ndarray,
+    wbar: float, mean_conditioning: bool, normalization: NormalizationParams | None,
+    optimizer: dict | None = None,
 ) -> FittedSarimax:
-    """Assemble the forecast-ready state for explicitly given coefficients."""
-    scored, wbar = _scored_residuals(
-        order, params, train.target, train.indicators, mean_conditioning, difference_regressors
-    )
+    """The forecast-ready state of `params` on `train`, whose scored
+    residuals and pre-sample mean are given."""
     n_tail, n_resid_tail = _tail_lengths(order)
-    reg_tails: tuple[tuple[float, ...], ...] = ()
-    if difference_regressors and order.dropped and train.indicators:
-        reg_tails = tuple(
-            tuple(x.require_complete()[-order.dropped :].tolist()) for x in train.indicators
-        )
     return FittedSarimax(
         order=order,
         params=params,
@@ -610,9 +571,25 @@ def fitted_from_params(
         normalization=normalization,
         mean_conditioning=mean_conditioning,
         presample_mean=wbar,
-        difference_regressors=difference_regressors,
-        regressor_tails=reg_tails,
+        optimizer=optimizer,
     )
+
+
+def fitted_from_params(
+    order: SarimaxOrder,
+    params: SarimaxParams,
+    train: AlignedFrame,
+    *,
+    mean_conditioning: bool = True,
+    normalization: NormalizationParams | None = None,
+) -> FittedSarimax:
+    """Assemble the forecast-ready state for explicitly given coefficients."""
+    params.check_against(order, len(train.indicators))
+    w = _differenced_target(order, train.target)
+    X = _regressor_matrix(order, train.target, train.indicators)
+    wbar = float(w.mean()) if mean_conditioning else 0.0
+    scored = _scored(order, params, w, X, wbar)
+    return _assemble(order, params, train, scored, wbar, mean_conditioning, normalization)
 
 
 def fit(
@@ -620,10 +597,8 @@ def fit(
     order: SarimaxOrder,
     *,
     mean_conditioning: bool = True,
-    difference_regressors: bool = False,
     normalization: NormalizationParams | None = None,
     max_iter: int = MAX_ITER,
-    tol: float = CSS_TOL,
 ) -> FittedSarimax:
     """Minimise the conditional sum of squares with L-BFGS-B on the exact
     gradient. For q = Q = 0 the run starts from the least-squares optimum
@@ -635,37 +610,31 @@ def fit(
     bound. Deterministic for identical inputs."""
     k = len(train.indicators)
     _check_length(order, k, len(train))
-    w, X = _prepare(order, train.target, train.indicators, difference_regressors)
+    w = _differenced_target(order, train.target)
+    X = _regressor_matrix(order, train.target, train.indicators)
     wbar = float(w.mean()) if mean_conditioning else 0.0
     t0 = order.presample
     design = np.column_stack([_lagged_block(order, w, wbar), X])[t0:]
     x0, start = _least_squares_start(order, design, w[t0:])
     n_poly = order.p + order.q + order.P + order.Q
-    best_x, result = _lbfgsb(x0, order, w, X, wbar, max_iter, tol)
-    optimizer = {
-        "start": start,
-        "status": int(result.status),
-        "nit": int(result.nit),
-        "nfev": int(result.nfev),
-        "at_bound": bool(np.any(np.abs(best_x[1 : 1 + n_poly]) >= COORD_BOUND * (1 - 1e-8))),
-    }
-
-    def build(x: np.ndarray) -> FittedSarimax:
-        fitted = fitted_from_params(
-            order,
-            _unpack(x, order, k),
-            train,
-            mean_conditioning=mean_conditioning,
-            difference_regressors=difference_regressors,
-            normalization=normalization,
-        )
-        sigma2 = max(fitted.css / (len(w) - order.presample), 1e-300)
-        return replace(fitted, params=replace(fitted.params, sigma2=sigma2), optimizer=optimizer)
-
+    best_x, result = _lbfgsb(x0, order, w, X, wbar, max_iter)
+    params = _unpack(best_x, order, k)
+    scored = _scored(order, params, w, X, wbar)
+    sigma2 = max(float(scored @ scored) / len(scored), 1e-300)
+    fitted = _assemble(
+        order, replace(params, sigma2=sigma2), train, scored, wbar, mean_conditioning,
+        normalization, optimizer={
+            "start": start,
+            "status": int(result.status),
+            "nit": int(result.nit),
+            "nfev": int(result.nfev),
+            "at_bound": bool(np.any(np.abs(best_x[1 : 1 + n_poly]) >= COORD_BOUND * (1 - 1e-8))),
+        },
+    )
     failure = _out_of_budget(order, max_iter, result)
     if failure:
-        raise ConvergenceFailureError(failure, best=build(best_x))
-    return build(best_x)
+        raise ConvergenceFailureError(failure, best=fitted)
+    return fitted
 
 
 def extrapolate_regressor(series: MonthlySeries, horizon: int) -> RegressorForecast:
@@ -716,40 +685,18 @@ def forecast(
     if horizon < 1:
         raise ValueError("horizon must be positive")
     order, params = fitted.order, fitted.params
-    k = len(fitted.regressor_ids)
     future_exog = list(future_exog or [])
-    if k:
-        got = [rf.id for rf in future_exog]
-        if got != list(fitted.regressor_ids):
-            raise ValueError(
-                f"regressor forecasts {got} do not match fitted regressors "
-                f"{list(fitted.regressor_ids)}"
-            )
-        for rf in future_exog:
-            if len(rf.future_values) < horizon:
-                raise ValueError(f"regressor {rf.id!r} supplies fewer than {horizon} values")
-    elif future_exog:
-        raise ValueError("model has no regressors but forecasts were supplied")
+    got = [rf.id for rf in future_exog]
+    if got != list(fitted.regressor_ids):
+        raise ValueError(
+            f"regressor forecasts {got} do not match fitted regressors "
+            f"{list(fitted.regressor_ids)}"
+        )
+    for rf in future_exog:
+        if len(rf.future_values) < horizon:
+            raise ValueError(f"regressor {rf.id!r} supplies fewer than {horizon} values")
 
-    # Future exog rows on the scale used in fitting.
-    if k:
-        cols = []
-        for i, rf in enumerate(future_exog):
-            vals = list(rf.future_values[:horizon])
-            if fitted.difference_regressors and order.dropped:
-                joined = list(fitted.regressor_tails[i]) + vals
-                for _ in range(order.d):
-                    joined = [joined[t + 1] - joined[t] for t in range(len(joined) - 1)]
-                for _ in range(order.D):
-                    joined = [
-                        joined[t + order.s] - joined[t] for t in range(len(joined) - order.s)
-                    ]
-                vals = joined[-horizon:]
-            cols.append(vals)
-        x_future = [[cols[i][j] for i in range(k)] for j in range(horizon)]
-    else:
-        x_future = [[] for _ in range(horizon)]
-
+    x_future = [[rf.future_values[j] for rf in future_exog] for j in range(horizon)]
     history = _stage_histories(fitted.tail_values, order.d, order.D, order.s)
     values = _forecast_path(
         order, params, history, fitted.tail_residuals, fitted.presample_mean, x_future
@@ -827,7 +774,7 @@ def subset_forecaster(
         raise ValueError(f"regressors without {horizon} future values: {short}")
     n = len(train)
     try:
-        w, _ = _prepare(order, train.target, (), difference_regressors=False)
+        w = _differenced_target(order, train.target)
     except Exception as exc:  # noqa: BLE001 - every subset's fit raises it
         def fail(subset: Sequence[str], failure=exc, origin=exc.__traceback__):
             _check_length(order, len(subset), n)
@@ -835,15 +782,15 @@ def subset_forecaster(
 
         return fail
 
-    columns: dict[str, np.ndarray] = {}
     gappy: dict[str, tuple[MissingValueError, object]] = {}  # raised by the subsets holding it
     for x in train.indicators:
         try:
-            columns[x.id] = x.require_complete()[order.dropped :]
+            x.require_complete()
         except MissingValueError as exc:
             gappy[x.id] = exc, exc.__traceback__
-    slot = {i: j for j, i in enumerate(columns)}
-    exog = np.column_stack(list(columns.values())) if columns else np.zeros((len(w), 0))
+    complete = [x for x in train.indicators if x.id not in gappy]
+    slot = {x.id: j for j, x in enumerate(complete)}
+    exog = _regressor_matrix(order, train.target, complete)
     wbar = float(w.mean())
     t0 = order.presample
     block = _lagged_block(order, w, wbar)
@@ -869,7 +816,7 @@ def subset_forecaster(
         css, grad = _css_and_gradient(x0, order, w, X, wbar)
         x = x0
         if not _at_optimum(x0, css, grad, n_poly):
-            x, result = _lbfgsb(x0, order, w, X, wbar, MAX_ITER, CSS_TOL)
+            x, result = _lbfgsb(x0, order, w, X, wbar, MAX_ITER)
             failure = _out_of_budget(order, MAX_ITER, result)
             if failure:
                 raise ConvergenceFailureError(failure)
@@ -883,14 +830,12 @@ def subset_forecaster(
 
 
 def grid_search_order(
-    train: AlignedFrame,
-    grid: Sequence[SarimaxOrder],
-    horizon: int,
-    **fit_kwargs,
+    train: AlignedFrame, grid: Sequence[SarimaxOrder], horizon: int
 ) -> tuple[SarimaxOrder, list[OrderScore]]:
     """Score each order by MAE on the final `horizon` months of `train`
-    (held out internally); ties break toward the lexicographically
-    smallest order."""
+    (held out internally), forecasting through `subset_forecaster` with
+    every regressor; ties break toward the lexicographically smallest
+    order."""
     if not grid:
         raise ValueError("order grid is empty")
     sub_train, validation = split_train_test(train, SplitSpec(horizon))
@@ -898,12 +843,10 @@ def grid_search_order(
     future = None  # the regressor continuations, shared by every order
     for order in grid:
         try:
-            fitted = fit(sub_train, order, **fit_kwargs)
             if future is None:
                 future = [extrapolate_regressor(x, horizon) for x in sub_train.indicators]
-            predicted = forecast(fitted, horizon, future)
-            score = mae(validation.target.require_complete(), predicted.require_complete())
-            table.append(OrderScore(order, score))
+            predicted = subset_forecaster(sub_train, order, horizon, future)(sub_train.indicator_ids)
+            table.append(OrderScore(order, mae(validation.target.require_complete(), predicted)))
         except Exception as exc:  # noqa: BLE001 - per-order failures are data
             table.append(OrderScore(order, None, f"{type(exc).__name__}: {exc}"))
     scored = [e for e in table if e.score is not None]
@@ -946,14 +889,20 @@ def to_doc(fitted: FittedSarimax) -> dict:
         ),
         "mean_conditioning": fitted.mean_conditioning,
         "presample_mean": fitted.presample_mean,
-        "difference_regressors": fitted.difference_regressors,
-        "regressor_tails": [list(t) for t in fitted.regressor_tails],
         "optimizer": fitted.optimizer,
     }
 
 
 def from_doc(doc: dict) -> FittedSarimax:
-    """Inverse of `to_doc`; `models.from_doc` has matched the schema."""
+    """Inverse of `to_doc`; `models.from_doc` has matched the schema. An
+    older document's `difference_regressors` and `regressor_tails` are
+    ignored when its regressors entered undifferenced, and refused when
+    they were differenced."""
+    if doc.get("difference_regressors"):
+        raise SchemaError(
+            f"{SCHEMA} document with difference_regressors true: models with "
+            "differenced regressors can no longer be read"
+        )
     p = doc["params"]
     norm = doc.get("normalization")
     return FittedSarimax(
@@ -977,7 +926,5 @@ def from_doc(doc: dict) -> FittedSarimax:
         normalization=None if norm is None else NormalizationParams(norm["min"], norm["max"]),
         mean_conditioning=doc["mean_conditioning"],
         presample_mean=doc["presample_mean"],
-        difference_regressors=doc["difference_regressors"],
-        regressor_tails=tuple(tuple(t) for t in doc.get("regressor_tails", [])),
         optimizer=doc.get("optimizer"),
     )

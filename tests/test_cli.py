@@ -320,6 +320,24 @@ class TestMalformedInput:
                 "--model-file", str(model_file), "--out", str(tmp_path / "fc")]
         self._fails_cleanly(capsys, argv, "--model-file", str(model_file))
 
+    def test_forecast_with_a_model_file_that_is_not_an_object(self, tmp_path, capsys):
+        model_file = tmp_path / "model.json"
+        model_file.write_text("[]")
+        argv = ["forecast", "--config", str(write_experiment_config(tmp_path)),
+                "--model-file", str(model_file), "--out", str(tmp_path / "fc")]
+        self._fails_cleanly(capsys, argv, "JSON object")
+
+    def test_forecast_with_differenced_regressors(self, tmp_path, capsys):
+        config = write_experiment_config(tmp_path, methods=["correlation"])
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "models")]) == 0
+        model_file = next(p for p in (tmp_path / "models").iterdir()
+                          if not p.name.endswith("selection.json"))
+        doc = json.loads(model_file.read_text())
+        model_file.write_text(json.dumps({**doc, "difference_regressors": True}))
+        argv = ["forecast", "--config", str(config), "--model-file", str(model_file),
+                "--out", str(tmp_path / "fc")]
+        self._fails_cleanly(capsys, argv, "difference_regressors")
+
 
 class TestFetchCommand:
     def test_offline_fetch_with_fixtures(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import requests
 
+from exocast import eurostat
 from exocast.cli import main
 from exocast.errors import NotCachedError, PayloadError, SchemaError
 from exocast.eurostat import (
@@ -687,7 +688,15 @@ class TestFunnel:
         )
         monkeypatch.setattr(socket, "socket", lambda *a, **k: (_ for _ in ()).throw(AssertionError))
         first = list_cached_series(cache)
+        manifest_reads = []
+
+        def counting(root):
+            manifest_reads.append(root)
+            return read_manifest(root)
+
+        monkeypatch.setattr(eurostat, "read_manifest", counting)
         report = run_funnel(cache, since=M(2016, 1), keywords=("business", "energy"), offline=True)
+        assert len(manifest_reads) == 1
         assert report.stored == ["STS_A", "STS_C"]
         assert not report.failures
         assert sorted(p.name for p in (cache / "series").iterdir()) == ["STS_A.json", "STS_C.json"]

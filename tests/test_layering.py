@@ -1,9 +1,11 @@
-"""No exocast module reaches into another module's private names.
+"""No exocast module reaches into another module's private names, and none
+imports a name it never uses.
 
 A leading underscore marks a name as internal to its module. Importing one
 from a sibling module (`from .experiment import _select`), or reading one as
-an attribute of an imported sibling (`sarimax._prepare`), couples the
-two modules through code the owner may change freely.
+an attribute of an imported sibling (`sarimax._lagged_block`), couples the
+two modules through code the owner may change freely. An unused import is
+most often what a deletion left behind.
 """
 
 import ast
@@ -65,3 +67,41 @@ def test_checker_catches_both_forms():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_no_private_name_of_another(path):
     assert private_uses(path.read_text()) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Each name `source` imports and never reads, except in a statement
+    marked `# noqa: F401`, a deliberate re-export."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        statement = lines[node.lineno - 1 : node.end_lineno]
+        if getattr(node, "module", None) == "__future__" or any("# noqa: F401" in x for x in statement):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: imports {name}" for name, line in imported.items() if name not in read]
+
+
+def test_unused_import_checker():
+    source = (
+        "from __future__ import annotations\n"
+        "import itertools, os.path\n"
+        "from dataclasses import dataclass, replace\n"
+        "from .sarimax import (  # noqa: F401\n"
+        "    fit,\n"
+        ")\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: str = os.path.sep\n"
+    )
+    assert unused_imports(source) == ["line 2: imports itertools", "line 3: imports replace"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_imports_no_unused_name(path):
+    assert unused_imports(path.read_text()) == []

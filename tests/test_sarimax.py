@@ -10,10 +10,10 @@ from exocast.errors import (
     GridSearchError,
     InsufficientDataError,
     MissingValueError,
+    SchemaError,
 )
 from exocast.sarimax import (
     COORD_BOUND,
-    CSS_TOL,
     MAX_ITER,
     R_MAX,
     FittedSarimax,
@@ -32,7 +32,9 @@ from exocast import models
 from exocast import sarimax as sarimax_module
 from exocast.sarimax import _css_and_gradient
 from exocast.selection import CandidateSet, forward_select
-from exocast.series import Month, MonthlySeries, SplitSpec, align_merge, mae, split_train_test
+from exocast.series import (
+    Month, MonthlySeries, SplitSpec, align_merge, difference_with_initials, mae, split_train_test,
+)
 
 M = Month
 
@@ -187,6 +189,19 @@ class TestFit:
         with pytest.raises(ConvergenceFailureError) as excinfo:
             fit(frame(y), SarimaxOrder(p=2, q=2), max_iter=1)
         assert isinstance(excinfo.value.best, FittedSarimax)
+
+    def test_target_differenced_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].id)
+            return difference_with_initials(*args)
+
+        monkeypatch.setattr(sarimax_module, "difference_with_initials", counting)
+        y = simulate_ar1(5, n=80).tolist()
+        x = np.random.default_rng(5).normal(0, 1, 80).tolist()
+        fit(frame(y, indicators=[("x", x)]), SarimaxOrder(p=1, d=1))
+        assert calls == ["t"]
 
     def test_stored_css_matches_recomputation(self):
         y = simulate_ar1(4, n=150).tolist()
@@ -359,28 +374,6 @@ class TestForecast:
         a = forecast(fitted, 12).values
         b = forecast(fitted, 12).values
         assert a == b  # bitwise
-
-    def test_differenced_regressor_flag(self):
-        # y_t = 3 * dx_t on the first-differenced scale fits exactly and
-        # forecasts from the differenced extrapolation.
-        rng = np.random.default_rng(4)
-        x = np.cumsum(rng.normal(0, 1, 60))
-        y = np.concatenate([[0.0], 3.0 * np.diff(x)]).cumsum() + 5.0
-        f = frame(y.tolist(), indicators=[("x", x.tolist())])
-        fitted = fit(f, SarimaxOrder(d=1), difference_regressors=True)
-        assert fitted.params.beta[0] == pytest.approx(3.0, abs=1e-4)
-        rf = extrapolate_regressor(f.indicator("x"), 4)
-        out = forecast(fitted, 4, [rf])
-        # Differenced future x is the line's constant slope.
-        expected = y[-1]
-        got = []
-        for j in range(4):
-            prev = rf.future_values[j - 1] if j else x[-1]
-            expected = expected + fitted.params.c + fitted.params.beta[0] * (
-                rf.future_values[j] - prev
-            )
-            got.append(expected)
-        assert out.values == pytest.approx(got, abs=1e-9)
 
 
 class TestGridSearch:
@@ -633,7 +626,8 @@ class TestStartCertificate:
     @staticmethod
     def _problem(train, order, subset):
         exog = train.with_indicators(subset).indicators
-        w, X = sarimax_module._prepare(order, train.target, exog, False)
+        w = sarimax_module._differenced_target(order, train.target)
+        X = sarimax_module._regressor_matrix(order, train.target, exog)
         wbar = float(w.mean())
         t0 = order.presample
         design = np.column_stack([sarimax_module._lagged_block(order, w, wbar), X])[t0:]
@@ -653,7 +647,7 @@ class TestStartCertificate:
                 if not sarimax_module._at_optimum(x0, css, grad, n_poly):
                     continue
                 accepted += 1
-                best_x, result = sarimax_module._lbfgsb(x0, *args, MAX_ITER, CSS_TOL)
+                best_x, result = sarimax_module._lbfgsb(x0, *args, MAX_ITER)
                 assert result.nit == 0, subset
                 assert np.array_equal(result.x, x0) and np.array_equal(best_x, x0), subset
         assert accepted == 2 ** 10
@@ -714,6 +708,40 @@ class TestSerialization:
         assert models.from_doc(json.loads(path.read_text())).optimizer is None
         given = fitted_from_params(fitted.order, fitted.params, frame(y))
         assert given.optimizer is None
+
+    # A document as written while regressors could also enter differenced:
+    # it carries that mode's two keys. `expected` below is the forecast that
+    # code computed from it.
+    OLDER_DOC = {
+        "schema": "exocast.sarimax.fitted/1", "order": [1, 1, 1, 0, 0, 0, 12],
+        "params": {"c": -0.5387024904566525, "ar": [-0.6836865754831113],
+                   "ma": [0.9998000599800071], "seasonal_ar": [], "seasonal_ma": [],
+                   "beta": [0.45484736109984814], "sigma2": 0.42074340402095983},
+        "regressor_ids": ["x"], "target_id": "t", "train_start": "2016-01",
+        "train_end": "2019-04", "tail_values": [1.566968804950033, 3.0935937758020198],
+        "tail_residuals": [1.3124011461813367], "css": 15.988249352796473,
+        "normalization": None, "mean_conditioning": True,
+        "presample_mean": 0.025034751060470744,
+        "difference_regressors": False, "regressor_tails": [],
+        "optimizer": {"start": "zero", "status": 0, "nit": 38, "nfev": 45, "at_bound": True},
+    }
+
+    def test_older_document_forecasts_as_when_written(self):
+        loaded = models.from_doc(json.loads(json.dumps(self.OLDER_DOC)))
+        rf = RegressorForecast(
+            "x", (0.004222348164778733, -0.06516001328167453, -0.1345423747281278),
+            slope=-0.06938236144645316, intercept=2.779516806022905,
+        )
+        expected = [2.825217555566893, 2.440362423973495, 2.103583976391839]
+        assert list(forecast(loaded, 3, [rf]).values) == expected
+        rewritten = models.to_doc(loaded)
+        assert "difference_regressors" not in rewritten and "regressor_tails" not in rewritten
+        assert models.from_doc(rewritten) == loaded
+
+    def test_differenced_regressors_refused_by_name(self):
+        doc = {**self.OLDER_DOC, "difference_regressors": True}
+        with pytest.raises(SchemaError, match="difference_regressors"):
+            models.from_doc(doc)
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"
