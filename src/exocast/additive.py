@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, from_object
 from .series import AlignedFrame, Month, MonthlySeries
 from .sarimax import RegressorForecast
 
@@ -420,19 +420,12 @@ def config_to_doc(config: AdditiveConfig) -> dict:
 
 def config_from_doc(doc: dict) -> AdditiveConfig:
     """Config from its JSON form. Missing keys take AdditiveConfig's
-    defaults; unknown keys are rejected, so a misspelt key cannot silently
-    fall back to a default."""
-    unknown = sorted(set(doc) - {f.name for f in fields(AdditiveConfig)})
-    if unknown:
-        raise ValueError(f"unknown additive config keys: {', '.join(unknown)}")
-    convert = {
+    defaults; unknown keys are rejected."""
+    return from_object(AdditiveConfig, doc, "additive config", convert={
         "seasonalities": lambda v: tuple((float(p), int(o)) for p, o in v),
-        "events": lambda v: tuple(
-            (eid, frozenset(Month.parse(m) for m in months)) for eid, months in v
-        ),
+        "events": lambda v: tuple((eid, frozenset(map(Month.parse, months))) for eid, months in v),
         "future_known": tuple,
-    }
-    return AdditiveConfig(**{key: convert.get(key, lambda v: v)(v) for key, v in doc.items()})
+    })
 
 
 def to_doc(fitted: FittedAdditive) -> dict:

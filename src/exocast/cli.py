@@ -36,7 +36,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override the synthetic seed")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--offline", action="store_true", help="never touch the network")
-    parser.add_argument("--jobs", type=int, help="threads over dataset x range groups")
     parser.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -94,8 +93,6 @@ def _load(args) -> "ExperimentConfig":
     if not args.config:
         raise ExocastError("this command needs --config")
     config = load_config(args.config, seed_override=args.seed)
-    if args.jobs:
-        config = dataclasses.replace(config, jobs=args.jobs)
     if args.out:
         config = dataclasses.replace(config, out_dir=args.out)
     return config

@@ -1,6 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types, and the two readers of JSON documents that raise
+them: one for config entries, one for persisted files."""
 
 from __future__ import annotations
+
+import json
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 
 class ExocastError(Exception):
@@ -57,3 +62,33 @@ class ConfigError(ExocastError, ValueError):
 
 class SchemaError(ExocastError, ValueError):
     """A persisted document names a schema this version cannot read."""
+
+
+def from_object(cls, doc, where: str, convert=None, renamed=None):
+    """`cls` built from the JSON object `doc`. Its keys are `cls`'s fields,
+    under the JSON name `renamed` gives a field, if any. A field without a
+    default is required, and `convert[key]` maps that key's value first. A
+    misspelt key is an error, never a silent fallback to a default."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{where} must be a JSON object")
+    renamed, convert = renamed or {}, convert or {}
+    by_key = {renamed.get(f.name, f.name): f for f in fields(cls)}
+    unknown = sorted(set(doc) - set(by_key))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    missing = [key for key, f in by_key.items()
+               if key not in doc and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(missing)}")
+    return cls(**{by_key[key].name: convert.get(key, lambda v: v)(v) for key, v in doc.items()})
+
+
+def read_document(path: str | Path, schema: str) -> dict:
+    """The JSON object in the file `path`; SchemaError naming the file unless
+    it is an object whose "schema" is `schema`."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: a {schema} document is a JSON object, not {type(doc).__name__}")
+    if doc.get("schema") != schema:
+        raise SchemaError(f"{path}: schema {doc.get('schema')!r} is not {schema}")
+    return doc

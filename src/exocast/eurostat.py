@@ -15,7 +15,6 @@ import json
 import logging
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -24,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotCachedError, PayloadError, SchemaError
+from .errors import NotCachedError, PayloadError, read_document
 from .series import Month, MonthlySeries
 
 __all__ = [
@@ -142,16 +141,13 @@ class _Throttle:
 
     def __init__(self, interval: float = MIN_REQUEST_INTERVAL):
         self.interval = interval
-        self._lock = threading.Lock()
         self._last = 0.0
 
     def wait(self) -> None:
-        with self._lock:
-            now = time.monotonic()
-            delta = self._last + self.interval - now
-            if delta > 0:
-                time.sleep(delta)
-            self._last = time.monotonic()
+        delta = self._last + self.interval - time.monotonic()
+        if delta > 0:
+            time.sleep(delta)
+        self._last = time.monotonic()
 
 
 _throttle = _Throttle()
@@ -439,9 +435,7 @@ def load_catalog(root: str | Path) -> CatalogSnapshot:
     path = Path(root) / "catalog.json"
     if not path.exists():
         raise NotCachedError(f"no catalog cached under {root}")
-    doc = json.loads(path.read_text())
-    if doc.get("schema") != CATALOG_SCHEMA:
-        raise PayloadError(f"unknown catalog schema {doc.get('schema')!r}")
+    doc = read_document(path, CATALOG_SCHEMA)
     descriptors = tuple(
         DatasetDescriptor(
             code=e["code"],
@@ -478,9 +472,7 @@ def _series_path(root: str | Path, dataset_code: str) -> Path:
 
 
 def _read_series(path: Path) -> tuple[SeriesKey, MonthlySeries]:
-    doc = json.loads(path.read_text())
-    if doc.get("schema") != SERIES_SCHEMA:
-        raise SchemaError(f"{path}: unknown cached series schema {doc.get('schema')!r}")
+    doc = read_document(path, SERIES_SCHEMA)
     key = SeriesKey(doc["dataset_code"], tuple((n, v) for n, v in doc["dimension_values"]))
     return key, MonthlySeries(doc["series_id"], Month.parse(doc["start"]), doc["values"])
 
@@ -528,10 +520,7 @@ def read_manifest(root: str | Path) -> dict:
     path = Path(root) / "manifest.json"
     if not path.exists():
         raise NotCachedError(f"no manifest under {root}")
-    doc = json.loads(path.read_text())
-    if doc.get("schema") != MANIFEST_SCHEMA:
-        raise SchemaError(f"{path}: cache format {doc.get('schema')!r} is not {MANIFEST_SCHEMA}")
-    return doc
+    return read_document(path, MANIFEST_SCHEMA)
 
 
 def run_funnel(

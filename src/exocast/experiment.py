@@ -11,19 +11,20 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from . import models
-from .errors import ConfigError, ExocastError, SchemaError
+from .errors import ConfigError, ExocastError, from_object, read_document
 from .eurostat import list_cached_series
 from .models import ModelSpec  # re-exported: experiment configs are built from here
 from .selection import (
+    FORWARD_CAP,
+    MUTUAL_CORRELATION_THRESHOLD,
+    TARGET_CORRELATION_THRESHOLD,
     CandidateSet,
     SelectionResult,
     SelectionTrace,
@@ -31,6 +32,7 @@ from .selection import (
     export_trace_csv,
     forward_select,
     lasso_select,
+    load_result,
     save_result,
     validate_manual,
 )
@@ -112,8 +114,8 @@ class RangeSpec:
 class MethodSpec:
     name: str
     manual_ids: tuple[str, ...] = ()
-    target_threshold: float = 0.75
-    mutual_threshold: float = 0.30
+    target_threshold: float = TARGET_CORRELATION_THRESHOLD
+    mutual_threshold: float = MUTUAL_CORRELATION_THRESHOLD
 
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
@@ -126,24 +128,35 @@ class MethodSpec:
         return self.name
 
 
+# The DatasetSpec fields each dataset kind reads besides its label and kind;
+# it needs those that default to None and takes no other.
+DATASET_KINDS = {
+    "synthetic": ("synthetic",),
+    "csv": ("target_csv", "indicator_csvs"),
+    "eurostat_cache": ("target_csv", "cache_root"),
+}
+# The config key of each DatasetSpec field whose name differs from it.
+DATASET_KEYS = {"synthetic": "spec", "target_csv": "target", "indicator_csvs": "indicators"}
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     label: str
-    kind: str  # synthetic | csv | eurostat_cache
+    kind: str  # a key of DATASET_KINDS
     synthetic: SyntheticSpec | None = None
     target_csv: str | None = None
     indicator_csvs: tuple[str, ...] = ()
     cache_root: str | None = None
 
     def __post_init__(self):
-        if self.kind == "synthetic" and self.synthetic is None:
-            raise ValueError("synthetic dataset needs a spec")
-        if self.kind == "csv" and self.target_csv is None:
-            raise ValueError("csv dataset needs a target path")
-        if self.kind == "eurostat_cache" and (self.cache_root is None or self.target_csv is None):
-            raise ValueError("eurostat_cache dataset needs cache_root and target")
-        if self.kind not in ("synthetic", "csv", "eurostat_cache"):
+        if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
+        for f in fields(self)[2:]:
+            value, key = getattr(self, f.name), DATASET_KEYS.get(f.name, f.name)
+            if f.name not in DATASET_KINDS[self.kind] and value != f.default:
+                raise ValueError(f"{self.kind} dataset {self.label!r} takes no {key}")
+            if f.name in DATASET_KINDS[self.kind] and value is None:
+                raise ValueError(f"{self.kind} dataset {self.label!r} needs {key}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +167,7 @@ class ExperimentConfig:
     models: tuple[ModelSpec, ...]
     horizon: int = 12
     preprocessing: PreprocessingSpec = PreprocessingSpec()
-    forward_cap: int = 20
-    jobs: int = 1
+    forward_cap: int = FORWARD_CAP
     out_dir: str | None = None
     # Off by default: the protocol scores one terminal window. With k > 1
     # each cell is re-run at k one-month-stepped origins (training end moved
@@ -440,14 +452,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts
                 origins.append((train_raw, test_target.values, test_target.months))
             groups.append((spec.label, rng, origins))
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(partial(_run_group, config), groups))
-    else:
-        outcomes = [_run_group(config, group) for group in groups]
-
     cells: dict[CellKey, CellResult] = {}
-    for result, cell_art in (outcome for group in outcomes for outcome in group):
+    for result, cell_art in (outcome for group in groups for outcome in _run_group(config, group)):
         cells[cell_art.key] = result
         artifacts.cells[cell_art.key] = cell_art
         if cell_art.selection is not None and cell_art.selection.trace is not None:
@@ -654,9 +660,7 @@ def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
     path = out_dir / "artifacts.json"
     if not path.is_file():
         raise ExocastError(f"no finished run in {out_dir}: {path.name} is missing")
-    doc = json.loads(path.read_text())
-    if doc.get("schema") != "exocast.experiment.artifacts/1":
-        raise SchemaError(f"{path}: unknown artifacts schema {doc.get('schema')!r}")
+    doc = read_document(path, "exocast.experiment.artifacts/1")
     artifacts = RunArtifacts(horizon=doc["horizon"])
     cells: dict[CellKey, CellResult] = {}
     row_keys = [tuple(k) for k in doc["row_keys"]]
@@ -671,8 +675,6 @@ def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
             forecast=tuple(entry["forecast"]),
         )
     # Selection traces for the score-development plot live in the cell dirs.
-    from .selection import load_result
-
     for key in sorted(artifacts.cells):
         folder = out_dir / "cells" / "__".join(_safe(part) for part in key)
         selection_path = folder / "selection.json"
@@ -687,23 +689,6 @@ def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
 # ---------------------------------------------------------------------------
 # Config file loading (schema printed by `exocast experiment --print-schema`)
 
-CONFIG_KEYS = ("datasets", "ranges", "horizon", "methods", "models", "preprocessing",
-               "forward_cap", "jobs", "out_dir", "rolling_origins")
-
-
-def _checked(doc, where: str, allowed, required=()) -> dict:
-    """`doc`, a JSON object whose keys are all `allowed` and include `required`."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
-    missing = [key for key in required if key not in doc]
-    if missing:
-        raise ValueError(f"{where} lacks {', '.join(missing)}")
-    return doc
-
-
 def load_config(path: str | Path, *, seed_override: int | None = None) -> ExperimentConfig:
     """The experiment config in the JSON file `path`. A file that cannot be
     read or is not a valid config raises ConfigError naming it."""
@@ -711,83 +696,48 @@ def load_config(path: str | Path, *, seed_override: int | None = None) -> Experi
         return _config_from_doc(json.loads(Path(path).read_text()), seed_override)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
-    except KeyError as exc:
-        raise ConfigError(f"config {path}: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:  # a JSON syntax error is a ValueError
         raise ConfigError(f"config {path}: {exc}") from exc
 
 
 def _config_from_doc(doc, seed_override: int | None) -> ExperimentConfig:
-    _checked(doc, "config", CONFIG_KEYS, required=("datasets", "ranges", "methods", "models"))
-    datasets = []
-    for entry in doc["datasets"]:
-        kind = entry["kind"]
-        if kind == "synthetic":
-            spec_fields = fields(SyntheticSpec)
-            spec_doc = dict(_checked(entry["spec"], f"dataset {entry['label']!r} spec",
-                                     [f.name for f in spec_fields],
-                                     required=[f.name for f in spec_fields if f.default is MISSING]))
-            if seed_override is not None:
-                spec_doc["seed"] = seed_override
-            start = Month.parse(spec_doc.pop("start", "2016-01"))
-            spec_doc["driver_betas"] = tuple(spec_doc.get("driver_betas", ()))
-            synth = SyntheticSpec(start=start, **spec_doc)
-            datasets.append(DatasetSpec(entry["label"], "synthetic", synthetic=synth))
-        elif kind == "csv":
-            datasets.append(
-                DatasetSpec(
-                    entry["label"],
-                    "csv",
-                    target_csv=entry["target"],
-                    indicator_csvs=tuple(entry.get("indicators", ())),
-                )
-            )
-        elif kind == "eurostat_cache":
-            datasets.append(
-                DatasetSpec(
-                    entry["label"],
-                    "eurostat_cache",
-                    target_csv=entry["target"],
-                    cache_root=entry["cache_root"],
-                )
-            )
-        else:
-            raise ValueError(f"unknown dataset kind {kind!r}")
+    """Each entry is its spec's dataclass, built by `from_object`."""
+    if isinstance(doc, dict) and "jobs" in doc:
+        # The grid runs one group at a time; configs written for the removed
+        # thread pool may still say so.
+        if doc["jobs"] != 1:
+            raise ValueError(f"jobs is {doc['jobs']!r}; the grid runs one group at a time, so drop the key")
+        doc = {key: value for key, value in doc.items() if key != "jobs"}
 
-    methods = []
-    for entry in doc["methods"]:
+    def synthetic(entry, spec_doc) -> SyntheticSpec:
+        spec = from_object(SyntheticSpec, spec_doc, f"dataset {entry['label']!r} spec",
+                           convert={"start": Month.parse, "driver_betas": tuple})
+        return spec if seed_override is None else replace(spec, seed=seed_override)
+
+    def dataset(entry) -> DatasetSpec:
+        return from_object(DatasetSpec, entry, "dataset", renamed=DATASET_KEYS, convert={
+            "spec": lambda spec_doc: synthetic(entry, spec_doc), "indicators": tuple,
+        })
+
+    def method(entry) -> MethodSpec:
         if isinstance(entry, str):
-            methods.append(MethodSpec(entry))
-        else:
-            methods.append(
-                MethodSpec(
-                    entry["name"],
-                    manual_ids=tuple(entry.get("ids", ())),
-                    target_threshold=entry.get("target_threshold", 0.75),
-                    mutual_threshold=entry.get("mutual_threshold", 0.30),
-                )
-            )
+            return MethodSpec(entry)
+        return from_object(MethodSpec, entry, "method", renamed={"manual_ids": "ids"},
+                           convert={"ids": tuple})
 
-    prep_doc = _checked(doc.get("preprocessing", {}), "preprocessing",
-                        [f.name for f in fields(PreprocessingSpec)])
-    return ExperimentConfig(
-        datasets=tuple(datasets),
-        ranges=tuple(
-            RangeSpec(Month.parse(r["start"]), Month.parse(r["end"])) for r in doc["ranges"]
-        ),
-        methods=tuple(methods),
-        models=tuple(models.spec_from_config(entry) for entry in doc["models"]),
-        horizon=doc.get("horizon", 12),
-        preprocessing=PreprocessingSpec(
-            smooth_window=prep_doc.get("smooth_window", 1),
-            detrend=prep_doc.get("detrend", False),
-            normalize=prep_doc.get("normalize", True),
-        ),
-        forward_cap=doc.get("forward_cap", 20),
-        jobs=doc.get("jobs", 1),
-        out_dir=doc.get("out_dir"),
-        rolling_origins=doc.get("rolling_origins", 1),
-    )
+    def range_(entry) -> RangeSpec:
+        return from_object(RangeSpec, entry, "range", convert={"start": Month.parse, "end": Month.parse})
+
+    def each(build):
+        return lambda entries: tuple(map(build, entries))
+
+    return from_object(ExperimentConfig, doc, "config", convert={
+        "datasets": each(dataset),
+        "ranges": each(range_),
+        "methods": each(method),
+        "models": each(models.spec_from_config),
+        "preprocessing": lambda entry: from_object(PreprocessingSpec, entry, "preprocessing"),
+    })
 
 
 CONFIG_SCHEMA_TEXT = """\
@@ -815,13 +765,14 @@ Experiment config (JSON object):
               // an additive "config" may omit keys (they default); unknown keys are errors
   "preprocessing": {"smooth_window": 1, "detrend": false, "normalize": true},
   "forward_cap": 20,                 // greedy ladder cap
-  "jobs": 1,                         // thread pool over dataset x range groups
   "rolling_origins": 1,              // >1 averages MAE over stepped-back origins
   "out_dir": "runs/exp1"             // artifacts land here (optional)
 }
-"datasets", "ranges", "methods" and "models" are required. An unknown key at
-the top level, in "preprocessing" or in a synthetic "spec" is an error, as is
-a "spec" without "n_months".
+"datasets", "ranges", "methods" and "models" are required. An unknown key in
+any entry (each dataset kind takes only its own), an unknown model name, a
+sarimax model with both or neither of "order" and "grid", and an additive
+model with "auto": true and a "config" are errors, as is a "spec" without
+"n_months".
 Series CSV format: header "period,value"; period is YYYY-MM; empty value
 field marks a gap. One series per file; the file stem is the series id.
 """

@@ -8,11 +8,12 @@ which module serves each; reloading dispatches on the document's `schema`.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 from . import additive, sarimax
-from .errors import SchemaError
+from .errors import SchemaError, from_object
 from .series import AlignedFrame, Month, MonthlySeries, NormalizationParams
 from .sarimax import RegressorForecast
 
@@ -42,8 +43,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.name not in ("sarimax", "additive"):
             raise ValueError(f"unknown model {self.name!r}")
-        if self.name == "sarimax" and self.order is None and not self.grid:
-            raise ValueError("sarimax model needs an order or a grid")
+        if self.name == "sarimax" and (self.order is None) == (not self.grid):
+            raise ValueError("sarimax model needs an order or a grid, not both")
+        if self.name == "sarimax" and self.additive_config is not None:
+            raise ValueError("sarimax model takes no additive config")
+        if self.name == "additive" and (self.order is not None or self.grid):
+            raise ValueError("additive model takes no order or grid")
 
     @property
     def label(self) -> str:
@@ -62,15 +67,18 @@ def _order_from_list(values) -> sarimax.SarimaxOrder:
 
 
 def spec_from_config(entry: dict) -> ModelSpec:
-    """One entry of an experiment config's "models" list."""
-    if entry["name"] == "sarimax":
-        if "order" in entry:
-            return ModelSpec("sarimax", order=_order_from_list(entry["order"]))
-        return ModelSpec("sarimax", grid=tuple(_order_from_list(o) for o in entry["grid"]))
-    cfg = None
-    if not entry.get("auto", "config" not in entry):
-        cfg = additive.config_from_doc(entry["config"])
-    return ModelSpec("additive", additive_config=cfg)
+    """One entry of an experiment config's "models" list. "auto", if given,
+    says whether an additive entry lacks a "config"."""
+    doc = dict(entry) if isinstance(entry, dict) else entry
+    auto = doc.pop("auto", None) if isinstance(doc, dict) else None
+    spec = from_object(ModelSpec, doc, "model", renamed={"additive_config": "config"}, convert={
+        "order": _order_from_list,
+        "grid": lambda orders: tuple(map(_order_from_list, orders)),
+        "config": additive.config_from_doc,
+    })
+    if auto is not None and (spec.name, bool(auto)) != ("additive", spec.additive_config is None):
+        raise ValueError(f'{spec.label} model cannot take "auto": {json.dumps(auto)}')
+    return spec
 
 
 def fit(

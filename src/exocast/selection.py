@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, SchemaError, SelectionError
+from .errors import ConvergenceFailureError, SelectionError, read_document
 from .series import AlignedFrame, pearson_correlation
 
 __all__ = [
@@ -451,9 +451,7 @@ def save_result(result: SelectionResult, path: str | Path) -> None:
 
 
 def load_result(path: str | Path) -> SelectionResult:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != "exocast.selection.result/1":
-        raise SchemaError(f"{path}: unknown selection-result schema {doc.get('schema')!r}")
+    doc = read_document(path, "exocast.selection.result/1")
     trace = None
     if "trace" in doc:
         trace = SelectionTrace(

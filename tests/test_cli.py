@@ -293,6 +293,12 @@ class TestMalformedInput:
         (run / "artifacts.json").write_text(json.dumps({"schema": "exocast.unknown/1"}))
         self._fails_cleanly(capsys, ["report", "--run-dir", str(run)], "exocast.unknown/1")
 
+    def test_report_on_artifacts_that_are_not_an_object(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "artifacts.json").write_text("[]")
+        self._fails_cleanly(capsys, ["report", "--run-dir", str(run)], "artifacts.json")
+
     def test_report_without_a_run(self, tmp_path, capsys):
         self._fails_cleanly(capsys, ["report", "--run-dir", str(tmp_path / "absent")], "artifacts.json")
 

@@ -574,6 +574,28 @@ class TestOldCacheFormat:
         assert "exocast.eurostat.manifest/1" in err
 
 
+class TestDocumentsThatAreNotObjects:
+    @pytest.mark.parametrize("name, read", [
+        ("manifest.json", read_manifest),
+        ("series/STS_A.json", list_cached_series),
+        ("catalog.json", load_catalog),
+    ], ids=["read_manifest", "read_series", "load_catalog"])
+    def test_rejected_as_a_schema_error(self, tmp_path, name, read):
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("[]")
+        with pytest.raises(SchemaError, match="JSON object, not list"):
+            read(tmp_path)
+
+    def test_offline_fetch_on_it_exits_2(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text("[]")
+        argv = ["fetch", "--cache-dir", str(tmp_path), "--since", "2016-01", "--offline"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "manifest.json" in err
+
+
 class TestLivePath:
     def test_mocked_http_funnel(self, tmp_path, monkeypatch):
         """Exercise the live code path (URL building, parsing, caching) with

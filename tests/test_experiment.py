@@ -7,7 +7,13 @@ import pytest
 
 from exocast import experiment, models
 from exocast.additive import AdditiveConfig
-from exocast.errors import ConfigError, DegenerateRangeError, InsufficientDataError, SelectionError
+from exocast.errors import (
+    ConfigError,
+    DegenerateRangeError,
+    InsufficientDataError,
+    SchemaError,
+    SelectionError,
+)
 from exocast.experiment import (
     DatasetSpec,
     ExperimentConfig,
@@ -268,22 +274,6 @@ class TestIsolationAndDeterminism:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
-    def test_jobs_do_not_change_results(self, tmp_path):
-        base = dict(
-            datasets=(synth_dataset(),),
-            ranges=(RangeSpec(M(2016, 1), M(2021, 4)),),
-            methods=(MethodSpec("none"), MethodSpec("correlation"), MethodSpec("lasso")),
-            models=(ModelSpec("sarimax", order=SarimaxOrder(p=1)),
-                    ModelSpec("additive", additive_config=LEAN_ADDITIVE)),
-            horizon=12,
-        )
-        t1, _ = run_experiment(ExperimentConfig(**base, jobs=1))
-        t8, _ = run_experiment(ExperimentConfig(**base, jobs=8))
-        p1, p8 = tmp_path / "j1.csv", tmp_path / "j8.csv"
-        emit_table(t1, "csv", p1)
-        emit_table(t8, "csv", p8)
-        assert p1.read_bytes() == p8.read_bytes()
-
     def test_n_exog_matches_persisted_selection(self, tmp_path):
         config = quick_config(
             methods=(MethodSpec("forward"),),
@@ -374,6 +364,12 @@ class TestTableAndPlots:
         assert reloaded_art.traces  # forward traces reload for score development
 
 
+    def test_reload_of_artifacts_that_are_not_an_object(self, tmp_path):
+        (tmp_path / "artifacts.json").write_text("[]")
+        with pytest.raises(SchemaError, match="JSON object, not list"):
+            reload_run(tmp_path)
+
+
 class TestConfigFile:
     def test_load_and_run(self, tmp_path):
         doc = {
@@ -461,6 +457,20 @@ class TestConfigFile:
          "dataset 's' spec lacks n_months"),
         ({"ranges": None}, "config lacks ranges"),
         ({"preprocessing": [3]}, "preprocessing must be a JSON object"),
+        ({"models": [{"name": "sarimx", "order": [0, 0, 0, 0, 0, 0, 12]}]},
+         "unknown model 'sarimx'"),
+        ({"models": [{"name": "sarimax", "order": [0, 0, 0, 0, 0, 0, 12],
+                      "grid": [[1, 0, 0, 0, 0, 0, 12]]}]},
+         "sarimax model needs an order or a grid, not both"),
+        ({"models": [{"name": "additive", "auto": True, "config": {"ar_lags": 2}}]},
+         'additive model cannot take "auto": true'),
+        ({"methods": [{"name": "correlation", "target_treshold": 0.1}]},
+         "unknown method keys: target_treshold"),
+        ({"ranges": [{"start": "2016-01", "end": "2017-04", "step": 1}]},
+         "unknown range keys: step"),
+        ({"datasets": [{"label": "d", "kind": "csv", "target": "t.csv", "cache_root": "cache"}]},
+         "csv dataset 'd' takes no cache_root"),
+        ({"jobs": 2}, "jobs is 2; the grid runs one group at a time, so drop the key"),
     ])
     def test_malformed_config_names_the_file_and_the_field(self, tmp_path, changes, message):
         path = tmp_path / "config.json"
@@ -471,9 +481,12 @@ class TestConfigFile:
         assert str(caught.value) == f"config {path}: {message}"
 
     def test_jobs_key_is_accepted(self, tmp_path):
+        """Configs written for the removed thread pool say "jobs": 1."""
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(self._doc(jobs=2)))
-        assert load_config(path).jobs == 2
+        path.write_text(json.dumps(self._doc(jobs=1)))
+        without = tmp_path / "without.json"
+        without.write_text(json.dumps(self._doc()))
+        assert load_config(path) == load_config(without)
 
     def test_schema_text_mentions_all_sections(self):
         text = config_schema_text()

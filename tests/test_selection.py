@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from exocast.errors import SelectionError, UndefinedCorrelationError
+from exocast.errors import SchemaError, SelectionError, UndefinedCorrelationError
 from exocast.selection import (
     CandidateSet,
     SelectionTrace,
@@ -537,6 +537,12 @@ class TestPersistence:
         assert loaded.selected_ids == result.selected_ids
         assert loaded.score == result.score
         assert loaded.trace == result.trace
+
+    def test_result_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "selection.json"
+        path.write_text("[]")
+        with pytest.raises(SchemaError, match="JSON object, not list"):
+            load_result(path)
 
     def test_trace_csv(self, tmp_path):
         trace = SelectionTrace((((), 10.0), (("a",), 8.0), (("a", "b"), 9.0)))
