@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import AlignedFrame, Month, MonthlySeries, align_merge
+from .series import AlignedFrame, Month, MonthlySeries, align_merge, smooth
 
 __all__ = ["SyntheticSpec", "SyntheticTruth", "generate_synthetic"]
 
@@ -60,16 +60,6 @@ class SyntheticTruth:
     betas: tuple[float, ...]
 
 
-def _smooth(values: np.ndarray, window: int = DRIVER_SMOOTH_WINDOW) -> np.ndarray:
-    half = window // 2
-    n = len(values)
-    out = np.empty(n)
-    for i in range(n):
-        lo, hi = max(0, i - half), min(n, i + half + 1)
-        out[i] = values[lo:hi].mean()
-    return out
-
-
 def generate_synthetic(spec: SyntheticSpec) -> tuple[AlignedFrame, SyntheticTruth]:
     """Target = AR(1) base + yearly sinusoid + sum(beta * lagged driver) + noise.
 
@@ -79,6 +69,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[AlignedFrame, SyntheticTrut
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_months
+    window = min(DRIVER_SMOOTH_WINDOW, n - 1 + n % 2)  # the largest odd length that fits
     width = len(str(spec.n_indicators))
     ids = [f"ind{i + 1:0{max(width, 2)}d}" for i in range(spec.n_indicators)]
     driver_idx = sorted(
@@ -92,7 +83,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[AlignedFrame, SyntheticTrut
         if i in driver_idx:
             drift = rng.uniform(*DRIVER_DRIFT_RANGE)
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            walk = _smooth(walk + sign * drift * np.arange(n))
+            walk = smooth(walk + sign * drift * np.arange(n), window)
             rank = driver_idx.index(i)
             lo, hi = DRIVER_LEAD_RANGES[min(rank, len(DRIVER_LEAD_RANGES) - 1)]
             leads[i] = int(rng.integers(lo, hi + 1))

@@ -33,6 +33,13 @@ class TestGenerate:
         assert set(truth.driver_ids) <= set(frame.indicator_ids)
         assert truth.betas == (1.0, 2.0)
 
+    def test_series_shorter_than_the_driver_smoothing_window(self):
+        frame, truth = generate_synthetic(
+            SyntheticSpec(n_months=5, n_indicators=2, n_drivers=1, driver_betas=(1.0,), seed=0)
+        )
+        assert len(frame) == 5 and len(truth.driver_ids) == 1
+        assert not frame.target.has_missing
+
     def test_same_seed_bit_identical(self):
         spec = SyntheticSpec(n_months=50, n_indicators=4, n_drivers=1, driver_betas=(1.5,), seed=3)
         a, ta = generate_synthetic(spec)
