@@ -423,7 +423,9 @@ def config_from_doc(doc: dict) -> AdditiveConfig:
     defaults; unknown keys are rejected."""
     return from_object(AdditiveConfig, doc, "additive config", convert={
         "seasonalities": lambda v: tuple((float(p), int(o)) for p, o in v),
-        "events": lambda v: tuple((eid, frozenset(map(Month.parse, months))) for eid, months in v),
+        "events": lambda v: tuple(
+            (eid, frozenset(Month.parse(m) for m in months)) for eid, months in v
+        ),
         "future_known": tuple,
     })
 

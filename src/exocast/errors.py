@@ -1,5 +1,5 @@
-"""Shared exception types, and the two readers of JSON documents that raise
-them: one for config entries, one for persisted files."""
+"""Shared exception types, and the two checked readers of JSON documents:
+`from_object` for config entries, `read_document` for persisted files."""
 
 from __future__ import annotations
 

@@ -703,10 +703,12 @@ def load_config(path: str | Path, *, seed_override: int | None = None) -> Experi
 def _config_from_doc(doc, seed_override: int | None) -> ExperimentConfig:
     """Each entry is its spec's dataclass, built by `from_object`."""
     if isinstance(doc, dict) and "jobs" in doc:
-        # The grid runs one group at a time; configs written for the removed
-        # thread pool may still say so.
+        # "jobs": 1 is what the grid does, one group at a time; configs
+        # written when it took a thread count may still say so.
         if doc["jobs"] != 1:
-            raise ValueError(f"jobs is {doc['jobs']!r}; the grid runs one group at a time, so drop the key")
+            raise ValueError(
+                f"jobs is {doc['jobs']!r}; the grid runs one group at a time, so drop the key"
+            )
         doc = {key: value for key, value in doc.items() if key != "jobs"}
 
     def synthetic(entry, spec_doc) -> SyntheticSpec:
@@ -726,7 +728,8 @@ def _config_from_doc(doc, seed_override: int | None) -> ExperimentConfig:
                            convert={"ids": tuple})
 
     def range_(entry) -> RangeSpec:
-        return from_object(RangeSpec, entry, "range", convert={"start": Month.parse, "end": Month.parse})
+        return from_object(RangeSpec, entry, "range",
+                           convert={"start": Month.parse, "end": Month.parse})
 
     def each(build):
         return lambda entries: tuple(map(build, entries))
