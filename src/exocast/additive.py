@@ -20,7 +20,7 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, from_object
+from .errors import InsufficientDataError, from_object, to_object
 from .series import AlignedFrame, Month, MonthlySeries
 from .sarimax import RegressorForecast
 
@@ -38,7 +38,6 @@ __all__ = [
     "auto_config",
     "decompose",
     "export_components_csv",
-    "config_to_doc",
     "config_from_doc",
     "to_doc",
     "from_doc",
@@ -405,19 +404,6 @@ def export_components_csv(fitted: FittedAdditive, train: AlignedFrame, path: str
 # ---------------------------------------------------------------------------
 # JSON serialization (schema documented in docs/schemas.md)
 
-def config_to_doc(config: AdditiveConfig) -> dict:
-    return {
-        "n_changepoints": config.n_changepoints,
-        "changepoint_range": config.changepoint_range,
-        "seasonalities": [list(sp) for sp in config.seasonalities],
-        "ar_lags": config.ar_lags,
-        "regressor_lags": config.regressor_lags,
-        "events": [[eid, sorted(str(m) for m in months)] for eid, months in config.events],
-        "ridge_lambda": config.ridge_lambda,
-        "future_known": list(config.future_known),
-    }
-
-
 def config_from_doc(doc: dict) -> AdditiveConfig:
     """Config from its JSON form. Missing keys take AdditiveConfig's
     defaults; unknown keys are rejected."""
@@ -426,39 +412,20 @@ def config_from_doc(doc: dict) -> AdditiveConfig:
         "events": lambda v: tuple(
             (eid, frozenset(Month.parse(m) for m in months)) for eid, months in v
         ),
-        "future_known": tuple,
     })
 
 
 def to_doc(fitted: FittedAdditive) -> dict:
-    return {
-        "schema": SCHEMA,
-        "config": config_to_doc(fitted.config),
-        "layout": [list(c) for c in fitted.layout],
-        "coefficients": list(fitted.coefficients),
-        "target_id": fitted.target_id,
-        "indicator_ids": list(fitted.indicator_ids),
-        "train_start": str(fitted.train_start),
-        "train_length": fitted.train_length,
-        "target_tail": list(fitted.target_tail),
-        "regressor_tails": [list(t) for t in fitted.regressor_tails],
-        "fitted_values": list(fitted.fitted_values),
-        "fitted_start": str(fitted.fitted_start),
-    }
+    events = {"events": lambda v: [[eid, sorted(map(str, months))] for eid, months in v]}
+    return {"schema": SCHEMA, **to_object(fitted, convert={
+        "config": lambda config: to_object(config, convert=events),
+        "train_start": str,
+        "fitted_start": str,
+    })}
 
 
 def from_doc(doc: dict) -> FittedAdditive:
-    """Inverse of `to_doc`; `models.from_doc` has matched the schema."""
-    return FittedAdditive(
-        config=config_from_doc(doc["config"]),
-        layout=tuple((t, n) for t, n in doc["layout"]),
-        coefficients=tuple(doc["coefficients"]),
-        target_id=doc["target_id"],
-        indicator_ids=tuple(doc["indicator_ids"]),
-        train_start=Month.parse(doc["train_start"]),
-        train_length=doc["train_length"],
-        target_tail=tuple(doc["target_tail"]),
-        regressor_tails=tuple(tuple(t) for t in doc["regressor_tails"]),
-        fitted_values=tuple(doc["fitted_values"]),
-        fitted_start=Month.parse(doc["fitted_start"]),
-    )
+    """Inverse of `to_doc`, given the document without its schema."""
+    return from_object(FittedAdditive, doc, "model", convert={
+        "config": config_from_doc, "train_start": Month.parse, "fitted_start": Month.parse,
+    })

@@ -224,7 +224,7 @@ def cmd_forecast(args) -> int:
         doc = json.loads(_read_input(args.model_file, "--model-file"))
     except json.JSONDecodeError as exc:
         raise ExocastError(f"--model-file {args.model_file} is not JSON: {exc}") from exc
-    fitted = models.from_doc(doc)
+    fitted = models.from_doc(doc, args.model_file)
     train = _training_frame_of(fitted, config)
     out = Path(args.out or config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,12 @@
-"""Shared exception types, and the two checked readers of JSON documents:
-`from_object` for config entries, `read_document` for persisted files."""
+"""Shared exception types, and the one codec of JSON documents: `to_object`
+writes a dataclass as a JSON object and `from_object` reads it back, for
+config entries and persisted files alike; `read_document` reads a persisted
+file and turns whatever it cannot use into a SchemaError naming the file."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 
@@ -64,11 +66,35 @@ class SchemaError(ExocastError, ValueError):
     """A persisted document names a schema this version cannot read."""
 
 
+def to_object(obj, convert=None, renamed=None) -> dict:
+    """The JSON object of the dataclass `obj` that `from_object` reads back:
+    its fields in order, each under the JSON name `renamed` gives it, if any.
+    `convert[key]` maps a value that is not None, and a nested dataclass
+    is written by `to_object`; tuples become JSON arrays when dumped."""
+    renamed, convert = renamed or {}, convert or {}
+    doc = {}
+    for f in fields(obj):
+        key, value = renamed.get(f.name, f.name), getattr(obj, f.name)
+        if value is not None and key in convert:
+            value = convert[key](value)
+        elif is_dataclass(value):
+            value = to_object(value)
+        doc[key] = value
+    return doc
+
+
+def _tuples(value):
+    """`value` with every JSON array in it read as a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def from_object(cls, doc, where: str, convert=None, renamed=None):
     """`cls` built from the JSON object `doc`. Its keys are `cls`'s fields,
     under the JSON name `renamed` gives a field, if any. A field without a
-    default is required, and `convert[key]` maps that key's value first. A
-    misspelt key is an error, never a silent fallback to a default."""
+    default is required, and `convert[key]` maps that key's value first; a
+    null stays None for a field that defaults to None, and any other value
+    has its arrays read as tuples. A misspelt key is an error, never a
+    silent fallback to a default."""
     if not isinstance(doc, dict):
         raise TypeError(f"{where} must be a JSON object")
     renamed, convert = renamed or {}, convert or {}
@@ -80,15 +106,32 @@ def from_object(cls, doc, where: str, convert=None, renamed=None):
                if key not in doc and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"{where} lacks {', '.join(missing)}")
-    return cls(**{by_key[key].name: convert.get(key, lambda v: v)(v) for key, v in doc.items()})
+    return cls(**{
+        by_key[key].name: v if v is None and by_key[key].default is None
+        else convert.get(key, _tuples)(v)
+        for key, v in doc.items()
+    })
 
 
-def read_document(path: str | Path, schema: str) -> dict:
-    """The JSON object in the file `path`; SchemaError naming the file unless
-    it is an object whose "schema" is `schema`."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: a {schema} document is a JSON object, not {type(doc).__name__}")
-    if doc.get("schema") != schema:
-        raise SchemaError(f"{path}: schema {doc.get('schema')!r} is not {schema}")
-    return doc
+def read_document(path: str | Path, schema: str | tuple[str, ...], build=None, doc=None):
+    """`build` applied to the JSON object in the file `path` without its
+    "schema", which must be `schema` (one of them, for a tuple); the whole
+    object without `build`. `doc`, if given, is the file's parsed text.
+    Text that is not JSON, a value that is not an object, another schema and
+    a document `build` cannot read (a key missing, unknown or malformed)
+    raise SchemaError naming the file."""
+    schemas = schema if isinstance(schema, tuple) else (schema,)
+    try:
+        doc = json.loads(Path(path).read_text()) if doc is None else doc
+        if not isinstance(doc, dict):
+            raise TypeError(f"a {' or '.join(schemas)} document is a JSON object, "
+                            f"not {type(doc).__name__}")
+        if doc.get("schema") not in schemas:
+            raise ValueError(f"schema {doc.get('schema')!r} is not {' or '.join(schemas)}")
+        if build is None:
+            return doc
+        return build({key: value for key, value in doc.items() if key != "schema"})
+    except KeyError as exc:
+        raise SchemaError(f"{path}: lacks {exc.args[0]}") from exc
+    except (LookupError, TypeError, ValueError) as exc:  # a JSON syntax error is a ValueError
+        raise SchemaError(f"{path}: {exc}") from exc

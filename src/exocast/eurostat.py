@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotCachedError, PayloadError, read_document
+from .errors import NotCachedError, PayloadError, from_object, read_document, to_object
 from .series import Month, MonthlySeries
 
 __all__ = [
@@ -407,27 +407,20 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _descriptor_to_dict(d: DatasetDescriptor) -> dict:
-    return {
-        "code": d.code,
-        "title": d.title,
-        "frequency": d.frequency,
-        "dimensions": list(d.dimension_names),
-        "earliest_period": None if d.earliest_period is None else str(d.earliest_period),
-        "parameters": list(d.source_parameters),
-    }
+# The catalog's JSON name of each field whose name differs from it.
+CATALOG_KEYS = {
+    "descriptors": "datasets", "dimension_names": "dimensions", "source_parameters": "parameters",
+}
 
 
 def store_catalog(root: str | Path, snapshot: CatalogSnapshot) -> Path:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     path = root / "catalog.json"
-    doc = {
-        "schema": CATALOG_SCHEMA,
-        "fetched_at": snapshot.fetched_at,
-        "datasets": [_descriptor_to_dict(d) for d in snapshot.descriptors],
-    }
-    _atomic_write(path, json.dumps(doc, indent=2))
+    doc = to_object(snapshot, {"datasets": lambda descriptors: [
+        to_object(d, {"earliest_period": str}, CATALOG_KEYS) for d in descriptors
+    ]}, CATALOG_KEYS)
+    _atomic_write(path, json.dumps({"schema": CATALOG_SCHEMA, **doc}, indent=2))
     return path
 
 
@@ -435,21 +428,16 @@ def load_catalog(root: str | Path) -> CatalogSnapshot:
     path = Path(root) / "catalog.json"
     if not path.exists():
         raise NotCachedError(f"no catalog cached under {root}")
-    doc = read_document(path, CATALOG_SCHEMA)
-    descriptors = tuple(
-        DatasetDescriptor(
-            code=e["code"],
-            title=e["title"],
-            frequency=e["frequency"],
-            dimension_names=tuple(e["dimensions"]),
-            earliest_period=None
-            if e["earliest_period"] is None
-            else Month.parse(e["earliest_period"]),
-            source_parameters=tuple(e["parameters"]),
-        )
-        for e in doc["datasets"]
-    )
-    return CatalogSnapshot(fetched_at=doc["fetched_at"], descriptors=descriptors)
+
+    def descriptor(entry) -> DatasetDescriptor:
+        return from_object(DatasetDescriptor, entry, "dataset", {
+            "earliest_period": lambda month: None if month is None else Month.parse(month),
+        }, CATALOG_KEYS)
+
+    return read_document(path, CATALOG_SCHEMA, lambda doc: from_object(
+        CatalogSnapshot, doc, "catalog", {"datasets": lambda ds: tuple(map(descriptor, ds))},
+        CATALOG_KEYS,
+    ))
 
 
 def store_series(root: str | Path, key: SeriesKey, series: MonthlySeries) -> Path:
@@ -472,9 +460,10 @@ def _series_path(root: str | Path, dataset_code: str) -> Path:
 
 
 def _read_series(path: Path) -> tuple[SeriesKey, MonthlySeries]:
-    doc = read_document(path, SERIES_SCHEMA)
-    key = SeriesKey(doc["dataset_code"], tuple((n, v) for n, v in doc["dimension_values"]))
-    return key, MonthlySeries(doc["series_id"], Month.parse(doc["start"]), doc["values"])
+    return read_document(path, SERIES_SCHEMA, lambda doc: (
+        SeriesKey(doc["dataset_code"], tuple((n, v) for n, v in doc["dimension_values"])),
+        MonthlySeries(doc["series_id"], Month.parse(doc["start"]), doc["values"]),
+    ))
 
 
 def _require_this_format(root: Path) -> None:

@@ -27,7 +27,6 @@ from .selection import (
     TARGET_CORRELATION_THRESHOLD,
     CandidateSet,
     SelectionResult,
-    SelectionTrace,
     correlation_select,
     export_trace_csv,
     forward_select,
@@ -229,7 +228,6 @@ class RunArtifacts:
     horizon: int
     cells: dict[CellKey, CellArtifacts] = field(default_factory=dict)
     truths: dict[str, SyntheticTruth] = field(default_factory=dict)
-    traces: list[SelectionTrace] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +454,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts
     for result, cell_art in (outcome for group in groups for outcome in _run_group(config, group)):
         cells[cell_art.key] = result
         artifacts.cells[cell_art.key] = cell_art
-        if cell_art.selection is not None and cell_art.selection.trace is not None:
-            artifacts.traces.append(cell_art.selection.trace)
 
     table = ResultsTable(
         row_keys=tuple((m.label, mo.label) for m in config.methods for mo in config.models),
@@ -573,12 +569,14 @@ def emit_plot_data(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
                 )
         written.append(path)
 
-    if artifacts.traces:
+    selections = (artifacts.cells[key].selection for key in sorted(artifacts.cells))
+    traces = [s.trace for s in selections if s is not None and s.trace is not None]
+    if traces:
         path = out_dir / "score_development.csv"
         with path.open("w", newline="") as fh:
             writer = _csv.writer(fh)
             writer.writerow(["n_vars", "mean_oos_mae"])
-            for n_vars, mean_score in score_development(artifacts.traces):
+            for n_vars, mean_score in score_development(traces):
                 writer.writerow([n_vars, repr(mean_score)])
         written.append(path)
 
@@ -600,6 +598,10 @@ def _safe(text: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in text)
 
 
+def _cell_dir(out_dir: Path, key: CellKey) -> Path:
+    return out_dir / "cells" / "__".join(map(_safe, key))
+
+
 def persist_run(
     out_dir: Path,
     config: ExperimentConfig,
@@ -610,9 +612,8 @@ def persist_run(
     emit_table(table, "csv", out_dir / "results.csv")
     emit_table(table, "markdown", out_dir / "results.md")
     emit_plot_data(artifacts, out_dir)
-    cell_root = out_dir / "cells"
     for key, cell in artifacts.cells.items():
-        folder = cell_root / "__".join(_safe(part) for part in key)
+        folder = _cell_dir(out_dir, key)
         folder.mkdir(parents=True, exist_ok=True)
         if cell.selection is not None:
             save_result(cell.selection, folder / "selection.json")
@@ -660,30 +661,30 @@ def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
     path = out_dir / "artifacts.json"
     if not path.is_file():
         raise ExocastError(f"no finished run in {out_dir}: {path.name} is missing")
-    doc = read_document(path, "exocast.experiment.artifacts/1")
-    artifacts = RunArtifacts(horizon=doc["horizon"])
-    cells: dict[CellKey, CellResult] = {}
-    row_keys = [tuple(k) for k in doc["row_keys"]]
-    col_keys = list(doc["col_keys"])
-    for entry in doc["cells"]:
-        key = (entry["dataset"], entry["range"], entry["method"], entry["model"])
-        cells[key] = CellResult(entry["mae"], entry["n_exog"], entry["error"])
-        artifacts.cells[key] = CellArtifacts(
-            key=key,
-            months=tuple(Month.parse(m) for m in entry["months"]),
-            actual=tuple(entry["actual"]),
-            forecast=tuple(entry["forecast"]),
-        )
-    # Selection traces for the score-development plot live in the cell dirs.
-    for key in sorted(artifacts.cells):
-        folder = out_dir / "cells" / "__".join(_safe(part) for part in key)
-        selection_path = folder / "selection.json"
-        if selection_path.exists():
-            selection = load_result(selection_path)
-            artifacts.cells[key].selection = selection
-            if selection.trace is not None:
-                artifacts.traces.append(selection.trace)
-    return ResultsTable(tuple(row_keys), tuple(col_keys), cells), artifacts
+
+    def rebuild(doc) -> tuple[ResultsTable, RunArtifacts]:
+        entries = {(e["dataset"], e["range"], e["method"], e["model"]): e for e in doc["cells"]}
+        table = ResultsTable(tuple(map(tuple, doc["row_keys"])), tuple(doc["col_keys"]), {})
+        artifacts = RunArtifacts(horizon=doc["horizon"])
+        # Every cell of the table, in the order run_experiment gives them.
+        for key in (_cell_key(row, col) for col in table.col_keys for row in table.row_keys):
+            entry = entries[key]
+            table.cells[key] = CellResult(entry["mae"], entry["n_exog"], entry["error"])
+            artifacts.cells[key] = CellArtifacts(
+                key=key,
+                months=tuple(Month.parse(m) for m in entry["months"]),
+                actual=tuple(entry["actual"]),
+                forecast=tuple(entry["forecast"]),
+            )
+        return table, artifacts
+
+    table, artifacts = read_document(path, "exocast.experiment.artifacts/1", rebuild)
+    # Selections, with the traces of the score-development plot, live in the cell dirs.
+    for key, cell in artifacts.cells.items():
+        selection = _cell_dir(out_dir, key) / "selection.json"
+        if selection.exists():
+            cell.selection = load_result(selection)
+    return table, artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -713,19 +714,18 @@ def _config_from_doc(doc, seed_override: int | None) -> ExperimentConfig:
 
     def synthetic(entry, spec_doc) -> SyntheticSpec:
         spec = from_object(SyntheticSpec, spec_doc, f"dataset {entry['label']!r} spec",
-                           convert={"start": Month.parse, "driver_betas": tuple})
+                           convert={"start": Month.parse})
         return spec if seed_override is None else replace(spec, seed=seed_override)
 
     def dataset(entry) -> DatasetSpec:
         return from_object(DatasetSpec, entry, "dataset", renamed=DATASET_KEYS, convert={
-            "spec": lambda spec_doc: synthetic(entry, spec_doc), "indicators": tuple,
+            "spec": lambda spec_doc: synthetic(entry, spec_doc),
         })
 
     def method(entry) -> MethodSpec:
         if isinstance(entry, str):
             return MethodSpec(entry)
-        return from_object(MethodSpec, entry, "method", renamed={"manual_ids": "ids"},
-                           convert={"ids": tuple})
+        return from_object(MethodSpec, entry, "method", renamed={"manual_ids": "ids"})
 
     def range_(entry) -> RangeSpec:
         return from_object(RangeSpec, entry, "range",

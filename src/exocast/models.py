@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 from . import additive, sarimax
-from .errors import SchemaError, from_object
+from .errors import from_object, read_document
 from .series import AlignedFrame, Month, MonthlySeries, NormalizationParams
 from .sarimax import RegressorForecast
 
@@ -60,20 +60,14 @@ class ModelSpec:
         return "additive[auto]" if self.additive_config is None else "additive"
 
 
-def _order_from_list(values) -> sarimax.SarimaxOrder:
-    if len(values) != 7:
-        raise ValueError(f"order must be [p,d,q,P,D,Q,s], got {values}")
-    return sarimax.SarimaxOrder(*values)
-
-
 def spec_from_config(entry: dict) -> ModelSpec:
     """One entry of an experiment config's "models" list. "auto", if given,
     says whether an additive entry lacks a "config"."""
     doc = dict(entry) if isinstance(entry, dict) else entry
     auto = doc.pop("auto", None) if isinstance(doc, dict) else None
     spec = from_object(ModelSpec, doc, "model", renamed={"additive_config": "config"}, convert={
-        "order": _order_from_list,
-        "grid": lambda orders: tuple(map(_order_from_list, orders)),
+        "order": sarimax.SarimaxOrder.from_list,
+        "grid": lambda orders: tuple(map(sarimax.SarimaxOrder.from_list, orders)),
         "config": additive.config_from_doc,
     })
     if auto is not None and (spec.name, bool(auto)) != ("additive", spec.additive_config is None):
@@ -160,15 +154,10 @@ def to_doc(fitted: Fitted) -> dict:
     return _module(fitted).to_doc(fitted)
 
 
-def from_doc(doc: dict) -> Fitted:
-    """Reload a `to_doc` document; a `schema` of neither model is an error,
-    and so is a document that is not a JSON object."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"a model document is a JSON object, not {type(doc).__name__}")
-    module = {sarimax.SCHEMA: sarimax, additive.SCHEMA: additive}.get(doc.get("schema"))
-    if module is None:
-        raise SchemaError(
-            f"unrecognised model schema {doc.get('schema')!r}; "
-            f"expected {sarimax.SCHEMA} or {additive.SCHEMA}"
-        )
-    return module.from_doc(doc)
+def from_doc(doc: dict, path: str = "model document") -> Fitted:
+    """Reload a `to_doc` document, parsed from the file `path`; a document
+    of neither model's schema, or one its model cannot read, raises
+    SchemaError naming the file."""
+    modules = {sarimax.SCHEMA: sarimax, additive.SCHEMA: additive}
+    return read_document(path, tuple(modules),
+                         lambda body: modules[doc["schema"]].from_doc(body), doc=doc)

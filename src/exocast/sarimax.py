@@ -36,8 +36,9 @@ would return; any other start runs the L-BFGS-B call of `fit`.
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +49,8 @@ from .errors import (
     InsufficientDataError,
     MissingValueError,
     SchemaError,
+    from_object,
+    to_object,
 )
 from .series import (
     AlignedFrame,
@@ -133,6 +136,15 @@ class SarimaxOrder:
     def as_tuple(self) -> tuple[int, ...]:
         return (self.p, self.d, self.q, self.P, self.D, self.Q, self.s)
 
+    @classmethod
+    def from_list(cls, values) -> SarimaxOrder:
+        """The order a JSON `[p,d,q,P,D,Q,s]` list gives, as configs and
+        model documents write it."""
+        if not (isinstance(values, (list, tuple)) and len(values) == 7
+                and all(type(v) is int for v in values)):
+            raise ValueError(f"order must be [p,d,q,P,D,Q,s], got {json.dumps(values)}")
+        return cls(*values)
+
 
 @dataclass(frozen=True)
 class SarimaxParams:
@@ -179,6 +191,8 @@ class FittedSarimax:
     params: SarimaxParams
     regressor_ids: tuple[str, ...]
     target_id: str
+    # None when reloaded from a document without it
+    train_start: Month | None = field(default=None, kw_only=True)
     train_end: Month
     tail_values: tuple[float, ...]
     tail_residuals: tuple[float, ...]
@@ -189,7 +203,6 @@ class FittedSarimax:
     # What `fit` did: {"start", "status", "nit", "nfev", "at_bound"}; None
     # for models assembled from given coefficients.
     optimizer: dict | None = None
-    train_start: Month | None = None  # None when reloaded from a document without it
 
 
 @dataclass(frozen=True)
@@ -719,34 +732,25 @@ def _forecast_path(
     eps_hist = list(tail_residuals)
     n_w = len(w_hist)
     n_e = len(eps_hist)
+    ar, ma = params.ar + params.seasonal_ar, params.ma + params.seasonal_ma
+    ar_lags = _lags(len(params.ar), len(params.seasonal_ar), order.s)
+    ma_lags = _lags(len(params.ma), len(params.seasonal_ma), order.s)
     w_fc: list[float] = []
     for j in range(len(x_future)):
         acc = params.c
         acc += sum(b * x for b, x in zip(params.beta, x_future[j]))
-        for i, a in enumerate(params.ar, start=1):
-            u = j - i
+        for a, lag in zip(ar, ar_lags):
+            u = j - lag
             if u >= 0:
                 acc += a * w_fc[u]
             elif n_w + u >= 0:
                 acc += a * w_hist[n_w + u]
             else:
                 acc += a * presample_mean
-        for jj, f in enumerate(params.seasonal_ar, start=1):
-            u = j - jj * order.s
-            if u >= 0:
-                acc += f * w_fc[u]
-            elif n_w + u >= 0:
-                acc += f * w_hist[n_w + u]
-            else:
-                acc += f * presample_mean
-        for i, th in enumerate(params.ma, start=1):
-            u = j - i
+        for th, lag in zip(ma, ma_lags):
+            u = j - lag
             if u < 0 and n_e + u >= 0:
                 acc += th * eps_hist[n_e + u]  # future residuals are zero
-        for jj, Th in enumerate(params.seasonal_ma, start=1):
-            u = j - jj * order.s
-            if u < 0 and n_e + u >= 0:
-                acc += Th * eps_hist[n_e + u]
         w_fc.append(acc)
 
     values = w_fc
@@ -863,68 +867,30 @@ def grid_search_order(
 # JSON serialization (schema documented in docs/schemas.md)
 
 def to_doc(fitted: FittedSarimax) -> dict:
-    return {
-        "schema": SCHEMA,
-        "order": list(fitted.order.as_tuple()),
-        "params": {
-            "c": fitted.params.c,
-            "ar": list(fitted.params.ar),
-            "ma": list(fitted.params.ma),
-            "seasonal_ar": list(fitted.params.seasonal_ar),
-            "seasonal_ma": list(fitted.params.seasonal_ma),
-            "beta": list(fitted.params.beta),
-            "sigma2": fitted.params.sigma2,
-        },
-        "regressor_ids": list(fitted.regressor_ids),
-        "target_id": fitted.target_id,
-        "train_start": None if fitted.train_start is None else str(fitted.train_start),
-        "train_end": str(fitted.train_end),
-        "tail_values": list(fitted.tail_values),
-        "tail_residuals": list(fitted.tail_residuals),
-        "css": fitted.css,
-        "normalization": (
-            None
-            if fitted.normalization is None
-            else {"min": fitted.normalization.min, "max": fitted.normalization.max}
-        ),
-        "mean_conditioning": fitted.mean_conditioning,
-        "presample_mean": fitted.presample_mean,
-        "optimizer": fitted.optimizer,
-    }
+    return {"schema": SCHEMA, **to_object(fitted, convert={
+        "order": SarimaxOrder.as_tuple, "train_start": str, "train_end": str,
+    })}
 
 
 def from_doc(doc: dict) -> FittedSarimax:
-    """Inverse of `to_doc`; `models.from_doc` has matched the schema. An
-    older document's `difference_regressors` and `regressor_tails` are
-    ignored when its regressors entered undifferenced, and refused when
-    they were differenced."""
-    if doc.get("difference_regressors"):
-        raise SchemaError(
-            f"{SCHEMA} document with difference_regressors true: models with "
-            "differenced regressors can no longer be read"
-        )
-    p = doc["params"]
-    norm = doc.get("normalization")
-    return FittedSarimax(
-        order=SarimaxOrder(*doc["order"]),
-        params=SarimaxParams(
-            c=p["c"],
-            ar=tuple(p["ar"]),
-            ma=tuple(p["ma"]),
-            seasonal_ar=tuple(p["seasonal_ar"]),
-            seasonal_ma=tuple(p["seasonal_ma"]),
-            beta=tuple(p["beta"]),
-            sigma2=p["sigma2"],
-        ),
-        regressor_ids=tuple(doc["regressor_ids"]),
-        target_id=doc["target_id"],
-        train_start=Month.parse(doc["train_start"]) if doc.get("train_start") else None,
-        train_end=Month.parse(doc["train_end"]),
-        tail_values=tuple(doc["tail_values"]),
-        tail_residuals=tuple(doc["tail_residuals"]),
-        css=doc["css"],
-        normalization=None if norm is None else NormalizationParams(norm["min"], norm["max"]),
-        mean_conditioning=doc["mean_conditioning"],
-        presample_mean=doc["presample_mean"],
-        optimizer=doc.get("optimizer"),
-    )
+    """Inverse of `to_doc`, given the document without its schema. An older
+    document's `difference_regressors` and `regressor_tails` are ignored
+    when false, as when its regressors entered undifferenced, and refused
+    by name when true. Coefficients that do not match the order are refused."""
+    older = ("difference_regressors", "regressor_tails")
+    for key in older:
+        if doc.get(key):
+            raise SchemaError(
+                f"{SCHEMA} document with {key} {json.dumps(doc[key])}: models with "
+                "differenced regressors can no longer be read"
+            )
+    body = {key: value for key, value in doc.items() if key not in older}
+    fitted = from_object(FittedSarimax, body, "model", convert={
+        "order": SarimaxOrder.from_list,
+        "params": lambda params: from_object(SarimaxParams, params, "params"),
+        "train_start": Month.parse,
+        "train_end": Month.parse,
+        "normalization": lambda norm: from_object(NormalizationParams, norm, "normalization"),
+    })
+    fitted.params.check_against(fitted.order, len(fitted.regressor_ids))
+    return fitted

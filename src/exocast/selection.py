@@ -16,7 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, SelectionError, read_document
+from .errors import (
+    ConvergenceFailureError, SelectionError, from_object, read_document, to_object,
+)
 from .series import AlignedFrame, pearson_correlation
 
 __all__ = [
@@ -76,8 +78,8 @@ class SelectionResult:
     method: str
     selected_ids: tuple[str, ...]
     score: float | None = None
-    trace: SelectionTrace | None = None
     diagnostics: dict = field(default_factory=dict)
+    trace: SelectionTrace | None = None
 
 
 def correlation_select(
@@ -430,41 +432,22 @@ def score_development(traces: Sequence[SelectionTrace]) -> list[tuple[int, float
 # ---------------------------------------------------------------------------
 # Persistence
 
-def _result_to_dict(result: SelectionResult) -> dict:
-    doc = {
-        "schema": "exocast.selection.result/1",
-        "method": result.method,
-        "selected_ids": list(result.selected_ids),
-        "score": result.score,
-        "diagnostics": result.diagnostics,
-    }
-    if result.trace is not None:
-        doc["trace"] = {
-            "entries": [[list(s), score] for s, score in result.trace.entries],
-            "failures": [[list(s), reason] for s, reason in result.trace.failures],
-        }
-    return doc
+RESULT_SCHEMA = "exocast.selection.result/1"
 
 
 def save_result(result: SelectionResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_result_to_dict(result), indent=2))
+    """`result` as JSON; a result without a trace is written without one."""
+    doc = {"schema": RESULT_SCHEMA, **to_object(result)}
+    if result.trace is None:
+        del doc["trace"]
+    Path(path).write_text(json.dumps(doc, indent=2))
 
 
 def load_result(path: str | Path) -> SelectionResult:
-    doc = read_document(path, "exocast.selection.result/1")
-    trace = None
-    if "trace" in doc:
-        trace = SelectionTrace(
-            entries=tuple((tuple(s), score) for s, score in doc["trace"]["entries"]),
-            failures=tuple((tuple(s), reason) for s, reason in doc["trace"]["failures"]),
-        )
-    return SelectionResult(
-        method=doc["method"],
-        selected_ids=tuple(doc["selected_ids"]),
-        score=doc["score"],
-        trace=trace,
-        diagnostics=doc.get("diagnostics", {}),
-    )
+    return read_document(path, RESULT_SCHEMA, lambda doc: from_object(
+        SelectionResult, doc, "selection result",
+        convert={"trace": lambda trace: from_object(SelectionTrace, trace, "trace")},
+    ))
 
 
 def export_trace_csv(trace: SelectionTrace, path: str | Path) -> None:

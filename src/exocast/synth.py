@@ -99,7 +99,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[AlignedFrame, SyntheticTrut
     target = base + seasonal + noise
     for beta, di in zip(spec.driver_betas, driver_idx):
         lead = leads[di]
-        lagged = np.concatenate([np.full(lead, walks[di][0]), walks[di][:-lead]])
+        lagged = np.concatenate([np.full(lead, walks[di][0]), walks[di]])[:n]
         target = target + beta * lagged
 
     frame = align_merge(

@@ -293,11 +293,28 @@ class TestMalformedInput:
         (run / "artifacts.json").write_text(json.dumps({"schema": "exocast.unknown/1"}))
         self._fails_cleanly(capsys, ["report", "--run-dir", str(run)], "exocast.unknown/1")
 
-    def test_report_on_artifacts_that_are_not_an_object(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "JSON object"),
+        ("{", "Expecting property name"),
+        ('{"schema": "exocast.experiment.artifacts/1", "horizon": 12, "row_keys": [], '
+         '"col_keys": []}', "lacks cells"),
+    ], ids=["not-an-object", "not-json", "missing-key"])
+    def test_report_on_malformed_artifacts(self, tmp_path, capsys, text, message):
         run = tmp_path / "run"
         run.mkdir()
-        (run / "artifacts.json").write_text("[]")
-        self._fails_cleanly(capsys, ["report", "--run-dir", str(run)], "artifacts.json")
+        (run / "artifacts.json").write_text(text)
+        self._fails_cleanly(capsys, ["report", "--run-dir", str(run)], "artifacts.json", message)
+
+    def test_report_on_a_selection_without_its_method(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        config = write_experiment_config(tmp_path, out_dir=run, methods=["none"])
+        assert main(["experiment", "--config", str(config)]) == 0
+        selection = next(run.glob("cells/*/selection.json"))
+        doc = json.loads(selection.read_text())
+        del doc["method"]
+        selection.write_text(json.dumps(doc))
+        self._fails_cleanly(capsys, ["report", "--run-dir", str(run), "--out", str(tmp_path / "r")],
+                            str(selection), "lacks method")
 
     def test_report_without_a_run(self, tmp_path, capsys):
         self._fails_cleanly(capsys, ["report", "--run-dir", str(tmp_path / "absent")], "artifacts.json")
@@ -333,16 +350,22 @@ class TestMalformedInput:
                 "--model-file", str(model_file), "--out", str(tmp_path / "fc")]
         self._fails_cleanly(capsys, argv, "JSON object")
 
-    def test_forecast_with_differenced_regressors(self, tmp_path, capsys):
+    @pytest.mark.parametrize("changes, message", [
+        ({"difference_regressors": True}, "difference_regressors"),
+        ({"params": None}, "lacks params"),
+        ({"order": [1, 0]}, "order must be [p,d,q,P,D,Q,s], got [1, 0]"),
+    ], ids=["differenced-regressors", "missing-key", "short-order"])
+    def test_forecast_with_a_malformed_model_file(self, tmp_path, capsys, changes, message):
         config = write_experiment_config(tmp_path, methods=["correlation"])
         assert main(["fit", "--config", str(config), "--out", str(tmp_path / "models")]) == 0
         model_file = next(p for p in (tmp_path / "models").iterdir()
                           if not p.name.endswith("selection.json"))
-        doc = json.loads(model_file.read_text())
-        model_file.write_text(json.dumps({**doc, "difference_regressors": True}))
+        doc = {**json.loads(model_file.read_text()), **changes}
+        model_file.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
         argv = ["forecast", "--config", str(config), "--model-file", str(model_file),
                 "--out", str(tmp_path / "fc")]
-        self._fails_cleanly(capsys, argv, "difference_regressors")
+        self._fails_cleanly(capsys, argv, str(model_file), message)
+        assert not (tmp_path / "fc").exists()
 
 
 class TestFetchCommand:

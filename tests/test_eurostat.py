@@ -574,18 +574,56 @@ class TestOldCacheFormat:
         assert "exocast.eurostat.manifest/1" in err
 
 
-class TestDocumentsThatAreNotObjects:
-    @pytest.mark.parametrize("name, read", [
-        ("manifest.json", read_manifest),
-        ("series/STS_A.json", list_cached_series),
-        ("catalog.json", load_catalog),
-    ], ids=["read_manifest", "read_series", "load_catalog"])
-    def test_rejected_as_a_schema_error(self, tmp_path, name, read):
+SERIES_DOC = {
+    "schema": "exocast.eurostat.series/2", "dataset_code": "STS_A",
+    "dimension_values": [["geo", "AT"]], "series_id": "STS_A", "start": "2016-01",
+    "values": [1.5, None],
+}
+DESCRIPTOR_DOC = {
+    "code": "A", "title": "t", "frequency": "monthly", "dimensions": ["geo"],
+    "earliest_period": "2016-01", "parameters": ["business"],
+}
+CATALOG_DOC = {"schema": "exocast.eurostat.catalog/1", "fetched_at": "2026-01-01T00:00:00+00:00",
+               "datasets": [DESCRIPTOR_DOC]}
+
+
+def without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("name, read, doc, message", [
+        ("manifest.json", read_manifest, [], "JSON object, not list"),
+        ("manifest.json", read_manifest, "{", "Expecting property name"),
+        ("manifest.json", read_manifest, {"schema": "x"}, "schema 'x' is not"),
+        ("series/STS_A.json", list_cached_series, [], "JSON object, not list"),
+        ("series/STS_A.json", list_cached_series, "{", "Expecting property name"),
+        ("series/STS_A.json", list_cached_series, {**SERIES_DOC, "schema": "x"}, "schema 'x'"),
+        ("series/STS_A.json", list_cached_series, without(SERIES_DOC, "start"), "lacks start"),
+        ("series/STS_A.json", list_cached_series, {**SERIES_DOC, "start": "2016"}, "'2016'"),
+        ("catalog.json", load_catalog, [], "JSON object, not list"),
+        ("catalog.json", load_catalog, "{", "Expecting property name"),
+        ("catalog.json", load_catalog, {**CATALOG_DOC, "schema": "x"}, "schema 'x'"),
+        ("catalog.json", load_catalog, without(CATALOG_DOC, "fetched_at"), "lacks fetched_at"),
+        ("catalog.json", load_catalog, {**CATALOG_DOC, "size": 1}, "unknown catalog keys: size"),
+        ("catalog.json", load_catalog, {**CATALOG_DOC, "datasets": [without(DESCRIPTOR_DOC, "code")]},
+         "dataset lacks code"),
+        ("catalog.json", load_catalog, {**CATALOG_DOC, "datasets": [
+            {**DESCRIPTOR_DOC, "earliest_period": "2016"}]}, "'2016'"),
+    ], ids=[
+        "read_manifest", "read_manifest-not-json", "read_manifest-schema",
+        "read_series", "read_series-not-json", "read_series-schema", "read_series-missing-key",
+        "read_series-malformed", "load_catalog", "load_catalog-not-json", "load_catalog-schema",
+        "load_catalog-missing-key", "load_catalog-unknown-key", "load_catalog-descriptor-key",
+        "load_catalog-malformed",
+    ])
+    def test_rejected_as_a_schema_error_naming_the_file(self, tmp_path, name, read, doc, message):
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("[]")
-        with pytest.raises(SchemaError, match="JSON object, not list"):
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with pytest.raises(SchemaError, match=message) as raised:
             read(tmp_path)
+        assert str(raised.value).startswith(f"{path}: ")
 
     def test_offline_fetch_on_it_exits_2(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("[]")

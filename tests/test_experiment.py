@@ -361,13 +361,47 @@ class TestTableAndPlots:
         a = emit_table(table, "csv", tmp_path / "a.csv").read_bytes()
         b = emit_table(reloaded_table, "csv", tmp_path / "b.csv").read_bytes()
         assert a == b
-        assert reloaded_art.traces  # forward traces reload for score development
+        # The forward cells' traces reload for score development.
+        traces = {k: c.selection.trace for k, c in artifacts.cells.items() if k[2] == "forward"}
+        assert traces and all(traces.values())
+        assert {k: reloaded_art.cells[k].selection.trace for k in traces} == traces
 
 
-    def test_reload_of_artifacts_that_are_not_an_object(self, tmp_path):
-        (tmp_path / "artifacts.json").write_text("[]")
-        with pytest.raises(SchemaError, match="JSON object, not list"):
+    def test_reloaded_plot_data_equals_the_persisted_one(self, tmp_path):
+        # Three forward traces, and forecast columns, whose config order is
+        # not their sorted order: the mean score is summed in sorted order
+        # both times, and the forecast columns keep the config order.
+        config = quick_config(
+            datasets=tuple(synth_dataset(seed) for seed in (2, 0, 1)),
+            methods=(MethodSpec("none"), MethodSpec("forward")), forward_cap=3,
+            out_dir=str(tmp_path / "run"),
+        )
+        run_experiment(config)
+        written = emit_plot_data(reload_run(tmp_path / "run")[1], tmp_path / "report")
+        assert len(written) == 5 and (tmp_path / "report" / "score_development.csv") in written
+        for path in written:
+            assert path.read_bytes() == (tmp_path / "run" / path.name).read_bytes(), path.name
+
+    ARTIFACTS = {"schema": "exocast.experiment.artifacts/1", "horizon": 1,
+                 "row_keys": [["none", "additive"]], "col_keys": ["d @ 2016-01..2016-12"],
+                 "cells": [{"dataset": "d", "range": "2016-01..2016-12", "method": "none",
+                            "model": "additive", "mae": 1.0, "n_exog": 0, "error": None,
+                            "months": ["2017-01"], "actual": [1.0], "forecast": [2.0],
+                            "selected_ids": []}]}
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "JSON object, not list"),
+        ("{", "Expecting property name"),
+        ({**ARTIFACTS, "schema": "x"}, "schema 'x' is not"),
+        ({k: v for k, v in ARTIFACTS.items() if k != "cells"}, "lacks cells"),
+        ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "months": ["2017"]}]}, "'2017'"),
+    ], ids=["not-an-object", "not-json", "schema", "missing-key", "malformed"])
+    def test_reload_of_malformed_artifacts(self, tmp_path, doc, message):
+        path = tmp_path / "artifacts.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with pytest.raises(SchemaError, match=message) as raised:
             reload_run(tmp_path)
+        assert str(raised.value).startswith(f"{path}: ")
 
 
 class TestConfigFile:

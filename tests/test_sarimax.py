@@ -738,16 +738,31 @@ class TestSerialization:
         assert "difference_regressors" not in rewritten and "regressor_tails" not in rewritten
         assert models.from_doc(rewritten) == loaded
 
-    def test_differenced_regressors_refused_by_name(self):
-        doc = {**self.OLDER_DOC, "difference_regressors": True}
-        with pytest.raises(SchemaError, match="difference_regressors"):
+    @pytest.mark.parametrize("key, value", [
+        ("difference_regressors", True), ("regressor_tails", [[0.5]]),
+    ])
+    def test_differenced_regressors_refused_by_name(self, key, value):
+        doc = {**self.OLDER_DOC, key: value}
+        with pytest.raises(SchemaError, match=key):
             models.from_doc(doc)
 
-    def test_unknown_schema_rejected(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"schema": "something-else"}')
-        with pytest.raises(ValueError):
-            models.from_doc(json.loads(path.read_text()))
+    @pytest.mark.parametrize("doc, message", [
+        ([], "JSON object, not list"),
+        ({**OLDER_DOC, "schema": "something-else"}, "schema 'something-else' is not"),
+        ({k: v for k, v in OLDER_DOC.items() if k != "params"}, "model lacks params"),
+        ({**OLDER_DOC, "order": [1, 0]}, r"order must be \[p,d,q,P,D,Q,s\], got \[1, 0\]"),
+        ({**OLDER_DOC, "params": {k: v for k, v in OLDER_DOC["params"].items() if k != "c"}},
+         "params lacks c"),
+        ({**OLDER_DOC, "normalization": [0.0, 1.0]}, "normalization must be a JSON object"),
+        ({**OLDER_DOC, "order": [2, 1, 1, 0, 0, 0, 12]}, "do not match order"),
+        ({**OLDER_DOC, "tail": []}, "unknown model keys: tail"),
+        ({"schema": "exocast.additive.fitted/1", "config": {}}, "model lacks layout"),
+    ], ids=["not-an-object", "schema", "missing-key", "short-order", "missing-param",
+            "malformed", "params-of-another-order", "unknown-key", "additive-missing-key"])
+    def test_malformed_document_rejected(self, doc, message):
+        with pytest.raises(SchemaError, match=message) as raised:
+            models.from_doc(doc, "model.json")
+        assert str(raised.value).startswith("model.json: ")
 
 
 class TestOrderValidation:

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from exocast.errors import SchemaError, SelectionError, UndefinedCorrelationError
 from exocast.selection import (
     CandidateSet,
+    SelectionResult,
     SelectionTrace,
     _lasso_active_set,
     correlation_select,
@@ -538,11 +541,29 @@ class TestPersistence:
         assert loaded.score == result.score
         assert loaded.trace == result.trace
 
-    def test_result_that_is_not_an_object(self, tmp_path):
+    RESULT = {"schema": "exocast.selection.result/1", "method": "forward", "selected_ids": ["a"],
+              "score": 8.0, "diagnostics": {}, "trace": {"entries": [[["a"], 8.0]], "failures": []}}
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "JSON object, not list"),
+        ("{", "Expecting property name"),
+        ({**RESULT, "schema": "x"}, "schema 'x' is not"),
+        ({k: v for k, v in RESULT.items() if k != "method"}, "lacks method"),
+        ({**RESULT, "selected": ["a"]}, "unknown selection result keys: selected"),
+        ({**RESULT, "trace": [[["a"], 8.0]]}, "trace must be a JSON object"),
+    ], ids=["not-an-object", "not-json", "schema", "missing-key", "unknown-key", "malformed"])
+    def test_malformed_result_names_the_file(self, tmp_path, doc, message):
         path = tmp_path / "selection.json"
-        path.write_text("[]")
-        with pytest.raises(SchemaError, match="JSON object, not list"):
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with pytest.raises(SchemaError, match=message) as raised:
             load_result(path)
+        assert str(raised.value).startswith(f"{path}: ")
+
+    def test_result_without_a_trace_is_written_without_one(self, tmp_path):
+        path = tmp_path / "selection.json"
+        save_result(SelectionResult("manual", ("a",)), path)
+        assert "trace" not in json.loads(path.read_text())
+        assert load_result(path) == SelectionResult("manual", ("a",))
 
     def test_trace_csv(self, tmp_path):
         trace = SelectionTrace((((), 10.0), (("a",), 8.0), (("a", "b"), 9.0)))

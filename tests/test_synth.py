@@ -33,11 +33,14 @@ class TestGenerate:
         assert set(truth.driver_ids) <= set(frame.indicator_ids)
         assert truth.betas == (1.0, 2.0)
 
-    def test_series_shorter_than_the_driver_smoothing_window(self):
+    # At 2 months the driver also leads the target by more months than the
+    # series has, so every target month takes the driver's first value.
+    @pytest.mark.parametrize("n_months", [5, 2])
+    def test_series_shorter_than_the_driver_smoothing_window(self, n_months):
         frame, truth = generate_synthetic(
-            SyntheticSpec(n_months=5, n_indicators=2, n_drivers=1, driver_betas=(1.0,), seed=0)
+            SyntheticSpec(n_months=n_months, n_indicators=2, n_drivers=1, driver_betas=(1.0,), seed=0)
         )
-        assert len(frame) == 5 and len(truth.driver_ids) == 1
+        assert len(frame) == n_months and len(truth.driver_ids) == 1
         assert not frame.target.has_missing
 
     def test_same_seed_bit_identical(self):
