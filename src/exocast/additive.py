@@ -8,6 +8,10 @@ on the target for the whole horizon at once, one matrix product per
 component, and steps only the autoregressive block month by month, so that
 it consumes its own predictions. `subset_forecaster` fits and forecasts
 every indicator subset of one frame from a single design of all of them.
+With a ridge penalty, its `forecast_round` also scores a whole greedy round
+at once: every candidate's penalised normal equations come from one Gram
+matrix and are solved in one stacked call, and every forecast steps at
+once, equal to the per-subset Cholesky path to rounding.
 """
 
 from __future__ import annotations
@@ -212,8 +216,9 @@ def _ridge_solver(design: DesignMatrix, y: np.ndarray, ridge_lambda: float):
     """`columns -> coefficients` of the ridge fit of `y` on those columns of
     `design`. Only the intercept and base trend slope go unpenalised, so for
     ridge_lambda > 0 Cholesky solves the positive definite normal equations,
-    from one Gram matrix for every subset; at 0 least squares copes with a
-    rank-deficient design."""
+    from one penalised Gram matrix for every subset, and a (subsets x
+    columns) stack of column lists is solved in one stacked call; at 0
+    least squares copes with a rank-deficient design."""
     if ridge_lambda == 0:
         return lambda columns: np.linalg.lstsq(design.values[:, columns], y, rcond=None)[0]
     from scipy.linalg.lapack import dposv  # here, so that importing exocast loads no scipy
@@ -223,11 +228,14 @@ def _ridge_solver(design: DesignMatrix, y: np.ndarray, ridge_lambda: float):
          for tag, name in design.layout]
     )
     gram = design.values.T @ design.values
+    gram.flat[:: design.width + 1] += penalty
     moment = design.values.T @ y
 
     def solve(columns):
+        if np.ndim(columns) == 2:
+            normal = gram[columns[:, :, None], columns[:, None, :]]
+            return np.linalg.solve(normal, moment[columns][..., None])[..., 0]
         normal = gram.take(columns, 0).take(columns, 1)
-        normal.flat[:: len(columns) + 1] += penalty[columns]
         _, coeffs, info = dposv(normal, moment[columns])  # Cholesky factor and solve
         if info:
             raise np.linalg.LinAlgError(f"ridge normal equations: LAPACK dposv info {info}")
@@ -279,12 +287,13 @@ def _ar_steps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The forecast and its A (AR-lag) part. Each step adds to `exogenous`
     the `ar` coefficients (lag 1 first) times the values before it: the end
-    of `target`, then the forecast so far."""
+    of `target`, then the forecast so far. With one column of `exogenous`
+    and of `ar` per fit, every fit steps at once."""
     p = len(ar)
-    lags = ar[::-1].tolist()  # lag p first, as `path` runs
+    lags = list(ar[::-1])  # lag p first, as `path` runs
     path = [float(v) for v in target[len(target) - p :]]
     part = []
-    for exog in exogenous.tolist():
+    for exog in exogenous:
         part.append(sum((c * v for c, v in zip(lags, path[len(path) - p :])), 0.0))
         path.append(exog + part[-1])
     return np.array(path[p:]), np.array(part)
@@ -334,7 +343,9 @@ def subset_forecaster(
     """`subset -> forecast values`: to rounding, the values of
     `forecast(fit(train.with_indicators(subset), config), horizon, ...)`.
     The design, its Gram matrix and the forecast rows are built once for
-    every indicator of `train`; each subset selects its columns of them."""
+    every indicator of `train`; each subset selects its columns of them.
+    With a ridge penalty the callable has a `forecast_round(current,
+    candidates)` method that forecasts a greedy round at once."""
     design = build_design(train, config)
     y = np.asarray(train.target.require_complete())
     solve = _ridge_solver(design, y[config.dropped_rows :], config.ridge_lambda)
@@ -353,6 +364,35 @@ def subset_forecaster(
         coeffs[columns] = solve(columns)
         return _ar_steps(known @ coeffs, coeffs[ar_columns], y)[0]
 
+    if config.ridge_lambda == 0:
+        return forecast_values
+    shared = set(_layout_for(config, ()))
+    own = {i: sorted(column[col] for col in _layout_for(config, (i,)) if col not in shared)
+           for i in train.indicator_ids}
+
+    def forecast_round(current: Sequence[str], candidates: Sequence[str]) -> np.ndarray:
+        """One column per candidate: to rounding, `forecast_values` of
+        `current` plus that candidate, whose own columns follow those of
+        `current`. The candidates that add as many columns (lagged or
+        future-known) are solved in one stacked call, and every forecast
+        steps at once. A group whose stacked solve fails is NaN, left to
+        `forecast_values`."""
+        out = np.full((horizon, len(candidates)), np.nan)
+        base = [column[col] for col in _layout_for(config, current)]
+        by_width: dict[int, list[int]] = {}
+        for j, cid in enumerate(candidates):
+            by_width.setdefault(len(own[cid]), []).append(j)
+        for group in by_width.values():
+            at = np.array([base + own[candidates[j]] for j in group])
+            coeffs = np.zeros((len(group), design.width))
+            try:
+                np.put_along_axis(coeffs, at, solve(at), axis=1)
+            except np.linalg.LinAlgError:
+                continue
+            out[:, group] = _ar_steps(known @ coeffs.T, coeffs[:, ar_columns].T, y)[0]
+        return out
+
+    forecast_values.forecast_round = forecast_round
     return forecast_values
 
 

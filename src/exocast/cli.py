@@ -137,18 +137,24 @@ def cmd_fetch(args) -> int:
 def cmd_synth(args) -> int:
     if not args.out:
         raise ExocastError("synth needs --out")
-    betas = tuple(float(b) for b in args.betas.split(",") if b) if args.drivers else ()
-    spec = SyntheticSpec(
-        n_months=args.months,
-        ar_coefficient=args.ar,
-        seasonal_amplitude=args.amplitude,
-        n_indicators=args.indicators,
-        n_drivers=args.drivers,
-        driver_betas=betas[: args.drivers],
-        noise_sigma=args.noise,
-        seed=args.seed or 0,
-        start=Month.parse(args.start),
-    )
+    try:
+        betas = tuple(float(b) for b in args.betas.split(",") if b) if args.drivers else ()
+    except ValueError as exc:
+        raise ExocastError(f"--betas {args.betas!r} is not a comma-separated list of numbers") from exc
+    try:
+        spec = SyntheticSpec(
+            n_months=args.months,
+            ar_coefficient=args.ar,
+            seasonal_amplitude=args.amplitude,
+            n_indicators=args.indicators,
+            n_drivers=args.drivers,
+            driver_betas=betas[: args.drivers],
+            noise_sigma=args.noise,
+            seed=args.seed or 0,
+            start=Month.parse(args.start),
+        )
+    except ValueError as exc:
+        raise ExocastError(f"synth: {exc}") from exc
     frame, truth = generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -180,6 +180,9 @@ class ExperimentConfig:
             raise ValueError("horizon must be positive")
         if self.rolling_origins < 1:
             raise ValueError("rolling_origins must be at least 1")
+        if type(self.forward_cap) is not int or self.forward_cap < 1:
+            got = json.dumps(self.forward_cap, default=repr)
+            raise ValueError(f"forward_cap must be an integer >= 1, got {got}")
         for name, labels in (
             ("dataset", [d.label for d in self.datasets]),
             ("method", [m.label for m in self.methods]),
@@ -308,12 +311,24 @@ def training_frames(
 # Selection
 
 def _forward_evaluator(model: ModelSpec, train: AlignedFrame, horizon: int):
-    """Subset -> MAE on the last `horizon` months of the training range."""
+    """Subset -> MAE on the last `horizon` months of the training range.
+    Where the model forecasts a whole greedy round at once, the evaluator's
+    `score_round(current, candidates)` gives every candidate's MAE, NaN
+    for one the round left to the per-subset call."""
     sub_train, validation = split_train_test(train, SplitSpec(horizon))
     actual = validation.target.require_complete()
     future = models.regressor_forecasts(sub_train, horizon)
     forecast_subset = models.subset_forecaster(model, sub_train, horizon, future)
-    return lambda subset: mae(actual, forecast_subset(subset))
+
+    def evaluator(subset: tuple[str, ...]) -> float:
+        return mae(actual, forecast_subset(subset))
+
+    forecast_round = getattr(forecast_subset, "forecast_round", None)
+    if forecast_round is not None:
+        evaluator.score_round = lambda current, candidates: mae(
+            actual, forecast_round(current, candidates)
+        )
+    return evaluator
 
 
 def select(

@@ -104,7 +104,8 @@ def subset_forecaster(
     length, and a SARIMAX spec of one order each share one design between
     subsets; if that cannot be built, no subset's fit could be, and every
     call raises its exception. Only a SARIMAX order grid, searched anew for
-    each subset, fits and forecasts every subset on its own."""
+    each subset, fits and forecasts every subset on its own. The model's
+    callable keeps its `forecast_round` method, where it has one."""
     if spec.name == "sarimax" and spec.order is None:
         def forecast_subset(subset: tuple[str, ...]) -> Sequence[float]:
             fitted = fit(spec, train.with_indicators(subset), horizon, None)

@@ -30,7 +30,15 @@ as forward selection does. The differenced target and the lagged design
 are built once, and each subset takes its columns of them. A start that
 passes L-BFGS-B's own stopping test at iteration 0 (inside the bounds,
 projected gradient at most PGTOL) is taken as it is, the point L-BFGS-B
-would return; any other start runs the L-BFGS-B call of `fit`.
+would return; any other start runs the L-BFGS-B call of `fit`. That path
+is bit for bit `fit`. Without MA terms, its `forecast_round` also scores a
+whole greedy round at once: every candidate's start solves its normal
+equations, taken from one Gram matrix of the design, in one stacked call,
+with the bounded faces where p <= 1 and P <= 1, and every forecast runs as
+one recursion. Such a start must pass the same iteration-0 test, from
+normal equations no worse conditioned than NORMAL_COND_MAX; its forecast
+then equals `fit`'s to rounding, and any other candidate is left to the
+per-subset path.
 """
 
 from __future__ import annotations
@@ -92,6 +100,10 @@ R_MAX = COORD_BOUND / math.sqrt(1.0 + COORD_BOUND * COORD_BOUND)
 PGTOL = 1e-10
 # `_css_and_gradient`'s value where the residuals overflow.
 NON_FINITE_CSS = 1e300
+# A normal-equations solve loses about cond * machine epsilon of relative
+# accuracy, where least squares on the design loses its square root. A
+# batched round keeps a candidate only where that loss is at most 1e-9.
+NORMAL_COND_MAX = 1e-9 / np.finfo(float).eps
 
 
 def minimize(*args, **kwargs):
@@ -223,33 +235,33 @@ def _pacf_to_poly(pacf: np.ndarray) -> np.ndarray:
 
 def _pacf_to_poly_jacobian(pacf: np.ndarray) -> np.ndarray:
     """d coeffs / d pacf for `_pacf_to_poly`, carried through the same
-    recursion."""
-    n = len(pacf)
-    coeffs = np.zeros(0)
-    jac = np.zeros((0, n))
-    for k, r in enumerate(pacf):
-        step = np.zeros((k + 1, n))
-        step[:k] = jac - r * jac[::-1]
-        step[:k, k] = -coeffs[::-1]
-        step[k, k] = 1.0
-        coeffs = np.append(coeffs - r * coeffs[::-1], r)
+    recursion; a stack of pacf rows gives a stack of Jacobians."""
+    lead, n = pacf.shape[:-1], pacf.shape[-1]
+    coeffs = np.zeros(lead + (0,))
+    jac = np.zeros(lead + (0, n))
+    for k in range(n):
+        r = pacf[..., k, None]
+        step = np.zeros(lead + (k + 1, n))
+        step[..., :k, :] = jac - r[..., None] * jac[..., ::-1, :]
+        step[..., :k, k] = -coeffs[..., ::-1]
+        step[..., k, k] = 1.0
+        coeffs = np.concatenate([coeffs - r * coeffs[..., ::-1], r], axis=-1)
         jac = step
     return jac
 
 
-def _poly_to_pacf(coeffs: np.ndarray) -> np.ndarray | None:
-    """Step-down (inverse Durbin-Levinson); None unless every partial
-    autocorrelation lies in (-1, 1)."""
+def _poly_to_pacf(coeffs: np.ndarray) -> np.ndarray:
+    """Step-down (inverse Durbin-Levinson) along the last axis: the partial
+    autocorrelations of each polynomial, NaN from the first one outside
+    (-1, 1) onward."""
     a = np.asarray(coeffs, dtype=float)
-    pacf = []
-    while len(a):
-        r = float(a[-1])
-        if not abs(r) < 1.0:
-            return None
-        pacf.append(r)
-        head = a[:-1]
-        a = (head + r * head[::-1]) / (1.0 - r * r)
-    return np.asarray(pacf[::-1])
+    pacf = np.empty_like(a)
+    for k in range(a.shape[-1] - 1, -1, -1):
+        r = np.where(np.abs(a[..., k]) < 1.0, a[..., k], np.nan)
+        pacf[..., k] = r
+        head = a[..., :k]
+        a = (head + r[..., None] * head[..., ::-1]) / (1.0 - r * r)[..., None]
+    return pacf
 
 
 def _unconstrained_to_coeffs(x: np.ndarray, invertible: bool) -> np.ndarray:
@@ -261,16 +273,14 @@ def _unconstrained_to_coeffs(x: np.ndarray, invertible: bool) -> np.ndarray:
     return -a if invertible else a
 
 
-def _ar_to_unconstrained(coeffs: np.ndarray) -> np.ndarray | None:
-    """Inverse of `_unconstrained_to_coeffs` for an AR block; None when a
-    partial autocorrelation lies beyond R_MAX. |r| = R_MAX maps to the bound
-    exactly."""
+def _ar_to_unconstrained(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of `_unconstrained_to_coeffs` for an AR block along the last
+    axis; all NaN for a block with a partial autocorrelation beyond R_MAX.
+    |r| = R_MAX maps to the bound exactly."""
     r = _poly_to_pacf(coeffs)
-    if r is None or np.any(np.abs(r) > R_MAX):
-        return None
-    x = r / np.sqrt(1.0 - r * r)
-    at_bound = np.abs(r) == R_MAX
-    x[at_bound] = np.sign(r[at_bound]) * COORD_BOUND
+    inside = np.all(np.abs(r) <= R_MAX, axis=-1, keepdims=True)
+    r = np.where(inside, r, np.nan)
+    x = np.where(np.abs(r) == R_MAX, np.sign(r) * COORD_BOUND, r / np.sqrt(1.0 - r * r))
     return np.clip(x, -COORD_BOUND, COORD_BOUND)
 
 
@@ -430,6 +440,16 @@ def _css_and_gradient(
     return css, grad
 
 
+def _box_faces(bounded: list[int]):
+    """(indices, values) of the coefficients each face of the box
+    |theta_i| <= R_MAX, i in `bounded`, fixes at +-R_MAX, in a fixed order;
+    the all-free face is skipped."""
+    for fixed in itertools.product((None, R_MAX, -R_MAX), repeat=len(bounded)):
+        at = [i for i, v in zip(bounded, fixed) if v is not None]
+        if at:
+            yield at, [v for v in fixed if v is not None]
+
+
 def _bounded_least_squares(design: np.ndarray, y: np.ndarray, bounded: list[int]) -> np.ndarray:
     """argmin |y - design @ theta|^2 subject to |theta_i| <= R_MAX for i in
     `bounded`. The problem is convex, so the optimum is the best feasible
@@ -438,12 +458,9 @@ def _bounded_least_squares(design: np.ndarray, y: np.ndarray, bounded: list[int]
     infeasible, so the all-free face is skipped."""
     n = design.shape[1]
     best, best_css = np.zeros(n), math.inf
-    for fixed in itertools.product((None, R_MAX, -R_MAX), repeat=len(bounded)):
-        at = [i for i, v in zip(bounded, fixed) if v is not None]
-        if not at:
-            continue
+    for at, values in _box_faces(bounded):
         theta = np.zeros(n)
-        theta[at] = [v for v in fixed if v is not None]
+        theta[at] = values
         free = [j for j in range(n) if j not in at]
         rhs = y - design[:, at] @ theta[at]
         theta[free] = np.linalg.lstsq(design[:, free], rhs, rcond=None)[0]
@@ -456,14 +473,44 @@ def _bounded_least_squares(design: np.ndarray, y: np.ndarray, bounded: list[int]
     return best
 
 
-def _theta_to_unconstrained(theta: np.ndarray, p: int, sp: int) -> np.ndarray | None:
-    """Least-squares (c, ar, sar, beta) to coordinates; None when an AR
-    block lies outside the bounded region."""
-    ar = _ar_to_unconstrained(theta[1 : 1 + p])
-    sar = _ar_to_unconstrained(theta[1 + p : 1 + p + sp])
-    if ar is None or sar is None:
-        return None
-    return np.concatenate([theta[:1], ar, sar, theta[1 + p + sp :]])
+def _stacked_residuals(design_t: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """y less each design of the stack `design_t` (m x n x rows, each one
+    transposed) times its row of theta (m x n)."""
+    return y - (theta[:, None, :] @ design_t)[:, 0]
+
+
+def _bounded_normal_equations(
+    design_t: np.ndarray, y: np.ndarray, normal: np.ndarray, moment: np.ndarray, bounded: list[int]
+) -> np.ndarray:
+    """`_bounded_least_squares` for each design of the stack `design_t`
+    (m x n x rows, each one transposed), whose normal equations are
+    `normal` (m x n x n) and `moment` (m x n): on each face the free
+    coefficients of every design solve their normal equations in one
+    stacked call. A row without a feasible face is NaN."""
+    m, n, _ = design_t.shape
+    best, best_css = np.full((m, n), np.nan), np.full(m, math.inf)
+    for at, values in _box_faces(bounded):
+        free = [j for j in range(n) if j not in at]
+        theta = np.zeros((m, n))
+        theta[:, at] = values
+        rhs = moment[:, free] - normal[:, free][:, :, at] @ values
+        theta[:, free] = np.linalg.solve(normal[:, free][:, :, free], rhs[..., None])[..., 0]
+        resid = _stacked_residuals(design_t, y, theta)
+        css = np.einsum("ij,ij->i", resid, resid)
+        better = np.all(np.abs(theta[:, bounded]) <= R_MAX, axis=-1) & (css < best_css)
+        best[better], best_css[better] = theta[better], css[better]
+    return best
+
+
+def _theta_to_unconstrained(theta: np.ndarray, p: int, sp: int) -> np.ndarray:
+    """Least-squares (c, ar, sar, beta) to coordinates along the last axis;
+    NaN in an AR block that lies outside the bounded region."""
+    return np.concatenate([
+        theta[..., :1],
+        _ar_to_unconstrained(theta[..., 1 : 1 + p]),
+        _ar_to_unconstrained(theta[..., 1 + p : 1 + p + sp]),
+        theta[..., 1 + p + sp :],
+    ], axis=-1)
 
 
 def _lagged_block(order: SarimaxOrder, w: np.ndarray, wbar: float) -> np.ndarray:
@@ -489,7 +536,7 @@ def _least_squares_start(
         return zero, "zero"
     theta = np.linalg.lstsq(design, y, rcond=None)[0]
     x0 = _theta_to_unconstrained(theta, p, sp)
-    if x0 is not None:
+    if not np.isnan(x0).any():
         return x0, "least_squares"
     if p <= 1 and sp <= 1:
         theta = _bounded_least_squares(design, y, list(range(1, 1 + p + sp)))
@@ -546,21 +593,22 @@ def _out_of_budget(order: SarimaxOrder, max_iter: int, result) -> str | None:
     )
 
 
-def _at_optimum(x0: np.ndarray, css: float, grad: np.ndarray, n_poly: int) -> bool:
+def _at_optimum(x0: np.ndarray, css, grad: np.ndarray, n_poly: int):
     """L-BFGS-B's stopping test at iteration 0: x0 lies within the bounds,
     its CSS is finite and the sup norm of its projected gradient is at most
     PGTOL. L-BFGS-B returns such a start as it is, without a step. A
     gradient component that points out of the box through a near bound is
-    cut to the distance to that bound, as L-BFGS-B's projection does."""
-    poly = x0[1 : 1 + n_poly]
-    if not (np.all(np.abs(poly) <= COORD_BOUND) and css < NON_FINITE_CSS):
-        return False
+    cut to the distance to that bound, as L-BFGS-B's projection does.
+    Stacked starts (rows of x0 and grad, entries of css) are tested row by
+    row."""
+    poly = x0[..., 1 : 1 + n_poly]
     g = grad.copy()
-    d = g[1 : 1 + n_poly]
-    g[1 : 1 + n_poly] = np.where(
+    d = g[..., 1 : 1 + n_poly]
+    g[..., 1 : 1 + n_poly] = np.where(
         d < 0, np.maximum(poly - COORD_BOUND, d), np.minimum(poly + COORD_BOUND, d)
     )
-    return bool(np.max(np.abs(g)) <= PGTOL)
+    return (np.all(np.abs(poly) <= COORD_BOUND, axis=-1) & (css < NON_FINITE_CSS)
+            & (np.max(np.abs(g), axis=-1) <= PGTOL))
 
 
 def _assemble(
@@ -737,8 +785,7 @@ def _forecast_path(
     ma_lags = _lags(len(params.ma), len(params.seasonal_ma), order.s)
     w_fc: list[float] = []
     for j in range(len(x_future)):
-        acc = params.c
-        acc += sum(b * x for b, x in zip(params.beta, x_future[j]))
+        acc = params.c + sum(b * x for b, x in zip(params.beta, x_future[j]))
         for a, lag in zip(ar, ar_lags):
             u = j - lag
             if u >= 0:
@@ -769,7 +816,9 @@ def subset_forecaster(
     a subset gathers its columns of them in its own order. A start that
     passes `_at_optimum` is the fit; any other runs `fit`'s L-BFGS-B call.
     A target that cannot be differenced fails every subset, an indicator
-    with gaps only the subsets that hold it."""
+    with gaps only the subsets that hold it. Without MA terms the callable
+    has a `forecast_round(current, candidates)` method that forecasts a
+    greedy round at once."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
     future = {rf.id: rf.future_values[:horizon] for rf in futures}
@@ -830,6 +879,71 @@ def subset_forecaster(
         path = _forecast_path(order, params, history, residuals, wbar, rows)
         return MonthlySeries(train.target.id, start, path).require_complete()
 
+    if order.q or order.Q:
+        return forecast_values
+    p, sp = order.p, order.P
+    gram, moment = design.T @ design, design.T @ y
+    bounded = list(range(1, 1 + p + sp)) if p <= 1 and sp <= 1 else None
+
+    def forecast_round(current: Sequence[str], candidates: Sequence[str]) -> np.ndarray:
+        """One column per candidate: to rounding, `forecast_values` of
+        `current` plus that candidate. Every candidate's least-squares start
+        comes from the normal equations of its columns of one Gram matrix,
+        all solved in one stacked call, with the bounded faces solved the
+        same way where p <= 1 and P <= 1; every forecast recursion runs at
+        once. A column is NaN, left to `forecast_values`, where its start
+        fails `_at_optimum`, its normal equations are conditioned worse
+        than NORMAL_COND_MAX, or its subset cannot be fitted."""
+        out = np.full((horizon, len(candidates)), np.nan)
+        cols = [j for j, i in enumerate(candidates) if i not in gappy]
+        if (not cols or n <= order.min_train_length(len(current) + 1)
+                or any(i in gappy for i in current)):
+            return out
+        base = [*range(width), *(width + slot[i] for i in current)]
+        at = np.array([[*base, width + slot[candidates[j]]] for j in cols])
+        normal = gram[at[:, :, None], at[:, None, :]]
+        try:
+            eig = np.linalg.eigvalsh(normal)  # ascending
+            posed = eig[:, 0] * NORMAL_COND_MAX > eig[:, -1]
+            if not posed.any():
+                return out
+            cols, at, normal = [j for j, ok in zip(cols, posed) if ok], at[posed], normal[posed]
+            rhs, design_t = moment[at], design.T[at]
+            theta = np.linalg.solve(normal, rhs[..., None])[..., 0]
+            x0 = _theta_to_unconstrained(theta, p, sp)
+            outside = np.isnan(x0).any(axis=-1)
+            if bounded is not None and outside.any():
+                theta[outside] = _bounded_normal_equations(
+                    design_t[outside], y, normal[outside], rhs[outside], bounded
+                )
+                x0[outside] = _theta_to_unconstrained(theta[outside], p, sp)
+        except np.linalg.LinAlgError:  # LAPACK failed: every subset fits on its own
+            return out
+        resid = _stacked_residuals(design_t, y, theta)
+        grad = -2.0 * (design_t @ resid[..., None])[..., 0]
+        for lo, hi in ((1, 1 + p), (1 + p, 1 + p + sp)):  # chained into the AR coordinates
+            if hi > lo:
+                xs = x0[:, lo:hi]
+                jac_t = np.swapaxes(_pacf_to_poly_jacobian(xs / np.sqrt(1.0 + xs * xs)), -1, -2)
+                grad[:, lo:hi] = (jac_t @ grad[:, lo:hi, None])[..., 0] * (1.0 + xs * xs) ** -1.5
+        css = np.einsum("ij,ij->i", resid, resid)
+        certified = np.flatnonzero(_at_optimum(x0, css, grad, p + sp))
+        if not certified.size:
+            return out
+        theta = theta[certified]
+        params = SarimaxParams(
+            c=theta[:, 0],
+            ar=tuple(theta[:, 1 : 1 + p].T),
+            seasonal_ar=tuple(theta[:, 1 + p : 1 + p + sp].T),
+            beta=tuple(theta[:, 1 + p + sp :].T),
+        )
+        kept = [cols[j] for j in certified]
+        added = np.array([future[candidates[j]] for j in kept]).T
+        rows = [[*(future[i][h] for i in current), added[h]] for h in range(horizon)]
+        out[:, kept] = np.array(_forecast_path(order, params, history, (), wbar, rows))
+        return out
+
+    forecast_values.forecast_round = forecast_round
     return forecast_values
 
 

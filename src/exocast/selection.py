@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -340,9 +341,14 @@ def forward_select(
 ) -> SelectionResult:
     """Greedy wrapper selection: grow the subset one best candidate at a
     time, record every evaluation, return the best subset seen anywhere.
-    Each round is recorded and reduced in candidate order."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    Each round is recorded and reduced in candidate order.
+
+    An evaluator with a `score_round(current, candidates)` method scores a
+    whole round in one call, one score per candidate; a candidate it scores
+    NaN, and every candidate of an evaluator without the method, is scored
+    by `evaluator(current + (candidate,))`."""
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
     ids = candidates.candidate_ids
     index_of = {cid: i for i, cid in enumerate(ids)}
     entries: list[tuple[tuple[str, ...], float]] = []
@@ -363,13 +369,21 @@ def forward_select(
 
     record((), evaluate(()))
 
+    score_round = getattr(evaluator, "score_round", None)
+    scored = {"batch": 0, "per_subset": 0}
     current: list[str] = []
     remaining = list(ids)
     while len(current) < cap and remaining:
         round_best: tuple[float, int, str] | None = None
-        for cid in remaining:
+        batch = score_round(tuple(current), tuple(remaining)) if score_round else None
+        for n, cid in enumerate(remaining):
             subset = tuple(current) + (cid,)
-            outcome = evaluate(subset)
+            if batch is None or math.isnan(batch[n]):
+                outcome = evaluate(subset)
+                scored["per_subset"] += 1
+            else:
+                outcome = float(batch[n]), None
+                scored["batch"] += 1
             record(subset, outcome)
             if outcome[1] is None:
                 key = (outcome[0], index_of[cid], cid)
@@ -396,6 +410,7 @@ def forward_select(
             "failed_evaluations": len(failures),
             "greedy_path": list(current),
             "cap": cap,
+            "round_scoring": scored,
         },
     )
 

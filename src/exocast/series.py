@@ -342,14 +342,17 @@ def _like(data: MonthlySeries | np.ndarray, values: np.ndarray) -> MonthlySeries
     return values
 
 
-def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """Mean absolute error between two equal-length sequences."""
+def mae(actual: Sequence[float], predicted: Sequence[float] | np.ndarray):
+    """Mean absolute error between two equal-length sequences; a 2-D
+    `predicted` gives one per column."""
     if len(actual) != len(predicted):
         raise ValueError(f"length mismatch: {len(actual)} actual vs {len(predicted)} predicted")
     if len(actual) == 0:
         raise ValueError("mae of empty sequences is undefined")
-    errors = np.abs(np.asarray(actual, dtype=float) - np.asarray(predicted, dtype=float))
-    return float(_sum(errors) / len(errors))
+    predicted = np.asarray(predicted, dtype=float)
+    errors = np.abs(_down(np.asarray(actual, dtype=float), predicted) - predicted)
+    means = _sum(errors) / len(errors)
+    return float(means) if predicted.ndim == 1 else means
 
 
 def min_max_normalize(data: MonthlySeries | np.ndarray):

@@ -65,6 +65,16 @@ class TestSynthCommand:
         assert len(truth["driver_ids"]) == 1
         assert (out / "ind01.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--drivers", "2", "--betas", "1.0"], "error: synth: driver_betas has 1 entries for 2 drivers"),
+        (["--betas", "x"], "error: --betas 'x' is not a comma-separated list of numbers"),
+        (["--months", "0"], "error: synth: n_months and n_indicators must be positive"),
+    ], ids=["too-few-betas", "betas-not-numbers", "no-months"])
+    def test_a_bad_spec_is_one_error_line(self, tmp_path, capsys, flags, message):
+        rc = main(["synth", "--out", str(tmp_path / "data"), *flags])
+        assert (rc, capsys.readouterr().err) == (2, message + "\n")
+        assert not (tmp_path / "data").exists()
+
     def test_deterministic_via_seed(self, tmp_path):
         for name in ("a", "b"):
             main(["synth", "--out", str(tmp_path / name), "--months", "24",
@@ -269,6 +279,15 @@ class TestMalformedInput:
             {"label": "synth-0", "kind": "synthetic", "spec": {"n_indicators": 4, "seed": 0}}
         ])
         self._fails_cleanly(capsys, ["experiment", "--config", str(config)], str(config), "n_months")
+
+    @pytest.mark.parametrize("command", ["experiment", "select"])
+    @pytest.mark.parametrize("cap", [0, True], ids=["zero", "true"])
+    def test_forward_cap_that_is_not_a_positive_integer(self, tmp_path, capsys, command, cap):
+        config = self._config(tmp_path, methods=["none", "forward"], forward_cap=cap)
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        message = f"forward_cap must be an integer >= 1, got {json.dumps(cap)}"
+        self._fails_cleanly(capsys, argv, str(config), message)
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         config = tmp_path / "absent.json"

@@ -30,6 +30,7 @@ from exocast.experiment import (
     training_frames,
 )
 from exocast.sarimax import SarimaxOrder
+from exocast.selection import CandidateSet, forward_select
 from exocast.sarimax import fit as sarimax_fit
 from exocast.sarimax import forecast as sarimax_forecast
 from exocast.series import (
@@ -505,6 +506,9 @@ class TestConfigFile:
         ({"datasets": [{"label": "d", "kind": "csv", "target": "t.csv", "cache_root": "cache"}]},
          "csv dataset 'd' takes no cache_root"),
         ({"jobs": 2}, "jobs is 2; the grid runs one group at a time, so drop the key"),
+        ({"forward_cap": 0}, "forward_cap must be an integer >= 1, got 0"),
+        ({"forward_cap": True}, "forward_cap must be an integer >= 1, got true"),
+        ({"forward_cap": 2.5}, "forward_cap must be an integer >= 1, got 2.5"),
     ])
     def test_malformed_config_names_the_file_and_the_field(self, tmp_path, changes, message):
         path = tmp_path / "config.json"
@@ -762,6 +766,70 @@ class TestSharedForwardDesign:
             fitted = models.fit(spec, sub_train.with_indicators(subset), 12, None)
             direct = models.forecast(fitted, 12, future).require_complete()
             assert np.max(np.abs(np.asarray(forecast_subset(subset)) - direct)) <= 1e-9, subset
+
+    ROUND_SPECS = {
+        **SPECS,
+        "100": ModelSpec("sarimax", order=SarimaxOrder(p=1)),
+        "100x100_12": ModelSpec("sarimax", order=SarimaxOrder(p=1, P=1)),
+        "200": ModelSpec("sarimax", order=SarimaxOrder(p=2)),
+        "101": ModelSpec("sarimax", order=SarimaxOrder(p=1, q=1)),
+    }
+
+    @pytest.mark.parametrize("name", ROUND_SPECS)
+    def test_every_round_scores_as_the_per_subset_path(self, name):
+        # Least squares without a ridge and MA orders have no round scorer.
+        spec = self.ROUND_SPECS[name]
+        _, _, train, _ = next(training_frames(quick_config()))
+        evaluator = experiment._forward_evaluator(spec, train, 12)
+        score_round = getattr(evaluator, "score_round", None)
+        assert (score_round is None) == (name in ("ridge0", "101"))
+        selection = forward_select(CandidateSet(train), evaluator, cap=4)
+        counts = selection.diagnostics["round_scoring"]
+        assert counts["batch"] + counts["per_subset"] == 6 + 5 + 4 + 3
+        if score_round is None:
+            assert counts["batch"] == 0
+            return
+        assert counts["batch"] > 0
+        path = selection.diagnostics["greedy_path"]
+        for size in range(len(path)):
+            current = tuple(path[:size])
+            remaining = tuple(i for i in train.indicator_ids if i not in current)
+            for cid, score in zip(remaining, score_round(current, remaining)):
+                expected = evaluator(current + (cid,))
+                assert np.isnan(score) or abs(score - expected) <= 1e-9 * expected, (current, cid)
+
+    def test_a_near_duplicate_is_left_to_the_per_subset_path(self):
+        # Next to ind01, a copy of it plus 1e-7 noise makes the normal
+        # equations too ill-conditioned to stand in for least squares: solved
+        # in the batch, its score would be off by about 1e-4.
+        _, _, train, _ = next(training_frames(quick_config()))
+        x = np.asarray(train.indicator("ind01").values)
+        near = x + 1e-7 * np.random.default_rng(0).normal(size=len(x))
+        near = MonthlySeries("near", train.start, near)
+        frame = align_merge(train.target, [*train.indicators, near])
+        spec = ModelSpec("sarimax", order=SarimaxOrder(p=1))
+        evaluator = experiment._forward_evaluator(spec, frame, 12)
+        candidates = frame.indicator_ids[1:]
+        scores = evaluator.score_round(("ind01",), candidates)
+        assert [np.isnan(score) for score in scores] == [i == "near" for i in candidates]
+        for cid, score in zip(candidates[:-1], scores):
+            expected = evaluator(("ind01", cid))
+            assert abs(score - expected) <= 1e-9 * expected, cid
+
+    def test_criterion_08_selections_match_the_per_subset_path(self):
+        models_ = (ModelSpec("sarimax", order=SarimaxOrder(p=1)),
+                   ModelSpec("additive", additive_config=LEAN_ADDITIVE))
+        for seed in range(10):
+            config = quick_config(datasets=(synth_dataset(seed, n_indicators=10),))
+            _, _, train, _ = next(training_frames(config))
+            for spec in models_:
+                batched = experiment.select(MethodSpec("forward"), spec, train, 12, forward_cap=10)
+                evaluator = experiment._forward_evaluator(spec, train, 12)
+                per_subset = forward_select(CandidateSet(train), lambda s: evaluator(s), cap=10)
+                assert batched.selected_ids == per_subset.selected_ids, (seed, spec.label)
+                assert ([s for s, _ in batched.trace.entries]
+                        == [s for s, _ in per_subset.trace.entries]), (seed, spec.label)
+                assert batched.diagnostics["round_scoring"] == {"batch": 55, "per_subset": 0}
 
     @pytest.mark.parametrize(
         "spec",

@@ -11,6 +11,7 @@ from exocast.errors import (
     InsufficientDataError,
     MissingValueError,
     SchemaError,
+    SelectionError,
 )
 from exocast.sarimax import (
     COORD_BOUND,
@@ -522,6 +523,55 @@ class TestSubsetForecaster:
             assert np.array_equal(forecast_subset(subset), values), subset
 
 
+def round_evaluators(train, order, actual, futures):
+    """Per-subset and round-scoring evaluators of one shared forecaster, as
+    forward selection uses them."""
+    shared = subset_forecaster(train, order, len(actual), futures)
+
+    def per_subset(subset):
+        return mae(actual, shared(subset))
+
+    def batched(subset):
+        return per_subset(subset)
+
+    if hasattr(shared, "forecast_round"):
+        batched.score_round = lambda current, candidates: mae(
+            actual, shared.forecast_round(current, candidates)
+        )
+    return per_subset, batched
+
+
+class TestRoundForecast:
+    # A greedy round forecasts every candidate at once; each column must
+    # match that subset's own forecast to rounding.
+    @staticmethod
+    def _assert_round_matches(shared, current, candidates):
+        columns = shared.forecast_round(current, candidates)
+        for j, cid in enumerate(candidates):
+            expected = shared(current + (cid,))
+            gap = np.max(np.abs(columns[:, j] - expected))
+            assert np.isnan(gap) or gap <= 1e-9 * np.max(np.abs(expected)), cid
+        return columns
+
+    def test_a_bounded_start_is_scored_in_batch(self):
+        train = subset_frame(2, growth=0.08)
+        order = SarimaxOrder(p=1)
+        shared = subset_forecaster(train, order, 12, continuations(train, 12))
+        ids = train.indicator_ids
+        for current in [(), ("x1",), ("x3", "x0")]:
+            candidates = tuple(i for i in ids if i not in current)
+            for cid in candidates:
+                fitted = fit(train.with_indicators(current + (cid,)), order)
+                assert fitted.optimizer["start"] == "bounded_least_squares"
+            columns = self._assert_round_matches(shared, current, candidates)
+            assert not np.isnan(columns).any()
+
+    def test_an_ma_order_has_no_round(self):
+        train = subset_frame(1)
+        shared = subset_forecaster(train, SarimaxOrder(p=1, q=1), 12, continuations(train, 12))
+        assert not hasattr(shared, "forecast_round")
+
+
 class TestSubsetFailures:
     def test_too_many_regressors_fail_as_fit_does(self):
         train = subset_frame(4, n=14, n_indicators=12)
@@ -618,6 +668,42 @@ class TestSubsetFailures:
             with pytest.raises(InsufficientDataError) as caught:
                 shared(too_long)
             assert str(caught.value) == str(direct.value)
+
+    def test_a_round_leaves_failing_candidates_to_the_per_subset_path(self):
+        # As above: x5 has a gap and 11 regressors are too many for 14
+        # months; then a gap in the target fails every subset.
+        base = subset_frame(7, n=14, n_indicators=12)
+        futures = continuations(base, 4)
+        x5 = base.indicator("x5").values
+        columns = [(i, base.indicator(i).values) for i in base.indicator_ids]
+        columns[5] = ("x5", x5[:6] + (None,) + x5[7:])
+        train = frame(base.target.values, indicators=columns)
+        order = SarimaxOrder(p=1, d=1)
+        actual = np.linspace(0, 1, 4)
+        per_subset, batched = round_evaluators(train, order, actual, futures)
+        ids = train.indicator_ids
+        scores = batched.score_round(("x0",), ids[1:])
+        assert [np.isnan(v) for v in scores] == [i == "x5" for i in ids[1:]]
+        assert np.isnan(batched.score_round(ids[:11], ids[11:])).all()
+        own, via_round = (forward_select(CandidateSet(train), e, cap=12)
+                          for e in (per_subset, batched))
+        assert via_round.trace.failures == own.trace.failures
+        assert [s for s, _ in via_round.trace.entries] == [s for s, _ in own.trace.entries]
+        for (_, got), (_, expected) in zip(via_round.trace.entries, own.trace.entries):
+            assert abs(got - expected) <= 1e-9 * expected
+        counts = via_round.diagnostics["round_scoring"]
+        assert counts["batch"] > 0 and counts["per_subset"] == len(own.trace.failures)
+
+        target = list(base.target.values)
+        target[3] = None
+        train = frame(target, indicators=columns)
+        raised = []
+        for evaluate in round_evaluators(train, order, actual, futures):
+            assert not hasattr(evaluate, "score_round")
+            with pytest.raises(SelectionError) as caught:
+                forward_select(CandidateSet(train), evaluate, cap=12)
+            raised.append(str(caught.value))
+        assert raised[0] == raised[1] and "MissingValueError" in raised[0]
 
 
 class TestStartCertificate:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -423,6 +424,45 @@ class TestForwardSelect:
         result = forward_select(cands, lambda s: 10.0 - len(s), cap=3)
         assert all(len(s) <= 3 for s, _ in result.trace.entries)
         assert len(result.diagnostics["greedy_path"]) == 3
+
+    @pytest.mark.parametrize("cap", [0, -1, True, 2.0])
+    def test_cap_must_be_a_positive_integer(self, cap):
+        with pytest.raises(ValueError, match="cap must be an integer >= 1"):
+            forward_select(self._simple_candidates(2), lambda s: 1.0, cap=cap)
+
+    def test_a_round_scorer_scores_each_round_in_one_call(self):
+        cands = self._simple_candidates(4)
+        ids = cands.candidate_ids
+        rng = np.random.default_rng(9)
+        table = {}
+
+        def evaluator(subset):
+            key = tuple(sorted(subset))
+            if key not in table:
+                table[key] = float(rng.uniform(1, 10))
+            return table[key]
+
+        calls = []
+
+        def score_round(current, candidates):
+            calls.append((current, candidates))
+            # c2 is left to the per-subset call.
+            return [math.nan if c == "c2" else evaluator(current + (c,)) for c in candidates]
+
+        def batched(subset):
+            return evaluator(subset)
+
+        batched.score_round = score_round
+        plain = forward_select(cands, evaluator, cap=3)
+        result = forward_select(cands, batched, cap=3)
+        assert result.trace == plain.trace and result.selected_ids == plain.selected_ids
+        path = plain.diagnostics["greedy_path"]
+        assert calls == [
+            (tuple(path[:k]), tuple(c for c in ids if c not in path[:k])) for k in range(3)
+        ]
+        left = sum("c2" in candidates for _, candidates in calls)
+        assert result.diagnostics["round_scoring"] == {"batch": 4 + 3 + 2 - left, "per_subset": left}
+        assert plain.diagnostics["round_scoring"] == {"batch": 0, "per_subset": 4 + 3 + 2}
 
     def test_failed_subset_recorded_and_skipped(self):
         cands = self._simple_candidates(3)

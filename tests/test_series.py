@@ -85,6 +85,15 @@ class TestMae:
         with pytest.raises(ValueError):
             mae([], [])
 
+    def test_one_per_column_of_a_2d_prediction(self):
+        rng = np.random.default_rng(0)
+        actual, predicted = rng.normal(size=12), rng.normal(size=(12, 5))
+        predicted[:, 3] = np.nan
+        got = mae(actual, predicted)
+        assert got.shape == (5,) and np.isnan(got[3])
+        for j in (0, 1, 2, 4):
+            assert got[j] == mae(actual, predicted[:, j])
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40), st.floats(-100, 100))
     def test_constant_offset_property(self, y, c):
         assert mae(y, [v + c for v in y]) == pytest.approx(abs(c), abs=1e-9)
