@@ -11,7 +11,7 @@ every indicator subset of one frame from a single design of all of them.
 With a ridge penalty, its `forecast_round` also scores a whole greedy round
 at once: every candidate's penalised normal equations come from one Gram
 matrix and are solved in one stacked call, and every forecast steps at
-once, equal to the per-subset Cholesky path to rounding.
+once, equal to the per-subset path to rounding.
 """
 
 from __future__ import annotations
@@ -215,14 +215,12 @@ def build_design(train: AlignedFrame, config: AdditiveConfig) -> DesignMatrix:
 def _ridge_solver(design: DesignMatrix, y: np.ndarray, ridge_lambda: float):
     """`columns -> coefficients` of the ridge fit of `y` on those columns of
     `design`. Only the intercept and base trend slope go unpenalised, so for
-    ridge_lambda > 0 Cholesky solves the positive definite normal equations,
-    from one penalised Gram matrix for every subset, and a (subsets x
-    columns) stack of column lists is solved in one stacked call; at 0
-    least squares copes with a rank-deficient design."""
+    ridge_lambda > 0 the normal equations, taken from one penalised Gram
+    matrix for every subset, are positive definite and solved by LU; a
+    (subsets x columns) stack of column lists is solved in one stacked
+    call. At 0 least squares copes with a rank-deficient design."""
     if ridge_lambda == 0:
         return lambda columns: np.linalg.lstsq(design.values[:, columns], y, rcond=None)[0]
-    from scipy.linalg.lapack import dposv  # here, so that importing exocast loads no scipy
-
     penalty = np.array(
         [0.0 if (tag == "intercept" or (tag == "T" and name == "t")) else ridge_lambda
          for tag, name in design.layout]
@@ -232,14 +230,9 @@ def _ridge_solver(design: DesignMatrix, y: np.ndarray, ridge_lambda: float):
     moment = design.values.T @ y
 
     def solve(columns):
-        if np.ndim(columns) == 2:
-            normal = gram[columns[:, :, None], columns[:, None, :]]
-            return np.linalg.solve(normal, moment[columns][..., None])[..., 0]
-        normal = gram.take(columns, 0).take(columns, 1)
-        _, coeffs, info = dposv(normal, moment[columns])  # Cholesky factor and solve
-        if info:
-            raise np.linalg.LinAlgError(f"ridge normal equations: LAPACK dposv info {info}")
-        return coeffs
+        columns = np.asarray(columns)
+        normal = gram[columns[..., :, None], columns[..., None, :]]
+        return np.linalg.solve(normal, moment[columns][..., None])[..., 0]
 
     return solve
 

@@ -22,15 +22,17 @@ the coordinate map. When q = Q = 0 the CSS is linear least squares in
 (c, ar, sar, beta), so the optimum is solved directly and passed as the
 starting point: the unconstrained solution when its partial
 autocorrelations lie within R_MAX, the bounded solution in closed form when
-p <= 1 and P <= 1, and zero otherwise. L-BFGS-B then confirms the start,
-typically at iteration 0, and alone decides convergence.
+p <= 1 and P <= 1, and zero otherwise. `minimize` first runs L-BFGS-B's
+own stopping test at iteration 0 on the start (inside the bounds, projected
+gradient at most PGTOL) and returns a start that passes as L-BFGS-B returns
+it, without loading scipy. Any other start goes to L-BFGS-B, which alone
+decides convergence.
 
 `subset_forecaster` fits one order on many regressor subsets of one frame,
 as forward selection does. The differenced target and the lagged design
 are built once, and each subset takes its columns of them. A start that
-passes L-BFGS-B's own stopping test at iteration 0 (inside the bounds,
-projected gradient at most PGTOL) is taken as it is, the point L-BFGS-B
-would return; any other start runs the L-BFGS-B call of `fit`. That path
+passes the same iteration-0 test is taken as it is, without a `minimize`
+call; any other start runs the L-BFGS-B call of `fit`. That path
 is bit for bit `fit`. Without MA terms, its `forecast_round` also scores a
 whole greedy round at once: every candidate's start solves its normal
 equations, taken from one Gram matrix of the design, in one stacked call,
@@ -47,6 +49,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,12 +109,28 @@ NON_FINITE_CSS = 1e300
 NORMAL_COND_MAX = 1e-9 / np.finfo(float).eps
 
 
-def minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on first use: the import is most
-    of the package's start-up time, and most CLI commands fit nothing."""
+# L-BFGS-B's message for a start that passes its iteration-0 test.
+CONVERGED_AT_START = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+
+
+def minimize(fun, x0, args=(), *, bounds, options, **kwargs):
+    """`scipy.optimize.minimize` with L-BFGS-B on `fun`, which returns the
+    CSS and its gradient, certified first without scipy. A start that
+    passes L-BFGS-B's own test at iteration 0 (`_at_optimum` with
+    `options["gtol"]`) is returned as scipy returns it, from the one
+    evaluation scipy makes there: `x` a copy of x0, `fun`, `jac`, nit 0,
+    nfev and njev 1, status 0. Any other start goes to scipy unchanged, and
+    only then is scipy imported: it is most of a fit's start-up time and
+    memory."""
+    css, grad = fun(x0, *args)
+    if _at_optimum(x0, css, grad, bounds, options["gtol"]):
+        return SimpleNamespace(
+            x=np.array(x0, dtype=float), fun=css, jac=np.array(grad, dtype=float),
+            nit=0, nfev=1, njev=1, status=0, success=True, message=CONVERGED_AT_START,
+        )
     from scipy.optimize import minimize as scipy_minimize
 
-    return scipy_minimize(*args, **kwargs)
+    return scipy_minimize(fun, x0, args, bounds=bounds, options=options, **kwargs)
 
 
 @dataclass(frozen=True, order=True)
@@ -559,16 +578,18 @@ def _check_length(order: SarimaxOrder, k: int, n: int) -> None:
         )
 
 
+def _bounds(order: SarimaxOrder, k: int) -> list[tuple[float | None, float | None]]:
+    """L-BFGS-B's bounds on the coordinates: the lag polynomials' within
+    +-COORD_BOUND, the constant's and the k regressors' free (None)."""
+    n_poly = order.p + order.q + order.P + order.Q
+    return [(None, None)] + [(-COORD_BOUND, COORD_BOUND)] * n_poly + [(None, None)] * k
+
+
 def _lbfgsb(
     x0: np.ndarray, order: SarimaxOrder, w: np.ndarray, X: np.ndarray, wbar: float, max_iter: int
 ):
-    """L-BFGS-B on the CSS from x0, with the coordinates of the lag
-    polynomials held within +-COORD_BOUND. Returns the better of its end
-    point and x0, and the optimizer's result."""
-    n_poly = order.p + order.q + order.P + order.Q
-    bounds = [(None, None)]  # constant
-    bounds += [(-COORD_BOUND, COORD_BOUND)] * n_poly
-    bounds += [(None, None)] * X.shape[1]
+    """L-BFGS-B on the CSS from x0 within `_bounds`. Returns the better of
+    its end point and x0, and the optimizer's result."""
     args = (order, w, X, wbar)
     result = minimize(
         _css_and_gradient,
@@ -576,11 +597,12 @@ def _lbfgsb(
         args=args,
         method="L-BFGS-B",
         jac=True,
-        bounds=bounds,
+        bounds=_bounds(order, X.shape[1]),
         options={"maxiter": max_iter, "ftol": CSS_TOL, "gtol": PGTOL},
     )
-    best_x = result.x if result.fun <= _css_and_gradient(x0, *args)[0] else x0
-    return np.asarray(best_x), result
+    if np.array_equal(result.x, x0) or result.fun <= _css_and_gradient(x0, *args)[0]:
+        return np.asarray(result.x), result
+    return x0, result
 
 
 def _out_of_budget(order: SarimaxOrder, max_iter: int, result) -> str | None:
@@ -593,22 +615,19 @@ def _out_of_budget(order: SarimaxOrder, max_iter: int, result) -> str | None:
     )
 
 
-def _at_optimum(x0: np.ndarray, css, grad: np.ndarray, n_poly: int):
-    """L-BFGS-B's stopping test at iteration 0: x0 lies within the bounds,
-    its CSS is finite and the sup norm of its projected gradient is at most
-    PGTOL. L-BFGS-B returns such a start as it is, without a step. A
-    gradient component that points out of the box through a near bound is
-    cut to the distance to that bound, as L-BFGS-B's projection does.
-    Stacked starts (rows of x0 and grad, entries of css) are tested row by
-    row."""
-    poly = x0[..., 1 : 1 + n_poly]
-    g = grad.copy()
-    d = g[..., 1 : 1 + n_poly]
-    g[..., 1 : 1 + n_poly] = np.where(
-        d < 0, np.maximum(poly - COORD_BOUND, d), np.minimum(poly + COORD_BOUND, d)
-    )
-    return (np.all(np.abs(poly) <= COORD_BOUND, axis=-1) & (css < NON_FINITE_CSS)
-            & (np.max(np.abs(g), axis=-1) <= PGTOL))
+def _at_optimum(x0: np.ndarray, css, grad: np.ndarray, bounds, gtol: float):
+    """L-BFGS-B's stopping test at iteration 0: x0 lies within `bounds`
+    (pairs, None where a side is free), its CSS is finite and the sup norm
+    of its projected gradient is at most gtol. L-BFGS-B returns such a
+    start as it is, without a step. A gradient component that points out of
+    the box through a near bound is cut to the distance to that bound, as
+    L-BFGS-B's projection does. Stacked starts (rows of x0 and grad,
+    entries of css) are tested row by row."""
+    lo = np.array([-math.inf if b is None else b for b, _ in bounds])
+    hi = np.array([math.inf if b is None else b for _, b in bounds])
+    g = np.where(grad < 0, np.maximum(x0 - hi, grad), np.minimum(x0 - lo, grad))
+    return (np.all((lo <= x0) & (x0 <= hi), axis=-1) & (css < NON_FINITE_CSS)
+            & (np.max(np.abs(g), axis=-1) <= gtol))
 
 
 def _assemble(
@@ -662,9 +681,10 @@ def fit(
     max_iter: int = MAX_ITER,
 ) -> FittedSarimax:
     """Minimise the conditional sum of squares with L-BFGS-B on the exact
-    gradient. For q = Q = 0 the run starts from the least-squares optimum
-    (bounded in closed form when p <= 1 and P <= 1), which L-BFGS-B
-    certifies; otherwise it starts from zero. Raises
+    gradient, through `minimize`. For q = Q = 0 the run starts from the
+    least-squares optimum (bounded in closed form when p <= 1 and P <= 1),
+    which `minimize` certifies without scipy, as L-BFGS-B would at
+    iteration 0; otherwise it starts from zero. Raises
     ConvergenceFailureError, carrying the best point, when the iteration
     budget runs out. The result records the start and the optimizer's
     status, iterations, evaluations and whether a coefficient sits at its
@@ -853,7 +873,6 @@ def subset_forecaster(
     history = _stage_histories(
         _tail(train.target.require_complete(), n_values), order.d, order.D, order.s
     )
-    n_poly = order.p + order.q + order.P + order.Q
     start = train.end.shift(1)
 
     def forecast_values(subset: Sequence[str]) -> np.ndarray:
@@ -868,7 +887,7 @@ def subset_forecaster(
         x0, _ = _least_squares_start(order, design.take(lagged_and_x, axis=1), y)
         css, grad = _css_and_gradient(x0, order, w, X, wbar)
         x = x0
-        if not _at_optimum(x0, css, grad, n_poly):
+        if not _at_optimum(x0, css, grad, _bounds(order, len(at)), PGTOL):
             x, result = _lbfgsb(x0, order, w, X, wbar, MAX_ITER)
             failure = _out_of_budget(order, MAX_ITER, result)
             if failure:
@@ -927,7 +946,7 @@ def subset_forecaster(
                 jac_t = np.swapaxes(_pacf_to_poly_jacobian(xs / np.sqrt(1.0 + xs * xs)), -1, -2)
                 grad[:, lo:hi] = (jac_t @ grad[:, lo:hi, None])[..., 0] * (1.0 + xs * xs) ** -1.5
         css = np.einsum("ij,ij->i", resid, resid)
-        certified = np.flatnonzero(_at_optimum(x0, css, grad, p + sp))
+        certified = np.flatnonzero(_at_optimum(x0, css, grad, _bounds(order, len(current) + 1), PGTOL))
         if not certified.size:
             return out
         theta = theta[certified]

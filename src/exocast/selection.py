@@ -46,6 +46,10 @@ LASSO_MAX_ITER = 10_000
 LASSO_NONZERO = 1e-10
 KKT_TOL = 1e-12  # relative to max|X'y/n|
 ACTIVE_SET_MAX_STEPS = 1_000
+# Forward scores this close to the lowest are tied: a batched round agrees
+# with the per-subset path to about this, so rounding may order them either
+# way. Seeds 0-9 and 100-139 separate distinct subsets by 1.9e-5 or more.
+SCORE_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -341,7 +345,10 @@ def forward_select(
 ) -> SelectionResult:
     """Greedy wrapper selection: grow the subset one best candidate at a
     time, record every evaluation, return the best subset seen anywhere.
-    Each round is recorded and reduced in candidate order.
+    Each round is recorded and reduced in candidate order. Scores within
+    SCORE_TIE_RTOL of the lowest are tied, so that no choice rests on
+    rounding: a round's tie goes to the first candidate, and a tie for the
+    best subset to the shortest, then to the first evaluated.
 
     An evaluator with a `score_round(current, candidates)` method scores a
     whole round in one call, one score per candidate; a candidate it scores
@@ -350,7 +357,6 @@ def forward_select(
     if type(cap) is not int or cap < 1:
         raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
     ids = candidates.candidate_ids
-    index_of = {cid: i for i, cid in enumerate(ids)}
     entries: list[tuple[tuple[str, ...], float]] = []
     failures: list[tuple[tuple[str, ...], str]] = []
 
@@ -374,7 +380,7 @@ def forward_select(
     current: list[str] = []
     remaining = list(ids)
     while len(current) < cap and remaining:
-        round_best: tuple[float, int, str] | None = None
+        round_scores: list[tuple[float, str]] = []
         batch = score_round(tuple(current), tuple(remaining)) if score_round else None
         for n, cid in enumerate(remaining):
             subset = tuple(current) + (cid,)
@@ -386,20 +392,21 @@ def forward_select(
                 scored["batch"] += 1
             record(subset, outcome)
             if outcome[1] is None:
-                key = (outcome[0], index_of[cid], cid)
-                if round_best is None or key < round_best:
-                    round_best = key
-        if round_best is None:
+                round_scores.append((outcome[0], cid))
+        if not round_scores:
             break  # the whole round failed; keep what we have
-        current.append(round_best[2])
-        remaining.remove(round_best[2])
+        best = _tied([score for score, _ in round_scores])[0]
+        current.append(round_scores[best][1])
+        remaining.remove(round_scores[best][1])
 
     if not entries:
         raise SelectionError(
             "every evaluation failed: "
             + "; ".join(f"{list(s)} -> {r}" for s, r in failures[:5])
         )
-    best_subset, best_score = min(entries, key=lambda e: (e[1], len(e[0])))
+    best_subset, best_score = entries[
+        min(_tied([score for _, score in entries]), key=lambda n: len(entries[n][0]))
+    ]
     return SelectionResult(
         method="forward",
         selected_ids=best_subset,
@@ -413,6 +420,15 @@ def forward_select(
             "round_scoring": scored,
         },
     )
+
+
+def _tied(scores: Sequence[float]) -> list[int]:
+    """Positions, in order, of the scores within SCORE_TIE_RTOL of the
+    lowest; NaN scores tie only when every score is NaN."""
+    low = min((score for score in scores if not math.isnan(score)), default=math.nan)
+    if math.isnan(low):
+        return list(range(len(scores)))
+    return [n for n, score in enumerate(scores) if score <= low + SCORE_TIE_RTOL * abs(low)]
 
 
 def validate_manual(candidates: CandidateSet, chosen: Sequence[str]) -> SelectionResult:

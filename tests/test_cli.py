@@ -39,8 +39,9 @@ def write_experiment_config(tmp_path, out_dir=None, methods=None, months=76, mod
 
 
 def test_import_loads_no_scipy():
-    # scipy.optimize is most of the start-up time; only a SARIMAX fit needs
-    # it. requests costs tens of milliseconds more; only a live fetch needs it.
+    # scipy is most of the start-up time and memory; only a SARIMAX start
+    # that fails L-BFGS-B's iteration-0 test needs it. requests costs tens of
+    # milliseconds more; only a live fetch needs it.
     src = str(Path(exocast.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (
@@ -49,6 +50,26 @@ def test_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_experiment_loads_no_scipy(tmp_path):
+    # The paper's grid fits SARIMAX(1,0,0) from certified least-squares
+    # starts and the additive model by a ridge solve: neither needs scipy.
+    lean_additive = {"name": "additive", "config": {
+        "n_changepoints": 2, "seasonalities": [[12.0, 2]], "ar_lags": 2, "regressor_lags": 8,
+        "ridge_lambda": 1.0}}
+    config = write_experiment_config(tmp_path, methods=["none", "forward"],
+                                     models=(SARIMAX, lean_additive))
+    src = str(Path(exocast.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys; from exocast.cli import main; "
+        f"rc = main(['experiment', '--config', {str(config)!r}, '--out', {str(tmp_path / 'run')!r}]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    assert len(list((tmp_path / "run" / "cells").iterdir())) == 4
 
 
 class TestSynthCommand:

@@ -816,6 +816,28 @@ class TestSharedForwardDesign:
             expected = evaluator(("ind01", cid))
             assert abs(score - expected) <= 1e-9 * expected, cid
 
+    def test_exact_ties_choose_alike_through_both_paths(self):
+        # A copy of ind01 scores as ind01, and a constant adds nothing to the
+        # intercept; the two paths round such ties differently, by 5e-14.
+        config = quick_config(datasets=(synth_dataset(0, n_indicators=10),))
+        _, _, train, _ = next(training_frames(config))
+        ind01 = train.indicator("ind01")
+        frame = align_merge(train.target, [
+            *train.indicators, MonthlySeries("dup", train.start, ind01.values),
+            MonthlySeries("const", train.start, [0.5] * len(train)),
+        ])
+        for spec in (ModelSpec("sarimax", order=SarimaxOrder(p=1)),
+                     ModelSpec("additive", additive_config=LEAN_ADDITIVE)):
+            evaluator = experiment._forward_evaluator(spec, frame, 12)
+            batched = forward_select(CandidateSet(frame), evaluator, cap=10)
+            per_subset = forward_select(CandidateSet(frame), lambda s: evaluator(s), cap=10)
+            assert batched.diagnostics["round_scoring"]["batch"] > 0
+            assert batched.selected_ids == per_subset.selected_ids, spec.label
+            path = batched.diagnostics["greedy_path"]
+            assert path == per_subset.diagnostics["greedy_path"], spec.label
+            assert path.index("ind01") < path.index("dup"), spec.label
+            assert "const" not in batched.selected_ids, spec.label
+
     def test_criterion_08_selections_match_the_per_subset_path(self):
         models_ = (ModelSpec("sarimax", order=SarimaxOrder(p=1)),
                    ModelSpec("additive", additive_config=LEAN_ADDITIVE))

@@ -470,6 +470,35 @@ def continuations(train, horizon):
     return [extrapolate_regressor(x, horizon) for x in train.indicators]
 
 
+def recorded_minimize_calls(monkeypatch):
+    """Record each `minimize` call as (args, kwargs, result), passing it on."""
+    calls = []
+    minimize = sarimax_module.minimize
+
+    def recording(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(sarimax_module, "minimize", recording)
+    return calls
+
+
+def counted_scipy_calls(monkeypatch):
+    """Count the calls that reach `scipy.optimize.minimize`."""
+    import scipy.optimize
+
+    calls = []
+    scipy_minimize = scipy.optimize.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return scipy_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counting)
+    return calls
+
+
 class TestSubsetForecaster:
     # Forward selection fits one order on many subsets of one frame; each
     # subset must forecast bit for bit as its own fit does.
@@ -485,14 +514,7 @@ class TestSubsetForecaster:
         train = subset_frame(1)
         futures = continuations(train, 12)
         direct = [fitted_forecast(train, order, subset, 12, futures) for subset in self.SUBSETS]
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return scipy_minimize(*args, **kwargs)
-
-        scipy_minimize = sarimax_module.minimize
-        monkeypatch.setattr(sarimax_module, "minimize", counting)
+        calls = recorded_minimize_calls(monkeypatch)
         forecast_subset = subset_forecaster(train, order, 12, futures)
         for subset, expected in zip(self.SUBSETS, direct):
             assert np.array_equal(forecast_subset(subset), expected), subset
@@ -707,8 +729,9 @@ class TestSubsetFailures:
 
 
 class TestStartCertificate:
-    # The shared path accepts a least-squares start when it passes
-    # L-BFGS-B's own iteration-0 test; L-BFGS-B must then agree.
+    # A least-squares start that passes L-BFGS-B's own iteration-0 test is
+    # the fit: the shared path takes it as it is, and `minimize` returns it
+    # without scipy. scipy's L-BFGS-B must stop there too, with that result.
     @staticmethod
     def _problem(train, order, subset):
         exog = train.with_indicators(subset).indicators
@@ -721,31 +744,67 @@ class TestStartCertificate:
         return x0, (order, w, X, wbar)
 
     @pytest.mark.parametrize("growth", [0.0, 0.08], ids=["free", "bounded"])
-    def test_an_accepted_start_is_where_lbfgsb_stops(self, growth):
+    def test_an_accepted_start_is_where_lbfgsb_stops(self, growth, monkeypatch):
+        from scipy.optimize import minimize as scipy_minimize
+
         train = subset_frame(8, n_indicators=10, growth=growth)
         order = SarimaxOrder(p=1)
-        n_poly = order.p
+        calls = recorded_minimize_calls(monkeypatch)
         accepted = 0
         for size in range(11):
             for subset in itertools.combinations(train.indicator_ids, size):
                 x0, args = self._problem(train, order, subset)
                 css, grad = _css_and_gradient(x0, *args)
-                if not sarimax_module._at_optimum(x0, css, grad, n_poly):
+                bounds = sarimax_module._bounds(order, size)
+                if not sarimax_module._at_optimum(x0, css, grad, bounds, sarimax_module.PGTOL):
                     continue
                 accepted += 1
-                best_x, result = sarimax_module._lbfgsb(x0, *args, MAX_ITER)
+                best_x, _ = sarimax_module._lbfgsb(x0, *args, MAX_ITER)
+                assert np.array_equal(best_x, x0), subset
+                lbfgsb_args, lbfgsb_kwargs, _ = calls.pop()
+                result = scipy_minimize(*lbfgsb_args, **lbfgsb_kwargs)
                 assert result.nit == 0, subset
-                assert np.array_equal(result.x, x0) and np.array_equal(best_x, x0), subset
+                assert np.array_equal(result.x, x0), subset
         assert accepted == 2 ** 10
         if growth:
             assert abs(x0[1]) == COORD_BOUND
+
+    @pytest.mark.parametrize(
+        "order, growth",
+        [(SarimaxOrder(p=1), 0.0), (SarimaxOrder(p=2), 0.0),
+         (SarimaxOrder(p=1, P=1, s=12), 0.0), (SarimaxOrder(p=1), 0.08)],
+        ids=["100", "200", "100x100_12", "bounded"],
+    )
+    def test_a_certified_start_returns_what_scipy_returns(self, order, growth, monkeypatch):
+        from scipy.optimize import minimize as scipy_minimize
+
+        train = subset_frame(10, n=96, growth=growth)
+        calls = recorded_minimize_calls(monkeypatch)
+        reached = counted_scipy_calls(monkeypatch)
+        for subset in TestSubsetForecaster.SUBSETS:
+            fitted = fit(train.with_indicators(subset), order)
+            assert fitted.optimizer["nit"] == 0, subset
+            expected_start = "bounded_least_squares" if growth else "least_squares"
+            assert fitted.optimizer["start"] == expected_start, subset
+        assert reached == [] and len(calls) == len(TestSubsetForecaster.SUBSETS)
+        for args, kwargs, certified in calls:
+            reference = scipy_minimize(*args, **kwargs)
+            for key in ("x", "jac"):
+                got, want = getattr(certified, key), getattr(reference, key)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+            assert type(certified.fun) is type(reference.fun)
+            assert np.float64(certified.fun).tobytes() == np.float64(reference.fun).tobytes()
+            for key in ("nit", "nfev", "njev", "status", "success", "message"):
+                assert getattr(certified, key) == getattr(reference, key), key
+            assert certified.x is not args[1]
 
     def test_a_refused_start_runs_lbfgsb(self, monkeypatch):
         train = subset_frame(9)
         order = SarimaxOrder(p=1)
         x0, args = self._problem(train, order, ("x0", "x1"))
         css, grad = _css_and_gradient(x0 + 1e-3, *args)
-        assert not sarimax_module._at_optimum(x0 + 1e-3, css, grad, order.p)
+        bounds = sarimax_module._bounds(order, 2)
+        assert not sarimax_module._at_optimum(x0 + 1e-3, css, grad, bounds, sarimax_module.PGTOL)
 
         least_squares_start = sarimax_module._least_squares_start
 
@@ -754,6 +813,7 @@ class TestStartCertificate:
             return x0 + 1e-3, start
 
         monkeypatch.setattr(sarimax_module, "_least_squares_start", perturbed)
+        reached = counted_scipy_calls(monkeypatch)
         futures = continuations(train, 12)
         forecast_subset = subset_forecaster(train, order, 12, futures)
         for subset in TestSubsetForecaster.SUBSETS:
@@ -761,6 +821,26 @@ class TestStartCertificate:
             assert fitted.optimizer["nit"] > 0
             expected = fitted_forecast(train, order, subset, 12, futures)
             assert np.array_equal(forecast_subset(subset), expected), subset
+        # Each subset is fitted twice by `fit` and once by the shared path.
+        assert len(reached) == 3 * len(TestSubsetForecaster.SUBSETS)
+
+    def test_a_start_outside_the_bounds_reaches_scipy(self, monkeypatch):
+        # Stationary beyond the bound: L-BFGS-B first moves x0 onto the box.
+        def beyond(x):
+            return float((x[0] - 60.0) ** 2), np.array([2.0 * (x[0] - 60.0)])
+
+        reached = counted_scipy_calls(monkeypatch)
+        result = sarimax_module.minimize(
+            beyond, np.array([60.0]), method="L-BFGS-B", jac=True,
+            bounds=[(-COORD_BOUND, COORD_BOUND)], options={"gtol": sarimax_module.PGTOL},
+        )
+        assert len(reached) == 1 and result.x[0] == COORD_BOUND
+
+    def test_an_ma_order_reaches_scipy(self, monkeypatch):
+        reached = counted_scipy_calls(monkeypatch)
+        fitted = fit(subset_frame(9), SarimaxOrder(p=1, q=1))
+        assert fitted.optimizer["start"] == "zero" and fitted.optimizer["nit"] > 0
+        assert len(reached) == 1
 
 
 class TestSerialization:

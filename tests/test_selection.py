@@ -386,6 +386,29 @@ class TestForwardSelect:
         assert result.selected_ids == expected_subset
         assert result.score == expected_score
 
+    def test_scores_apart_by_rounding_are_tied(self):
+        # A round's tie goes to the first candidate; a tie for the best subset
+        # to the shortest, then to the first evaluated.
+        cands = self._simple_candidates(3)
+        ulp = math.ulp(1.0)
+        scores = {(): 2.0, ("c0",): 1.0 + 4 * ulp, ("c1",): 1.0, ("c2",): 1.5,
+                  ("c0", "c1"): 1.0 - 4 * ulp, ("c0", "c2"): 1.0 - 1e-6}
+        result = forward_select(cands, lambda s: scores[s], cap=2)
+        assert result.diagnostics["greedy_path"] == ["c0", "c2"]
+        assert result.selected_ids == ("c0", "c2") and result.score == 1.0 - 1e-6
+        del scores["c0", "c2"]
+        scores["c0", "c2"] = 1.0 - 8 * ulp
+        result = forward_select(cands, lambda s: scores[s], cap=2)
+        assert result.diagnostics["greedy_path"] == ["c0", "c1"]
+        assert result.selected_ids == ("c0",) and result.score == 1.0 + 4 * ulp
+
+    def test_a_nan_score_is_never_the_best(self):
+        cands = self._simple_candidates(2)
+        scores = {(): 2.0, ("c0",): math.nan, ("c1",): 1.0, ("c1", "c0"): math.nan}
+        result = forward_select(cands, lambda s: scores[s], cap=2)
+        assert result.diagnostics["greedy_path"] == ["c1", "c0"]
+        assert result.selected_ids == ("c1",) and result.score == 1.0
+
     def test_score_is_min_over_trace(self):
         cands = self._simple_candidates(3)
         rng = np.random.default_rng(7)
