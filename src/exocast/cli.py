@@ -115,9 +115,13 @@ def cmd_fetch(args) -> int:
             raise ExocastError(f"--keywords {args.keywords} lists no keyword")
     if args.catalog_fixture and not Path(args.catalog_fixture).is_file():
         raise ExocastError(f"cannot read --catalog-fixture {args.catalog_fixture}: no such file")
+    try:
+        since = Month.parse(args.since)
+    except ValueError as exc:
+        raise ExocastError(f"fetch: --since: {exc}") from exc
     report = run_funnel(
         args.cache_dir,
-        since=Month.parse(args.since),
+        since=since,
         keywords=keywords,
         endpoint=args.endpoint,
         offline=args.offline,

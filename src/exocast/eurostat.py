@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "SeriesKey",
     "RawDataset",
     "FunnelReport",
+    "CacheManifest",
     "fetch_catalog",
     "filter_catalog",
     "fetch_dataset",
@@ -76,9 +77,10 @@ DEFAULT_KEYWORDS = (
     "employment",
 )
 
-MANIFEST_SCHEMA = "exocast.eurostat.manifest/2"
+MANIFEST_SCHEMA = "exocast.eurostat.manifest/3"
 CATALOG_SCHEMA = "exocast.eurostat.catalog/1"
-SERIES_SCHEMA = "exocast.eurostat.series/2"
+SERIES_SCHEMA = "exocast.eurostat.series/3"
+SERIES_FILE = "series.json"
 
 
 @dataclass(frozen=True)
@@ -206,8 +208,8 @@ def _parse_frequency(text: str) -> str:
 
 
 def _check_code(code: str) -> str:
-    """A dataset code names a file in the cache, so it must be one plain
-    file-name component."""
+    """A dataset code names its fixture file and the path of its live URL,
+    so it must be one plain file-name component."""
     if code in ("", ".", "..") or any(c in code for c in "/\\\0"):
         raise PayloadError(f"dataset code {code!r} is not a plain file name")
     return code
@@ -399,7 +401,7 @@ def pick_representative(dataset: RawDataset, since: Month) -> tuple[SeriesKey, M
 
 
 # ---------------------------------------------------------------------------
-# Cache: catalog.json + manifest.json + series/<dataset_code>.json
+# Cache: catalog.json + manifest.json + series.json
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -440,30 +442,57 @@ def load_catalog(root: str | Path) -> CatalogSnapshot:
     ))
 
 
-def store_series(root: str | Path, key: SeriesKey, series: MonthlySeries) -> Path:
-    path = _series_path(root, key.dataset_code)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "schema": SERIES_SCHEMA,
-        "dataset_code": key.dataset_code,
-        "dimension_values": [list(p) for p in key.dimension_values],
-        "series_id": series.id,
-        "start": str(series.start),
-        "values": list(series.values),  # floats by repr, so bit-exact; null for a gap
-    }
-    _atomic_write(path, json.dumps(doc))
-    return path
+class _SeriesWriter:
+    """A cache root's series.json as it is written: `add` appends one series
+    to a temp file, one line each. Leaving the `with` block moves the temp
+    file into place; an exception deletes it instead, so the previous
+    document stays as it was."""
+
+    def __init__(self, root: Path):
+        root.mkdir(parents=True, exist_ok=True)
+        self.path = root / SERIES_FILE
+        self._tmp = self.path.with_suffix(".json.tmp")
+
+    def __enter__(self) -> "_SeriesWriter":
+        self._file = self._tmp.open("w")
+        self._file.write(f'{{"schema": "{SERIES_SCHEMA}", "series": [')
+        self._separator = "\n"
+        return self
+
+    def add(self, key: SeriesKey, series: MonthlySeries) -> None:
+        self._file.write(self._separator + json.dumps({
+            "dataset_code": key.dataset_code,
+            "dimension_values": key.dimension_values,
+            "series_id": series.id,
+            "start": str(series.start),
+            "values": series.values,  # floats by repr, so bit-exact; null for a gap
+        }))
+        self._separator = ",\n"
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            with self._file:
+                if exc_type is None:
+                    self._file.write("\n]}\n")
+            if exc_type is None:
+                os.replace(self._tmp, self.path)
+        finally:
+            self._tmp.unlink(missing_ok=True)
 
 
-def _series_path(root: str | Path, dataset_code: str) -> Path:
-    return Path(root) / "series" / f"{_check_code(dataset_code)}.json"
+def _cached_series(root: Path) -> dict[str, tuple[SeriesKey, MonthlySeries]]:
+    """The series in `root`'s series.json by dataset code; none without one.
+    The caller has checked the root's manifest."""
+    path = root / SERIES_FILE
+    if not path.exists():
+        return {}
 
+    def entry(doc) -> tuple[str, tuple[SeriesKey, MonthlySeries]]:
+        key = SeriesKey(doc["dataset_code"], tuple((n, v) for n, v in doc["dimension_values"]))
+        series = MonthlySeries(doc["series_id"], Month.parse(doc["start"]), doc["values"])
+        return key.dataset_code, (key, series)
 
-def _read_series(path: Path) -> tuple[SeriesKey, MonthlySeries]:
-    return read_document(path, SERIES_SCHEMA, lambda doc: (
-        SeriesKey(doc["dataset_code"], tuple((n, v) for n, v in doc["dimension_values"])),
-        MonthlySeries(doc["series_id"], Month.parse(doc["start"]), doc["values"]),
-    ))
+    return read_document(path, SERIES_SCHEMA, lambda doc: dict(map(entry, doc["series"])))
 
 
 def _require_this_format(root: Path) -> None:
@@ -471,45 +500,67 @@ def _require_this_format(root: Path) -> None:
         read_manifest(root)
 
 
+def store_series(cache: str | Path | _SeriesWriter, key: SeriesKey, series: MonthlySeries) -> Path:
+    """Store `series` as its dataset's representative and return the path of
+    series.json. `cache` is the series document a funnel run is writing, or
+    a cache root, whose document is then rewritten with `series` in place of
+    any other series of that dataset."""
+    _check_code(key.dataset_code)
+    if isinstance(cache, _SeriesWriter):
+        cache.add(key, series)
+        return cache.path
+    root = Path(cache)
+    _require_this_format(root)
+    kept = [item for code, item in _cached_series(root).items() if code != key.dataset_code]
+    with _SeriesWriter(root) as out:
+        for item in [*kept, (key, series)]:
+            out.add(*item)
+    return out.path
+
+
 def load_series(
     root: str | Path, dataset_code: str, key: SeriesKey | None = None
 ) -> tuple[SeriesKey, MonthlySeries]:
-    _require_this_format(Path(root))
-    path = _series_path(root, dataset_code)
-    if not path.exists():
+    _check_code(dataset_code)
+    root = Path(root)
+    _require_this_format(root)
+    cached = _cached_series(root).get(dataset_code)
+    if cached is None:
         raise NotCachedError(f"no cached series for {dataset_code} under {root}")
-    stored, series = _read_series(path)
-    if key is not None and stored != key:
+    if key is not None and cached[0] != key:
         raise NotCachedError(f"series {key.canonical()} not cached for {dataset_code}")
-    return stored, series
+    return cached
 
 
 def list_cached_series(root: str | Path) -> list[tuple[SeriesKey, MonthlySeries]]:
     """Every cached series, ordered by dataset code."""
     root = Path(root)
     _require_this_format(root)
-    return [_read_series(p) for p in sorted((root / "series").glob("*.json"), key=lambda p: p.stem)]
+    cached = _cached_series(root)
+    return [cached[code] for code in sorted(cached)]
 
 
-def write_manifest(
-    root: str | Path, endpoint: str, fetched_at: str, filters: Sequence[str]
-) -> Path:
+@dataclass(frozen=True)
+class CacheManifest:
+    """Where a cache's catalog came from, when, and the funnel stages that
+    narrowed it."""
+
+    endpoint: str
+    fetched_at: str
+    filters: tuple[str, ...]
+
+
+def write_manifest(root: str | Path, manifest: CacheManifest) -> Path:
     path = Path(root) / "manifest.json"
-    doc = {
-        "schema": MANIFEST_SCHEMA,
-        "endpoint": endpoint,
-        "fetched_at": fetched_at,
-        "filters": list(filters),
-    }
-    _atomic_write(path, json.dumps(doc, indent=2))
+    _atomic_write(path, json.dumps({"schema": MANIFEST_SCHEMA, **to_object(manifest)}, indent=2))
     return path
 
 
-def read_manifest(root: str | Path) -> dict:
+def read_manifest(root: str | Path) -> CacheManifest:
     path = Path(root) / "manifest.json"
     if not path.exists():
         raise NotCachedError(f"no manifest under {root}")
-    return read_document(path, MANIFEST_SCHEMA)
+    return read_document(path, MANIFEST_SCHEMA, lambda doc: from_object(CacheManifest, doc, "manifest"))
 
 
 def run_funnel(
@@ -524,7 +575,9 @@ def run_funnel(
 ) -> FunnelReport:
     """Catalog -> monthly -> parameters -> coverage -> one cached series per
     dataset. Offline mode never opens a connection: it uses fixtures or the
-    existing cache and fails a dataset otherwise."""
+    series the previous run cached, and fails a dataset otherwise. The run
+    replaces the root's series.json with exactly the series it stored; an
+    interrupted run leaves the root as the previous run left it."""
     cache_root = Path(cache_root)
     _require_this_format(cache_root)
     keywords = tuple(keywords)
@@ -546,36 +599,32 @@ def run_funnel(
     snapshot = filter_catalog(snapshot, "coverage", since=since)
     report.after_coverage = len(snapshot)
 
-    store_catalog(cache_root, snapshot)
     fixture_dir = None if dataset_fixture_dir is None else Path(dataset_fixture_dir)
-    for descriptor in snapshot.descriptors:
-        code = descriptor.code
-        try:
+    previous = None  # the series the previous run cached, read once when first needed
+    with _SeriesWriter(cache_root) as out:
+        for descriptor in snapshot.descriptors:
+            code = descriptor.code
             fixture = None
             if fixture_dir is not None and (fixture_dir / f"{code}.json").exists():
                 fixture = fixture_dir / f"{code}.json"
-            if fixture is None and offline:
-                cached = _series_path(cache_root, code)
-                if not cached.exists():
+            carry = fixture is None and offline
+            if carry and previous is None:
+                previous = _cached_series(cache_root)
+            try:
+                if carry and code not in previous:
                     raise NotCachedError(f"offline mode: no fixture or cache for dataset {code}")
-                _read_series(cached)  # the root's format was checked once, above
-                report.stored.append(code)
+                key, series = previous[code] if carry else pick_representative(
+                    fetch_dataset(code, offline_fixture=fixture), since)
+            except Exception as exc:  # noqa: BLE001 - recorded per dataset
+                report.failures[code] = f"{type(exc).__name__}: {exc}"
+                log.warning("dataset %s failed: %s", code, exc)
                 continue
-            dataset = fetch_dataset(code, offline_fixture=fixture)
-            key, series = pick_representative(dataset, since)
-            store_series(cache_root, key, series)
+            store_series(out, key, series)
             report.stored.append(code)
-        except Exception as exc:  # noqa: BLE001 - recorded per dataset
-            report.failures[code] = f"{type(exc).__name__}: {exc}"
-            log.warning("dataset %s failed: %s", code, exc)
-    write_manifest(
-        cache_root,
+    store_catalog(cache_root, snapshot)
+    write_manifest(cache_root, CacheManifest(
         endpoint=source,
         fetched_at=snapshot.fetched_at,
-        filters=[
-            "monthly",
-            f"parameters:{','.join(keywords)}",
-            f"coverage:{since}",
-        ],
-    )
+        filters=("monthly", f"parameters:{','.join(keywords)}", f"coverage:{since}"),
+    ))
     return report

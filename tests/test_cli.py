@@ -9,6 +9,7 @@ import pytest
 import exocast
 from exocast import models as models_module
 from exocast.cli import main
+from exocast.eurostat import list_cached_series
 from exocast.experiment import load_config, training_frames
 from exocast.series import read_series_csv, write_series_csv
 
@@ -446,5 +447,13 @@ class TestFetchCommand:
         assert rc == 0
         printed = capsys.readouterr().out
         assert "monthly      -> 1" in printed
-        assert (cache / "manifest.json").exists()
-        assert (cache / "series" / "STS_A.json").is_file()
+        assert sorted(p.name for p in cache.iterdir()) == ["catalog.json", "manifest.json", "series.json"]
+        assert [k.dataset_code for k, _ in list_cached_series(cache)] == ["STS_A"]
+
+    def test_since_that_is_not_a_month_exits_2(self, tmp_path, capsys):
+        argv = ["fetch", "--cache-dir", str(tmp_path / "cache"), "--since", "2015-13", "--offline"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'2015-13'" in err
+        assert not (tmp_path / "cache").exists()

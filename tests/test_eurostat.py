@@ -456,7 +456,7 @@ class TestCache:
         key = SeriesKey("DS", (("geo", "AT"), ("unit", "I15")))
         series = MonthlySeries("DS", M(2016, 1), (1.5, None, 2.25))
         path = store_series(tmp_path, key, series)
-        assert json.loads(path.read_text())["values"][1] is None
+        assert json.loads(path.read_text())["series"][0]["values"][1] is None
         loaded_key, loaded = load_series(tmp_path, "DS")
         assert loaded_key == key
         assert loaded == series
@@ -482,15 +482,17 @@ class TestCache:
     def test_one_document_per_series(self, tmp_path):
         key = SeriesKey("DS", (("geo", "AT"),))
         path = store_series(tmp_path, key, MonthlySeries("DS", M(2016, 3), (1.0, None)))
-        assert path == tmp_path / "series" / "DS.json"
+        assert path == tmp_path / "series.json"
         assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()] == [path.relative_to(tmp_path)]
         assert json.loads(path.read_text()) == {
-            "schema": "exocast.eurostat.series/2",
-            "dataset_code": "DS",
-            "dimension_values": [["geo", "AT"]],
-            "series_id": "DS",
-            "start": "2016-03",
-            "values": [1.0, None],
+            "schema": "exocast.eurostat.series/3",
+            "series": [{
+                "dataset_code": "DS",
+                "dimension_values": [["geo", "AT"]],
+                "series_id": "DS",
+                "start": "2016-03",
+                "values": [1.0, None],
+            }],
         }
 
     def test_another_key_is_not_cached(self, tmp_path):
@@ -516,7 +518,8 @@ class TestCache:
             load_series(tmp_path / "nothing", "DS")
 
     def test_list_cached(self, tmp_path):
-        # "A-B.json" sorts before "A.json": the order is the codes', not the file names'.
+        # Stored out of order, and "A-B.json" would sort before "A.json": the
+        # order is the codes', neither the stores' nor a file name's.
         for code in ("B", "A-B", "A"):
             store_series(
                 tmp_path, SeriesKey(code, (("geo", "AT"),)),
@@ -544,6 +547,25 @@ def write_v1_cache(root):
     return root
 
 
+def write_v2_cache(root):
+    """A cache in the format before `exocast.eurostat.series/3`: a document
+    per dataset under `series/`."""
+    (root / "series").mkdir(parents=True)
+    (root / "series" / "STS_A.json").write_text(json.dumps({
+        "schema": "exocast.eurostat.series/2", "dataset_code": "STS_A",
+        "dimension_values": [["geo", "AT"]], "series_id": "STS_A", "start": "2016-01",
+        "values": [1.0],
+    }))
+    (root / "manifest.json").write_text(json.dumps({
+        "schema": "exocast.eurostat.manifest/2", "endpoint": "toc.json",
+        "fetched_at": "2026-01-01T00:00:00+00:00", "filters": ["monthly"],
+    }))
+    return root
+
+
+OLD_CACHES = {"1": write_v1_cache, "2": write_v2_cache}
+
+
 class TestOldCacheFormat:
     @pytest.mark.parametrize("read", [
         read_manifest,
@@ -552,33 +574,44 @@ class TestOldCacheFormat:
         lambda root: run_funnel(root, since=M(2016, 1), keywords=("business",), offline=True),
     ], ids=["read_manifest", "list_cached_series", "load_series", "run_funnel"])
     def test_rejected_by_name(self, tmp_path, read):
-        root = write_v1_cache(tmp_path / "cache")
-        with pytest.raises(SchemaError, match="exocast.eurostat.manifest/1"):
-            read(root)
+        for version, write in OLD_CACHES.items():
+            root = write(tmp_path / f"cache{version}")
+            before = sorted(p.relative_to(root) for p in root.rglob("*"))
+            with pytest.raises(SchemaError, match=f"exocast.eurostat.manifest/{version}"):
+                read(root)
+            assert sorted(p.relative_to(root) for p in root.rglob("*")) == before
 
     def test_experiment_on_it_exits_2(self, tmp_path, capsys):
-        root = write_v1_cache(tmp_path / "cache")
         target = tmp_path / "target.csv"
         target.write_text("period,value\n" + "".join(f"{m},{i}.5\n" for i, m in enumerate(months("2016-01", 48))))
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "datasets": [{"label": "market", "kind": "eurostat_cache", "target": str(target),
-                          "cache_root": str(root)}],
-            "ranges": [{"start": "2016-01", "end": "2018-12"}],
-            "methods": ["none"],
-            "models": [{"name": "sarimax", "order": [1, 0, 0, 0, 0, 0, 12]}],
-        }))
-        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "exocast.eurostat.manifest/1" in err
+        for version, write in OLD_CACHES.items():
+            root = write(tmp_path / f"cache{version}")
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({
+                "datasets": [{"label": "market", "kind": "eurostat_cache", "target": str(target),
+                              "cache_root": str(root)}],
+                "ranges": [{"start": "2016-01", "end": "2018-12"}],
+                "methods": ["none"],
+                "models": [{"name": "sarimax", "order": [1, 0, 0, 0, 0, 0, 12]}],
+            }))
+            assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert f"exocast.eurostat.manifest/{version}" in err
 
 
-SERIES_DOC = {
-    "schema": "exocast.eurostat.series/2", "dataset_code": "STS_A",
-    "dimension_values": [["geo", "AT"]], "series_id": "STS_A", "start": "2016-01",
-    "values": [1.5, None],
+SERIES_ENTRY = {
+    "dataset_code": "STS_A", "dimension_values": [["geo", "AT"]], "series_id": "STS_A",
+    "start": "2016-01", "values": [1.5, None],
 }
+
+
+def series_doc(entry=SERIES_ENTRY, **changes) -> dict:
+    return {"schema": "exocast.eurostat.series/3", "series": [entry], **changes}
+
+
+MANIFEST_DOC = {"schema": "exocast.eurostat.manifest/3", "endpoint": "toc.json",
+                "fetched_at": "2026-01-01T00:00:00+00:00", "filters": ["monthly"]}
 DESCRIPTOR_DOC = {
     "code": "A", "title": "t", "frequency": "monthly", "dimensions": ["geo"],
     "earliest_period": "2016-01", "parameters": ["business"],
@@ -596,11 +629,14 @@ class TestMalformedDocuments:
         ("manifest.json", read_manifest, [], "JSON object, not list"),
         ("manifest.json", read_manifest, "{", "Expecting property name"),
         ("manifest.json", read_manifest, {"schema": "x"}, "schema 'x' is not"),
-        ("series/STS_A.json", list_cached_series, [], "JSON object, not list"),
-        ("series/STS_A.json", list_cached_series, "{", "Expecting property name"),
-        ("series/STS_A.json", list_cached_series, {**SERIES_DOC, "schema": "x"}, "schema 'x'"),
-        ("series/STS_A.json", list_cached_series, without(SERIES_DOC, "start"), "lacks start"),
-        ("series/STS_A.json", list_cached_series, {**SERIES_DOC, "start": "2016"}, "'2016'"),
+        ("manifest.json", read_manifest, without(MANIFEST_DOC, "filters"), "manifest lacks filters"),
+        ("manifest.json", read_manifest, {**MANIFEST_DOC, "size": 1}, "unknown manifest keys: size"),
+        ("series.json", list_cached_series, [], "JSON object, not list"),
+        ("series.json", list_cached_series, "{", "Expecting property name"),
+        ("series.json", list_cached_series, series_doc(schema="x"), "schema 'x'"),
+        ("series.json", list_cached_series, without(series_doc(), "series"), "lacks series"),
+        ("series.json", list_cached_series, series_doc(without(SERIES_ENTRY, "start")), "lacks start"),
+        ("series.json", list_cached_series, series_doc({**SERIES_ENTRY, "start": "2016"}), "'2016'"),
         ("catalog.json", load_catalog, [], "JSON object, not list"),
         ("catalog.json", load_catalog, "{", "Expecting property name"),
         ("catalog.json", load_catalog, {**CATALOG_DOC, "schema": "x"}, "schema 'x'"),
@@ -612,7 +648,9 @@ class TestMalformedDocuments:
             {**DESCRIPTOR_DOC, "earliest_period": "2016"}]}, "'2016'"),
     ], ids=[
         "read_manifest", "read_manifest-not-json", "read_manifest-schema",
-        "read_series", "read_series-not-json", "read_series-schema", "read_series-missing-key",
+        "read_manifest-missing-key", "read_manifest-unknown-key",
+        "read_series", "read_series-not-json", "read_series-schema", "read_series-no-series",
+        "read_series-missing-key",
         "read_series-malformed", "load_catalog", "load_catalog-not-json", "load_catalog-schema",
         "load_catalog-missing-key", "load_catalog-unknown-key", "load_catalog-descriptor-key",
         "load_catalog-malformed",
@@ -686,7 +724,7 @@ def funnel_fixtures(tmp_path):
     time_labels = months("2015-01", 30)
     for code in ("STS_A", "STS_C"):
         values = {
-            ("AT", "I15", t): float(i) + (1.0 if code == "STS_C" else 0.0)
+            ("AT", "I15", t): i / 3 + (1.0 if code == "STS_C" else 0.0)
             for i, t in enumerate(time_labels)
         }
         (fixtures / f"{code}.json").write_text(
@@ -714,9 +752,8 @@ class TestFunnel:
         assert report.after_coverage == 2
         assert report.stored == ["STS_A", "STS_C"]
         assert not report.failures
-        manifest = read_manifest(cache)
-        assert manifest["schema"] == "exocast.eurostat.manifest/2"
-        assert manifest["filters"][0] == "monthly"
+        assert json.loads((cache / "manifest.json").read_text())["schema"] == "exocast.eurostat.manifest/3"
+        assert read_manifest(cache).filters == ("monthly", "parameters:business,trade,energy", "coverage:2016-01")
         assert list(cache.rglob("*.tmp")) == []
         key, series = load_series(cache, "STS_A")
         assert series.start == M(2016, 1)
@@ -748,6 +785,7 @@ class TestFunnel:
         )
         monkeypatch.setattr(socket, "socket", lambda *a, **k: (_ for _ in ()).throw(AssertionError))
         first = list_cached_series(cache)
+        written = (cache / "series.json").read_bytes()
         manifest_reads = []
 
         def counting(root):
@@ -759,8 +797,43 @@ class TestFunnel:
         assert len(manifest_reads) == 1
         assert report.stored == ["STS_A", "STS_C"]
         assert not report.failures
-        assert sorted(p.name for p in (cache / "series").iterdir()) == ["STS_A.json", "STS_C.json"]
+        assert sorted(p.name for p in cache.iterdir()) == ["catalog.json", "manifest.json", "series.json"]
+        assert (cache / "series.json").read_bytes() == written
         assert list_cached_series(cache) == first
+
+    def test_narrower_refetch_keeps_only_what_it_stored(self, tmp_path, funnel_fixtures):
+        cache = tmp_path / "cache"
+        for keywords in (("business", "energy"), ("business",)):
+            report = run_funnel(
+                cache, since=M(2016, 1), keywords=keywords,
+                offline=True, catalog_fixture=funnel_fixtures / "toc.json",
+                dataset_fixture_dir=funnel_fixtures,
+            )
+        assert report.stored == ["STS_A"]
+        assert [k.dataset_code for k, _ in list_cached_series(cache)] == ["STS_A"]
+        assert read_manifest(cache).filters[1] == "parameters:business"
+
+    def test_interrupted_run_leaves_the_previous_series(self, tmp_path, funnel_fixtures, monkeypatch):
+        cache = tmp_path / "cache"
+        funnel = dict(
+            since=M(2016, 1), keywords=("business", "energy"), offline=True,
+            catalog_fixture=funnel_fixtures / "toc.json", dataset_fixture_dir=funnel_fixtures,
+        )
+        run_funnel(cache, **funnel)
+        before = {p.name: p.read_bytes() for p in cache.iterdir()}
+        calls = []
+
+        def interrupted(code, *args, **kwargs):
+            calls.append(code)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return fetch_dataset(code, *args, **kwargs)
+
+        monkeypatch.setattr(eurostat, "fetch_dataset", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_funnel(cache, **{**funnel, "keywords": ("business", "trade", "energy")})
+        assert calls == ["STS_A", "STS_C"]
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
 
     def test_offline_missing_dataset_recorded(self, tmp_path, funnel_fixtures):
         cache = tmp_path / "cache"
