@@ -6,12 +6,12 @@ matrix, built one column block at a time; the intercept and the base trend
 slope stay unpenalised. A forecast takes every column that does not depend
 on the target for the whole horizon at once, one matrix product per
 component, and steps only the autoregressive block month by month, so that
-it consumes its own predictions. `subset_forecaster` fits and forecasts
-every indicator subset of one frame from a single design of all of them.
-With a ridge penalty, its `forecast_round` also scores a whole greedy round
-at once: every candidate's penalised normal equations come from one Gram
-matrix and are solved in one stacked call, and every forecast steps at
-once, equal to the per-subset path to rounding.
+it consumes its own predictions. With a ridge penalty, `round_forecaster`
+scores a whole greedy round of forward selection at once from a single
+design of every indicator of the frame: every candidate's penalised normal
+equations come from one Gram matrix and are solved in one stacked call,
+and every forecast steps at once, equal to `fit` and `forecast` to
+rounding.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
     "fit",
     "forecast",
     "forecast_with_components",
-    "subset_forecaster",
+    "round_forecaster",
     "auto_config",
     "decompose",
     "export_components_csv",
@@ -330,15 +330,15 @@ def forecast(
     return forecast_with_components(fitted, horizon, future_regressors, future_events)[0]
 
 
-def subset_forecaster(
+def round_forecaster(
     train: AlignedFrame, config: AdditiveConfig, horizon: int, futures: Sequence[RegressorForecast]
-) -> Callable[[Sequence[str]], np.ndarray]:
-    """`subset -> forecast values`: to rounding, the values of
-    `forecast(fit(train.with_indicators(subset), config), horizon, ...)`.
+) -> Callable[[Sequence[str], Sequence[str]], np.ndarray] | None:
+    """`forecast_round(current, candidates)`, which forecasts a greedy
+    round of `config` on `train` at once, or None without a ridge penalty.
     The design, its Gram matrix and the forecast rows are built once for
-    every indicator of `train`; each subset selects its columns of them.
-    With a ridge penalty the callable has a `forecast_round(current,
-    candidates)` method that forecasts a greedy round at once."""
+    every indicator of `train`; each round selects its columns of them."""
+    if config.ridge_lambda == 0:
+        return None
     design = build_design(train, config)
     y = np.asarray(train.target.require_complete())
     solve = _ridge_solver(design, y[config.dropped_rows :], config.ridge_lambda)
@@ -350,26 +350,17 @@ def subset_forecaster(
     known = _known_rows(config, train.start, n, rows, events, regressors, rows)
     column = {col: j for j, col in enumerate(design.layout)}
     ar_columns = [column["A", f"lag{lag:02d}"] for lag in range(1, config.ar_lags + 1)]
-
-    def forecast_values(subset: Sequence[str]) -> np.ndarray:
-        columns = [column[col] for col in _layout_for(config, subset)]
-        coeffs = np.zeros(design.width)
-        coeffs[columns] = solve(columns)
-        return _ar_steps(known @ coeffs, coeffs[ar_columns], y)[0]
-
-    if config.ridge_lambda == 0:
-        return forecast_values
     shared = set(_layout_for(config, ()))
     own = {i: sorted(column[col] for col in _layout_for(config, (i,)) if col not in shared)
            for i in train.indicator_ids}
 
     def forecast_round(current: Sequence[str], candidates: Sequence[str]) -> np.ndarray:
-        """One column per candidate: to rounding, `forecast_values` of
+        """One column per candidate: to rounding, the forecast of `fit` on
         `current` plus that candidate, whose own columns follow those of
         `current`. The candidates that add as many columns (lagged or
         future-known) are solved in one stacked call, and every forecast
         steps at once. A group whose stacked solve fails is NaN, left to
-        `forecast_values`."""
+        each candidate's own fit."""
         out = np.full((horizon, len(candidates)), np.nan)
         base = [column[col] for col in _layout_for(config, current)]
         by_width: dict[int, list[int]] = {}
@@ -385,8 +376,7 @@ def subset_forecaster(
             out[:, group] = _ar_steps(known @ coeffs.T, coeffs[:, ar_columns].T, y)[0]
         return out
 
-    forecast_values.forecast_round = forecast_round
-    return forecast_values
+    return forecast_round
 
 
 def auto_config(train: AlignedFrame) -> AdditiveConfig:

@@ -422,7 +422,7 @@ def store_catalog(root: str | Path, snapshot: CatalogSnapshot) -> Path:
     doc = to_object(snapshot, {"datasets": lambda descriptors: [
         to_object(d, {"earliest_period": str}, CATALOG_KEYS) for d in descriptors
     ]}, CATALOG_KEYS)
-    _atomic_write(path, json.dumps({"schema": CATALOG_SCHEMA, **doc}, indent=2))
+    _atomic_write(path, json.dumps({"schema": CATALOG_SCHEMA, **doc}))
     return path
 
 
@@ -552,7 +552,7 @@ class CacheManifest:
 
 def write_manifest(root: str | Path, manifest: CacheManifest) -> Path:
     path = Path(root) / "manifest.json"
-    _atomic_write(path, json.dumps({"schema": MANIFEST_SCHEMA, **to_object(manifest)}, indent=2))
+    _atomic_write(path, json.dumps({"schema": MANIFEST_SCHEMA, **to_object(manifest)}))
     return path
 
 

@@ -311,10 +311,12 @@ def training_frames(
 # Selection
 
 def _forward_evaluator(model: ModelSpec, train: AlignedFrame, horizon: int):
-    """Subset -> MAE on the last `horizon` months of the training range.
-    Where the model forecasts a whole greedy round at once, the evaluator's
-    `score_round(current, candidates)` gives every candidate's MAE, NaN
-    for one the round left to the per-subset call."""
+    """Subset -> MAE, on the last `horizon` months of the training range,
+    of the model fitted with that subset on the months before them. Where
+    the model forecasts a whole greedy round at once, the evaluator's
+    `score_round(current, candidates)` gives every candidate's MAE, equal
+    to its own fit's to rounding, and NaN for one the round leaves to that
+    fit."""
     sub_train, validation = split_train_test(train, SplitSpec(horizon))
     actual = validation.target.require_complete()
     future = models.regressor_forecasts(sub_train, horizon)

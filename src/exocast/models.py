@@ -4,6 +4,9 @@ Everything outside this module treats a model as a `ModelSpec` to fit, a
 fitted object to forecast from, and a JSON document to persist and reload.
 Only this module knows that the spec names SARIMAX or the additive model and
 which module serves each; reloading dispatches on the document's `schema`.
+Forward selection scores a single subset with `fit` and `forecast` alone;
+only a whole greedy round goes to a model module's `round_forecaster`,
+which this module alone calls.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 from . import additive, sarimax
-from .errors import from_object, read_document
+from .errors import InsufficientDataError, MissingValueError, from_object, read_document
 from .series import AlignedFrame, Month, MonthlySeries, NormalizationParams
 from .sarimax import RegressorForecast
 
@@ -100,28 +103,28 @@ def subset_forecaster(
     spec: ModelSpec, train: AlignedFrame, horizon: int, future: Mapping[str, RegressorForecast]
 ) -> Callable[[tuple[str, ...]], Sequence[float]]:
     """`subset -> forecast values` of `spec` fitted on those indicators of
-    `train`. An additive spec, whose config depends only on the frame's
-    length, and a SARIMAX spec of one order each share one design between
-    subsets; if that cannot be built, no subset's fit could be, and every
-    call raises its exception. Only a SARIMAX order grid, searched anew for
-    each subset, fits and forecasts every subset on its own. The model's
-    callable keeps its `forecast_round` method, where it has one."""
-    if spec.name == "sarimax" and spec.order is None:
-        def forecast_subset(subset: tuple[str, ...]) -> Sequence[float]:
-            fitted = fit(spec, train.with_indicators(subset), horizon, None)
-            return forecast(fitted, horizon, future).require_complete()
+    `train`: `fit`, then `forecast`, which must be complete. A SARIMAX spec
+    of one order without MA terms and an additive spec with a ridge penalty
+    also forecast a whole greedy round at once: the callable then has the
+    model's `forecast_round(current, candidates)` method. A frame whose
+    shared design cannot be built has no round; each subset's fit raises
+    why."""
+    def forecast_subset(subset: tuple[str, ...]) -> Sequence[float]:
+        fitted = fit(spec, train.with_indicators(subset), horizon, None)
+        return forecast(fitted, horizon, future).require_complete()
 
-        return forecast_subset
-    try:
-        if spec.name == "sarimax":
-            return sarimax.subset_forecaster(train, spec.order, horizon, list(future.values()))
-        config = spec.additive_config or additive.auto_config(train)
-        return additive.subset_forecaster(train, config, horizon, list(future.values()))
-    except Exception as exc:  # noqa: BLE001 - raised to each subset's caller
-        def fail(subset: tuple[str, ...], failure=exc, origin=exc.__traceback__):
-            raise failure.with_traceback(origin)  # not one grown by each earlier raise
-
-        return fail
+    futures, forecast_round = list(future.values()), None
+    if spec.name == "sarimax" and spec.order is not None:
+        forecast_round = sarimax.round_forecaster(train, spec.order, horizon, futures)
+    elif spec.name == "additive":
+        try:
+            config = spec.additive_config or additive.auto_config(train)
+            forecast_round = additive.round_forecaster(train, config, horizon, futures)
+        except (InsufficientDataError, MissingValueError):
+            pass  # the frame is too short or gappy for the design
+    if forecast_round is not None:
+        forecast_subset.forecast_round = forecast_round
+    return forecast_subset
 
 
 def _module(fitted: Fitted):

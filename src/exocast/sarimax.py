@@ -28,19 +28,15 @@ gradient at most PGTOL) and returns a start that passes as L-BFGS-B returns
 it, without loading scipy. Any other start goes to L-BFGS-B, which alone
 decides convergence.
 
-`subset_forecaster` fits one order on many regressor subsets of one frame,
-as forward selection does. The differenced target and the lagged design
-are built once, and each subset takes its columns of them. A start that
-passes the same iteration-0 test is taken as it is, without a `minimize`
-call; any other start runs the L-BFGS-B call of `fit`. That path
-is bit for bit `fit`. Without MA terms, its `forecast_round` also scores a
-whole greedy round at once: every candidate's start solves its normal
-equations, taken from one Gram matrix of the design, in one stacked call,
-with the bounded faces where p <= 1 and P <= 1, and every forecast runs as
-one recursion. Such a start must pass the same iteration-0 test, from
-normal equations no worse conditioned than NORMAL_COND_MAX; its forecast
-then equals `fit`'s to rounding, and any other candidate is left to the
-per-subset path.
+`round_forecaster` scores a whole greedy round of forward selection at
+once, for an order without MA terms: the differenced target and the lagged
+design are built once for every indicator of the frame, every candidate's
+start solves its normal equations, taken from one Gram matrix of that
+design, in one stacked call, with the bounded faces where p <= 1 and
+P <= 1, and every forecast runs as one recursion. Such a start must pass
+the same iteration-0 test, from normal equations no worse conditioned than
+NORMAL_COND_MAX; its forecast then equals `fit`'s to rounding, and any
+other candidate is left to its own `fit` and `forecast`.
 """
 
 from __future__ import annotations
@@ -85,7 +81,7 @@ __all__ = [
     "fit",
     "fitted_from_params",
     "forecast",
-    "subset_forecaster",
+    "round_forecaster",
     "extrapolate_regressor",
     "grid_search_order",
     "to_doc",
@@ -524,10 +520,11 @@ def _bounded_normal_equations(
 def _theta_to_unconstrained(theta: np.ndarray, p: int, sp: int) -> np.ndarray:
     """Least-squares (c, ar, sar, beta) to coordinates along the last axis;
     NaN in an AR block that lies outside the bounded region."""
+    ar, sar = theta[..., 1 : 1 + p], theta[..., 1 + p : 1 + p + sp]
     return np.concatenate([
         theta[..., :1],
-        _ar_to_unconstrained(theta[..., 1 : 1 + p]),
-        _ar_to_unconstrained(theta[..., 1 + p : 1 + p + sp]),
+        _ar_to_unconstrained(ar) if p else ar,
+        _ar_to_unconstrained(sar) if sp else sar,
         theta[..., 1 + p + sp :],
     ], axis=-1)
 
@@ -570,14 +567,6 @@ def _tail_lengths(order: SarimaxOrder) -> tuple[int, int]:
     return n_values, max(order.q, order.Q * order.s)
 
 
-def _check_length(order: SarimaxOrder, k: int, n: int) -> None:
-    if n <= order.min_train_length(k):
-        raise InsufficientDataError(
-            f"order {order.as_tuple()} with {k} regressors needs more than "
-            f"{order.min_train_length(k)} observations, got {n}"
-        )
-
-
 def _bounds(order: SarimaxOrder, k: int) -> list[tuple[float | None, float | None]]:
     """L-BFGS-B's bounds on the coordinates: the lag polynomials' within
     +-COORD_BOUND, the constant's and the k regressors' free (None)."""
@@ -603,16 +592,6 @@ def _lbfgsb(
     if np.array_equal(result.x, x0) or result.fun <= _css_and_gradient(x0, *args)[0]:
         return np.asarray(result.x), result
     return x0, result
-
-
-def _out_of_budget(order: SarimaxOrder, max_iter: int, result) -> str | None:
-    """The failure message when L-BFGS-B ran out of iterations, else None."""
-    if result.status != 1:  # 1: iteration/function budget exhausted
-        return None
-    return (
-        f"optimizer hit the iteration budget ({max_iter}) for order "
-        f"{order.as_tuple()}: {result.message}"
-    )
 
 
 def _at_optimum(x0: np.ndarray, css, grad: np.ndarray, bounds, gtol: float):
@@ -690,7 +669,11 @@ def fit(
     status, iterations, evaluations and whether a coefficient sits at its
     bound. Deterministic for identical inputs."""
     k = len(train.indicators)
-    _check_length(order, k, len(train))
+    if len(train) <= order.min_train_length(k):
+        raise InsufficientDataError(
+            f"order {order.as_tuple()} with {k} regressors needs more than "
+            f"{order.min_train_length(k)} observations, got {len(train)}"
+        )
     w = _differenced_target(order, train.target)
     X = _regressor_matrix(order, train.target, train.indicators)
     wbar = float(w.mean()) if mean_conditioning else 0.0
@@ -712,9 +695,11 @@ def fit(
             "at_bound": bool(np.any(np.abs(best_x[1 : 1 + n_poly]) >= COORD_BOUND * (1 - 1e-8))),
         },
     )
-    failure = _out_of_budget(order, max_iter, result)
-    if failure:
-        raise ConvergenceFailureError(failure, best=fitted)
+    if result.status == 1:  # iteration/function budget exhausted
+        raise ConvergenceFailureError(
+            f"optimizer hit the iteration budget ({max_iter}) for order "
+            f"{order.as_tuple()}: {result.message}", best=fitted,
+        )
     return fitted
 
 
@@ -777,10 +762,10 @@ def forecast(
         if len(rf.future_values) < horizon:
             raise ValueError(f"regressor {rf.id!r} supplies fewer than {horizon} values")
 
-    x_future = [[rf.future_values[j] for rf in future_exog] for j in range(horizon)]
+    x_future = [np.asarray(rf.future_values[:horizon]) for rf in future_exog]
     history = _stage_histories(fitted.tail_values, order.d, order.D, order.s)
     values = _forecast_path(
-        order, params, history, fitted.tail_residuals, fitted.presample_mean, x_future
+        order, params, history, fitted.tail_residuals, fitted.presample_mean, x_future, horizon
     )
     return MonthlySeries(fitted.target_id, fitted.train_end.shift(1), values)
 
@@ -791,11 +776,15 @@ def _forecast_path(
     history: tuple[list[tuple[int, list[float]]], list[float]],
     tail_residuals: Sequence[float],
     presample_mean: float,
-    x_future: Sequence[Sequence[float]],
+    x_future: Sequence[np.ndarray],
+    horizon: int,
 ) -> list[float]:
-    """The recursion run forward one step per row of `x_future`, from the
-    `_stage_histories` of the target's tail, then integrated back to the
-    target's scale."""
+    """The recursion run forward `horizon` steps, from the `_stage_histories`
+    of the target's tail, then integrated back to the target's scale.
+    `x_future` holds each regressor's first `horizon` future values, in the
+    order of `params.beta`. Each step's regression term adds every
+    beta * x to 0 in that order, then the constant, as a scalar loop would;
+    with stacked coefficients (one entry per fit) every fit runs at once."""
     stages, w_hist = history
     eps_hist = list(tail_residuals)
     n_w = len(w_hist)
@@ -803,9 +792,12 @@ def _forecast_path(
     ar, ma = params.ar + params.seasonal_ar, params.ma + params.seasonal_ma
     ar_lags = _lags(len(params.ar), len(params.seasonal_ar), order.s)
     ma_lags = _lags(len(params.ma), len(params.seasonal_ma), order.s)
+    xb = np.zeros((horizon,) + np.shape(params.c))
+    for b, x in zip(params.beta, x_future):
+        xb = xb + b * x
     w_fc: list[float] = []
-    for j in range(len(x_future)):
-        acc = params.c + sum(b * x for b, x in zip(params.beta, x_future[j]))
+    for j in range(horizon):
+        acc = params.c + xb[j]
         for a, lag in zip(ar, ar_lags):
             u = j - lag
             if u >= 0:
@@ -826,93 +818,52 @@ def _forecast_path(
     return values
 
 
-def subset_forecaster(
+def round_forecaster(
     train: AlignedFrame, order: SarimaxOrder, horizon: int, futures: Sequence[RegressorForecast]
-) -> Callable[[Sequence[str]], np.ndarray]:
-    """`subset -> forecast values`: bit for bit the values of
-    `forecast(fit(train.with_indicators(subset), order), horizon, ...)`,
-    and where that raises, the same error. The differenced target, each
-    indicator's aligned column and the [1, lags of w] block are built once;
-    a subset gathers its columns of them in its own order. A start that
-    passes `_at_optimum` is the fit; any other runs `fit`'s L-BFGS-B call.
-    A target that cannot be differenced fails every subset, an indicator
-    with gaps only the subsets that hold it. Without MA terms the callable
-    has a `forecast_round(current, candidates)` method that forecasts a
-    greedy round at once."""
+) -> Callable[[Sequence[str], Sequence[str]], np.ndarray] | None:
+    """`forecast_round(current, candidates)`, which forecasts a greedy
+    round of `order` on `train` at once, or None for an order with MA terms
+    or a target that cannot be differenced. The differenced target, each
+    indicator's aligned column, the [1, lags of w] design and its Gram
+    matrix are built once; each round takes its columns of them."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    future = {rf.id: rf.future_values[:horizon] for rf in futures}
+    if order.q or order.Q:
+        return None
+    future = {rf.id: np.asarray(rf.future_values[:horizon]) for rf in futures}
     short = [i for i in train.indicator_ids if len(future.get(i, ())) < horizon]
     if short:
         raise ValueError(f"regressors without {horizon} future values: {short}")
-    n = len(train)
     try:
         w = _differenced_target(order, train.target)
-    except Exception as exc:  # noqa: BLE001 - every subset's fit raises it
-        def fail(subset: Sequence[str], failure=exc, origin=exc.__traceback__):
-            _check_length(order, len(subset), n)
-            raise failure.with_traceback(origin)  # not one grown by each earlier raise
-
-        return fail
-
-    gappy: dict[str, tuple[MissingValueError, object]] = {}  # raised by the subsets holding it
-    for x in train.indicators:
-        try:
-            x.require_complete()
-        except MissingValueError as exc:
-            gappy[x.id] = exc, exc.__traceback__
+    except (InsufficientDataError, MissingValueError):  # every subset's fit raises it
+        return None
+    gappy = {x.id for x in train.indicators if x.has_missing}  # fail the subsets holding them
     complete = [x for x in train.indicators if x.id not in gappy]
     slot = {x.id: j for j, x in enumerate(complete)}
-    exog = _regressor_matrix(order, train.target, complete)
     wbar = float(w.mean())
     t0 = order.presample
     block = _lagged_block(order, w, wbar)
     width = block.shape[1]
-    design, y = np.column_stack([block, exog])[t0:], w[t0:]
-    n_values, n_residuals = _tail_lengths(order)
+    design = np.column_stack([block, _regressor_matrix(order, train.target, complete)])[t0:]
+    y = w[t0:]
+    n_values, _ = _tail_lengths(order)
     history = _stage_histories(
         _tail(train.target.require_complete(), n_values), order.d, order.D, order.s
     )
-    start = train.end.shift(1)
-
-    def forecast_values(subset: Sequence[str]) -> np.ndarray:
-        _check_length(order, len(subset), n)
-        for i in subset:
-            if i in gappy:
-                failure, origin = gappy[i]
-                raise failure.with_traceback(origin)
-        at = [slot[i] for i in subset]
-        X = exog.take(at, axis=1)  # C-ordered like fit's, so the products round alike
-        lagged_and_x = [*range(width), *(width + j for j in at)]
-        x0, _ = _least_squares_start(order, design.take(lagged_and_x, axis=1), y)
-        css, grad = _css_and_gradient(x0, order, w, X, wbar)
-        x = x0
-        if not _at_optimum(x0, css, grad, _bounds(order, len(at)), PGTOL):
-            x, result = _lbfgsb(x0, order, w, X, wbar, MAX_ITER)
-            failure = _out_of_budget(order, MAX_ITER, result)
-            if failure:
-                raise ConvergenceFailureError(failure)
-        params = _unpack(x, order, len(at))
-        residuals = _tail(_scored(order, params, w, X, wbar), n_residuals) if n_residuals else ()
-        rows = [[future[i][j] for i in subset] for j in range(horizon)]
-        path = _forecast_path(order, params, history, residuals, wbar, rows)
-        return MonthlySeries(train.target.id, start, path).require_complete()
-
-    if order.q or order.Q:
-        return forecast_values
-    p, sp = order.p, order.P
+    n, p, sp = len(train), order.p, order.P
     gram, moment = design.T @ design, design.T @ y
     bounded = list(range(1, 1 + p + sp)) if p <= 1 and sp <= 1 else None
 
     def forecast_round(current: Sequence[str], candidates: Sequence[str]) -> np.ndarray:
-        """One column per candidate: to rounding, `forecast_values` of
+        """One column per candidate: to rounding, the forecast of `fit` on
         `current` plus that candidate. Every candidate's least-squares start
         comes from the normal equations of its columns of one Gram matrix,
         all solved in one stacked call, with the bounded faces solved the
         same way where p <= 1 and P <= 1; every forecast recursion runs at
-        once. A column is NaN, left to `forecast_values`, where its start
-        fails `_at_optimum`, its normal equations are conditioned worse
-        than NORMAL_COND_MAX, or its subset cannot be fitted."""
+        once. A column is NaN, left to its own fit, where its start fails
+        `_at_optimum`, its normal equations are conditioned worse than
+        NORMAL_COND_MAX, or its subset cannot be fitted."""
         out = np.full((horizon, len(candidates)), np.nan)
         cols = [j for j, i in enumerate(candidates) if i not in gappy]
         if (not cols or n <= order.min_train_length(len(current) + 1)
@@ -957,22 +908,21 @@ def subset_forecaster(
             beta=tuple(theta[:, 1 + p + sp :].T),
         )
         kept = [cols[j] for j in certified]
-        added = np.array([future[candidates[j]] for j in kept]).T
-        rows = [[*(future[i][h] for i in current), added[h]] for h in range(horizon)]
-        out[:, kept] = np.array(_forecast_path(order, params, history, (), wbar, rows))
+        x_future = [future[i][:, None] for i in current]
+        x_future.append(np.array([future[candidates[j]] for j in kept]).T)
+        out[:, kept] = np.array(_forecast_path(order, params, history, (), wbar, x_future, horizon))
         return out
 
-    forecast_values.forecast_round = forecast_round
-    return forecast_values
+    return forecast_round
 
 
 def grid_search_order(
     train: AlignedFrame, grid: Sequence[SarimaxOrder], horizon: int
 ) -> tuple[SarimaxOrder, list[OrderScore]]:
     """Score each order by MAE on the final `horizon` months of `train`
-    (held out internally), forecasting through `subset_forecaster` with
-    every regressor; ties break toward the lexicographically smallest
-    order."""
+    (held out internally), forecasting with `fit` and `forecast` on every
+    regressor, continued once for all orders; ties break toward the
+    lexicographically smallest order."""
     if not grid:
         raise ValueError("order grid is empty")
     sub_train, validation = split_train_test(train, SplitSpec(horizon))
@@ -982,7 +932,7 @@ def grid_search_order(
         try:
             if future is None:
                 future = [extrapolate_regressor(x, horizon) for x in sub_train.indicators]
-            predicted = subset_forecaster(sub_train, order, horizon, future)(sub_train.indicator_ids)
+            predicted = forecast(fit(sub_train, order), horizon, future).require_complete()
             table.append(OrderScore(order, mae(validation.target.require_complete(), predicted)))
         except Exception as exc:  # noqa: BLE001 - per-order failures are data
             table.append(OrderScore(order, None, f"{type(exc).__name__}: {exc}"))

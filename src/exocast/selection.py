@@ -351,9 +351,10 @@ def forward_select(
     best subset to the shortest, then to the first evaluated.
 
     An evaluator with a `score_round(current, candidates)` method scores a
-    whole round in one call, one score per candidate; a candidate it scores
-    NaN, and every candidate of an evaluator without the method, is scored
-    by `evaluator(current + (candidate,))`."""
+    whole round in one call, one score per candidate, each equal to the
+    per-subset score to rounding; a candidate it scores NaN, every
+    candidate of an evaluator without the method and the empty subset are
+    scored by `evaluator(subset)`, whose failure is recorded."""
     if type(cap) is not int or cap < 1:
         raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
     ids = candidates.candidate_ids

@@ -739,8 +739,8 @@ class TestPersistedModels:
 
 
 class TestSharedForwardDesign:
-    # Forward selection scores every additive subset of one validation split
-    # from one design; each subset must forecast as its own fit does.
+    # Forward selection scores each additive subset of one validation split
+    # with its own fit, and a whole round from one design of every subset.
     SPECS = {
         "ridge0": ModelSpec("additive", additive_config=AdditiveConfig(
             n_changepoints=1, seasonalities=((12.0, 1),), ar_lags=1, regressor_lags=1)),
@@ -765,7 +765,7 @@ class TestSharedForwardDesign:
         for subset in subsets:
             fitted = models.fit(spec, sub_train.with_indicators(subset), 12, None)
             direct = models.forecast(fitted, 12, future).require_complete()
-            assert np.max(np.abs(np.asarray(forecast_subset(subset)) - direct)) <= 1e-9, subset
+            assert np.array_equal(forecast_subset(subset), direct), subset
 
     ROUND_SPECS = {
         **SPECS,
