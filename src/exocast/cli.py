@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import models
-from .errors import ExocastError
+from .errors import ExocastError, to_object
 from .eurostat import DEFAULT_KEYWORDS, run_funnel
 from .experiment import (
     config_schema_text,
@@ -26,16 +26,24 @@ from .experiment import (
 )
 from .selection import save_result
 from .series import Month, write_series_csv
-from .synth import SyntheticSpec, generate_synthetic
+from .synth import TRUTH_SCHEMA, SyntheticSpec, generate_synthetic
 
 log = logging.getLogger("exocast")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="experiment config JSON")
-    parser.add_argument("--seed", type=int, help="override the synthetic seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--offline", action="store_true", help="never touch the network")
+COMMON_FLAGS = {
+    "--config": {"help": "experiment config JSON"},
+    "--seed": {"type": int, "help": "override the synthetic seed"},
+    "--out": {"help": "output directory"},
+    "--offline": {"action": "store_true", "help": "never touch the network"},
+}
+CONFIG_FLAGS = ("--config", "--seed", "--out")  # the flags of the commands that run a config
+
+
+def _common_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """The shared flags `names`, which the subcommand reads, and -v."""
+    for name in names:
+        parser.add_argument(name, **COMMON_FLAGS[name])
     parser.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -47,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fetch", help="run the catalog funnel and cache one series per dataset")
-    _common_flags(p)
+    _common_flags(p, "--offline")
     p.add_argument("--cache-dir", required=True)
     p.add_argument("--since", required=True, help="coverage cutoff, YYYY-MM")
     p.add_argument("--keywords", help="file with one parameter keyword per line")
@@ -56,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-fixture-dir", help="directory of <code>.json payloads")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset as CSV files")
-    _common_flags(p)
+    _common_flags(p, "--seed", "--out")
     p.add_argument("--months", type=int, default=76)
     p.add_argument("--indicators", type=int, default=10)
     p.add_argument("--drivers", type=int, default=2)
@@ -67,24 +75,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", default="2016-01")
 
     p = sub.add_parser("select", help="run the configured selection methods only")
-    _common_flags(p)
+    _common_flags(p, *CONFIG_FLAGS)
 
     p = sub.add_parser("fit", help="fit one configured model on the training range")
-    _common_flags(p)
+    _common_flags(p, *CONFIG_FLAGS)
     p.add_argument("--method", default=None, help="selection method (default: first configured)")
     p.add_argument("--model-index", type=int, default=0)
 
     p = sub.add_parser("forecast", help="forecast from a saved model file")
-    _common_flags(p)
+    _common_flags(p, *CONFIG_FLAGS)
     p.add_argument("--model-file", required=True)
     p.add_argument("--horizon", type=int, default=None)
 
     p = sub.add_parser("experiment", help="run the full grid from a config file")
-    _common_flags(p)
+    _common_flags(p, *CONFIG_FLAGS)
     p.add_argument("--print-schema", action="store_true", help="print the config schema and exit")
 
     p = sub.add_parser("report", help="re-emit tables and plot data from a finished run")
-    _common_flags(p)
+    _common_flags(p, "--out")
     p.add_argument("--run-dir", required=True)
     return parser
 
@@ -165,9 +173,7 @@ def cmd_synth(args) -> int:
     write_series_csv(frame.target, out / "target.csv")
     for s in frame.indicators:
         write_series_csv(s, out / f"{s.id}.csv")
-    (out / "truth.json").write_text(
-        json.dumps({"driver_ids": list(truth.driver_ids), "betas": list(truth.betas)}, indent=2)
-    )
+    (out / "truth.json").write_text(json.dumps({"schema": TRUTH_SCHEMA, **to_object(truth)}, indent=2))
     print(f"wrote target + {len(frame.indicators)} indicators to {out}")
     return 0
 
@@ -228,8 +234,10 @@ def _training_frame_of(fitted, config) -> "AlignedFrame":
 
 
 def cmd_forecast(args) -> int:
+    if args.horizon is not None and args.horizon < 1:
+        raise ExocastError(f"--horizon must be at least 1, got {args.horizon}")
     config = _load(args)
-    horizon = args.horizon or config.horizon
+    horizon = config.horizon if args.horizon is None else args.horizon
     try:
         doc = json.loads(_read_input(args.model_file, "--model-file"))
     except json.JSONDecodeError as exc:

@@ -442,6 +442,25 @@ def load_catalog(root: str | Path) -> CatalogSnapshot:
     ))
 
 
+@dataclass(frozen=True)
+class CachedSeries:
+    """An entry of series.json: one dataset's representative series and its
+    coordinates in the dataset."""
+
+    dataset_code: str
+    dimension_values: tuple[tuple[str, str], ...]
+    series_id: str
+    start: Month
+    values: tuple[float | None, ...]  # floats by repr, so bit-exact; null for a gap
+
+
+@dataclass(frozen=True)
+class SeriesDocument:
+    """series.json without its schema; `_SeriesWriter` writes it entry by entry."""
+
+    series: tuple[CachedSeries, ...]
+
+
 class _SeriesWriter:
     """A cache root's series.json as it is written: `add` appends one series
     to a temp file, one line each. Leaving the `with` block moves the temp
@@ -460,13 +479,8 @@ class _SeriesWriter:
         return self
 
     def add(self, key: SeriesKey, series: MonthlySeries) -> None:
-        self._file.write(self._separator + json.dumps({
-            "dataset_code": key.dataset_code,
-            "dimension_values": key.dimension_values,
-            "series_id": series.id,
-            "start": str(series.start),
-            "values": series.values,  # floats by repr, so bit-exact; null for a gap
-        }))
+        entry = CachedSeries(key.dataset_code, key.dimension_values, series.id, series.start, series.values)
+        self._file.write(self._separator + json.dumps(to_object(entry, {"start": str})))
         self._separator = ",\n"
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -487,12 +501,22 @@ def _cached_series(root: Path) -> dict[str, tuple[SeriesKey, MonthlySeries]]:
     if not path.exists():
         return {}
 
-    def entry(doc) -> tuple[str, tuple[SeriesKey, MonthlySeries]]:
-        key = SeriesKey(doc["dataset_code"], tuple((n, v) for n, v in doc["dimension_values"]))
-        series = MonthlySeries(doc["series_id"], Month.parse(doc["start"]), doc["values"])
-        return key.dataset_code, (key, series)
+    def entry(doc) -> CachedSeries:
+        # `tuple` in place of the per-value walk that turns arrays into tuples.
+        return from_object(CachedSeries, doc, "series entry", {
+            "dimension_values": lambda pairs: tuple((name, value) for name, value in pairs),
+            "start": Month.parse,
+            "values": tuple,
+        })
 
-    return read_document(path, SERIES_SCHEMA, lambda doc: dict(map(entry, doc["series"])))
+    def by_code(doc) -> dict[str, tuple[SeriesKey, MonthlySeries]]:
+        entries = from_object(SeriesDocument, doc, "series document", {
+            "series": lambda entries: tuple(map(entry, entries)),
+        }).series
+        return {e.dataset_code: (SeriesKey(e.dataset_code, e.dimension_values),
+                                 MonthlySeries(e.series_id, e.start, e.values)) for e in entries}
+
+    return read_document(path, SERIES_SCHEMA, by_code)
 
 
 def _require_this_format(root: Path) -> None:

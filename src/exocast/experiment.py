@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import shutil
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
@@ -18,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from . import models
-from .errors import ConfigError, ExocastError, from_object, read_document
+from .errors import ConfigError, ExocastError, from_object, read_document, to_object
 from .eurostat import list_cached_series
 from .models import ModelSpec  # re-exported: experiment configs are built from here
 from .selection import (
@@ -217,6 +218,38 @@ class CellArtifacts:
     actual: tuple[float, ...] = ()
     forecast: tuple[float, ...] = ()
     model_doc: dict | None = None
+
+
+ARTIFACTS_SCHEMA = "exocast.experiment.artifacts/1"
+
+
+@dataclass(frozen=True)
+class CellRecord:
+    """A cell of artifacts.json: its key and result, origin 0's test months,
+    actual values and forecast, and the indicators it selected."""
+
+    dataset: str
+    range: str
+    method: str
+    model: str
+    mae: float | None
+    n_exog: int | None
+    error: str | None
+    months: tuple[Month, ...]
+    actual: tuple[float, ...]
+    forecast: tuple[float, ...]
+    selected_ids: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """artifacts.json without its schema: the table's row and column order,
+    and every cell in sorted key order."""
+
+    horizon: int
+    row_keys: tuple[tuple[str, str], ...]
+    col_keys: tuple[str, ...]
+    cells: tuple[CellRecord, ...]
 
 
 @dataclass
@@ -480,7 +513,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts
         cells=cells,
     )
     if config.out_dir:
-        persist_run(Path(config.out_dir), config, table, artifacts)
+        persist_run(Path(config.out_dir), table, artifacts)
     return table, artifacts
 
 
@@ -619,13 +652,15 @@ def _cell_dir(out_dir: Path, key: CellKey) -> Path:
     return out_dir / "cells" / "__".join(map(_safe, key))
 
 
-def persist_run(
-    out_dir: Path,
-    config: ExperimentConfig,
-    table: ResultsTable,
-    artifacts: RunArtifacts,
-) -> None:
+def persist_run(out_dir: Path, table: ResultsTable, artifacts: RunArtifacts) -> None:
+    """Write the run into `out_dir`: the tables, the plot data, a directory
+    per cell and artifacts.json. The cell directories and plot files an
+    earlier run left there go first, so every file names a cell of this run."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    if (out_dir / "cells").is_dir():
+        shutil.rmtree(out_dir / "cells")
+    for stale in [*out_dir.glob("forecasts_*.csv"), out_dir / "score_development.csv"]:
+        stale.unlink(missing_ok=True)
     emit_table(table, "csv", out_dir / "results.csv")
     emit_table(table, "markdown", out_dir / "results.md")
     emit_plot_data(artifacts, out_dir)
@@ -643,33 +678,16 @@ def persist_run(
                 MonthlySeries("forecast", cell.months[0], cell.forecast),
                 folder / "forecast.csv",
             )
-    doc = {
-        "schema": "exocast.experiment.artifacts/1",
-        "horizon": artifacts.horizon,
-        "row_keys": [list(k) for k in table.row_keys],
-        "col_keys": list(table.col_keys),
-        "cells": [
-            {
-                "dataset": key[0],
-                "range": key[1],
-                "method": key[2],
-                "model": key[3],
-                "mae": table.cells[key].mae,
-                "n_exog": table.cells[key].n_exog,
-                "error": table.cells[key].error,
-                "months": [str(m) for m in artifacts.cells[key].months],
-                "actual": list(artifacts.cells[key].actual),
-                "forecast": list(artifacts.cells[key].forecast),
-                "selected_ids": list(
-                    artifacts.cells[key].selection.selected_ids
-                    if artifacts.cells[key].selection is not None
-                    else ()
-                ),
-            }
-            for key in sorted(artifacts.cells)
-        ],
-    }
-    (out_dir / "artifacts.json").write_text(json.dumps(doc, indent=2))
+    run = RunRecord(artifacts.horizon, table.row_keys, table.col_keys, tuple(
+        CellRecord(*key, table.cells[key].mae, table.cells[key].n_exog, table.cells[key].error,
+                   cell.months, cell.actual, cell.forecast,
+                   () if cell.selection is None else cell.selection.selected_ids)
+        for key, cell in sorted(artifacts.cells.items())
+    ))
+    doc = to_object(run, {"cells": lambda records: [
+        to_object(record, {"months": lambda months: list(map(str, months))}) for record in records
+    ]})
+    (out_dir / "artifacts.json").write_text(json.dumps({"schema": ARTIFACTS_SCHEMA, **doc}, indent=2))
 
 
 def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
@@ -679,23 +697,24 @@ def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
     if not path.is_file():
         raise ExocastError(f"no finished run in {out_dir}: {path.name} is missing")
 
+    def cell_record(doc) -> CellRecord:
+        return from_object(CellRecord, doc, "cell", {"months": lambda ms: tuple(map(Month.parse, ms))})
+
     def rebuild(doc) -> tuple[ResultsTable, RunArtifacts]:
-        entries = {(e["dataset"], e["range"], e["method"], e["model"]): e for e in doc["cells"]}
-        table = ResultsTable(tuple(map(tuple, doc["row_keys"])), tuple(doc["col_keys"]), {})
-        artifacts = RunArtifacts(horizon=doc["horizon"])
+        run = from_object(RunRecord, doc, "artifacts", {"cells": lambda cs: tuple(map(cell_record, cs))})
+        records = {(r.dataset, r.range, r.method, r.model): r for r in run.cells}
+        table = ResultsTable(run.row_keys, run.col_keys, {})
+        artifacts = RunArtifacts(horizon=run.horizon)
         # Every cell of the table, in the order run_experiment gives them.
         for key in (_cell_key(row, col) for col in table.col_keys for row in table.row_keys):
-            entry = entries[key]
-            table.cells[key] = CellResult(entry["mae"], entry["n_exog"], entry["error"])
+            record = records[key]
+            table.cells[key] = CellResult(record.mae, record.n_exog, record.error)
             artifacts.cells[key] = CellArtifacts(
-                key=key,
-                months=tuple(Month.parse(m) for m in entry["months"]),
-                actual=tuple(entry["actual"]),
-                forecast=tuple(entry["forecast"]),
+                key=key, months=record.months, actual=record.actual, forecast=record.forecast,
             )
         return table, artifacts
 
-    table, artifacts = read_document(path, "exocast.experiment.artifacts/1", rebuild)
+    table, artifacts = read_document(path, ARTIFACTS_SCHEMA, rebuild)
     # Selections, with the traces of the score-development plot, live in the cell dirs.
     for key, cell in artifacts.cells.items():
         selection = _cell_dir(out_dir, key) / "selection.json"

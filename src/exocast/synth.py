@@ -54,6 +54,9 @@ class SyntheticSpec:
             raise ValueError("noise_sigma must be positive")
 
 
+TRUTH_SCHEMA = "exocast.synth.truth/1"  # `exocast synth` writes a SyntheticTruth as truth.json
+
+
 @dataclass(frozen=True)
 class SyntheticTruth:
     driver_ids: tuple[str, ...]

@@ -84,6 +84,7 @@ class TestSynthCommand:
         target = read_series_csv(out / "target.csv")
         assert len(target) == 30
         truth = json.loads((out / "truth.json").read_text())
+        assert truth["schema"] == "exocast.synth.truth/1"
         assert len(truth["driver_ids"]) == 1
         assert (out / "ind01.csv").exists()
 
@@ -407,6 +408,29 @@ class TestMalformedInput:
                 "--out", str(tmp_path / "fc")]
         self._fails_cleanly(capsys, argv, str(model_file), message)
         assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_forecast_with_a_horizon_below_one(self, tmp_path, capsys, horizon):
+        config = write_experiment_config(tmp_path, methods=["none"])
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "models")]) == 0
+        model_file = next(p for p in (tmp_path / "models").iterdir()
+                          if not p.name.endswith("selection.json"))
+        argv = ["forecast", "--config", str(config), "--model-file", str(model_file),
+                "--out", str(tmp_path / "fc"), "--horizon", horizon]
+        self._fails_cleanly(capsys, argv, f"--horizon must be at least 1, got {horizon}")
+        assert not (tmp_path / "fc").exists()
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv, ignored", [
+        (["report", "--run-dir", "run", "--config", "x.json"], "--config x.json"),
+        (["experiment", "--config", "x.json", "--offline"], "--offline"),
+    ], ids=["report-config", "experiment-offline"])
+    def test_a_flag_the_command_does_not_read_exits_2(self, capsys, argv, ignored):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {ignored}" in capsys.readouterr().err
 
 
 class TestFetchCommand:

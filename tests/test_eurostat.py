@@ -637,6 +637,11 @@ class TestMalformedDocuments:
         ("series.json", list_cached_series, without(series_doc(), "series"), "lacks series"),
         ("series.json", list_cached_series, series_doc(without(SERIES_ENTRY, "start")), "lacks start"),
         ("series.json", list_cached_series, series_doc({**SERIES_ENTRY, "start": "2016"}), "'2016'"),
+        ("series.json", list_cached_series, series_doc({**SERIES_ENTRY, "dimension_values": [["geo"]]}),
+         "not enough values to unpack"),
+        ("series.json", list_cached_series, series_doc({**SERIES_ENTRY, "unit": "I15"}),
+         "unknown series entry keys: unit"),
+        ("series.json", list_cached_series, series_doc(size=1), "unknown series document keys: size"),
         ("catalog.json", load_catalog, [], "JSON object, not list"),
         ("catalog.json", load_catalog, "{", "Expecting property name"),
         ("catalog.json", load_catalog, {**CATALOG_DOC, "schema": "x"}, "schema 'x'"),
@@ -651,7 +656,9 @@ class TestMalformedDocuments:
         "read_manifest-missing-key", "read_manifest-unknown-key",
         "read_series", "read_series-not-json", "read_series-schema", "read_series-no-series",
         "read_series-missing-key",
-        "read_series-malformed", "load_catalog", "load_catalog-not-json", "load_catalog-schema",
+        "read_series-malformed", "read_series-not-a-pair",
+        "read_series-unknown-entry-key", "read_series-unknown-key",
+        "load_catalog", "load_catalog-not-json", "load_catalog-schema",
         "load_catalog-missing-key", "load_catalog-unknown-key", "load_catalog-descriptor-key",
         "load_catalog-malformed",
     ])

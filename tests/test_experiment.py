@@ -1,6 +1,7 @@
 import json
 import traceback
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -383,6 +384,25 @@ class TestTableAndPlots:
         for path in written:
             assert path.read_bytes() == (tmp_path / "run" / path.name).read_bytes(), path.name
 
+    def test_a_rerun_into_the_same_directory_leaves_no_stale_file(self, tmp_path):
+        # The first run writes a forward cell's directory, trace and
+        # score_development.csv, and a second range's forecasts file; the
+        # second run writes none of them.
+        first = quick_config(
+            methods=(MethodSpec("none"), MethodSpec("forward")), forward_cap=2,
+            ranges=(RangeSpec(M(2016, 1), M(2021, 4)), RangeSpec(M(2017, 1), M(2021, 4))),
+            out_dir=str(tmp_path / "run"),
+        )
+        second = replace(first, methods=(MethodSpec("none"),), ranges=first.ranges[:1])
+        run_experiment(first)
+        run_experiment(second)
+        run_experiment(replace(second, out_dir=str(tmp_path / "fresh")))
+        files = sorted(p.relative_to(tmp_path / "fresh") for p in (tmp_path / "fresh").rglob("*"))
+        assert sorted(p.relative_to(tmp_path / "run") for p in (tmp_path / "run").rglob("*")) == files
+        for path in files:
+            if (tmp_path / "fresh" / path).is_file():
+                assert (tmp_path / "run" / path).read_bytes() == (tmp_path / "fresh" / path).read_bytes()
+
     ARTIFACTS = {"schema": "exocast.experiment.artifacts/1", "horizon": 1,
                  "row_keys": [["none", "additive"]], "col_keys": ["d @ 2016-01..2016-12"],
                  "cells": [{"dataset": "d", "range": "2016-01..2016-12", "method": "none",
@@ -396,7 +416,10 @@ class TestTableAndPlots:
         ({**ARTIFACTS, "schema": "x"}, "schema 'x' is not"),
         ({k: v for k, v in ARTIFACTS.items() if k != "cells"}, "lacks cells"),
         ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "months": ["2017"]}]}, "'2017'"),
-    ], ids=["not-an-object", "not-json", "schema", "missing-key", "malformed"])
+        ({**ARTIFACTS, "rows": []}, "unknown artifacts keys: rows"),
+        ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "maes": [1.0]}]}, "unknown cell keys: maes"),
+    ], ids=["not-an-object", "not-json", "schema", "missing-key", "malformed", "unknown-key",
+            "unknown-cell-key"])
     def test_reload_of_malformed_artifacts(self, tmp_path, doc, message):
         path = tmp_path / "artifacts.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
