@@ -591,12 +591,15 @@ def emit_table(table: ResultsTable, fmt: str, path: str | Path) -> Path:
 
 def emit_plot_data(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
     """Long-format CSVs for external plotting: per-group forecasts, the
-    score-development curve, and per-period absolute errors."""
+    score-development curve, and per-period absolute errors. The forecast
+    and score-development files an earlier run left in `out_dir` go first."""
     import csv as _csv
     from .selection import score_development
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in [*out_dir.glob("forecasts_*.csv"), out_dir / "score_development.csv"]:
+        stale.unlink(missing_ok=True)
     written: list[Path] = []
 
     groups: dict[tuple[str, str], list[CellArtifacts]] = {}
@@ -654,13 +657,12 @@ def _cell_dir(out_dir: Path, key: CellKey) -> Path:
 
 def persist_run(out_dir: Path, table: ResultsTable, artifacts: RunArtifacts) -> None:
     """Write the run into `out_dir`: the tables, the plot data, a directory
-    per cell and artifacts.json. The cell directories and plot files an
-    earlier run left there go first, so every file names a cell of this run."""
+    per cell and artifacts.json. The cell directories an earlier run left
+    there go first, and emit_plot_data clears its plot files, so every file
+    names a cell of this run."""
     out_dir.mkdir(parents=True, exist_ok=True)
     if (out_dir / "cells").is_dir():
         shutil.rmtree(out_dir / "cells")
-    for stale in [*out_dir.glob("forecasts_*.csv"), out_dir / "score_development.csv"]:
-        stale.unlink(missing_ok=True)
     emit_table(table, "csv", out_dir / "results.csv")
     emit_table(table, "markdown", out_dir / "results.md")
     emit_plot_data(artifacts, out_dir)
@@ -702,11 +704,20 @@ def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
 
     def rebuild(doc) -> tuple[ResultsTable, RunArtifacts]:
         run = from_object(RunRecord, doc, "artifacts", {"cells": lambda cs: tuple(map(cell_record, cs))})
-        records = {(r.dataset, r.range, r.method, r.model): r for r in run.cells}
+        records: dict[CellKey, CellRecord] = {}
+        for record in run.cells:
+            key = (record.dataset, record.range, record.method, record.model)
+            if key in records:
+                raise ValueError(f"cell {' / '.join(key)} is listed twice")
+            records[key] = record
         table = ResultsTable(run.row_keys, run.col_keys, {})
         artifacts = RunArtifacts(horizon=run.horizon)
         # Every cell of the table, in the order run_experiment gives them.
-        for key in (_cell_key(row, col) for col in table.col_keys for row in table.row_keys):
+        keys = [_cell_key(row, col) for col in table.col_keys for row in table.row_keys]
+        extra = sorted(records.keys() - set(keys))
+        if extra:
+            raise ValueError(f"cell {' / '.join(extra[0])} is not in row_keys x col_keys")
+        for key in keys:
             record = records[key]
             table.cells[key] = CellResult(record.mae, record.n_exog, record.error)
             artifacts.cells[key] = CellArtifacts(

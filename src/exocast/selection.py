@@ -45,7 +45,7 @@ LASSO_TOL = 1e-8
 LASSO_MAX_ITER = 10_000
 LASSO_NONZERO = 1e-10
 KKT_TOL = 1e-12  # relative to max|X'y/n|
-ACTIVE_SET_MAX_STEPS = 1_000
+SPAN_TOL = 1e-12  # relative to the column's own X'X/n: a column this close is in a span
 # Forward scores this close to the lowest are tied: a batched round agrees
 # with the per-subset path to about this, so rounding may order them either
 # way. Seeds 0-9 and 100-139 separate distinct subsets by 1.9e-5 or more.
@@ -104,17 +104,17 @@ def correlation_select(
     survivors = [cid for cid in ids if abs(target_corr[cid]) >= target_threshold]
     survivors.sort(key=lambda cid: (-abs(target_corr[cid]), order[cid]))
 
+    # One call per survivor against every later one: each column's sums run
+    # as they would alone, so every r equals its one-pair value bit for bit.
     pairwise: dict[str, float] = {}
-    for i, a in enumerate(survivors):
-        for b in survivors[i + 1 :]:
-            pairwise[f"{a}|{b}"] = pearson_correlation(X[:, order[a]], X[:, order[b]])
+    for i, a in enumerate(survivors[:-1]):
+        later = survivors[i + 1 :]
+        r = pearson_correlation(X[:, order[a]], X[:, [order[b] for b in later]])
+        pairwise.update((f"{a}|{b}", float(rb)) for b, rb in zip(later, r))
 
-    def mutual(a: str, b: str) -> float:
-        return pairwise.get(f"{a}|{b}", pairwise.get(f"{b}|{a}", 0.0))
-
-    admitted: list[str] = []
+    admitted: list[str] = []  # each precedes every later survivor
     for cid in survivors:
-        if all(abs(mutual(cid, kept)) < mutual_threshold for kept in admitted):
+        if all(abs(pairwise[f"{kept}|{cid}"]) < mutual_threshold for kept in admitted):
             admitted.append(cid)
 
     return SelectionResult(
@@ -151,10 +151,9 @@ def lasso_coordinate_descent(
     and raises ConvergenceFailureError if that takes more than max_iter
     sweeps. beta0 warm-starts the iteration.
 
-    lasso_select uses it as the certificate of every active-set solution:
-    started from the optimum it settles in a sweep or two, and its verdict
-    decides whether a fit converged. Tests use it, run to a tight tol, as
-    the reference optimum.
+    lasso_select uses it as the certificate of its final fit, and to finish
+    a grid point the path got wrong: started from the optimum it settles in
+    a sweep or two. Tests use it, run to a tight tol, as the reference.
     """
     n, p = X.shape
     col_norm2 = (X * X).sum(axis=0) / n
@@ -180,72 +179,70 @@ def lasso_coordinate_descent(
     )
 
 
-def _lasso_objective(G: np.ndarray, c: np.ndarray, lam: float, b: np.ndarray) -> float:
-    return float(0.5 * b @ G @ b - c @ b + lam * np.abs(b).sum())
+def _kkt_violation(G: np.ndarray, c: np.ndarray, lams: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Largest breach of the LASSO optimality conditions in the Gram form, one
+    per row b of B at its penalty lam: grad_j = -lam*sign(b_j) where b_j != 0,
+    and |grad_j| <= lam where b_j = 0."""
+    grad, lam = B @ G - c, lams[:, None]  # G is symmetric
+    breach = np.where(B != 0.0, np.abs(grad + lam * np.sign(B)), np.maximum(np.abs(grad) - lam, 0))
+    return breach.max(axis=1, initial=0.0)
 
 
-def _kkt_violation(G: np.ndarray, c: np.ndarray, lam: float, beta: np.ndarray) -> float:
-    """Largest breach of the LASSO optimality conditions in the Gram form:
-    grad_j = -lam*sign(b_j) where b_j != 0, and |grad_j| <= lam where b_j = 0."""
-    grad = G @ beta - c
-    breach = np.where(
-        beta != 0.0,
-        np.abs(grad + lam * np.sign(beta)),
-        np.maximum(np.abs(grad) - lam, 0.0),
-    )
-    return float(breach.max(initial=0.0))
+def _lasso_path(G: np.ndarray, c: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimisers of 1/2 b'Gb - c'b + lam*||b||_1 (G = X'X/n, c = X'y/n) at
+    each penalty of the descending `lams`, and the number of breakpoints
+    passed: the homotopy from lam_max = max|c| down (Osborne, Presnell &
+    Turlach 2000; LARS-lasso, Efron et al. 2004).
 
-
-def _lasso_active_set(
-    G: np.ndarray, c: np.ndarray, lam: float, beta0: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Feature-sign search (Lee, Battle, Raina & Ng 2007) for
-    1/2 b'Gb - c'b + lam*||b||_1, with G = X'X/n and c = X'y/n.
-
-    Each step solves G_SS b_S = c_S - lam*theta_S on the support S with sign
-    vector theta, then keeps the best of the new point and the points where a
-    coefficient crosses zero on the way there. A zero coefficient whose
-    gradient exceeds lam joins S only once the nonzero ones are optimal, so
-    it moves in the direction of its sign. Returns the iterate and the number
-    of steps taken. The iterate is exact when the KKT conditions hold; when a
-    solve is singular or a step cannot lower the objective, the last iterate
-    is returned as is and the caller's certificate finishes the fit.
+    Between breakpoints the active set A and its signs s are fixed: b_A =
+    u - lam*v with G_AA [u v] = [c_A s_A], and r = c - Gb = p + lam*q. The
+    next one is the largest lower penalty where an inactive |r_j| reaches
+    lam (j joins) or an active b_j reaches 0 (it drops), counted only if lam
+    falling on would breach it: what just joined does not drop at once, nor
+    what just dropped rejoin. A join rounding put at or above the current
+    penalty is a tie and happens at once; a column in the span of A's never
+    joins. A singular solve ends the path; the penalties left keep the last
+    minimiser for the caller's KKT check.
     """
-    beta = beta0.astype(float).copy()
-    tol = KKT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
-    steps = 0
-    settled = False  # the last step landed on its face optimum
-    while steps < ACTIVE_SET_MAX_STEPS:
-        grad = G @ beta - c
-        theta = np.sign(beta)
-        nonzero = theta != 0.0
-        if settled or np.all(np.abs(grad[nonzero] + lam * theta[nonzero]) <= tol):
-            outside = np.where(nonzero, 0.0, np.abs(grad))
-            j = int(np.argmax(outside))
-            if outside[j] <= lam + tol:
-                break
-            theta[j] = -np.sign(grad[j])
-        S = np.flatnonzero(theta)
-        G_SS, c_S = G[np.ix_(S, S)], c[S]
+    B = np.zeros((len(lams), len(c)))
+    beta, sign, active = np.zeros(len(c)), np.zeros(len(c)), []
+    lam0, k, steps = np.inf, 0, 0
+    while k < len(lams):
+        A = np.array(active, dtype=int)
         try:
-            target = np.linalg.solve(G_SS, c_S - lam * theta[S])
+            W = np.linalg.solve(G[np.ix_(A, A)], np.column_stack([c[A], sign[A], G[A]]))
         except np.linalg.LinAlgError:
             break
-        steps += 1
-        old = beta[S]
-        best, best_obj = target, _lasso_objective(G_SS, c_S, lam, target)
-        settled = bool(np.all(np.sign(target) == theta[S]))  # no zero crossings
-        for k in np.flatnonzero((old != 0.0) & (np.sign(target) != np.sign(old))):
-            t = old[k] / (old[k] - target[k])
-            point = old + t * (target - old)
-            point[k] = 0.0
-            obj = _lasso_objective(G_SS, c_S, lam, point)
-            if obj < best_obj:
-                best, best_obj = point, obj
-        if best_obj >= _lasso_objective(G_SS, c_S, lam, old):
+        u, v, W = W[:, 0], W[:, 1], W[:, 2:]
+        p, q = c - c[A] @ W, sign[A] @ W
+        outside_span = np.diag(G) - np.einsum("ij,ij->j", G[A], W) > SPAN_TOL * np.diag(G)
+        # Rows: r_j reaches +lam, r_j reaches -lam, b_j reaches 0. A rate is
+        # how fast the breach grows as lam falls past the event.
+        rates = np.stack([1.0 - q, 1.0 + q, np.zeros(len(c))])
+        rates[2, A] = -sign[A] * v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            events = np.stack([p, -p, np.zeros(len(c))]) / rates
+        events[:, ~outside_span], events[2, A] = 0.0, u / v
+        events[~((events > 0.0) & (rates > 0.0))] = 0.0
+        events[2, events[2] >= lam0] = 0.0
+        kind, j = np.unravel_index(int(np.argmax(events)), events.shape)
+        lam0 = min(float(events[kind, j]), lam0)
+        while k < len(lams) and lams[k] >= lam0:
+            B[k, A] = u - lams[k] * v
+            k += 1
+        if k == len(lams):
             break
-        beta[S] = best
-    return beta, steps
+        beta[:] = 0.0
+        beta[A] = u - lam0 * v
+        if kind == 2:
+            active.remove(j)
+            beta[j] = 0.0
+        else:
+            active.append(j)
+            sign[j] = 1.0 if kind == 0 else -1.0
+        steps += 1
+    B[k:] = beta
+    return B, steps
 
 
 def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,10 +264,11 @@ def lasso_select(
     [1e-4*lam_max, lam_max], scored by MAE on the final 20% of the training
     range; ties resolve toward the larger (sparser) value.
 
-    Each fit is solved exactly by an active-set (feature-sign) solver on the
-    Gram form, warm-started down the grid, and then certified by
-    lasso_coordinate_descent(tol, max_iter) started from that solution: the
-    certificate returns the coefficients or raises ConvergenceFailureError.
+    One regularisation path gives every grid point, and one stacked KKT
+    check certifies them; lasso_coordinate_descent(tol, max_iter) finishes
+    a point that fails it. The final fit at the chosen (or given) penalty
+    is the path's point on the full range, certified by coordinate descent
+    started there: it returns the coefficients or ConvergenceFailureError.
     """
     frame = candidates.frame
     ids = candidates.candidate_ids
@@ -280,15 +278,6 @@ def lasso_select(
         raise SelectionError("lasso needs at least 3 training rows")
     X_raw = np.ascontiguousarray(frame.with_indicators(ids).require_complete())
 
-    steps = 0
-
-    def fit(X: np.ndarray, y: np.ndarray, G: np.ndarray, c: np.ndarray, g: float, warm):
-        # G and c are X'X/n and X'y/n, built once per window.
-        nonlocal steps
-        beta, taken = _lasso_active_set(G, c, g, warm)
-        steps += taken
-        return lasso_coordinate_descent(X, y, g, tol, max_iter, beta0=beta)
-
     Xs, _, _ = _standardize(X_raw)
     yc = y_raw - y_raw.mean()
     G_full, c_full = Xs.T @ Xs / n, Xs.T @ yc / n
@@ -296,29 +285,35 @@ def lasso_select(
 
     chosen = lam
     grid_scores: list[tuple[float, float]] = []
+    steps = finished = 0
     if lam is None:
         if lam_max == 0.0:
             chosen = 0.0
         else:
-            grid = np.geomspace(1e-4 * lam_max, lam_max, 50)
+            # Descending, so that the first lowest score keeps the larger lambda.
+            grid = np.geomspace(1e-4 * lam_max, lam_max, 50)[::-1]
             n_val = max(1, n // 5)
             X_fit, X_val = X_raw[: n - n_val], X_raw[n - n_val :]
             y_fit, y_val = y_raw[: n - n_val], y_raw[n - n_val :]
             Xf, mu, sd = _standardize(X_fit)
             yf = y_fit - y_fit.mean()
             G_fit, c_fit = Xf.T @ Xf / len(yf), Xf.T @ yf / len(yf)
-            best_score, chosen = None, None
-            warm = np.zeros(Xf.shape[1])
-            for g in grid[::-1]:  # descending: ties keep the larger lambda
-                warm = fit(Xf, yf, G_fit, c_fit, float(g), warm)
-                pred = y_fit.mean() + ((X_val - mu) / sd) @ warm
-                score = float(np.mean(np.abs(pred - y_val)))
-                grid_scores.append((float(g), score))
-                if best_score is None or score < best_score:
-                    best_score, chosen = score, float(g)
+            B, steps = _lasso_path(G_fit, c_fit, grid)
+            kkt_tol = KKT_TOL * max(1.0, float(np.abs(c_fit).max()))
+            failed = np.flatnonzero(~(_kkt_violation(G_fit, c_fit, grid, B) <= kkt_tol))
+            for k in failed:
+                B[k] = lasso_coordinate_descent(Xf, yf, float(grid[k]), tol, max_iter, beta0=B[k])
+            finished = len(failed)
+            pred = y_fit.mean() + ((X_val - mu) / sd) @ B.T
+            scores = np.mean(np.abs(pred - y_val[:, None]), axis=0)
+            chosen = float(grid[int(np.argmin(scores))])
+            grid_scores = [(float(g), float(score)) for g, score in zip(grid, scores)]
 
+    final = np.array([float(chosen)])
     if ids:
-        beta = fit(Xs, yc, G_full, c_full, float(chosen), np.zeros(len(ids)))
+        start, taken = _lasso_path(G_full, c_full, final)
+        steps += taken
+        beta = lasso_coordinate_descent(Xs, yc, final[0], tol, max_iter, beta0=start[0])
     else:
         beta = np.zeros(0)
     selected = tuple(cid for cid, b in zip(ids, beta) if abs(b) > LASSO_NONZERO)
@@ -331,8 +326,9 @@ def lasso_select(
             "lambda_max": lam_max,
             "grid_scores": grid_scores,
             "solver": {
-                "active_set_steps": steps,
-                "kkt_max_violation": _kkt_violation(G_full, c_full, float(chosen), beta),
+                "path_steps": steps,
+                "grid_points_by_descent": finished,
+                "kkt_max_violation": float(_kkt_violation(G_full, c_full, final, beta[None])[0]),
             },
         },
     )

@@ -277,6 +277,28 @@ class TestReportCommand:
         assert (rerun / "results.csv").read_bytes() == before
         assert (rerun / "score_development.csv").exists()
 
+    def test_report_into_an_earlier_report_leaves_no_stale_plot_file(self, tmp_path):
+        # The first run has two ranges and a forward cell; the second has
+        # one range and no trace, so its report writes one forecasts file
+        # and no score_development.csv.
+        runs = []
+        for name, methods, ranges in [
+            ("two", ["none", "forward"], (("2016-01", "2021-04"), ("2017-01", "2021-04"))),
+            ("one", ["none"], (("2016-01", "2021-04"),)),
+        ]:
+            (tmp_path / name).mkdir()
+            config = write_experiment_config(tmp_path / name, out_dir=tmp_path / name / "run",
+                                             methods=methods, ranges=ranges)
+            assert main(["experiment", "--config", str(config)]) == 0
+            runs.append(tmp_path / name / "run")
+        for run in runs:
+            assert main(["report", "--run-dir", str(run), "--out", str(tmp_path / "report")]) == 0
+        assert main(["report", "--run-dir", str(runs[1]), "--out", str(tmp_path / "fresh")]) == 0
+        listing = sorted(p.name for p in (tmp_path / "report").iterdir())
+        assert listing == sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        assert "score_development.csv" not in listing
+        assert len([name for name in listing if name.startswith("forecasts_")]) == 1
+
 
 class TestMalformedInput:
     """Bad input ends with exit code 2 and one `error:` line, never a

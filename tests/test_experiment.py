@@ -418,8 +418,12 @@ class TestTableAndPlots:
         ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "months": ["2017"]}]}, "'2017'"),
         ({**ARTIFACTS, "rows": []}, "unknown artifacts keys: rows"),
         ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "maes": [1.0]}]}, "unknown cell keys: maes"),
+        ({**ARTIFACTS, "cells": [ARTIFACTS["cells"][0], {**ARTIFACTS["cells"][0], "mae": 5.0}]},
+         "cell d / 2016-01..2016-12 / none / additive is listed twice"),
+        ({**ARTIFACTS, "cells": [ARTIFACTS["cells"][0], {**ARTIFACTS["cells"][0], "dataset": "e"}]},
+         "cell e / 2016-01..2016-12 / none / additive is not in row_keys x col_keys"),
     ], ids=["not-an-object", "not-json", "schema", "missing-key", "malformed", "unknown-key",
-            "unknown-cell-key"])
+            "unknown-cell-key", "repeated-cell", "extra-cell"])
     def test_reload_of_malformed_artifacts(self, tmp_path, doc, message):
         path = tmp_path / "artifacts.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))

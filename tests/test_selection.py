@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from exocast.errors import SchemaError, SelectionError, UndefinedCorrelationError
+from exocast.experiment import PreprocessingSpec, _preprocess_train
 from exocast.selection import (
     CandidateSet,
+    KKT_TOL,
     SelectionResult,
     SelectionTrace,
-    _lasso_active_set,
+    _kkt_violation,
+    _lasso_path,
     correlation_select,
     export_trace_csv,
     forward_select,
@@ -309,22 +312,59 @@ class TestLasso:
             else:
                 assert abs(grad[j]) <= lam + 1e-9
         assert result.diagnostics["solver"]["kkt_max_violation"] <= 1e-9
-        assert result.diagnostics["solver"]["active_set_steps"] > 0
+        assert result.diagnostics["solver"]["path_steps"] > 0
 
-    @pytest.mark.parametrize("frame_index", range(4))
-    def test_active_set_matches_coordinate_descent_oracle(self, frame_index):
-        X, y = oracle_frames()[frame_index]
+    @pytest.mark.parametrize("frame", [f"oracle-{i}" for i in range(4)]
+                             + [f"short-{seed}" for seed in range(12)])
+    def test_path_matches_coordinate_descent_oracle(self, frame):
+        kind, number = frame.split("-")
+        if kind == "oracle":
+            X, y = oracle_frames()[int(number)]
+        else:
+            cands = short_normalized_candidates(int(number))
+            X = cands.frame.with_indicators(cands.candidate_ids).require_complete()
+            y = cands.frame.target.require_complete()
         Xs, yc, G, c = standardized_gram(X, y)
-        lam_max = float(np.max(np.abs(c)))
-        warm = np.zeros(X.shape[1])
-        for lam in np.geomspace(lam_max, 1e-3 * lam_max, 10):
-            warm, _ = _lasso_active_set(G, c, float(lam), warm)
-            cold, _ = _lasso_active_set(G, c, float(lam), np.zeros(X.shape[1]))
+        lams = np.geomspace(1.0, 1e-3, 10) * float(np.max(np.abs(c)))
+        path, _ = _lasso_path(G, c, lams)
+        for lam, got in zip(lams, path):
             oracle = lasso_coordinate_descent(Xs, yc, float(lam), tol=1e-12, max_iter=10**6)
-            for got in (warm, cold):
-                assert got == pytest.approx(oracle.tolist(), abs=1e-6)
-                assert np.array_equal(np.abs(got) > 1e-10, np.abs(oracle) > 1e-10)
-                assert not np.any(got[np.ptp(X, axis=0) == 0.0])
+            assert got == pytest.approx(oracle.tolist(), abs=1e-6)
+            assert np.array_equal(np.abs(got) > 1e-10, np.abs(oracle) > 1e-10)
+            assert not np.any(got[np.ptp(X, axis=0) == 0.0])
+
+    @pytest.mark.parametrize("frame", ["integer-90", "integer-498", "tied", "copies"])
+    def test_path_is_certified_on_degenerate_frames(self, frame):
+        # Exact ties and copies: two columns reach lam at once, a column
+        # repeats, negates or is a combination of active ones.
+        if frame == "tied":  # orthogonal columns, two tied at lam_max
+            X = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]] * 2, float)
+            X, y = X[:, 1:], X[:, 1] + X[:, 2]
+        elif frame == "copies":
+            rng = np.random.default_rng(0)
+            X = rng.normal(0, 1, (30, 8))
+            X[:, 3], X[:, 5], X[:, 6] = X[:, 1], 2.0, 1.0 - 3.0 * X[:, 0]
+            y = X[:, 0] + X[:, 1] + rng.normal(0, 0.3, 30)
+        else:  # small integer frames, full of exact ties
+            rng = np.random.default_rng(int(frame.split("-")[1]))
+            n, p = int(rng.integers(5, 9)), int(rng.integers(4, 9))
+            X, y = rng.integers(-2, 3, (n, p)).astype(float), rng.integers(-3, 4, n).astype(float)
+        _, _, G, c = standardized_gram(X, y)
+        lams = np.geomspace(1.0, 1e-4, 50) * float(np.max(np.abs(c)))
+        path, _ = _lasso_path(G, c, lams)
+        assert _kkt_violation(G, c, lams, path).max() <= KKT_TOL * max(1.0, np.abs(c).max())
+
+    @pytest.mark.parametrize("seed", [41, 48])
+    def test_grid_policy_certifies_thirty_candidates_over_28_months(self, seed):
+        # More candidates than fitting rows: coordinate descent started
+        # short of the optimum runs to its 10,000-sweep cap on these frames.
+        frame, _ = generate_synthetic(SyntheticSpec(n_months=76, n_indicators=30, seed=seed))
+        train, _ = _preprocess_train(frame.slice_months(M(2019, 1), M(2021, 4)),
+                                     PreprocessingSpec())
+        result = lasso_select(CandidateSet(train))
+        solver = result.diagnostics["solver"]
+        assert solver["kkt_max_violation"] <= 1e-9
+        assert solver["grid_points_by_descent"] == 0
 
 
 def naive_greedy(candidate_ids, evaluator, cap):
