@@ -41,7 +41,6 @@ from .series import (
     Month,
     MonthlySeries,
     NormalizationParams,
-    SplitSpec,
     align_merge,
     denormalize,
     interpolate_missing,
@@ -51,7 +50,6 @@ from .series import (
     read_series_csv,
     retrend,
     smooth,
-    split_train_test,
     write_series_csv,
 )
 from .synth import SyntheticSpec, SyntheticTruth, generate_synthetic
@@ -186,6 +184,7 @@ class ExperimentConfig:
             raise ValueError(f"forward_cap must be an integer >= 1, got {got}")
         for name, labels in (
             ("dataset", [d.label for d in self.datasets]),
+            ("range", [r.label for r in self.ranges]),
             ("method", [m.label for m in self.methods]),
             ("model", [m.label for m in self.models]),
         ):
@@ -270,18 +269,48 @@ class RunArtifacts:
 # Dataset resolution and preprocessing
 
 def _resolve_dataset(spec: DatasetSpec) -> tuple[AlignedFrame, SyntheticTruth | None]:
+    """The dataset's frame, and its truth if synthetic. A series file that
+    cannot be read, or series that cannot be aligned, raise ConfigError
+    naming the dataset and the file."""
     if spec.kind == "synthetic":
         frame, truth = generate_synthetic(spec.synthetic)
         return frame, truth
+
+    def read(path: str) -> MonthlySeries:
+        try:
+            return read_series_csv(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"dataset {spec.label!r}: cannot read {path}: {exc}") from exc
+
+    target = read(spec.target_csv)
     if spec.kind == "csv":
-        target = read_series_csv(spec.target_csv)
-        indicators = [read_series_csv(p) for p in spec.indicator_csvs]
+        indicators = [read(p) for p in spec.indicator_csvs]
+    else:
+        indicators = [series for _, series in list_cached_series(spec.cache_root)]
+        if not indicators:
+            raise ExocastError(f"no cached indicator series under {spec.cache_root}")
+    try:
         return align_merge(target, indicators), None
-    target = read_series_csv(spec.target_csv)
-    cached = [series for _, series in list_cached_series(spec.cache_root)]
-    if not cached:
-        raise ExocastError(f"no cached indicator series under {spec.cache_root}")
-    return align_merge(target, cached), None
+    except ValueError as exc:
+        raise ConfigError(
+            f"dataset {spec.label!r}: cannot align {spec.target_csv} with its indicators: {exc}"
+        ) from exc
+
+
+def _require_coverage(
+    label: str, frame: AlignedFrame, rng: RangeSpec, horizon: int = 0, origins: int = 1
+) -> None:
+    """ConfigError unless the dataset `label`'s `frame` holds every month of
+    `rng` and the `horizon` test months after it, and `rng` holds a training
+    end at each of `origins` one-month-stepped origins."""
+    if (frame.start.months_until(rng.start) < 0 or rng.length < origins
+            or rng.end.shift(horizon).months_until(frame.end) < 0):
+        window = f" plus a {horizon}-month test window" if horizon else ""
+        at = f" at each of {origins} origins" if origins > 1 else ""
+        raise ConfigError(
+            f"dataset {label!r} ({frame.start}..{frame.end}) does not cover range "
+            f"{rng.label}{window}{at}"
+        )
 
 
 @dataclass(frozen=True)
@@ -336,35 +365,13 @@ def training_frames(
     for spec in config.datasets:
         frame, _ = _resolve_dataset(spec)
         for rng in config.ranges:
+            _require_coverage(spec.label, frame, rng)
             train_raw = frame.slice_months(rng.start, rng.end)
             yield (spec.label, rng, *_preprocess_train(train_raw, config.preprocessing))
 
 
 # ---------------------------------------------------------------------------
 # Selection
-
-def _forward_evaluator(model: ModelSpec, train: AlignedFrame, horizon: int):
-    """Subset -> MAE, on the last `horizon` months of the training range,
-    of the model fitted with that subset on the months before them. Where
-    the model forecasts a whole greedy round at once, the evaluator's
-    `score_round(current, candidates)` gives every candidate's MAE, equal
-    to its own fit's to rounding, and NaN for one the round leaves to that
-    fit."""
-    sub_train, validation = split_train_test(train, SplitSpec(horizon))
-    actual = validation.target.require_complete()
-    future = models.regressor_forecasts(sub_train, horizon)
-    forecast_subset = models.subset_forecaster(model, sub_train, horizon, future)
-
-    def evaluator(subset: tuple[str, ...]) -> float:
-        return mae(actual, forecast_subset(subset))
-
-    forecast_round = getattr(forecast_subset, "forecast_round", None)
-    if forecast_round is not None:
-        evaluator.score_round = lambda current, candidates: mae(
-            actual, forecast_round(current, candidates)
-        )
-    return evaluator
-
 
 def select(
     method: MethodSpec,
@@ -388,8 +395,9 @@ def select(
         return lasso_select(candidates)
     if method.name == "manual":
         return validate_manual(candidates, list(method.manual_ids))
-    evaluator = _forward_evaluator(model, train, horizon)
-    return forward_select(candidates, evaluator, cap=forward_cap)
+    validation = models.Validation(train, horizon)
+    return forward_select(candidates, lambda subset: validation.score(model, subset),
+                          cap=forward_cap, score_round=validation.round_scorer(model))
 
 
 # ---------------------------------------------------------------------------
@@ -477,20 +485,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts
         if truth is not None:
             artifacts.truths[spec.label] = truth
         for rng in config.ranges:
+            _require_coverage(spec.label, frame, rng, config.horizon, config.rolling_origins)
             origins = []
             for origin in range(config.rolling_origins):
                 train_end = rng.end.shift(-origin)
                 test_end = train_end.shift(config.horizon)
-                if (
-                    frame.start.months_until(rng.start) < 0
-                    or test_end.months_until(frame.end) < 0
-                    or rng.start.months_until(train_end) < 0
-                ):
-                    raise ValueError(
-                        f"dataset {spec.label!r} ({frame.start}..{frame.end}) does not "
-                        f"cover range {rng.label} plus a {config.horizon}-month test "
-                        f"window at origin {origin}"
-                    )
                 # The held-out window is separated here, before anything
                 # else runs; only its raw target values survive, for scoring.
                 train_raw = frame.slice_months(rng.start, train_end)
@@ -803,7 +802,7 @@ Experiment config (JSON object):
     {"label": "market", "kind": "eurostat_cache",
      "target": "data/target.csv", "cache_root": "cache/"}
   ],
-  "ranges": [{"start": "2016-01", "end": "2021-04"}],   // training ranges
+  "ranges": [{"start": "2016-01", "end": "2021-04"}],   // training ranges, none repeated
   "horizon": 12,                     // held-out months after each range end
   "methods": ["none", "correlation", "lasso", "forward",
               {"name": "manual", "ids": ["x1", "x2"]}],

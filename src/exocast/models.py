@@ -4,9 +4,10 @@ Everything outside this module treats a model as a `ModelSpec` to fit, a
 fitted object to forecast from, and a JSON document to persist and reload.
 Only this module knows that the spec names SARIMAX or the additive model and
 which module serves each; reloading dispatches on the document's `schema`.
-Forward selection scores a single subset with `fit` and `forecast` alone;
-only a whole greedy round goes to a model module's `round_forecaster`,
-which this module alone calls.
+`Validation` is the one out-of-sample scorer: forward selection and the
+SARIMAX order grid both hold out, continue and score through it. It scores a
+single subset with `fit` and `forecast` alone; only a whole greedy round
+goes to a model module's `round_forecaster`, which this module alone calls.
 """
 
 from __future__ import annotations
@@ -15,9 +16,15 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
+import numpy as np
+
 from . import additive, sarimax
-from .errors import InsufficientDataError, MissingValueError, from_object, read_document
-from .series import AlignedFrame, Month, MonthlySeries, NormalizationParams
+from .errors import (
+    GridSearchError, InsufficientDataError, MissingValueError, from_object, read_document,
+)
+from .series import (
+    AlignedFrame, Month, MonthlySeries, NormalizationParams, SplitSpec, mae, split_train_test,
+)
 from .sarimax import RegressorForecast
 
 __all__ = [
@@ -28,7 +35,7 @@ __all__ = [
     "regressor_forecasts",
     "trained_on",
     "forecast",
-    "subset_forecaster",
+    "Validation",
     "to_doc",
     "from_doc",
 ]
@@ -89,7 +96,7 @@ def fit(
     a config takes `additive.auto_config`. `normalization` is recorded on
     SARIMAX fits only."""
     if spec.name == "sarimax":
-        order = spec.order or sarimax.grid_search_order(train, spec.grid, horizon)[0]
+        order = spec.order or _best_order(spec.grid, Validation(train, horizon))
         return sarimax.fit(train, order, normalization=normalization)
     return additive.fit(train, spec.additive_config or additive.auto_config(train))
 
@@ -99,32 +106,60 @@ def regressor_forecasts(train: AlignedFrame, horizon: int) -> dict[str, Regresso
     return {s.id: sarimax.extrapolate_regressor(s, horizon) for s in train.indicators}
 
 
-def subset_forecaster(
-    spec: ModelSpec, train: AlignedFrame, horizon: int, future: Mapping[str, RegressorForecast]
-) -> Callable[[tuple[str, ...]], Sequence[float]]:
-    """`subset -> forecast values` of `spec` fitted on those indicators of
-    `train`: `fit`, then `forecast`, which must be complete. A SARIMAX spec
-    of one order without MA terms and an additive spec with a ridge penalty
-    also forecast a whole greedy round at once: the callable then has the
-    model's `forecast_round(current, candidates)` method. A frame whose
-    shared design cannot be built has no round; each subset's fit raises
-    why."""
-    def forecast_subset(subset: tuple[str, ...]) -> Sequence[float]:
-        fitted = fit(spec, train.with_indicators(subset), horizon, None)
-        return forecast(fitted, horizon, future).require_complete()
+class Validation:
+    """Out-of-sample scoring on the last `horizon` months of `train`: the
+    months before them are the training frame, and every indicator is
+    continued over the held-out months once, for every subset and spec."""
 
-    futures, forecast_round = list(future.values()), None
-    if spec.name == "sarimax" and spec.order is not None:
-        forecast_round = sarimax.round_forecaster(train, spec.order, horizon, futures)
-    elif spec.name == "additive":
+    def __init__(self, train: AlignedFrame, horizon: int):
+        self.train, held_out = split_train_test(train, SplitSpec(horizon))
+        self.horizon = horizon
+        self.actual = held_out.target.require_complete()
+        self.future = regressor_forecasts(self.train, horizon)
+
+    def score(self, spec: ModelSpec, subset: Sequence[str]) -> float:
+        """MAE of `spec` fitted on the indicators `subset` of the training
+        frame, forecast over the held-out months."""
+        fitted = fit(spec, self.train.with_indicators(subset), self.horizon, None)
+        return mae(self.actual, forecast(fitted, self.horizon, self.future).require_complete())
+
+    def round_scorer(
+        self, spec: ModelSpec
+    ) -> Callable[[Sequence[str], Sequence[str]], np.ndarray] | None:
+        """`score_round(current, candidates)`, every candidate's MAE in one
+        call, each equal to `score(spec, current + (candidate,))` to
+        rounding and NaN where the round leaves it to that call; None for a
+        spec without a batched round: an order grid, an MA order, an
+        additive model without ridge, or a frame whose shared design cannot
+        be built (each subset's fit then raises why)."""
+        futures, rounds = list(self.future.values()), None
+        if spec.name == "sarimax" and spec.order is not None:
+            rounds = sarimax.round_forecaster(self.train, spec.order, self.horizon, futures)
+        elif spec.name == "additive":
+            try:
+                config = spec.additive_config or additive.auto_config(self.train)
+                rounds = additive.round_forecaster(self.train, config, self.horizon, futures)
+            except (InsufficientDataError, MissingValueError):
+                pass  # the frame is too short or gappy for the design
+        if rounds is None:
+            return None
+        return lambda current, candidates: mae(self.actual, rounds(current, candidates))
+
+
+def _best_order(grid: Sequence[sarimax.SarimaxOrder], validation: Validation) -> sarimax.SarimaxOrder:
+    """The order of `grid` that `validation` scores lowest on every
+    indicator; a tie goes to the smallest `as_tuple()`. GridSearchError,
+    listing each order's reason, when every order fails."""
+    scored, failures = [], []
+    for order in grid:
         try:
-            config = spec.additive_config or additive.auto_config(train)
-            forecast_round = additive.round_forecaster(train, config, horizon, futures)
-        except (InsufficientDataError, MissingValueError):
-            pass  # the frame is too short or gappy for the design
-    if forecast_round is not None:
-        forecast_subset.forecast_round = forecast_round
-    return forecast_subset
+            spec = ModelSpec("sarimax", order=order)
+            scored.append((validation.score(spec, validation.train.indicator_ids), order))
+        except Exception as exc:  # noqa: BLE001 - per-order failures are data
+            failures.append(f"{order.as_tuple()} -> {type(exc).__name__}: {exc}")
+    if not scored:
+        raise GridSearchError("every order failed: " + "; ".join(failures))
+    return min(scored, key=lambda entry: (entry[0], entry[1].as_tuple()))[1]
 
 
 def _module(fitted: Fitted):

@@ -52,7 +52,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailureError,
-    GridSearchError,
     InsufficientDataError,
     MissingValueError,
     SchemaError,
@@ -64,11 +63,8 @@ from .series import (
     Month,
     MonthlySeries,
     NormalizationParams,
-    SplitSpec,
     difference_with_initials,
     least_squares_line,
-    mae,
-    split_train_test,
 )
 
 __all__ = [
@@ -76,14 +72,12 @@ __all__ = [
     "SarimaxParams",
     "FittedSarimax",
     "RegressorForecast",
-    "OrderScore",
     "css_residuals",
     "fit",
     "fitted_from_params",
     "forecast",
     "round_forecaster",
     "extrapolate_regressor",
-    "grid_search_order",
     "to_doc",
     "from_doc",
 ]
@@ -230,13 +224,6 @@ class FittedSarimax:
     # What `fit` did: {"start", "status", "nit", "nfev", "at_bound"}; None
     # for models assembled from given coefficients.
     optimizer: dict | None = None
-
-
-@dataclass(frozen=True)
-class OrderScore:
-    order: SarimaxOrder
-    score: float | None
-    error: str | None = None
 
 
 def _pacf_to_poly(pacf: np.ndarray) -> np.ndarray:
@@ -914,36 +901,6 @@ def round_forecaster(
         return out
 
     return forecast_round
-
-
-def grid_search_order(
-    train: AlignedFrame, grid: Sequence[SarimaxOrder], horizon: int
-) -> tuple[SarimaxOrder, list[OrderScore]]:
-    """Score each order by MAE on the final `horizon` months of `train`
-    (held out internally), forecasting with `fit` and `forecast` on every
-    regressor, continued once for all orders; ties break toward the
-    lexicographically smallest order."""
-    if not grid:
-        raise ValueError("order grid is empty")
-    sub_train, validation = split_train_test(train, SplitSpec(horizon))
-    table: list[OrderScore] = []
-    future = None  # the regressor continuations, shared by every order
-    for order in grid:
-        try:
-            if future is None:
-                future = [extrapolate_regressor(x, horizon) for x in sub_train.indicators]
-            predicted = forecast(fit(sub_train, order), horizon, future).require_complete()
-            table.append(OrderScore(order, mae(validation.target.require_complete(), predicted)))
-        except Exception as exc:  # noqa: BLE001 - per-order failures are data
-            table.append(OrderScore(order, None, f"{type(exc).__name__}: {exc}"))
-    scored = [e for e in table if e.score is not None]
-    if not scored:
-        raise GridSearchError(
-            "every order failed: "
-            + "; ".join(f"{e.order.as_tuple()} -> {e.error}" for e in table)
-        )
-    best = min(scored, key=lambda e: (e.score, e.order.as_tuple()))
-    return best.order, table
 
 
 # ---------------------------------------------------------------------------

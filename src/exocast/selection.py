@@ -338,6 +338,7 @@ def forward_select(
     candidates: CandidateSet,
     evaluator: Callable[[tuple[str, ...]], float],
     cap: int = FORWARD_CAP,
+    score_round: Callable[[tuple[str, ...], tuple[str, ...]], Sequence[float]] | None = None,
 ) -> SelectionResult:
     """Greedy wrapper selection: grow the subset one best candidate at a
     time, record every evaluation, return the best subset seen anywhere.
@@ -346,11 +347,11 @@ def forward_select(
     rounding: a round's tie goes to the first candidate, and a tie for the
     best subset to the shortest, then to the first evaluated.
 
-    An evaluator with a `score_round(current, candidates)` method scores a
-    whole round in one call, one score per candidate, each equal to the
-    per-subset score to rounding; a candidate it scores NaN, every
-    candidate of an evaluator without the method and the empty subset are
-    scored by `evaluator(subset)`, whose failure is recorded."""
+    `score_round(current, candidates)`, if given, scores a whole round in
+    one call, one score per candidate, each equal to the per-subset score
+    to rounding; a candidate it scores NaN, every candidate without it and
+    the empty subset are scored by `evaluator(subset)`, whose failure is
+    recorded."""
     if type(cap) is not int or cap < 1:
         raise ValueError(f"cap must be an integer >= 1, got {cap!r}")
     ids = candidates.candidate_ids
@@ -372,7 +373,6 @@ def forward_select(
 
     record((), evaluate(()))
 
-    score_round = getattr(evaluator, "score_round", None)
     scored = {"batch": 0, "per_subset": 0}
     current: list[str] = []
     remaining = list(ids)

@@ -443,6 +443,50 @@ class TestMalformedInput:
         assert not (tmp_path / "fc").exists()
 
 
+    def test_repeated_range(self, tmp_path, capsys):
+        range_ = {"start": "2016-01", "end": "2021-04"}
+        config = self._config(tmp_path, ranges=[range_, range_])
+        self._fails_cleanly(capsys, ["experiment", "--config", str(config)], str(config),
+                            "range labels must be unique")
+
+    @pytest.mark.parametrize("command", ["experiment", "select", "fit", "forecast"])
+    def test_range_the_dataset_does_not_cover(self, tmp_path, capsys, command):
+        # The dataset spans 2016-01..2019-04; the range starts two years earlier.
+        config = write_experiment_config(tmp_path, months=40, ranges=(("2014-01", "2017-12"),))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command == "forecast":
+            (tmp_path / "full").mkdir()
+            full = write_experiment_config(tmp_path / "full")
+            assert main(["fit", "--config", str(full), "--out", str(tmp_path / "models")]) == 0
+            model_file = next(p for p in (tmp_path / "models").iterdir()
+                              if not p.name.endswith("selection.json"))
+            argv += ["--model-file", str(model_file)]
+        self._fails_cleanly(capsys, argv, "'synth-0' (2016-01..2019-04)",
+                            "does not cover range 2014-01..2017-12")
+
+    @pytest.mark.parametrize("command", ["experiment", "select"])
+    @pytest.mark.parametrize("fault", ["missing", "non-consecutive", "disjoint"])
+    def test_unreadable_dataset_file(self, tmp_path, capsys, command, fault):
+        target, indicator = tmp_path / "target.csv", tmp_path / "ind01.csv"
+        for path, first in ((target, 2016), (indicator, 2030 if fault == "disjoint" else 2016)):
+            months = [f"{first + k // 12}-{k % 12 + 1:02d}" for k in range(76)]
+            path.write_text("period,value\n" + "".join(f"{m},{k}\n" for k, m in enumerate(months)))
+        if fault == "missing":
+            target.unlink()
+            message = f"cannot read {target}: [Errno 2] No such file or directory: '{target}'"
+        elif fault == "non-consecutive":
+            lines = indicator.read_text().splitlines(keepends=True)
+            indicator.write_text("".join(lines[:5] + lines[6:]))
+            message = f"cannot read {indicator}: {indicator}: non-consecutive period 2016-06 at row 6"
+        else:
+            message = f"cannot align {target} with its indicators: month ranges have an empty"
+        config = self._config(tmp_path, datasets=[
+            {"label": "csv-0", "kind": "csv", "target": str(target), "indicators": [str(indicator)]}
+        ])
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        self._fails_cleanly(capsys, argv, f"dataset 'csv-0': {message}")
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv, ignored", [
         (["report", "--run-dir", "run", "--config", "x.json"], "--config x.json"),

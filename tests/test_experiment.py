@@ -766,8 +766,8 @@ class TestPersistedModels:
 
 
 class TestSharedForwardDesign:
-    # Forward selection scores each additive subset of one validation split
-    # with its own fit, and a whole round from one design of every subset.
+    # Forward selection scores each subset of one validation split with its
+    # own fit, and a whole round from one design of every subset.
     SPECS = {
         "ridge0": ModelSpec("additive", additive_config=AdditiveConfig(
             n_changepoints=1, seasonalities=((12.0, 1),), ar_lags=1, regressor_lags=1)),
@@ -786,13 +786,17 @@ class TestSharedForwardDesign:
         selection = experiment.select(MethodSpec("forward"), spec, train, 12, forward_cap=3)
         subsets = [subset for subset, _ in selection.trace.entries]
         assert len(subsets) == 1 + 6 + 5 + 4 and not selection.trace.failures
-        sub_train, _ = split_train_test(train, SplitSpec(12))
+        sub_train, held_out = split_train_test(train, SplitSpec(12))
         future = models.regressor_forecasts(sub_train, 12)
-        forecast_subset = models.subset_forecaster(spec, sub_train, 12, future)
+        actual = held_out.target.require_complete()
+        validation = models.Validation(train, 12)
         for subset in subsets:
             fitted = models.fit(spec, sub_train.with_indicators(subset), 12, None)
             direct = models.forecast(fitted, 12, future).require_complete()
-            assert np.array_equal(forecast_subset(subset), direct), subset
+            own = models.fit(spec, validation.train.with_indicators(subset), 12, None)
+            got = models.forecast(own, 12, validation.future).require_complete()
+            assert np.array_equal(got, direct), subset
+            assert validation.score(spec, subset) == mae(actual, direct), subset
 
     ROUND_SPECS = {
         **SPECS,
@@ -807,10 +811,11 @@ class TestSharedForwardDesign:
         # Least squares without a ridge and MA orders have no round scorer.
         spec = self.ROUND_SPECS[name]
         _, _, train, _ = next(training_frames(quick_config()))
-        evaluator = experiment._forward_evaluator(spec, train, 12)
-        score_round = getattr(evaluator, "score_round", None)
+        validation = models.Validation(train, 12)
+        score_round = validation.round_scorer(spec)
         assert (score_round is None) == (name in ("ridge0", "101"))
-        selection = forward_select(CandidateSet(train), evaluator, cap=4)
+        selection = forward_select(CandidateSet(train), lambda s: validation.score(spec, s),
+                                   cap=4, score_round=score_round)
         counts = selection.diagnostics["round_scoring"]
         assert counts["batch"] + counts["per_subset"] == 6 + 5 + 4 + 3
         if score_round is None:
@@ -822,7 +827,7 @@ class TestSharedForwardDesign:
             current = tuple(path[:size])
             remaining = tuple(i for i in train.indicator_ids if i not in current)
             for cid, score in zip(remaining, score_round(current, remaining)):
-                expected = evaluator(current + (cid,))
+                expected = validation.score(spec, current + (cid,))
                 assert np.isnan(score) or abs(score - expected) <= 1e-9 * expected, (current, cid)
 
     def test_a_near_duplicate_is_left_to_the_per_subset_path(self):
@@ -835,12 +840,12 @@ class TestSharedForwardDesign:
         near = MonthlySeries("near", train.start, near)
         frame = align_merge(train.target, [*train.indicators, near])
         spec = ModelSpec("sarimax", order=SarimaxOrder(p=1))
-        evaluator = experiment._forward_evaluator(spec, frame, 12)
+        validation = models.Validation(frame, 12)
         candidates = frame.indicator_ids[1:]
-        scores = evaluator.score_round(("ind01",), candidates)
+        scores = validation.round_scorer(spec)(("ind01",), candidates)
         assert [np.isnan(score) for score in scores] == [i == "near" for i in candidates]
         for cid, score in zip(candidates[:-1], scores):
-            expected = evaluator(("ind01", cid))
+            expected = validation.score(spec, ("ind01", cid))
             assert abs(score - expected) <= 1e-9 * expected, cid
 
     def test_exact_ties_choose_alike_through_both_paths(self):
@@ -855,9 +860,14 @@ class TestSharedForwardDesign:
         ])
         for spec in (ModelSpec("sarimax", order=SarimaxOrder(p=1)),
                      ModelSpec("additive", additive_config=LEAN_ADDITIVE)):
-            evaluator = experiment._forward_evaluator(spec, frame, 12)
-            batched = forward_select(CandidateSet(frame), evaluator, cap=10)
-            per_subset = forward_select(CandidateSet(frame), lambda s: evaluator(s), cap=10)
+            validation = models.Validation(frame, 12)
+
+            def score(subset):
+                return validation.score(spec, subset)
+
+            batched = forward_select(CandidateSet(frame), score, cap=10,
+                                     score_round=validation.round_scorer(spec))
+            per_subset = forward_select(CandidateSet(frame), score, cap=10)
             assert batched.diagnostics["round_scoring"]["batch"] > 0
             assert batched.selected_ids == per_subset.selected_ids, spec.label
             path = batched.diagnostics["greedy_path"]
@@ -873,8 +883,9 @@ class TestSharedForwardDesign:
             _, _, train, _ = next(training_frames(config))
             for spec in models_:
                 batched = experiment.select(MethodSpec("forward"), spec, train, 12, forward_cap=10)
-                evaluator = experiment._forward_evaluator(spec, train, 12)
-                per_subset = forward_select(CandidateSet(train), lambda s: evaluator(s), cap=10)
+                validation = models.Validation(train, 12)
+                per_subset = forward_select(
+                    CandidateSet(train), lambda s: validation.score(spec, s), cap=10)
                 assert batched.selected_ids == per_subset.selected_ids, (seed, spec.label)
                 assert ([s for s, _ in batched.trace.entries]
                         == [s for s, _ in per_subset.trace.entries]), (seed, spec.label)
@@ -916,6 +927,10 @@ class TestConfigValidation:
                 models=(ModelSpec("sarimax", order=SarimaxOrder(p=1)),
                         ModelSpec("sarimax", order=SarimaxOrder(p=1))),
             )
+
+    def test_duplicate_range_labels_rejected(self):
+        with pytest.raises(ValueError, match="range labels must be unique"):
+            quick_config(ranges=(RangeSpec(M(2016, 1), M(2021, 4)),) * 2)
 
     def test_dataset_label_with_separator_rejected(self):
         with pytest.raises(ValueError, match="may not contain"):

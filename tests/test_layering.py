@@ -1,11 +1,15 @@
-"""No exocast module reaches into another module's private names, and none
-imports a name it never uses.
+"""No exocast module reaches into another module's private names, none
+imports a name it never uses, and only `models` continues regressors and
+builds batched rounds.
 
 A leading underscore marks a name as internal to its module. Importing one
 from a sibling module (`from .experiment import _select`), or reading one as
 an attribute of an imported sibling (`sarimax._lagged_block`), couples the
 two modules through code the owner may change freely. An unused import is
-most often what a deletion left behind.
+most often what a deletion left behind. Forward selection and the SARIMAX
+order grid score through `models.Validation`; a second caller of the
+regressor continuation or of a round builder would be a second copy of that
+protocol.
 """
 
 import ast
@@ -105,3 +109,66 @@ def test_unused_import_checker():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_imports_no_unused_name(path):
     assert unused_imports(path.read_text()) == []
+
+
+# The functions only `models` may call: (module, name).
+MODELS_ONLY = {
+    ("sarimax", "extrapolate_regressor"),
+    ("sarimax", "round_forecaster"),
+    ("additive", "round_forecaster"),
+}
+
+
+def models_only_calls(source: str, module: str) -> list[str]:
+    """Each place `source`, the text of the exocast module `module`, calls a
+    MODELS_ONLY function: by the name it imported, as an attribute of an
+    imported sibling module, or, in its own module, by its bare name."""
+    tree = ast.parse(source)
+    modules: dict[str, str] = {}  # local name -> sibling module
+    functions = {name: (owner, name) for owner, name in MODELS_ONLY if owner == module}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_package(node):
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module in (None, "exocast"):
+                    modules[local] = alias.name
+                else:
+                    functions[local] = (node.module.rsplit(".", 1)[-1], alias.name)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, called = node.func, None
+        if isinstance(func, ast.Name):
+            called = functions.get(func.id)
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            called = (modules.get(func.value.id), func.attr)
+        if called in MODELS_ONLY:
+            found.append(f"line {node.lineno}: calls {called[0]}.{called[1]}")
+    return found
+
+
+def test_models_only_checker_catches_every_form():
+    source = (
+        "from . import sarimax as s\n"
+        "from .additive import round_forecaster as rounds\n"
+        "def extrapolate_regressor(series, horizon): ...\n"
+        "s.extrapolate_regressor(x, 12)\n"
+        "rounds(train, config, 12, futures)\n"
+        "extrapolate_regressor(x, 12)\n"
+        "s.fit(train, order)\n"
+    )
+    assert models_only_calls(source, "sarimax") == [
+        "line 4: calls sarimax.extrapolate_regressor",
+        "line 5: calls additive.round_forecaster",
+        "line 6: calls sarimax.extrapolate_regressor",
+    ]
+    assert models_only_calls(source, "experiment")[-1] == "line 5: calls additive.round_forecaster"
+
+
+OTHER_MODULES = [p for p in MODULES if p.stem != "models"]
+
+
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=[p.stem for p in OTHER_MODULES])
+def test_only_models_continues_regressors_and_builds_rounds(path):
+    assert models_only_calls(path.read_text(), path.stem) == []

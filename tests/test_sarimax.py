@@ -25,7 +25,6 @@ from exocast.sarimax import (
     fit,
     fitted_from_params,
     forecast,
-    grid_search_order,
     round_forecaster,
 )
 from exocast import additive as additive_module
@@ -378,11 +377,15 @@ class TestForecast:
 
 
 class TestGridSearch:
+    # `models.fit` scores each order of a grid with `models.Validation`, on
+    # the last `horizon` months of the frame, and fits the best one.
+    @staticmethod
+    def _chosen(train, grid):
+        return models.fit(models.ModelSpec("sarimax", grid=tuple(grid)), train, 12, None).order
+
     def test_singleton(self):
         y = simulate_ar1(0, n=60).tolist()
-        best, table = grid_search_order(frame(y), [SarimaxOrder(p=1)], 12)
-        assert best == SarimaxOrder(p=1)
-        assert len(table) == 1
+        assert self._chosen(frame(y), [SarimaxOrder(p=1)]) == SarimaxOrder(p=1)
 
     def test_ar1_data_prefers_ar1(self):
         # Persistent AR so the 12-month validation window still carries signal.
@@ -390,24 +393,27 @@ class TestGridSearch:
         grid = [SarimaxOrder(), SarimaxOrder(p=1)]
         for seed in range(10):
             y = simulate_ar1(seed, n=160, phi=0.95).tolist()
-            best, _ = grid_search_order(frame(y), grid, 12)
-            wins += best == SarimaxOrder(p=1)
+            wins += self._chosen(frame(y), grid) == SarimaxOrder(p=1)
         assert wins >= 9
 
     def test_all_fail_raises_with_reasons(self):
         y = simulate_ar1(0, n=30).tolist()
-        with pytest.raises(GridSearchError, match="InsufficientData"):
-            grid_search_order(frame(y), [SarimaxOrder(p=25)], 12)
+        grid = [SarimaxOrder(p=25), SarimaxOrder(p=1, d=1, q=20)]
+        with pytest.raises(GridSearchError) as excinfo:
+            self._chosen(frame(y), grid)
+        reasons = str(excinfo.value).split(": ", 1)[1].split("; ")
+        assert [r.split(" -> ")[0] for r in reasons] == [str(o.as_tuple()) for o in grid]
+        assert all(" -> InsufficientDataError: " in r for r in reasons)
 
     def test_tie_breaks_lexicographically(self):
         # With P=D=Q=0 the season length changes nothing structurally, so
         # the two orders score exactly equal and only the tie-break differs.
         y = simulate_ar1(2, n=60).tolist()
-        best, table = grid_search_order(
-            frame(y), [SarimaxOrder(s=12), SarimaxOrder(s=4)], 12
-        )
-        assert table[0].score == table[1].score
-        assert best == SarimaxOrder(s=4)  # (...,4) < (...,12)
+        grid = [SarimaxOrder(s=12), SarimaxOrder(s=4)]
+        validation = models.Validation(frame(y), 12)
+        scores = [validation.score(models.ModelSpec("sarimax", order=o), ()) for o in grid]
+        assert scores[0] == scores[1]
+        assert self._chosen(frame(y), grid) == SarimaxOrder(s=4)  # (...,4) < (...,12)
 
     def _grid_frame(self):
         rng = np.random.default_rng(3)
@@ -432,21 +438,30 @@ class TestGridSearch:
             return extrapolate_regressor(series, horizon)
 
         monkeypatch.setattr(sarimax_module, "extrapolate_regressor", counting)
-        best, table = grid_search_order(train, grid, 12)
-        assert calls == ["x0", "x1", "x2"]
-        assert [e.order for e in table] == grid
-        assert [e.score for e in table] == expected
-        assert all(e.error is None for e in table)
+        scorer = models.Validation(train, 12)
+        scores = [scorer.score(models.ModelSpec("sarimax", order=o), train.indicator_ids)
+                  for o in grid]
+        assert scores == expected
+        assert self._chosen(train, grid) == grid[int(np.argmin(expected))]
+        assert calls == ["x0", "x1", "x2"] * 2  # once per Validation
 
-    def test_extrapolation_error_recorded_for_every_order(self, monkeypatch):
+    def test_a_failing_continuation_raises_before_any_order_is_fitted(self, monkeypatch):
         def broken(series, horizon):
             raise ValueError("no continuation")
 
         monkeypatch.setattr(sarimax_module, "extrapolate_regressor", broken)
-        grid = [SarimaxOrder(), SarimaxOrder(p=1)]
-        with pytest.raises(GridSearchError) as excinfo:
-            grid_search_order(self._grid_frame(), grid, 12)
-        assert str(excinfo.value).count("ValueError: no continuation") == len(grid)
+        monkeypatch.setattr(sarimax_module, "fit", None)  # an order's fit would fail
+        with pytest.raises(ValueError, match="^no continuation$"):
+            self._chosen(self._grid_frame(), [SarimaxOrder(), SarimaxOrder(p=1)])
+
+    def test_a_held_out_gap_raises_before_any_order_is_fitted(self, monkeypatch):
+        # The held-out target is required once for every order, so a gap in
+        # it is its own error, not a GridSearchError repeating it per order.
+        y = simulate_ar1(0, n=60).tolist()
+        y[55] = None
+        monkeypatch.setattr(sarimax_module, "fit", None)  # an order's fit would fail
+        with pytest.raises(MissingValueError):
+            self._chosen(frame(y), [SarimaxOrder(), SarimaxOrder(p=1)])
 
 
 def subset_frame(seed, n=60, n_indicators=5, growth=0.0):
@@ -589,8 +604,8 @@ class TestForecastPath:
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
-class TestSubsetForecaster:
-    # Forward selection scores one subset with `models.fit` and
+class TestValidation:
+    # `models.Validation` scores one subset with `models.fit` and
     # `models.forecast`, and only a whole round through the model module.
     SUBSETS = [(), ("x1",), ("x3", "x0"), ("x4", "x2", "x0"), ("x4", "x3", "x2", "x1", "x0")]
 
@@ -602,53 +617,61 @@ class TestSubsetForecaster:
          models.ModelSpec("sarimax", grid=(SarimaxOrder(), SarimaxOrder(p=1, d=1)))],
         ids=["100", "100x100_4", "101", "grid"],
     )
-    def test_a_subset_forecasts_as_models_fit_and_forecast(self, spec):
+    def test_a_subset_scores_as_models_fit_and_forecast(self, spec):
         train = subset_frame(1)
-        future = models.regressor_forecasts(train, 12)
-        forecast_subset = models.subset_forecaster(spec, train, 12, future)
+        sub_train, held_out = split_train_test(train, SplitSpec(12))
+        future = models.regressor_forecasts(sub_train, 12)
+        actual = held_out.target.require_complete()
+        validation = models.Validation(train, 12)
+        assert np.array_equal(validation.actual, actual)
         for subset in self.SUBSETS:
-            fitted = models.fit(spec, train.with_indicators(subset), 12, None)
+            fitted = models.fit(spec, sub_train.with_indicators(subset), 12, None)
             expected = models.forecast(fitted, 12, future).require_complete()
-            assert np.array_equal(forecast_subset(subset), expected), subset
+            own = models.fit(spec, validation.train.with_indicators(subset), 12, None)
+            got = models.forecast(own, 12, validation.future).require_complete()
+            assert np.array_equal(got, expected), subset
+            assert validation.score(spec, subset) == mae(actual, expected), subset
 
     def test_a_round_is_served_without_fit(self, monkeypatch):
-        train = subset_frame(3)
-        future = models.regressor_forecasts(train, 12)
+        validation = models.Validation(subset_frame(3), 12)
+        train, futures = validation.train, list(validation.future.values())
+        config = additive_module.AdditiveConfig(
+            n_changepoints=1, ar_lags=1, regressor_lags=1, ridge_lambda=0.1)
         specs = [models.ModelSpec("sarimax", order=SarimaxOrder(p=1)),
-                 models.ModelSpec("additive", additive_config=additive_module.AdditiveConfig(
-                     n_changepoints=1, ar_lags=1, regressor_lags=1, ridge_lambda=0.1))]
+                 models.ModelSpec("additive", additive_config=config)]
         current, candidates = ("x1",), ("x0", "x2", "x3", "x4")
-        expected = []
+        expected, scores = [], []
         for spec in specs:
             fits = [models.fit(spec, train.with_indicators(current + (cid,)), 12, None)
                     for cid in candidates]
-            expected.append([models.forecast(f, 12, future).require_complete() for f in fits])
+            expected.append([models.forecast(f, 12, validation.future).require_complete()
+                             for f in fits])
+            scores.append([validation.score(spec, current + (cid,)) for cid in candidates])
         monkeypatch.setattr(sarimax_module, "fit", None)  # a per-subset fit would fail
         monkeypatch.setattr(additive_module, "fit", None)
-        for spec, direct in zip(specs, expected):
-            columns = models.subset_forecaster(spec, train, 12, future).forecast_round(
-                current, candidates)
+        rounds = [sarimax_module.round_forecaster(train, SarimaxOrder(p=1), 12, futures),
+                  additive_module.round_forecaster(train, config, 12, futures)]
+        for spec, forecast_round, direct, direct_scores in zip(specs, rounds, expected, scores):
+            columns = forecast_round(current, candidates)
             assert not np.isnan(columns).any(), spec.label
             for j, values in enumerate(direct):
                 assert np.max(np.abs(columns[:, j] - values)) <= 1e-9 * np.max(np.abs(values))
+            got = validation.round_scorer(spec)(current, candidates)
+            assert not np.isnan(got).any(), spec.label
+            assert np.max(np.abs(got - direct_scores) / direct_scores) <= 1e-9, spec.label
 
 
 def round_evaluators(train, order, actual, futures):
-    """A per-subset evaluator, each subset fitted on its own, and one that
-    also scores whole rounds, as forward selection uses them."""
+    """A per-subset evaluator, each subset fitted on its own, and the round
+    scorer forward selection takes beside it, or None."""
     forecast_round = round_forecaster(train, order, len(actual), futures)
 
     def per_subset(subset):
         return mae(actual, fitted_forecast(train, order, subset, len(actual), futures))
 
-    def batched(subset):
-        return per_subset(subset)
-
-    if forecast_round is not None:
-        batched.score_round = lambda current, candidates: mae(
-            actual, forecast_round(current, candidates)
-        )
-    return per_subset, batched
+    if forecast_round is None:
+        return per_subset, None
+    return per_subset, lambda current, candidates: mae(actual, forecast_round(current, candidates))
 
 
 class TestRoundForecast:
@@ -687,12 +710,12 @@ class TestSubsetFailures:
         futures = [extrapolate_regressor(base.indicator(i), 6) for i in ids]
         assert round_forecaster(train, order, 6, futures) is None
         spec = models.ModelSpec("sarimax", order=order)
-        forecast_subset = models.subset_forecaster(spec, train, 6, {rf.id: rf for rf in futures})
-        assert not hasattr(forecast_subset, "forecast_round")
+        validation = models.Validation(train, 6)
+        assert validation.round_scorer(spec) is None
         with pytest.raises(MissingValueError) as shared:
-            forecast_subset(("x1", "x0"))
+            validation.score(spec, ("x1", "x0"))
         with pytest.raises(MissingValueError) as direct:
-            fit(train.with_indicators(("x1", "x0")), order)
+            fit(validation.train.with_indicators(("x1", "x0")), order)
         assert str(shared.value) == str(direct.value)
 
     def test_forward_traces_keep_every_failure_string(self):
@@ -704,18 +727,13 @@ class TestSubsetFailures:
         columns = [(i, base.indicator(i).values) for i in base.indicator_ids]
         columns[5] = ("x5", x5[:6] + (None,) + x5[7:])
         target = list(base.target.values)
-        spec = models.ModelSpec("sarimax", order=SarimaxOrder(p=1, d=1))
+        order = SarimaxOrder(p=1, d=1)
         actual = np.linspace(0, 1, 4)
         for gap in (None, 3):
             if gap is not None:
                 target[gap] = None
             train = frame(target, indicators=columns)
-            forecast_subset = models.subset_forecaster(
-                spec, train, 4, {rf.id: rf for rf in futures})
-
-            def evaluate(subset):
-                return mae(actual, forecast_subset(subset))
-
+            evaluate, _ = round_evaluators(train, order, actual, futures)
             if gap is None:
                 trace = forward_select(CandidateSet(train), evaluate, cap=12).trace
                 reasons = {reason.split(":")[0] for _, reason in trace.failures}
@@ -726,7 +744,7 @@ class TestSubsetFailures:
 
     def test_a_round_leaves_failing_candidates_to_the_per_subset_path(self):
         # As above: x5 has a gap and 11 regressors are too many for 14
-        # months; then a gap in the target fails every subset.
+        # months; then a gap in the target leaves no round at all.
         base = subset_frame(7, n=14, n_indicators=12)
         futures = continuations(base, 4)
         x5 = base.indicator("x5").values
@@ -735,13 +753,13 @@ class TestSubsetFailures:
         train = frame(base.target.values, indicators=columns)
         order = SarimaxOrder(p=1, d=1)
         actual = np.linspace(0, 1, 4)
-        per_subset, batched = round_evaluators(train, order, actual, futures)
+        per_subset, score_round = round_evaluators(train, order, actual, futures)
         ids = train.indicator_ids
-        scores = batched.score_round(("x0",), ids[1:])
+        scores = score_round(("x0",), ids[1:])
         assert [np.isnan(v) for v in scores] == [i == "x5" for i in ids[1:]]
-        assert np.isnan(batched.score_round(ids[:11], ids[11:])).all()
-        own, via_round = (forward_select(CandidateSet(train), e, cap=12)
-                          for e in (per_subset, batched))
+        assert np.isnan(score_round(ids[:11], ids[11:])).all()
+        own = forward_select(CandidateSet(train), per_subset, cap=12)
+        via_round = forward_select(CandidateSet(train), per_subset, cap=12, score_round=score_round)
         assert via_round.trace.failures == own.trace.failures
         assert [s for s, _ in via_round.trace.entries] == [s for s, _ in own.trace.entries]
         for (_, got), (_, expected) in zip(via_round.trace.entries, own.trace.entries):
@@ -752,13 +770,10 @@ class TestSubsetFailures:
         target = list(base.target.values)
         target[3] = None
         train = frame(target, indicators=columns)
-        raised = []
-        for evaluate in round_evaluators(train, order, actual, futures):
-            assert not hasattr(evaluate, "score_round")
-            with pytest.raises(SelectionError) as caught:
-                forward_select(CandidateSet(train), evaluate, cap=12)
-            raised.append(str(caught.value))
-        assert raised[0] == raised[1] and "MissingValueError" in raised[0]
+        per_subset, score_round = round_evaluators(train, order, actual, futures)
+        assert score_round is None
+        with pytest.raises(SelectionError, match="MissingValueError"):
+            forward_select(CandidateSet(train), per_subset, cap=12)
 
 
 class TestStartCertificate:
@@ -814,12 +829,12 @@ class TestStartCertificate:
         train = subset_frame(10, n=96, growth=growth)
         calls = recorded_minimize_calls(monkeypatch)
         reached = counted_scipy_calls(monkeypatch)
-        for subset in TestSubsetForecaster.SUBSETS:
+        for subset in TestValidation.SUBSETS:
             fitted = fit(train.with_indicators(subset), order)
             assert fitted.optimizer["nit"] == 0, subset
             expected_start = "bounded_least_squares" if growth else "least_squares"
             assert fitted.optimizer["start"] == expected_start, subset
-        assert reached == [] and len(calls) == len(TestSubsetForecaster.SUBSETS)
+        assert reached == [] and len(calls) == len(TestValidation.SUBSETS)
         for args, kwargs, certified in calls:
             reference = scipy_minimize(*args, **kwargs)
             for key in ("x", "jac"):
@@ -847,10 +862,10 @@ class TestStartCertificate:
 
         monkeypatch.setattr(sarimax_module, "_least_squares_start", perturbed)
         reached = counted_scipy_calls(monkeypatch)
-        for subset in TestSubsetForecaster.SUBSETS:
+        for subset in TestValidation.SUBSETS:
             fitted = fit(train.with_indicators(subset), order)
             assert fitted.optimizer["nit"] > 0
-        assert len(reached) == len(TestSubsetForecaster.SUBSETS)
+        assert len(reached) == len(TestValidation.SUBSETS)
 
     def test_a_start_outside_the_bounds_reaches_scipy(self, monkeypatch):
         # Stationary beyond the bound: L-BFGS-B first moves x0 onto the box.

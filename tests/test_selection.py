@@ -512,12 +512,8 @@ class TestForwardSelect:
             # c2 is left to the per-subset call.
             return [math.nan if c == "c2" else evaluator(current + (c,)) for c in candidates]
 
-        def batched(subset):
-            return evaluator(subset)
-
-        batched.score_round = score_round
         plain = forward_select(cands, evaluator, cap=3)
-        result = forward_select(cands, batched, cap=3)
+        result = forward_select(cands, evaluator, cap=3, score_round=score_round)
         assert result.trace == plain.trace and result.selected_ids == plain.selected_ids
         path = plain.diagnostics["greedy_path"]
         assert calls == [
