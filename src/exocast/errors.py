@@ -1,11 +1,13 @@
 """Shared exception types, and the one codec of JSON documents: `to_object`
 writes a dataclass as a JSON object and `from_object` reads it back, for
-config entries and persisted files alike; `read_document` reads a persisted
-file and turns whatever it cannot use into a SchemaError naming the file."""
+config entries and persisted files alike; `write_document` writes a
+persisted file in one step, and `read_document` reads it and turns whatever
+it cannot use into a SchemaError naming the file."""
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
@@ -113,21 +115,43 @@ def from_object(cls, doc, where: str, convert=None, renamed=None):
     })
 
 
-def read_document(path: str | Path, schema: str | tuple[str, ...], build=None, doc=None):
+def write_document(path: str | Path, schema: str, doc: dict, listed: str | None = None) -> Path:
+    """Write `doc` under `schema` to `path` as compact JSON. With `listed`,
+    the first line holds the schema and the other keys of `doc`, and each
+    entry of the array `doc[listed]` follows on a line of its own. The text
+    goes to a temp file that then replaces `path`, so `path` holds the
+    previous document or this one, never part of one."""
+    head = {"schema": schema, **{key: value for key, value in doc.items() if key != listed}}
+    text = json.dumps(head)
+    if listed is not None:
+        entries = ",".join("\n" + json.dumps(entry) for entry in doc[listed])
+        text = f'{text[:-1]}, "{listed}": [{entries}\n]}}\n'
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+    return path
+
+
+def read_document(path: str | Path, schema: str | tuple[str, ...], build=None, doc=None,
+                  retired=None):
     """`build` applied to the JSON object in the file `path` without its
     "schema", which must be `schema` (one of them, for a tuple); the whole
     object without `build`. `doc`, if given, is the file's parsed text.
     Text that is not JSON, a value that is not an object, another schema and
     a document `build` cannot read (a key missing, unknown or malformed)
-    raise SchemaError naming the file."""
+    raise SchemaError naming the file; `retired` maps an earlier schema to
+    what to do instead of reading it."""
     schemas = schema if isinstance(schema, tuple) else (schema,)
     try:
         doc = json.loads(Path(path).read_text()) if doc is None else doc
         if not isinstance(doc, dict):
             raise TypeError(f"a {' or '.join(schemas)} document is a JSON object, "
                             f"not {type(doc).__name__}")
-        if doc.get("schema") not in schemas:
-            raise ValueError(f"schema {doc.get('schema')!r} is not {' or '.join(schemas)}")
+        found = doc.get("schema")
+        if found not in schemas:
+            hint = next((f"; {hint}" for old, hint in (retired or {}).items() if old == found), "")
+            raise ValueError(f"schema {found!r} is not {' or '.join(schemas)}{hint}")
         if build is None:
             return doc
         return build({key: value for key, value in doc.items() if key != "schema"})

@@ -23,7 +23,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NotCachedError, PayloadError, from_object, read_document, to_object
+from .errors import (
+    NotCachedError, PayloadError, from_object, read_document, to_object, write_document,
+)
 from .series import Month, MonthlySeries
 
 __all__ = [
@@ -403,12 +405,6 @@ def pick_representative(dataset: RawDataset, since: Month) -> tuple[SeriesKey, M
 # ---------------------------------------------------------------------------
 # Cache: catalog.json + manifest.json + series.json
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 # The catalog's JSON name of each field whose name differs from it.
 CATALOG_KEYS = {
     "descriptors": "datasets", "dimension_names": "dimensions", "source_parameters": "parameters",
@@ -418,12 +414,10 @@ CATALOG_KEYS = {
 def store_catalog(root: str | Path, snapshot: CatalogSnapshot) -> Path:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    path = root / "catalog.json"
     doc = to_object(snapshot, {"datasets": lambda descriptors: [
         to_object(d, {"earliest_period": str}, CATALOG_KEYS) for d in descriptors
     ]}, CATALOG_KEYS)
-    _atomic_write(path, json.dumps({"schema": CATALOG_SCHEMA, **doc}))
-    return path
+    return write_document(root / "catalog.json", CATALOG_SCHEMA, doc)
 
 
 def load_catalog(root: str | Path) -> CatalogSnapshot:
@@ -462,36 +456,26 @@ class SeriesDocument:
 
 
 class _SeriesWriter:
-    """A cache root's series.json as it is written: `add` appends one series
-    to a temp file, one line each. Leaving the `with` block moves the temp
-    file into place; an exception deletes it instead, so the previous
-    document stays as it was."""
+    """A cache root's series.json as it is written: `add` collects one
+    series, and leaving the `with` block writes the document, one series a
+    line. An exception writes nothing, so the previous document stays as it
+    was."""
 
     def __init__(self, root: Path):
         root.mkdir(parents=True, exist_ok=True)
         self.path = root / SERIES_FILE
-        self._tmp = self.path.with_suffix(".json.tmp")
+        self._entries: list[dict] = []
 
     def __enter__(self) -> "_SeriesWriter":
-        self._file = self._tmp.open("w")
-        self._file.write(f'{{"schema": "{SERIES_SCHEMA}", "series": [')
-        self._separator = "\n"
         return self
 
     def add(self, key: SeriesKey, series: MonthlySeries) -> None:
         entry = CachedSeries(key.dataset_code, key.dimension_values, series.id, series.start, series.values)
-        self._file.write(self._separator + json.dumps(to_object(entry, {"start": str})))
-        self._separator = ",\n"
+        self._entries.append(to_object(entry, {"start": str}))
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            with self._file:
-                if exc_type is None:
-                    self._file.write("\n]}\n")
-            if exc_type is None:
-                os.replace(self._tmp, self.path)
-        finally:
-            self._tmp.unlink(missing_ok=True)
+        if exc_type is None:
+            write_document(self.path, SERIES_SCHEMA, {"series": self._entries}, listed="series")
 
 
 def _cached_series(root: Path) -> dict[str, tuple[SeriesKey, MonthlySeries]]:
@@ -575,9 +559,7 @@ class CacheManifest:
 
 
 def write_manifest(root: str | Path, manifest: CacheManifest) -> Path:
-    path = Path(root) / "manifest.json"
-    _atomic_write(path, json.dumps({"schema": MANIFEST_SCHEMA, **to_object(manifest)}))
-    return path
+    return write_document(Path(root) / "manifest.json", MANIFEST_SCHEMA, to_object(manifest))
 
 
 def read_manifest(root: str | Path) -> CacheManifest:

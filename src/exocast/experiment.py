@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from . import models
-from .errors import ConfigError, ExocastError, from_object, read_document, to_object
+from .errors import ConfigError, ExocastError, from_object, read_document, to_object, write_document
 from .eurostat import list_cached_series
 from .models import ModelSpec  # re-exported: experiment configs are built from here
 from .selection import (
@@ -29,11 +29,10 @@ from .selection import (
     CandidateSet,
     SelectionResult,
     correlation_select,
-    export_trace_csv,
     forward_select,
     lasso_select,
-    load_result,
-    save_result,
+    result_from_object,
+    result_object,
     validate_manual,
 )
 from .series import (
@@ -219,13 +218,18 @@ class CellArtifacts:
     model_doc: dict | None = None
 
 
-ARTIFACTS_SCHEMA = "exocast.experiment.artifacts/1"
+ARTIFACTS_SCHEMA = "exocast.experiment.artifacts/2"
+# Each earlier schema, with what to do instead of reading it: no reader is kept.
+RETIRED_ARTIFACTS = {
+    "exocast.experiment.artifacts/1": "that run kept its cells in folders; run the experiment again",
+}
 
 
 @dataclass(frozen=True)
 class CellRecord:
     """A cell of artifacts.json: its key and result, origin 0's test months,
-    actual values and forecast, and the indicators it selected."""
+    actual values and forecast, the indicators it selected, and its selection
+    and fitted model document, both None for a cell that failed at origin 0."""
 
     dataset: str
     range: str
@@ -238,6 +242,8 @@ class CellRecord:
     actual: tuple[float, ...]
     forecast: tuple[float, ...]
     selected_ids: tuple[str, ...]
+    selection: SelectionResult | None
+    fitted: dict | None
 
 
 @dataclass(frozen=True)
@@ -650,56 +656,50 @@ def _safe(text: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in text)
 
 
-def _cell_dir(out_dir: Path, key: CellKey) -> Path:
-    return out_dir / "cells" / "__".join(map(_safe, key))
-
-
 def persist_run(out_dir: Path, table: ResultsTable, artifacts: RunArtifacts) -> None:
-    """Write the run into `out_dir`: the tables, the plot data, a directory
-    per cell and artifacts.json. The cell directories an earlier run left
-    there go first, and emit_plot_data clears its plot files, so every file
-    names a cell of this run."""
+    """Write the run into `out_dir`: the tables, the plot data, each cell's
+    forecast under cells/ and, last, artifacts.json. The artifacts.json and
+    cells/ an earlier run left there go first, and emit_plot_data clears its
+    plot files, so every file names a cell of this run, and a persist that
+    fails midway leaves no document for `reload_run` to read."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "artifacts.json").unlink(missing_ok=True)
     if (out_dir / "cells").is_dir():
         shutil.rmtree(out_dir / "cells")
     emit_table(table, "csv", out_dir / "results.csv")
     emit_table(table, "markdown", out_dir / "results.md")
     emit_plot_data(artifacts, out_dir)
+    (out_dir / "cells").mkdir()
     for key, cell in artifacts.cells.items():
-        folder = _cell_dir(out_dir, key)
-        folder.mkdir(parents=True, exist_ok=True)
-        if cell.selection is not None:
-            save_result(cell.selection, folder / "selection.json")
-            if cell.selection.trace is not None:
-                export_trace_csv(cell.selection.trace, folder / "trace.csv")
-        if cell.model_doc is not None:
-            (folder / "model.json").write_text(json.dumps(cell.model_doc, indent=2))
         if cell.forecast:
-            write_series_csv(
-                MonthlySeries("forecast", cell.months[0], cell.forecast),
-                folder / "forecast.csv",
-            )
+            write_series_csv(MonthlySeries("forecast", cell.months[0], cell.forecast),
+                             out_dir / "cells" / f"{'__'.join(map(_safe, key))}.csv")
     run = RunRecord(artifacts.horizon, table.row_keys, table.col_keys, tuple(
         CellRecord(*key, table.cells[key].mae, table.cells[key].n_exog, table.cells[key].error,
                    cell.months, cell.actual, cell.forecast,
-                   () if cell.selection is None else cell.selection.selected_ids)
+                   () if cell.selection is None else cell.selection.selected_ids,
+                   cell.selection, cell.model_doc)
         for key, cell in sorted(artifacts.cells.items())
     ))
-    doc = to_object(run, {"cells": lambda records: [
-        to_object(record, {"months": lambda months: list(map(str, months))}) for record in records
-    ]})
-    (out_dir / "artifacts.json").write_text(json.dumps({"schema": ARTIFACTS_SCHEMA, **doc}, indent=2))
+    doc = to_object(run, {"cells": lambda records: [to_object(record, {
+        "months": lambda months: list(map(str, months)), "selection": result_object,
+    }) for record in records]})
+    write_document(out_dir / "artifacts.json", ARTIFACTS_SCHEMA, doc, listed="cells")
 
 
 def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
-    """Rebuild the table and (score-bearing) artifacts from a persisted run."""
+    """Rebuild the table and the artifacts, selections and fitted documents
+    included, from a persisted run's artifacts.json."""
     out_dir = Path(out_dir)
     path = out_dir / "artifacts.json"
     if not path.is_file():
         raise ExocastError(f"no finished run in {out_dir}: {path.name} is missing")
 
     def cell_record(doc) -> CellRecord:
-        return from_object(CellRecord, doc, "cell", {"months": lambda ms: tuple(map(Month.parse, ms))})
+        return from_object(CellRecord, doc, "cell", {
+            "months": lambda ms: tuple(map(Month.parse, ms)),
+            "selection": lambda selection: None if selection is None else result_from_object(selection),
+        })
 
     def rebuild(doc) -> tuple[ResultsTable, RunArtifacts]:
         run = from_object(RunRecord, doc, "artifacts", {"cells": lambda cs: tuple(map(cell_record, cs))})
@@ -720,17 +720,12 @@ def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
             record = records[key]
             table.cells[key] = CellResult(record.mae, record.n_exog, record.error)
             artifacts.cells[key] = CellArtifacts(
-                key=key, months=record.months, actual=record.actual, forecast=record.forecast,
+                key=key, selection=record.selection, months=record.months, actual=record.actual,
+                forecast=record.forecast, model_doc=record.fitted,
             )
         return table, artifacts
 
-    table, artifacts = read_document(path, ARTIFACTS_SCHEMA, rebuild)
-    # Selections, with the traces of the score-development plot, live in the cell dirs.
-    for key, cell in artifacts.cells.items():
-        selection = _cell_dir(out_dir, key) / "selection.json"
-        if selection.exists():
-            cell.selection = load_result(selection)
-    return table, artifacts
+    return read_document(path, ARTIFACTS_SCHEMA, rebuild, retired=RETIRED_ARTIFACTS)
 
 
 # ---------------------------------------------------------------------------

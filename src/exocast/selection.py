@@ -8,8 +8,6 @@ in an evaluator mapping a subset of candidate ids to an out-of-sample MAE.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    ConvergenceFailureError, SelectionError, from_object, read_document, to_object,
+    ConvergenceFailureError, SelectionError, from_object, read_document, to_object, write_document,
 )
 from .series import AlignedFrame, pearson_correlation
 
@@ -33,9 +31,10 @@ __all__ = [
     "forward_select",
     "validate_manual",
     "score_development",
+    "result_object",
+    "result_from_object",
     "save_result",
     "load_result",
-    "export_trace_csv",
 ]
 
 TARGET_CORRELATION_THRESHOLD = 0.75
@@ -284,7 +283,7 @@ def lasso_select(
     lam_max = float(np.max(np.abs(c_full))) if ids else 0.0
 
     chosen = lam
-    grid_scores: list[tuple[float, float]] = []
+    grid_scores: list[list[float]] = []  # [lambda, validation MAE] pairs, as JSON reads them back
     steps = finished = 0
     if lam is None:
         if lam_max == 0.0:
@@ -307,7 +306,7 @@ def lasso_select(
             pred = y_fit.mean() + ((X_val - mu) / sd) @ B.T
             scores = np.mean(np.abs(pred - y_val[:, None]), axis=0)
             chosen = float(grid[int(np.argmin(scores))])
-            grid_scores = [(float(g), float(score)) for g, score in zip(grid, scores)]
+            grid_scores = [[float(g), float(score)] for g, score in zip(grid, scores)]
 
     final = np.array([float(chosen)])
     if ids:
@@ -463,24 +462,23 @@ def score_development(traces: Sequence[SelectionTrace]) -> list[tuple[int, float
 RESULT_SCHEMA = "exocast.selection.result/1"
 
 
-def save_result(result: SelectionResult, path: str | Path) -> None:
-    """`result` as JSON; a result without a trace is written without one."""
-    doc = {"schema": RESULT_SCHEMA, **to_object(result)}
+def result_object(result: SelectionResult) -> dict:
+    """`result` as a JSON object; a result without a trace has no "trace"."""
+    doc = to_object(result)
     if result.trace is None:
         del doc["trace"]
-    Path(path).write_text(json.dumps(doc, indent=2))
+    return doc
+
+
+def result_from_object(doc) -> SelectionResult:
+    """The selection result `result_object` wrote as `doc`."""
+    return from_object(SelectionResult, doc, "selection result",
+                       convert={"trace": lambda trace: from_object(SelectionTrace, trace, "trace")})
+
+
+def save_result(result: SelectionResult, path: str | Path) -> None:
+    write_document(path, RESULT_SCHEMA, result_object(result))
 
 
 def load_result(path: str | Path) -> SelectionResult:
-    return read_document(path, RESULT_SCHEMA, lambda doc: from_object(
-        SelectionResult, doc, "selection result",
-        convert={"trace": lambda trace: from_object(SelectionTrace, trace, "trace")},
-    ))
-
-
-def export_trace_csv(trace: SelectionTrace, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_vars", "subset", "oos_mae"])
-        for subset, score in trace.entries:
-            writer.writerow([len(subset), "|".join(subset), repr(score)])
+    return read_document(path, RESULT_SCHEMA, result_from_object)

@@ -360,7 +360,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("text, message", [
         ("[]", "JSON object"),
         ("{", "Expecting property name"),
-        ('{"schema": "exocast.experiment.artifacts/1", "horizon": 12, "row_keys": [], '
+        ('{"schema": "exocast.experiment.artifacts/2", "horizon": 12, "row_keys": [], '
          '"col_keys": []}', "lacks cells"),
     ], ids=["not-an-object", "not-json", "missing-key"])
     def test_report_on_malformed_artifacts(self, tmp_path, capsys, text, message):
@@ -369,16 +369,29 @@ class TestMalformedInput:
         (run / "artifacts.json").write_text(text)
         self._fails_cleanly(capsys, ["report", "--run-dir", str(run)], "artifacts.json", message)
 
+    def test_report_on_a_run_of_the_retired_layout(self, tmp_path, capsys):
+        # A run written before selections and models moved into
+        # artifacts.json is refused by its version, not read.
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "artifacts.json").write_text(json.dumps({
+            "schema": "exocast.experiment.artifacts/1", "horizon": 12, "row_keys": [],
+            "col_keys": [], "cells": []}))
+        self._fails_cleanly(capsys, ["report", "--run-dir", str(run), "--out", str(tmp_path / "r")],
+                            str(run / "artifacts.json"), "'exocast.experiment.artifacts/1'",
+                            "run the experiment again")
+        assert not (tmp_path / "r").exists()
+
     def test_report_on_a_selection_without_its_method(self, tmp_path, capsys):
         run = tmp_path / "run"
         config = write_experiment_config(tmp_path, out_dir=run, methods=["none"])
         assert main(["experiment", "--config", str(config)]) == 0
-        selection = next(run.glob("cells/*/selection.json"))
-        doc = json.loads(selection.read_text())
-        del doc["method"]
-        selection.write_text(json.dumps(doc))
+        artifacts = run / "artifacts.json"
+        doc = json.loads(artifacts.read_text())
+        del doc["cells"][0]["selection"]["method"]
+        artifacts.write_text(json.dumps(doc))
         self._fails_cleanly(capsys, ["report", "--run-dir", str(run), "--out", str(tmp_path / "r")],
-                            str(selection), "lacks method")
+                            str(artifacts), "lacks method")
 
     def test_report_without_a_run(self, tmp_path, capsys):
         self._fails_cleanly(capsys, ["report", "--run-dir", str(tmp_path / "absent")], "artifacts.json")

@@ -286,11 +286,11 @@ class TestIsolationAndDeterminism:
         for key, cell in table.cells.items():
             stored = artifacts.cells[key].selection
             assert cell.n_exog == len(stored.selected_ids)
-        from exocast.selection import load_result
-
-        folder = next((tmp_path / "run" / "cells").iterdir())
-        loaded = load_result(folder / "selection.json")
-        assert len(loaded.selected_ids) == next(iter(table.cells.values())).n_exog
+        doc = json.loads((tmp_path / "run" / "artifacts.json").read_text())
+        assert len(doc["cells"]) == len(table.cells)
+        for cell in doc["cells"]:
+            assert cell["n_exog"] == len(cell["selection"]["selected_ids"])
+            assert cell["selected_ids"] == cell["selection"]["selected_ids"]
 
 
 class TestTableAndPlots:
@@ -368,6 +368,63 @@ class TestTableAndPlots:
         assert traces and all(traces.values())
         assert {k: reloaded_art.cells[k].selection.trace for k in traces} == traces
 
+    def test_reloaded_selections_and_models_equal_the_run(self, tmp_path):
+        # Every method's selection, diagnostics and trace included, and every
+        # fitted document come back from artifacts.json as the run made them.
+        config = quick_config(
+            methods=(MethodSpec("none"), MethodSpec("correlation", target_threshold=0.3),
+                     MethodSpec("lasso"), MethodSpec("forward"),
+                     MethodSpec("manual", manual_ids=("ind01",))),
+            models=(ModelSpec("sarimax", order=SarimaxOrder(p=1)),
+                    ModelSpec("additive", additive_config=LEAN_ADDITIVE)),
+            forward_cap=2, out_dir=str(tmp_path / "run"),
+        )
+        _, artifacts = run_experiment(config)
+        _, reloaded = reload_run(tmp_path / "run")
+        assert list(reloaded.cells) == list(artifacts.cells)
+        assert all(cell.selection is not None for cell in artifacts.cells.values())
+        assert {key[2] for key, cell in artifacts.cells.items() if cell.selection.trace} == {"forward"}
+        for key, cell in artifacts.cells.items():
+            assert reloaded.cells[key].selection == cell.selection, key
+            # Arrays read back as lists; the values are bit for bit the same.
+            assert reloaded.cells[key].model_doc == json.loads(json.dumps(cell.model_doc)), key
+
+    def test_the_run_directory_holds_the_documented_files(self, tmp_path):
+        # artifacts.json, the tables, the plot data and one forecast CSV per
+        # successful cell; a run in the earlier layout, a folder per cell,
+        # loses that tree when a run is persisted over it.
+        run = tmp_path / "run"
+        old_cell = run / "cells" / "synth-0__2016-01..2021-04__none__sarimax_1_0_0_"
+        old_cell.mkdir(parents=True)
+        for name in ("selection.json", "model.json", "forecast.csv", "trace.csv"):
+            (old_cell / name).write_text("{}")
+        config = quick_config(methods=(MethodSpec("none"), MethodSpec("forward")),
+                              forward_cap=2, out_dir=str(run))
+        table, _ = run_experiment(config)
+        cells = ["__".join(map(experiment._safe, key)) for key in table.cells]
+        files = sorted(str(p.relative_to(run)) for p in run.rglob("*"))
+        assert files == sorted([
+            "artifacts.json", "cells", *(f"cells/{name}.csv" for name in cells), "errors.csv",
+            "forecasts_synth-0_2016-01..2021-04.csv", "results.csv", "results.md",
+            "score_development.csv",
+        ])
+
+    def test_a_persist_that_fails_leaves_no_document(self, tmp_path, monkeypatch):
+        # The earlier run's artifacts.json goes before anything is written,
+        # so a report cannot re-emit it over the failed run's tables.
+        config = quick_config(out_dir=str(tmp_path / "run"))
+        run_experiment(config)
+        assert (tmp_path / "run" / "artifacts.json").exists()
+
+        def planted(*args):
+            raise OSError("planted failure")
+
+        monkeypatch.setattr(experiment, "emit_plot_data", planted)
+        with pytest.raises(OSError, match="planted failure"):
+            run_experiment(config)
+        assert not (tmp_path / "run" / "artifacts.json").exists()
+        assert list((tmp_path / "run").glob("*.tmp")) == []
+
 
     def test_reloaded_plot_data_equals_the_persisted_one(self, tmp_path):
         # Three forward traces, and forecast columns, whose config order is
@@ -403,18 +460,25 @@ class TestTableAndPlots:
             if (tmp_path / "fresh" / path).is_file():
                 assert (tmp_path / "run" / path).read_bytes() == (tmp_path / "fresh" / path).read_bytes()
 
-    ARTIFACTS = {"schema": "exocast.experiment.artifacts/1", "horizon": 1,
+    ARTIFACTS = {"schema": "exocast.experiment.artifacts/2", "horizon": 1,
                  "row_keys": [["none", "additive"]], "col_keys": ["d @ 2016-01..2016-12"],
                  "cells": [{"dataset": "d", "range": "2016-01..2016-12", "method": "none",
                             "model": "additive", "mae": 1.0, "n_exog": 0, "error": None,
                             "months": ["2017-01"], "actual": [1.0], "forecast": [2.0],
-                            "selected_ids": []}]}
+                            "selected_ids": [], "fitted": None,
+                            "selection": {"method": "none", "selected_ids": [], "score": None,
+                                          "diagnostics": {}}}]}
 
     @pytest.mark.parametrize("doc, message", [
         ([], "JSON object, not list"),
         ("{", "Expecting property name"),
         ({**ARTIFACTS, "schema": "x"}, "schema 'x' is not"),
+        ({**ARTIFACTS, "schema": "exocast.experiment.artifacts/1"},
+         "schema 'exocast.experiment.artifacts/1' is not exocast.experiment.artifacts/2; "
+         "that run kept its cells in folders; run the experiment again"),
         ({k: v for k, v in ARTIFACTS.items() if k != "cells"}, "lacks cells"),
+        ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "selection": {"selected_ids": []}}]},
+         "selection result lacks method"),
         ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "months": ["2017"]}]}, "'2017'"),
         ({**ARTIFACTS, "rows": []}, "unknown artifacts keys: rows"),
         ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "maes": [1.0]}]}, "unknown cell keys: maes"),
@@ -422,8 +486,9 @@ class TestTableAndPlots:
          "cell d / 2016-01..2016-12 / none / additive is listed twice"),
         ({**ARTIFACTS, "cells": [ARTIFACTS["cells"][0], {**ARTIFACTS["cells"][0], "dataset": "e"}]},
          "cell e / 2016-01..2016-12 / none / additive is not in row_keys x col_keys"),
-    ], ids=["not-an-object", "not-json", "schema", "missing-key", "malformed", "unknown-key",
-            "unknown-cell-key", "repeated-cell", "extra-cell"])
+    ], ids=["not-an-object", "not-json", "schema", "retired-schema", "missing-key",
+            "selection-missing-key", "malformed", "unknown-key", "unknown-cell-key", "repeated-cell",
+            "extra-cell"])
     def test_reload_of_malformed_artifacts(self, tmp_path, doc, message):
         path = tmp_path / "artifacts.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -734,9 +799,9 @@ class TestSharedStages:
 
 class TestPersistedModels:
     def test_every_cell_model_reloads_to_its_stored_forecast(self, tmp_path):
-        # Each cell's model.json is the full fitted document: reloaded and
-        # run on the cell's training frame, it reproduces the stored
-        # forecast bit for bit, for either model.
+        # Each cell's fitted document in artifacts.json is the full model:
+        # reloaded and run on the cell's training frame, it reproduces the
+        # cell's forecast CSV bit for bit, for either model.
         config = ExperimentConfig(
             datasets=(synth_dataset(seed=0, n_indicators=6),),
             ranges=(RangeSpec(M(2016, 1), M(2021, 4)), RangeSpec(M(2019, 1), M(2021, 4))),
@@ -749,19 +814,20 @@ class TestPersistedModels:
         )
         table, _ = run_experiment(config)
         frames = {(d, rng.label): (train, t) for d, rng, train, t in training_frames(config)}
-        folders = sorted((tmp_path / "run" / "cells").glob("*/model.json"))
-        assert len(folders) == sum(not c.failed for c in table.cells.values()) == 16
+        cells = json.loads((tmp_path / "run" / "artifacts.json").read_text())["cells"]
+        fitted_cells = [cell for cell in cells if cell["fitted"] is not None]
+        assert len(fitted_cells) == sum(not c.failed for c in table.cells.values()) == 16
         schemas = set()
-        for path in folders:
-            doc = json.loads(path.read_text())
-            schemas.add(doc["schema"])
-            dataset, rng = path.parent.name.split("__")[:2]
-            train, transform = frames[(dataset, rng)]
+        for cell in fitted_cells:
+            schemas.add(cell["fitted"]["schema"])
+            train, transform = frames[(cell["dataset"], cell["range"])]
             future = models.regressor_forecasts(train, config.horizon)
-            fitted = models.from_doc(doc)
+            fitted = models.from_doc(cell["fitted"])
             predicted = transform.invert(models.forecast(fitted, config.horizon, future))
-            stored = read_series_csv(path.parent / "forecast.csv")
-            assert predicted.values == stored.values, path.parent.name
+            key = (cell["dataset"], cell["range"], cell["method"], cell["model"])
+            name = "__".join(map(experiment._safe, key))
+            stored = read_series_csv(tmp_path / "run" / "cells" / f"{name}.csv")
+            assert predicted.values == stored.values, name
         assert schemas == {"exocast.sarimax.fitted/1", "exocast.additive.fitted/1"}
 
 

@@ -14,7 +14,6 @@ from exocast.selection import (
     _kkt_violation,
     _lasso_path,
     correlation_select,
-    export_trace_csv,
     forward_select,
     lasso_coordinate_descent,
     lasso_select,
@@ -663,12 +662,3 @@ class TestPersistence:
         save_result(SelectionResult("manual", ("a",)), path)
         assert "trace" not in json.loads(path.read_text())
         assert load_result(path) == SelectionResult("manual", ("a",))
-
-    def test_trace_csv(self, tmp_path):
-        trace = SelectionTrace((((), 10.0), (("a",), 8.0), (("a", "b"), 9.0)))
-        path = tmp_path / "trace.csv"
-        export_trace_csv(trace, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n_vars,subset,oos_mae"
-        assert lines[1] == "0,,10.0"
-        assert lines[3] == "2,a|b,9.0"
