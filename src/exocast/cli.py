@@ -184,10 +184,11 @@ def cmd_select(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for label, rng, train, _ in training_frames(config):
         for method in config.methods:
-            specs = config.models if method.name == "forward" else config.models[:1]
-            for model in specs:
-                result = select(method, model, train, config.horizon, config.forward_cap)
-                suffix = f"__{model.label}" if method.name == "forward" else ""
+            forward = method.name == "forward"  # the only method that reads the model
+            for model in config.models if forward else config.models[:1]:
+                fixed = models.with_order(model, train, config.horizon) if forward else model
+                result = select(method, fixed, train, config.horizon, config.forward_cap)
+                suffix = f"__{model.label}" if forward else ""
                 name = f"{label}__{rng.label}__{method.label}{suffix}.json".replace("/", "_")
                 save_result(result, out / name)
                 print(f"{name}: {len(result.selected_ids)} selected")
@@ -207,10 +208,11 @@ def cmd_fit(args) -> int:
     out = Path(args.out or config.out_dir or "models")
     out.mkdir(parents=True, exist_ok=True)
     for label, rng, train, transform in training_frames(config):
-        selection = select(method, model, train, config.horizon, config.forward_cap)
+        fixed = models.with_order(model, train, config.horizon)
+        selection = select(method, fixed, train, config.horizon, config.forward_cap)
         model_frame = train.with_indicators(selection.selected_ids)
         name = f"{label}__{rng.label}__{method.label}__{model.label}".replace("/", "_")
-        fitted = models.fit(model, model_frame, config.horizon, transform.normalization)
+        fitted = models.fit(fixed, model_frame, transform.normalization)
         (out / f"{name}.json").write_text(json.dumps(models.to_doc(fitted), indent=2))
         save_result(selection, out / f"{name}.selection.json")
         print(f"fitted {name} ({len(selection.selected_ids)} regressors)")

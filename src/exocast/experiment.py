@@ -181,14 +181,14 @@ class ExperimentConfig:
         if type(self.forward_cap) is not int or self.forward_cap < 1:
             got = json.dumps(self.forward_cap, default=repr)
             raise ValueError(f"forward_cap must be an integer >= 1, got {got}")
-        for name, labels in (
-            ("dataset", [d.label for d in self.datasets]),
-            ("range", [r.label for r in self.ranges]),
-            ("method", [m.label for m in self.methods]),
-            ("model", [m.label for m in self.models]),
-        ):
+        for name in ("dataset", "range", "method", "model"):
+            labels = [spec.label for spec in getattr(self, f"{name}s")]
             if len(set(labels)) != len(labels):
                 raise ValueError(f"{name} labels must be unique, got {labels}")
+            first: dict[str, str] = {}  # the run's files are named by each label's _safe form
+            for label in labels:
+                if (other := first.setdefault(_safe(label), label)) != label:
+                    raise ValueError(f"{name} labels {other!r} and {label!r} name the same files")
         for d in self.datasets:
             if " @ " in d.label:
                 raise ValueError(f"dataset label {d.label!r} may not contain ' @ '")
@@ -387,7 +387,7 @@ def select(
     forward_cap: int,
 ) -> SelectionResult:
     """Run `method` on `train`; forward selection scores subsets with
-    `model`, the other methods ignore it."""
+    `model`, of a fixed order (`models.with_order`), the others ignore it."""
     candidates = CandidateSet(train)
     if method.name == "none":
         return SelectionResult(method="none", selected_ids=())
@@ -431,15 +431,16 @@ def _once(stages: dict, key, fn, *args):
 
 def _score_cell(config, method, model, origin, stages, keep: CellArtifacts | None) -> float:
     """One cell's MAE at one origin. `stages` shares the origin's
-    preprocessing and model-independent selections between its cells;
+    preprocessing, each model's order and the selections between its cells;
     `keep`, if given, receives the selection, model and forecast."""
     train_raw, test_actual, _ = origin
     train, transform = _once(stages, "preprocess", _preprocess_train, train_raw, config.preprocessing)
+    model = _once(stages, ("order", model.label), models.with_order, model, train, config.horizon)
     # Only forward selection depends on the model.
     by = (method.label, model.label if method.name == "forward" else None)
     selection = _once(stages, by, select, method, model, train, config.horizon, config.forward_cap)
     model_frame = train.with_indicators(selection.selected_ids)
-    fitted = models.fit(model, model_frame, config.horizon, transform.normalization)
+    fitted = models.fit(model, model_frame, transform.normalization)
     future = models.regressor_forecasts(model_frame, config.horizon)
     predicted = transform.invert(models.forecast(fitted, config.horizon, future))
     score = mae(test_actual, predicted.require_complete())
@@ -804,6 +805,7 @@ Experiment config (JSON object):
               // correlation accepts target_threshold / mutual_threshold
   "models": [{"name": "sarimax", "order": [1,0,0,0,0,0,12]},
              {"name": "sarimax", "grid": [[0,0,0,0,0,0,12],[1,0,0,0,0,0,12]]},
+              // a grid's order is chosen once per training frame, on the target alone
              {"name": "additive", "auto": true},
              {"name": "additive", "config": { ... additive config ... }}],
               // an additive "config" may omit keys (they default); unknown keys are errors

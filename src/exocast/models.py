@@ -4,10 +4,11 @@ Everything outside this module treats a model as a `ModelSpec` to fit, a
 fitted object to forecast from, and a JSON document to persist and reload.
 Only this module knows that the spec names SARIMAX or the additive model and
 which module serves each; reloading dispatches on the document's `schema`.
-`Validation` is the one out-of-sample scorer: forward selection and the
-SARIMAX order grid both hold out, continue and score through it. It scores a
-single subset with `fit` and `forecast` alone; only a whole greedy round
-goes to a model module's `round_forecaster`, which this module alone calls.
+`Validation` is the one out-of-sample scorer: forward selection and
+`with_order`, the one place a SARIMAX order grid becomes an order, score
+through it. It scores a single subset with `fit` and `forecast` alone; only
+a whole greedy round goes to a model module's `round_forecaster`, which this
+module alone calls.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "ModelSpec",
     "Fitted",
     "spec_from_config",
+    "with_order",
     "fit",
     "regressor_forecasts",
     "trained_on",
@@ -63,10 +65,8 @@ class ModelSpec:
     @property
     def label(self) -> str:
         if self.name == "sarimax":
-            if self.order is not None:
-                o = self.order
-                return f"sarimax({o.p},{o.d},{o.q})({o.P},{o.D},{o.Q})_{o.s}"
-            return f"sarimax[grid:{len(self.grid)}]"
+            text = [f"({o.p},{o.d},{o.q})({o.P},{o.D},{o.Q})_{o.s}" for o in self.grid or (self.order,)]
+            return f"sarimax[grid:{';'.join(text)}]" if self.grid else f"sarimax{text[0]}"
         return "additive[auto]" if self.additive_config is None else "additive"
 
 
@@ -85,19 +85,31 @@ def spec_from_config(entry: dict) -> ModelSpec:
     return spec
 
 
-def fit(
-    spec: ModelSpec,
-    train: AlignedFrame,
-    horizon: int,
-    normalization: NormalizationParams | None,
-) -> Fitted:
-    """Fit `spec` on every indicator of `train`. A SARIMAX order grid is
-    searched on the last `horizon` training months; an additive spec without
-    a config takes `additive.auto_config`. `normalization` is recorded on
-    SARIMAX fits only."""
+def with_order(spec: ModelSpec, train: AlignedFrame, horizon: int) -> ModelSpec:
+    """`spec` with its SARIMAX order grid replaced by the order that scores
+    lowest on the target of `train` alone, held out over its last `horizon`
+    months (a tie goes to the smallest `as_tuple()`); any other spec as it
+    is. GridSearchError, listing each order's reason, when every order fails."""
+    if not spec.grid:
+        return spec
+    validation = Validation(train.with_indicators(()), horizon)
+    scored, failures = [], []
+    for order in spec.grid:
+        try:
+            scored.append((validation.score(ModelSpec("sarimax", order=order), ()), order))
+        except Exception as exc:  # noqa: BLE001 - per-order failures are data
+            failures.append(f"{order.as_tuple()} -> {type(exc).__name__}: {exc}")
+    if not scored:
+        raise GridSearchError("every order failed: " + "; ".join(failures))
+    return ModelSpec("sarimax", order=min(scored, key=lambda e: (e[0], e[1].as_tuple()))[1])
+
+
+def fit(spec: ModelSpec, train: AlignedFrame, normalization: NormalizationParams | None) -> Fitted:
+    """Fit `spec`, of a fixed order if SARIMAX (see `with_order`), on every
+    indicator of `train`. An additive spec without a config takes
+    `additive.auto_config`. `normalization` is recorded on SARIMAX fits only."""
     if spec.name == "sarimax":
-        order = spec.order or _best_order(spec.grid, Validation(train, horizon))
-        return sarimax.fit(train, order, normalization=normalization)
+        return sarimax.fit(train, spec.order, normalization=normalization)
     return additive.fit(train, spec.additive_config or additive.auto_config(train))
 
 
@@ -120,7 +132,7 @@ class Validation:
     def score(self, spec: ModelSpec, subset: Sequence[str]) -> float:
         """MAE of `spec` fitted on the indicators `subset` of the training
         frame, forecast over the held-out months."""
-        fitted = fit(spec, self.train.with_indicators(subset), self.horizon, None)
+        fitted = fit(spec, self.train.with_indicators(subset), None)
         return mae(self.actual, forecast(fitted, self.horizon, self.future).require_complete())
 
     def round_scorer(
@@ -129,11 +141,11 @@ class Validation:
         """`score_round(current, candidates)`, every candidate's MAE in one
         call, each equal to `score(spec, current + (candidate,))` to
         rounding and NaN where the round leaves it to that call; None for a
-        spec without a batched round: an order grid, an MA order, an
-        additive model without ridge, or a frame whose shared design cannot
-        be built (each subset's fit then raises why)."""
+        spec without a batched round: an MA order, an additive model without
+        ridge, or a frame whose shared design cannot be built (each subset's
+        fit then raises why)."""
         futures, rounds = list(self.future.values()), None
-        if spec.name == "sarimax" and spec.order is not None:
+        if spec.name == "sarimax":
             rounds = sarimax.round_forecaster(self.train, spec.order, self.horizon, futures)
         elif spec.name == "additive":
             try:
@@ -144,22 +156,6 @@ class Validation:
         if rounds is None:
             return None
         return lambda current, candidates: mae(self.actual, rounds(current, candidates))
-
-
-def _best_order(grid: Sequence[sarimax.SarimaxOrder], validation: Validation) -> sarimax.SarimaxOrder:
-    """The order of `grid` that `validation` scores lowest on every
-    indicator; a tie goes to the smallest `as_tuple()`. GridSearchError,
-    listing each order's reason, when every order fails."""
-    scored, failures = [], []
-    for order in grid:
-        try:
-            spec = ModelSpec("sarimax", order=order)
-            scored.append((validation.score(spec, validation.train.indicator_ids), order))
-        except Exception as exc:  # noqa: BLE001 - per-order failures are data
-            failures.append(f"{order.as_tuple()} -> {type(exc).__name__}: {exc}")
-    if not scored:
-        raise GridSearchError("every order failed: " + "; ".join(failures))
-    return min(scored, key=lambda entry: (entry[0], entry[1].as_tuple()))[1]
 
 
 def _module(fitted: Fitted):

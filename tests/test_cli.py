@@ -148,6 +148,28 @@ class TestSelectFitForecast:
         assert any("correlation" in n for n in files)
         assert any("forward" in n for n in files)
 
+    def test_select_and_fit_choose_a_grid_order_first(self, tmp_path):
+        # Both commands turn the grid into the order `models.with_order`
+        # chooses on the training frame, then select and fit as that order.
+        grid = {"name": "sarimax", "grid": [[0, 0, 0, 0, 0, 0, 12], [1, 0, 0, 0, 0, 0, 12]]}
+        config = write_experiment_config(tmp_path, methods=["none", "forward"], models=[grid])
+        _, _, train, _ = next(training_frames(load_config(config)))
+        chosen = models_module.with_order(models_module.spec_from_config(grid), train, 12).order
+        (tmp_path / "fixed").mkdir()
+        fixed = write_experiment_config(tmp_path / "fixed", methods=["none", "forward"],
+                                        models=[{"name": "sarimax", "order": list(chosen.as_tuple())}])
+        for path, out in ((config, "sel"), (fixed, "fixed-sel")):
+            assert main(["select", "--config", str(path), "--out", str(tmp_path / out)]) == 0
+        (selected,) = (tmp_path / "sel").glob("*__forward__*.json")
+        (expected,) = (tmp_path / "fixed-sel").glob("*__forward__*.json")
+        assert selected.read_bytes() == expected.read_bytes()
+        out = tmp_path / "models"
+        assert main(["fit", "--config", str(config), "--method", "forward", "--out", str(out)]) == 0
+        (model_file,) = (p for p in out.iterdir() if not p.name.endswith("selection.json"))
+        assert json.loads(model_file.read_text())["order"] == list(chosen.as_tuple())
+        (selection,) = out.glob("*.selection.json")
+        assert selection.read_bytes() == selected.read_bytes()
+
     @pytest.mark.parametrize("model", [SARIMAX, ADDITIVE], ids=["sarimax", "additive"])
     def test_fit_then_forecast(self, tmp_path, model):
         config = write_experiment_config(tmp_path, methods=["correlation"], models=[model])

@@ -626,14 +626,43 @@ class TestConfigFile:
 
 
 class TestGridModel:
+    GRID = ModelSpec("sarimax", grid=(SarimaxOrder(), SarimaxOrder(p=1)))
+
     def test_sarimax_grid_cell(self):
-        config = quick_config(
-            models=(ModelSpec("sarimax", grid=(SarimaxOrder(), SarimaxOrder(p=1))),),
-        )
+        config = quick_config(models=(self.GRID,))
         table, _ = run_experiment(config)
         cell = next(iter(table.cells.values()))
         assert cell.error is None
         assert np.isfinite(cell.mae)
+
+    def test_a_grid_runs_as_the_order_it_chooses(self, monkeypatch):
+        # The order is chosen once per frame, before selection; every cell
+        # of the grid then equals the cell of that order, and forward
+        # selection runs once for both.
+        methods = (MethodSpec("none"), MethodSpec("correlation"), MethodSpec("lasso"),
+                   MethodSpec("forward"), MethodSpec("manual", manual_ids=("ind01", "ind02")))
+        _, _, train, _ = next(training_frames(quick_config()))
+        fixed = models.with_order(self.GRID, train, 12)
+        config = quick_config(methods=methods, models=(self.GRID, fixed), forward_cap=3)
+        calls = Counter()
+        original = experiment.forward_select
+
+        def counting(*args, **kwargs):
+            calls["forward_select"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "forward_select", counting)
+        table, artifacts = run_experiment(config)
+        assert calls == {"forward_select": 1}
+        for method in methods:
+            grid_key, fixed_key = (("synth-0", "2016-01..2021-04", method.label, spec.label)
+                                   for spec in (self.GRID, fixed))
+            assert table.cells[grid_key] == table.cells[fixed_key], method.label
+            assert table.cells[grid_key].error is None, method.label
+            grid_cell, fixed_cell = artifacts.cells[grid_key], artifacts.cells[fixed_key]
+            assert grid_cell.selection == fixed_cell.selection, method.label
+            assert grid_cell.model_doc == fixed_cell.model_doc, method.label
+            assert tuple(grid_cell.model_doc["order"]) == fixed.order.as_tuple()
 
 
 class TestRollingOrigins:
@@ -857,9 +886,9 @@ class TestSharedForwardDesign:
         actual = held_out.target.require_complete()
         validation = models.Validation(train, 12)
         for subset in subsets:
-            fitted = models.fit(spec, sub_train.with_indicators(subset), 12, None)
+            fitted = models.fit(spec, sub_train.with_indicators(subset), None)
             direct = models.forecast(fitted, 12, future).require_complete()
-            own = models.fit(spec, validation.train.with_indicators(subset), 12, None)
+            own = models.fit(spec, validation.train.with_indicators(subset), None)
             got = models.forecast(own, 12, validation.future).require_complete()
             assert np.array_equal(got, direct), subset
             assert validation.score(spec, subset) == mae(actual, direct), subset
@@ -997,6 +1026,20 @@ class TestConfigValidation:
     def test_duplicate_range_labels_rejected(self):
         with pytest.raises(ValueError, match="range labels must be unique"):
             quick_config(ranges=(RangeSpec(M(2016, 1), M(2021, 4)),) * 2)
+
+    def test_dataset_labels_that_name_the_same_files_rejected(self):
+        # Both would write forecasts_a_b_<range>.csv and cells/a_b__....csv.
+        with pytest.raises(ValueError, match="dataset labels 'a/b' and 'a_b' name the same files"):
+            quick_config(datasets=(synth_dataset(label="a/b"), synth_dataset(seed=1, label="a_b")))
+
+    def test_two_grids_of_one_size_share_a_config(self):
+        grids = (ModelSpec("sarimax", grid=(SarimaxOrder(), SarimaxOrder(p=1))),
+                 ModelSpec("sarimax", grid=(SarimaxOrder(), SarimaxOrder(p=2))))
+        config = quick_config(models=grids)
+        assert [m.label for m in config.models] == [
+            "sarimax[grid:(0,0,0)(0,0,0)_12;(1,0,0)(0,0,0)_12]",
+            "sarimax[grid:(0,0,0)(0,0,0)_12;(2,0,0)(0,0,0)_12]",
+        ]
 
     def test_dataset_label_with_separator_rejected(self):
         with pytest.raises(ValueError, match="may not contain"):

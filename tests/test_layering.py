@@ -6,8 +6,9 @@ A leading underscore marks a name as internal to its module. Importing one
 from a sibling module (`from .experiment import _select`), or reading one as
 an attribute of an imported sibling (`sarimax._lagged_block`), couples the
 two modules through code the owner may change freely. An unused import is
-most often what a deletion left behind. Forward selection and the SARIMAX
-order grid score through `models.Validation`; a second caller of the
+most often what a deletion left behind. Forward selection and
+`models.with_order`, which turns a SARIMAX order grid into one order on the
+target alone, score through `models.Validation`; a second caller of the
 regressor continuation or of a round builder would be a second copy of that
 protocol.
 """
@@ -172,3 +173,21 @@ OTHER_MODULES = [p for p in MODULES if p.stem != "models"]
 @pytest.mark.parametrize("path", OTHER_MODULES, ids=[p.stem for p in OTHER_MODULES])
 def test_only_models_continues_regressors_and_builds_rounds(path):
     assert models_only_calls(path.read_text(), path.stem) == []
+
+
+def grid_readers(source: str) -> list[str]:
+    """The top-level definitions of `source` that read a `.grid` attribute."""
+    return sorted({
+        top.name
+        for top in ast.parse(source).body if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr == "grid"
+    })
+
+
+def test_only_with_order_turns_a_grid_into_an_order():
+    # Fitting, validation and selection see a fixed order; a second reader
+    # of an order grid would be a second order search.
+    readers = {path.stem: grid_readers(path.read_text()) for path in MODULES}
+    assert {stem: names for stem, names in readers.items() if names} == {
+        "models": ["ModelSpec", "with_order"],
+    }

@@ -377,11 +377,20 @@ class TestForecast:
 
 
 class TestGridSearch:
-    # `models.fit` scores each order of a grid with `models.Validation`, on
-    # the last `horizon` months of the frame, and fits the best one.
+    # `models.with_order` scores each order of a grid with `models.Validation`
+    # on the target alone, over the last `horizon` months of the frame, and
+    # returns the spec of the best one.
     @staticmethod
     def _chosen(train, grid):
-        return models.fit(models.ModelSpec("sarimax", grid=tuple(grid)), train, 12, None).order
+        spec = models.with_order(models.ModelSpec("sarimax", grid=tuple(grid)), train, 12)
+        assert not spec.grid
+        return spec.order
+
+    def test_a_spec_without_a_grid_comes_back_as_it_is(self):
+        train = frame(simulate_ar1(0, n=60).tolist())
+        for spec in (models.ModelSpec("sarimax", order=SarimaxOrder(p=1)),
+                     models.ModelSpec("additive")):
+            assert models.with_order(spec, train, 12) is spec
 
     def test_singleton(self):
         y = simulate_ar1(0, n=60).tolist()
@@ -420,39 +429,30 @@ class TestGridSearch:
         y = simulate_ar1(3, n=72).tolist()
         return frame(y, indicators=[(f"x{i}", rng.normal(0, 1, 72).tolist()) for i in range(3)])
 
-    def test_regressors_extrapolated_once_for_every_order(self, monkeypatch):
+    def test_orders_are_scored_on_the_target_alone(self):
         train = self._grid_frame()
         grid = [SarimaxOrder(), SarimaxOrder(p=1), SarimaxOrder(p=2)]
-        # Reference: each order scored on its own, with fresh continuations.
-        sub_train, validation = split_train_test(train, SplitSpec(12))
-        expected = []
-        for order in grid:
-            future = [extrapolate_regressor(x, 12) for x in sub_train.indicators]
-            predicted = forecast(fit(sub_train, order), 12, future)
-            expected.append(mae(validation.target.require_complete(), predicted.require_complete()))
-
-        calls = []
-
-        def counting(series, horizon):
-            calls.append(series.id)
-            return extrapolate_regressor(series, horizon)
-
-        monkeypatch.setattr(sarimax_module, "extrapolate_regressor", counting)
-        scorer = models.Validation(train, 12)
-        scores = [scorer.score(models.ModelSpec("sarimax", order=o), train.indicator_ids)
-                  for o in grid]
-        assert scores == expected
+        # Reference: each order fitted on the target of the first 60 months.
+        sub_train, validation = split_train_test(train.with_indicators(()), SplitSpec(12))
+        expected = [mae(validation.target.require_complete(),
+                        forecast(fit(sub_train, order), 12).require_complete()) for order in grid]
         assert self._chosen(train, grid) == grid[int(np.argmin(expected))]
-        assert calls == ["x0", "x1", "x2"] * 2  # once per Validation
+        assert self._chosen(train.with_indicators(()), grid) == grid[int(np.argmin(expected))]
+        # Scored on every indicator, another order would win on this frame.
+        validation = models.Validation(train, 12)
+        with_all = [validation.score(models.ModelSpec("sarimax", order=o), train.indicator_ids)
+                    for o in grid]
+        assert np.argmin(with_all) != np.argmin(expected)
 
-    def test_a_failing_continuation_raises_before_any_order_is_fitted(self, monkeypatch):
+    def test_the_search_continues_no_regressor(self, monkeypatch):
         def broken(series, horizon):
-            raise ValueError("no continuation")
+            raise AssertionError("a regressor was continued")
 
+        train = self._grid_frame()
+        grid = [SarimaxOrder(), SarimaxOrder(p=1)]
+        expected = self._chosen(train, grid)
         monkeypatch.setattr(sarimax_module, "extrapolate_regressor", broken)
-        monkeypatch.setattr(sarimax_module, "fit", None)  # an order's fit would fail
-        with pytest.raises(ValueError, match="^no continuation$"):
-            self._chosen(self._grid_frame(), [SarimaxOrder(), SarimaxOrder(p=1)])
+        assert self._chosen(train, grid) == expected
 
     def test_a_held_out_gap_raises_before_any_order_is_fitted(self, monkeypatch):
         # The held-out target is required once for every order, so a gap in
@@ -613,9 +613,8 @@ class TestValidation:
         "spec",
         [models.ModelSpec("sarimax", order=SarimaxOrder(p=1)),
          models.ModelSpec("sarimax", order=SarimaxOrder(p=1, P=1, s=4)),
-         models.ModelSpec("sarimax", order=SarimaxOrder(p=1, q=1)),
-         models.ModelSpec("sarimax", grid=(SarimaxOrder(), SarimaxOrder(p=1, d=1)))],
-        ids=["100", "100x100_4", "101", "grid"],
+         models.ModelSpec("sarimax", order=SarimaxOrder(p=1, q=1))],
+        ids=["100", "100x100_4", "101"],
     )
     def test_a_subset_scores_as_models_fit_and_forecast(self, spec):
         train = subset_frame(1)
@@ -625,9 +624,9 @@ class TestValidation:
         validation = models.Validation(train, 12)
         assert np.array_equal(validation.actual, actual)
         for subset in self.SUBSETS:
-            fitted = models.fit(spec, sub_train.with_indicators(subset), 12, None)
+            fitted = models.fit(spec, sub_train.with_indicators(subset), None)
             expected = models.forecast(fitted, 12, future).require_complete()
-            own = models.fit(spec, validation.train.with_indicators(subset), 12, None)
+            own = models.fit(spec, validation.train.with_indicators(subset), None)
             got = models.forecast(own, 12, validation.future).require_complete()
             assert np.array_equal(got, expected), subset
             assert validation.score(spec, subset) == mae(actual, expected), subset
@@ -642,7 +641,7 @@ class TestValidation:
         current, candidates = ("x1",), ("x0", "x2", "x3", "x4")
         expected, scores = [], []
         for spec in specs:
-            fits = [models.fit(spec, train.with_indicators(current + (cid,)), 12, None)
+            fits = [models.fit(spec, train.with_indicators(current + (cid,)), None)
                     for cid in candidates]
             expected.append([models.forecast(f, 12, validation.future).require_complete()
                              for f in fits])
