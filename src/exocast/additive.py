@@ -25,8 +25,7 @@ from typing import Callable, Collection, Mapping, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, from_object, to_object
-from .series import AlignedFrame, Month, MonthlySeries
-from .sarimax import RegressorForecast
+from .series import AlignedFrame, Month, MonthlySeries, future_matrix
 
 __all__ = [
     "AdditiveConfig",
@@ -261,20 +260,6 @@ def fit(train: AlignedFrame, config: AdditiveConfig) -> FittedAdditive:
     )
 
 
-def _continued(
-    pasts: Mapping[str, Sequence[float]], futures: Sequence[RegressorForecast], horizon: int
-) -> dict[str, np.ndarray]:
-    """Each indicator's past values followed by its first `horizon` future ones."""
-    by_id = {rf.id: rf for rf in futures}
-    missing = [i for i in pasts if i not in by_id]
-    if missing:
-        raise ValueError(f"missing future values for regressors: {missing}")
-    for ind in pasts:
-        if len(by_id[ind].future_values) < horizon:
-            raise ValueError(f"regressor {ind!r} supplies fewer than {horizon} values")
-    return {i: np.array([*past, *by_id[i].future_values[:horizon]]) for i, past in pasts.items()}
-
-
 def _ar_steps(
     exogenous: np.ndarray, ar: np.ndarray, target: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -295,16 +280,17 @@ def _ar_steps(
 def forecast_with_components(
     fitted: FittedAdditive,
     horizon: int,
-    future_regressors: Sequence[RegressorForecast] = (),
+    future_regressors: np.ndarray | None = None,
     future_events: Mapping[str, frozenset[Month]] | None = None,
 ) -> tuple[MonthlySeries, dict[str, tuple[float, ...]]]:
-    """Recursive forecast plus the per-component contributions that sum to it."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    """Recursive forecast plus the per-component contributions that sum to
+    it. `future_regressors` is a `future_matrix` of the fitted indicators,
+    in fitted order."""
     config = fitted.config
     future_events = future_events or {}
-    tails = dict(zip(fitted.indicator_ids, fitted.regressor_tails))
-    regressors = _continued(tails, future_regressors, horizon)
+    future = future_matrix(future_regressors, horizon, fitted.indicator_ids)
+    tails = zip(fitted.indicator_ids, fitted.regressor_tails)
+    regressors = {i: np.concatenate([tail, future[:, j]]) for j, (i, tail) in enumerate(tails)}
     n, tail_len = fitted.train_length, len(fitted.target_tail)  # a tail ends at row n - 1
     events = [
         set(months) | set(future_events.get(event_id, ())) for event_id, months in config.events
@@ -324,26 +310,27 @@ def forecast_with_components(
 def forecast(
     fitted: FittedAdditive,
     horizon: int,
-    future_regressors: Sequence[RegressorForecast] = (),
+    future_regressors: np.ndarray | None = None,
     future_events: Mapping[str, frozenset[Month]] | None = None,
 ) -> MonthlySeries:
     return forecast_with_components(fitted, horizon, future_regressors, future_events)[0]
 
 
 def round_forecaster(
-    train: AlignedFrame, config: AdditiveConfig, horizon: int, futures: Sequence[RegressorForecast]
+    train: AlignedFrame, config: AdditiveConfig, horizon: int, futures: Mapping[str, np.ndarray]
 ) -> Callable[[Sequence[str], Sequence[str]], np.ndarray] | None:
     """`forecast_round(current, candidates)`, which forecasts a greedy
     round of `config` on `train` at once, or None without a ridge penalty.
-    The design, its Gram matrix and the forecast rows are built once for
-    every indicator of `train`; each round selects its columns of them."""
+    `futures` holds each indicator's `horizon` future values by id. The
+    design, its Gram matrix and the forecast rows are built once for every
+    indicator of `train`; each round selects its columns of them."""
     if config.ridge_lambda == 0:
         return None
     design = build_design(train, config)
     y = np.asarray(train.target.require_complete())
     solve = _ridge_solver(design, y[config.dropped_rows :], config.ridge_lambda)
-    pasts = {s.id: s.require_complete() for s in train.indicators}
-    regressors = _continued(pasts, futures, horizon)
+    regressors = {s.id: np.concatenate([s.require_complete(), futures[s.id]])
+                  for s in train.indicators}
     n = len(train)
     rows = np.arange(n, n + horizon)
     events = [months for _, months in config.events]

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import models
-from .errors import ExocastError, to_object
+from .errors import ExocastError, to_object, write_document
 from .eurostat import DEFAULT_KEYWORDS, run_funnel
 from .experiment import (
     config_schema_text,
@@ -173,7 +173,7 @@ def cmd_synth(args) -> int:
     write_series_csv(frame.target, out / "target.csv")
     for s in frame.indicators:
         write_series_csv(s, out / f"{s.id}.csv")
-    (out / "truth.json").write_text(json.dumps({"schema": TRUTH_SCHEMA, **to_object(truth)}, indent=2))
+    write_document(out / "truth.json", TRUTH_SCHEMA, to_object(truth))
     print(f"wrote target + {len(frame.indicators)} indicators to {out}")
     return 0
 
@@ -213,7 +213,8 @@ def cmd_fit(args) -> int:
         model_frame = train.with_indicators(selection.selected_ids)
         name = f"{label}__{rng.label}__{method.label}__{model.label}".replace("/", "_")
         fitted = models.fit(fixed, model_frame, transform.normalization)
-        (out / f"{name}.json").write_text(json.dumps(models.to_doc(fitted), indent=2))
+        doc = models.to_doc(fitted)  # it names its own schema
+        write_document(out / f"{name}.json", doc["schema"], doc)
         save_result(selection, out / f"{name}.selection.json")
         print(f"fitted {name} ({len(selection.selected_ids)} regressors)")
     return 0

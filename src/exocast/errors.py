@@ -90,13 +90,23 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
+def _integer(f, value) -> bool:
+    """Whether `value` may fill the field `f`: anything may, unless `f` is
+    annotated `int` (or `int | None`, which also takes None); then only an
+    int that is not a bool does."""
+    if f.type in (int, "int"):
+        return type(value) is int
+    return f.type != "int | None" or value is None or type(value) is int
+
+
 def from_object(cls, doc, where: str, convert=None, renamed=None):
     """`cls` built from the JSON object `doc`. Its keys are `cls`'s fields,
     under the JSON name `renamed` gives a field, if any. A field without a
     default is required, and `convert[key]` maps that key's value first; a
     null stays None for a field that defaults to None, and any other value
-    has its arrays read as tuples. A misspelt key is an error, never a
-    silent fallback to a default."""
+    has its arrays read as tuples. A field annotated `int` takes only an
+    integer: never a float, even 2.0, nor true or false. A misspelt key is
+    an error, never a silent fallback to a default."""
     if not isinstance(doc, dict):
         raise TypeError(f"{where} must be a JSON object")
     renamed, convert = renamed or {}, convert or {}
@@ -108,6 +118,10 @@ def from_object(cls, doc, where: str, convert=None, renamed=None):
                if key not in doc and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"{where} lacks {', '.join(missing)}")
+    wrong = [f"{key} must be an integer, got {json.dumps(v)}"
+             for key, v in doc.items() if not _integer(by_key[key], v)]
+    if wrong:
+        raise TypeError(f"{where} {wrong[0]}")
     return cls(**{
         by_key[key].name: v if v is None and by_key[key].default is None
         else convert.get(key, _tuples)(v)

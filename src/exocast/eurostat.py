@@ -311,8 +311,11 @@ def filter_catalog(
 
 
 def _parse_dataset_payload(code: str, payload: str) -> RawDataset:
+    def non_finite(name: str):
+        raise PayloadError(f"dataset {code}: payload holds the non-finite value {name}")
+
     try:
-        doc = json.loads(payload)
+        doc = json.loads(payload, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise PayloadError(f"dataset {code}: payload is not valid JSON: {exc}") from exc
     try:

@@ -60,7 +60,7 @@ __all__ = [
     "ModelSpec",
     "DatasetSpec",
     "ExperimentConfig",
-    "CellResult",
+    "CellRecord",
     "ResultsTable",
     "RunArtifacts",
     "run_experiment",
@@ -178,9 +178,8 @@ class ExperimentConfig:
             raise ValueError("horizon must be positive")
         if self.rolling_origins < 1:
             raise ValueError("rolling_origins must be at least 1")
-        if type(self.forward_cap) is not int or self.forward_cap < 1:
-            got = json.dumps(self.forward_cap, default=repr)
-            raise ValueError(f"forward_cap must be an integer >= 1, got {got}")
+        if self.forward_cap < 1:
+            raise ValueError(f"forward_cap must be an integer >= 1, got {self.forward_cap}")
         for name in ("dataset", "range", "method", "model"):
             labels = [spec.label for spec in getattr(self, f"{name}s")]
             if len(set(labels)) != len(labels):
@@ -194,31 +193,11 @@ class ExperimentConfig:
                 raise ValueError(f"dataset label {d.label!r} may not contain ' @ '")
 
 
-@dataclass(frozen=True)
-class CellResult:
-    mae: float | None
-    n_exog: int | None
-    error: str | None = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-
 CellKey = tuple[str, str, str, str]  # dataset, range, method, model
 
 
-@dataclass
-class CellArtifacts:
-    key: CellKey
-    selection: SelectionResult | None = None
-    months: tuple[Month, ...] = ()
-    actual: tuple[float, ...] = ()
-    forecast: tuple[float, ...] = ()
-    model_doc: dict | None = None
-
-
 ARTIFACTS_SCHEMA = "exocast.experiment.artifacts/2"
+CELL_KEYS = {"model_doc": "fitted"}  # the JSON key of each CellRecord field named otherwise
 # Each earlier schema, with what to do instead of reading it: no reader is kept.
 RETIRED_ARTIFACTS = {
     "exocast.experiment.artifacts/1": "that run kept its cells in folders; run the experiment again",
@@ -227,9 +206,11 @@ RETIRED_ARTIFACTS = {
 
 @dataclass(frozen=True)
 class CellRecord:
-    """A cell of artifacts.json: its key and result, origin 0's test months,
-    actual values and forecast, the indicators it selected, and its selection
-    and fitted model document, both None for a cell that failed at origin 0."""
+    """One cell of the grid, as the runner builds it and artifacts.json
+    holds it: its key and result, origin 0's test months, actual values and
+    forecast, the indicators it selected, and its selection and fitted model
+    document (JSON key "fitted"), both None for a cell that failed at
+    origin 0."""
 
     dataset: str
     range: str
@@ -243,7 +224,15 @@ class CellRecord:
     forecast: tuple[float, ...]
     selected_ids: tuple[str, ...]
     selection: SelectionResult | None
-    fitted: dict | None
+    model_doc: dict | None
+
+    @property
+    def key(self) -> CellKey:
+        return (self.dataset, self.range, self.method, self.model)
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 @dataclass(frozen=True)
@@ -261,13 +250,13 @@ class RunRecord:
 class ResultsTable:
     row_keys: tuple[tuple[str, str], ...]  # (method, model)
     col_keys: tuple[str, ...]  # "dataset @ range"
-    cells: dict[CellKey, CellResult]
+    cells: dict[CellKey, CellRecord]
 
 
 @dataclass
 class RunArtifacts:
     horizon: int
-    cells: dict[CellKey, CellArtifacts] = field(default_factory=dict)
+    cells: dict[CellKey, CellRecord] = field(default_factory=dict)  # the table's own dict
     truths: dict[str, SyntheticTruth] = field(default_factory=dict)
 
 
@@ -429,10 +418,10 @@ def _once(stages: dict, key, fn, *args):
     return result
 
 
-def _score_cell(config, method, model, origin, stages, keep: CellArtifacts | None) -> float:
-    """One cell's MAE at one origin. `stages` shares the origin's
-    preprocessing, each model's order and the selections between its cells;
-    `keep`, if given, receives the selection, model and forecast."""
+def _score_cell(config, method, model, origin, stages):
+    """One cell at one origin: its MAE, selection, fitted model and forecast
+    on the raw scale. `stages` shares the origin's preprocessing, each
+    model's order and the selections between its cells."""
     train_raw, test_actual, _ = origin
     train, transform = _once(stages, "preprocess", _preprocess_train, train_raw, config.preprocessing)
     model = _once(stages, ("order", model.label), models.with_order, model, train, config.horizon)
@@ -443,54 +432,61 @@ def _score_cell(config, method, model, origin, stages, keep: CellArtifacts | Non
     fitted = models.fit(model, model_frame, transform.normalization)
     future = models.regressor_forecasts(model_frame, config.horizon)
     predicted = transform.invert(models.forecast(fitted, config.horizon, future))
-    score = mae(test_actual, predicted.require_complete())
-    if keep is not None:
-        keep.selection = selection
-        keep.model_doc = models.to_doc(fitted)
-        keep.forecast = predicted.values
-    return score
+    return mae(test_actual, predicted.require_complete()), selection, fitted, predicted
 
 
-def _run_group(config: ExperimentConfig, group) -> list[tuple[CellResult, CellArtifacts]]:
+def _run_group(config: ExperimentConfig, group) -> list[CellRecord]:
     """Every (method, model) cell of one (dataset label, range, origins)
     group, origin by origin, so that one preprocessed frame is alive at a
     time. A cell fails on its first exception and is skipped at later
-    origins; origin 0 supplies its artifacts."""
+    origins; origin 0 supplies its selection, model and forecast."""
     dataset_label, range_spec, origins = group
     cells = {
         (dataset_label, range_spec.label, method.label, model.label): (method, model)
         for method in config.methods
         for model in config.models
     }
-    artifacts = {k: CellArtifacts(key=k, months=origins[0][2], actual=origins[0][1]) for k in cells}
     scores: dict[CellKey, list[float]] = {key: [] for key in cells}
-    results: dict[CellKey, CellResult] = {}  # failed cells, until the last origin
+    kept: dict[CellKey, tuple] = {}  # origin 0's selection, model document and forecast
+    errors: dict[CellKey, str] = {}  # failed cells
     for i, origin in enumerate(origins):
         stages: dict = {}  # this origin's preprocessing and selections
         for key, (method, model) in cells.items():
-            if key in results:
+            if key in errors:
                 continue
-            keep = artifacts[key] if i == 0 else None
             try:
-                scores[key].append(_score_cell(config, method, model, origin, stages, keep))
+                score, selection, fitted, predicted = _score_cell(
+                    config, method, model, origin, stages)
             except Exception as exc:  # noqa: BLE001 - a failed cell never aborts the grid
                 log.warning("cell %s failed: %s", key, exc)
-                results[key] = CellResult(mae=None, n_exog=None, error=_failure_code(exc))
-    for key, cell_scores in scores.items():
-        if key not in results:
-            n_exog = len(artifacts[key].selection.selected_ids)
-            results[key] = CellResult(mae=sum(cell_scores) / len(cell_scores), n_exog=n_exog)
-    return [(results[key], artifacts[key]) for key in cells]
+                errors[key] = _failure_code(exc)
+                continue
+            scores[key].append(score)
+            if i == 0:
+                kept[key] = selection, models.to_doc(fitted), predicted.values
+    _, actual, months = origins[0]
+    records = []
+    for key in cells:
+        selection, model_doc, forecast = kept.get(key, (None, None, ()))
+        ok = key not in errors
+        records.append(CellRecord(
+            *key, mae=sum(scores[key]) / len(scores[key]) if ok else None,
+            n_exog=len(selection.selected_ids) if ok else None, error=errors.get(key),
+            months=months, actual=actual, forecast=forecast,
+            selected_ids=() if selection is None else selection.selected_ids,
+            selection=selection, model_doc=model_doc,
+        ))
+    return records
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts]:
     # Resolve everything up front so a bad config fails before any work.
-    artifacts = RunArtifacts(horizon=config.horizon)
+    truths: dict[str, SyntheticTruth] = {}
     groups = []
     for spec in config.datasets:
         frame, truth = _resolve_dataset(spec)
         if truth is not None:
-            artifacts.truths[spec.label] = truth
+            truths[spec.label] = truth
         for rng in config.ranges:
             _require_coverage(spec.label, frame, rng, config.horizon, config.rolling_origins)
             origins = []
@@ -506,11 +502,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts
                 origins.append((train_raw, test_target.values, test_target.months))
             groups.append((spec.label, rng, origins))
 
-    cells: dict[CellKey, CellResult] = {}
-    for result, cell_art in (outcome for group in groups for outcome in _run_group(config, group)):
-        cells[cell_art.key] = result
-        artifacts.cells[cell_art.key] = cell_art
-
+    cells = {record.key: record for group in groups for record in _run_group(config, group)}
+    artifacts = RunArtifacts(config.horizon, cells, truths)
     table = ResultsTable(
         row_keys=tuple((m.label, mo.label) for m in config.methods for mo in config.models),
         col_keys=tuple(
@@ -608,7 +601,7 @@ def emit_plot_data(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
         stale.unlink(missing_ok=True)
     written: list[Path] = []
 
-    groups: dict[tuple[str, str], list[CellArtifacts]] = {}
+    groups: dict[tuple[str, str], list[CellRecord]] = {}
     for key, cell in artifacts.cells.items():
         groups.setdefault((key[0], key[1]), []).append(cell)
 
@@ -675,16 +668,11 @@ def persist_run(out_dir: Path, table: ResultsTable, artifacts: RunArtifacts) -> 
         if cell.forecast:
             write_series_csv(MonthlySeries("forecast", cell.months[0], cell.forecast),
                              out_dir / "cells" / f"{'__'.join(map(_safe, key))}.csv")
-    run = RunRecord(artifacts.horizon, table.row_keys, table.col_keys, tuple(
-        CellRecord(*key, table.cells[key].mae, table.cells[key].n_exog, table.cells[key].error,
-                   cell.months, cell.actual, cell.forecast,
-                   () if cell.selection is None else cell.selection.selected_ids,
-                   cell.selection, cell.model_doc)
-        for key, cell in sorted(artifacts.cells.items())
-    ))
+    run = RunRecord(artifacts.horizon, table.row_keys, table.col_keys,
+                    tuple(record for _, record in sorted(table.cells.items())))
     doc = to_object(run, {"cells": lambda records: [to_object(record, {
         "months": lambda months: list(map(str, months)), "selection": result_object,
-    }) for record in records]})
+    }, CELL_KEYS) for record in records]})
     write_document(out_dir / "artifacts.json", ARTIFACTS_SCHEMA, doc, listed="cells")
 
 
@@ -700,31 +688,22 @@ def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
         return from_object(CellRecord, doc, "cell", {
             "months": lambda ms: tuple(map(Month.parse, ms)),
             "selection": lambda selection: None if selection is None else result_from_object(selection),
-        })
+        }, CELL_KEYS)
 
     def rebuild(doc) -> tuple[ResultsTable, RunArtifacts]:
         run = from_object(RunRecord, doc, "artifacts", {"cells": lambda cs: tuple(map(cell_record, cs))})
         records: dict[CellKey, CellRecord] = {}
         for record in run.cells:
-            key = (record.dataset, record.range, record.method, record.model)
-            if key in records:
-                raise ValueError(f"cell {' / '.join(key)} is listed twice")
-            records[key] = record
-        table = ResultsTable(run.row_keys, run.col_keys, {})
-        artifacts = RunArtifacts(horizon=run.horizon)
+            if record.key in records:
+                raise ValueError(f"cell {' / '.join(record.key)} is listed twice")
+            records[record.key] = record
         # Every cell of the table, in the order run_experiment gives them.
-        keys = [_cell_key(row, col) for col in table.col_keys for row in table.row_keys]
+        keys = [_cell_key(row, col) for col in run.col_keys for row in run.row_keys]
         extra = sorted(records.keys() - set(keys))
         if extra:
             raise ValueError(f"cell {' / '.join(extra[0])} is not in row_keys x col_keys")
-        for key in keys:
-            record = records[key]
-            table.cells[key] = CellResult(record.mae, record.n_exog, record.error)
-            artifacts.cells[key] = CellArtifacts(
-                key=key, selection=record.selection, months=record.months, actual=record.actual,
-                forecast=record.forecast, model_doc=record.fitted,
-            )
-        return table, artifacts
+        cells = {key: records[key] for key in keys}
+        return ResultsTable(run.row_keys, run.col_keys, cells), RunArtifacts(run.horizon, cells)
 
     return read_document(path, ARTIFACTS_SCHEMA, rebuild, retired=RETIRED_ARTIFACTS)
 

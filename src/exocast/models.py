@@ -8,7 +8,9 @@ which module serves each; reloading dispatches on the document's `schema`.
 `with_order`, the one place a SARIMAX order grid becomes an order, score
 through it. It scores a single subset with `fit` and `forecast` alone; only
 a whole greedy round goes to a model module's `round_forecaster`, which this
-module alone calls.
+module alone calls. A regressor's future is a plain array of its values over
+the horizon, and `forecast` is the one place that checks that every fitted
+regressor has one long enough.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
 from .series import (
     AlignedFrame, Month, MonthlySeries, NormalizationParams, SplitSpec, mae, split_train_test,
 )
-from .sarimax import RegressorForecast
 
 __all__ = [
     "ModelSpec",
@@ -113,8 +114,9 @@ def fit(spec: ModelSpec, train: AlignedFrame, normalization: NormalizationParams
     return additive.fit(train, spec.additive_config or additive.auto_config(train))
 
 
-def regressor_forecasts(train: AlignedFrame, horizon: int) -> dict[str, RegressorForecast]:
-    """The straight-line continuation of each indicator of `train`, by id."""
+def regressor_forecasts(train: AlignedFrame, horizon: int) -> dict[str, np.ndarray]:
+    """Each indicator of `train` continued over the next `horizon` months
+    (`sarimax.extrapolate_regressor`), by id."""
     return {s.id: sarimax.extrapolate_regressor(s, horizon) for s in train.indicators}
 
 
@@ -144,13 +146,13 @@ class Validation:
         spec without a batched round: an MA order, an additive model without
         ridge, or a frame whose shared design cannot be built (each subset's
         fit then raises why)."""
-        futures, rounds = list(self.future.values()), None
+        rounds = None
         if spec.name == "sarimax":
-            rounds = sarimax.round_forecaster(self.train, spec.order, self.horizon, futures)
+            rounds = sarimax.round_forecaster(self.train, spec.order, self.horizon, self.future)
         elif spec.name == "additive":
             try:
                 config = spec.additive_config or additive.auto_config(self.train)
-                rounds = additive.round_forecaster(self.train, config, self.horizon, futures)
+                rounds = additive.round_forecaster(self.train, config, self.horizon, self.future)
             except (InsufficientDataError, MissingValueError):
                 pass  # the frame is too short or gappy for the design
         if rounds is None:
@@ -171,17 +173,17 @@ def trained_on(fitted: Fitted) -> tuple[Month | None, Month, tuple[str, ...]]:
     return fitted.train_start, fitted.train_end, ids
 
 
-def forecast(
-    fitted: Fitted,
-    horizon: int,
-    regressor_forecasts_by_id: Mapping[str, RegressorForecast],
-) -> MonthlySeries:
-    """`horizon` months past the training end, on the fitted scale. Only the
-    regressors the model was fitted on are read from the mapping; the model
-    rejects a forecast that lacks one."""
+def forecast(fitted: Fitted, horizon: int, futures: Mapping[str, np.ndarray]) -> MonthlySeries:
+    """`horizon` months past the training end, on the fitted scale, from
+    `futures`, each regressor's future values by id. The first `horizon`
+    values of each regressor the model was fitted on are read, in fitted
+    order; a ValueError names those with fewer."""
     *_, ids = trained_on(fitted)
-    future = [regressor_forecasts_by_id[i] for i in ids if i in regressor_forecasts_by_id]
-    return _module(fitted).forecast(fitted, horizon, future)
+    short = [i for i in ids if len(futures.get(i, ())) < horizon]
+    if short:
+        raise ValueError(f"regressors without {horizon} future values: {short}")
+    matrix = np.array([futures[i][:horizon] for i in ids]).T if ids else None
+    return _module(fitted).forecast(fitted, horizon, matrix)
 
 
 def to_doc(fitted: Fitted) -> dict:

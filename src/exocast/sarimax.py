@@ -46,7 +46,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from .series import (
     MonthlySeries,
     NormalizationParams,
     difference_with_initials,
+    future_matrix,
     least_squares_line,
 )
 
@@ -71,7 +72,6 @@ __all__ = [
     "SarimaxOrder",
     "SarimaxParams",
     "FittedSarimax",
-    "RegressorForecast",
     "css_residuals",
     "fit",
     "fitted_from_params",
@@ -194,16 +194,6 @@ class SarimaxParams:
         )
         if expected != got:
             raise ValueError(f"parameter lengths {got} do not match order {expected}")
-
-
-@dataclass(frozen=True)
-class RegressorForecast:
-    """A straight-line continuation of one regressor over the horizon."""
-
-    id: str
-    future_values: tuple[float, ...]
-    slope: float
-    intercept: float
 
 
 @dataclass(frozen=True)
@@ -690,16 +680,17 @@ def fit(
     return fitted
 
 
-def extrapolate_regressor(series: MonthlySeries, horizon: int) -> RegressorForecast:
-    """Ordinary least-squares line over the training index, evaluated at the
+def extrapolate_regressor(series: MonthlySeries, horizon: int) -> np.ndarray:
+    """The `series`'s values over the next `horizon` months, read-only: its
+    ordinary least-squares line over the training index, evaluated at the
     next `horizon` indices."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
     vals = series.require_complete()
     slope, intercept = least_squares_line(vals)
-    n = len(vals)
-    future = tuple(intercept + slope * (n + j) for j in range(horizon))
-    return RegressorForecast(series.id, future, slope, intercept)
+    future = intercept + slope * np.arange(len(vals), len(vals) + horizon, dtype=float)
+    future.flags.writeable = False
+    return future
 
 
 def _stage_histories(
@@ -730,29 +721,17 @@ def _integrate_forward(history: list[float], lag: int, fc: list[float]) -> list[
 def forecast(
     fitted: FittedSarimax,
     horizon: int,
-    future_exog: Sequence[RegressorForecast] | None = None,
+    future_exog: np.ndarray | None = None,
 ) -> MonthlySeries:
     """Iterate the recursion forward with future residuals at zero, then
-    invert the differencing. Output stays on the fitted (possibly
+    invert the differencing. `future_exog` is a `future_matrix` of the
+    fitted regressors, in fitted order. Output stays on the fitted (possibly
     normalized) scale."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
     order, params = fitted.order, fitted.params
-    future_exog = list(future_exog or [])
-    got = [rf.id for rf in future_exog]
-    if got != list(fitted.regressor_ids):
-        raise ValueError(
-            f"regressor forecasts {got} do not match fitted regressors "
-            f"{list(fitted.regressor_ids)}"
-        )
-    for rf in future_exog:
-        if len(rf.future_values) < horizon:
-            raise ValueError(f"regressor {rf.id!r} supplies fewer than {horizon} values")
-
-    x_future = [np.asarray(rf.future_values[:horizon]) for rf in future_exog]
+    x = future_matrix(future_exog, horizon, fitted.regressor_ids)
     history = _stage_histories(fitted.tail_values, order.d, order.D, order.s)
     values = _forecast_path(
-        order, params, history, fitted.tail_residuals, fitted.presample_mean, x_future, horizon
+        order, params, history, fitted.tail_residuals, fitted.presample_mean, x.T, horizon
     )
     return MonthlySeries(fitted.target_id, fitted.train_end.shift(1), values)
 
@@ -806,21 +785,18 @@ def _forecast_path(
 
 
 def round_forecaster(
-    train: AlignedFrame, order: SarimaxOrder, horizon: int, futures: Sequence[RegressorForecast]
+    train: AlignedFrame, order: SarimaxOrder, horizon: int, futures: Mapping[str, np.ndarray]
 ) -> Callable[[Sequence[str], Sequence[str]], np.ndarray] | None:
     """`forecast_round(current, candidates)`, which forecasts a greedy
     round of `order` on `train` at once, or None for an order with MA terms
-    or a target that cannot be differenced. The differenced target, each
-    indicator's aligned column, the [1, lags of w] design and its Gram
-    matrix are built once; each round takes its columns of them."""
+    or a target that cannot be differenced. `futures` holds each indicator's
+    `horizon` future values by id. The differenced target, each indicator's
+    aligned column, the [1, lags of w] design and its Gram matrix are built
+    once; each round takes its columns of them."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
     if order.q or order.Q:
         return None
-    future = {rf.id: np.asarray(rf.future_values[:horizon]) for rf in futures}
-    short = [i for i in train.indicator_ids if len(future.get(i, ())) < horizon]
-    if short:
-        raise ValueError(f"regressors without {horizon} future values: {short}")
     try:
         w = _differenced_target(order, train.target)
     except (InsufficientDataError, MissingValueError):  # every subset's fit raises it
@@ -895,8 +871,8 @@ def round_forecaster(
             beta=tuple(theta[:, 1 + p + sp :].T),
         )
         kept = [cols[j] for j in certified]
-        x_future = [future[i][:, None] for i in current]
-        x_future.append(np.array([future[candidates[j]] for j in kept]).T)
+        x_future = [futures[i][:, None] for i in current]
+        x_future.append(np.array([futures[candidates[j]] for j in kept]).T)
         out[:, kept] = np.array(_forecast_path(order, params, history, (), wbar, x_future, horizon))
         return out
 

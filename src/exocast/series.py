@@ -20,6 +20,7 @@ All operations are pure: inputs are never mutated.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -50,6 +51,7 @@ __all__ = [
     "pearson_correlation",
     "align_merge",
     "split_train_test",
+    "future_matrix",
     "read_series_csv",
     "write_series_csv",
 ]
@@ -532,9 +534,24 @@ def split_train_test(frame: AlignedFrame, spec: SplitSpec) -> tuple[AlignedFrame
     return frame.slice_months(frame.start, cut.shift(-1)), frame.slice_months(cut, frame.end)
 
 
+def future_matrix(values: np.ndarray | None, horizon: int, ids: Sequence[str]) -> np.ndarray:
+    """`values` as the (horizon x k) float matrix a model forecasts from:
+    the values of the regressors `ids` over the next `horizon` months, one
+    column each; None for a model without regressors. A horizon below 1 or
+    any other shape is a ValueError."""
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    matrix = np.zeros((horizon, 0)) if values is None else np.asarray(values, dtype=float)
+    if matrix.shape != (horizon, len(ids)):
+        raise ValueError(f"future regressors have shape {matrix.shape}, not "
+                         f"({horizon}, {len(ids)}) for {list(ids)}")
+    return matrix
+
+
 def read_series_csv(path: str | Path, id: str | None = None) -> MonthlySeries:
     """Read the `period,value` format; empty value fields become gaps. The id
-    defaults to the file stem. Periods must be consecutive months."""
+    defaults to the file stem. Periods must be consecutive months, and every
+    value given must be a finite number."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -548,7 +565,16 @@ def read_series_csv(path: str | Path, id: str | None = None) -> MonthlySeries:
     for i, row in enumerate(rows):
         if _ordinal(row[0]) != first + i:
             raise ValueError(f"{path}: non-consecutive period {Month.parse(row[0])} at row {i + 2}")
-    values = [float(row[1]) if len(row) > 1 and row[1].strip() else None for row in rows]
+    values = []
+    for i, row in enumerate(rows, 2):
+        text = row[1].strip() if len(row) > 1 else ""
+        try:
+            value = float(text) if text else None
+        except ValueError:
+            value = math.nan
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{path}: value {text!r} at row {i} is not a finite number")
+        values.append(value)
     return MonthlySeries(id or path.stem, Month(first // 12, first % 12 + 1), values)
 
 

@@ -19,7 +19,7 @@ from exocast.additive import (
 from exocast import additive as additive_module
 from exocast import models
 from exocast.errors import InsufficientDataError
-from exocast.sarimax import RegressorForecast, extrapolate_regressor
+from exocast.sarimax import extrapolate_regressor
 from exocast.series import Month, MonthlySeries, align_merge, mae
 
 M = Month
@@ -57,7 +57,7 @@ def reference_forecast(fitted, horizon, future, future_events=None):
     n, tail_len = fitted.train_length, len(fitted.target_tail)
     target = list(fitted.target_tail)
     regressors = {
-        k: [*tail, *future[k].future_values]
+        k: [*tail, *future[k]]
         for k, tail in zip(fitted.indicator_ids, fitted.regressor_tails)
     }
     events = [set(m) | set((future_events or {}).get(e, ())) for e, m in config.events]
@@ -319,7 +319,7 @@ class TestForecast:
         )
         fitted = fit(f, config)
         rf = extrapolate_regressor(f.indicator("x"), 6)
-        out, parts = forecast_with_components(fitted, 6, [rf])
+        out, parts = forecast_with_components(fitted, 6, rf[:, None])
         for j in range(6):
             assert out.values[j] == pytest.approx(
                 sum(parts[tag][j] for tag in parts), abs=1e-9
@@ -331,7 +331,8 @@ class TestForecast:
         fitted = fit(f, config)
         future = {s.id: extrapolate_regressor(s, 9) for s in f.indicators}
         events = {"fair": frozenset({M(2019, 5)})}
-        out, parts = forecast_with_components(fitted, 9, list(future.values()), events)
+        out, parts = forecast_with_components(fitted, 9, np.column_stack(list(future.values())),
+                                              events)
         expected, expected_parts = reference_forecast(fitted, 9, future, events)
         assert np.max(np.abs(np.array(out.values) - expected)) <= 1e-12
         for tag, values in expected_parts.items():
@@ -356,8 +357,7 @@ class TestForecast:
         y = [2.0 * v for v in x]
         f = frame(y, indicators=[("x", x)])
         fitted = fit(f, AdditiveConfig(future_known=("x",), ridge_lambda=0.0))
-        rf = RegressorForecast("x", (40.0, 40.0, 50.0), 0.0, 0.0)
-        out = forecast(fitted, 3, [rf])
+        out = forecast(fitted, 3, np.array([[40.0], [40.0], [50.0]]))
         assert out.values == pytest.approx((80.0, 80.0, 100.0), abs=1e-6)
 
     def test_missing_future_regressor_rejected(self):
@@ -369,9 +369,8 @@ class TestForecast:
     def test_short_regressor_forecast_rejected(self):
         f = frame(list(range(20)), indicators=[("x", list(range(20)))])
         fitted = fit(f, AdditiveConfig())
-        rf = RegressorForecast("x", (1.0,), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            forecast(fitted, 3, [rf])
+        with pytest.raises(ValueError, match=r"shape \(1, 1\), not \(3, 1\)"):
+            forecast(fitted, 3, np.array([[1.0]]))
 
 
 class TestAutoConfig:

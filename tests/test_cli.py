@@ -352,7 +352,8 @@ class TestMalformedInput:
     def test_forward_cap_that_is_not_a_positive_integer(self, tmp_path, capsys, command, cap):
         config = self._config(tmp_path, methods=["none", "forward"], forward_cap=cap)
         argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
-        message = f"forward_cap must be an integer >= 1, got {json.dumps(cap)}"
+        message = ("forward_cap must be an integer >= 1, got 0" if cap == 0
+                   else "config forward_cap must be an integer, got true")
         self._fails_cleanly(capsys, argv, str(config), message)
         assert not (tmp_path / "out").exists()
 
@@ -500,7 +501,7 @@ class TestMalformedInput:
                             "does not cover range 2014-01..2017-12")
 
     @pytest.mark.parametrize("command", ["experiment", "select"])
-    @pytest.mark.parametrize("fault", ["missing", "non-consecutive", "disjoint"])
+    @pytest.mark.parametrize("fault", ["missing", "non-consecutive", "disjoint", "non-finite"])
     def test_unreadable_dataset_file(self, tmp_path, capsys, command, fault):
         target, indicator = tmp_path / "target.csv", tmp_path / "ind01.csv"
         for path, first in ((target, 2016), (indicator, 2030 if fault == "disjoint" else 2016)):
@@ -513,6 +514,9 @@ class TestMalformedInput:
             lines = indicator.read_text().splitlines(keepends=True)
             indicator.write_text("".join(lines[:5] + lines[6:]))
             message = f"cannot read {indicator}: {indicator}: non-consecutive period 2016-06 at row 6"
+        elif fault == "non-finite":
+            indicator.write_text(indicator.read_text().replace("2016-05,4\n", "2016-05,inf\n"))
+            message = f"cannot read {indicator}: {indicator}: value 'inf' at row 6 is not a finite number"
         else:
             message = f"cannot align {target} with its indicators: month ranges have an empty"
         config = self._config(tmp_path, datasets=[

@@ -366,10 +366,20 @@ class TestFetchDataset:
         with pytest.raises(PayloadError, match="no observations"):
             fetch_dataset("d", offline_fixture=fixture)
 
-    def test_malformed_dataset(self, tmp_path):
+    # Python's json reads Infinity, -Infinity and NaN, which JSON-stat does
+    # not allow; a gap is a null or an absent index.
+    @pytest.mark.parametrize("value, message", [
+        (None, "missing JSON-stat field"),
+        ("Infinity", "payload holds the non-finite value Infinity"),
+        ("-Infinity", "payload holds the non-finite value -Infinity"),
+        ("NaN", "payload holds the non-finite value NaN"),
+    ], ids=["missing-fields", "infinity", "minus-infinity", "nan"])
+    def test_malformed_dataset(self, tmp_path, value, message):
         fixture = tmp_path / "d.json"
-        fixture.write_text('{"id": ["geo"]}')
-        with pytest.raises(PayloadError):
+        text = jsonstat_payload([("geo", ["AT"]), ("time", months("2016-01", 2))],
+                                {("AT", "2016-01"): 1.0, ("AT", "2016-02"): 2.0})
+        fixture.write_text('{"id": ["geo"]}' if value is None else text.replace("2.0", value))
+        with pytest.raises(PayloadError, match=f"dataset d: {message}"):
             fetch_dataset("d", offline_fixture=fixture)
 
 
@@ -842,7 +852,8 @@ class TestFunnel:
         assert calls == ["STS_A", "STS_C"]
         assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
 
-    def test_offline_missing_dataset_recorded(self, tmp_path, funnel_fixtures):
+    @pytest.mark.parametrize("fault", ["missing", "non-finite"])
+    def test_offline_missing_dataset_recorded(self, tmp_path, funnel_fixtures, fault):
         cache = tmp_path / "cache"
         report = run_funnel(
             cache, since=M(2016, 1), keywords=("business", "energy", "tourism"),
@@ -852,14 +863,23 @@ class TestFunnel:
         # STS_B passes filters (tourism, monthly, earliest 2018-03 fails
         # coverage) so it is excluded; nothing should fail here.
         assert report.after_coverage == 2
-        # Remove one fixture to force a recorded failure.
-        (funnel_fixtures / "STS_C.json").unlink()
+        # Remove one fixture, or give it an infinite value, to force a
+        # recorded failure.
+        fixture = funnel_fixtures / "STS_C.json"
+        if fault == "missing":
+            fixture.unlink()
+        else:
+            doc = json.loads(fixture.read_text())
+            doc["value"]["3"] = float("inf")
+            fixture.write_text(json.dumps(doc))  # written as Infinity
         report2 = run_funnel(
             tmp_path / "cache2", since=M(2016, 1), keywords=("business", "energy"),
             offline=True, catalog_fixture=funnel_fixtures / "toc.json",
             dataset_fixture_dir=funnel_fixtures,
         )
         assert "STS_C" in report2.failures
+        if fault == "non-finite":
+            assert "non-finite value Infinity" in report2.failures["STS_C"]
         assert report2.stored == ["STS_A"]
 
     def test_code_escaping_the_root_skips_only_that_dataset(self, tmp_path, funnel_fixtures):

@@ -379,15 +379,20 @@ class TestTableAndPlots:
                     ModelSpec("additive", additive_config=LEAN_ADDITIVE)),
             forward_cap=2, out_dir=str(tmp_path / "run"),
         )
-        _, artifacts = run_experiment(config)
-        _, reloaded = reload_run(tmp_path / "run")
+        table, artifacts = run_experiment(config)
+        reloaded_table, reloaded = reload_run(tmp_path / "run")
+        # The table and the artifacts share one dict of records, run or reloaded.
+        assert table.cells is artifacts.cells and reloaded_table.cells is reloaded.cells
         assert list(reloaded.cells) == list(artifacts.cells)
         assert all(cell.selection is not None for cell in artifacts.cells.values())
         assert {key[2] for key, cell in artifacts.cells.items() if cell.selection.trace} == {"forward"}
         for key, cell in artifacts.cells.items():
+            assert cell.key == key
             assert reloaded.cells[key].selection == cell.selection, key
             # Arrays read back as lists; the values are bit for bit the same.
             assert reloaded.cells[key].model_doc == json.loads(json.dumps(cell.model_doc)), key
+            # The record reloaded is the record the run built.
+            assert reloaded.cells[key] == replace(cell, model_doc=reloaded.cells[key].model_doc), key
 
     def test_the_run_directory_holds_the_documented_files(self, tmp_path):
         # artifacts.json, the tables, the plot data and one forecast CSV per
@@ -599,8 +604,17 @@ class TestConfigFile:
          "csv dataset 'd' takes no cache_root"),
         ({"jobs": 2}, "jobs is 2; the grid runs one group at a time, so drop the key"),
         ({"forward_cap": 0}, "forward_cap must be an integer >= 1, got 0"),
-        ({"forward_cap": True}, "forward_cap must be an integer >= 1, got true"),
-        ({"forward_cap": 2.5}, "forward_cap must be an integer >= 1, got 2.5"),
+        ({"forward_cap": True}, "config forward_cap must be an integer, got true"),
+        ({"forward_cap": 2.5}, "config forward_cap must be an integer, got 2.5"),
+        ({"horizon": 2.5}, "config horizon must be an integer, got 2.5"),
+        ({"horizon": True}, "config horizon must be an integer, got true"),
+        ({"rolling_origins": 2.0}, "config rolling_origins must be an integer, got 2.0"),
+        ({"preprocessing": {"smooth_window": 3.0}},
+         "preprocessing smooth_window must be an integer, got 3.0"),
+        ({"datasets": [{"label": "s", "kind": "synthetic", "spec": {"n_months": 76.0}}]},
+         "dataset 's' spec n_months must be an integer, got 76.0"),
+        ({"models": [{"name": "additive", "config": {"ar_lags": 2.0}}]},
+         "additive config ar_lags must be an integer, got 2.0"),
     ])
     def test_malformed_config_names_the_file_and_the_field(self, tmp_path, changes, message):
         path = tmp_path / "config.json"
@@ -652,14 +666,16 @@ class TestGridModel:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "forward_select", counting)
-        table, artifacts = run_experiment(config)
+        table, _ = run_experiment(config)
         assert calls == {"forward_select": 1}
         for method in methods:
             grid_key, fixed_key = (("synth-0", "2016-01..2021-04", method.label, spec.label)
                                    for spec in (self.GRID, fixed))
-            assert table.cells[grid_key] == table.cells[fixed_key], method.label
-            assert table.cells[grid_key].error is None, method.label
-            grid_cell, fixed_cell = artifacts.cells[grid_key], artifacts.cells[fixed_key]
+            grid_cell, fixed_cell = table.cells[grid_key], table.cells[fixed_key]
+            # A record holds its own key, so the two compare by their results.
+            assert ((grid_cell.mae, grid_cell.n_exog, grid_cell.error)
+                    == (fixed_cell.mae, fixed_cell.n_exog, fixed_cell.error)), method.label
+            assert grid_cell.error is None, method.label
             assert grid_cell.selection == fixed_cell.selection, method.label
             assert grid_cell.model_doc == fixed_cell.model_doc, method.label
             assert tuple(grid_cell.model_doc["order"]) == fixed.order.as_tuple()

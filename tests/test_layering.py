@@ -1,6 +1,6 @@
 """No exocast module reaches into another module's private names, none
-imports a name it never uses, and only `models` continues regressors and
-builds batched rounds.
+imports a name it never uses, only `models` continues regressors and
+builds batched rounds, and neither model module imports the other.
 
 A leading underscore marks a name as internal to its module. Importing one
 from a sibling module (`from .experiment import _select`), or reading one as
@@ -10,7 +10,8 @@ most often what a deletion left behind. Forward selection and
 `models.with_order`, which turns a SARIMAX order grid into one order on the
 target alone, score through `models.Validation`; a second caller of the
 regressor continuation or of a round builder would be a second copy of that
-protocol.
+protocol. A model reads its regressors' futures as a plain matrix, so what
+one model module needs of the other would be a second path around `models`.
 """
 
 import ast
@@ -173,6 +174,39 @@ OTHER_MODULES = [p for p in MODULES if p.stem != "models"]
 @pytest.mark.parametrize("path", OTHER_MODULES, ids=[p.stem for p in OTHER_MODULES])
 def test_only_models_continues_regressors_and_builds_rounds(path):
     assert models_only_calls(path.read_text(), path.stem) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The exocast modules `source` imports from, in any form."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and _is_package(node):
+            if node.module in (None, "exocast"):
+                found |= {alias.name for alias in node.names}
+            else:
+                found.add(node.module.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("exocast.")}
+    return found
+
+
+def test_package_imports_checker_catches_every_form():
+    source = (
+        "import numpy as np\n"
+        "import exocast.series\n"
+        "from . import errors, models as m\n"
+        "from .sarimax import fit\n"
+        "from exocast.additive import fit as additive_fit\n"
+        "from exocast import selection\n"
+    )
+    assert package_imports(source) == {"series", "errors", "models", "sarimax", "additive",
+                                       "selection"}
+
+
+@pytest.mark.parametrize("model, other", [("sarimax", "additive"), ("additive", "sarimax")])
+def test_neither_model_module_imports_the_other(model, other):
+    assert other not in package_imports((PACKAGE / f"{model}.py").read_text())
 
 
 def grid_readers(source: str) -> list[str]:

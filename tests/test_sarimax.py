@@ -17,7 +17,6 @@ from exocast.sarimax import (
     MAX_ITER,
     R_MAX,
     FittedSarimax,
-    RegressorForecast,
     SarimaxOrder,
     SarimaxParams,
     css_residuals,
@@ -33,7 +32,8 @@ from exocast import sarimax as sarimax_module
 from exocast.sarimax import _css_and_gradient
 from exocast.selection import CandidateSet, forward_select
 from exocast.series import (
-    Month, MonthlySeries, SplitSpec, align_merge, difference_with_initials, mae, split_train_test,
+    Month, MonthlySeries, SplitSpec, align_merge, difference_with_initials, least_squares_line, mae,
+    split_train_test,
 )
 
 M = Month
@@ -277,25 +277,31 @@ class TestExactFit:
 
 class TestExtrapolate:
     def test_exact_line(self):
-        rf = extrapolate_regressor(ms([1, 2, 3, 4], id="x"), 2)
-        assert rf.future_values == pytest.approx((5, 6))
+        future = extrapolate_regressor(ms([1, 2, 3, 4], id="x"), 2)
+        assert future.tolist() == pytest.approx([5, 6])
 
     def test_constant(self):
-        rf = extrapolate_regressor(ms([7, 7, 7], id="x"), 3)
-        assert rf.future_values == pytest.approx((7, 7, 7))
+        future = extrapolate_regressor(ms([7, 7, 7], id="x"), 3)
+        assert future.tolist() == pytest.approx([7, 7, 7])
 
     def test_least_squares_oracle(self):
         # Normal equations on x = 0..3, y = [0, 1.1, 1.9, 3.05]:
         # slope = 19.9/20 = 0.995, intercept = 0.02, value at x=4 is 4.00.
-        rf = extrapolate_regressor(ms([0, 1.1, 1.9, 3.05], id="x"), 1)
-        assert rf.slope == pytest.approx(0.995)
-        assert rf.intercept == pytest.approx(0.02)
-        assert rf.future_values[0] == pytest.approx(4.0)
+        values = [0, 1.1, 1.9, 3.05]
+        assert least_squares_line(values) == pytest.approx((0.995, 0.02))
+        assert extrapolate_regressor(ms(values, id="x"), 1).tolist() == pytest.approx([4.0])
 
     def test_future_matches_line_exactly(self):
-        rf = extrapolate_regressor(ms([3.0, 1.5, 2.5, 4.0, 3.5], id="x"), 4)
-        for j, v in enumerate(rf.future_values):
-            assert v == rf.intercept + rf.slope * (5 + j)
+        values = [3.0, 1.5, 2.5, 4.0, 3.5]
+        future = extrapolate_regressor(ms(values, id="x"), 4)
+        slope, intercept = least_squares_line(values)
+        assert future.tolist() == [intercept + slope * (5 + j) for j in range(4)]
+
+    def test_future_is_a_read_only_float_array(self):
+        future = extrapolate_regressor(ms([1, 2, 3], id="x"), 2)
+        assert future.dtype == np.float64 and future.shape == (2,)
+        with pytest.raises(ValueError):
+            future[0] = 0.0
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -323,8 +329,7 @@ class TestForecast:
         with_reg = align_merge(base.target, [ms([0.5, 1.0, 1.5, 2.0], id="x")])
         f_beta = fitted_from_params(SarimaxOrder(), SarimaxParams(c=0.0, beta=(1.0,)), with_reg)
         f_none = fitted_from_params(SarimaxOrder(), SarimaxParams(c=0.0), base)
-        rf = RegressorForecast("x", (5.0, 6.0), slope=0.0, intercept=0.0)
-        got = forecast(f_beta, 2, [rf])
+        got = forecast(f_beta, 2, np.array([[5.0], [6.0]]))
         plain = forecast(f_none, 2)
         delta = [a - b for a, b in zip(got.values, plain.values)]
         assert delta == pytest.approx([5.0, 6.0], abs=1e-12)
@@ -358,15 +363,20 @@ class TestForecast:
     def test_missing_regressor_forecast_rejected(self):
         f = frame([1.0, 2.0, 3.0], indicators=[("x", [1.0, 2.0, 3.0])])
         fitted = fitted_from_params(SarimaxOrder(), SarimaxParams(c=0.0, beta=(1.0,)), f)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"shape \(2, 0\), not \(2, 1\)"):
             forecast(fitted, 2)
 
     def test_mismatched_regressor_order_rejected(self):
+        # models.forecast reads each fitted regressor's future by id, and
+        # names every one that lacks `horizon` values.
         f = frame([1.0, 2.0, 3.0], indicators=[("x", [1.0, 2.0, 3.0])])
         fitted = fitted_from_params(SarimaxOrder(), SarimaxParams(c=0.0, beta=(1.0,)), f)
-        wrong = RegressorForecast("y", (1.0, 1.0), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            forecast(fitted, 2, [wrong])
+        for futures in ({"y": np.ones(2)}, {"x": np.ones(1), "y": np.ones(2)}):
+            with pytest.raises(ValueError, match=r"without 2 future values: \['x'\]"):
+                models.forecast(fitted, 2, futures)
+        expected = forecast(fitted, 2, np.array([[4.0], [5.0]])).values
+        longer = {"y": np.ones(2), "x": np.array([4.0, 5.0, 6.0])}
+        assert models.forecast(fitted, 2, longer).values == expected
 
     def test_deterministic_bits(self):
         y = simulate_ar1(3, n=100).tolist()
@@ -477,12 +487,11 @@ def subset_frame(seed, n=60, n_indicators=5, growth=0.0):
 def fitted_forecast(train, order, subset, horizon, futures):
     """What forward selection computed before sharing: a fit of its own."""
     fitted = fit(train.with_indicators(subset), order)
-    by_id = {rf.id: rf for rf in futures}
-    return forecast(fitted, horizon, [by_id[i] for i in subset]).require_complete()
+    return models.forecast(fitted, horizon, futures).require_complete()
 
 
 def continuations(train, horizon):
-    return [extrapolate_regressor(x, horizon) for x in train.indicators]
+    return models.regressor_forecasts(train, horizon)
 
 
 def recorded_minimize_calls(monkeypatch):
@@ -633,7 +642,7 @@ class TestValidation:
 
     def test_a_round_is_served_without_fit(self, monkeypatch):
         validation = models.Validation(subset_frame(3), 12)
-        train, futures = validation.train, list(validation.future.values())
+        train, futures = validation.train, validation.future
         config = additive_module.AdditiveConfig(
             n_changepoints=1, ar_lags=1, regressor_lags=1, ridge_lambda=0.1)
         specs = [models.ModelSpec("sarimax", order=SarimaxOrder(p=1)),
@@ -706,7 +715,7 @@ class TestSubsetFailures:
         ids = base.indicator_ids
         train = frame(target, indicators=[(i, base.indicator(i).values) for i in ids])
         order = SarimaxOrder(p=1, d=1)
-        futures = [extrapolate_regressor(base.indicator(i), 6) for i in ids]
+        futures = {i: extrapolate_regressor(base.indicator(i), 6) for i in ids}
         assert round_forecaster(train, order, 6, futures) is None
         spec = models.ModelSpec("sarimax", order=order)
         validation = models.Validation(train, 6)
@@ -936,12 +945,9 @@ class TestSerialization:
 
     def test_older_document_forecasts_as_when_written(self):
         loaded = models.from_doc(json.loads(json.dumps(self.OLDER_DOC)))
-        rf = RegressorForecast(
-            "x", (0.004222348164778733, -0.06516001328167453, -0.1345423747281278),
-            slope=-0.06938236144645316, intercept=2.779516806022905,
-        )
+        x = np.array([[0.004222348164778733], [-0.06516001328167453], [-0.1345423747281278]])
         expected = [2.825217555566893, 2.440362423973495, 2.103583976391839]
-        assert list(forecast(loaded, 3, [rf]).values) == expected
+        assert list(forecast(loaded, 3, x).values) == expected
         rewritten = models.to_doc(loaded)
         assert "difference_regressors" not in rewritten and "regressor_tails" not in rewritten
         assert models.from_doc(rewritten) == loaded

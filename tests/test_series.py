@@ -353,6 +353,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity", " NaN ", "n/a"])
+    def test_non_finite_value_rejected(self, tmp_path, text):
+        # An empty field is the one way to write a gap.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"period,value\n2016-01,1\n2016-02,{text}\n2016-03,\n")
+        with pytest.raises(ValueError) as caught:
+            read_series_csv(path)
+        assert str(caught.value) == f"{path}: value '{text.strip()}' at row 3 is not a finite number"
+
     def test_bit_exact_values(self, tmp_path):
         rng = np.random.default_rng(3)
         s = ms(rng.normal(0, 1, 30).tolist())
