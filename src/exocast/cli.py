@@ -17,6 +17,7 @@ from .experiment import (
     config_schema_text,
     emit_plot_data,
     emit_table,
+    file_stem,
     load_config,
     reload_run,
     render_grid,
@@ -188,8 +189,8 @@ def cmd_select(args) -> int:
             for model in config.models if forward else config.models[:1]:
                 fixed = models.with_order(model, train, config.horizon) if forward else model
                 result = select(method, fixed, train, config.horizon, config.forward_cap)
-                suffix = f"__{model.label}" if forward else ""
-                name = f"{label}__{rng.label}__{method.label}{suffix}.json".replace("/", "_")
+                labels = (label, rng.label, method.label) + ((model.label,) if forward else ())
+                name = file_stem(*labels) + ".json"
                 save_result(result, out / name)
                 print(f"{name}: {len(result.selected_ids)} selected")
     return 0
@@ -207,12 +208,11 @@ def cmd_fit(args) -> int:
     model = config.models[args.model_index]
     out = Path(args.out or config.out_dir or "models")
     out.mkdir(parents=True, exist_ok=True)
-    for label, rng, train, transform in training_frames(config):
+    for label, rng, train, _ in training_frames(config):
         fixed = models.with_order(model, train, config.horizon)
         selection = select(method, fixed, train, config.horizon, config.forward_cap)
-        model_frame = train.with_indicators(selection.selected_ids)
-        name = f"{label}__{rng.label}__{method.label}__{model.label}".replace("/", "_")
-        fitted = models.fit(fixed, model_frame, transform.normalization)
+        name = file_stem(label, rng.label, method.label, model.label)
+        fitted = models.fit(fixed, train.with_indicators(selection.selected_ids))
         doc = models.to_doc(fitted)  # it names its own schema
         write_document(out / f"{name}.json", doc["schema"], doc)
         save_result(selection, out / f"{name}.selection.json")
@@ -222,16 +222,15 @@ def cmd_fit(args) -> int:
 
 def _training_frame_of(fitted, config) -> "AlignedFrame":
     """The one configured training frame that spans the months `fitted` was
-    trained on (only the end, if its document lacks the start) and holds
-    its regressors."""
+    trained on and holds its regressors."""
     start, end, ids = models.trained_on(fitted)
     frames = {f"{label} @ {rng.label}": train for label, rng, train, _ in training_frames(config)}
-    matches = [name for name, train in frames.items() if train.end == end
-               and start in (None, train.start) and set(ids) <= set(train.indicator_ids)]
+    matches = [name for name, train in frames.items() if (train.start, train.end) == (start, end)
+               and set(ids) <= set(train.indicator_ids)]
     if len(matches) == 1:
         return frames[matches[0]]
     raise ExocastError(
-        f"{len(matches)} training frames span {start or '...'}..{end} and hold regressors "
+        f"{len(matches)} training frames span {start}..{end} and hold regressors "
         f"{list(ids)}; need exactly one of: {', '.join(matches or frames)}"
     )
 

@@ -66,6 +66,7 @@ __all__ = [
     "run_experiment",
     "training_frames",
     "select",
+    "file_stem",
     "render_grid",
     "emit_table",
     "emit_plot_data",
@@ -310,23 +311,24 @@ def _require_coverage(
 
 @dataclass(frozen=True)
 class TargetTransform:
-    """Inverse-transform recipe from model scale back to the raw scale."""
+    """How preprocessing changed the target of a `train_length`-month
+    training frame: the linear trend it took out, as (slope, intercept),
+    then the min-max normalization it applied, each None where it did not.
+    Only the experiment knows it; the models fit and forecast on the
+    changed scale."""
 
-    steps: tuple[tuple, ...]  # ("normalize", params) / ("detrend", slope, intercept)
+    trend: tuple[float, float] | None
+    normalization: NormalizationParams | None
     train_length: int
 
-    @property
-    def normalization(self) -> NormalizationParams | None:
-        return next((s[1] for s in self.steps if s[0] == "normalize"), None)
-
     def invert(self, series: MonthlySeries) -> MonthlySeries:
-        out = series
-        for step in reversed(self.steps):
-            if step[0] == "normalize":
-                out = denormalize(out, step[1])
-            elif step[0] == "detrend":
-                out = retrend(out, step[1], step[2], offset=self.train_length)
-        return out
+        """`series`, months after the training frame on the model's scale,
+        on the raw scale: the normalization undone, then the trend."""
+        if self.normalization is not None:
+            series = denormalize(series, self.normalization)
+        if self.trend is not None:
+            series = retrend(series, *self.trend, offset=self.train_length)
+        return series
 
 
 def _preprocess_train(frame: AlignedFrame, prep: PreprocessingSpec):
@@ -336,19 +338,19 @@ def _preprocess_train(frame: AlignedFrame, prep: PreprocessingSpec):
     values = frame.stacked()  # column 0 is the target
     if np.isnan(values).any():
         values = interpolate_missing(values)
-    steps: list[tuple] = []
+    trend = normalization = None
     if prep.smooth_window > 1:
         values = smooth(values, prep.smooth_window)
     if prep.detrend:
         values, slope, intercept = linear_detrend(values)
-        steps.append(("detrend", float(slope[0]), float(intercept[0])))
+        trend = (float(slope[0]), float(intercept[0]))
     if prep.normalize:
         values, (lo, hi) = min_max_normalize(values)
         if hi[0] > lo[0]:
-            steps.append(("normalize", NormalizationParams(float(lo[0]), float(hi[0]))))
+            normalization = NormalizationParams(float(lo[0]), float(hi[0]))
         else:
             log.debug("target %s is constant; skipping normalization", frame.target.id)
-    return frame.with_stacked(values), TargetTransform(tuple(steps), len(frame))
+    return frame.with_stacked(values), TargetTransform(trend, normalization, len(frame))
 
 
 def training_frames(
@@ -429,7 +431,7 @@ def _score_cell(config, method, model, origin, stages):
     by = (method.label, model.label if method.name == "forward" else None)
     selection = _once(stages, by, select, method, model, train, config.horizon, config.forward_cap)
     model_frame = train.with_indicators(selection.selected_ids)
-    fitted = models.fit(model, model_frame, transform.normalization)
+    fitted = models.fit(model, model_frame)
     future = models.regressor_forecasts(model_frame, config.horizon)
     predicted = transform.invert(models.forecast(fitted, config.horizon, future))
     return mae(test_actual, predicted.require_complete()), selection, fitted, predicted
@@ -650,6 +652,14 @@ def _safe(text: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in text)
 
 
+def file_stem(*labels: str) -> str:
+    """The stem of a file named by `labels`, such as a cell's key: each
+    label's characters other than letters, digits, "-", "_" and "." become
+    "_", and "__" joins them. A run's cells/ and the files of `exocast
+    select` and `exocast fit` are named by it."""
+    return "__".join(map(_safe, labels))
+
+
 def persist_run(out_dir: Path, table: ResultsTable, artifacts: RunArtifacts) -> None:
     """Write the run into `out_dir`: the tables, the plot data, each cell's
     forecast under cells/ and, last, artifacts.json. The artifacts.json and
@@ -667,7 +677,7 @@ def persist_run(out_dir: Path, table: ResultsTable, artifacts: RunArtifacts) -> 
     for key, cell in artifacts.cells.items():
         if cell.forecast:
             write_series_csv(MonthlySeries("forecast", cell.months[0], cell.forecast),
-                             out_dir / "cells" / f"{'__'.join(map(_safe, key))}.csv")
+                             out_dir / "cells" / f"{file_stem(*key)}.csv")
     run = RunRecord(artifacts.horizon, table.row_keys, table.col_keys,
                     tuple(record for _, record in sorted(table.cells.items())))
     doc = to_object(run, {"cells": lambda records: [to_object(record, {

@@ -26,7 +26,7 @@ from .errors import (
     GridSearchError, InsufficientDataError, MissingValueError, from_object, read_document,
 )
 from .series import (
-    AlignedFrame, Month, MonthlySeries, NormalizationParams, SplitSpec, mae, split_train_test,
+    AlignedFrame, Month, MonthlySeries, SplitSpec, mae, split_train_test,
 )
 
 __all__ = [
@@ -105,12 +105,12 @@ def with_order(spec: ModelSpec, train: AlignedFrame, horizon: int) -> ModelSpec:
     return ModelSpec("sarimax", order=min(scored, key=lambda e: (e[0], e[1].as_tuple()))[1])
 
 
-def fit(spec: ModelSpec, train: AlignedFrame, normalization: NormalizationParams | None) -> Fitted:
+def fit(spec: ModelSpec, train: AlignedFrame) -> Fitted:
     """Fit `spec`, of a fixed order if SARIMAX (see `with_order`), on every
     indicator of `train`. An additive spec without a config takes
-    `additive.auto_config`. `normalization` is recorded on SARIMAX fits only."""
+    `additive.auto_config`."""
     if spec.name == "sarimax":
-        return sarimax.fit(train, spec.order, normalization=normalization)
+        return sarimax.fit(train, spec.order)
     return additive.fit(train, spec.additive_config or additive.auto_config(train))
 
 
@@ -134,7 +134,7 @@ class Validation:
     def score(self, spec: ModelSpec, subset: Sequence[str]) -> float:
         """MAE of `spec` fitted on the indicators `subset` of the training
         frame, forecast over the held-out months."""
-        fitted = fit(spec, self.train.with_indicators(subset), None)
+        fitted = fit(spec, self.train.with_indicators(subset))
         return mae(self.actual, forecast(fitted, self.horizon, self.future).require_complete())
 
     def round_scorer(
@@ -165,10 +165,9 @@ def _module(fitted: Fitted):
     return sarimax if isinstance(fitted, sarimax.FittedSarimax) else additive
 
 
-def trained_on(fitted: Fitted) -> tuple[Month | None, Month, tuple[str, ...]]:
+def trained_on(fitted: Fitted) -> tuple[Month, Month, tuple[str, ...]]:
     """The first and last training months of `fitted` and the ids of the
-    regressors it was fitted on, in order. The first month is None for a
-    SARIMAX document written before it was recorded."""
+    regressors it was fitted on, in order."""
     ids = fitted.regressor_ids if _module(fitted) is sarimax else fitted.indicator_ids
     return fitted.train_start, fitted.train_end, ids
 
@@ -194,7 +193,7 @@ def to_doc(fitted: Fitted) -> dict:
 def from_doc(doc: dict, path: str = "model document") -> Fitted:
     """Reload a `to_doc` document, parsed from the file `path`; a document
     of neither model's schema, or one its model cannot read, raises
-    SchemaError naming the file."""
+    SchemaError naming the file, and a retired schema says what to do instead."""
     modules = {sarimax.SCHEMA: sarimax, additive.SCHEMA: additive}
-    return read_document(path, tuple(modules),
-                         lambda body: modules[doc["schema"]].from_doc(body), doc=doc)
+    return read_document(path, tuple(modules), lambda body: modules[doc["schema"]].from_doc(body),
+                         doc=doc, retired=sarimax.RETIRED)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
@@ -54,7 +54,6 @@ from .errors import (
     ConvergenceFailureError,
     InsufficientDataError,
     MissingValueError,
-    SchemaError,
     from_object,
     to_object,
 )
@@ -62,7 +61,6 @@ from .series import (
     AlignedFrame,
     Month,
     MonthlySeries,
-    NormalizationParams,
     difference_with_initials,
     future_matrix,
     least_squares_line,
@@ -82,7 +80,9 @@ __all__ = [
     "from_doc",
 ]
 
-SCHEMA = "exocast.sarimax.fitted/1"
+SCHEMA = "exocast.sarimax.fitted/2"
+# Each earlier schema, with what to do instead of reading it: no reader is kept.
+RETIRED = {"exocast.sarimax.fitted/1": "fit the model again"}
 
 MAX_ITER = 500
 CSS_TOL = 1e-8
@@ -202,18 +202,16 @@ class FittedSarimax:
     params: SarimaxParams
     regressor_ids: tuple[str, ...]
     target_id: str
-    # None when reloaded from a document without it
-    train_start: Month | None = field(default=None, kw_only=True)
+    train_start: Month
     train_end: Month
     tail_values: tuple[float, ...]
     tail_residuals: tuple[float, ...]
     css: float
-    normalization: NormalizationParams | None = None
-    mean_conditioning: bool = True
-    presample_mean: float = 0.0
+    mean_conditioning: bool
+    presample_mean: float
     # What `fit` did: {"start", "status", "nit", "nfev", "at_bound"}; None
     # for models assembled from given coefficients.
-    optimizer: dict | None = None
+    optimizer: dict | None
 
 
 def _pacf_to_poly(pacf: np.ndarray) -> np.ndarray:
@@ -588,8 +586,7 @@ def _at_optimum(x0: np.ndarray, css, grad: np.ndarray, bounds, gtol: float):
 
 def _assemble(
     order: SarimaxOrder, params: SarimaxParams, train: AlignedFrame, scored: np.ndarray,
-    wbar: float, mean_conditioning: bool, normalization: NormalizationParams | None,
-    optimizer: dict | None = None,
+    wbar: float, mean_conditioning: bool, optimizer: dict | None = None,
 ) -> FittedSarimax:
     """The forecast-ready state of `params` on `train`, whose scored
     residuals and pre-sample mean are given."""
@@ -604,7 +601,6 @@ def _assemble(
         tail_values=_tail(train.target.require_complete(), n_tail),
         tail_residuals=_tail(scored, n_resid_tail),
         css=float(scored @ scored),
-        normalization=normalization,
         mean_conditioning=mean_conditioning,
         presample_mean=wbar,
         optimizer=optimizer,
@@ -617,7 +613,6 @@ def fitted_from_params(
     train: AlignedFrame,
     *,
     mean_conditioning: bool = True,
-    normalization: NormalizationParams | None = None,
 ) -> FittedSarimax:
     """Assemble the forecast-ready state for explicitly given coefficients."""
     params.check_against(order, len(train.indicators))
@@ -625,7 +620,7 @@ def fitted_from_params(
     X = _regressor_matrix(order, train.target, train.indicators)
     wbar = float(w.mean()) if mean_conditioning else 0.0
     scored = _scored(order, params, w, X, wbar)
-    return _assemble(order, params, train, scored, wbar, mean_conditioning, normalization)
+    return _assemble(order, params, train, scored, wbar, mean_conditioning)
 
 
 def fit(
@@ -633,7 +628,6 @@ def fit(
     order: SarimaxOrder,
     *,
     mean_conditioning: bool = True,
-    normalization: NormalizationParams | None = None,
     max_iter: int = MAX_ITER,
 ) -> FittedSarimax:
     """Minimise the conditional sum of squares with L-BFGS-B on the exact
@@ -664,7 +658,7 @@ def fit(
     sigma2 = max(float(scored @ scored) / len(scored), 1e-300)
     fitted = _assemble(
         order, replace(params, sigma2=sigma2), train, scored, wbar, mean_conditioning,
-        normalization, optimizer={
+        optimizer={
             "start": start,
             "status": int(result.status),
             "nit": int(result.nit),
@@ -889,24 +883,13 @@ def to_doc(fitted: FittedSarimax) -> dict:
 
 
 def from_doc(doc: dict) -> FittedSarimax:
-    """Inverse of `to_doc`, given the document without its schema. An older
-    document's `difference_regressors` and `regressor_tails` are ignored
-    when false, as when its regressors entered undifferenced, and refused
-    by name when true. Coefficients that do not match the order are refused."""
-    older = ("difference_regressors", "regressor_tails")
-    for key in older:
-        if doc.get(key):
-            raise SchemaError(
-                f"{SCHEMA} document with {key} {json.dumps(doc[key])}: models with "
-                "differenced regressors can no longer be read"
-            )
-    body = {key: value for key, value in doc.items() if key not in older}
-    fitted = from_object(FittedSarimax, body, "model", convert={
+    """Inverse of `to_doc`, given the document without its schema, in which
+    every key is required. Coefficients that do not match the order are refused."""
+    fitted = from_object(FittedSarimax, doc, "model", convert={
         "order": SarimaxOrder.from_list,
         "params": lambda params: from_object(SarimaxParams, params, "params"),
         "train_start": Month.parse,
         "train_end": Month.parse,
-        "normalization": lambda norm: from_object(NormalizationParams, norm, "normalization"),
     })
     fitted.params.check_against(fitted.order, len(fitted.regressor_ids))
     return fitted

@@ -229,19 +229,41 @@ class TestSelectFitForecast:
             expected = models_module.forecast(fitted, 12, models_module.regressor_forecasts(train, 12))
             assert read_series_csv(fc_dir / "forecast.csv").values == expected.values
 
-    def test_forecast_matches_a_document_without_a_start_on_its_end(self, tmp_path):
-        config = write_experiment_config(
-            tmp_path, methods=["none"], ranges=(("2016-01", "2021-04"), ("2017-01", "2020-12")),
-        )
+    def test_forecast_refuses_a_retired_sarimax_document(self, tmp_path, capsys):
+        config = write_experiment_config(tmp_path, methods=["none"])
         out = tmp_path / "models"
         assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
-        model_file = next(p for p in out.glob("synth-0__2016-01..2021-04__*.json")
-                          if not p.name.endswith("selection.json"))
+        (model_file,) = out.glob("*__none__sarimax*[0-9].json")
         doc = json.loads(model_file.read_text())
-        del doc["train_start"]  # as written before the start was recorded
-        model_file.write_text(json.dumps(doc))
-        assert main(["forecast", "--config", str(config), "--model-file", str(model_file),
-                     "--out", str(tmp_path / "fc")]) == 0
+        model_file.write_text(json.dumps(
+            {**doc, "schema": "exocast.sarimax.fitted/1", "normalization": None}))
+        capsys.readouterr()
+        rc = main(["forecast", "--config", str(config), "--model-file", str(model_file),
+                   "--out", str(tmp_path / "fc")])
+        assert (rc, capsys.readouterr().err) == (2, (
+            f"error: {model_file}: schema 'exocast.sarimax.fitted/1' is not "
+            "exocast.sarimax.fitted/2 or exocast.additive.fitted/1; fit the model again\n"))
+        assert not (tmp_path / "fc").exists()
+
+    def test_select_and_fit_name_their_files_as_the_run_names_its_cells(self, tmp_path):
+        # A label may hold characters a file name cannot, NUL and "/" among
+        # them; every command names its files by `experiment.file_stem`.
+        config = write_experiment_config(tmp_path, out_dir=tmp_path / "run",
+                                         methods=["none", "forward"])
+        doc = json.loads(config.read_text())
+        doc["datasets"][0]["label"] = "syn\u0000th/0"
+        config.write_text(json.dumps(doc))
+        assert main(["experiment", "--config", str(config)]) == 0
+        assert main(["select", "--config", str(config), "--out", str(tmp_path / "sel")]) == 0
+        assert main(["fit", "--config", str(config), "--method", "forward",
+                     "--out", str(tmp_path / "models")]) == 0
+        (none_cell,), (forward_cell,) = (
+            [p.stem for p in (tmp_path / "run" / "cells").glob(f"*__{method}__*")]
+            for method in ("none", "forward"))
+        selected = {p.name.removesuffix(".json") for p in (tmp_path / "sel").iterdir()}
+        assert selected == {forward_cell, none_cell.split("__none__")[0] + "__none"}
+        fitted = {p.name.removesuffix(".json") for p in (tmp_path / "models").iterdir()}
+        assert fitted == {forward_cell, forward_cell + ".selection"}
 
     def test_forecast_rejects_an_ambiguous_training_frame(self, tmp_path, capsys):
         # Two datasets with the same range and indicators: nothing in the

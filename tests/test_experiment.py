@@ -131,21 +131,21 @@ class TestMinimalRun:
 
 def series_preprocess(series, prep):
     """Preprocessing one series at a time, as the grid did before it
-    transformed whole matrices: the oracle for each column."""
-    steps = []
+    transformed whole matrices: the oracle for each column. Gives the series,
+    the trend taken out and the normalization applied, each None if none."""
+    trend = params = None
     out = interpolate_missing(series) if series.has_missing else series
     if prep.smooth_window > 1:
         out = smooth(out, prep.smooth_window)
     if prep.detrend:
         out, slope, intercept = linear_detrend(out)
-        steps.append(("detrend", slope, intercept))
+        trend = (slope, intercept)
     if prep.normalize:
         try:
             out, params = min_max_normalize(out)
-            steps.append(("normalize", params))
         except DegenerateRangeError:
             pass
-    return out, tuple(steps)
+    return out, trend, params
 
 
 class TestPreprocessTrain:
@@ -175,17 +175,29 @@ class TestPreprocessTrain:
     def test_each_column_as_its_own_series(self, seed, prep):
         frame = self.gappy_frame(seed)
         train, transform = experiment._preprocess_train(frame, prep)
-        target, steps = series_preprocess(frame.target, prep)
-        assert train.target == target and transform.steps == steps
+        target, trend, normalization = series_preprocess(frame.target, prep)
+        assert train.target == target
+        assert (transform.trend, transform.normalization) == (trend, normalization)
         assert transform.train_length == len(frame)
         assert train.indicator_ids == frame.indicator_ids and train.index == frame.index
         for series in frame.indicators:
             assert train.indicator(series.id) == series_preprocess(series, prep)[0], series.id
 
+    def test_invert_undoes_the_normalization_then_the_trend(self):
+        # The months after the training frame, taken to the model's scale
+        # as preprocessing takes the frame, come back as they were.
+        frame = self.gappy_frame(1)
+        _, transform = experiment._preprocess_train(frame, PreprocessingSpec(1, True, True))
+        (slope, intercept), scale, n = transform.trend, transform.normalization, len(frame)
+        raw = np.array([40.0, 55.0, 61.0])
+        scaled = (raw - (intercept + slope * np.arange(n, n + 3)) - scale.min) / (scale.max - scale.min)
+        future = MonthlySeries("y", frame.end.shift(1), scaled)
+        assert np.allclose(transform.invert(future).array, raw, rtol=0, atol=1e-12)
+
     def test_a_constant_column_stays_unnormalised(self):
         frame = self.gappy_frame(0, constant_target=True)
         train, transform = experiment._preprocess_train(frame, PreprocessingSpec(3, False, True))
-        assert transform.steps == ()
+        assert (transform.trend, transform.normalization) == (None, None)
         assert np.array_equal(train.target.array, np.full(len(frame), 2.0))
         assert np.array_equal(train.indicator("flat").array, np.full(len(frame), 7.25))
         assert train.indicator("x0").array.max() == 1.0
@@ -870,10 +882,10 @@ class TestPersistedModels:
             fitted = models.from_doc(cell["fitted"])
             predicted = transform.invert(models.forecast(fitted, config.horizon, future))
             key = (cell["dataset"], cell["range"], cell["method"], cell["model"])
-            name = "__".join(map(experiment._safe, key))
+            name = experiment.file_stem(*key)
             stored = read_series_csv(tmp_path / "run" / "cells" / f"{name}.csv")
             assert predicted.values == stored.values, name
-        assert schemas == {"exocast.sarimax.fitted/1", "exocast.additive.fitted/1"}
+        assert schemas == {"exocast.sarimax.fitted/2", "exocast.additive.fitted/1"}
 
 
 class TestSharedForwardDesign:
@@ -902,9 +914,9 @@ class TestSharedForwardDesign:
         actual = held_out.target.require_complete()
         validation = models.Validation(train, 12)
         for subset in subsets:
-            fitted = models.fit(spec, sub_train.with_indicators(subset), None)
+            fitted = models.fit(spec, sub_train.with_indicators(subset))
             direct = models.forecast(fitted, 12, future).require_complete()
-            own = models.fit(spec, validation.train.with_indicators(subset), None)
+            own = models.fit(spec, validation.train.with_indicators(subset))
             got = models.forecast(own, 12, validation.future).require_complete()
             assert np.array_equal(got, direct), subset
             assert validation.score(spec, subset) == mae(actual, direct), subset

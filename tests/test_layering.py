@@ -1,6 +1,7 @@
 """No exocast module reaches into another module's private names, none
 imports a name it never uses, only `models` continues regressors and
-builds batched rounds, and neither model module imports the other.
+builds batched rounds, neither model module imports the other, and only
+`experiment` undoes the target transform.
 
 A leading underscore marks a name as internal to its module. Importing one
 from a sibling module (`from .experiment import _select`), or reading one as
@@ -12,6 +13,8 @@ target alone, score through `models.Validation`; a second caller of the
 regressor continuation or of a round builder would be a second copy of that
 protocol. A model reads its regressors' futures as a plain matrix, so what
 one model module needs of the other would be a second path around `models`.
+The models fit and forecast on the preprocessed scale; the experiment
+scores on the raw one, so it alone knows how the target was transformed.
 """
 
 import ast
@@ -225,3 +228,48 @@ def test_only_with_order_turns_a_grid_into_an_order():
     assert {stem: names for stem, names in readers.items() if names} == {
         "models": ["ModelSpec", "with_order"],
     }
+
+
+# The target transform's names, and the modules that may use them: `series`
+# defines them, `experiment` undoes the transform after each forecast, and
+# the package's `__init__` re-exports `series`' public types.
+TRANSFORM_NAMES = {"NormalizationParams", "denormalize", "retrend"}
+TRANSFORM_MODULES = {"series", "experiment", "__init__"}
+
+
+def transform_uses(source: str) -> list[str]:
+    """Each place `source` names a TRANSFORM_NAMES name: in an import, bare
+    or as an attribute, in line order."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        else:  # an ast.Name's id, an ast.Attribute's attr
+            name = getattr(node, "id", getattr(node, "attr", None))
+        if name in TRANSFORM_NAMES:
+            found.add((node.lineno, name))
+    return [f"line {line}: names {name}" for line, name in sorted(found)]
+
+
+def test_transform_checker_catches_every_form():
+    source = (
+        "from .series import NormalizationParams, mae\n"
+        "from . import series\n"
+        "from exocast.series import retrend as undo\n"
+        "y = series.denormalize(x, transform.normalization)\n"
+        "z = retrend(y, 1.0, 0.0)\n"
+    )
+    assert transform_uses(source) == [
+        "line 1: names NormalizationParams",
+        "line 3: names retrend",
+        "line 4: names denormalize",
+        "line 5: names retrend",
+    ]
+
+
+MODEL_SIDE = [p for p in MODULES if p.stem not in TRANSFORM_MODULES]
+
+
+@pytest.mark.parametrize("path", MODEL_SIDE, ids=[p.stem for p in MODEL_SIDE])
+def test_only_experiment_undoes_the_target_transform(path):
+    assert transform_uses(path.read_text()) == []

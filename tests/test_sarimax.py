@@ -633,9 +633,9 @@ class TestValidation:
         validation = models.Validation(train, 12)
         assert np.array_equal(validation.actual, actual)
         for subset in self.SUBSETS:
-            fitted = models.fit(spec, sub_train.with_indicators(subset), None)
+            fitted = models.fit(spec, sub_train.with_indicators(subset))
             expected = models.forecast(fitted, 12, future).require_complete()
-            own = models.fit(spec, validation.train.with_indicators(subset), None)
+            own = models.fit(spec, validation.train.with_indicators(subset))
             got = models.forecast(own, 12, validation.future).require_complete()
             assert np.array_equal(got, expected), subset
             assert validation.score(spec, subset) == mae(actual, expected), subset
@@ -650,7 +650,7 @@ class TestValidation:
         current, candidates = ("x1",), ("x0", "x2", "x3", "x4")
         expected, scores = [], []
         for spec in specs:
-            fits = [models.fit(spec, train.with_indicators(current + (cid,)), None)
+            fits = [models.fit(spec, train.with_indicators(current + (cid,)))
                     for cid in candidates]
             expected.append([models.forecast(f, 12, validation.future).require_complete()
                              for f in fits])
@@ -913,66 +913,65 @@ class TestSerialization:
         _, css = css_residuals(loaded.order, loaded.params, ms(y))
         assert css == pytest.approx(loaded.css, rel=1e-8)
 
-    def test_optimizer_record_round_trips_and_may_be_absent(self, tmp_path):
+    def test_optimizer_record_round_trips_null_too_and_is_required(self):
         y = simulate_ar1(9, n=80).tolist()
         fitted = fit(frame(y), SarimaxOrder(p=1))
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(models.to_doc(fitted), indent=2))
-        doc = json.loads(path.read_text())
+        doc = json.loads(json.dumps(models.to_doc(fitted)))
         assert doc["optimizer"] == fitted.optimizer
-        del doc["optimizer"]
-        path.write_text(json.dumps(doc))
-        assert models.from_doc(json.loads(path.read_text())).optimizer is None
         given = fitted_from_params(fitted.order, fitted.params, frame(y))
         assert given.optimizer is None
+        assert models.from_doc(json.loads(json.dumps(models.to_doc(given)))) == given
+        del doc["optimizer"]
+        with pytest.raises(SchemaError, match="model lacks optimizer"):
+            models.from_doc(doc)
 
-    # A document as written while regressors could also enter differenced:
-    # it carries that mode's two keys. `expected` below is the forecast that
-    # code computed from it.
-    OLDER_DOC = {
-        "schema": "exocast.sarimax.fitted/1", "order": [1, 1, 1, 0, 0, 0, 12],
+    # `expected` below is the forecast the code computed from this document
+    # when it was written.
+    DOC = {
+        "schema": "exocast.sarimax.fitted/2", "order": [1, 1, 1, 0, 0, 0, 12],
         "params": {"c": -0.5387024904566525, "ar": [-0.6836865754831113],
                    "ma": [0.9998000599800071], "seasonal_ar": [], "seasonal_ma": [],
                    "beta": [0.45484736109984814], "sigma2": 0.42074340402095983},
         "regressor_ids": ["x"], "target_id": "t", "train_start": "2016-01",
         "train_end": "2019-04", "tail_values": [1.566968804950033, 3.0935937758020198],
         "tail_residuals": [1.3124011461813367], "css": 15.988249352796473,
-        "normalization": None, "mean_conditioning": True,
-        "presample_mean": 0.025034751060470744,
-        "difference_regressors": False, "regressor_tails": [],
+        "mean_conditioning": True, "presample_mean": 0.025034751060470744,
         "optimizer": {"start": "zero", "status": 0, "nit": 38, "nfev": 45, "at_bound": True},
     }
 
-    def test_older_document_forecasts_as_when_written(self):
-        loaded = models.from_doc(json.loads(json.dumps(self.OLDER_DOC)))
+    def test_a_document_forecasts_as_when_written(self):
+        loaded = models.from_doc(json.loads(json.dumps(self.DOC)))
         x = np.array([[0.004222348164778733], [-0.06516001328167453], [-0.1345423747281278]])
         expected = [2.825217555566893, 2.440362423973495, 2.103583976391839]
         assert list(forecast(loaded, 3, x).values) == expected
-        rewritten = models.to_doc(loaded)
-        assert "difference_regressors" not in rewritten and "regressor_tails" not in rewritten
-        assert models.from_doc(rewritten) == loaded
+        assert json.loads(json.dumps(models.to_doc(loaded))) == self.DOC
 
-    @pytest.mark.parametrize("key, value", [
-        ("difference_regressors", True), ("regressor_tails", [[0.5]]),
-    ])
-    def test_differenced_regressors_refused_by_name(self, key, value):
-        doc = {**self.OLDER_DOC, key: value}
-        with pytest.raises(SchemaError, match=key):
-            models.from_doc(doc)
+    def test_retired_schema_refused_by_name(self):
+        # A /1 document also recorded the target's normalization, and may
+        # lack its training start; no reader of it is kept.
+        doc = {**self.DOC, "schema": "exocast.sarimax.fitted/1", "normalization": None}
+        with pytest.raises(SchemaError) as raised:
+            models.from_doc(doc, "model.json")
+        assert str(raised.value) == (
+            "model.json: schema 'exocast.sarimax.fitted/1' is not exocast.sarimax.fitted/2 or "
+            "exocast.additive.fitted/1; fit the model again"
+        )
 
     @pytest.mark.parametrize("doc, message", [
         ([], "JSON object, not list"),
-        ({**OLDER_DOC, "schema": "something-else"}, "schema 'something-else' is not"),
-        ({k: v for k, v in OLDER_DOC.items() if k != "params"}, "model lacks params"),
-        ({**OLDER_DOC, "order": [1, 0]}, r"order must be \[p,d,q,P,D,Q,s\], got \[1, 0\]"),
-        ({**OLDER_DOC, "params": {k: v for k, v in OLDER_DOC["params"].items() if k != "c"}},
+        ({**DOC, "schema": "something-else"}, "schema 'something-else' is not"),
+        ({k: v for k, v in DOC.items() if k != "params"}, "model lacks params"),
+        ({k: v for k, v in DOC.items() if k != "train_start"}, "model lacks train_start"),
+        ({**DOC, "order": [1, 0]}, r"order must be \[p,d,q,P,D,Q,s\], got \[1, 0\]"),
+        ({**DOC, "params": {k: v for k, v in DOC["params"].items() if k != "c"}},
          "params lacks c"),
-        ({**OLDER_DOC, "normalization": [0.0, 1.0]}, "normalization must be a JSON object"),
-        ({**OLDER_DOC, "order": [2, 1, 1, 0, 0, 0, 12]}, "do not match order"),
-        ({**OLDER_DOC, "tail": []}, "unknown model keys: tail"),
+        ({**DOC, "order": [2, 1, 1, 0, 0, 0, 12]}, "do not match order"),
+        ({**DOC, "tail": []}, "unknown model keys: tail"),
+        ({**DOC, "normalization": None}, "unknown model keys: normalization"),
         ({"schema": "exocast.additive.fitted/1", "config": {}}, "model lacks layout"),
-    ], ids=["not-an-object", "schema", "missing-key", "short-order", "missing-param",
-            "malformed", "params-of-another-order", "unknown-key", "additive-missing-key"])
+    ], ids=["not-an-object", "schema", "missing-key", "missing-start", "short-order",
+            "missing-param", "params-of-another-order", "unknown-key", "normalization",
+            "additive-missing-key"])
     def test_malformed_document_rejected(self, doc, message):
         with pytest.raises(SchemaError, match=message) as raised:
             models.from_doc(doc, "model.json")
