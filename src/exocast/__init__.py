@@ -13,7 +13,6 @@ from .series import (  # noqa: F401
     Month,
     MonthlySeries,
     NormalizationParams,
-    SplitSpec,
     align_merge,
     mae,
     read_series_csv,

@@ -16,11 +16,9 @@ rounding.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Collection, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,24 +27,20 @@ from .series import AlignedFrame, Month, MonthlySeries, future_matrix
 
 __all__ = [
     "AdditiveConfig",
-    "DesignMatrix",
     "FittedAdditive",
-    "trend_features",
-    "fourier_features",
     "build_design",
     "fit",
     "forecast",
-    "forecast_with_components",
     "round_forecaster",
     "auto_config",
-    "decompose",
-    "export_components_csv",
     "config_from_doc",
     "to_doc",
     "from_doc",
 ]
 
-SCHEMA = "exocast.additive.fitted/1"
+SCHEMA = "exocast.additive.fitted/2"
+# Each earlier schema, with what to do instead of reading it: no reader is kept.
+RETIRED = {"exocast.additive.fitted/1": "fit the model again"}
 
 COMPONENT_TAGS = ("intercept", "T", "S", "E", "F", "A", "L")
 
@@ -88,41 +82,16 @@ class AdditiveConfig:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    layout: tuple[tuple[str, str], ...]
-    months: tuple[Month, ...]
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        rows, cols = self.values.shape
-        if rows != len(self.months) or cols != len(self.layout):
-            raise ValueError(
-                f"design shape {self.values.shape} does not match layout "
-                f"({len(self.months)} rows x {len(self.layout)} cols)"
-            )
-
-    @property
-    def width(self) -> int:
-        return len(self.layout)
-
-    @property
-    def height(self) -> int:
-        return len(self.months)
-
-
-@dataclass(frozen=True)
 class FittedAdditive:
     config: AdditiveConfig
     layout: tuple[tuple[str, str], ...]
     coefficients: tuple[float, ...]
     target_id: str
-    indicator_ids: tuple[str, ...]
+    regressor_ids: tuple[str, ...]
     train_start: Month
     train_length: int
     target_tail: tuple[float, ...]
     regressor_tails: tuple[tuple[float, ...], ...]
-    fitted_values: tuple[float, ...]
-    fitted_start: Month
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.layout):
@@ -133,20 +102,6 @@ class FittedAdditive:
     @property
     def train_end(self) -> Month:
         return self.train_start.shift(self.train_length - 1)
-
-
-def trend_features(t: float, changepoints: Sequence[float]) -> list[float]:
-    """Base slope plus one hinge per changepoint: [t, max(0, t-c1), ...]."""
-    return [t] + [max(0.0, t - c) for c in changepoints]
-
-
-def fourier_features(t_month: int, period: float, order: int) -> list[float]:
-    """[sin(2*pi*k*t/period), cos(...)] for k = 1..order."""
-    out = []
-    for k in range(1, order + 1):
-        angle = 2.0 * math.pi * k * t_month / period
-        out.extend([math.sin(angle), math.cos(angle)])
-    return out
 
 
 def _layout_for(config: AdditiveConfig, indicator_ids: Sequence[str]) -> tuple[tuple[str, str], ...]:
@@ -166,14 +121,13 @@ def _layout_for(config: AdditiveConfig, indicator_ids: Sequence[str]) -> tuple[t
 
 def _known_rows(
     config: AdditiveConfig, start: Month, n: int, rows: np.ndarray,
-    events: Sequence[Collection[Month]], regressors: Mapping[str, np.ndarray], at: np.ndarray,
+    regressors: Mapping[str, np.ndarray], at: np.ndarray,
 ) -> np.ndarray:
     """Design rows, in `_layout_for(config, regressors)` order, of the
     positions `rows` of a frame that starts at `start` and trains on `n`
     months, with zeros in the A (AR-lag) columns: every other column is
-    known without the target. `events` holds each configured event's
-    months, in config order; `regressors[id][at]` is each indicator's value
-    at `rows`."""
+    known without the target. `regressors[id][at]` is each indicator's
+    value at `rows`."""
     t = rows / max(n - 1, 1)
     columns = [np.ones(len(rows)), t]
     columns += [np.maximum(0.0, t - c) for c in config.changepoints()]
@@ -181,7 +135,7 @@ def _known_rows(
         for k in range(1, order + 1):
             angle = 2.0 * math.pi * k * rows / period
             columns += [np.sin(angle), np.cos(angle)]
-    for event in events:
+    for _, event in config.events:
         columns.append(np.array([start.shift(int(i)) in event for i in rows], dtype=float))
     columns += [regressors[i][at] for i in regressors if i in config.future_known]
     columns += [np.zeros(len(rows))] * config.ar_lags
@@ -191,7 +145,11 @@ def _known_rows(
     return np.column_stack(columns)
 
 
-def build_design(train: AlignedFrame, config: AdditiveConfig) -> DesignMatrix:
+def build_design(
+    train: AlignedFrame, config: AdditiveConfig
+) -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
+    """The column layout and the (rows x columns) design of `config` on
+    `train`, one row per month after the first `config.dropped_rows`."""
     n = len(train)
     drop = config.dropped_rows
     if config.ar_lags >= n:
@@ -204,29 +162,31 @@ def build_design(train: AlignedFrame, config: AdditiveConfig) -> DesignMatrix:
     regressors = {s.id: np.asarray(s.require_complete()) for s in train.indicators}
     layout = _layout_for(config, train.indicator_ids)
     rows = np.arange(drop, n)
-    events = [months for _, months in config.events]
-    values = _known_rows(config, train.start, n, rows, events, regressors, rows)
+    values = _known_rows(config, train.start, n, rows, regressors, rows)
     for lag in range(1, config.ar_lags + 1):
         values[:, layout.index(("A", f"lag{lag:02d}"))] = y[drop - lag : n - lag]
-    return DesignMatrix(layout, tuple(train.index[drop:]), values)
+    return layout, values
 
 
-def _ridge_solver(design: DesignMatrix, y: np.ndarray, ridge_lambda: float):
+def _ridge_solver(
+    layout: Sequence[tuple[str, str]], values: np.ndarray, y: np.ndarray, ridge_lambda: float
+):
     """`columns -> coefficients` of the ridge fit of `y` on those columns of
-    `design`. Only the intercept and base trend slope go unpenalised, so for
-    ridge_lambda > 0 the normal equations, taken from one penalised Gram
-    matrix for every subset, are positive definite and solved by LU; a
-    (subsets x columns) stack of column lists is solved in one stacked
-    call. At 0 least squares copes with a rank-deficient design."""
+    the design `values`, laid out as `layout`. Only the intercept and base
+    trend slope go unpenalised, so for ridge_lambda > 0 the normal
+    equations, taken from one penalised Gram matrix for every subset, are
+    positive definite and solved by LU; a (subsets x columns) stack of
+    column lists is solved in one stacked call. At 0 least squares copes
+    with a rank-deficient design."""
     if ridge_lambda == 0:
-        return lambda columns: np.linalg.lstsq(design.values[:, columns], y, rcond=None)[0]
+        return lambda columns: np.linalg.lstsq(values[:, columns], y, rcond=None)[0]
     penalty = np.array(
         [0.0 if (tag == "intercept" or (tag == "T" and name == "t")) else ridge_lambda
-         for tag, name in design.layout]
+         for tag, name in layout]
     )
-    gram = design.values.T @ design.values
-    gram.flat[:: design.width + 1] += penalty
-    moment = design.values.T @ y
+    gram = values.T @ values
+    gram.flat[:: len(layout) + 1] += penalty
+    moment = values.T @ y
 
     def solve(columns):
         columns = np.asarray(columns)
@@ -237,26 +197,23 @@ def _ridge_solver(design: DesignMatrix, y: np.ndarray, ridge_lambda: float):
 
 
 def fit(train: AlignedFrame, config: AdditiveConfig) -> FittedAdditive:
-    design = build_design(train, config)
+    layout, values = build_design(train, config)
     y_full = np.asarray(train.target.require_complete())
     y = y_full[config.dropped_rows :]
-    coeffs = _ridge_solver(design, y, config.ridge_lambda)(np.arange(design.width))
-    fitted_values = design.values @ coeffs
+    coeffs = _ridge_solver(layout, values, y, config.ridge_lambda)(np.arange(len(layout)))
     tail = max(config.ar_lags, config.regressor_lags, 1)
     return FittedAdditive(
         config=config,
-        layout=design.layout,
+        layout=layout,
         coefficients=tuple(float(c) for c in coeffs),
         target_id=train.target.id,
-        indicator_ids=train.indicator_ids,
+        regressor_ids=train.indicator_ids,
         train_start=train.start,
         train_length=len(train),
         target_tail=tuple(y_full[-tail:]),
         regressor_tails=tuple(
             tuple(s.require_complete()[-tail:].tolist()) for s in train.indicators
         ),
-        fitted_values=tuple(float(v) for v in fitted_values),
-        fitted_start=design.months[0],
     )
 
 
@@ -277,43 +234,26 @@ def _ar_steps(
     return np.array(path[p:]), np.array(part)
 
 
-def forecast_with_components(
-    fitted: FittedAdditive,
-    horizon: int,
-    future_regressors: np.ndarray | None = None,
-    future_events: Mapping[str, frozenset[Month]] | None = None,
-) -> tuple[MonthlySeries, dict[str, tuple[float, ...]]]:
-    """Recursive forecast plus the per-component contributions that sum to
-    it. `future_regressors` is a `future_matrix` of the fitted indicators,
-    in fitted order."""
-    config = fitted.config
-    future_events = future_events or {}
-    future = future_matrix(future_regressors, horizon, fitted.indicator_ids)
-    tails = zip(fitted.indicator_ids, fitted.regressor_tails)
+def forecast(
+    fitted: FittedAdditive, horizon: int, future_regressors: np.ndarray | None = None
+) -> MonthlySeries:
+    """Recursive forecast of the `horizon` months past the training end.
+    `future_regressors` is a `future_matrix` of the fitted regressors, in
+    fitted order."""
+    future = future_matrix(future_regressors, horizon, fitted.regressor_ids)
+    tails = zip(fitted.regressor_ids, fitted.regressor_tails)
     regressors = {i: np.concatenate([tail, future[:, j]]) for j, (i, tail) in enumerate(tails)}
     n, tail_len = fitted.train_length, len(fitted.target_tail)  # a tail ends at row n - 1
-    events = [
-        set(months) | set(future_events.get(event_id, ())) for event_id, months in config.events
-    ]
     rows = np.arange(n, n + horizon)
     at = rows - (n - tail_len)
-    known = _known_rows(config, fitted.train_start, n, rows, events, regressors, at)
+    known = _known_rows(fitted.config, fitted.train_start, n, rows, regressors, at)
     coeffs = np.asarray(fitted.coefficients)
     tags = np.array([tag for tag, _ in fitted.layout])
-    # One product per tag; the A columns of `known` are zero until stepped.
-    parts = {tag: known[:, tags == tag] @ coeffs[tags == tag] for tag in COMPONENT_TAGS}
-    values, parts["A"] = _ar_steps(sum(parts.values()), coeffs[tags == "A"], fitted.target_tail)
-    series = MonthlySeries(fitted.target_id, fitted.train_end.shift(1), values)
-    return series, {tag: tuple(v.tolist()) for tag, v in parts.items()}
-
-
-def forecast(
-    fitted: FittedAdditive,
-    horizon: int,
-    future_regressors: np.ndarray | None = None,
-    future_events: Mapping[str, frozenset[Month]] | None = None,
-) -> MonthlySeries:
-    return forecast_with_components(fitted, horizon, future_regressors, future_events)[0]
+    # One product per tag, added in tag order; the A columns of `known` are
+    # zero until stepped.
+    exogenous = sum(known[:, tags == tag] @ coeffs[tags == tag] for tag in COMPONENT_TAGS)
+    values = _ar_steps(exogenous, coeffs[tags == "A"], fitted.target_tail)[0]
+    return MonthlySeries(fitted.target_id, fitted.train_end.shift(1), values)
 
 
 def round_forecaster(
@@ -326,16 +266,15 @@ def round_forecaster(
     indicator of `train`; each round selects its columns of them."""
     if config.ridge_lambda == 0:
         return None
-    design = build_design(train, config)
+    layout, values = build_design(train, config)
     y = np.asarray(train.target.require_complete())
-    solve = _ridge_solver(design, y[config.dropped_rows :], config.ridge_lambda)
+    solve = _ridge_solver(layout, values, y[config.dropped_rows :], config.ridge_lambda)
     regressors = {s.id: np.concatenate([s.require_complete(), futures[s.id]])
                   for s in train.indicators}
     n = len(train)
     rows = np.arange(n, n + horizon)
-    events = [months for _, months in config.events]
-    known = _known_rows(config, train.start, n, rows, events, regressors, rows)
-    column = {col: j for j, col in enumerate(design.layout)}
+    known = _known_rows(config, train.start, n, rows, regressors, rows)
+    column = {col: j for j, col in enumerate(layout)}
     ar_columns = [column["A", f"lag{lag:02d}"] for lag in range(1, config.ar_lags + 1)]
     shared = set(_layout_for(config, ()))
     own = {i: sorted(column[col] for col in _layout_for(config, (i,)) if col not in shared)
@@ -355,7 +294,7 @@ def round_forecaster(
             by_width.setdefault(len(own[cid]), []).append(j)
         for group in by_width.values():
             at = np.array([base + own[candidates[j]] for j in group])
-            coeffs = np.zeros((len(group), design.width))
+            coeffs = np.zeros((len(group), len(layout)))
             try:
                 np.put_along_axis(coeffs, at, solve(at), axis=1)
             except np.linalg.LinAlgError:
@@ -383,34 +322,6 @@ def auto_config(train: AlignedFrame) -> AdditiveConfig:
     )
 
 
-def decompose(fitted: FittedAdditive, train: AlignedFrame) -> dict[str, tuple[float, ...]]:
-    """Per-component in-sample contributions over the design rows."""
-    design = build_design(train, fitted.config)
-    if design.layout != fitted.layout:
-        raise ValueError("frame does not match the fitted design layout")
-    coeffs = np.asarray(fitted.coefficients)
-    out: dict[str, tuple[float, ...]] = {}
-    for tag in COMPONENT_TAGS:
-        mask = np.array([t == tag for t, _ in design.layout])
-        if mask.any():
-            out[tag] = tuple((design.values[:, mask] @ coeffs[mask]).tolist())
-    return out
-
-
-def export_components_csv(fitted: FittedAdditive, train: AlignedFrame, path: str | Path) -> None:
-    parts = decompose(fitted, train)
-    months = train.index[fitted.config.dropped_rows :]  # the design rows
-    tags = [t for t in COMPONENT_TAGS if t in parts]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "fitted", *tags])
-        for i, month in enumerate(months):
-            writer.writerow(
-                [str(month), repr(fitted.fitted_values[i])]
-                + [repr(parts[t][i]) for t in tags]
-            )
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization (schema documented in docs/schemas.md)
 
@@ -430,12 +341,11 @@ def to_doc(fitted: FittedAdditive) -> dict:
     return {"schema": SCHEMA, **to_object(fitted, convert={
         "config": lambda config: to_object(config, convert=events),
         "train_start": str,
-        "fitted_start": str,
     })}
 
 
 def from_doc(doc: dict) -> FittedAdditive:
     """Inverse of `to_doc`, given the document without its schema."""
     return from_object(FittedAdditive, doc, "model", convert={
-        "config": config_from_doc, "train_start": Month.parse, "fitted_start": Month.parse,
+        "config": config_from_doc, "train_start": Month.parse,
     })

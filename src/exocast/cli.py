@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
 
 from . import models
-from .errors import ExocastError, to_object, write_document
+from .errors import ExocastError, parse_json, to_object, write_document
 from .eurostat import DEFAULT_KEYWORDS, run_funnel
 from .experiment import (
     config_schema_text,
@@ -223,7 +222,7 @@ def cmd_fit(args) -> int:
 def _training_frame_of(fitted, config) -> "AlignedFrame":
     """The one configured training frame that spans the months `fitted` was
     trained on and holds its regressors."""
-    start, end, ids = models.trained_on(fitted)
+    start, end, ids = fitted.train_start, fitted.train_end, fitted.regressor_ids
     frames = {f"{label} @ {rng.label}": train for label, rng, train, _ in training_frames(config)}
     matches = [name for name, train in frames.items() if (train.start, train.end) == (start, end)
                and set(ids) <= set(train.indicator_ids)]
@@ -241,8 +240,8 @@ def cmd_forecast(args) -> int:
     config = _load(args)
     horizon = config.horizon if args.horizon is None else args.horizon
     try:
-        doc = json.loads(_read_input(args.model_file, "--model-file"))
-    except json.JSONDecodeError as exc:
+        doc = parse_json(_read_input(args.model_file, "--model-file"))
+    except ValueError as exc:
         raise ExocastError(f"--model-file {args.model_file} is not JSON: {exc}") from exc
     fitted = models.from_doc(doc, args.model_file)
     train = _training_frame_of(fitted, config)

@@ -2,7 +2,8 @@
 writes a dataclass as a JSON object and `from_object` reads it back, for
 config entries and persisted files alike; `write_document` writes a
 persisted file in one step, and `read_document` reads it and turns whatever
-it cannot use into a SchemaError naming the file."""
+it cannot use into a SchemaError naming the file. `parse_json` is their
+parser: it refuses the non-finite constants that `json.loads` accepts."""
 
 from __future__ import annotations
 
@@ -129,6 +130,16 @@ def from_object(cls, doc, where: str, convert=None, renamed=None):
     })
 
 
+def _non_finite(name: str):
+    raise ValueError(f"the non-finite value {name} is not JSON")
+
+
+def parse_json(text: str):
+    """`text` parsed as JSON; Infinity, -Infinity and NaN are a ValueError,
+    as is any other text that is not JSON."""
+    return json.loads(text, parse_constant=_non_finite)
+
+
 def write_document(path: str | Path, schema: str, doc: dict, listed: str | None = None) -> Path:
     """Write `doc` under `schema` to `path` as compact JSON. With `listed`,
     the first line holds the schema and the other keys of `doc`, and each
@@ -152,13 +163,13 @@ def read_document(path: str | Path, schema: str | tuple[str, ...], build=None, d
     """`build` applied to the JSON object in the file `path` without its
     "schema", which must be `schema` (one of them, for a tuple); the whole
     object without `build`. `doc`, if given, is the file's parsed text.
-    Text that is not JSON, a value that is not an object, another schema and
-    a document `build` cannot read (a key missing, unknown or malformed)
-    raise SchemaError naming the file; `retired` maps an earlier schema to
-    what to do instead of reading it."""
+    Text that is not JSON (see `parse_json`), a value that is not an object,
+    another schema and a document `build` cannot read (a key missing,
+    unknown or malformed) raise SchemaError naming the file; `retired` maps
+    an earlier schema to what to do instead of reading it."""
     schemas = schema if isinstance(schema, tuple) else (schema,)
     try:
-        doc = json.loads(Path(path).read_text()) if doc is None else doc
+        doc = parse_json(Path(path).read_text()) if doc is None else doc
         if not isinstance(doc, dict):
             raise TypeError(f"a {' or '.join(schemas)} document is a JSON object, "
                             f"not {type(doc).__name__}")

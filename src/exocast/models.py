@@ -2,6 +2,8 @@
 
 Everything outside this module treats a model as a `ModelSpec` to fit, a
 fitted object to forecast from, and a JSON document to persist and reload.
+Every fitted object names the first and last months it trained on
+`train_start` and `train_end`, and its regressors, in order, `regressor_ids`.
 Only this module knows that the spec names SARIMAX or the additive model and
 which module serves each; reloading dispatches on the document's `schema`.
 `Validation` is the one out-of-sample scorer: forward selection and
@@ -25,9 +27,7 @@ from . import additive, sarimax
 from .errors import (
     GridSearchError, InsufficientDataError, MissingValueError, from_object, read_document,
 )
-from .series import (
-    AlignedFrame, Month, MonthlySeries, SplitSpec, mae, split_train_test,
-)
+from .series import AlignedFrame, MonthlySeries, mae, split_train_test
 
 __all__ = [
     "ModelSpec",
@@ -36,7 +36,6 @@ __all__ = [
     "with_order",
     "fit",
     "regressor_forecasts",
-    "trained_on",
     "forecast",
     "Validation",
     "to_doc",
@@ -126,7 +125,7 @@ class Validation:
     continued over the held-out months once, for every subset and spec."""
 
     def __init__(self, train: AlignedFrame, horizon: int):
-        self.train, held_out = split_train_test(train, SplitSpec(horizon))
+        self.train, held_out = split_train_test(train, horizon)
         self.horizon = horizon
         self.actual = held_out.target.require_complete()
         self.future = regressor_forecasts(self.train, horizon)
@@ -165,19 +164,12 @@ def _module(fitted: Fitted):
     return sarimax if isinstance(fitted, sarimax.FittedSarimax) else additive
 
 
-def trained_on(fitted: Fitted) -> tuple[Month, Month, tuple[str, ...]]:
-    """The first and last training months of `fitted` and the ids of the
-    regressors it was fitted on, in order."""
-    ids = fitted.regressor_ids if _module(fitted) is sarimax else fitted.indicator_ids
-    return fitted.train_start, fitted.train_end, ids
-
-
 def forecast(fitted: Fitted, horizon: int, futures: Mapping[str, np.ndarray]) -> MonthlySeries:
     """`horizon` months past the training end, on the fitted scale, from
     `futures`, each regressor's future values by id. The first `horizon`
     values of each regressor the model was fitted on are read, in fitted
     order; a ValueError names those with fewer."""
-    *_, ids = trained_on(fitted)
+    ids = fitted.regressor_ids
     short = [i for i in ids if len(futures.get(i, ())) < horizon]
     if short:
         raise ValueError(f"regressors without {horizon} future values: {short}")
@@ -196,4 +188,4 @@ def from_doc(doc: dict, path: str = "model document") -> Fitted:
     SchemaError naming the file, and a retired schema says what to do instead."""
     modules = {sarimax.SCHEMA: sarimax, additive.SCHEMA: additive}
     return read_document(path, tuple(modules), lambda body: modules[doc["schema"]].from_doc(body),
-                         doc=doc, retired=sarimax.RETIRED)
+                         doc=doc, retired={**sarimax.RETIRED, **additive.RETIRED})

@@ -34,7 +34,6 @@ __all__ = [
     "MonthlySeries",
     "NormalizationParams",
     "AlignedFrame",
-    "SplitSpec",
     "DifferenceInitials",
     "month_range",
     "mae",
@@ -305,17 +304,6 @@ def _frame(target: MonthlySeries, indicators, matrix: np.ndarray | None = None) 
     return frame
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """How many months to hold out at the end of a frame."""
-
-    horizon: int
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-
-
 def _sum(values: np.ndarray):
     """Left-to-right sum down axis 0 of a nonempty array: a scalar, or one
     per column."""
@@ -526,11 +514,13 @@ def align_merge(target: MonthlySeries, indicators: Sequence[MonthlySeries]) -> A
     return _frame(target.slice_months(start, end), [s.slice_months(start, end) for s in indicators])
 
 
-def split_train_test(frame: AlignedFrame, spec: SplitSpec) -> tuple[AlignedFrame, AlignedFrame]:
+def split_train_test(frame: AlignedFrame, horizon: int) -> tuple[AlignedFrame, AlignedFrame]:
     """Final `horizon` months become the test frame, everything before trains."""
-    if spec.horizon >= len(frame):
-        raise ValueError(f"horizon {spec.horizon} must be smaller than frame length {len(frame)}")
-    cut = frame.start.shift(len(frame) - spec.horizon)
+    if horizon < 1:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if horizon >= len(frame):
+        raise ValueError(f"horizon {horizon} must be smaller than frame length {len(frame)}")
+    cut = frame.start.shift(len(frame) - horizon)
     return frame.slice_months(frame.start, cut.shift(-1)), frame.slice_months(cut, frame.end)
 
 

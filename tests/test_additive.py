@@ -8,17 +8,11 @@ from exocast.additive import (
     AdditiveConfig,
     auto_config,
     build_design,
-    decompose,
-    export_components_csv,
     fit,
     forecast,
-    forecast_with_components,
-    fourier_features,
-    trend_features,
 )
-from exocast import additive as additive_module
 from exocast import models
-from exocast.errors import InsufficientDataError
+from exocast.errors import InsufficientDataError, SchemaError
 from exocast.sarimax import extrapolate_regressor
 from exocast.series import Month, MonthlySeries, align_merge, mae
 
@@ -36,13 +30,27 @@ def frame(target_vals, indicators=(), start=M(2016, 1)):
     )
 
 
-def reference_row(config, indicator_ids, start, n, i, events, target, regressors, pos):
-    """Design row of frame position `i`, column by column from the public
-    feature functions; `target` and `regressors` are read at `pos`."""
+def trend_features(t: float, changepoints) -> list[float]:
+    """Base slope plus one hinge per changepoint: [t, max(0, t-c1), ...]."""
+    return [t] + [max(0.0, t - c) for c in changepoints]
+
+
+def fourier_features(t_month: int, period: float, order: int) -> list[float]:
+    """[sin(2*pi*k*t/period), cos(...)] for k = 1..order."""
+    out = []
+    for k in range(1, order + 1):
+        angle = 2.0 * math.pi * k * t_month / period
+        out.extend([math.sin(angle), math.cos(angle)])
+    return out
+
+
+def reference_row(config, indicator_ids, start, n, i, target, regressors, pos):
+    """Design row of frame position `i`, column by column from the scalar
+    feature functions above; `target` and `regressors` are read at `pos`."""
     row = [1.0] + trend_features(i / max(n - 1, 1), config.changepoints())
     for period, order in config.seasonalities:
         row += fourier_features(i, period, order)
-    row += [1.0 if start.shift(i) in months else 0.0 for months in events]
+    row += [1.0 if start.shift(i) in months else 0.0 for _, months in config.events]
     row += [regressors[k][pos] for k in indicator_ids if k in config.future_known]
     row += [target[pos - lag] for lag in range(1, config.ar_lags + 1)]
     for k in indicator_ids:
@@ -51,31 +59,32 @@ def reference_row(config, indicator_ids, start, n, i, events, target, regressors
     return row
 
 
-def reference_forecast(fitted, horizon, future, future_events=None):
-    """Step-by-step forecast and per-tag parts, one reference row a month."""
-    config = fitted.config
+def reference_forecast(fitted, horizon, future):
+    """Step-by-step forecast, one reference row a month."""
     n, tail_len = fitted.train_length, len(fitted.target_tail)
     target = list(fitted.target_tail)
     regressors = {
         k: [*tail, *future[k]]
-        for k, tail in zip(fitted.indicator_ids, fitted.regressor_tails)
+        for k, tail in zip(fitted.regressor_ids, fitted.regressor_tails)
     }
-    events = [set(m) | set((future_events or {}).get(e, ())) for e, m in config.events]
-    parts = {tag: [0.0] * horizon for tag, _ in fitted.layout}
     for h in range(horizon):
-        row = reference_row(config, fitted.indicator_ids, fitted.train_start, n, n + h, events,
+        row = reference_row(fitted.config, fitted.regressor_ids, fitted.train_start, n, n + h,
                             target, regressors, tail_len + h)
-        total = 0.0
-        for (tag, _), coeff, x in zip(fitted.layout, fitted.coefficients, row):
-            parts[tag][h] += coeff * x
-            total += coeff * x
-        target.append(total)
-    return target[tail_len:], parts
+        target.append(sum(coeff * x for coeff, x in zip(fitted.coefficients, row)))
+    return target[tail_len:]
+
+
+def in_sample(fitted, train):
+    """The fit of `fitted` over the design rows of `train`, its training frame."""
+    layout, values = build_design(train, fitted.config)
+    assert layout == fitted.layout
+    return values @ np.asarray(fitted.coefficients)
 
 
 RICH = AdditiveConfig(
     n_changepoints=3, seasonalities=((12.0, 2), (6.0, 1)), ar_lags=3, regressor_lags=2,
-    events=(("fair", frozenset({M(2016, 5), M(2017, 5), M(2018, 5)})),
+    # 2019-05 falls in the forecast horizon of `rich_frame`.
+    events=(("fair", frozenset({M(2016, 5), M(2017, 5), M(2018, 5), M(2019, 5)})),
             ("promo", frozenset({M(2017, 2)}))),
     ridge_lambda=0.3, future_known=("x",),
 )
@@ -128,43 +137,42 @@ class TestFourierFeatures:
 class TestBuildDesign:
     def test_trend_only_shape(self):
         config = AdditiveConfig()
-        design = build_design(frame(list(range(10))), config)
-        assert design.width == 2
-        assert design.height == 10
-        assert design.layout == (("intercept", "intercept"), ("T", "t"))
+        layout, values = build_design(frame(list(range(10))), config)
+        assert values.shape == (10, 2)
+        assert layout == (("intercept", "intercept"), ("T", "t"))
 
     def test_ar_lag_alignment(self):
         config = AdditiveConfig(ar_lags=2)
         vals = [float(i) for i in range(10)]
-        design = build_design(frame(vals), config)
-        assert design.height == 8
-        lag1 = design.layout.index(("A", "lag01"))
+        layout, values = build_design(frame(vals), config)
+        assert len(values) == 8
+        lag1 = layout.index(("A", "lag01"))
         for r in range(8):
-            assert design.values[r, lag1] == vals[r + 2 - 1]
+            assert values[r, lag1] == vals[r + 2 - 1]
 
     def test_regressor_lag_width(self):
         config = AdditiveConfig(regressor_lags=1)
-        design = build_design(
+        layout, _ = build_design(
             frame(list(range(10)), indicators=[("x", list(range(10)))]), config
         )
-        l_cols = [name for tag, name in design.layout if tag == "L"]
+        l_cols = [name for tag, name in layout if tag == "L"]
         assert l_cols == ["x_lag00", "x_lag01"]
 
     def test_future_known_goes_to_f_block(self):
         config = AdditiveConfig(regressor_lags=1, future_known=("x",))
-        design = build_design(
+        layout, _ = build_design(
             frame(list(range(10)), indicators=[("x", list(range(10))), ("z", list(range(10)))]),
             config,
         )
-        assert [name for tag, name in design.layout if tag == "F"] == ["x"]
-        assert [name for tag, name in design.layout if tag == "L"] == ["z_lag00", "z_lag01"]
+        assert [name for tag, name in layout if tag == "F"] == ["x"]
+        assert [name for tag, name in layout if tag == "L"] == ["z_lag00", "z_lag01"]
 
     def test_event_column(self):
         months = frozenset({M(2016, 3)})
         config = AdditiveConfig(events=(("fair", months),))
-        design = build_design(frame(list(range(6))), config)
-        col = design.layout.index(("E", "fair"))
-        assert design.values[:, col].tolist() == [0, 0, 1, 0, 0, 0]
+        layout, values = build_design(frame(list(range(6))), config)
+        col = layout.index(("E", "fair"))
+        assert values[:, col].tolist() == [0, 0, 1, 0, 0, 0]
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
@@ -175,38 +183,36 @@ class TestBuildDesign:
             n_changepoints=3, seasonalities=((12.0, 2),), ar_lags=2, regressor_lags=1,
             events=(("e", frozenset({M(2016, 5)})),),
         )
-        design = build_design(
+        layout, values = build_design(
             frame(list(range(20)), indicators=[("x", list(range(20)))]), config
         )
         # intercept + (1 + 3) trend + 4 fourier + 1 event + 2 AR + 2 lagged
-        assert design.width == 1 + 4 + 4 + 1 + 2 + 2
-
+        assert len(layout) == values.shape[1] == 1 + 4 + 4 + 1 + 2 + 2
 
     @pytest.mark.parametrize("config", [RICH, LAGGED], ids=["rich", "lagged"])
     def test_block_design_matches_row_by_row_reference(self, config):
         f = rich_frame()
-        design = build_design(f, config)
+        _, values = build_design(f, config)
         y = f.target.require_complete()
         regressors = {s.id: s.require_complete() for s in f.indicators}
-        events = [months for _, months in config.events]
         expected = [
-            reference_row(config, f.indicator_ids, f.start, len(f), i, events, y, regressors, i)
+            reference_row(config, f.indicator_ids, f.start, len(f), i, y, regressors, i)
             for i in range(config.dropped_rows, len(f))
         ]
-        assert np.max(np.abs(design.values - np.array(expected))) <= 1e-12
+        assert np.max(np.abs(values - np.array(expected))) <= 1e-12
 
 
 class TestFit:
     def test_exact_linear(self):
         y = [0.5 + 0.25 * i for i in range(24)]
         fitted = fit(frame(y), AdditiveConfig())
-        residuals = [a - b for a, b in zip(fitted.fitted_values, y)]
+        residuals = [a - b for a, b in zip(in_sample(fitted, frame(y)), y)]
         assert max(abs(r) for r in residuals) < 1e-8
 
     def test_pure_sinusoid_in_fourier_span(self):
         y = [math.sin(2 * math.pi * i / 12 + 0.4) for i in range(48)]
         fitted = fit(frame(y), AdditiveConfig(seasonalities=((12.0, 3),), ridge_lambda=1e-6))
-        assert mae(y, fitted.fitted_values) < 1e-6
+        assert mae(y, in_sample(fitted, frame(y))) < 1e-6
 
     def test_ridge_limit_kills_penalized_coefficients(self):
         rng = np.random.default_rng(0)
@@ -227,15 +233,16 @@ class TestFit:
         intercept = fitted.coefficients[fitted.layout.index(("intercept", "intercept"))]
         assert intercept == pytest.approx(np.mean(y), abs=1e-4)
 
-    def test_fitted_values_match_design_product(self):
+    def test_coefficients_solve_penalised_normal_equations(self):
         rng = np.random.default_rng(1)
         y = rng.normal(10, 2, 36).tolist()
         config = AdditiveConfig(n_changepoints=2, seasonalities=((12.0, 2),), ar_lags=3, ridge_lambda=0.5)
-        f = frame(y)
-        fitted = fit(f, config)
-        design = build_design(f, config)
-        recomputed = design.values @ np.asarray(fitted.coefficients)
-        assert np.max(np.abs(recomputed - np.asarray(fitted.fitted_values))) < 1e-9
+        fitted = fit(frame(y), config)
+        layout, values = build_design(frame(y), config)
+        penalty = [0.0 if col in (("intercept", "intercept"), ("T", "t")) else 0.5 for col in layout]
+        normal = values.T @ values + np.diag(penalty)
+        residual = normal @ np.asarray(fitted.coefficients) - values.T @ np.asarray(y[3:])
+        assert np.max(np.abs(residual)) < 1e-9
 
     def test_ridge_monotonicity(self):
         rng = np.random.default_rng(2)
@@ -270,10 +277,11 @@ class TestForecast:
         y = [1.0 + 0.1 * i + math.sin(2 * math.pi * i / 12) for i in range(36)]
         config = AdditiveConfig(seasonalities=((12.0, 2),))
         fitted = fit(frame(y), config)
-        out, parts = forecast_with_components(fitted, 6)
+        out = forecast(fitted, 6)
         # ar_lags = 0: forecast must equal the direct sum of T+S(+intercept).
         for j in range(6):
-            total = sum(parts[tag][j] for tag in parts)
+            row = reference_row(config, (), M(2016, 1), 36, 36 + j, [], {}, 0)
+            total = sum(c * x for c, x in zip(fitted.coefficients, row))
             assert out.values[j] == pytest.approx(total, abs=1e-9)
 
     def test_zero_ar_coefficient_equivalence(self):
@@ -308,46 +316,22 @@ class TestForecast:
         assert out.values[0] == pytest.approx(last * 0.5, rel=0.05)
         assert out.values[1] == pytest.approx(last * 0.25, rel=0.2)
 
-    def test_component_additivity(self):
-        rng = np.random.default_rng(3)
-        y = (np.linspace(0, 5, 40) + rng.normal(0, 0.1, 40)).tolist()
-        x = rng.normal(0, 1, 40).tolist()
-        f = frame(y, indicators=[("x", x)])
-        config = AdditiveConfig(
-            n_changepoints=2, seasonalities=((12.0, 2),), ar_lags=2,
-            regressor_lags=1, ridge_lambda=0.1,
-        )
-        fitted = fit(f, config)
-        rf = extrapolate_regressor(f.indicator("x"), 6)
-        out, parts = forecast_with_components(fitted, 6, rf[:, None])
-        for j in range(6):
-            assert out.values[j] == pytest.approx(
-                sum(parts[tag][j] for tag in parts), abs=1e-9
-            )
-
     @pytest.mark.parametrize("config", [RICH, LAGGED], ids=["rich", "lagged"])
     def test_precomputed_forecast_matches_step_by_step_reference(self, config):
         f = rich_frame()
         fitted = fit(f, config)
         future = {s.id: extrapolate_regressor(s, 9) for s in f.indicators}
-        events = {"fair": frozenset({M(2019, 5)})}
-        out, parts = forecast_with_components(fitted, 9, np.column_stack(list(future.values())),
-                                              events)
-        expected, expected_parts = reference_forecast(fitted, 9, future, events)
+        out = forecast(fitted, 9, np.column_stack(list(future.values())))
+        expected = reference_forecast(fitted, 9, future)
         assert np.max(np.abs(np.array(out.values) - expected)) <= 1e-12
-        for tag, values in expected_parts.items():
-            assert np.max(np.abs(np.array(parts[tag]) - values)) <= 1e-12, tag
-        totals = [sum(parts[tag][h] for tag in parts) for h in range(9)]
-        assert np.max(np.abs(np.array(out.values) - totals)) <= 1e-12
 
-    def test_future_event_affects_forecast(self):
-        months = frozenset({M(2016, 4)})
-        config = AdditiveConfig(events=(("promo", months),))
+    def test_configured_event_month_in_horizon_affects_forecast(self):
         y = [1.0] * 18
         y[3] = 2.0  # the event month
-        fitted = fit(frame(y), config)
-        quiet = forecast(fitted, 3)
-        busy = forecast(fitted, 3, future_events={"promo": frozenset({M(2017, 8)})})
+        quiet, busy = (
+            forecast(fit(frame(y), AdditiveConfig(events=(("promo", frozenset(months)),))), 3)
+            for months in ({M(2016, 4)}, {M(2016, 4), M(2017, 8)})
+        )
         assert busy.values[1] > quiet.values[1] + 0.5
         assert busy.values[0] == pytest.approx(quiet.values[0], abs=1e-9)
 
@@ -398,51 +382,7 @@ class TestAutoConfig:
             auto_config(frame([0.0] * 11))
 
 
-class TestDecomposeAndSerialize:
-    def test_decompose_sums_to_fitted(self):
-        rng = np.random.default_rng(4)
-        y = rng.normal(5, 1, 36).tolist()
-        f = frame(y)
-        config = AdditiveConfig(n_changepoints=2, seasonalities=((12.0, 2),), ar_lags=2)
-        fitted = fit(f, config)
-        parts = decompose(fitted, f)
-        for i in range(len(fitted.fitted_values)):
-            total = sum(parts[tag][i] for tag in parts)
-            assert total == pytest.approx(fitted.fitted_values[i], abs=1e-9)
-
-    def test_components_csv(self, tmp_path):
-        y = [1.0 * i for i in range(24)]
-        f = frame(y)
-        fitted = fit(f, AdditiveConfig(seasonalities=((12.0, 1),)))
-        path = tmp_path / "components.csv"
-        export_components_csv(fitted, f, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "period,fitted,intercept,T,S"
-        assert len(lines) == 25
-
-    def test_components_csv_builds_design_once(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(6)
-        f = frame(rng.normal(5, 1, 36).tolist())
-        fitted = fit(f, AdditiveConfig(n_changepoints=2, seasonalities=((12.0, 2),), ar_lags=2))
-        calls = []
-
-        def counting(train, config):
-            calls.append(len(train))
-            return build_design(train, config)
-
-        monkeypatch.setattr(additive_module, "build_design", counting)
-        path = tmp_path / "components.csv"
-        export_components_csv(fitted, f, path)
-        assert calls == [36]
-        parts = decompose(fitted, f)
-        months = build_design(f, fitted.config).months
-        rows = path.read_text().splitlines()
-        assert rows[0] == ",".join(["period", "fitted", *parts])
-        assert rows[1:] == [
-            ",".join([str(m), repr(fitted.fitted_values[i])] + [repr(v[i]) for v in parts.values()])
-            for i, m in enumerate(months)
-        ]
-
+class TestSerialize:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         y = rng.normal(0, 1, 30).tolist()
@@ -465,3 +405,19 @@ class TestDecomposeAndSerialize:
         path.write_text(json.dumps(models.to_doc(fitted), indent=2))
         loaded = models.from_doc(json.loads(path.read_text()))
         assert forecast(loaded, 6).values == forecast(fitted, 6).values
+
+    def test_document_holds_what_forecast_reads(self):
+        f = frame([1.0 + 0.2 * i for i in range(24)], indicators=[("x", [0.1 * i for i in range(24)])])
+        doc = models.to_doc(fit(f, AdditiveConfig(ar_lags=2, regressor_lags=1)))
+        assert doc["schema"] == "exocast.additive.fitted/2"
+        assert list(doc) == ["schema", "config", "layout", "coefficients", "target_id",
+                             "regressor_ids", "train_start", "train_length", "target_tail",
+                             "regressor_tails"]
+        assert doc["regressor_ids"] == ("x",)
+
+    def test_retired_schema_refused_by_name(self):
+        y = [1.0 + 0.2 * i for i in range(24)]
+        doc = {**models.to_doc(fit(frame(y), AdditiveConfig())), "schema": "exocast.additive.fitted/1"}
+        with pytest.raises(SchemaError, match=r"model\.json: schema 'exocast\.additive\.fitted/1' "
+                                              r"is not .*; fit the model again$"):
+            models.from_doc(doc, "model.json")

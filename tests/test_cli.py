@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -242,7 +243,28 @@ class TestSelectFitForecast:
                    "--out", str(tmp_path / "fc")])
         assert (rc, capsys.readouterr().err) == (2, (
             f"error: {model_file}: schema 'exocast.sarimax.fitted/1' is not "
-            "exocast.sarimax.fitted/2 or exocast.additive.fitted/1; fit the model again\n"))
+            "exocast.sarimax.fitted/2 or exocast.additive.fitted/2; fit the model again\n"))
+        assert not (tmp_path / "fc").exists()
+
+    def test_forecast_refuses_a_retired_additive_document(self, tmp_path, capsys):
+        config = write_experiment_config(tmp_path, methods=["correlation"], models=(ADDITIVE,))
+        out = tmp_path / "models"
+        assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
+        model_file = next(p for p in out.iterdir() if not p.name.endswith("selection.json"))
+        doc = json.loads(model_file.read_text())
+        assert doc["schema"] == "exocast.additive.fitted/2"
+        # A /1 document named its regressors `indicator_ids` and also held
+        # the in-sample fit.
+        retired = {("indicator_ids" if key == "regressor_ids" else key): value
+                   for key, value in doc.items()}
+        model_file.write_text(json.dumps({**retired, "schema": "exocast.additive.fitted/1",
+                                          "fitted_values": [0.0], "fitted_start": "2016-02"}))
+        capsys.readouterr()
+        rc = main(["forecast", "--config", str(config), "--model-file", str(model_file),
+                   "--out", str(tmp_path / "fc")])
+        assert (rc, capsys.readouterr().err) == (2, (
+            f"error: {model_file}: schema 'exocast.additive.fitted/1' is not "
+            "exocast.sarimax.fitted/2 or exocast.additive.fitted/2; fit the model again\n"))
         assert not (tmp_path / "fc").exists()
 
     def test_select_and_fit_name_their_files_as_the_run_names_its_cells(self, tmp_path):
@@ -320,6 +342,24 @@ class TestReportCommand:
         assert rc == 0
         assert (rerun / "results.csv").read_bytes() == before
         assert (rerun / "score_development.csv").exists()
+
+    def test_report_re_emits_a_run_without_parsing_its_fitted_documents(self, tmp_path):
+        # A run written before exocast.additive.fitted/2 still reports the
+        # same table: only `forecast --model-file` checks a fitted document.
+        out = tmp_path / "run"
+        config = write_experiment_config(tmp_path, out_dir=out, models=(SARIMAX, ADDITIVE))
+        assert main(["experiment", "--config", str(config)]) == 0
+        doc = json.loads((out / "artifacts.json").read_text())
+        additive = [cell for cell in doc["cells"]
+                    if cell["fitted"]["schema"] == "exocast.additive.fitted/2"]
+        assert len(additive) == 2
+        for cell in additive:
+            cell["fitted"] = {"schema": "exocast.additive.fitted/1"}
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "artifacts.json").write_text(json.dumps(doc))
+        assert main(["report", "--run-dir", str(old)]) == 0
+        assert (old / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
 
     def test_report_into_an_earlier_report_leaves_no_stale_plot_file(self, tmp_path):
         # The first run has two ranges and a forward cell; the second has
@@ -464,6 +504,20 @@ class TestMalformedInput:
         argv = ["forecast", "--config", str(write_experiment_config(tmp_path)),
                 "--model-file", str(model_file), "--out", str(tmp_path / "fc")]
         self._fails_cleanly(capsys, argv, "--model-file", str(model_file))
+
+    def test_forecast_with_a_non_finite_constant_in_the_model_file(self, tmp_path, capsys):
+        config = write_experiment_config(tmp_path, methods=["none"])
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "models")]) == 0
+        model_file = next(p for p in (tmp_path / "models").iterdir()
+                          if not p.name.endswith("selection.json"))
+        doc = json.loads(model_file.read_text())
+        doc["params"]["c"] = math.nan
+        model_file.write_text(json.dumps(doc))
+        assert '"c": NaN' in model_file.read_text()
+        argv = ["forecast", "--config", str(config), "--model-file", str(model_file),
+                "--out", str(tmp_path / "fc")]
+        self._fails_cleanly(capsys, argv, str(model_file), "the non-finite value NaN is not JSON")
+        assert not (tmp_path / "fc").exists()
 
     def test_forecast_with_a_model_file_that_is_not_an_object(self, tmp_path, capsys):
         model_file = tmp_path / "model.json"

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import socket
 import tracemalloc
 
@@ -652,6 +653,9 @@ class TestMalformedDocuments:
         ("series.json", list_cached_series, series_doc({**SERIES_ENTRY, "unit": "I15"}),
          "unknown series entry keys: unit"),
         ("series.json", list_cached_series, series_doc(size=1), "unknown series document keys: size"),
+        *[("series.json", list_cached_series, series_doc({**SERIES_ENTRY, "values": [value, 2.0]}),
+           f"the non-finite value {name} is not JSON")
+          for value, name in [(math.inf, "Infinity"), (-math.inf, "-Infinity"), (math.nan, "NaN")]],
         ("catalog.json", load_catalog, [], "JSON object, not list"),
         ("catalog.json", load_catalog, "{", "Expecting property name"),
         ("catalog.json", load_catalog, {**CATALOG_DOC, "schema": "x"}, "schema 'x'"),
@@ -668,6 +672,7 @@ class TestMalformedDocuments:
         "read_series-missing-key",
         "read_series-malformed", "read_series-not-a-pair",
         "read_series-unknown-entry-key", "read_series-unknown-key",
+        "read_series-infinity", "read_series-minus-infinity", "read_series-nan",
         "load_catalog", "load_catalog-not-json", "load_catalog-schema",
         "load_catalog-missing-key", "load_catalog-unknown-key", "load_catalog-descriptor-key",
         "load_catalog-malformed",

@@ -12,6 +12,7 @@ from exocast.errors import (
     ConfigError,
     DegenerateRangeError,
     InsufficientDataError,
+    MissingValueError,
     SchemaError,
     SelectionError,
 )
@@ -37,7 +38,6 @@ from exocast.sarimax import forecast as sarimax_forecast
 from exocast.series import (
     Month,
     MonthlySeries,
-    SplitSpec,
     align_merge,
     interpolate_missing,
     linear_detrend,
@@ -103,7 +103,7 @@ class TestMinimalRun:
 
         frame, _ = generate_synthetic(config.datasets[0].synthetic)
         sliced = frame.slice_months(M(2016, 1), M(2022, 4))
-        train, test = split_train_test(sliced, SplitSpec(12))
+        train, test = split_train_test(sliced, 12)
         fitted = sarimax_fit(align_merge(train.target, []), SarimaxOrder(p=1))
         predicted = sarimax_forecast(fitted, 12)
         direct = mae(test.target.require_complete(), predicted.require_complete())
@@ -274,6 +274,32 @@ class TestIsolationAndDeterminism:
             assert sel_a == sel_b, key
             assert a.model_doc == b.model_doc, key
             assert a.forecast == b.forecast, key
+
+    def _gappy_window_config(self, tmp_path, gaps):
+        """A csv dataset whose target lacks the months `gaps` (positions in
+        its 40 months; the test window is the last 12)."""
+        tmp_path.mkdir()
+        dataset = self._csv_dataset(tmp_path)
+        target = read_series_csv(dataset.target_csv)
+        values = [None if i in gaps else v for i, v in enumerate(target.values)]
+        write_series_csv(MonthlySeries(target.id, target.start, values), dataset.target_csv)
+        return replace(self._config(dataset), methods=(MethodSpec("none"),),
+                       models=(ModelSpec("sarimax", order=SarimaxOrder(p=1)),))
+
+    def test_a_gap_in_the_test_window_is_filled_from_the_window_and_scored(self, tmp_path):
+        (clean,) = run_experiment(self._gappy_window_config(tmp_path / "a", set()))[0].cells.values()
+        (cell,) = run_experiment(self._gappy_window_config(tmp_path / "b", {33}))[0].cells.values()
+        assert cell.actual[:5] + cell.actual[6:] == clean.actual[:5] + clean.actual[6:]
+        # 2018-10, halfway between its neighbours in the window
+        assert cell.actual[5] == pytest.approx((clean.actual[4] + clean.actual[6]) / 2)
+        assert cell.actual[5] != clean.actual[5]
+        assert cell.forecast == clean.forecast
+        assert cell.mae == mae(cell.actual, cell.forecast)
+
+    def test_a_test_window_without_an_observed_month_stops_the_run(self, tmp_path):
+        config = self._gappy_window_config(tmp_path / "a", set(range(28, 40)))
+        with pytest.raises(MissingValueError, match="entirely missing"):
+            run_experiment(config)
 
     def test_full_run_determinism_byte_exact(self, tmp_path):
         config = quick_config(
@@ -885,7 +911,7 @@ class TestPersistedModels:
             name = experiment.file_stem(*key)
             stored = read_series_csv(tmp_path / "run" / "cells" / f"{name}.csv")
             assert predicted.values == stored.values, name
-        assert schemas == {"exocast.sarimax.fitted/2", "exocast.additive.fitted/1"}
+        assert schemas == {"exocast.sarimax.fitted/2", "exocast.additive.fitted/2"}
 
 
 class TestSharedForwardDesign:
@@ -909,7 +935,7 @@ class TestSharedForwardDesign:
         selection = experiment.select(MethodSpec("forward"), spec, train, 12, forward_cap=3)
         subsets = [subset for subset, _ in selection.trace.entries]
         assert len(subsets) == 1 + 6 + 5 + 4 and not selection.trace.failures
-        sub_train, held_out = split_train_test(train, SplitSpec(12))
+        sub_train, held_out = split_train_test(train, 12)
         future = models.regressor_forecasts(sub_train, 12)
         actual = held_out.target.require_complete()
         validation = models.Validation(train, 12)

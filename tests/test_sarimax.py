@@ -32,7 +32,7 @@ from exocast import sarimax as sarimax_module
 from exocast.sarimax import _css_and_gradient
 from exocast.selection import CandidateSet, forward_select
 from exocast.series import (
-    Month, MonthlySeries, SplitSpec, align_merge, difference_with_initials, least_squares_line, mae,
+    Month, MonthlySeries, align_merge, difference_with_initials, least_squares_line, mae,
     split_train_test,
 )
 
@@ -443,7 +443,7 @@ class TestGridSearch:
         train = self._grid_frame()
         grid = [SarimaxOrder(), SarimaxOrder(p=1), SarimaxOrder(p=2)]
         # Reference: each order fitted on the target of the first 60 months.
-        sub_train, validation = split_train_test(train.with_indicators(()), SplitSpec(12))
+        sub_train, validation = split_train_test(train.with_indicators(()), 12)
         expected = [mae(validation.target.require_complete(),
                         forecast(fit(sub_train, order), 12).require_complete()) for order in grid]
         assert self._chosen(train, grid) == grid[int(np.argmin(expected))]
@@ -627,7 +627,7 @@ class TestValidation:
     )
     def test_a_subset_scores_as_models_fit_and_forecast(self, spec):
         train = subset_frame(1)
-        sub_train, held_out = split_train_test(train, SplitSpec(12))
+        sub_train, held_out = split_train_test(train, 12)
         future = models.regressor_forecasts(sub_train, 12)
         actual = held_out.target.require_complete()
         validation = models.Validation(train, 12)
@@ -954,7 +954,7 @@ class TestSerialization:
             models.from_doc(doc, "model.json")
         assert str(raised.value) == (
             "model.json: schema 'exocast.sarimax.fitted/1' is not exocast.sarimax.fitted/2 or "
-            "exocast.additive.fitted/1; fit the model again"
+            "exocast.additive.fitted/2; fit the model again"
         )
 
     @pytest.mark.parametrize("doc, message", [
@@ -968,7 +968,7 @@ class TestSerialization:
         ({**DOC, "order": [2, 1, 1, 0, 0, 0, 12]}, "do not match order"),
         ({**DOC, "tail": []}, "unknown model keys: tail"),
         ({**DOC, "normalization": None}, "unknown model keys: normalization"),
-        ({"schema": "exocast.additive.fitted/1", "config": {}}, "model lacks layout"),
+        ({"schema": "exocast.additive.fitted/2", "config": {}}, "model lacks layout"),
     ], ids=["not-an-object", "schema", "missing-key", "missing-start", "short-order",
             "missing-param", "params-of-another-order", "unknown-key", "normalization",
             "additive-missing-key"])

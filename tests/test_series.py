@@ -17,7 +17,6 @@ from exocast.series import (
     AlignedFrame,
     Month,
     MonthlySeries,
-    SplitSpec,
     align_merge,
     denormalize,
     difference,
@@ -323,7 +322,7 @@ class TestSplit:
 
     @pytest.mark.parametrize("n,train_len", [(76, 64), (40, 28), (13, 1)])
     def test_split_lengths(self, n, train_len):
-        train, test = split_train_test(self._frame(n), SplitSpec(12))
+        train, test = split_train_test(self._frame(n), 12)
         assert len(train) == train_len
         assert len(test) == 12
         assert train.end.shift(1) == test.start
@@ -331,7 +330,12 @@ class TestSplit:
 
     def test_horizon_too_large(self):
         with pytest.raises(ValueError):
-            split_train_test(self._frame(12), SplitSpec(12))
+            split_train_test(self._frame(12), 12)
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one(self, horizon):
+        with pytest.raises(ValueError, match=f"horizon must be positive, got {horizon}"):
+            split_train_test(self._frame(24), horizon)
 
 
 class TestCsvRoundTrip:
