@@ -42,7 +42,6 @@ __all__ = [
     "store_catalog",
     "load_catalog",
     "store_series",
-    "load_series",
     "list_cached_series",
     "write_manifest",
     "read_manifest",
@@ -111,9 +110,6 @@ class CatalogSnapshot:
 class SeriesKey:
     dataset_code: str
     dimension_values: tuple[tuple[str, str], ...]
-
-    def canonical(self) -> str:
-        return "|".join(f"{name}={value}" for name, value in self.dimension_values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,32 +449,9 @@ class CachedSeries:
 
 @dataclass(frozen=True)
 class SeriesDocument:
-    """series.json without its schema; `_SeriesWriter` writes it entry by entry."""
+    """series.json without its schema."""
 
     series: tuple[CachedSeries, ...]
-
-
-class _SeriesWriter:
-    """A cache root's series.json as it is written: `add` collects one
-    series, and leaving the `with` block writes the document, one series a
-    line. An exception writes nothing, so the previous document stays as it
-    was."""
-
-    def __init__(self, root: Path):
-        root.mkdir(parents=True, exist_ok=True)
-        self.path = root / SERIES_FILE
-        self._entries: list[dict] = []
-
-    def __enter__(self) -> "_SeriesWriter":
-        return self
-
-    def add(self, key: SeriesKey, series: MonthlySeries) -> None:
-        entry = CachedSeries(key.dataset_code, key.dimension_values, series.id, series.start, series.values)
-        self._entries.append(to_object(entry, {"start": str}))
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            write_document(self.path, SERIES_SCHEMA, {"series": self._entries}, listed="series")
 
 
 def _cached_series(root: Path) -> dict[str, tuple[SeriesKey, MonthlySeries]]:
@@ -511,40 +484,16 @@ def _require_this_format(root: Path) -> None:
         read_manifest(root)
 
 
-def store_series(cache: str | Path | _SeriesWriter, key: SeriesKey, series: MonthlySeries) -> Path:
-    """Store `series` as its dataset's representative and return the path of
-    series.json. `cache` is the series document a funnel run is writing, or
-    a cache root, whose document is then rewritten with `series` in place of
-    any other series of that dataset."""
+def store_series(entries: list[dict], key: SeriesKey, series: MonthlySeries) -> None:
+    """Append `series`, its dataset's representative, to the `series` entries
+    of the series.json a funnel run is collecting."""
     _check_code(key.dataset_code)
-    if isinstance(cache, _SeriesWriter):
-        cache.add(key, series)
-        return cache.path
-    root = Path(cache)
-    _require_this_format(root)
-    kept = [item for code, item in _cached_series(root).items() if code != key.dataset_code]
-    with _SeriesWriter(root) as out:
-        for item in [*kept, (key, series)]:
-            out.add(*item)
-    return out.path
-
-
-def load_series(
-    root: str | Path, dataset_code: str, key: SeriesKey | None = None
-) -> tuple[SeriesKey, MonthlySeries]:
-    _check_code(dataset_code)
-    root = Path(root)
-    _require_this_format(root)
-    cached = _cached_series(root).get(dataset_code)
-    if cached is None:
-        raise NotCachedError(f"no cached series for {dataset_code} under {root}")
-    if key is not None and cached[0] != key:
-        raise NotCachedError(f"series {key.canonical()} not cached for {dataset_code}")
-    return cached
+    entry = CachedSeries(key.dataset_code, key.dimension_values, series.id, series.start, series.values)
+    entries.append(to_object(entry, {"start": str}))
 
 
 def list_cached_series(root: str | Path) -> list[tuple[SeriesKey, MonthlySeries]]:
-    """Every cached series, ordered by dataset code."""
+    """Every series in the root's series.json, ordered by dataset code."""
     root = Path(root)
     _require_this_format(root)
     cached = _cached_series(root)
@@ -585,8 +534,9 @@ def run_funnel(
     """Catalog -> monthly -> parameters -> coverage -> one cached series per
     dataset. Offline mode never opens a connection: it uses fixtures or the
     series the previous run cached, and fails a dataset otherwise. The run
-    replaces the root's series.json with exactly the series it stored; an
-    interrupted run leaves the root as the previous run left it."""
+    is series.json's one writer: it replaces the document with exactly the
+    series it stored, and an interrupted run leaves the root as the previous
+    run left it."""
     cache_root = Path(cache_root)
     _require_this_format(cache_root)
     keywords = tuple(keywords)
@@ -610,26 +560,28 @@ def run_funnel(
 
     fixture_dir = None if dataset_fixture_dir is None else Path(dataset_fixture_dir)
     previous = None  # the series the previous run cached, read once when first needed
-    with _SeriesWriter(cache_root) as out:
-        for descriptor in snapshot.descriptors:
-            code = descriptor.code
-            fixture = None
-            if fixture_dir is not None and (fixture_dir / f"{code}.json").exists():
-                fixture = fixture_dir / f"{code}.json"
-            carry = fixture is None and offline
-            if carry and previous is None:
-                previous = _cached_series(cache_root)
-            try:
-                if carry and code not in previous:
-                    raise NotCachedError(f"offline mode: no fixture or cache for dataset {code}")
-                key, series = previous[code] if carry else pick_representative(
-                    fetch_dataset(code, offline_fixture=fixture), since)
-            except Exception as exc:  # noqa: BLE001 - recorded per dataset
-                report.failures[code] = f"{type(exc).__name__}: {exc}"
-                log.warning("dataset %s failed: %s", code, exc)
-                continue
-            store_series(out, key, series)
-            report.stored.append(code)
+    entries: list[dict] = []
+    for descriptor in snapshot.descriptors:
+        code = descriptor.code
+        fixture = None
+        if fixture_dir is not None and (fixture_dir / f"{code}.json").exists():
+            fixture = fixture_dir / f"{code}.json"
+        carry = fixture is None and offline
+        if carry and previous is None:
+            previous = _cached_series(cache_root)
+        try:
+            if carry and code not in previous:
+                raise NotCachedError(f"offline mode: no fixture or cache for dataset {code}")
+            key, series = previous[code] if carry else pick_representative(
+                fetch_dataset(code, offline_fixture=fixture), since)
+        except Exception as exc:  # noqa: BLE001 - recorded per dataset
+            report.failures[code] = f"{type(exc).__name__}: {exc}"
+            log.warning("dataset %s failed: %s", code, exc)
+            continue
+        store_series(entries, key, series)
+        report.stored.append(code)
+    cache_root.mkdir(parents=True, exist_ok=True)
+    write_document(cache_root / SERIES_FILE, SERIES_SCHEMA, {"series": entries}, listed="series")
     store_catalog(cache_root, snapshot)
     write_manifest(cache_root, CacheManifest(
         endpoint=source,

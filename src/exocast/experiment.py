@@ -9,7 +9,6 @@ inverted on the forecast before scoring on the raw scale.
 
 from __future__ import annotations
 
-import json
 import logging
 import shutil
 from dataclasses import dataclass, field, fields, replace
@@ -19,7 +18,9 @@ from typing import Iterator
 import numpy as np
 
 from . import models
-from .errors import ConfigError, ExocastError, from_object, read_document, to_object, write_document
+from .errors import (
+    ConfigError, ExocastError, from_object, parse_json, read_document, to_object, write_document,
+)
 from .eurostat import list_cached_series
 from .models import ModelSpec  # re-exported: experiment configs are built from here
 from .selection import (
@@ -500,6 +501,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts
                 train_raw = frame.slice_months(rng.start, train_end)
                 test_target = frame.target.slice_months(train_end.shift(1), test_end)
                 if test_target.has_missing:
+                    if np.isnan(test_target.array).all():
+                        raise ConfigError(
+                            f"dataset {spec.label!r}: the test window {test_target.start}..{test_end} "
+                            f"of range {rng.label} holds no observed target month"
+                        )
                     test_target = interpolate_missing(test_target)
                 origins.append((train_raw, test_target.values, test_target.months))
             groups.append((spec.label, rng, origins))
@@ -725,7 +731,7 @@ def load_config(path: str | Path, *, seed_override: int | None = None) -> Experi
     """The experiment config in the JSON file `path`. A file that cannot be
     read or is not a valid config raises ConfigError naming it."""
     try:
-        return _config_from_doc(json.loads(Path(path).read_text()), seed_override)
+        return _config_from_doc(parse_json(Path(path).read_text()), seed_override)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     except (TypeError, ValueError) as exc:  # a JSON syntax error is a ValueError

@@ -4,6 +4,7 @@ proprietary demand data in experiments and tests."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,12 @@ class SyntheticSpec:
     start: Month = DEFAULT_START
 
     def __post_init__(self):
+        for name, value in (("ar_coefficient", self.ar_coefficient),
+                            ("seasonal_amplitude", self.seasonal_amplitude),
+                            ("noise_sigma", self.noise_sigma),
+                            *(("driver_betas", beta) for beta in self.driver_betas)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_months < 1 or self.n_indicators < 1:
             raise ValueError("n_months and n_indicators must be positive")
         if not -1 < self.ar_coefficient < 1:

@@ -20,9 +20,8 @@ from exocast.errors import DegenerateRangeError
 from exocast.eurostat import (
     fetch_catalog,
     filter_catalog,
-    load_series,
+    list_cached_series,
     run_funnel,
-    store_series,
 )
 from exocast.experiment import (
     DatasetSpec,
@@ -475,6 +474,8 @@ def test_criterion_10_eurostat_offline_funnel(tmp_path):
         ]
         (fixtures / "toc.json").write_text(json.dumps({"datasets": entries}))
         months = [str(M(2015, 1).shift(i)) for i in range(30)]
+        rng = np.random.default_rng(0)
+        values = {code: rng.normal(0, 1, 60).tolist() for code in ("STS_A", "STS_C")}
         for code in ("STS_A", "STS_C"):
             payload = {
                 "id": ["geo", "time"],
@@ -483,7 +484,7 @@ def test_criterion_10_eurostat_offline_funnel(tmp_path):
                     "geo": {"category": {"index": {"AT": 0, "DE": 1}}},
                     "time": {"category": {"index": {m: i for i, m in enumerate(months)}}},
                 },
-                "value": {str(i): float(i) for i in range(60)},
+                "value": dict(enumerate(values[code])),
             }
             (fixtures / f"{code}.json").write_text(json.dumps(payload))
 
@@ -515,14 +516,13 @@ def test_criterion_10_eurostat_offline_funnel(tmp_path):
         assert report.stored == ["STS_A", "STS_C"]
         assert not report.failures
 
-        key, series = load_series(cache, "STS_A")
-        rng = np.random.default_rng(0)
-        original = MonthlySeries("RT", M(2016, 1), rng.normal(0, 1, 24).tolist())
-        from exocast.eurostat import SeriesKey
-
-        store_series(cache, SeriesKey("RT", (("geo", "AT"),)), original)
-        _, loaded = load_series(cache, "RT")
-        assert loaded.values == original.values  # bit-exact
+        cached = list_cached_series(cache)
+        assert [key.dataset_code for key, _ in cached] == ["STS_A", "STS_C"]
+        for key, series in cached:
+            # the AT row (flat indices 0..29) from 2016-01, its month 12, bit-exact
+            assert key.dimension_values == (("geo", "AT"),)
+            assert series.start == M(2016, 1)
+            assert series.values == tuple(values[key.dataset_code][12:30])
 
 
 def test_criterion_11_report_shape(tmp_path):

@@ -93,7 +93,9 @@ class TestSynthCommand:
         (["--drivers", "2", "--betas", "1.0"], "error: synth: driver_betas has 1 entries for 2 drivers"),
         (["--betas", "x"], "error: --betas 'x' is not a comma-separated list of numbers"),
         (["--months", "0"], "error: synth: n_months and n_indicators must be positive"),
-    ], ids=["too-few-betas", "betas-not-numbers", "no-months"])
+        (["--noise", "nan"], "error: synth: noise_sigma must be finite, got nan"),
+        (["--drivers", "1", "--betas", "inf"], "error: synth: driver_betas must be finite, got inf"),
+    ], ids=["too-few-betas", "betas-not-numbers", "no-months", "nan-noise", "infinite-beta"])
     def test_a_bad_spec_is_one_error_line(self, tmp_path, capsys, flags, message):
         rc = main(["synth", "--out", str(tmp_path / "data"), *flags])
         assert (rc, capsys.readouterr().err) == (2, message + "\n")
@@ -408,6 +410,14 @@ class TestMalformedInput:
             {"label": "synth-0", "kind": "synthetic", "spec": {"n_indicators": 4, "seed": 0}}
         ])
         self._fails_cleanly(capsys, ["experiment", "--config", str(config)], str(config), "n_months")
+
+    def test_synthetic_spec_with_a_non_finite_value(self, tmp_path, capsys):
+        config = self._config(tmp_path, datasets=[
+            {"label": "synth-0", "kind": "synthetic", "spec": {"n_months": 76, "noise_sigma": math.nan}}
+        ])
+        argv = ["experiment", "--config", str(config), "--out", str(tmp_path / "out")]
+        self._fails_cleanly(capsys, argv, str(config), "the non-finite value NaN is not JSON")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["experiment", "select"])
     @pytest.mark.parametrize("cap", [0, True], ids=["zero", "true"])

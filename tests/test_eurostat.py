@@ -10,7 +10,7 @@ import requests
 
 from exocast import eurostat
 from exocast.cli import main
-from exocast.errors import NotCachedError, PayloadError, SchemaError
+from exocast.errors import NotCachedError, PayloadError, SchemaError, write_document
 from exocast.eurostat import (
     CatalogSnapshot,
     DatasetDescriptor,
@@ -20,7 +20,6 @@ from exocast.eurostat import (
     filter_catalog,
     list_cached_series,
     load_catalog,
-    load_series,
     pick_representative,
     read_manifest,
     run_funnel,
@@ -451,6 +450,17 @@ class TestPickRepresentative:
         assert (k1, s1.values) == (k2, s2.values)
 
 
+def write_series(root, *items):
+    """Write `root`'s series.json from `(key, series)` items as a funnel run
+    does, and return its path."""
+    entries = []
+    for key, series in items:
+        store_series(entries, key, series)
+    root.mkdir(parents=True, exist_ok=True)
+    return write_document(root / "series.json", "exocast.eurostat.series/3", {"series": entries},
+                          listed="series")
+
+
 class TestCache:
     def test_catalog_round_trip(self, tmp_path):
         snapshot = CatalogSnapshot(
@@ -466,33 +476,29 @@ class TestCache:
     def test_series_round_trip_with_missing(self, tmp_path):
         key = SeriesKey("DS", (("geo", "AT"), ("unit", "I15")))
         series = MonthlySeries("DS", M(2016, 1), (1.5, None, 2.25))
-        path = store_series(tmp_path, key, series)
+        path = write_series(tmp_path, (key, series))
         assert json.loads(path.read_text())["series"][0]["values"][1] is None
-        loaded_key, loaded = load_series(tmp_path, "DS")
-        assert loaded_key == key
-        assert loaded == series
+        assert list_cached_series(tmp_path) == [(key, series)]
 
     def test_bit_exact_values(self, tmp_path):
-        import numpy as np
-
         vals = np.random.default_rng(0).normal(0, 1, 24).tolist()
         key = SeriesKey("DS2", (("geo", "AT"),))
-        store_series(tmp_path, key, MonthlySeries("DS2", M(2016, 1), vals))
-        _, loaded = load_series(tmp_path, "DS2")
+        write_series(tmp_path, (key, MonthlySeries("DS2", M(2016, 1), vals)))
+        ((_, loaded),) = list_cached_series(tmp_path)
         assert loaded.values == tuple(vals)
 
     def test_round_trip_is_bit_exact_at_the_edges(self, tmp_path):
         values = (None, -0.0, 5e-324, None, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, None)
         series = MonthlySeries("EDGE", M(2016, 1), values)
-        store_series(tmp_path, SeriesKey("EDGE", ()), series)
-        _, loaded = load_series(tmp_path, "EDGE")
+        write_series(tmp_path, (SeriesKey("EDGE", ()), series))
+        ((_, loaded),) = list_cached_series(tmp_path)
         assert loaded.start == series.start
         assert loaded.array.tobytes() == series.array.tobytes()
         assert loaded.values == values
 
     def test_one_document_per_series(self, tmp_path):
         key = SeriesKey("DS", (("geo", "AT"),))
-        path = store_series(tmp_path, key, MonthlySeries("DS", M(2016, 3), (1.0, None)))
+        path = write_series(tmp_path, (key, MonthlySeries("DS", M(2016, 3), (1.0, None))))
         assert path == tmp_path / "series.json"
         assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()] == [path.relative_to(tmp_path)]
         assert json.loads(path.read_text()) == {
@@ -506,40 +512,28 @@ class TestCache:
             }],
         }
 
-    def test_another_key_is_not_cached(self, tmp_path):
-        key = SeriesKey("DS", (("geo", "AT"),))
-        store_series(tmp_path, key, MonthlySeries("DS", M(2016, 1), (1.0,)))
-        assert load_series(tmp_path, "DS", key)[0] == key
-        with pytest.raises(NotCachedError, match="geo=DE"):
-            load_series(tmp_path, "DS", SeriesKey("DS", (("geo", "DE"),)))
-
     @pytest.mark.parametrize("code", ["", ".", "..", "../outside", "a/b", "a\\b", "a\0b"])
     def test_code_that_is_not_a_plain_file_name_rejected(self, tmp_path, code):
-        root = tmp_path / "cache"
+        entries = []
         with pytest.raises(PayloadError, match="plain file name"):
-            store_series(root, SeriesKey(code, ()), MonthlySeries(code, M(2016, 1), (1.0,)))
-        with pytest.raises(PayloadError, match="plain file name"):
-            load_series(root, code)
-        assert [p.name for p in tmp_path.iterdir()] == []
+            store_series(entries, SeriesKey(code, ()), MonthlySeries(code, M(2016, 1), (1.0,)))
+        assert entries == []
 
     def test_empty_root(self, tmp_path):
         with pytest.raises(NotCachedError):
             load_catalog(tmp_path / "nothing")
-        with pytest.raises(NotCachedError):
-            load_series(tmp_path / "nothing", "DS")
+        assert list_cached_series(tmp_path / "nothing") == []
 
     def test_list_cached(self, tmp_path):
         # Stored out of order, and "A-B.json" would sort before "A.json": the
         # order is the codes', neither the stores' nor a file name's.
-        for code in ("B", "A-B", "A"):
-            store_series(
-                tmp_path, SeriesKey(code, (("geo", "AT"),)),
-                MonthlySeries(code, M(2016, 1), (1.0, 2.0)),
-            )
+        write_series(tmp_path, *[
+            (SeriesKey(code, (("geo", "AT"),)), MonthlySeries(code, M(2016, 1), (1.0, 2.0)))
+            for code in ("B", "A-B", "A")
+        ])
         cached = list_cached_series(tmp_path)
         assert [k.dataset_code for k, _ in cached] == ["A", "A-B", "B"]
         assert [s.id for _, s in cached] == ["A", "A-B", "B"]
-        assert list_cached_series(tmp_path / "nothing") == []
 
 
 def write_v1_cache(root):
@@ -581,9 +575,8 @@ class TestOldCacheFormat:
     @pytest.mark.parametrize("read", [
         read_manifest,
         list_cached_series,
-        lambda root: load_series(root, "STS_A"),
         lambda root: run_funnel(root, since=M(2016, 1), keywords=("business",), offline=True),
-    ], ids=["read_manifest", "list_cached_series", "load_series", "run_funnel"])
+    ], ids=["read_manifest", "list_cached_series", "run_funnel"])
     def test_rejected_by_name(self, tmp_path, read):
         for version, write in OLD_CACHES.items():
             root = write(tmp_path / f"cache{version}")
@@ -734,7 +727,8 @@ class TestLivePath:
         assert report.stored == ["STS_A", "STS_C"]
         assert not report.failures
         assert len(calls) == 3  # one catalog + two datasets
-        _, series = load_series(cache, "STS_C")
+        (_, _), (_, series) = list_cached_series(cache)
+        assert series.id == "STS_C"
         assert series.values[0] == 24.0  # 2016-01 is index 12 in the payload
 
 
@@ -777,7 +771,8 @@ class TestFunnel:
         assert json.loads((cache / "manifest.json").read_text())["schema"] == "exocast.eurostat.manifest/3"
         assert read_manifest(cache).filters == ("monthly", "parameters:business,trade,energy", "coverage:2016-01")
         assert list(cache.rglob("*.tmp")) == []
-        key, series = load_series(cache, "STS_A")
+        (_, series), _ = list_cached_series(cache)
+        assert series.id == "STS_A"
         assert series.start == M(2016, 1)
         assert len(series) == 18  # 2016-01 .. 2017-06
 

@@ -12,7 +12,6 @@ from exocast.errors import (
     ConfigError,
     DegenerateRangeError,
     InsufficientDataError,
-    MissingValueError,
     SchemaError,
     SelectionError,
 )
@@ -298,7 +297,8 @@ class TestIsolationAndDeterminism:
 
     def test_a_test_window_without_an_observed_month_stops_the_run(self, tmp_path):
         config = self._gappy_window_config(tmp_path / "a", set(range(28, 40)))
-        with pytest.raises(MissingValueError, match="entirely missing"):
+        with pytest.raises(ConfigError, match=r"^dataset 'demand': the test window 2018-05\.\.2019-04 "
+                           r"of range 2016-01\.\.2018-04 holds no observed target month$"):
             run_experiment(config)
 
     def test_full_run_determinism_byte_exact(self, tmp_path):

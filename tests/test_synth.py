@@ -21,6 +21,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticSpec(n_months=24, noise_sigma=0.0)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"ar_coefficient": float("nan")}, "ar_coefficient must be finite, got nan"),
+        ({"seasonal_amplitude": float("inf")}, "seasonal_amplitude must be finite, got inf"),
+        ({"noise_sigma": float("inf")}, "noise_sigma must be finite, got inf"),
+        ({"n_drivers": 2, "driver_betas": (1.0, float("-inf"))}, "driver_betas must be finite, got -inf"),
+    ], ids=["ar", "amplitude", "noise", "beta"])
+    def test_non_finite_values_refused(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SyntheticSpec(n_months=24, **changes)
+
 
 class TestGenerate:
     def test_shape_and_ids(self):
