@@ -308,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     except ExocastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a file or directory the command could not read or write
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

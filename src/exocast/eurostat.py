@@ -3,9 +3,12 @@
 The funnel mirrors a three-stage narrowing of the full dataset catalog:
 monthly frequency, relevant indicator parameters, and coverage since a cutoff
 month; one representative series per surviving dataset is extracted and
-cached. All parsing sits behind two functions (`_parse_catalog_payload`,
-`_parse_dataset_payload`) so a wire-format migration touches only this
-module. Cached runs make zero network calls.
+cached. A run's result is one document, `<root>/cache.json`, written once
+after the loop over datasets: where and when the catalog was fetched, the
+stages applied, the datasets that passed them and their series. All parsing
+sits behind two functions (`_parse_catalog_payload`, `_parse_dataset_payload`)
+so a wire-format migration touches only this module. Cached runs make zero
+network calls.
 """
 
 from __future__ import annotations
@@ -24,27 +27,22 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
-    NotCachedError, PayloadError, from_object, read_document, to_object, write_document,
+    NotCachedError, PayloadError, SchemaError, from_object, read_document, to_object, write_document,
 )
 from .series import Month, MonthlySeries
 
 __all__ = [
     "DatasetDescriptor",
     "CatalogSnapshot",
-    "SeriesKey",
+    "CachedSeries",
     "RawDataset",
     "FunnelReport",
-    "CacheManifest",
     "fetch_catalog",
     "filter_catalog",
     "fetch_dataset",
     "pick_representative",
-    "store_catalog",
-    "load_catalog",
     "store_series",
     "list_cached_series",
-    "write_manifest",
-    "read_manifest",
     "run_funnel",
     "DEFAULT_KEYWORDS",
 ]
@@ -78,10 +76,8 @@ DEFAULT_KEYWORDS = (
     "employment",
 )
 
-MANIFEST_SCHEMA = "exocast.eurostat.manifest/3"
-CATALOG_SCHEMA = "exocast.eurostat.catalog/1"
-SERIES_SCHEMA = "exocast.eurostat.series/3"
-SERIES_FILE = "series.json"
+CACHE_SCHEMA = "exocast.eurostat.cache/1"
+CACHE_FILE = "cache.json"
 
 
 @dataclass(frozen=True)
@@ -107,9 +103,19 @@ class CatalogSnapshot:
 
 
 @dataclass(frozen=True)
-class SeriesKey:
+class CachedSeries:
+    """One dataset's representative series: its coordinates in the dataset
+    and its values, one a month from `start`. An entry of cache.json."""
+
     dataset_code: str
     dimension_values: tuple[tuple[str, str], ...]
+    start: Month
+    values: tuple[float | None, ...]  # floats by repr, so bit-exact; None for a gap
+
+    @property
+    def series(self) -> MonthlySeries:
+        """The series an experiment reads, under its dataset's code."""
+        return MonthlySeries(self.dataset_code, self.start, self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,6 +355,8 @@ def _parse_dataset_payload(code: str, payload: str) -> RawDataset:
         values = dict(enumerate(values))
     flat = np.array(list(values), dtype=np.int64)
     data = np.array(list(values.values()), dtype=float)  # explicit nulls -> NaN
+    if np.isinf(data).any():  # `json` reads a number such as 1e999 as infinite
+        raise PayloadError(f"dataset {code}: payload holds a number beyond the float range")
     if len(flat) and (flat.min() < 0 or flat.max() >= math.prod(sizes)):
         raise PayloadError(f"dataset {code}: value index outside the {sizes} cube")
     flat, data = flat[~np.isnan(data)], data[~np.isnan(data)]
@@ -384,7 +392,7 @@ def fetch_dataset(
     return _parse_dataset_payload(code, payload)
 
 
-def pick_representative(dataset: RawDataset, since: Month) -> tuple[SeriesKey, MonthlySeries]:
+def pick_representative(dataset: RawDataset, since: Month) -> CachedSeries:
     """One series per dataset: complete coverage from `since` wins, then
     fewest gaps, ties broken by lexicographically smallest coordinates."""
     offsets = np.array([since.months_until(p) for p in dataset.periods])
@@ -397,128 +405,88 @@ def pick_representative(dataset: RawDataset, since: Month) -> tuple[SeriesKey, M
     window[:, offsets[inside]] = dataset.values[:, inside]
     gaps = np.isnan(window).sum(axis=1).tolist()  # `span` for an empty row, fewer for the last-seen one
     best = min(range(len(gaps)), key=lambda r: (gaps[r], dataset.keys[r]))
-    key = SeriesKey(dataset.code, tuple(zip(dataset.dimension_names, dataset.keys[best])))
-    return key, MonthlySeries(dataset.code, since, window[best])
+    values = tuple(None if v != v else v for v in window[best].tolist())
+    return CachedSeries(dataset.code, tuple(zip(dataset.dimension_names, dataset.keys[best])), since, values)
 
 
 # ---------------------------------------------------------------------------
-# Cache: catalog.json + manifest.json + series.json
-
-# The catalog's JSON name of each field whose name differs from it.
-CATALOG_KEYS = {
-    "descriptors": "datasets", "dimension_names": "dimensions", "source_parameters": "parameters",
-}
-
-
-def store_catalog(root: str | Path, snapshot: CatalogSnapshot) -> Path:
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    doc = to_object(snapshot, {"datasets": lambda descriptors: [
-        to_object(d, {"earliest_period": str}, CATALOG_KEYS) for d in descriptors
-    ]}, CATALOG_KEYS)
-    return write_document(root / "catalog.json", CATALOG_SCHEMA, doc)
-
-
-def load_catalog(root: str | Path) -> CatalogSnapshot:
-    path = Path(root) / "catalog.json"
-    if not path.exists():
-        raise NotCachedError(f"no catalog cached under {root}")
-
-    def descriptor(entry) -> DatasetDescriptor:
-        return from_object(DatasetDescriptor, entry, "dataset", {
-            "earliest_period": lambda month: None if month is None else Month.parse(month),
-        }, CATALOG_KEYS)
-
-    return read_document(path, CATALOG_SCHEMA, lambda doc: from_object(
-        CatalogSnapshot, doc, "catalog", {"datasets": lambda ds: tuple(map(descriptor, ds))},
-        CATALOG_KEYS,
-    ))
+# Cache: one cache.json per root, the funnel its one writer
 
 
 @dataclass(frozen=True)
-class CachedSeries:
-    """An entry of series.json: one dataset's representative series and its
-    coordinates in the dataset."""
-
-    dataset_code: str
-    dimension_values: tuple[tuple[str, str], ...]
-    series_id: str
-    start: Month
-    values: tuple[float | None, ...]  # floats by repr, so bit-exact; null for a gap
-
-
-@dataclass(frozen=True)
-class SeriesDocument:
-    """series.json without its schema."""
-
-    series: tuple[CachedSeries, ...]
-
-
-def _cached_series(root: Path) -> dict[str, tuple[SeriesKey, MonthlySeries]]:
-    """The series in `root`'s series.json by dataset code; none without one.
-    The caller has checked the root's manifest."""
-    path = root / SERIES_FILE
-    if not path.exists():
-        return {}
-
-    def entry(doc) -> CachedSeries:
-        # `tuple` in place of the per-value walk that turns arrays into tuples.
-        return from_object(CachedSeries, doc, "series entry", {
-            "dimension_values": lambda pairs: tuple((name, value) for name, value in pairs),
-            "start": Month.parse,
-            "values": tuple,
-        })
-
-    def by_code(doc) -> dict[str, tuple[SeriesKey, MonthlySeries]]:
-        entries = from_object(SeriesDocument, doc, "series document", {
-            "series": lambda entries: tuple(map(entry, entries)),
-        }).series
-        return {e.dataset_code: (SeriesKey(e.dataset_code, e.dimension_values),
-                                 MonthlySeries(e.series_id, e.start, e.values)) for e in entries}
-
-    return read_document(path, SERIES_SCHEMA, by_code)
-
-
-def _require_this_format(root: Path) -> None:
-    if (root / "manifest.json").exists():
-        read_manifest(root)
-
-
-def store_series(entries: list[dict], key: SeriesKey, series: MonthlySeries) -> None:
-    """Append `series`, its dataset's representative, to the `series` entries
-    of the series.json a funnel run is collecting."""
-    _check_code(key.dataset_code)
-    entry = CachedSeries(key.dataset_code, key.dimension_values, series.id, series.start, series.values)
-    entries.append(to_object(entry, {"start": str}))
-
-
-def list_cached_series(root: str | Path) -> list[tuple[SeriesKey, MonthlySeries]]:
-    """Every series in the root's series.json, ordered by dataset code."""
-    root = Path(root)
-    _require_this_format(root)
-    cached = _cached_series(root)
-    return [cached[code] for code in sorted(cached)]
-
-
-@dataclass(frozen=True)
-class CacheManifest:
-    """Where a cache's catalog came from, when, and the funnel stages that
-    narrowed it."""
+class _Cache:
+    """cache.json without its schema: where and when the catalog was fetched,
+    the funnel stages applied, the datasets that passed them and the series
+    the run stored, one line each."""
 
     endpoint: str
     fetched_at: str
     filters: tuple[str, ...]
+    datasets: tuple[DatasetDescriptor, ...]
+    series: tuple[CachedSeries, ...]
 
 
-def write_manifest(root: str | Path, manifest: CacheManifest) -> Path:
-    return write_document(Path(root) / "manifest.json", MANIFEST_SCHEMA, to_object(manifest))
+def _cache_file(root: Path) -> Path:
+    """`root`'s cache.json. A root that an earlier layout wrote (catalog,
+    manifest and series documents) is refused with a SchemaError naming the
+    schema of its manifest.json."""
+    manifest = root / "manifest.json"
+    if manifest.exists():
+        read_document(manifest, CACHE_SCHEMA)  # raises, naming the schema found
+        raise SchemaError(f"{manifest}: a cache is one {CACHE_FILE}, not a manifest")
+    return root / CACHE_FILE
 
 
-def read_manifest(root: str | Path) -> CacheManifest:
-    path = Path(root) / "manifest.json"
+def _write_cache(path: Path, cache: _Cache) -> None:
+    """`cache` to `path` in one replace: the head line, then a line per series."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_document(path, CACHE_SCHEMA, to_object(cache, {
+        "datasets": lambda descriptors: [to_object(d, {"earliest_period": str}) for d in descriptors],
+        "series": lambda entries: [to_object(e, {"start": str}) for e in entries],
+    }), listed="series")
+
+
+def _finite(values) -> tuple:
+    values = tuple(values)
+    if math.inf in values or -math.inf in values:  # `json` reads 1e999 as inf
+        raise ValueError("a series entry holds a number beyond the float range")
+    return values
+
+
+def _read_cache(path: Path) -> _Cache | None:
+    """The cache document at `path`, None if there is none: the one reader."""
     if not path.exists():
-        raise NotCachedError(f"no manifest under {root}")
-    return read_document(path, MANIFEST_SCHEMA, lambda doc: from_object(CacheManifest, doc, "manifest"))
+        return None
+
+    def dataset(doc) -> DatasetDescriptor:
+        return from_object(DatasetDescriptor, doc, "dataset", {
+            "earliest_period": lambda month: None if month is None else Month.parse(month),
+        })
+
+    def entry(doc) -> CachedSeries:
+        return from_object(CachedSeries, doc, "series entry", {
+            "dimension_values": lambda pairs: tuple((name, value) for name, value in pairs),
+            "start": Month.parse,
+            "values": _finite,  # in place of the per-value walk that turns arrays into tuples
+        })
+
+    return read_document(path, CACHE_SCHEMA, lambda doc: from_object(_Cache, doc, "cache", {
+        "datasets": lambda docs: tuple(map(dataset, docs)),
+        "series": lambda docs: tuple(map(entry, docs)),
+    }))
+
+
+def store_series(stored: list[CachedSeries], cached: CachedSeries) -> None:
+    """Append `cached`, its dataset's representative, to the series a funnel
+    run is collecting; its dataset code must be a plain file name."""
+    _check_code(cached.dataset_code)
+    stored.append(cached)
+
+
+def list_cached_series(root: str | Path) -> list[CachedSeries]:
+    """Every series in the root's cache.json, ordered by dataset code."""
+    cache = _read_cache(_cache_file(Path(root)))
+    return [] if cache is None else sorted(cache.series, key=lambda s: s.dataset_code)
 
 
 def run_funnel(
@@ -533,19 +501,22 @@ def run_funnel(
 ) -> FunnelReport:
     """Catalog -> monthly -> parameters -> coverage -> one cached series per
     dataset. Offline mode never opens a connection: it uses fixtures or the
-    series the previous run cached, and fails a dataset otherwise. The run
-    is series.json's one writer: it replaces the document with exactly the
-    series it stored, and an interrupted run leaves the root as the previous
-    run left it."""
-    cache_root = Path(cache_root)
-    _require_this_format(cache_root)
+    catalog and series the previous run cached, and fails a dataset
+    otherwise. The run is cache.json's one writer: after its loop it replaces
+    the document in one step with the datasets that passed the funnel and
+    exactly the series it stored, so an interrupted run, or a failed write,
+    leaves the root as the previous run left it."""
+    path = _cache_file(Path(cache_root))
+    previous = _read_cache(path) if offline else None
     keywords = tuple(keywords)
     source = endpoint or (base_url() + CATALOG_PATH)
     if catalog_fixture is not None:
         snapshot = fetch_catalog(offline_fixture=catalog_fixture)
         source = str(catalog_fixture)
     elif offline:
-        snapshot = load_catalog(cache_root)
+        if previous is None:
+            raise NotCachedError(f"offline mode: no catalog fixture and no {CACHE_FILE} under {cache_root}")
+        snapshot = CatalogSnapshot(previous.fetched_at, previous.datasets)
         source = f"cache:{cache_root}"
     else:
         snapshot = fetch_catalog(endpoint)
@@ -559,33 +530,31 @@ def run_funnel(
     report.after_coverage = len(snapshot)
 
     fixture_dir = None if dataset_fixture_dir is None else Path(dataset_fixture_dir)
-    previous = None  # the series the previous run cached, read once when first needed
-    entries: list[dict] = []
+    carried = {s.dataset_code: s for s in previous.series} if previous else {}
+    stored: list[CachedSeries] = []
     for descriptor in snapshot.descriptors:
         code = descriptor.code
         fixture = None
         if fixture_dir is not None and (fixture_dir / f"{code}.json").exists():
             fixture = fixture_dir / f"{code}.json"
         carry = fixture is None and offline
-        if carry and previous is None:
-            previous = _cached_series(cache_root)
         try:
-            if carry and code not in previous:
+            if carry and code not in carried:
                 raise NotCachedError(f"offline mode: no fixture or cache for dataset {code}")
-            key, series = previous[code] if carry else pick_representative(
+            cached = carried[code] if carry else pick_representative(
                 fetch_dataset(code, offline_fixture=fixture), since)
         except Exception as exc:  # noqa: BLE001 - recorded per dataset
             report.failures[code] = f"{type(exc).__name__}: {exc}"
             log.warning("dataset %s failed: %s", code, exc)
             continue
-        store_series(entries, key, series)
+        store_series(stored, cached)
         report.stored.append(code)
-    cache_root.mkdir(parents=True, exist_ok=True)
-    write_document(cache_root / SERIES_FILE, SERIES_SCHEMA, {"series": entries}, listed="series")
-    store_catalog(cache_root, snapshot)
-    write_manifest(cache_root, CacheManifest(
+    cache = _Cache(
         endpoint=source,
         fetched_at=snapshot.fetched_at,
         filters=("monthly", f"parameters:{','.join(keywords)}", f"coverage:{since}"),
-    ))
+        datasets=snapshot.descriptors,
+        series=tuple(stored),
+    )
+    _write_cache(path, cache)
     return report

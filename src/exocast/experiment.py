@@ -283,7 +283,7 @@ def _resolve_dataset(spec: DatasetSpec) -> tuple[AlignedFrame, SyntheticTruth | 
     if spec.kind == "csv":
         indicators = [read(p) for p in spec.indicator_csvs]
     else:
-        indicators = [series for _, series in list_cached_series(spec.cache_root)]
+        indicators = [cached.series for cached in list_cached_series(spec.cache_root)]
         if not indicators:
             raise ExocastError(f"no cached indicator series under {spec.cache_root}")
     try:

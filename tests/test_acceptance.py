@@ -517,12 +517,12 @@ def test_criterion_10_eurostat_offline_funnel(tmp_path):
         assert not report.failures
 
         cached = list_cached_series(cache)
-        assert [key.dataset_code for key, _ in cached] == ["STS_A", "STS_C"]
-        for key, series in cached:
+        assert [c.dataset_code for c in cached] == ["STS_A", "STS_C"]
+        for c in cached:
             # the AT row (flat indices 0..29) from 2016-01, its month 12, bit-exact
-            assert key.dimension_values == (("geo", "AT"),)
-            assert series.start == M(2016, 1)
-            assert series.values == tuple(values[key.dataset_code][12:30])
+            assert c.dimension_values == (("geo", "AT"),)
+            assert c.start == M(2016, 1)
+            assert c.values == tuple(values[c.dataset_code][12:30])
 
 
 def test_criterion_11_report_shape(tmp_path):

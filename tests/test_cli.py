@@ -624,46 +624,59 @@ class TestFlags:
         assert f"unrecognized arguments: {ignored}" in capsys.readouterr().err
 
 
+def fetch_argv(tmp_path, cache):
+    """`exocast fetch` of one monthly dataset, STS_A, from fixtures into `cache`."""
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    catalog = {
+        "datasets": [
+            {"code": "STS_A", "title": "t", "frequency": "monthly",
+             "dimensions": ["geo"], "earliest_period": "2015-01",
+             "parameters": ["business"]},
+            {"code": "NAMA_Q", "title": "q", "frequency": "quarterly",
+             "dimensions": ["geo"], "earliest_period": "2010-01",
+             "parameters": ["business"]},
+        ]
+    }
+    (fixtures / "toc.json").write_text(json.dumps(catalog))
+    months = [f"2015-{m:02d}" for m in range(1, 13)] + [f"2016-{m:02d}" for m in range(1, 13)]
+    payload = {
+        "id": ["geo", "time"],
+        "size": [1, 24],
+        "dimension": {
+            "geo": {"category": {"index": {"AT": 0}}},
+            "time": {"category": {"index": {m: i for i, m in enumerate(months)}}},
+        },
+        "value": {str(i): float(i) for i in range(24)},
+    }
+    (fixtures / "STS_A.json").write_text(json.dumps(payload))
+    keywords = tmp_path / "kw.txt"
+    keywords.write_text("business\n")
+    return [
+        "fetch", "--cache-dir", str(cache), "--since", "2016-01",
+        "--keywords", str(keywords), "--offline",
+        "--catalog-fixture", str(fixtures / "toc.json"),
+        "--dataset-fixture-dir", str(fixtures),
+    ]
+
+
 class TestFetchCommand:
     def test_offline_fetch_with_fixtures(self, tmp_path, capsys):
-        fixtures = tmp_path / "fx"
-        fixtures.mkdir()
-        catalog = {
-            "datasets": [
-                {"code": "STS_A", "title": "t", "frequency": "monthly",
-                 "dimensions": ["geo"], "earliest_period": "2015-01",
-                 "parameters": ["business"]},
-                {"code": "NAMA_Q", "title": "q", "frequency": "quarterly",
-                 "dimensions": ["geo"], "earliest_period": "2010-01",
-                 "parameters": ["business"]},
-            ]
-        }
-        (fixtures / "toc.json").write_text(json.dumps(catalog))
-        months = [f"2015-{m:02d}" for m in range(1, 13)] + [f"2016-{m:02d}" for m in range(1, 13)]
-        payload = {
-            "id": ["geo", "time"],
-            "size": [1, 24],
-            "dimension": {
-                "geo": {"category": {"index": {"AT": 0}}},
-                "time": {"category": {"index": {m: i for i, m in enumerate(months)}}},
-            },
-            "value": {str(i): float(i) for i in range(24)},
-        }
-        (fixtures / "STS_A.json").write_text(json.dumps(payload))
-        keywords = tmp_path / "kw.txt"
-        keywords.write_text("business\n")
         cache = tmp_path / "cache"
-        rc = main([
-            "fetch", "--cache-dir", str(cache), "--since", "2016-01",
-            "--keywords", str(keywords), "--offline",
-            "--catalog-fixture", str(fixtures / "toc.json"),
-            "--dataset-fixture-dir", str(fixtures),
-        ])
-        assert rc == 0
+        assert main(fetch_argv(tmp_path, cache)) == 0
         printed = capsys.readouterr().out
         assert "monthly      -> 1" in printed
-        assert sorted(p.name for p in cache.iterdir()) == ["catalog.json", "manifest.json", "series.json"]
-        assert [k.dataset_code for k, _ in list_cached_series(cache)] == ["STS_A"]
+        assert [p.name for p in cache.iterdir()] == ["cache.json"]
+        assert [c.dataset_code for c in list_cached_series(cache)] == ["STS_A"]
+
+    def test_a_write_that_fails_exits_2_naming_the_path(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        (cache / "cache.json.tmp").mkdir(parents=True)
+        assert main(fetch_argv(tmp_path, cache)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert f"{cache / 'cache.json.tmp'}: Is a directory" in captured.err
+        assert [p.name for p in cache.iterdir()] == ["cache.json.tmp"]
 
     def test_since_that_is_not_a_month_exits_2(self, tmp_path, capsys):
         argv = ["fetch", "--cache-dir", str(tmp_path / "cache"), "--since", "2015-13", "--offline"]

@@ -10,20 +10,16 @@ import requests
 
 from exocast import eurostat
 from exocast.cli import main
-from exocast.errors import NotCachedError, PayloadError, SchemaError, write_document
+from exocast.errors import NotCachedError, PayloadError, SchemaError
 from exocast.eurostat import (
-    CatalogSnapshot,
+    CachedSeries,
     DatasetDescriptor,
-    SeriesKey,
     fetch_catalog,
     fetch_dataset,
     filter_catalog,
     list_cached_series,
-    load_catalog,
     pick_representative,
-    read_manifest,
     run_funnel,
-    store_catalog,
     store_series,
 )
 from exocast.series import Month, MonthlySeries
@@ -373,7 +369,9 @@ class TestFetchDataset:
         ("Infinity", "payload holds the non-finite value Infinity"),
         ("-Infinity", "payload holds the non-finite value -Infinity"),
         ("NaN", "payload holds the non-finite value NaN"),
-    ], ids=["missing-fields", "infinity", "minus-infinity", "nan"])
+        ("1e999", "payload holds a number beyond the float range"),
+        ("-1e999", "payload holds a number beyond the float range"),
+    ], ids=["missing-fields", "infinity", "minus-infinity", "nan", "overflow", "minus-overflow"])
     def test_malformed_dataset(self, tmp_path, value, message):
         fixture = tmp_path / "d.json"
         text = jsonstat_payload([("geo", ["AT"]), ("time", months("2016-01", 2))],
@@ -402,25 +400,24 @@ class TestPickRepresentative:
     def test_lexicographic_among_complete(self, tmp_path):
         full = {i: float(i) for i in range(12)}
         dataset = make_dataset(tmp_path, {"AT": full, "DE": full})
-        key, series = pick_representative(dataset, M(2016, 1))
-        assert key.dimension_values == (("geo", "AT"),)
-        assert len(series) == 12
-        assert not series.has_missing
+        picked = pick_representative(dataset, M(2016, 1))
+        assert picked.dimension_values == (("geo", "AT"),)
+        assert len(picked.series) == 12
+        assert not picked.series.has_missing
 
     def test_complete_beats_gapped_regardless_of_key_order(self, tmp_path):
         full = {i: float(i) for i in range(12)}
         gapped = {i: float(i) for i in range(12) if i != 5}
         dataset = make_dataset(tmp_path, {"AT": gapped, "DE": full})
-        key, series = pick_representative(dataset, M(2016, 1))
-        assert key.dimension_values == (("geo", "DE"),)
+        assert pick_representative(dataset, M(2016, 1)).dimension_values == (("geo", "DE"),)
 
     def test_fewest_gaps_wins(self, tmp_path):
         two_gaps = {i: float(i) for i in range(12) if i not in (3, 7)}
         five_gaps = {i: float(i) for i in range(12) if i not in (1, 2, 4, 8, 9)}
         dataset = make_dataset(tmp_path, {"AT": five_gaps, "DE": two_gaps})
-        key, series = pick_representative(dataset, M(2016, 1))
-        assert key.dimension_values == (("geo", "DE"),)
-        assert series.values[3] is None
+        picked = pick_representative(dataset, M(2016, 1))
+        assert picked.dimension_values == (("geo", "DE"),)
+        assert picked.values[3] is None
 
     def test_equal_gaps_go_to_the_smallest_coordinates_whatever_the_category_order(self, tmp_path):
         one_gap = {i: float(i) for i in range(12) if i != 4}
@@ -432,9 +429,9 @@ class TestPickRepresentative:
         fixture.write_text(jsonstat_payload([("geo", ["DE", "AT"]), ("time", time_labels)], values))
         dataset = fetch_dataset("d", offline_fixture=fixture)
         assert dataset.keys == (("DE",), ("AT",))
-        key, series = pick_representative(dataset, M(2016, 1))
-        assert key.dimension_values == (("geo", "AT"),)
-        assert series.values[9] is None
+        picked = pick_representative(dataset, M(2016, 1))
+        assert picked == CachedSeries(
+            "d", (("geo", "AT"),), M(2016, 1), tuple(None if i == 9 else float(i) for i in range(12)))
 
     def test_no_values_after_since(self, tmp_path):
         old = {i: float(i) for i in range(12)}
@@ -445,99 +442,107 @@ class TestPickRepresentative:
     def test_deterministic(self, tmp_path):
         spec = {"AT": {i: float(i) for i in range(0, 12, 2)}, "DE": {i: 1.0 for i in range(12)}}
         d1 = make_dataset(tmp_path, spec, code="D1")
-        k1, s1 = pick_representative(d1, M(2016, 1))
-        k2, s2 = pick_representative(d1, M(2016, 1))
-        assert (k1, s1.values) == (k2, s2.values)
+        assert pick_representative(d1, M(2016, 1)) == pick_representative(d1, M(2016, 1))
 
 
-def write_series(root, *items):
-    """Write `root`'s series.json from `(key, series)` items as a funnel run
+FETCHED_AT = "2026-01-01T00:00:00+00:00"
+
+
+def write_cache(root, *cached, datasets=()):
+    """Write `root`'s cache.json holding the `cached` series as a funnel run
     does, and return its path."""
-    entries = []
-    for key, series in items:
-        store_series(entries, key, series)
-    root.mkdir(parents=True, exist_ok=True)
-    return write_document(root / "series.json", "exocast.eurostat.series/3", {"series": entries},
-                          listed="series")
+    stored = []
+    for c in cached:
+        store_series(stored, c)
+    path = root / "cache.json"
+    eurostat._write_cache(path, eurostat._Cache("toc.json", FETCHED_AT, ("monthly",), datasets, tuple(stored)))
+    return path
+
+
+def cached_series(code, values, start=M(2016, 1), dimension_values=(("geo", "AT"),)):
+    return CachedSeries(code, dimension_values, start, tuple(values))
 
 
 class TestCache:
-    def test_catalog_round_trip(self, tmp_path):
-        snapshot = CatalogSnapshot(
-            fetched_at="2026-08-08T00:00:00+00:00",
-            descriptors=(
-                DatasetDescriptor("A", "t", "monthly", ("geo",), M(2016, 1), ("business",)),
-                DatasetDescriptor("B", "u", "quarterly", (), None, ()),
-            ),
+    def test_document_round_trip(self, tmp_path):
+        datasets = (
+            DatasetDescriptor("A", "t", "monthly", ("geo",), M(2016, 1), ("business",)),
+            DatasetDescriptor("B", "u", "quarterly", (), None, ()),
         )
-        store_catalog(tmp_path, snapshot)
-        assert load_catalog(tmp_path) == snapshot
+        series = (cached_series("A", (1.5, None)), cached_series("B", (2.0,), dimension_values=()))
+        path = write_cache(tmp_path, *series, datasets=datasets)
+        assert eurostat._read_cache(path) == eurostat._Cache(
+            "toc.json", FETCHED_AT, ("monthly",), datasets, series)
 
     def test_series_round_trip_with_missing(self, tmp_path):
-        key = SeriesKey("DS", (("geo", "AT"), ("unit", "I15")))
-        series = MonthlySeries("DS", M(2016, 1), (1.5, None, 2.25))
-        path = write_series(tmp_path, (key, series))
+        cached = cached_series("DS", (1.5, None, 2.25), dimension_values=(("geo", "AT"), ("unit", "I15")))
+        path = write_cache(tmp_path, cached)
         assert json.loads(path.read_text())["series"][0]["values"][1] is None
-        assert list_cached_series(tmp_path) == [(key, series)]
+        assert list_cached_series(tmp_path) == [cached]
+        assert cached.series == MonthlySeries("DS", M(2016, 1), (1.5, None, 2.25))
 
     def test_bit_exact_values(self, tmp_path):
         vals = np.random.default_rng(0).normal(0, 1, 24).tolist()
-        key = SeriesKey("DS2", (("geo", "AT"),))
-        write_series(tmp_path, (key, MonthlySeries("DS2", M(2016, 1), vals)))
-        ((_, loaded),) = list_cached_series(tmp_path)
+        write_cache(tmp_path, cached_series("DS2", vals))
+        (loaded,) = list_cached_series(tmp_path)
         assert loaded.values == tuple(vals)
 
     def test_round_trip_is_bit_exact_at_the_edges(self, tmp_path):
         values = (None, -0.0, 5e-324, None, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, None)
         series = MonthlySeries("EDGE", M(2016, 1), values)
-        write_series(tmp_path, (SeriesKey("EDGE", ()), series))
-        ((_, loaded),) = list_cached_series(tmp_path)
-        assert loaded.start == series.start
-        assert loaded.array.tobytes() == series.array.tobytes()
+        write_cache(tmp_path, cached_series("EDGE", values, dimension_values=()))
+        (loaded,) = list_cached_series(tmp_path)
+        assert loaded.series.start == series.start
+        assert loaded.series.array.tobytes() == series.array.tobytes()
         assert loaded.values == values
 
-    def test_one_document_per_series(self, tmp_path):
-        key = SeriesKey("DS", (("geo", "AT"),))
-        path = write_series(tmp_path, (key, MonthlySeries("DS", M(2016, 3), (1.0, None))))
-        assert path == tmp_path / "series.json"
-        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()] == [path.relative_to(tmp_path)]
-        assert json.loads(path.read_text()) == {
-            "schema": "exocast.eurostat.series/3",
-            "series": [{
-                "dataset_code": "DS",
-                "dimension_values": [["geo", "AT"]],
-                "series_id": "DS",
-                "start": "2016-03",
-                "values": [1.0, None],
+    def test_one_document_with_a_head_line_and_a_line_per_series(self, tmp_path):
+        datasets = (DatasetDescriptor("DS", "t", "monthly", ("geo",), M(2015, 1), ("business",)),)
+        path = write_cache(tmp_path, cached_series("DS", (1.0, None), start=M(2016, 3)),
+                           cached_series("DT", (2.0,)), datasets=datasets)
+        assert list(tmp_path.iterdir()) == [path]
+        head, *entries, end = path.read_text().splitlines()
+        assert json.loads(head + "]}") == {
+            "schema": "exocast.eurostat.cache/1",
+            "endpoint": "toc.json",
+            "fetched_at": FETCHED_AT,
+            "filters": ["monthly"],
+            "datasets": [{
+                "code": "DS", "title": "t", "frequency": "monthly", "dimension_names": ["geo"],
+                "earliest_period": "2015-01", "source_parameters": ["business"],
             }],
+            "series": [],
         }
+        assert entries == [
+            '{"dataset_code": "DS", "dimension_values": [["geo", "AT"]], "start": "2016-03", "values": [1.0, null]},',
+            '{"dataset_code": "DT", "dimension_values": [["geo", "AT"]], "start": "2016-01", "values": [2.0]}',
+        ]
+        assert end == "]}"
 
     @pytest.mark.parametrize("code", ["", ".", "..", "../outside", "a/b", "a\\b", "a\0b"])
     def test_code_that_is_not_a_plain_file_name_rejected(self, tmp_path, code):
-        entries = []
+        stored = []
         with pytest.raises(PayloadError, match="plain file name"):
-            store_series(entries, SeriesKey(code, ()), MonthlySeries(code, M(2016, 1), (1.0,)))
-        assert entries == []
+            store_series(stored, cached_series(code, (1.0,), dimension_values=()))
+        assert stored == []
 
     def test_empty_root(self, tmp_path):
-        with pytest.raises(NotCachedError):
-            load_catalog(tmp_path / "nothing")
         assert list_cached_series(tmp_path / "nothing") == []
+        with pytest.raises(NotCachedError, match="no catalog fixture and no cache.json"):
+            run_funnel(tmp_path / "nothing", since=M(2016, 1), keywords=("business",), offline=True)
+        assert not (tmp_path / "nothing").exists()
 
     def test_list_cached(self, tmp_path):
         # Stored out of order, and "A-B.json" would sort before "A.json": the
         # order is the codes', neither the stores' nor a file name's.
-        write_series(tmp_path, *[
-            (SeriesKey(code, (("geo", "AT"),)), MonthlySeries(code, M(2016, 1), (1.0, 2.0)))
-            for code in ("B", "A-B", "A")
-        ])
+        write_cache(tmp_path, *[cached_series(code, (1.0, 2.0)) for code in ("B", "A-B", "A")])
         cached = list_cached_series(tmp_path)
-        assert [k.dataset_code for k, _ in cached] == ["A", "A-B", "B"]
-        assert [s.id for _, s in cached] == ["A", "A-B", "B"]
+        assert [c.dataset_code for c in cached] == ["A", "A-B", "B"]
+        assert [c.series.id for c in cached] == ["A", "A-B", "B"]
 
 
 def write_v1_cache(root):
-    """A cache in the format before `exocast.eurostat.series/2`: a folder per
+    """A cache in the layout before `exocast.eurostat.manifest/2`: a folder per
     dataset holding a series CSV and a key sidecar."""
     folder = root / "STS_A"
     folder.mkdir(parents=True)
@@ -547,13 +552,13 @@ def write_v1_cache(root):
     )
     (root / "manifest.json").write_text(json.dumps({
         "schema": "exocast.eurostat.manifest/1", "endpoint": "toc.json",
-        "fetched_at": "2026-01-01T00:00:00+00:00", "filters": ["monthly"],
+        "fetched_at": FETCHED_AT, "filters": ["monthly"],
     }))
     return root
 
 
 def write_v2_cache(root):
-    """A cache in the format before `exocast.eurostat.series/3`: a document
+    """A cache in the layout before `exocast.eurostat.manifest/3`: a document
     per dataset under `series/`."""
     (root / "series").mkdir(parents=True)
     (root / "series" / "STS_A.json").write_text(json.dumps({
@@ -563,27 +568,48 @@ def write_v2_cache(root):
     }))
     (root / "manifest.json").write_text(json.dumps({
         "schema": "exocast.eurostat.manifest/2", "endpoint": "toc.json",
-        "fetched_at": "2026-01-01T00:00:00+00:00", "filters": ["monthly"],
+        "fetched_at": FETCHED_AT, "filters": ["monthly"],
     }))
     return root
 
 
-OLD_CACHES = {"1": write_v1_cache, "2": write_v2_cache}
+def write_v3_cache(root):
+    """A cache in the layout before `exocast.eurostat.cache/1`: catalog.json,
+    manifest.json and series.json."""
+    root.mkdir(parents=True)
+    (root / "catalog.json").write_text(json.dumps({
+        "schema": "exocast.eurostat.catalog/1", "fetched_at": FETCHED_AT,
+        "datasets": [{"code": "STS_A", "title": "t", "frequency": "monthly", "dimensions": ["geo"],
+                      "earliest_period": "2015-01", "parameters": ["business"]}],
+    }))
+    (root / "series.json").write_text(json.dumps({"schema": "exocast.eurostat.series/3", "series": [{
+        "dataset_code": "STS_A", "dimension_values": [["geo", "AT"]], "series_id": "STS_A",
+        "start": "2016-01", "values": [1.0],
+    }]}))
+    (root / "manifest.json").write_text(json.dumps({
+        "schema": "exocast.eurostat.manifest/3", "endpoint": "toc.json",
+        "fetched_at": FETCHED_AT, "filters": ["monthly"],
+    }))
+    return root
+
+
+OLD_CACHES = {"1": write_v1_cache, "2": write_v2_cache, "3": write_v3_cache}
 
 
 class TestOldCacheFormat:
     @pytest.mark.parametrize("read", [
-        read_manifest,
         list_cached_series,
         lambda root: run_funnel(root, since=M(2016, 1), keywords=("business",), offline=True),
-    ], ids=["read_manifest", "list_cached_series", "run_funnel"])
+        lambda root: run_funnel(root, since=M(2016, 1), keywords=("business",),
+                                catalog_fixture=root / "no-such-toc.json"),
+    ], ids=["list_cached_series", "run_funnel", "run_funnel-live"])
     def test_rejected_by_name(self, tmp_path, read):
         for version, write in OLD_CACHES.items():
             root = write(tmp_path / f"cache{version}")
-            before = sorted(p.relative_to(root) for p in root.rglob("*"))
+            before = {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
             with pytest.raises(SchemaError, match=f"exocast.eurostat.manifest/{version}"):
                 read(root)
-            assert sorted(p.relative_to(root) for p in root.rglob("*")) == before
+            assert {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
 
     def test_experiment_on_it_exits_2(self, tmp_path, capsys):
         target = tmp_path / "target.csv"
@@ -604,24 +630,17 @@ class TestOldCacheFormat:
             assert f"exocast.eurostat.manifest/{version}" in err
 
 
-SERIES_ENTRY = {
-    "dataset_code": "STS_A", "dimension_values": [["geo", "AT"]], "series_id": "STS_A",
-    "start": "2016-01", "values": [1.5, None],
-}
-
-
-def series_doc(entry=SERIES_ENTRY, **changes) -> dict:
-    return {"schema": "exocast.eurostat.series/3", "series": [entry], **changes}
-
-
-MANIFEST_DOC = {"schema": "exocast.eurostat.manifest/3", "endpoint": "toc.json",
-                "fetched_at": "2026-01-01T00:00:00+00:00", "filters": ["monthly"]}
+SERIES_ENTRY = {"dataset_code": "STS_A", "dimension_values": [["geo", "AT"]], "start": "2016-01",
+                "values": [1.5, None]}
 DESCRIPTOR_DOC = {
-    "code": "A", "title": "t", "frequency": "monthly", "dimensions": ["geo"],
-    "earliest_period": "2016-01", "parameters": ["business"],
+    "code": "A", "title": "t", "frequency": "monthly", "dimension_names": ["geo"],
+    "earliest_period": "2016-01", "source_parameters": ["business"],
 }
-CATALOG_DOC = {"schema": "exocast.eurostat.catalog/1", "fetched_at": "2026-01-01T00:00:00+00:00",
-               "datasets": [DESCRIPTOR_DOC]}
+
+
+def cache_doc(entry=SERIES_ENTRY, dataset=DESCRIPTOR_DOC, **changes) -> dict:
+    return {"schema": "exocast.eurostat.cache/1", "endpoint": "toc.json", "fetched_at": FETCHED_AT,
+            "filters": ["monthly"], "datasets": [dataset], "series": [entry], **changes}
 
 
 def without(doc: dict, key: str) -> dict:
@@ -629,54 +648,50 @@ def without(doc: dict, key: str) -> dict:
 
 
 class TestMalformedDocuments:
-    @pytest.mark.parametrize("name, read, doc, message", [
-        ("manifest.json", read_manifest, [], "JSON object, not list"),
-        ("manifest.json", read_manifest, "{", "Expecting property name"),
-        ("manifest.json", read_manifest, {"schema": "x"}, "schema 'x' is not"),
-        ("manifest.json", read_manifest, without(MANIFEST_DOC, "filters"), "manifest lacks filters"),
-        ("manifest.json", read_manifest, {**MANIFEST_DOC, "size": 1}, "unknown manifest keys: size"),
-        ("series.json", list_cached_series, [], "JSON object, not list"),
-        ("series.json", list_cached_series, "{", "Expecting property name"),
-        ("series.json", list_cached_series, series_doc(schema="x"), "schema 'x'"),
-        ("series.json", list_cached_series, without(series_doc(), "series"), "lacks series"),
-        ("series.json", list_cached_series, series_doc(without(SERIES_ENTRY, "start")), "lacks start"),
-        ("series.json", list_cached_series, series_doc({**SERIES_ENTRY, "start": "2016"}), "'2016'"),
-        ("series.json", list_cached_series, series_doc({**SERIES_ENTRY, "dimension_values": [["geo"]]}),
+    @pytest.mark.parametrize("name, doc, message", [
+        ("manifest.json", [], "JSON object, not list"),
+        ("manifest.json", "{", "Expecting property name"),
+        ("manifest.json", {"schema": "x"}, "schema 'x' is not"),
+        ("cache.json", [], "JSON object, not list"),
+        ("cache.json", "{", "Expecting property name"),
+        ("cache.json", cache_doc(schema="x"), "schema 'x'"),
+        ("cache.json", without(cache_doc(), "series"), "cache lacks series"),
+        ("cache.json", without(cache_doc(), "fetched_at"), "cache lacks fetched_at"),
+        ("cache.json", cache_doc(size=1), "unknown cache keys: size"),
+        ("cache.json", cache_doc(without(SERIES_ENTRY, "start")), "lacks start"),
+        ("cache.json", cache_doc({**SERIES_ENTRY, "start": "2016"}), "'2016'"),
+        ("cache.json", cache_doc({**SERIES_ENTRY, "dimension_values": [["geo"]]}),
          "not enough values to unpack"),
-        ("series.json", list_cached_series, series_doc({**SERIES_ENTRY, "unit": "I15"}),
-         "unknown series entry keys: unit"),
-        ("series.json", list_cached_series, series_doc(size=1), "unknown series document keys: size"),
-        *[("series.json", list_cached_series, series_doc({**SERIES_ENTRY, "values": [value, 2.0]}),
+        ("cache.json", cache_doc({**SERIES_ENTRY, "series_id": "STS_A"}),
+         "unknown series entry keys: series_id"),
+        *[("cache.json", cache_doc({**SERIES_ENTRY, "values": [value, 2.0]}),
            f"the non-finite value {name} is not JSON")
           for value, name in [(math.inf, "Infinity"), (-math.inf, "-Infinity"), (math.nan, "NaN")]],
-        ("catalog.json", load_catalog, [], "JSON object, not list"),
-        ("catalog.json", load_catalog, "{", "Expecting property name"),
-        ("catalog.json", load_catalog, {**CATALOG_DOC, "schema": "x"}, "schema 'x'"),
-        ("catalog.json", load_catalog, without(CATALOG_DOC, "fetched_at"), "lacks fetched_at"),
-        ("catalog.json", load_catalog, {**CATALOG_DOC, "size": 1}, "unknown catalog keys: size"),
-        ("catalog.json", load_catalog, {**CATALOG_DOC, "datasets": [without(DESCRIPTOR_DOC, "code")]},
-         "dataset lacks code"),
-        ("catalog.json", load_catalog, {**CATALOG_DOC, "datasets": [
-            {**DESCRIPTOR_DOC, "earliest_period": "2016"}]}, "'2016'"),
+        *[("cache.json", json.dumps(cache_doc()).replace("1.5", number),
+           "a series entry holds a number beyond the float range") for number in ("1e999", "-1e999")],
+        ("cache.json", cache_doc(dataset=without(DESCRIPTOR_DOC, "code")), "dataset lacks code"),
+        ("cache.json", cache_doc(dataset={**DESCRIPTOR_DOC, "parameters": ["business"]}),
+         "unknown dataset keys: parameters"),
+        ("cache.json", cache_doc(dataset={**DESCRIPTOR_DOC, "earliest_period": "2016"}), "'2016'"),
     ], ids=[
-        "read_manifest", "read_manifest-not-json", "read_manifest-schema",
-        "read_manifest-missing-key", "read_manifest-unknown-key",
-        "read_series", "read_series-not-json", "read_series-schema", "read_series-no-series",
-        "read_series-missing-key",
-        "read_series-malformed", "read_series-not-a-pair",
-        "read_series-unknown-entry-key", "read_series-unknown-key",
-        "read_series-infinity", "read_series-minus-infinity", "read_series-nan",
-        "load_catalog", "load_catalog-not-json", "load_catalog-schema",
-        "load_catalog-missing-key", "load_catalog-unknown-key", "load_catalog-descriptor-key",
-        "load_catalog-malformed",
+        "manifest", "manifest-not-json", "manifest-schema",
+        "cache", "cache-not-json", "cache-schema", "cache-no-series", "cache-missing-key",
+        "cache-unknown-key", "series-missing-key", "series-malformed", "series-not-a-pair",
+        "series-unknown-key", "series-infinity", "series-minus-infinity", "series-nan",
+        "series-overflow", "series-minus-overflow",
+        "dataset-missing-key", "dataset-unknown-key", "dataset-malformed",
     ])
-    def test_rejected_as_a_schema_error_naming_the_file(self, tmp_path, name, read, doc, message):
+    @pytest.mark.parametrize("read", [
+        list_cached_series,
+        lambda root: run_funnel(root, since=M(2016, 1), keywords=("business",), offline=True),
+    ], ids=["list_cached_series", "run_funnel"])
+    def test_rejected_as_a_schema_error_naming_the_file(self, tmp_path, name, doc, message, read):
         path = tmp_path / name
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         with pytest.raises(SchemaError, match=message) as raised:
             read(tmp_path)
         assert str(raised.value).startswith(f"{path}: ")
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_offline_fetch_on_it_exits_2(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("[]")
@@ -727,9 +742,9 @@ class TestLivePath:
         assert report.stored == ["STS_A", "STS_C"]
         assert not report.failures
         assert len(calls) == 3  # one catalog + two datasets
-        (_, _), (_, series) = list_cached_series(cache)
-        assert series.id == "STS_C"
-        assert series.values[0] == 24.0  # 2016-01 is index 12 in the payload
+        _, cached = list_cached_series(cache)
+        assert cached.series.id == "STS_C"
+        assert cached.values[0] == 24.0  # 2016-01 is index 12 in the payload
 
 
 @pytest.fixture()
@@ -768,13 +783,16 @@ class TestFunnel:
         assert report.after_coverage == 2
         assert report.stored == ["STS_A", "STS_C"]
         assert not report.failures
-        assert json.loads((cache / "manifest.json").read_text())["schema"] == "exocast.eurostat.manifest/3"
-        assert read_manifest(cache).filters == ("monthly", "parameters:business,trade,energy", "coverage:2016-01")
-        assert list(cache.rglob("*.tmp")) == []
-        (_, series), _ = list_cached_series(cache)
-        assert series.id == "STS_A"
-        assert series.start == M(2016, 1)
-        assert len(series) == 18  # 2016-01 .. 2017-06
+        assert [p.name for p in cache.iterdir()] == ["cache.json"]
+        doc = json.loads((cache / "cache.json").read_text())
+        assert doc["schema"] == "exocast.eurostat.cache/1"
+        assert doc["endpoint"] == str(funnel_fixtures / "toc.json")
+        assert doc["filters"] == ["monthly", "parameters:business,trade,energy", "coverage:2016-01"]
+        assert [d["code"] for d in doc["datasets"]] == ["STS_A", "STS_C"]
+        first, _ = list_cached_series(cache)
+        assert first.series.id == "STS_A"
+        assert first.start == M(2016, 1)
+        assert len(first.values) == 18  # 2016-01 .. 2017-06
 
     def test_offline_zero_network(self, tmp_path, funnel_fixtures, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -802,21 +820,29 @@ class TestFunnel:
         )
         monkeypatch.setattr(socket, "socket", lambda *a, **k: (_ for _ in ()).throw(AssertionError))
         first = list_cached_series(cache)
-        written = (cache / "series.json").read_bytes()
-        manifest_reads = []
+        head, rest = (cache / "cache.json").read_text().split("\n", 1)
+        reads = []
 
-        def counting(root):
-            manifest_reads.append(root)
-            return read_manifest(root)
+        def counting(path):
+            reads.append(path)
+            return read_cache(path)
 
-        monkeypatch.setattr(eurostat, "read_manifest", counting)
+        read_cache = eurostat._read_cache
+        monkeypatch.setattr(eurostat, "_read_cache", counting)
         report = run_funnel(cache, since=M(2016, 1), keywords=("business", "energy"), offline=True)
-        assert len(manifest_reads) == 1
+        assert reads == [cache / "cache.json"]
         assert report.stored == ["STS_A", "STS_C"]
         assert not report.failures
-        assert sorted(p.name for p in cache.iterdir()) == ["catalog.json", "manifest.json", "series.json"]
-        assert (cache / "series.json").read_bytes() == written
+        assert [p.name for p in cache.iterdir()] == ["cache.json"]
+        # The head line names this run's endpoint; the catalog, its fetch
+        # time and every series are carried over byte for byte.
+        rerun_head, rerun_rest = (cache / "cache.json").read_text().split("\n", 1)
+        assert rerun_rest == rest
+        assert json.loads(rerun_head + "]}") == {**json.loads(head + "]}"), "endpoint": f"cache:{cache}"}
         assert list_cached_series(cache) == first
+        again = (cache / "cache.json").read_bytes()
+        run_funnel(cache, since=M(2016, 1), keywords=("business", "energy"), offline=True)
+        assert (cache / "cache.json").read_bytes() == again
 
     def test_narrower_refetch_keeps_only_what_it_stored(self, tmp_path, funnel_fixtures):
         cache = tmp_path / "cache"
@@ -827,8 +853,10 @@ class TestFunnel:
                 dataset_fixture_dir=funnel_fixtures,
             )
         assert report.stored == ["STS_A"]
-        assert [k.dataset_code for k, _ in list_cached_series(cache)] == ["STS_A"]
-        assert read_manifest(cache).filters[1] == "parameters:business"
+        assert [c.dataset_code for c in list_cached_series(cache)] == ["STS_A"]
+        doc = json.loads((cache / "cache.json").read_text())
+        assert [d["code"] for d in doc["datasets"]] == ["STS_A"]
+        assert doc["filters"][1] == "parameters:business"
 
     def test_interrupted_run_leaves_the_previous_series(self, tmp_path, funnel_fixtures, monkeypatch):
         cache = tmp_path / "cache"
@@ -852,7 +880,22 @@ class TestFunnel:
         assert calls == ["STS_A", "STS_C"]
         assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
 
-    @pytest.mark.parametrize("fault", ["missing", "non-finite"])
+    def test_a_failed_write_leaves_the_previous_cache(self, tmp_path, funnel_fixtures):
+        cache = tmp_path / "cache"
+        funnel = dict(
+            since=M(2016, 1), offline=True,
+            catalog_fixture=funnel_fixtures / "toc.json", dataset_fixture_dir=funnel_fixtures,
+        )
+        run_funnel(cache, keywords=("business",), **funnel)
+        before = (cache / "cache.json").read_bytes()
+        (cache / "cache.json.tmp").mkdir()
+        with pytest.raises(IsADirectoryError):
+            run_funnel(cache, keywords=("business", "energy"), **funnel)
+        assert (cache / "cache.json").read_bytes() == before
+        assert sorted(p.name for p in cache.iterdir()) == ["cache.json", "cache.json.tmp"]
+        assert list((cache / "cache.json.tmp").iterdir()) == []
+
+    @pytest.mark.parametrize("fault", ["missing", "non-finite", "overflow"])
     def test_offline_missing_dataset_recorded(self, tmp_path, funnel_fixtures, fault):
         cache = tmp_path / "cache"
         report = run_funnel(
@@ -870,17 +913,19 @@ class TestFunnel:
             fixture.unlink()
         else:
             doc = json.loads(fixture.read_text())
-            doc["value"]["3"] = float("inf")
-            fixture.write_text(json.dumps(doc))  # written as Infinity
+            doc["value"]["3"] = "VALUE"
+            fixture.write_text(json.dumps(doc).replace('"VALUE"', "Infinity" if fault == "non-finite" else "1e999"))
         report2 = run_funnel(
             tmp_path / "cache2", since=M(2016, 1), keywords=("business", "energy"),
             offline=True, catalog_fixture=funnel_fixtures / "toc.json",
             dataset_fixture_dir=funnel_fixtures,
         )
         assert "STS_C" in report2.failures
-        if fault == "non-finite":
-            assert "non-finite value Infinity" in report2.failures["STS_C"]
+        message = {"missing": "no fixture or cache", "non-finite": "non-finite value Infinity",
+                   "overflow": "number beyond the float range"}[fault]
+        assert message in report2.failures["STS_C"]
         assert report2.stored == ["STS_A"]
+        assert [c.dataset_code for c in list_cached_series(tmp_path / "cache2")] == ["STS_A"]
 
     def test_code_escaping_the_root_skips_only_that_dataset(self, tmp_path, funnel_fixtures):
         entries = FIVE_ENTRIES + [catalog_entry("../escape", parameters=("energy",))]
@@ -894,4 +939,4 @@ class TestFunnel:
         assert report.stored == ["STS_A", "STS_C"]
         assert not report.failures
         assert [p.name for p in (tmp_path / "work").iterdir()] == ["cache"]
-        assert [k.dataset_code for k, _ in list_cached_series(cache)] == ["STS_A", "STS_C"]
+        assert [c.dataset_code for c in list_cached_series(cache)] == ["STS_A", "STS_C"]
