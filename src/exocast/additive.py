@@ -196,12 +196,17 @@ def _ridge_solver(
     return solve
 
 
+def _tail_length(config: AdditiveConfig) -> int:
+    """How many of the last target and regressor values a forecast reads."""
+    return max(config.ar_lags, config.regressor_lags, 1)
+
+
 def fit(train: AlignedFrame, config: AdditiveConfig) -> FittedAdditive:
     layout, values = build_design(train, config)
     y_full = np.asarray(train.target.require_complete())
     y = y_full[config.dropped_rows :]
     coeffs = _ridge_solver(layout, values, y, config.ridge_lambda)(np.arange(len(layout)))
-    tail = max(config.ar_lags, config.regressor_lags, 1)
+    tail = _tail_length(config)
     return FittedAdditive(
         config=config,
         layout=layout,
@@ -345,7 +350,15 @@ def to_doc(fitted: FittedAdditive) -> dict:
 
 
 def from_doc(doc: dict) -> FittedAdditive:
-    """Inverse of `to_doc`, given the document without its schema."""
-    return from_object(FittedAdditive, doc, "model", convert={
+    """Inverse of `to_doc`, given the document without its schema. Tails of
+    other lengths than `fit` writes are refused."""
+    fitted = from_object(FittedAdditive, doc, "model", convert={
         "config": config_from_doc, "train_start": Month.parse,
     })
+    n = min(_tail_length(fitted.config), fitted.train_length)
+    lengths = [len(tail) for tail in fitted.regressor_tails]
+    if len(fitted.target_tail) != n or lengths != [n] * len(fitted.regressor_ids):
+        raise ValueError(f"target_tail holds {len(fitted.target_tail)} values and "
+                         f"regressor_tails {lengths} for regressors "
+                         f"{list(fitted.regressor_ids)}; fit leaves {n} each")
+    return fitted

@@ -3,11 +3,13 @@ writes a dataclass as a JSON object and `from_object` reads it back, for
 config entries and persisted files alike; `write_document` writes a
 persisted file in one step, and `read_document` reads it and turns whatever
 it cannot use into a SchemaError naming the file. `parse_json` is their
-parser: it refuses the non-finite constants that `json.loads` accepts."""
+parser: it refuses the non-finite constants that `json.loads` accepts, and
+numbers beyond the float range, which it would read as infinite."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
@@ -134,10 +136,18 @@ def _non_finite(name: str):
     raise ValueError(f"the non-finite value {name} is not JSON")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"the number {text} is beyond the float range")
+    return value
+
+
 def parse_json(text: str):
-    """`text` parsed as JSON; Infinity, -Infinity and NaN are a ValueError,
-    as is any other text that is not JSON."""
-    return json.loads(text, parse_constant=_non_finite)
+    """`text` parsed as JSON; Infinity, -Infinity, NaN and a number beyond
+    the float range, such as 1e999, are a ValueError, as is any other text
+    that is not JSON."""
+    return json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
 
 
 def write_document(path: str | Path, schema: str, doc: dict, listed: str | None = None) -> Path:

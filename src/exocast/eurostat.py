@@ -446,13 +446,6 @@ def _write_cache(path: Path, cache: _Cache) -> None:
     }), listed="series")
 
 
-def _finite(values) -> tuple:
-    values = tuple(values)
-    if math.inf in values or -math.inf in values:  # `json` reads 1e999 as inf
-        raise ValueError("a series entry holds a number beyond the float range")
-    return values
-
-
 def _read_cache(path: Path) -> _Cache | None:
     """The cache document at `path`, None if there is none: the one reader."""
     if not path.exists():
@@ -467,7 +460,7 @@ def _read_cache(path: Path) -> _Cache | None:
         return from_object(CachedSeries, doc, "series entry", {
             "dimension_values": lambda pairs: tuple((name, value) for name, value in pairs),
             "start": Month.parse,
-            "values": _finite,  # in place of the per-value walk that turns arrays into tuples
+            "values": tuple,  # in place of the per-value walk that turns arrays into tuples
         })
 
     return read_document(path, CACHE_SCHEMA, lambda doc: from_object(_Cache, doc, "cache", {

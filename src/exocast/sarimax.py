@@ -8,7 +8,10 @@ The model for the (d, D)-differenced target w is
 with exogenous values x entering undifferenced, aligned to the differenced
 index. Seasonal and non-seasonal terms add; they are not multiplied. MA
 terms carry a positive sign in the model (the statsmodels convention), so
-the residual recursion subtracts them.
+the residual recursion subtracts them. `series.difference` differences the
+target for the fit and a forecast's tail, and `series.integrate` turns a
+forecast of w back into target values, in `forecast` and
+`round_forecaster` alike.
 
 Estimation minimises the conditional sum of squared residuals (CSS) from
 t = max(p, P*s) onward. Stationarity and invertibility are enforced by
@@ -61,8 +64,9 @@ from .series import (
     AlignedFrame,
     Month,
     MonthlySeries,
-    difference_with_initials,
+    difference,
     future_matrix,
+    integrate,
     least_squares_line,
 )
 
@@ -321,8 +325,7 @@ def _differenced_target(order: SarimaxOrder, target: MonthlySeries) -> np.ndarra
             f"need more than {order.dropped + order.presample} observations "
             f"for order {order.as_tuple()}, got {n}"
         )
-    diffed, _ = difference_with_initials(target, order.d, order.D, order.s)
-    return diffed.require_complete()
+    return difference(target.require_complete(), order.d, order.D, order.s)
 
 
 def _regressor_matrix(
@@ -687,31 +690,6 @@ def extrapolate_regressor(series: MonthlySeries, horizon: int) -> np.ndarray:
     return future
 
 
-def _stage_histories(
-    tail: Sequence[float], d: int, D: int, s: int
-) -> tuple[list[tuple[int, list[float]]], list[float]]:
-    """Per-stage value histories needed to integrate a forecast forward."""
-    stages: list[tuple[int, list[float]]] = []
-    cur = [float(v) for v in tail]
-    for _ in range(d):
-        stages.append((1, cur))
-        cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
-    for _ in range(D):
-        stages.append((s, cur))
-        cur = [cur[i + s] - cur[i] for i in range(len(cur) - s)]
-    return stages, cur
-
-
-def _integrate_forward(history: list[float], lag: int, fc: list[float]) -> list[float]:
-    buf = list(history[-lag:])
-    out = []
-    for v in fc:
-        nxt = buf[-lag] + v
-        buf.append(nxt)
-        out.append(nxt)
-    return out
-
-
 def forecast(
     fitted: FittedSarimax,
     horizon: int,
@@ -723,29 +701,28 @@ def forecast(
     normalized) scale."""
     order, params = fitted.order, fitted.params
     x = future_matrix(future_exog, horizon, fitted.regressor_ids)
-    history = _stage_histories(fitted.tail_values, order.d, order.D, order.s)
-    values = _forecast_path(
-        order, params, history, fitted.tail_residuals, fitted.presample_mean, x.T, horizon
-    )
+    values = _forecast_path(order, params, fitted.tail_values, fitted.tail_residuals,
+                            fitted.presample_mean, x.T, horizon)
     return MonthlySeries(fitted.target_id, fitted.train_end.shift(1), values)
 
 
 def _forecast_path(
     order: SarimaxOrder,
     params: SarimaxParams,
-    history: tuple[list[tuple[int, list[float]]], list[float]],
+    tail: Sequence[float],
     tail_residuals: Sequence[float],
     presample_mean: float,
     x_future: Sequence[np.ndarray],
     horizon: int,
-) -> list[float]:
-    """The recursion run forward `horizon` steps, from the `_stage_histories`
-    of the target's tail, then integrated back to the target's scale.
-    `x_future` holds each regressor's first `horizon` future values, in the
-    order of `params.beta`. Each step's regression term adds every
+) -> np.ndarray:
+    """The recursion run forward `horizon` steps from `tail`, the target's
+    last values, differenced by `series.difference`, then integrated back to
+    the target's scale after `tail` by `series.integrate`. `x_future` holds
+    each regressor's first `horizon` future values, in the order of
+    `params.beta`. Each step's regression term adds every
     beta * x to 0 in that order, then the constant, as a scalar loop would;
     with stacked coefficients (one entry per fit) every fit runs at once."""
-    stages, w_hist = history
+    w_hist = difference(tail, order.d, order.D, order.s)
     eps_hist = list(tail_residuals)
     n_w = len(w_hist)
     n_e = len(eps_hist)
@@ -771,11 +748,7 @@ def _forecast_path(
             if u < 0 and n_e + u >= 0:
                 acc += th * eps_hist[n_e + u]  # future residuals are zero
         w_fc.append(acc)
-
-    values = w_fc
-    for lag, past in reversed(stages):
-        values = _integrate_forward(past, lag, values)
-    return values
+    return integrate(np.array(w_fc), tail, order.d, order.D, order.s)
 
 
 def round_forecaster(
@@ -804,10 +777,7 @@ def round_forecaster(
     width = block.shape[1]
     design = np.column_stack([block, _regressor_matrix(order, train.target, complete)])[t0:]
     y = w[t0:]
-    n_values, _ = _tail_lengths(order)
-    history = _stage_histories(
-        _tail(train.target.require_complete(), n_values), order.d, order.D, order.s
-    )
+    tail = _tail(train.target.require_complete(), _tail_lengths(order)[0])
     n, p, sp = len(train), order.p, order.P
     gram, moment = design.T @ design, design.T @ y
     bounded = list(range(1, 1 + p + sp)) if p <= 1 and sp <= 1 else None
@@ -867,7 +837,7 @@ def round_forecaster(
         kept = [cols[j] for j in certified]
         x_future = [futures[i][:, None] for i in current]
         x_future.append(np.array([futures[candidates[j]] for j in kept]).T)
-        out[:, kept] = np.array(_forecast_path(order, params, history, (), wbar, x_future, horizon))
+        out[:, kept] = _forecast_path(order, params, tail, (), wbar, x_future, horizon)
         return out
 
     return forecast_round
@@ -884,12 +854,22 @@ def to_doc(fitted: FittedSarimax) -> dict:
 
 def from_doc(doc: dict) -> FittedSarimax:
     """Inverse of `to_doc`, given the document without its schema, in which
-    every key is required. Coefficients that do not match the order are refused."""
+    every key is required. Coefficients that do not match the order, and
+    tails of other lengths than `fit` writes, are refused."""
     fitted = from_object(FittedSarimax, doc, "model", convert={
         "order": SarimaxOrder.from_list,
         "params": lambda params: from_object(SarimaxParams, params, "params"),
         "train_start": Month.parse,
         "train_end": Month.parse,
     })
-    fitted.params.check_against(fitted.order, len(fitted.regressor_ids))
+    order = fitted.order
+    fitted.params.check_against(order, len(fitted.regressor_ids))
+    n = fitted.train_start.months_until(fitted.train_end) + 1
+    n_values, n_residuals = _tail_lengths(order)
+    expected = (min(n_values, n), min(n_residuals, n - order.dropped - order.presample))
+    got = (len(fitted.tail_values), len(fitted.tail_residuals))
+    if got != expected:
+        raise ValueError(f"tail_values and tail_residuals hold {got[0]} and {got[1]} values, "
+                         f"not the {expected[0]} and {expected[1]} that order "
+                         f"{order.as_tuple()} fitted on {n} months leaves")
     return fitted

@@ -14,6 +14,10 @@ series as a series. Sums run down axis 0 and add left to right, as a plain
 loop does, where numpy's ``sum`` would add pairwise; so every column of a
 matrix result is bit for bit the result for that column alone.
 
+Differencing is one array pair, shared by every SARIMAX path: `difference`
+takes d regular and D seasonal differences down axis 0, and `integrate`
+runs them back from the values before a forecast, one path per column.
+
 All operations are pure: inputs are never mutated.
 """
 
@@ -34,15 +38,13 @@ __all__ = [
     "MonthlySeries",
     "NormalizationParams",
     "AlignedFrame",
-    "DifferenceInitials",
     "month_range",
     "mae",
     "min_max_normalize",
     "denormalize",
     "interpolate_missing",
     "difference",
-    "difference_with_initials",
-    "undifference",
+    "integrate",
     "linear_detrend",
     "retrend",
     "least_squares_line",
@@ -383,54 +385,51 @@ def interpolate_missing(data: MonthlySeries | np.ndarray) -> MonthlySeries | np.
     return _like(data, out)
 
 
-@dataclass(frozen=True)
-class DifferenceInitials:
-    """Values dropped by each differencing stage, in application order.
-
-    Each entry is ("d", (first value,)) for a regular difference or
-    ("s", (first s values,)) for a seasonal one. Keeping them makes the
-    transform invertible.
-    """
-
-    stages: tuple[tuple[str, tuple[float, ...]], ...]
-
-    @property
-    def total_dropped(self) -> int:
-        return sum(len(init) for _, init in self.stages)
-
-
-def difference_with_initials(
-    series: MonthlySeries, d: int = 0, D: int = 0, s: int = 12
-) -> tuple[MonthlySeries, DifferenceInitials]:
-    """Apply d regular then D seasonal (lag s) differences, keeping the
-    dropped leading values so :func:`undifference` can reconstruct."""
+def _lags(d: int, D: int, s: int) -> list[int]:
+    """The lag of each differencing stage, in the order taken: d regular
+    (lag 1), then D seasonal (lag s)."""
     if d < 0 or D < 0 or s < 1:
         raise ValueError(f"bad differencing spec d={d} D={D} s={s}")
-    vals = series.require_complete()
-    if len(vals) <= d + D * s:
-        raise ValueError(f"series {series.id!r} too short ({len(vals)}) for d={d}, D={D}, s={s}")
-    stages: list[tuple[str, tuple[float, ...]]] = []
-    for kind, lag in [("d", 1)] * d + [("s", s)] * D:
-        stages.append((kind, tuple(vals[:lag].tolist())))
+    return [1] * d + [s] * D
+
+
+def difference(values: Sequence[float] | np.ndarray, d: int = 0, D: int = 0,
+               s: int = 12) -> np.ndarray:
+    """d regular then D seasonal (lag s) differences down axis 0 of a (T,)
+    or (T x k) array: T - d - D*s rows, none for T = d + D*s. Fewer than
+    d + D*s rows, or a gap, is an error."""
+    lags = _lags(d, D, s)
+    vals = _values(values)
+    if len(vals) < sum(lags):
+        raise ValueError(f"{len(vals)} values are too few for d={d}, D={D}, s={s}")
+    for lag in lags:
         vals = vals[lag:] - vals[:-lag]
-    out = MonthlySeries(series.id, series.start.shift(d + D * s), _readonly(vals))
-    return out, DifferenceInitials(tuple(stages))
+    return vals
 
 
-def difference(series: MonthlySeries, d: int = 0, D: int = 0, s: int = 12) -> MonthlySeries:
-    return difference_with_initials(series, d, D, s)[0]
-
-
-def undifference(series: MonthlySeries, initials: DifferenceInitials) -> MonthlySeries:
-    """Invert :func:`difference_with_initials`."""
-    vals = series.require_complete()
-    for _, init in reversed(initials.stages):
-        # A running sum down each column of the values laid out lag to a row.
-        n, lag = len(init) + len(vals), len(init)
-        rows = np.zeros(-(-n // lag) * lag)
-        rows[:n] = np.concatenate((init, vals))
-        vals = rows.reshape(-1, lag).cumsum(axis=0).ravel()[:n]
-    return MonthlySeries(series.id, series.start.shift(-initials.total_dropped), _readonly(vals))
+def integrate(diffs: np.ndarray, tail: Sequence[float] | np.ndarray, d: int = 0, D: int = 0,
+              s: int = 12) -> np.ndarray:
+    """The inverse of :func:`difference`: the values that follow `tail`, the
+    last (at least d + D*s) values of a series, whose differences are
+    `diffs`, (h,) or (h x m) with one column per path. Each stage, last
+    first, adds a value to the one a lag before it, as a running sum down
+    each lag's column, so every column of an (h x m) result is bit for bit
+    the result for that column alone."""
+    lags = _lags(d, D, s)
+    past = np.asarray(tail, dtype=float)
+    if len(past) < sum(lags):
+        raise ValueError(f"a tail of {len(past)} values is too short for d={d}, D={D}, s={s}")
+    histories = []  # the last `lag` values each stage differences
+    for lag in lags:
+        histories.append(past[len(past) - lag :])
+        past = past[lag:] - past[:-lag]
+    values = np.asarray(diffs, dtype=float)
+    for lag, history in zip(reversed(lags), reversed(histories)):
+        n, width = lag + len(values), values.shape[1:]
+        rows = np.zeros((-(-n // lag) * lag, *width))
+        rows[:lag], rows[lag:n] = _down(history, values), values
+        values = rows.reshape(-1, lag, *width).cumsum(axis=0).reshape(rows.shape)[lag:n]
+    return values
 
 
 def least_squares_line(values: Sequence[float] | np.ndarray):

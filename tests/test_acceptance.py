@@ -51,12 +51,12 @@ from exocast.series import (
     MonthlySeries,
     align_merge,
     denormalize,
-    difference_with_initials,
+    difference,
+    integrate,
     linear_detrend,
     mae,
     min_max_normalize,
     pearson_correlation,
-    undifference,
 )
 from exocast.synth import SyntheticSpec, generate_synthetic
 
@@ -104,9 +104,10 @@ def test_criterion_01_metric_and_transform_suite():
         for d in (0, 1, 2):
             for D in (0, 1):
                 for s in (2, 4, 12):
-                    grid_vals = (rng.integers(0, 2**30, size=50) / 2**10).tolist()
-                    diffed, initials = difference_with_initials(ms(grid_vals), d, D, s)
-                    assert undifference(diffed, initials).values == tuple(grid_vals)
+                    grid_vals = rng.integers(0, 2**30, size=50) / 2**10
+                    head = grid_vals[: d + D * s]
+                    back = integrate(difference(grid_vals, d, D, s), head, d, D, s)
+                    assert np.concatenate((head, back)).tobytes() == grid_vals.tobytes()
 
         resid, slope, intercept = linear_detrend(ms(rng.normal(0, 2, 60).tolist()))
         n = len(resid)

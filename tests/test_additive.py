@@ -415,6 +415,21 @@ class TestSerialize:
                              "regressor_tails"]
         assert doc["regressor_ids"] == ("x",)
 
+    @pytest.mark.parametrize("key, cut, message", [
+        ("target_tail", lambda tail: tail[1:], r"target_tail holds 1 values and regressor_tails \[2\]"),
+        ("target_tail", lambda tail: [], r"target_tail holds 0 values"),
+        ("regressor_tails", lambda tails: [tails[0][1:]], r"regressor_tails \[1\] for regressors"),
+        ("regressor_tails", lambda tails: [tails[0], tails[0]], r"regressor_tails \[2, 2\] for "
+                                                                r"regressors \['x'\]; fit leaves 2 each"),
+        ("regressor_tails", lambda tails: [], r"regressor_tails \[\] for regressors \['x'\]"),
+    ], ids=["short-target", "no-target", "short-regressor", "extra-regressor", "no-regressor"])
+    def test_tails_of_another_length_refused(self, key, cut, message):
+        f = frame([1.0 + 0.2 * i for i in range(24)], indicators=[("x", [0.1 * i for i in range(24)])])
+        doc = json.loads(json.dumps(models.to_doc(fit(f, AdditiveConfig(ar_lags=2, regressor_lags=1)))))
+        with pytest.raises(SchemaError, match=message) as raised:
+            models.from_doc({**doc, key: cut(doc[key])}, "model.json")
+        assert str(raised.value).startswith("model.json: ")
+
     def test_retired_schema_refused_by_name(self):
         y = [1.0 + 0.2 * i for i in range(24)]
         doc = {**models.to_doc(fit(frame(y), AdditiveConfig())), "schema": "exocast.additive.fitted/1"}

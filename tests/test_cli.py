@@ -10,6 +10,7 @@ import pytest
 import exocast
 from exocast import models as models_module
 from exocast.cli import main
+from exocast.errors import parse_json
 from exocast.eurostat import list_cached_series
 from exocast.experiment import load_config, training_frames
 from exocast.series import read_series_csv, write_series_csv
@@ -386,6 +387,16 @@ class TestReportCommand:
         assert len([name for name in listing if name.startswith("forecasts_")]) == 1
 
 
+@pytest.mark.parametrize("text", ["[1e999]", "[-1e999]", '{"x": 1.0e400}', "[1.8e308]"])
+def test_parse_json_refuses_a_number_beyond_the_float_range(text):
+    with pytest.raises(ValueError, match="beyond the float range"):
+        parse_json(text)
+
+
+def test_parse_json_reads_the_extremes_of_the_float_range():
+    assert parse_json("[1.7976931348623157e308, -5e-324, 1e-999]") == [sys.float_info.max, -5e-324, 0.0]
+
+
 class TestMalformedInput:
     """Bad input ends with exit code 2 and one `error:` line, never a
     traceback and never exit 1, which means that some cells failed."""
@@ -551,6 +562,59 @@ class TestMalformedInput:
         argv = ["forecast", "--config", str(config), "--model-file", str(model_file),
                 "--out", str(tmp_path / "fc")]
         self._fails_cleanly(capsys, argv, str(model_file), message)
+        assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize("model, key, keep, message", [
+        ({"name": "sarimax", "order": [1, 1, 0, 0, 0, 0, 12]}, "tail_values", 0,
+         "tail_values and tail_residuals hold 0 and 0 values, not the 2 and 0"),
+        ({"name": "sarimax", "order": [1, 1, 0, 0, 0, 0, 12]}, "tail_values", 1,
+         "tail_values and tail_residuals hold 1 and 0 values, not the 2 and 0"),
+        (ADDITIVE, "regressor_tails", 2, "fit leaves 12 each"),
+        (ADDITIVE, "target_tail", 1, "target_tail holds 1 values"),
+    ], ids=["sarimax-no-tail", "sarimax-short-tail", "additive-short-regressor-tails",
+            "additive-short-target-tail"])
+    def test_forecast_with_tails_other_than_fit_leaves(self, tmp_path, capsys, model, key, keep,
+                                                       message):
+        # A forecast reads exactly the tails a fit leaves: shorter ones
+        # crashed it or continued from the wrong months.
+        config = write_experiment_config(tmp_path, methods=["correlation"], models=(model,))
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "models")]) == 0
+        model_file = next(p for p in (tmp_path / "models").iterdir()
+                          if not p.name.endswith("selection.json"))
+        doc = json.loads(model_file.read_text())
+        if key == "regressor_tails":
+            assert doc["regressor_ids"]
+            doc[key] = [tail[len(tail) - keep:] for tail in doc[key]]
+        else:
+            doc[key] = doc[key][len(doc[key]) - keep:]
+        model_file.write_text(json.dumps(doc))
+        argv = ["forecast", "--config", str(config), "--model-file", str(model_file),
+                "--out", str(tmp_path / "fc")]
+        self._fails_cleanly(capsys, argv, str(model_file), message)
+        assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize("method, model", [
+        ({"name": "correlation", "target_threshold": "HUGE"}, SARIMAX),
+        ("none", {"name": "additive", "config": {"ridge_lambda": "HUGE"}}),
+    ], ids=["correlation-threshold", "ridge-lambda"])
+    def test_config_number_beyond_the_float_range(self, tmp_path, capsys, method, model):
+        config = write_experiment_config(tmp_path, methods=[method], models=(model,))
+        config.write_text(config.read_text().replace('"HUGE"', "1e999"))
+        argv = ["experiment", "--config", str(config), "--out", str(tmp_path / "out")]
+        self._fails_cleanly(capsys, argv, str(config), "the number 1e999 is beyond the float range")
+        assert not (tmp_path / "out").exists()
+
+    def test_forecast_with_a_coefficient_beyond_the_float_range(self, tmp_path, capsys):
+        config = write_experiment_config(tmp_path, methods=["none"], models=(ADDITIVE,))
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "models")]) == 0
+        model_file = next(p for p in (tmp_path / "models").iterdir()
+                          if not p.name.endswith("selection.json"))
+        doc = json.loads(model_file.read_text())
+        doc["coefficients"] = ["HUGE", *doc["coefficients"][1:]]
+        model_file.write_text(json.dumps(doc).replace('"HUGE"', "1e999"))
+        argv = ["forecast", "--config", str(config), "--model-file", str(model_file),
+                "--out", str(tmp_path / "fc")]
+        self._fails_cleanly(capsys, argv, str(model_file), "the number 1e999 is beyond the float range")
         assert not (tmp_path / "fc").exists()
 
     @pytest.mark.parametrize("horizon", ["0", "-1"])

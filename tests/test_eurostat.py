@@ -668,7 +668,7 @@ class TestMalformedDocuments:
            f"the non-finite value {name} is not JSON")
           for value, name in [(math.inf, "Infinity"), (-math.inf, "-Infinity"), (math.nan, "NaN")]],
         *[("cache.json", json.dumps(cache_doc()).replace("1.5", number),
-           "a series entry holds a number beyond the float range") for number in ("1e999", "-1e999")],
+           f"the number {number} is beyond the float range") for number in ("1e999", "-1e999")],
         ("cache.json", cache_doc(dataset=without(DESCRIPTOR_DOC, "code")), "dataset lacks code"),
         ("cache.json", cache_doc(dataset={**DESCRIPTOR_DOC, "parameters": ["business"]}),
          "unknown dataset keys: parameters"),

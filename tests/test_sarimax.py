@@ -32,8 +32,7 @@ from exocast import sarimax as sarimax_module
 from exocast.sarimax import _css_and_gradient
 from exocast.selection import CandidateSet, forward_select
 from exocast.series import (
-    Month, MonthlySeries, align_merge, difference_with_initials, least_squares_line, mae,
-    split_train_test,
+    Month, MonthlySeries, align_merge, difference, least_squares_line, mae, split_train_test,
 )
 
 M = Month
@@ -193,15 +192,15 @@ class TestFit:
     def test_target_differenced_once(self, monkeypatch):
         calls = []
 
-        def counting(*args):
-            calls.append(args[0].id)
-            return difference_with_initials(*args)
+        def counting(values, *args):
+            calls.append(values.tolist())
+            return difference(values, *args)
 
-        monkeypatch.setattr(sarimax_module, "difference_with_initials", counting)
+        monkeypatch.setattr(sarimax_module, "difference", counting)
         y = simulate_ar1(5, n=80).tolist()
         x = np.random.default_rng(5).normal(0, 1, 80).tolist()
         fit(frame(y, indicators=[("x", x)]), SarimaxOrder(p=1, d=1))
-        assert calls == ["t"]
+        assert calls == [y]
 
     def test_stored_css_matches_recomputation(self):
         y = simulate_ar1(4, n=150).tolist()
@@ -523,10 +522,37 @@ def counted_scipy_calls(monkeypatch):
     return calls
 
 
-def scalar_forecast_path(order, params, history, tail_residuals, presample_mean, x_future):
-    """`_forecast_path` as a scalar loop, the reference for the vectorised
-    one: each row of `x_future` holds one step's regressor values."""
-    stages, w_hist = history
+def stage_histories(tail, d, D, s):
+    """Each differencing stage's lag and the values it differences, taken
+    from `tail` as lists, and the fully differenced tail."""
+    stages = []
+    cur = [float(v) for v in tail]
+    for _ in range(d):
+        stages.append((1, cur))
+        cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
+    for _ in range(D):
+        stages.append((s, cur))
+        cur = [cur[i + s] - cur[i] for i in range(len(cur) - s)]
+    return stages, cur
+
+
+def integrate_forward(history, lag, fc):
+    """`fc`'s values each added to the value `lag` steps before it: the end
+    of `history`, then the values integrated so far."""
+    buf = list(history[-lag:])
+    out = []
+    for v in fc:
+        nxt = buf[-lag] + v
+        buf.append(nxt)
+        out.append(nxt)
+    return out
+
+
+def scalar_forecast_path(order, params, tail, tail_residuals, presample_mean, x_future):
+    """`_forecast_path` as a scalar loop on lists, the reference for the
+    vectorised one: each row of `x_future` holds one step's regressor
+    values."""
+    stages, w_hist = stage_histories(tail, order.d, order.D, order.s)
     eps_hist = list(tail_residuals)
     n_w, n_e = len(w_hist), len(eps_hist)
     ar, ma = params.ar + params.seasonal_ar, params.ma + params.seasonal_ma
@@ -550,7 +576,7 @@ def scalar_forecast_path(order, params, history, tail_residuals, presample_mean,
         w_fc.append(acc)
     values = w_fc
     for lag, past in reversed(stages):
-        values = sarimax_module._integrate_forward(past, lag, values)
+        values = integrate_forward(past, lag, values)
     return values
 
 
@@ -583,34 +609,34 @@ class TestForecastPath:
             seasonal_ma=coeffs(order.Q, 0.2), beta=coeffs(k, 2.0),
         )
         n_values, n_residuals = sarimax_module._tail_lengths(order)
-        tail = rng.normal(5.0, 1.0, n_values + 2).tolist()
-        history = sarimax_module._stage_histories(tail, order.d, order.D, order.s)
+        tail = tuple(rng.normal(5.0, 1.0, n_values + 2).tolist())
         residuals = tuple(rng.normal(0.0, 0.5, n_residuals).tolist())
         columns = [rng.normal(0.0, 1.0, 12) for _ in range(k)]
         if m is not None and k:
             columns[-1] = rng.normal(0.0, 1.0, (12, m))
-        return params, history, residuals, float(rng.normal()), columns
+        return params, tail, residuals, float(rng.normal()), columns
 
     @pytest.mark.parametrize("name", CASES)
     def test_equals_the_scalar_loop(self, name):
         order, k, c = self.CASES[name]
         for seed in range(5):
-            params, history, residuals, wbar, columns = self._case(seed, order, k, c)
-            got = sarimax_module._forecast_path(order, params, history, residuals, wbar, columns, 12)
+            params, tail, residuals, wbar, columns = self._case(seed, order, k, c)
+            got = sarimax_module._forecast_path(order, params, tail, residuals, wbar, columns, 12)
             rows = [[float(x[j]) for x in columns] for j in range(12)]
-            expected = scalar_forecast_path(order, params, history, residuals, wbar, rows)
+            expected = scalar_forecast_path(order, params, tail, residuals, wbar, rows)
             assert np.asarray(got).tobytes() == np.asarray(expected, dtype=float).tobytes(), seed
 
     def test_stacked_fits_equal_the_scalar_loop(self):
         # A round's fits share the current regressors' values and each
-        # adds its own candidate's: columns (12, 1) and (12, m).
-        order = SarimaxOrder(p=1, P=1, s=4)
-        params, history, _, wbar, columns = self._case(11, order, 3, 0.3, m=4)
-        columns = [columns[0][:, None], columns[1][:, None], columns[2]]
-        got = sarimax_module._forecast_path(order, params, history, (), wbar, columns, 12)
-        rows = [[columns[0][j, 0], columns[1][j, 0], columns[2][j]] for j in range(12)]
-        expected = scalar_forecast_path(order, params, history, (), wbar, rows)
-        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        # adds its own candidate's: columns (12, 1) and (12, m). A
+        # differenced order integrates the m paths from one tail.
+        for order in (SarimaxOrder(p=1, P=1, s=4), SarimaxOrder(p=1, d=1, D=1, s=4)):
+            params, tail, _, wbar, columns = self._case(11, order, 3, 0.3, m=4)
+            columns = [columns[0][:, None], columns[1][:, None], columns[2]]
+            got = sarimax_module._forecast_path(order, params, tail, (), wbar, columns, 12)
+            rows = [[columns[0][j, 0], columns[1][j, 0], columns[2][j]] for j in range(12)]
+            expected = scalar_forecast_path(order, params, tail, (), wbar, rows)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), order
 
 
 class TestValidation:
@@ -913,6 +939,21 @@ class TestSerialization:
         _, css = css_residuals(loaded.order, loaded.params, ms(y))
         assert css == pytest.approx(loaded.css, rel=1e-8)
 
+    @pytest.mark.parametrize("order, n, tails", [
+        (SarimaxOrder(q=4), 3, (3, 3)),
+        (SarimaxOrder(p=2, q=5), 4, (4, 2)),
+        (SarimaxOrder(p=1, d=1, D=1, Q=2, s=3), 9, (9, 4)),
+    ])
+    def test_tails_cut_by_a_short_frame_reload(self, order, n, tails):
+        # A tail holds all the months, or all the scored residuals, when
+        # the frame has fewer than the order reads.
+        y = simulate_ar1(3, n=n).tolist()
+        params = SarimaxParams(c=0.1, ar=(0.2,) * order.p, ma=(0.1,) * order.q,
+                               seasonal_ma=(0.1,) * order.Q)
+        given = fitted_from_params(order, params, frame(y))
+        assert (len(given.tail_values), len(given.tail_residuals)) == tails
+        assert models.from_doc(json.loads(json.dumps(models.to_doc(given)))) == given
+
     def test_optimizer_record_round_trips_null_too_and_is_required(self):
         y = simulate_ar1(9, n=80).tolist()
         fitted = fit(frame(y), SarimaxOrder(p=1))
@@ -968,10 +1009,14 @@ class TestSerialization:
         ({**DOC, "order": [2, 1, 1, 0, 0, 0, 12]}, "do not match order"),
         ({**DOC, "tail": []}, "unknown model keys: tail"),
         ({**DOC, "normalization": None}, "unknown model keys: normalization"),
+        ({**DOC, "tail_values": []}, "hold 0 and 1 values, not the 2 and 1 that order"),
+        ({**DOC, "tail_values": DOC["tail_values"][1:]}, "hold 1 and 1 values, not the 2 and 1"),
+        ({**DOC, "tail_values": [0.5, *DOC["tail_values"]]}, "hold 3 and 1 values, not the 2"),
+        ({**DOC, "tail_residuals": []}, "hold 2 and 0 values, not the 2 and 1"),
         ({"schema": "exocast.additive.fitted/2", "config": {}}, "model lacks layout"),
     ], ids=["not-an-object", "schema", "missing-key", "missing-start", "short-order",
             "missing-param", "params-of-another-order", "unknown-key", "normalization",
-            "additive-missing-key"])
+            "no-tail", "short-tail", "long-tail", "no-residual-tail", "additive-missing-key"])
     def test_malformed_document_rejected(self, doc, message):
         with pytest.raises(SchemaError, match=message) as raised:
             models.from_doc(doc, "model.json")

@@ -20,7 +20,7 @@ from exocast.series import (
     align_merge,
     denormalize,
     difference,
-    difference_with_initials,
+    integrate,
     interpolate_missing,
     linear_detrend,
     mae,
@@ -30,7 +30,6 @@ from exocast.series import (
     read_series_csv,
     smooth,
     split_train_test,
-    undifference,
     write_series_csv,
 )
 
@@ -149,23 +148,33 @@ class TestInterpolate:
 
 class TestDifference:
     def test_first_difference(self):
-        out = difference(ms([1, 2, 4]), d=1)
-        assert out.values == (1, 2)
-        assert out.start == M(2016, 2)
+        assert difference(np.array([1.0, 2.0, 4.0]), d=1).tolist() == [1, 2]
 
     def test_constant(self):
-        assert difference(ms([3, 3, 3, 3]), d=1).values == (0, 0, 0)
+        assert difference(np.array([3.0, 3.0, 3.0, 3.0]), d=1).tolist() == [0, 0, 0]
 
     def test_seasonal(self):
-        assert difference(ms([1, 2, 3, 4]), D=1, s=2).values == (2, 2)
+        assert difference(np.array([1.0, 2.0, 3.0, 4.0]), D=1, s=2).tolist() == [2, 2]
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            difference(ms([1, 2]), d=1, D=1, s=2)
+            difference(np.array([1.0, 2.0]), d=1, D=1, s=2)
+        with pytest.raises(ValueError, match="too short"):
+            integrate(np.zeros(3), [1.0, 2.0], d=1, D=1, s=2)
+
+    def test_as_many_values_as_stages_leave_none(self):
+        assert difference(np.array([1.0, 2.0, 4.0]), d=1, D=1, s=2).shape == (0,)
 
     def test_rejects_missing(self):
         with pytest.raises(MissingValueError):
-            difference(ms([1, None, 3]), d=1)
+            difference(np.array([1.0, np.nan, 3.0]), d=1)
+
+    def test_rejects_a_bad_spec(self):
+        for d, D, s in ((-1, 0, 12), (0, -1, 12), (0, 1, 0)):
+            with pytest.raises(ValueError, match="bad differencing spec"):
+                difference(np.arange(20.0), d, D, s)
+            with pytest.raises(ValueError, match="bad differencing spec"):
+                integrate(np.zeros(2), np.arange(20.0), d, D, s)
 
     @pytest.mark.parametrize("d", [0, 1, 2])
     @pytest.mark.parametrize("D", [0, 1])
@@ -174,21 +183,32 @@ class TestDifference:
         # Values on a dyadic grid so every difference and running sum is
         # exactly representable: the round trip must then be bit-exact.
         rng = np.random.default_rng(7 * d + 3 * D + s)
-        vals = (rng.integers(0, 2**30, size=50) / 2**10).tolist()
-        s50 = ms(vals)
-        diffed, initials = difference_with_initials(s50, d=d, D=D, s=s)
+        vals = rng.integers(0, 2**30, size=50) / 2**10
+        diffed = difference(vals, d=d, D=D, s=s)
         assert len(diffed) == 50 - d - D * s
-        back = undifference(diffed, initials)
-        assert back.values == s50.values
-        assert back.start == s50.start
+        head = vals[: d + D * s]
+        back = integrate(diffed, head, d=d, D=D, s=s)
+        assert np.concatenate((head, back)).tobytes() == vals.tobytes()
 
     def test_round_trip_close_on_arbitrary_floats(self):
-        rng = np.random.default_rng(11)
-        vals = rng.normal(0, 1, 50).tolist()
-        diffed, initials = difference_with_initials(ms(vals), d=2, D=1, s=12)
-        back = undifference(diffed, initials)
-        for a, b in zip(back.values, vals):
-            assert a == pytest.approx(b, abs=1e-10)
+        vals = np.random.default_rng(11).normal(0, 1, 50)
+        back = integrate(difference(vals, d=2, D=1, s=12), vals[:14], d=2, D=1, s=12)
+        assert back == pytest.approx(vals[14:], abs=1e-10)
+
+    @pytest.mark.parametrize("d, D, s", [(0, 0, 12), (1, 0, 12), (2, 1, 4), (0, 2, 3)])
+    def test_columns_equal_their_own_results(self, d, D, s):
+        # A matrix differences column by column, and a stack of paths
+        # integrates from one tail path by path, each bit for bit.
+        rng = np.random.default_rng(d + 2 * D + s)
+        matrix = rng.normal(0, 3, (40, 5))
+        diffed = difference(matrix, d, D, s)
+        for j in range(5):
+            assert diffed[:, j].tobytes() == difference(matrix[:, j], d, D, s).tobytes()
+        tail, paths = rng.normal(0, 3, 20), rng.normal(0, 1, (12, 4))
+        stacked = integrate(paths, tail, d, D, s)
+        assert stacked.shape == (12, 4)
+        for j in range(4):
+            assert stacked[:, j].tobytes() == integrate(paths[:, j], tail, d, D, s).tobytes()
 
 
 class TestDetrend:
