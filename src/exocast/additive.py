@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, from_object, to_object
-from .series import AlignedFrame, Month, MonthlySeries, future_matrix
+from .series import AlignedFrame, Month, MonthlySeries, distinct_ids, future_matrix
 
 __all__ = [
     "AdditiveConfig",
@@ -38,9 +38,9 @@ __all__ = [
     "from_doc",
 ]
 
-SCHEMA = "exocast.additive.fitted/2"
+SCHEMA = "exocast.additive.fitted/3"
 # Each earlier schema, with what to do instead of reading it: no reader is kept.
-RETIRED = {"exocast.additive.fitted/1": "fit the model again"}
+RETIRED = {f"exocast.additive.fitted/{v}": "fit the model again" for v in (1, 2)}
 
 COMPONENT_TAGS = ("intercept", "T", "S", "E", "F", "A", "L")
 
@@ -84,7 +84,6 @@ class AdditiveConfig:
 @dataclass(frozen=True)
 class FittedAdditive:
     config: AdditiveConfig
-    layout: tuple[tuple[str, str], ...]
     coefficients: tuple[float, ...]
     target_id: str
     regressor_ids: tuple[str, ...]
@@ -95,9 +94,14 @@ class FittedAdditive:
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.layout):
-            raise ValueError(
-                f"{len(self.coefficients)} coefficients for {len(self.layout)} columns"
-            )
+            raise ValueError(f"{len(self.coefficients)} coefficients for the {len(self.layout)} "
+                             "design columns of config and regressor_ids")
+
+    @property
+    def layout(self) -> tuple[tuple[str, str], ...]:
+        """The design columns `coefficients` follow, as `config` and
+        `regressor_ids` lay them out."""
+        return _layout_for(self.config, self.regressor_ids)
 
     @property
     def train_end(self) -> Month:
@@ -209,7 +213,6 @@ def fit(train: AlignedFrame, config: AdditiveConfig) -> FittedAdditive:
     tail = _tail_length(config)
     return FittedAdditive(
         config=config,
-        layout=layout,
         coefficients=tuple(float(c) for c in coeffs),
         target_id=train.target.id,
         regressor_ids=train.indicator_ids,
@@ -350,10 +353,12 @@ def to_doc(fitted: FittedAdditive) -> dict:
 
 
 def from_doc(doc: dict) -> FittedAdditive:
-    """Inverse of `to_doc`, given the document without its schema. Tails of
-    other lengths than `fit` writes are refused."""
+    """Inverse of `to_doc`, given the document without its schema. A
+    repeated regressor id, coefficients that do not fit the design, and
+    tails of other lengths than `fit` writes are refused."""
     fitted = from_object(FittedAdditive, doc, "model", convert={
         "config": config_from_doc, "train_start": Month.parse,
+        "regressor_ids": lambda ids: distinct_ids(ids, "regressor_ids"),
     })
     n = min(_tail_length(fitted.config), fitted.train_length)
     lengths = [len(tail) for tail in fitted.regressor_tails]

@@ -221,16 +221,18 @@ def cmd_fit(args) -> int:
 
 def _training_frame_of(fitted, config) -> "AlignedFrame":
     """The one configured training frame that spans the months `fitted` was
-    trained on and holds its regressors."""
+    trained on, holds its regressors and whose target ends with the model's
+    stored tail."""
     start, end, ids = fitted.train_start, fitted.train_end, fitted.regressor_ids
     frames = {f"{label} @ {rng.label}": train for label, rng, train, _ in training_frames(config)}
     matches = [name for name, train in frames.items() if (train.start, train.end) == (start, end)
-               and set(ids) <= set(train.indicator_ids)]
+               and set(ids) <= set(train.indicator_ids) and models.ends_with_tail(fitted, train)]
     if len(matches) == 1:
         return frames[matches[0]]
     raise ExocastError(
-        f"{len(matches)} training frames span {start}..{end} and hold regressors "
-        f"{list(ids)}; need exactly one of: {', '.join(matches or frames)}"
+        f"{len(matches)} training frames span {start}..{end}, hold regressors "
+        f"{list(ids)} and end with the model's target tail; need exactly one of: "
+        f"{', '.join(matches or frames)}"
     )
 
 

@@ -3,7 +3,8 @@
 Everything outside this module treats a model as a `ModelSpec` to fit, a
 fitted object to forecast from, and a JSON document to persist and reload.
 Every fitted object names the first and last months it trained on
-`train_start` and `train_end`, and its regressors, in order, `regressor_ids`.
+`train_start` and `train_end`, and its regressors, in order, `regressor_ids`;
+`ends_with_tail` alone reads which field holds the end of its target.
 Only this module knows that the spec names SARIMAX or the additive model and
 which module serves each; reloading dispatches on the document's `schema`.
 `Validation` is the one out-of-sample scorer: forward selection and
@@ -36,6 +37,7 @@ __all__ = [
     "with_order",
     "fit",
     "regressor_forecasts",
+    "ends_with_tail",
     "forecast",
     "Validation",
     "to_doc",
@@ -162,6 +164,15 @@ class Validation:
 def _module(fitted: Fitted):
     """The model module that produced `fitted`."""
     return sarimax if isinstance(fitted, sarimax.FittedSarimax) else additive
+
+
+def ends_with_tail(fitted: Fitted, train: AlignedFrame) -> bool:
+    """Whether the target of `train` ends with the target values `fitted`
+    keeps for its forecast, exactly; the frame it was fitted on does, and
+    every frame ends with an empty tail."""
+    tail = fitted.tail_values if isinstance(fitted, sarimax.FittedSarimax) else fitted.target_tail
+    values = train.target.array.tolist()
+    return values[len(values) - len(tail):] == list(tail)
 
 
 def forecast(fitted: Fitted, horizon: int, futures: Mapping[str, np.ndarray]) -> MonthlySeries:

@@ -65,6 +65,7 @@ from .series import (
     Month,
     MonthlySeries,
     difference,
+    distinct_ids,
     future_matrix,
     integrate,
     least_squares_line,
@@ -854,11 +855,12 @@ def to_doc(fitted: FittedSarimax) -> dict:
 
 def from_doc(doc: dict) -> FittedSarimax:
     """Inverse of `to_doc`, given the document without its schema, in which
-    every key is required. Coefficients that do not match the order, and
-    tails of other lengths than `fit` writes, are refused."""
+    every key is required. A repeated regressor id, coefficients that do not
+    match the order, and tails of other lengths than `fit` writes are refused."""
     fitted = from_object(FittedSarimax, doc, "model", convert={
         "order": SarimaxOrder.from_list,
         "params": lambda params: from_object(SarimaxParams, params, "params"),
+        "regressor_ids": lambda ids: distinct_ids(ids, "regressor_ids"),
         "train_start": Month.parse,
         "train_end": Month.parse,
     })

@@ -53,6 +53,7 @@ __all__ = [
     "align_merge",
     "split_train_test",
     "future_matrix",
+    "distinct_ids",
     "read_series_csv",
     "write_series_csv",
 ]
@@ -291,17 +292,24 @@ class AlignedFrame:
         return _frame(target, self.indicator_ids, values[:, 1:])
 
 
+def distinct_ids(ids: Iterable[str], what: str) -> tuple[str, ...]:
+    """`ids` as a tuple; a ValueError naming `what` when one repeats."""
+    ids = tuple(ids)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate {what}: {list(ids)}")
+    return ids
+
+
 def _frame(target: MonthlySeries, indicators, matrix: np.ndarray | None = None) -> AlignedFrame:
     """A frame over `target`'s months of `indicators`, series or `matrix`'s column ids."""
     if matrix is None:
         shape = (len(indicators), len(target))
         matrix = np.array([s.array for s in indicators], dtype=float).reshape(shape).T
         indicators = tuple(s.id for s in indicators)
-    if len(set(indicators)) != len(indicators):
-        raise ValueError(f"duplicate indicator ids: {list(indicators)}")
+    indicators = distinct_ids(indicators, "indicator ids")
     frame = object.__new__(AlignedFrame)
     column = {i: j for j, i in enumerate(indicators)}
-    vars(frame).update(target=target, matrix=_readonly(matrix), indicator_ids=tuple(indicators),
+    vars(frame).update(target=target, matrix=_readonly(matrix), indicator_ids=indicators,
                        _column=column, _indicators=None)
     return frame
 

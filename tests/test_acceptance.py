@@ -225,7 +225,6 @@ def test_criterion_04_additive_model():
         plain = dataclasses.replace(
             zeroed,
             config=AdditiveConfig(),
-            layout=tuple(c for c in fitted_ar.layout if c[0] != "A"),
             coefficients=tuple(c for c, col in zip(coeffs, fitted_ar.layout) if col[0] != "A"),
         )
         assert additive_forecast(zeroed, 5).values == additive_forecast(plain, 5).values

@@ -297,11 +297,8 @@ class TestForecast:
         zeroed = dataclasses.replace(fitted_ar, coefficients=tuple(coeffs))
         out_zero = forecast(zeroed, 5)
         # Build the matching non-AR model with identical coefficients.
-        layout_no_ar = tuple(c for c in fitted_ar.layout if c[0] != "A")
         coeffs_no_ar = tuple(c for c, col in zip(coeffs, fitted_ar.layout) if col[0] != "A")
-        plain = dataclasses.replace(
-            zeroed, config=AdditiveConfig(), layout=layout_no_ar, coefficients=coeffs_no_ar
-        )
+        plain = dataclasses.replace(zeroed, config=AdditiveConfig(), coefficients=coeffs_no_ar)
         out_plain = forecast(plain, 5)
         assert out_zero.values == out_plain.values
 
@@ -409,10 +406,9 @@ class TestSerialize:
     def test_document_holds_what_forecast_reads(self):
         f = frame([1.0 + 0.2 * i for i in range(24)], indicators=[("x", [0.1 * i for i in range(24)])])
         doc = models.to_doc(fit(f, AdditiveConfig(ar_lags=2, regressor_lags=1)))
-        assert doc["schema"] == "exocast.additive.fitted/2"
-        assert list(doc) == ["schema", "config", "layout", "coefficients", "target_id",
-                             "regressor_ids", "train_start", "train_length", "target_tail",
-                             "regressor_tails"]
+        assert doc["schema"] == "exocast.additive.fitted/3"
+        assert list(doc) == ["schema", "config", "coefficients", "target_id", "regressor_ids",
+                             "train_start", "train_length", "target_tail", "regressor_tails"]
         assert doc["regressor_ids"] == ("x",)
 
     @pytest.mark.parametrize("key, cut, message", [
@@ -432,7 +428,10 @@ class TestSerialize:
 
     def test_retired_schema_refused_by_name(self):
         y = [1.0 + 0.2 * i for i in range(24)]
-        doc = {**models.to_doc(fit(frame(y), AdditiveConfig())), "schema": "exocast.additive.fitted/1"}
-        with pytest.raises(SchemaError, match=r"model\.json: schema 'exocast\.additive\.fitted/1' "
-                                              r"is not .*; fit the model again$"):
-            models.from_doc(doc, "model.json")
+        fitted = fit(frame(y), AdditiveConfig())
+        for version in (1, 2):
+            doc = {**models.to_doc(fitted), "schema": f"exocast.additive.fitted/{version}",
+                   "layout": fitted.layout}
+            with pytest.raises(SchemaError, match=rf"model\.json: schema 'exocast\.additive\."
+                                                  rf"fitted/{version}' is not .*; fit the model again$"):
+                models.from_doc(doc, "model.json")

@@ -41,6 +41,17 @@ def write_experiment_config(tmp_path, out_dir=None, methods=None, months=76, mod
     return path
 
 
+def with_seeds(config, *seeds):
+    """Rewrite `config` to hold its synthetic dataset once per seed, labelled
+    synth-<seed>; the new document."""
+    doc = json.loads(config.read_text())
+    dataset = doc["datasets"][0]
+    doc["datasets"] = [{**dataset, "label": f"synth-{seed}", "spec": {**dataset["spec"], "seed": seed}}
+                       for seed in seeds]
+    config.write_text(json.dumps(doc))
+    return doc
+
+
 def test_import_loads_no_scipy():
     # scipy is most of the start-up time and memory; only a SARIMAX start
     # that fails L-BFGS-B's iteration-0 test needs it. requests costs tens of
@@ -233,6 +244,27 @@ class TestSelectFitForecast:
             expected = models_module.forecast(fitted, 12, models_module.regressor_forecasts(train, 12))
             assert read_series_csv(fc_dir / "forecast.csv").values == expected.values
 
+    @pytest.mark.parametrize("model", [SARIMAX, ADDITIVE], ids=["sarimax", "additive"])
+    def test_forecast_tells_apart_datasets_by_their_target_tail(self, tmp_path, model):
+        # Synthetic datasets share their indicator ids, so two of them over
+        # one range leave only the end of each target to tell the frames
+        # apart: seed 3's ends on 0.485..., seed 4's on 1.0.
+        config = write_experiment_config(tmp_path, methods=[{"name": "manual", "ids": ["ind01"]}],
+                                         models=(model,))
+        doc = with_seeds(config, 3, 4)
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "models")]) == 0
+        for i, label in enumerate(("synth-3", "synth-4")):
+            alone = tmp_path / label
+            alone.mkdir()
+            (alone / "config.json").write_text(json.dumps({**doc, "datasets": doc["datasets"][i:i + 1]}))
+            model_file = next(p for p in (tmp_path / "models").glob(f"{label}__*.json")
+                              if not p.name.endswith("selection.json"))
+            for path, out in ((config, tmp_path / f"fc-{label}"), (alone / "config.json", alone / "fc")):
+                assert main(["forecast", "--config", str(path), "--model-file", str(model_file),
+                             "--out", str(out)]) == 0
+            assert (tmp_path / f"fc-{label}" / "forecast.csv").read_bytes() == \
+                (alone / "fc" / "forecast.csv").read_bytes()
+
     def test_forecast_refuses_a_retired_sarimax_document(self, tmp_path, capsys):
         config = write_experiment_config(tmp_path, methods=["none"])
         out = tmp_path / "models"
@@ -246,7 +278,7 @@ class TestSelectFitForecast:
                    "--out", str(tmp_path / "fc")])
         assert (rc, capsys.readouterr().err) == (2, (
             f"error: {model_file}: schema 'exocast.sarimax.fitted/1' is not "
-            "exocast.sarimax.fitted/2 or exocast.additive.fitted/2; fit the model again\n"))
+            "exocast.sarimax.fitted/2 or exocast.additive.fitted/3; fit the model again\n"))
         assert not (tmp_path / "fc").exists()
 
     def test_forecast_refuses_a_retired_additive_document(self, tmp_path, capsys):
@@ -255,20 +287,24 @@ class TestSelectFitForecast:
         assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
         model_file = next(p for p in out.iterdir() if not p.name.endswith("selection.json"))
         doc = json.loads(model_file.read_text())
-        assert doc["schema"] == "exocast.additive.fitted/2"
-        # A /1 document named its regressors `indicator_ids` and also held
-        # the in-sample fit.
-        retired = {("indicator_ids" if key == "regressor_ids" else key): value
-                   for key, value in doc.items()}
-        model_file.write_text(json.dumps({**retired, "schema": "exocast.additive.fitted/1",
-                                          "fitted_values": [0.0], "fitted_start": "2016-02"}))
-        capsys.readouterr()
-        rc = main(["forecast", "--config", str(config), "--model-file", str(model_file),
-                   "--out", str(tmp_path / "fc")])
-        assert (rc, capsys.readouterr().err) == (2, (
-            f"error: {model_file}: schema 'exocast.additive.fitted/1' is not "
-            "exocast.sarimax.fitted/2 or exocast.additive.fitted/2; fit the model again\n"))
-        assert not (tmp_path / "fc").exists()
+        assert doc["schema"] == "exocast.additive.fitted/3"
+        # A /2 document also stored its design columns, `layout`; a /1
+        # document besides named its regressors `indicator_ids` and held the
+        # in-sample fit.
+        layout = [list(column) for column in models_module.from_doc(doc).layout]
+        second = {**doc, "schema": "exocast.additive.fitted/2", "layout": layout}
+        first = {("indicator_ids" if key == "regressor_ids" else key): value
+                 for key, value in second.items()}
+        first.update(schema="exocast.additive.fitted/1", fitted_values=[0.0], fitted_start="2016-02")
+        for retired in (first, second):
+            model_file.write_text(json.dumps(retired))
+            capsys.readouterr()
+            rc = main(["forecast", "--config", str(config), "--model-file", str(model_file),
+                       "--out", str(tmp_path / "fc")])
+            assert (rc, capsys.readouterr().err) == (2, (
+                f"error: {model_file}: schema '{retired['schema']}' is not "
+                "exocast.sarimax.fitted/2 or exocast.additive.fitted/3; fit the model again\n"))
+            assert not (tmp_path / "fc").exists()
 
     def test_select_and_fit_name_their_files_as_the_run_names_its_cells(self, tmp_path):
         # A label may hold characters a file name cannot, NUL and "/" among
@@ -306,6 +342,43 @@ class TestSelectFitForecast:
         assert rc == 2
         err = capsys.readouterr().err
         assert "synth-0 @ 2016-01..2021-04" in err and "synth-0b @ 2016-01..2021-04" in err
+        assert not (tmp_path / "fc").exists()
+
+    def test_forecast_rejects_frames_an_empty_tail_cannot_tell_apart(self, tmp_path, capsys):
+        # SARIMAX(0,0,0) keeps no target value, so the datasets' different
+        # ends cannot place it.
+        config = write_experiment_config(tmp_path, methods=["none"], models=[
+            {"name": "sarimax", "order": [0, 0, 0, 0, 0, 0, 12]}])
+        with_seeds(config, 3, 4)
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "models")]) == 0
+        model_file = next(p for p in (tmp_path / "models").glob("synth-3__*.json")
+                          if not p.name.endswith("selection.json"))
+        assert json.loads(model_file.read_text())["tail_values"] == []
+        capsys.readouterr()
+        rc = main(["forecast", "--config", str(config), "--model-file", str(model_file),
+                   "--out", str(tmp_path / "fc")])
+        assert (rc, capsys.readouterr().err) == (2, (
+            "error: 2 training frames span 2016-01..2021-04, hold regressors [] and end with "
+            "the model's target tail; need exactly one of: synth-3 @ 2016-01..2021-04, "
+            "synth-4 @ 2016-01..2021-04\n"))
+        assert not (tmp_path / "fc").exists()
+
+    def test_forecast_refuses_a_sole_frame_that_does_not_end_with_the_tail(self, tmp_path, capsys):
+        # A model fitted on seed 3 is not placed on the one frame of a config
+        # that holds only seed 4, though range and regressor ids match.
+        config = write_experiment_config(tmp_path, methods=[{"name": "manual", "ids": ["ind01"]}],
+                                         models=(SARIMAX,))
+        with_seeds(config, 3)
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "models")]) == 0
+        model_file = next(p for p in (tmp_path / "models").glob("synth-3__*.json")
+                          if not p.name.endswith("selection.json"))
+        with_seeds(config, 4)
+        capsys.readouterr()
+        rc = main(["forecast", "--config", str(config), "--model-file", str(model_file),
+                   "--out", str(tmp_path / "fc")])
+        assert (rc, capsys.readouterr().err) == (2, (
+            "error: 0 training frames span 2016-01..2021-04, hold regressors ['ind01'] and end "
+            "with the model's target tail; need exactly one of: synth-4 @ 2016-01..2021-04\n"))
         assert not (tmp_path / "fc").exists()
 
     def test_fit_rejects_unconfigured_method(self, tmp_path, capsys):
@@ -347,17 +420,17 @@ class TestReportCommand:
         assert (rerun / "score_development.csv").exists()
 
     def test_report_re_emits_a_run_without_parsing_its_fitted_documents(self, tmp_path):
-        # A run written before exocast.additive.fitted/2 still reports the
+        # A run written before exocast.additive.fitted/3 still reports the
         # same table: only `forecast --model-file` checks a fitted document.
         out = tmp_path / "run"
         config = write_experiment_config(tmp_path, out_dir=out, models=(SARIMAX, ADDITIVE))
         assert main(["experiment", "--config", str(config)]) == 0
         doc = json.loads((out / "artifacts.json").read_text())
         additive = [cell for cell in doc["cells"]
-                    if cell["fitted"]["schema"] == "exocast.additive.fitted/2"]
+                    if cell["fitted"]["schema"] == "exocast.additive.fitted/3"]
         assert len(additive) == 2
         for cell in additive:
-            cell["fitted"] = {"schema": "exocast.additive.fitted/1"}
+            cell["fitted"] = {"schema": "exocast.additive.fitted/2"}
         old = tmp_path / "old"
         old.mkdir()
         (old / "artifacts.json").write_text(json.dumps(doc))
@@ -603,6 +676,42 @@ class TestMalformedInput:
         argv = ["experiment", "--config", str(config), "--out", str(tmp_path / "out")]
         self._fails_cleanly(capsys, argv, str(config), "the number 1e999 is beyond the float range")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model, edit, message", [
+        (ADDITIVE, "cut-seasonal", "40 coefficients for the 41 design columns"),
+        (ADDITIVE, "stored-layout", "unknown model keys: layout"),
+        (ADDITIVE, "repeated-id", "duplicate regressor_ids: ['ind01', 'ind01']"),
+        (SARIMAX, "repeated-id", "duplicate regressor_ids: ['ind01', 'ind01']"),
+    ], ids=["additive-cut-seasonal", "additive-stored-layout", "additive-repeated-id",
+            "sarimax-repeated-id"])
+    def test_forecast_with_a_model_file_that_does_not_fit_its_design(self, tmp_path, capsys,
+                                                                      model, edit, message):
+        # An additive document stores no design columns: they follow from
+        # its config and regressor_ids, which a forecast reads alone.
+        config = write_experiment_config(tmp_path, methods=[{"name": "manual", "ids": ["ind01"]}],
+                                         models=(model,))
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "models")]) == 0
+        model_file = next(p for p in (tmp_path / "models").iterdir()
+                          if not p.name.endswith("selection.json"))
+        doc = json.loads(model_file.read_text())
+        if edit == "cut-seasonal":
+            layout = models_module.from_doc(doc).layout
+            del doc["coefficients"][[tag for tag, _ in layout].index("S")]
+        elif edit == "stored-layout":
+            layout = [list(column) for column in models_module.from_doc(doc).layout]
+            doc["layout"] = [["level", "intercept"], *layout[1:]]
+        elif model is ADDITIVE:
+            lags = 1 + doc["config"]["regressor_lags"]  # the L columns of ind01 end the design
+            doc.update(regressor_ids=["ind01"] * 2, regressor_tails=doc["regressor_tails"] * 2,
+                       coefficients=doc["coefficients"] + doc["coefficients"][-lags:])
+        else:
+            doc["regressor_ids"] *= 2
+            doc["params"]["beta"] *= 2
+        model_file.write_text(json.dumps(doc))
+        argv = ["forecast", "--config", str(config), "--model-file", str(model_file),
+                "--out", str(tmp_path / "fc")]
+        self._fails_cleanly(capsys, argv, str(model_file), message)
+        assert not (tmp_path / "fc").exists()
 
     def test_forecast_with_a_coefficient_beyond_the_float_range(self, tmp_path, capsys):
         config = write_experiment_config(tmp_path, methods=["none"], models=(ADDITIVE,))

@@ -911,7 +911,7 @@ class TestPersistedModels:
             name = experiment.file_stem(*key)
             stored = read_series_csv(tmp_path / "run" / "cells" / f"{name}.csv")
             assert predicted.values == stored.values, name
-        assert schemas == {"exocast.sarimax.fitted/2", "exocast.additive.fitted/2"}
+        assert schemas == {"exocast.sarimax.fitted/2", "exocast.additive.fitted/3"}
 
 
 class TestSharedForwardDesign:

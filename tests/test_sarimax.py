@@ -995,7 +995,7 @@ class TestSerialization:
             models.from_doc(doc, "model.json")
         assert str(raised.value) == (
             "model.json: schema 'exocast.sarimax.fitted/1' is not exocast.sarimax.fitted/2 or "
-            "exocast.additive.fitted/2; fit the model again"
+            "exocast.additive.fitted/3; fit the model again"
         )
 
     @pytest.mark.parametrize("doc, message", [
@@ -1013,10 +1013,13 @@ class TestSerialization:
         ({**DOC, "tail_values": DOC["tail_values"][1:]}, "hold 1 and 1 values, not the 2 and 1"),
         ({**DOC, "tail_values": [0.5, *DOC["tail_values"]]}, "hold 3 and 1 values, not the 2"),
         ({**DOC, "tail_residuals": []}, "hold 2 and 0 values, not the 2 and 1"),
-        ({"schema": "exocast.additive.fitted/2", "config": {}}, "model lacks layout"),
+        ({**DOC, "regressor_ids": ["x", "x"], "params": {**DOC["params"], "beta": [0.5, 0.5]}},
+         r"duplicate regressor_ids: \['x', 'x'\]"),
+        ({"schema": "exocast.additive.fitted/3", "config": {}}, "model lacks coefficients"),
     ], ids=["not-an-object", "schema", "missing-key", "missing-start", "short-order",
             "missing-param", "params-of-another-order", "unknown-key", "normalization",
-            "no-tail", "short-tail", "long-tail", "no-residual-tail", "additive-missing-key"])
+            "no-tail", "short-tail", "long-tail", "no-residual-tail", "repeated-regressor",
+            "additive-missing-key"])
     def test_malformed_document_rejected(self, doc, message):
         with pytest.raises(SchemaError, match=message) as raised:
             models.from_doc(doc, "model.json")
