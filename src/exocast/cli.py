@@ -14,8 +14,7 @@ from .errors import ExocastError, parse_json, to_object, write_document
 from .eurostat import DEFAULT_KEYWORDS, run_funnel
 from .experiment import (
     config_schema_text,
-    emit_plot_data,
-    emit_table,
+    emit_report,
     file_stem,
     load_config,
     reload_run,
@@ -278,13 +277,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    table, artifacts = reload_run(args.run_dir)
-    out = Path(args.out or args.run_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_table(table, "csv", out / "results.csv")
-    emit_table(table, "markdown", out / "results.md")
-    written = emit_plot_data(artifacts, out)
-    print(f"re-emitted results.csv, results.md and {len(written)} plot files to {out}")
+    out = args.out or args.run_dir
+    written = emit_report(*reload_run(args.run_dir), out)
+    print(f"re-emitted {', '.join(path.name for path in written)} to {out}")
     return 0
 
 

@@ -36,15 +36,7 @@ class InsufficientDataError(ExocastError, ValueError):
 
 
 class ConvergenceFailureError(ExocastError, RuntimeError):
-    """An iterative solver ran out of budget.
-
-    Carries the best iterate found so far in ``best`` so callers can decide
-    whether to use it anyway.
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """An iterative solver ran out of budget, or could not certify its result."""
 
 
 class SelectionError(ExocastError, RuntimeError):

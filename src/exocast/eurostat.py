@@ -380,14 +380,14 @@ def fetch_dataset(
     code: str,
     offline_fixture: str | Path | None = None,
     *,
-    base: str | None = None,
     timeout: float = REQUEST_TIMEOUT,
 ) -> RawDataset:
-    """Fetch one dataset's observations; a fixture file bypasses the network."""
+    """Fetch one dataset's observations from base_url(); a fixture file
+    bypasses the network."""
     if offline_fixture is not None:
         payload = Path(offline_fixture).read_text()
     else:
-        url = (base or base_url()) + DATA_PATH.format(code=code)
+        url = base_url() + DATA_PATH.format(code=code)
         payload = _http_get(url, timeout)
     return _parse_dataset_payload(code, payload)
 

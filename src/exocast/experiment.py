@@ -71,6 +71,7 @@ __all__ = [
     "render_grid",
     "emit_table",
     "emit_plot_data",
+    "emit_report",
     "load_config",
     "config_schema_text",
 ]
@@ -198,28 +199,30 @@ class ExperimentConfig:
 CellKey = tuple[str, str, str, str]  # dataset, range, method, model
 
 
-ARTIFACTS_SCHEMA = "exocast.experiment.artifacts/2"
+ARTIFACTS_SCHEMA = "exocast.experiment.artifacts/3"
 CELL_KEYS = {"model_doc": "fitted"}  # the JSON key of each CellRecord field named otherwise
 # Each earlier schema, with what to do instead of reading it: no reader is kept.
 RETIRED_ARTIFACTS = {
     "exocast.experiment.artifacts/1": "that run kept its cells in folders; run the experiment again",
+    "exocast.experiment.artifacts/2": "that run stored n_exog and kept origin 0's forecast for a "
+                                      "cell that failed later; run the experiment again",
 }
 
 
 @dataclass(frozen=True)
 class CellRecord:
     """One cell of the grid, as the runner builds it and artifacts.json
-    holds it: its key and result, origin 0's test months, actual values and
-    forecast, the indicators it selected, and its selection and fitted model
-    document (JSON key "fitted"), both None for a cell that failed at
-    origin 0."""
+    holds it: its key and result, origin 0's test months and actual values,
+    and what the cell made at origin 0: its forecast, the indicators it
+    selected, its selection and its fitted model document (JSON key
+    "fitted"). A cell that failed, at any origin, keeps none of them: its
+    forecast and indicators are empty and the documents None."""
 
     dataset: str
     range: str
     method: str
     model: str
     mae: float | None
-    n_exog: int | None
     error: str | None
     months: tuple[Month, ...]
     actual: tuple[float, ...]
@@ -235,6 +238,10 @@ class CellRecord:
     @property
     def failed(self) -> bool:
         return self.error is not None
+
+    @property
+    def n_exog(self) -> int | None:
+        return None if self.failed else len(self.selected_ids)
 
 
 @dataclass(frozen=True)
@@ -441,45 +448,42 @@ def _score_cell(config, method, model, origin, stages):
 def _run_group(config: ExperimentConfig, group) -> list[CellRecord]:
     """Every (method, model) cell of one (dataset label, range, origins)
     group, origin by origin, so that one preprocessed frame is alive at a
-    time. A cell fails on its first exception and is skipped at later
-    origins; origin 0 supplies its selection, model and forecast."""
+    time. A cell that fails at any origin is skipped at later ones and
+    recorded as failed; one that never fails keeps origin 0's selection,
+    model and forecast, and the mean of its MAEs."""
     dataset_label, range_spec, origins = group
     cells = {
         (dataset_label, range_spec.label, method.label, model.label): (method, model)
         for method in config.methods
         for model in config.models
     }
-    scores: dict[CellKey, list[float]] = {key: [] for key in cells}
-    kept: dict[CellKey, tuple] = {}  # origin 0's selection, model document and forecast
-    errors: dict[CellKey, str] = {}  # failed cells
-    for i, origin in enumerate(origins):
+    # Each cell's one outcome: (failure code, None, None, (), ()) once it
+    # fails, else (None, origin 0's selection, model document and forecast,
+    # its MAE at each origin so far).
+    outcomes: dict[CellKey, tuple] = {}
+    for origin in origins:
         stages: dict = {}  # this origin's preprocessing and selections
         for key, (method, model) in cells.items():
-            if key in errors:
+            if key in outcomes and outcomes[key][0] is not None:
                 continue
             try:
                 score, selection, fitted, predicted = _score_cell(
                     config, method, model, origin, stages)
             except Exception as exc:  # noqa: BLE001 - a failed cell never aborts the grid
                 log.warning("cell %s failed: %s", key, exc)
-                errors[key] = _failure_code(exc)
+                outcomes[key] = (_failure_code(exc), None, None, (), ())
                 continue
-            scores[key].append(score)
-            if i == 0:
-                kept[key] = selection, models.to_doc(fitted), predicted.values
+            if key not in outcomes:
+                outcomes[key] = (None, selection, models.to_doc(fitted), predicted.values, [])
+            outcomes[key][4].append(score)
     _, actual, months = origins[0]
-    records = []
-    for key in cells:
-        selection, model_doc, forecast = kept.get(key, (None, None, ()))
-        ok = key not in errors
-        records.append(CellRecord(
-            *key, mae=sum(scores[key]) / len(scores[key]) if ok else None,
-            n_exog=len(selection.selected_ids) if ok else None, error=errors.get(key),
-            months=months, actual=actual, forecast=forecast,
-            selected_ids=() if selection is None else selection.selected_ids,
-            selection=selection, model_doc=model_doc,
-        ))
-    return records
+    return [
+        CellRecord(*key, mae=None if error else sum(scores) / len(scores), error=error,
+                   months=months, actual=actual, forecast=forecast,
+                   selected_ids=selection.selected_ids if selection else (),
+                   selection=selection, model_doc=model_doc)
+        for key, (error, selection, model_doc, forecast, scores) in outcomes.items()
+    ]
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts]:
@@ -614,7 +618,7 @@ def emit_plot_data(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
         groups.setdefault((key[0], key[1]), []).append(cell)
 
     for (dataset, rng), cell_list in sorted(groups.items()):
-        ok = [c for c in cell_list if c.forecast]
+        ok = [c for c in cell_list if not c.failed]
         if not ok:
             continue
         path = out_dir / f"forecasts_{_safe(dataset)}_{_safe(rng)}.csv"
@@ -646,12 +650,22 @@ def emit_plot_data(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
         writer.writerow(["dataset", "range", "method", "model", "period", "abs_error"])
         for key in sorted(artifacts.cells):
             cell = artifacts.cells[key]
-            if not cell.forecast:
+            if cell.failed:
                 continue
             for month, actual, predicted in zip(cell.months, cell.actual, cell.forecast):
                 writer.writerow([*key, str(month), repr(abs(actual - predicted))])
     written.append(path)
     return written
+
+
+def emit_report(table: ResultsTable, artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
+    """Write a run's report files into `out_dir`: results.csv, results.md
+    and the plot data of emit_plot_data. Gives the paths written."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return [emit_table(table, "csv", out_dir / "results.csv"),
+            emit_table(table, "markdown", out_dir / "results.md"),
+            *emit_plot_data(artifacts, out_dir)]
 
 
 def _safe(text: str) -> str:
@@ -667,21 +681,20 @@ def file_stem(*labels: str) -> str:
 
 
 def persist_run(out_dir: Path, table: ResultsTable, artifacts: RunArtifacts) -> None:
-    """Write the run into `out_dir`: the tables, the plot data, each cell's
-    forecast under cells/ and, last, artifacts.json. The artifacts.json and
-    cells/ an earlier run left there go first, and emit_plot_data clears its
-    plot files, so every file names a cell of this run, and a persist that
-    fails midway leaves no document for `reload_run` to read."""
+    """Write the run into `out_dir`: the report files (emit_report), the
+    forecast of each cell that did not fail under cells/ and, last,
+    artifacts.json. The artifacts.json and cells/ an earlier run left there
+    go first, and emit_plot_data clears its plot files, so every file names
+    a cell of this run, and a persist that fails midway leaves no document
+    for `reload_run` to read."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "artifacts.json").unlink(missing_ok=True)
     if (out_dir / "cells").is_dir():
         shutil.rmtree(out_dir / "cells")
-    emit_table(table, "csv", out_dir / "results.csv")
-    emit_table(table, "markdown", out_dir / "results.md")
-    emit_plot_data(artifacts, out_dir)
+    emit_report(table, artifacts, out_dir)
     (out_dir / "cells").mkdir()
     for key, cell in artifacts.cells.items():
-        if cell.forecast:
+        if not cell.failed:
             write_series_csv(MonthlySeries("forecast", cell.months[0], cell.forecast),
                              out_dir / "cells" / f"{file_stem(*key)}.csv")
     run = RunRecord(artifacts.horizon, table.row_keys, table.col_keys,

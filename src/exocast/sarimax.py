@@ -639,8 +639,7 @@ def fit(
     least-squares optimum (bounded in closed form when p <= 1 and P <= 1),
     which `minimize` certifies without scipy, as L-BFGS-B would at
     iteration 0; otherwise it starts from zero. Raises
-    ConvergenceFailureError, carrying the best point, when the iteration
-    budget runs out. The result records the start and the optimizer's
+    ConvergenceFailureError when the iteration budget runs out. The result records the start and the optimizer's
     status, iterations, evaluations and whether a coefficient sits at its
     bound. Deterministic for identical inputs."""
     k = len(train.indicators)
@@ -657,10 +656,15 @@ def fit(
     x0, start = _least_squares_start(order, design, w[t0:])
     n_poly = order.p + order.q + order.P + order.Q
     best_x, result = _lbfgsb(x0, order, w, X, wbar, max_iter)
+    if result.status == 1:  # iteration/function budget exhausted
+        raise ConvergenceFailureError(
+            f"optimizer hit the iteration budget ({max_iter}) for order "
+            f"{order.as_tuple()}: {result.message}"
+        )
     params = _unpack(best_x, order, k)
     scored = _scored(order, params, w, X, wbar)
     sigma2 = max(float(scored @ scored) / len(scored), 1e-300)
-    fitted = _assemble(
+    return _assemble(
         order, replace(params, sigma2=sigma2), train, scored, wbar, mean_conditioning,
         optimizer={
             "start": start,
@@ -670,12 +674,6 @@ def fit(
             "at_bound": bool(np.any(np.abs(best_x[1 : 1 + n_poly]) >= COORD_BOUND * (1 - 1e-8))),
         },
     )
-    if result.status == 1:  # iteration/function budget exhausted
-        raise ConvergenceFailureError(
-            f"optimizer hit the iteration budget ({max_iter}) for order "
-            f"{order.as_tuple()}: {result.message}", best=fitted,
-        )
-    return fitted
 
 
 def extrapolate_regressor(series: MonthlySeries, horizon: int) -> np.ndarray:

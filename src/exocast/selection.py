@@ -150,9 +150,9 @@ def lasso_coordinate_descent(
     and raises ConvergenceFailureError if that takes more than max_iter
     sweeps. beta0 warm-starts the iteration.
 
-    lasso_select uses it as the certificate of its final fit, and to finish
-    a grid point the path got wrong: started from the optimum it settles in
-    a sweep or two. Tests use it, run to a tight tol, as the reference.
+    lasso_select uses it as the certificate of its final fit: started from
+    the optimum it settles in a sweep or two. Tests use it, run to a tight
+    tol, as the reference.
     """
     n, p = X.shape
     col_norm2 = (X * X).sum(axis=0) / n
@@ -173,9 +173,7 @@ def lasso_coordinate_descent(
             max_delta = max(max_delta, abs(new - old))
         if max_delta <= tol:
             return beta
-    raise ConvergenceFailureError(
-        f"coordinate descent did not converge within {max_iter} sweeps", best=beta
-    )
+    raise ConvergenceFailureError(f"coordinate descent did not converge within {max_iter} sweeps")
 
 
 def _kkt_violation(G: np.ndarray, c: np.ndarray, lams: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -251,12 +249,7 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (X - mu) / sd, mu, sd
 
 
-def lasso_select(
-    candidates: CandidateSet,
-    lam: float | None = None,
-    tol: float = LASSO_TOL,
-    max_iter: int = LASSO_MAX_ITER,
-) -> SelectionResult:
+def lasso_select(candidates: CandidateSet, lam: float | None = None) -> SelectionResult:
     """L1-penalised selection on standardized features and a centred target.
 
     With lam=None the penalty comes from a 50-point log grid on
@@ -264,10 +257,11 @@ def lasso_select(
     range; ties resolve toward the larger (sparser) value.
 
     One regularisation path gives every grid point, and one stacked KKT
-    check certifies them; lasso_coordinate_descent(tol, max_iter) finishes
-    a point that fails it. The final fit at the chosen (or given) penalty
-    is the path's point on the full range, certified by coordinate descent
-    started there: it returns the coefficients or ConvergenceFailureError.
+    check certifies them: a point that breaches its conditions by more than
+    KKT_TOL raises ConvergenceFailureError naming its penalty and the
+    breach. The final fit at the chosen (or given) penalty is the path's
+    point on the full range, certified by coordinate descent started there:
+    it returns the coefficients or ConvergenceFailureError.
     """
     frame = candidates.frame
     ids = candidates.candidate_ids
@@ -284,7 +278,7 @@ def lasso_select(
 
     chosen = lam
     grid_scores: list[list[float]] = []  # [lambda, validation MAE] pairs, as JSON reads them back
-    steps = finished = 0
+    steps = 0
     if lam is None:
         if lam_max == 0.0:
             chosen = 0.0
@@ -298,11 +292,14 @@ def lasso_select(
             yf = y_fit - y_fit.mean()
             G_fit, c_fit = Xf.T @ Xf / len(yf), Xf.T @ yf / len(yf)
             B, steps = _lasso_path(G_fit, c_fit, grid)
-            kkt_tol = KKT_TOL * max(1.0, float(np.abs(c_fit).max()))
-            failed = np.flatnonzero(~(_kkt_violation(G_fit, c_fit, grid, B) <= kkt_tol))
-            for k in failed:
-                B[k] = lasso_coordinate_descent(Xf, yf, float(grid[k]), tol, max_iter, beta0=B[k])
-            finished = len(failed)
+            violation = _kkt_violation(G_fit, c_fit, grid, B)
+            failed = np.flatnonzero(~(violation <= KKT_TOL * max(1.0, float(np.abs(c_fit).max()))))
+            if len(failed):
+                k = failed[0]
+                raise ConvergenceFailureError(
+                    f"lasso path at penalty {float(grid[k])!r} breaches its optimality "
+                    f"conditions by {float(violation[k])!r}"
+                )
             pred = y_fit.mean() + ((X_val - mu) / sd) @ B.T
             scores = np.mean(np.abs(pred - y_val[:, None]), axis=0)
             chosen = float(grid[int(np.argmin(scores))])
@@ -312,7 +309,7 @@ def lasso_select(
     if ids:
         start, taken = _lasso_path(G_full, c_full, final)
         steps += taken
-        beta = lasso_coordinate_descent(Xs, yc, final[0], tol, max_iter, beta0=start[0])
+        beta = lasso_coordinate_descent(Xs, yc, final[0], beta0=start[0])
     else:
         beta = np.zeros(0)
     selected = tuple(cid for cid, b in zip(ids, beta) if abs(b) > LASSO_NONZERO)
@@ -326,7 +323,6 @@ def lasso_select(
             "grid_scores": grid_scores,
             "solver": {
                 "path_steps": steps,
-                "grid_points_by_descent": finished,
                 "kkt_max_violation": float(_kkt_violation(G_full, c_full, final, beta[None])[0]),
             },
         },

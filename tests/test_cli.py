@@ -539,7 +539,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("text, message", [
         ("[]", "JSON object"),
         ("{", "Expecting property name"),
-        ('{"schema": "exocast.experiment.artifacts/2", "horizon": 12, "row_keys": [], '
+        ('{"schema": "exocast.experiment.artifacts/3", "horizon": 12, "row_keys": [], '
          '"col_keys": []}', "lacks cells"),
     ], ids=["not-an-object", "not-json", "missing-key"])
     def test_report_on_malformed_artifacts(self, tmp_path, capsys, text, message):

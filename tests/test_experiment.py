@@ -320,14 +320,14 @@ class TestIsolationAndDeterminism:
             models=(ModelSpec("sarimax", order=SarimaxOrder(p=1)),),
             out_dir=str(tmp_path / "run"),
         )
-        table, artifacts = run_experiment(config)
-        for key, cell in table.cells.items():
-            stored = artifacts.cells[key].selection
-            assert cell.n_exog == len(stored.selected_ids)
+        table, _ = run_experiment(config)
+        for cell in table.cells.values():
+            assert cell.n_exog == len(cell.selected_ids) == len(cell.selection.selected_ids)
+        # The count is derived from selected_ids, never stored beside them.
         doc = json.loads((tmp_path / "run" / "artifacts.json").read_text())
         assert len(doc["cells"]) == len(table.cells)
         for cell in doc["cells"]:
-            assert cell["n_exog"] == len(cell["selection"]["selected_ids"])
+            assert "n_exog" not in cell
             assert cell["selected_ids"] == cell["selection"]["selected_ids"]
 
 
@@ -503,10 +503,10 @@ class TestTableAndPlots:
             if (tmp_path / "fresh" / path).is_file():
                 assert (tmp_path / "run" / path).read_bytes() == (tmp_path / "fresh" / path).read_bytes()
 
-    ARTIFACTS = {"schema": "exocast.experiment.artifacts/2", "horizon": 1,
+    ARTIFACTS = {"schema": "exocast.experiment.artifacts/3", "horizon": 1,
                  "row_keys": [["none", "additive"]], "col_keys": ["d @ 2016-01..2016-12"],
                  "cells": [{"dataset": "d", "range": "2016-01..2016-12", "method": "none",
-                            "model": "additive", "mae": 1.0, "n_exog": 0, "error": None,
+                            "model": "additive", "mae": 1.0, "error": None,
                             "months": ["2017-01"], "actual": [1.0], "forecast": [2.0],
                             "selected_ids": [], "fitted": None,
                             "selection": {"method": "none", "selected_ids": [], "score": None,
@@ -517,21 +517,26 @@ class TestTableAndPlots:
         ("{", "Expecting property name"),
         ({**ARTIFACTS, "schema": "x"}, "schema 'x' is not"),
         ({**ARTIFACTS, "schema": "exocast.experiment.artifacts/1"},
-         "schema 'exocast.experiment.artifacts/1' is not exocast.experiment.artifacts/2; "
+         "schema 'exocast.experiment.artifacts/1' is not exocast.experiment.artifacts/3; "
          "that run kept its cells in folders; run the experiment again"),
+        ({**ARTIFACTS, "schema": "exocast.experiment.artifacts/2"},
+         "schema 'exocast.experiment.artifacts/2' is not exocast.experiment.artifacts/3; "
+         "that run stored n_exog and kept origin 0's forecast for a cell that failed later; "
+         "run the experiment again"),
         ({k: v for k, v in ARTIFACTS.items() if k != "cells"}, "lacks cells"),
         ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "selection": {"selected_ids": []}}]},
          "selection result lacks method"),
         ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "months": ["2017"]}]}, "'2017'"),
         ({**ARTIFACTS, "rows": []}, "unknown artifacts keys: rows"),
         ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "maes": [1.0]}]}, "unknown cell keys: maes"),
+        ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "n_exog": 0}]}, "unknown cell keys: n_exog"),
         ({**ARTIFACTS, "cells": [ARTIFACTS["cells"][0], {**ARTIFACTS["cells"][0], "mae": 5.0}]},
          "cell d / 2016-01..2016-12 / none / additive is listed twice"),
         ({**ARTIFACTS, "cells": [ARTIFACTS["cells"][0], {**ARTIFACTS["cells"][0], "dataset": "e"}]},
          "cell e / 2016-01..2016-12 / none / additive is not in row_keys x col_keys"),
-    ], ids=["not-an-object", "not-json", "schema", "retired-schema", "missing-key",
-            "selection-missing-key", "malformed", "unknown-key", "unknown-cell-key", "repeated-cell",
-            "extra-cell"])
+    ], ids=["not-an-object", "not-json", "schema", "retired-schema", "retired-schema-2",
+            "missing-key", "selection-missing-key", "malformed", "unknown-key", "unknown-cell-key",
+            "stored-n_exog", "repeated-cell", "extra-cell"])
     def test_reload_of_malformed_artifacts(self, tmp_path, doc, message):
         path = tmp_path / "artifacts.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -737,6 +742,33 @@ class TestRollingOrigins:
         b = next(iter(run_experiment(quick_config(rolling_origins=1))[0].cells.values())).mae
         assert a == b
 
+    def test_a_cell_that_fails_at_a_later_origin_is_a_failed_cell(self, tmp_path):
+        # Origin 0's five training months hold sarimax(1,0,0) with two
+        # regressors; origin 1's four do not. The manual cell fails at
+        # origin 1 and, like a cell that fails at origin 0, leaves no
+        # forecast, selection or model in any of the run's files.
+        run = tmp_path / "run"
+        config = quick_config(
+            datasets=(synth_dataset(n_months=40),),
+            ranges=(RangeSpec(M(2016, 1), M(2016, 5)),),
+            methods=(MethodSpec("none"), MethodSpec("manual", manual_ids=("ind01", "ind02"))),
+            rolling_origins=2, out_dir=str(run),
+        )
+        table, _ = run_experiment(config)
+        none, manual = table.cells.values()
+        assert (none.error, manual.error) == (None, "InsufficientData")
+        assert (manual.mae, manual.n_exog, manual.forecast, manual.selected_ids, manual.selection,
+                manual.model_doc) == (None, None, (), (), None, None)
+        forecasts = (run / "forecasts_synth-0_2016-01..2016-05.csv").read_text().splitlines()
+        assert forecasts[0] == 'period,actual,"none / sarimax(1,0,0)(0,0,0)_12"'
+        errors = (run / "errors.csv").read_text().splitlines()
+        assert len(errors) == 1 + 12 and not [line for line in errors if ",manual," in line]
+        assert [p.name for p in (run / "cells").iterdir()] == [f"{experiment.file_stem(*none.key)}.csv"]
+        stored = next(c for c in json.loads((run / "artifacts.json").read_text())["cells"]
+                      if c["method"] == "manual")
+        assert (stored["fitted"], stored["selection"], stored["forecast"]) == (None, None, [])
+        assert reload_run(run)[0].cells[manual.key] == manual
+
     def test_origin_must_fit_range(self):
         config = quick_config(
             ranges=(RangeSpec(M(2021, 4), M(2021, 4)),), rolling_origins=3
@@ -833,19 +865,21 @@ class TestSharedStages:
 
     def test_shared_selection_failure_fails_its_method_only(self, monkeypatch, caplog):
         config = self._failure_config()
-        base_table, base_artifacts = run_experiment(config)
+        base_table, _ = run_experiment(config)
         # Origin 1 of either range ends one month before the range does.
         self._raise_when(monkeypatch, "correlation_select", lambda c: c.frame.end == M(2021, 3))
         with caplog.at_level("WARNING", logger="exocast.experiment"):
-            table, artifacts = run_experiment(config)
+            table, _ = run_experiment(config)
         failed = [k for k in table.cells if k[2] == "correlation"]
         assert len(failed) == 4
         assert [r.message.count("planted failure") for r in caplog.records] == [1] * 4
         for key, cell in table.cells.items():
             if key in failed:
                 assert cell.error == "InsufficientData", key
-                # Origin 0 finished, so it still supplies the artifacts.
-                assert artifacts.cells[key].forecast == base_artifacts.cells[key].forecast
+                # Origin 0 finished, yet a cell that fails at any origin
+                # keeps none of what it made there.
+                assert (cell.mae, cell.forecast, cell.selected_ids, cell.selection,
+                        cell.model_doc) == (None, (), (), None, None), key
             else:
                 assert cell == base_table.cells[key], key
 

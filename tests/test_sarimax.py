@@ -16,7 +16,6 @@ from exocast.sarimax import (
     COORD_BOUND,
     MAX_ITER,
     R_MAX,
-    FittedSarimax,
     SarimaxOrder,
     SarimaxParams,
     css_residuals,
@@ -183,11 +182,11 @@ class TestFit:
         with pytest.raises(InsufficientDataError):
             fit(frame(y), SarimaxOrder(p=62, d=1, q=4, s=4))
 
-    def test_convergence_failure_carries_best(self):
+    def test_convergence_failure_names_the_budget(self):
         y = simulate_ar1(1, n=200).tolist()
-        with pytest.raises(ConvergenceFailureError) as excinfo:
+        with pytest.raises(ConvergenceFailureError, match=r"iteration budget \(1\) for order "
+                           r"\(2, 0, 2, 0, 0, 0, 12\)"):
             fit(frame(y), SarimaxOrder(p=2, q=2), max_iter=1)
-        assert isinstance(excinfo.value.best, FittedSarimax)
 
     def test_target_differenced_once(self, monkeypatch):
         calls = []

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from exocast.errors import SchemaError, SelectionError, UndefinedCorrelationError
+from exocast import selection
+from exocast.errors import (
+    ConvergenceFailureError, SchemaError, SelectionError, UndefinedCorrelationError,
+)
 from exocast.experiment import PreprocessingSpec, _preprocess_train
 from exocast.selection import (
     CandidateSet,
@@ -361,9 +364,51 @@ class TestLasso:
         train, _ = _preprocess_train(frame.slice_months(M(2019, 1), M(2021, 4)),
                                      PreprocessingSpec())
         result = lasso_select(CandidateSet(train))
-        solver = result.diagnostics["solver"]
-        assert solver["kkt_max_violation"] <= 1e-9
-        assert solver["grid_points_by_descent"] == 0
+        assert result.diagnostics["solver"]["kkt_max_violation"] <= 1e-9
+
+    @pytest.mark.parametrize("extra", ["duplicate", "constant"])
+    def test_grid_policy_certifies_or_raises_on_collinear_columns(self, extra):
+        # An exact copy of a driver, or a constant column, beside the
+        # candidates: every grid point is certified by its KKT check and the
+        # final fit meets its conditions, or the selection raises.
+        rng = np.random.default_rng(11)
+        X = rng.normal(0, 1, (36, 3))
+        y = X @ np.array([1.0, -0.5, 0.0]) + rng.normal(0, 0.2, 36)
+        column = X[:, 0] if extra == "duplicate" else np.full(36, 2.0)
+        cands = make_candidates(y.tolist(), [(f"x{j}", X[:, j].tolist()) for j in range(3)]
+                                + [("extra", column.tolist())])
+        try:
+            result = lasso_select(cands)
+        except ConvergenceFailureError as exc:
+            assert "penalty" in str(exc)
+            return
+        ids = cands.candidate_ids
+        _, _, G, c = standardized_gram(np.column_stack([X, column]), y)
+        beta = np.array([result.diagnostics["coefficients"][i] for i in ids])
+        lam = result.diagnostics["lambda"]
+        assert _kkt_violation(G, c, np.array([lam]), beta[None])[0] <= 1e-9
+        assert result.diagnostics["solver"]["kkt_max_violation"] <= 1e-9
+        assert "x0" in result.selected_ids or "extra" in result.selected_ids
+        if extra == "constant":
+            assert result.diagnostics["coefficients"]["extra"] == 0.0
+
+    def test_a_grid_point_that_breaches_its_conditions_raises(self, monkeypatch):
+        # The path's grid points are certified, never finished by another
+        # solver: a breach names the penalty and its size.
+        path = selection._lasso_path
+
+        def perturbed(G, c, lams):
+            B, steps = path(G, c, lams)
+            if len(lams) > 1:
+                B[7] += 1e-3
+            return B, steps
+
+        monkeypatch.setattr(selection, "_lasso_path", perturbed)
+        with pytest.raises(ConvergenceFailureError, match=r"^lasso path at penalty \S+ breaches "
+                           r"its optimality conditions by \S+$") as raised:
+            lasso_select(short_normalized_candidates(seed=0))
+        words = str(raised.value).split()
+        assert float(words[4]) > 0 and float(words[-1]) > KKT_TOL
 
 
 def naive_greedy(candidate_ids, evaluator, cap):
