@@ -278,7 +278,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_report(args) -> int:
     out = args.out or args.run_dir
-    written = emit_report(*reload_run(args.run_dir), out)
+    written = emit_report(reload_run(args.run_dir), out)
     print(f"re-emitted {', '.join(path.name for path in written)} to {out}")
     return 0
 

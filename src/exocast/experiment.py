@@ -9,9 +9,11 @@ inverted on the forecast before scoring on the raw scale.
 
 from __future__ import annotations
 
+import csv
+import json
 import logging
 import shutil
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -34,6 +36,7 @@ from .selection import (
     lasso_select,
     result_from_object,
     result_object,
+    score_development,
     validate_manual,
 )
 from .series import (
@@ -215,8 +218,10 @@ class CellRecord:
     holds it: its key and result, origin 0's test months and actual values,
     and what the cell made at origin 0: its forecast, the indicators it
     selected, its selection and its fitted model document (JSON key
-    "fitted"). A cell that failed, at any origin, keeps none of them: its
-    forecast and indicators are empty and the documents None."""
+    "fitted"). A cell is in one of two states, checked here for the runner
+    and the reader alike. Failed, at any origin: an error code, and no mae;
+    its forecast and indicators are empty and the documents None.
+    Succeeded: no error, an mae, and a forecast of each test month."""
 
     dataset: str
     range: str
@@ -231,6 +236,23 @@ class CellRecord:
     selection: SelectionResult | None
     model_doc: dict | None
 
+    def __post_init__(self):
+        kept = (self.mae, self.forecast, self.selected_ids, self.selection, self.model_doc)
+        if self.failed and kept != (None, (), (), None, None):
+            problem = (f"failed ({self.error}) but keeps an mae, forecast, selected_ids, "
+                       f"selection or fitted")
+        elif not self.failed and type(self.mae) not in (int, float):
+            problem = f"has no error, so its mae must be a number, not {json.dumps(self.mae)}"
+        elif len(self.actual) != len(self.months):
+            problem = f"holds {len(self.actual)} actual values for {len(self.months)} months"
+        elif not self.failed and len(self.forecast) != len(self.months):
+            problem = f"holds {len(self.forecast)} forecast values for {len(self.months)} months"
+        elif any(type(value) not in (int, float) for value in self.actual + self.forecast):
+            problem = "holds an actual or forecast value that is not a number"
+        else:
+            return
+        raise ValueError(f"cell {' / '.join(self.key)} {problem}")
+
     @property
     def key(self) -> CellKey:
         return (self.dataset, self.range, self.method, self.model)
@@ -244,29 +266,38 @@ class CellRecord:
         return None if self.failed else len(self.selected_ids)
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """artifacts.json without its schema: the table's row and column order,
-    and every cell in sorted key order."""
-
-    horizon: int
-    row_keys: tuple[tuple[str, str], ...]
-    col_keys: tuple[str, ...]
-    cells: tuple[CellRecord, ...]
-
-
 @dataclass
 class ResultsTable:
+    """A run, as `run_experiment` returns it and artifacts.json holds it:
+    the test window's length, the row and column order, and one cell for
+    each row and column, held in that order (by column, then row) and
+    each with `horizon` test months."""
+
+    horizon: int
     row_keys: tuple[tuple[str, str], ...]  # (method, model)
     col_keys: tuple[str, ...]  # "dataset @ range"
     cells: dict[CellKey, CellRecord]
 
+    def __post_init__(self):
+        keys = [_cell_key(row, col) for col in self.col_keys for row in self.row_keys]
+        odd = sorted(self.cells.keys() ^ set(keys))
+        if odd:
+            where = "not in" if odd[0] in self.cells else "missing from"
+            raise ValueError(f"cell {' / '.join(odd[0])} is {where} row_keys x col_keys")
+        for cell in self.cells.values():
+            if len(cell.months) != self.horizon:
+                raise ValueError(f"cell {' / '.join(cell.key)} holds {len(cell.months)} "
+                                 f"months, not the horizon's {self.horizon}")
+        self.cells = {key: self.cells[key] for key in keys}
+
 
 @dataclass
 class RunArtifacts:
-    horizon: int
-    cells: dict[CellKey, CellRecord] = field(default_factory=dict)  # the table's own dict
-    truths: dict[str, SyntheticTruth] = field(default_factory=dict)
+    """What `run_experiment` gives besides the table: its cells (the
+    table's own dict) and the truth of each synthetic dataset."""
+
+    cells: dict[CellKey, CellRecord]
+    truths: dict[str, SyntheticTruth]
 
 
 # ---------------------------------------------------------------------------
@@ -514,26 +545,21 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, RunArtifacts
                 origins.append((train_raw, test_target.values, test_target.months))
             groups.append((spec.label, rng, origins))
 
-    cells = {record.key: record for group in groups for record in _run_group(config, group)}
-    artifacts = RunArtifacts(config.horizon, cells, truths)
     table = ResultsTable(
+        horizon=config.horizon,
         row_keys=tuple((m.label, mo.label) for m in config.methods for mo in config.models),
         col_keys=tuple(
             f"{d.label} @ {r.label}" for d in config.datasets for r in config.ranges
         ),
-        cells=cells,
+        cells={record.key: record for group in groups for record in _run_group(config, group)},
     )
     if config.out_dir:
-        persist_run(Path(config.out_dir), table, artifacts)
-    return table, artifacts
+        persist_run(Path(config.out_dir), table)
+    return table, RunArtifacts(table.cells, truths)
 
 
 # ---------------------------------------------------------------------------
 # Rendering and persistence
-
-def _format_score(value: float) -> str:
-    return f"{value:.4g}"
-
 
 def _cell_key(row: tuple[str, str], col: str) -> CellKey:
     dataset, rng = col.split(" @ ")
@@ -551,14 +577,12 @@ def render_grid(table: ResultsTable) -> tuple[list[str], list[list[str]], list[l
         score_row = [label]
         count_row = ["  Nbr. Exogenous variables"]
         for col in table.col_keys:
-            cell = table.cells.get(_cell_key((method, model), col))
-            if cell is None or cell.failed:
-                code = "unknown" if cell is None else cell.error
-                score_row.append(f"FAIL({code})")
+            cell = table.cells[_cell_key((method, model), col)]
+            if cell.failed:
+                score_row.append(f"FAIL({cell.error})")
                 count_row.append("-")
                 continue
-            text = _format_score(cell.mae)
-            score_row.append(text)
+            score_row.append(f"{cell.mae:.4g}")
             count_row.append(str(cell.n_exog))
             if col not in best or cell.mae < best[col][0]:
                 best[col] = (cell.mae, label)
@@ -574,39 +598,29 @@ def emit_table(table: ResultsTable, fmt: str, path: str | Path) -> Path:
     header, rows, extra = render_grid(table)
     path = Path(path)
     if fmt == "csv":
-        import csv as _csv
-
         with path.open("w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
             writer.writerows(extra)
     elif fmt == "markdown":
-        best_labels = {col: extra[0][i + 1] for i, col in enumerate(table.col_keys)}
         lines = ["| " + " | ".join(header) + " |",
                  "|" + "|".join([" --- "] * len(header)) + "|"]
-        for row in rows:
-            cells = [row[0]]
-            is_score_row = not row[0].startswith(" ")
-            for col, value in zip(table.col_keys, row[1:]):
-                if is_score_row and best_labels.get(col) == row[0] and not value.startswith("FAIL"):
-                    cells.append(f"**{value}**")
-                else:
-                    cells.append(value)
-            lines.append("| " + " | ".join(cells) + " |")
+        for label, *values in rows:
+            # The best row names the score row of each column's best cell.
+            values = [f"**{v}**" if best == label else v for v, best in zip(values, extra[0][1:])]
+            lines.append("| " + " | ".join([label, *values]) + " |")
         path.write_text("\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown table format {fmt!r}")
     return path
 
 
-def emit_plot_data(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
+def emit_plot_data(table: ResultsTable, out_dir: str | Path) -> list[Path]:
     """Long-format CSVs for external plotting: per-group forecasts, the
     score-development curve, and per-period absolute errors. The forecast
-    and score-development files an earlier run left in `out_dir` go first."""
-    import csv as _csv
-    from .selection import score_development
-
+    and score-development files an earlier run left in `out_dir` go first.
+    Only `table.cells` is read, which run_experiment's RunArtifacts also has."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in [*out_dir.glob("forecasts_*.csv"), out_dir / "score_development.csv"]:
@@ -614,7 +628,7 @@ def emit_plot_data(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
 
     groups: dict[tuple[str, str], list[CellRecord]] = {}
-    for key, cell in artifacts.cells.items():
+    for key, cell in table.cells.items():
         groups.setdefault((key[0], key[1]), []).append(cell)
 
     for (dataset, rng), cell_list in sorted(groups.items()):
@@ -623,22 +637,21 @@ def emit_plot_data(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
             continue
         path = out_dir / f"forecasts_{_safe(dataset)}_{_safe(rng)}.csv"
         with path.open("w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             labels = [f"{c.key[2]} / {c.key[3]}" for c in ok]
             writer.writerow(["period", "actual", *labels])
-            months = ok[0].months
-            for i, month in enumerate(months):
+            for i, month in enumerate(ok[0].months):
                 writer.writerow(
                     [str(month), repr(ok[0].actual[i])] + [repr(c.forecast[i]) for c in ok]
                 )
         written.append(path)
 
-    selections = (artifacts.cells[key].selection for key in sorted(artifacts.cells))
+    selections = (table.cells[key].selection for key in sorted(table.cells))
     traces = [s.trace for s in selections if s is not None and s.trace is not None]
     if traces:
         path = out_dir / "score_development.csv"
         with path.open("w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["n_vars", "mean_oos_mae"])
             for n_vars, mean_score in score_development(traces):
                 writer.writerow([n_vars, repr(mean_score)])
@@ -646,10 +659,10 @@ def emit_plot_data(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
 
     path = out_dir / "errors.csv"
     with path.open("w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["dataset", "range", "method", "model", "period", "abs_error"])
-        for key in sorted(artifacts.cells):
-            cell = artifacts.cells[key]
+        for key in sorted(table.cells):
+            cell = table.cells[key]
             if cell.failed:
                 continue
             for month, actual, predicted in zip(cell.months, cell.actual, cell.forecast):
@@ -658,14 +671,14 @@ def emit_plot_data(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
     return written
 
 
-def emit_report(table: ResultsTable, artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
+def emit_report(table: ResultsTable, out_dir: str | Path) -> list[Path]:
     """Write a run's report files into `out_dir`: results.csv, results.md
     and the plot data of emit_plot_data. Gives the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return [emit_table(table, "csv", out_dir / "results.csv"),
             emit_table(table, "markdown", out_dir / "results.md"),
-            *emit_plot_data(artifacts, out_dir)]
+            *emit_plot_data(table, out_dir)]
 
 
 def _safe(text: str) -> str:
@@ -680,61 +693,53 @@ def file_stem(*labels: str) -> str:
     return "__".join(map(_safe, labels))
 
 
-def persist_run(out_dir: Path, table: ResultsTable, artifacts: RunArtifacts) -> None:
+def persist_run(out_dir: Path, table: ResultsTable) -> None:
     """Write the run into `out_dir`: the report files (emit_report), the
     forecast of each cell that did not fail under cells/ and, last,
-    artifacts.json. The artifacts.json and cells/ an earlier run left there
-    go first, and emit_plot_data clears its plot files, so every file names
-    a cell of this run, and a persist that fails midway leaves no document
-    for `reload_run` to read."""
+    artifacts.json, the table with its cells in sorted key order. The
+    artifacts.json and cells/ an earlier run left there go first, and
+    emit_plot_data clears its plot files, so every file names a cell of
+    this run, and a persist that fails midway leaves no document for
+    `reload_run` to read."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "artifacts.json").unlink(missing_ok=True)
     if (out_dir / "cells").is_dir():
         shutil.rmtree(out_dir / "cells")
-    emit_report(table, artifacts, out_dir)
+    emit_report(table, out_dir)
     (out_dir / "cells").mkdir()
-    for key, cell in artifacts.cells.items():
+    for key, cell in table.cells.items():
         if not cell.failed:
             write_series_csv(MonthlySeries("forecast", cell.months[0], cell.forecast),
                              out_dir / "cells" / f"{file_stem(*key)}.csv")
-    run = RunRecord(artifacts.horizon, table.row_keys, table.col_keys,
-                    tuple(record for _, record in sorted(table.cells.items())))
-    doc = to_object(run, {"cells": lambda records: [to_object(record, {
+    doc = to_object(table, {"cells": lambda cells: [to_object(cells[key], {
         "months": lambda months: list(map(str, months)), "selection": result_object,
-    }, CELL_KEYS) for record in records]})
+    }, CELL_KEYS) for key in sorted(cells)]})
     write_document(out_dir / "artifacts.json", ARTIFACTS_SCHEMA, doc, listed="cells")
 
 
-def reload_run(out_dir: str | Path) -> tuple[ResultsTable, RunArtifacts]:
-    """Rebuild the table and the artifacts, selections and fitted documents
-    included, from a persisted run's artifacts.json."""
+def reload_run(out_dir: str | Path) -> ResultsTable:
+    """The table of a persisted run, selections and fitted documents
+    included, read from its artifacts.json."""
     out_dir = Path(out_dir)
     path = out_dir / "artifacts.json"
     if not path.is_file():
         raise ExocastError(f"no finished run in {out_dir}: {path.name} is missing")
 
-    def cell_record(doc) -> CellRecord:
-        return from_object(CellRecord, doc, "cell", {
-            "months": lambda ms: tuple(map(Month.parse, ms)),
-            "selection": lambda selection: None if selection is None else result_from_object(selection),
-        }, CELL_KEYS)
-
-    def rebuild(doc) -> tuple[ResultsTable, RunArtifacts]:
-        run = from_object(RunRecord, doc, "artifacts", {"cells": lambda cs: tuple(map(cell_record, cs))})
+    def cells(docs) -> dict[CellKey, CellRecord]:
         records: dict[CellKey, CellRecord] = {}
-        for record in run.cells:
+        for doc in docs:
+            record = from_object(CellRecord, doc, "cell", {
+                "months": lambda ms: tuple(map(Month.parse, ms)),
+                "selection": lambda selection: None if selection is None else result_from_object(selection),
+            }, CELL_KEYS)
             if record.key in records:
                 raise ValueError(f"cell {' / '.join(record.key)} is listed twice")
             records[record.key] = record
-        # Every cell of the table, in the order run_experiment gives them.
-        keys = [_cell_key(row, col) for col in run.col_keys for row in run.row_keys]
-        extra = sorted(records.keys() - set(keys))
-        if extra:
-            raise ValueError(f"cell {' / '.join(extra[0])} is not in row_keys x col_keys")
-        cells = {key: records[key] for key in keys}
-        return ResultsTable(run.row_keys, run.col_keys, cells), RunArtifacts(run.horizon, cells)
+        return records
 
-    return read_document(path, ARTIFACTS_SCHEMA, rebuild, retired=RETIRED_ARTIFACTS)
+    return read_document(path, ARTIFACTS_SCHEMA,
+                         lambda doc: from_object(ResultsTable, doc, "artifacts", {"cells": cells}),
+                         retired=RETIRED_ARTIFACTS)
 
 
 # ---------------------------------------------------------------------------

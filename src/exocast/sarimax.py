@@ -219,18 +219,11 @@ class FittedSarimax:
     optimizer: dict | None
 
 
-def _pacf_to_poly(pacf: np.ndarray) -> np.ndarray:
+def _pacf_to_poly_jacobian(pacf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Durbin-Levinson: partial autocorrelations in (-1, 1) to the
-    coefficients of a stationary polynomial 1 - a1*B - ... - ak*B^k."""
-    coeffs: list[float] = []
-    for k, r in enumerate(pacf):
-        coeffs = [coeffs[i] - r * coeffs[k - 1 - i] for i in range(k)] + [float(r)]
-    return np.asarray(coeffs)
-
-
-def _pacf_to_poly_jacobian(pacf: np.ndarray) -> np.ndarray:
-    """d coeffs / d pacf for `_pacf_to_poly`, carried through the same
-    recursion; a stack of pacf rows gives a stack of Jacobians."""
+    coefficients of a stationary polynomial 1 - a1*B - ... - ak*B^k, and
+    d coeffs / d pacf, carried through the same recursion; a stack of pacf
+    rows gives a stack of each."""
     lead, n = pacf.shape[:-1], pacf.shape[-1]
     coeffs = np.zeros(lead + (0,))
     jac = np.zeros(lead + (0, n))
@@ -242,7 +235,7 @@ def _pacf_to_poly_jacobian(pacf: np.ndarray) -> np.ndarray:
         step[..., k, k] = 1.0
         coeffs = np.concatenate([coeffs - r * coeffs[..., ::-1], r], axis=-1)
         jac = step
-    return jac
+    return coeffs, jac
 
 
 def _poly_to_pacf(coeffs: np.ndarray) -> np.ndarray:
@@ -259,13 +252,13 @@ def _poly_to_pacf(coeffs: np.ndarray) -> np.ndarray:
     return pacf
 
 
-def _unconstrained_to_coeffs(x: np.ndarray, invertible: bool) -> np.ndarray:
-    if x.size == 0:
-        return x
-    r = x / np.sqrt(1.0 + x * x)
-    a = _pacf_to_poly(r)
+def _unconstrained_to_coeffs(x: np.ndarray, invertible: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A lag-polynomial block's coefficients at unconstrained coordinates x,
+    and d coeffs / d r, where r = x / sqrt(1 + x^2) are its partial
+    autocorrelations."""
+    coeffs, jac = _pacf_to_poly_jacobian(x / np.sqrt(1.0 + x * x))
     # The MA polynomial 1 + m1*B + ... is invertible iff (-m) is stationary.
-    return -a if invertible else a
+    return (-coeffs, -jac) if invertible else (coeffs, jac)
 
 
 def _ar_to_unconstrained(coeffs: np.ndarray) -> np.ndarray:
@@ -383,13 +376,15 @@ def _poly_blocks(order: SarimaxOrder) -> tuple[tuple[int, list[int], bool, str],
     )
 
 
-def _unpack(x: np.ndarray, order: SarimaxOrder, k: int) -> SarimaxParams:
-    coeffs = {
-        name: tuple(_unconstrained_to_coeffs(x[pos : pos + len(lags)], invertible))
-        for pos, lags, invertible, name in _poly_blocks(order)
-    }
+def _unpack(x: np.ndarray, order: SarimaxOrder, k: int) -> tuple[SarimaxParams, list[np.ndarray]]:
+    """The params at unconstrained coordinates x, and each lag-polynomial
+    block's d coeffs / d r (see `_unconstrained_to_coeffs`)."""
+    blocks = {name: _unconstrained_to_coeffs(x[pos : pos + len(lags)], invertible)
+              for pos, lags, invertible, name in _poly_blocks(order)}
     beta = x[len(x) - k :]
-    return SarimaxParams(c=float(x[0]), beta=tuple(float(b) for b in beta), **coeffs)
+    params = SarimaxParams(c=float(x[0]), beta=tuple(float(b) for b in beta),
+                           **{name: tuple(coeffs) for name, (coeffs, _) in blocks.items()})
+    return params, [jac for _, jac in blocks.values()]
 
 
 def _css_and_gradient(
@@ -397,7 +392,7 @@ def _css_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """The CSS at unconstrained coordinates x and its exact gradient in x."""
     k = X.shape[1]
-    params = _unpack(x, order, k)
+    params, jacobians = _unpack(x, order, k)
     eps = _residual_recursion(w, X @ np.asarray(params.beta), params, order.s, wbar)
     t0 = order.presample
     scored = eps[t0:]
@@ -421,15 +416,13 @@ def _css_and_gradient(
         g = np.asarray(adj)
     grad = np.empty_like(x)
     grad[0] = -g.sum()
-    for pos, lags, invertible, _ in _poly_blocks(order):
+    for (pos, lags, invertible, _), jac in zip(_poly_blocks(order), jacobians):
         if not lags:
             continue
         source, fill = (eps, 0.0) if invertible else (w, wbar)
         d_coeffs = np.array([-(g @ _lagged(source, lag, fill)) for lag in lags])
         xs = x[pos : pos + len(lags)]
-        r = xs / np.sqrt(1.0 + xs * xs)
-        d_xs = (_pacf_to_poly_jacobian(r).T @ d_coeffs) * (1.0 + xs * xs) ** -1.5
-        grad[pos : pos + len(lags)] = -d_xs if invertible else d_xs
+        grad[pos : pos + len(lags)] = (jac.T @ d_coeffs) * (1.0 + xs * xs) ** -1.5
     grad[len(x) - k :] = -(X.T @ g)
     return css, grad
 
@@ -661,7 +654,7 @@ def fit(
             f"optimizer hit the iteration budget ({max_iter}) for order "
             f"{order.as_tuple()}: {result.message}"
         )
-    params = _unpack(best_x, order, k)
+    params, _ = _unpack(best_x, order, k)
     scored = _scored(order, params, w, X, wbar)
     sigma2 = max(float(scored @ scored) / len(scored), 1e-300)
     return _assemble(
@@ -820,7 +813,7 @@ def round_forecaster(
         for lo, hi in ((1, 1 + p), (1 + p, 1 + p + sp)):  # chained into the AR coordinates
             if hi > lo:
                 xs = x0[:, lo:hi]
-                jac_t = np.swapaxes(_pacf_to_poly_jacobian(xs / np.sqrt(1.0 + xs * xs)), -1, -2)
+                jac_t = np.swapaxes(_pacf_to_poly_jacobian(xs / np.sqrt(1.0 + xs * xs))[1], -1, -2)
                 grad[:, lo:hi] = (jac_t @ grad[:, lo:hi, None])[..., 0] * (1.0 + xs * xs) ** -1.5
         css = np.einsum("ij,ij->i", resid, resid)
         certified = np.flatnonzero(_at_optimum(x0, css, grad, _bounds(order, len(current) + 1), PGTOL))

@@ -572,6 +572,30 @@ class TestMalformedInput:
         self._fails_cleanly(capsys, ["report", "--run-dir", str(run), "--out", str(tmp_path / "r")],
                             str(artifacts), "lacks method")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cell: cell.update(forecast=cell["forecast"][:-1]),
+         "holds 11 forecast values for 12 months"),
+        (lambda cell: cell.update(error=None, mae=None), "has no error, so its mae must be a number, not null"),
+        (lambda cell: cell.update(actual=cell["actual"][:-1]), "holds 11 actual values for 12 months"),
+        (lambda cell: cell.update(months=cell["months"][:-1]), "holds 12 actual values for 11 months"),
+        (lambda cell: cell.update(error="Planted"), "failed (Planted) but keeps an mae, forecast"),
+    ], ids=["short-forecast", "no-error-and-no-mae", "short-actual", "short-months",
+            "failed-with-a-forecast"])
+    def test_report_on_a_cell_it_cannot_render(self, tmp_path, capsys, edit, message):
+        # The first cell, forward / sarimax, succeeded; each edit leaves it
+        # in neither of a cell's two states, and report writes nothing.
+        run = tmp_path / "run"
+        config = write_experiment_config(tmp_path, out_dir=run, methods=["none", "forward"])
+        assert main(["experiment", "--config", str(config)]) == 0
+        artifacts = run / "artifacts.json"
+        doc = json.loads(artifacts.read_text())
+        assert (doc["cells"][0]["method"], doc["cells"][0]["error"]) == ("forward", None)
+        edit(doc["cells"][0])
+        artifacts.write_text(json.dumps(doc))
+        self._fails_cleanly(capsys, ["report", "--run-dir", str(run), "--out", str(tmp_path / "r")],
+                            str(artifacts), message)
+        assert not (tmp_path / "r").exists()
+
     def test_report_without_a_run(self, tmp_path, capsys):
         self._fails_cleanly(capsys, ["report", "--run-dir", str(tmp_path / "absent")], "artifacts.json")
 

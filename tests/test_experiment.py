@@ -397,14 +397,14 @@ class TestTableAndPlots:
             out_dir=str(tmp_path / "run"),
         )
         table, artifacts = run_experiment(config)
-        reloaded_table, reloaded_art = reload_run(tmp_path / "run")
+        reloaded = reload_run(tmp_path / "run")
         a = emit_table(table, "csv", tmp_path / "a.csv").read_bytes()
-        b = emit_table(reloaded_table, "csv", tmp_path / "b.csv").read_bytes()
+        b = emit_table(reloaded, "csv", tmp_path / "b.csv").read_bytes()
         assert a == b
         # The forward cells' traces reload for score development.
         traces = {k: c.selection.trace for k, c in artifacts.cells.items() if k[2] == "forward"}
         assert traces and all(traces.values())
-        assert {k: reloaded_art.cells[k].selection.trace for k in traces} == traces
+        assert {k: reloaded.cells[k].selection.trace for k in traces} == traces
 
     def test_reloaded_selections_and_models_equal_the_run(self, tmp_path):
         # Every method's selection, diagnostics and trace included, and every
@@ -418,9 +418,9 @@ class TestTableAndPlots:
             forward_cap=2, out_dir=str(tmp_path / "run"),
         )
         table, artifacts = run_experiment(config)
-        reloaded_table, reloaded = reload_run(tmp_path / "run")
-        # The table and the artifacts share one dict of records, run or reloaded.
-        assert table.cells is artifacts.cells and reloaded_table.cells is reloaded.cells
+        reloaded = reload_run(tmp_path / "run")
+        # The table and the artifacts share one dict of records.
+        assert table.cells is artifacts.cells
         assert list(reloaded.cells) == list(artifacts.cells)
         assert all(cell.selection is not None for cell in artifacts.cells.values())
         assert {key[2] for key, cell in artifacts.cells.items() if cell.selection.trace} == {"forward"}
@@ -479,7 +479,7 @@ class TestTableAndPlots:
             out_dir=str(tmp_path / "run"),
         )
         run_experiment(config)
-        written = emit_plot_data(reload_run(tmp_path / "run")[1], tmp_path / "report")
+        written = emit_plot_data(reload_run(tmp_path / "run"), tmp_path / "report")
         assert len(written) == 5 and (tmp_path / "report" / "score_development.csv") in written
         for path in written:
             assert path.read_bytes() == (tmp_path / "run" / path.name).read_bytes(), path.name
@@ -502,6 +502,34 @@ class TestTableAndPlots:
         for path in files:
             if (tmp_path / "fresh" / path).is_file():
                 assert (tmp_path / "run" / path).read_bytes() == (tmp_path / "fresh" / path).read_bytes()
+
+    def test_a_reloaded_run_is_the_run_and_persists_byte_for_byte(self, tmp_path):
+        # artifacts.json holds the table: a run with a forward cell, failed
+        # cells and two origins reloads as the table run_experiment gave,
+        # and persisted again it writes every file of the run byte for byte.
+        config = quick_config(
+            methods=(MethodSpec("none"), MethodSpec("forward")),
+            models=(ModelSpec("sarimax", order=SarimaxOrder(p=1)),
+                    ModelSpec("sarimax", order=SarimaxOrder(p=70))),
+            forward_cap=2, rolling_origins=2, out_dir=str(tmp_path / "run"),
+        )
+        table, _ = run_experiment(config)
+        states = {(key[2], cell.failed) for key, cell in table.cells.items()}
+        assert {("forward", False), ("forward", True)} <= states
+        reloaded = reload_run(tmp_path / "run")
+        assert (reloaded.horizon, reloaded.row_keys, reloaded.col_keys) == (
+            table.horizon, table.row_keys, table.col_keys)
+        assert list(reloaded.cells) == list(table.cells)
+        for key, cell in table.cells.items():
+            # Arrays in a fitted document read back as lists.
+            assert reloaded.cells[key] == replace(cell, model_doc=json.loads(json.dumps(cell.model_doc)))
+        experiment.persist_run(tmp_path / "again", reloaded)
+        files = sorted(p.relative_to(tmp_path / "run") for p in (tmp_path / "run").rglob("*"))
+        assert files == sorted(p.relative_to(tmp_path / "again") for p in (tmp_path / "again").rglob("*"))
+        assert "artifacts.json" in map(str, files)
+        for path in files:
+            if (tmp_path / "run" / path).is_file():
+                assert (tmp_path / "run" / path).read_bytes() == (tmp_path / "again" / path).read_bytes(), path
 
     ARTIFACTS = {"schema": "exocast.experiment.artifacts/3", "horizon": 1,
                  "row_keys": [["none", "additive"]], "col_keys": ["d @ 2016-01..2016-12"],
@@ -534,9 +562,18 @@ class TestTableAndPlots:
          "cell d / 2016-01..2016-12 / none / additive is listed twice"),
         ({**ARTIFACTS, "cells": [ARTIFACTS["cells"][0], {**ARTIFACTS["cells"][0], "dataset": "e"}]},
          "cell e / 2016-01..2016-12 / none / additive is not in row_keys x col_keys"),
+        ({**ARTIFACTS, "row_keys": [["none", "additive"], ["none", "sarimax"]]},
+         "cell d / 2016-01..2016-12 / none / sarimax is missing from row_keys x col_keys"),
+        ({**ARTIFACTS, "horizon": 2}, "cell d / 2016-01..2016-12 / none / additive holds 1 months, "
+                                      "not the horizon's 2"),
+        ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "mae": "1.0"}]},
+         'has no error, so its mae must be a number, not "1.0"'),
+        ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "forecast": [None]}]},
+         "holds an actual or forecast value that is not a number"),
     ], ids=["not-an-object", "not-json", "schema", "retired-schema", "retired-schema-2",
             "missing-key", "selection-missing-key", "malformed", "unknown-key", "unknown-cell-key",
-            "stored-n_exog", "repeated-cell", "extra-cell"])
+            "stored-n_exog", "repeated-cell", "extra-cell", "missing-cell", "other-horizon",
+            "mae-not-a-number", "forecast-not-a-number"])
     def test_reload_of_malformed_artifacts(self, tmp_path, doc, message):
         path = tmp_path / "artifacts.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -767,7 +804,7 @@ class TestRollingOrigins:
         stored = next(c for c in json.loads((run / "artifacts.json").read_text())["cells"]
                       if c["method"] == "manual")
         assert (stored["fitted"], stored["selection"], stored["forecast"]) == (None, None, [])
-        assert reload_run(run)[0].cells[manual.key] == manual
+        assert reload_run(run).cells[manual.key] == manual
 
     def test_origin_must_fit_range(self):
         config = quick_config(
