@@ -85,13 +85,23 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def _integer(f, value) -> bool:
-    """Whether `value` may fill the field `f`: anything may, unless `f` is
-    annotated `int` (or `int | None`, which also takes None); then only an
-    int that is not a bool does."""
-    if f.type in (int, "int"):
-        return type(value) is int
-    return f.type != "int | None" or value is None or type(value) is int
+# What a field of each annotation takes, in words and as a test; a field
+# of any other annotation takes any value.
+_TAKES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[str, ...]": ("an array of strings",
+                        lambda v: isinstance(v, (list, tuple)) and all(isinstance(i, str) for i in v)),
+}
+
+
+def _wrong_type(f, value) -> str | None:
+    """Why `value` cannot fill the field `f` (see _TAKES), or None if it can."""
+    words, takes = _TAKES.get(getattr(f.type, "__name__", f.type), (None, None))
+    return None if takes is None or takes(value) else f"must be {words}, got {json.dumps(value)}"
 
 
 def from_object(cls, doc, where: str, convert=None, renamed=None):
@@ -99,9 +109,11 @@ def from_object(cls, doc, where: str, convert=None, renamed=None):
     under the JSON name `renamed` gives a field, if any. A field without a
     default is required, and `convert[key]` maps that key's value first; a
     null stays None for a field that defaults to None, and any other value
-    has its arrays read as tuples. A field annotated `int` takes only an
-    integer: never a float, even 2.0, nor true or false. A misspelt key is
-    an error, never a silent fallback to a default."""
+    has its arrays read as tuples. A field annotated `int`, `float`, `bool`,
+    `str` (`str | None` also takes null) or `tuple[str, ...]` takes only a
+    value of that JSON type (see _TAKES): an integer is never a float, even
+    2.0, nor true or false, and a number is never true or false. A misspelt key is an error, never a
+    silent fallback to a default."""
     if not isinstance(doc, dict):
         raise TypeError(f"{where} must be a JSON object")
     renamed, convert = renamed or {}, convert or {}
@@ -113,8 +125,7 @@ def from_object(cls, doc, where: str, convert=None, renamed=None):
                if key not in doc and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"{where} lacks {', '.join(missing)}")
-    wrong = [f"{key} must be an integer, got {json.dumps(v)}"
-             for key, v in doc.items() if not _integer(by_key[key], v)]
+    wrong = [f"{key} {why}" for key, v in doc.items() if (why := _wrong_type(by_key[key], v))]
     if wrong:
         raise TypeError(f"{where} {wrong[0]}")
     return cls(**{

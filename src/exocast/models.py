@@ -74,7 +74,7 @@ class ModelSpec:
 
 def spec_from_config(entry: dict) -> ModelSpec:
     """One entry of an experiment config's "models" list. "auto", if given,
-    says whether an additive entry lacks a "config"."""
+    is true or false and says whether an additive entry lacks a "config"."""
     doc = dict(entry) if isinstance(entry, dict) else entry
     auto = doc.pop("auto", None) if isinstance(doc, dict) else None
     spec = from_object(ModelSpec, doc, "model", renamed={"additive_config": "config"}, convert={
@@ -82,7 +82,9 @@ def spec_from_config(entry: dict) -> ModelSpec:
         "grid": lambda orders: tuple(map(sarimax.SarimaxOrder.from_list, orders)),
         "config": additive.config_from_doc,
     })
-    if auto is not None and (spec.name, bool(auto)) != ("additive", spec.additive_config is None):
+    if auto is not None and not isinstance(auto, bool):
+        raise TypeError(f"model auto must be true or false, got {json.dumps(auto)}")
+    if auto is not None and (spec.name, auto) != ("additive", spec.additive_config is None):
         raise ValueError(f'{spec.label} model cannot take "auto": {json.dumps(auto)}')
     return spec
 

@@ -14,10 +14,15 @@ forecast of w back into target values, in `forecast` and
 `round_forecaster` alike.
 
 Estimation minimises the conditional sum of squared residuals (CSS) from
-t = max(p, P*s) onward. Stationarity and invertibility are enforced by
-optimising in unconstrained coordinates x that map to partial
-autocorrelations r = x / sqrt(1 + x^2) and, by Durbin-Levinson, to
-polynomial coefficients; |x| <= COORD_BOUND keeps |r| <= R_MAX.
+t = max(p, P*s) onward, conditioning on pre-sample w at its sample mean and
+pre-sample residuals at zero. That mean enters only an MA order's
+pre-sample residuals, which the recursion carries into the scored ones: an
+order without MA terms scores no row that reads it, and a forecast never
+reads it, since the tail it runs from holds every AR lag. Stationarity
+and invertibility are enforced by optimising in unconstrained coordinates x
+that map to partial autocorrelations r = x / sqrt(1 + x^2) and, by
+Durbin-Levinson, to polynomial coefficients; |x| <= COORD_BOUND keeps
+|r| <= R_MAX.
 
 `fit` gives L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) the CSS together with
 its exact gradient: the adjoint of the residual recursion, chained through
@@ -47,7 +52,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
@@ -85,9 +90,9 @@ __all__ = [
     "from_doc",
 ]
 
-SCHEMA = "exocast.sarimax.fitted/2"
+SCHEMA = "exocast.sarimax.fitted/3"
 # Each earlier schema, with what to do instead of reading it: no reader is kept.
-RETIRED = {"exocast.sarimax.fitted/1": "fit the model again"}
+RETIRED = {f"exocast.sarimax.fitted/{v}": "fit the model again" for v in (1, 2)}
 
 MAX_ITER = 500
 CSS_TOL = 1e-8
@@ -182,11 +187,6 @@ class SarimaxParams:
     seasonal_ar: tuple[float, ...] = ()
     seasonal_ma: tuple[float, ...] = ()
     beta: tuple[float, ...] = ()
-    sigma2: float = 1.0
-
-    def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
 
     def check_against(self, order: SarimaxOrder, n_regressors: int) -> None:
         expected = (order.p, order.q, order.P, order.Q, n_regressors)
@@ -212,8 +212,6 @@ class FittedSarimax:
     tail_values: tuple[float, ...]
     tail_residuals: tuple[float, ...]
     css: float
-    mean_conditioning: bool
-    presample_mean: float
     # What `fit` did: {"start", "status", "nit", "nfev", "at_bound"}; None
     # for models assembled from given coefficients.
     optimizer: dict | None
@@ -501,11 +499,13 @@ def _theta_to_unconstrained(theta: np.ndarray, p: int, sp: int) -> np.ndarray:
     ], axis=-1)
 
 
-def _lagged_block(order: SarimaxOrder, w: np.ndarray, wbar: float) -> np.ndarray:
-    """[1, lags of w] over every row of w: the columns of the least-squares
-    design that come before the regressors."""
-    lagged = [_lagged(w, lag, wbar) for lag in _lags(order.p, order.P, order.s)]
-    return np.column_stack([np.ones(len(w)), *lagged])
+def _lagged_block(order: SarimaxOrder, w: np.ndarray) -> np.ndarray:
+    """[1, lags of w] over the rows of w from max(p, P*s) onward, the scored
+    ones: the columns of the least-squares design that come before the
+    regressors."""
+    t0, n = order.presample, len(w)
+    lagged = [w[t0 - lag : n - lag] for lag in _lags(order.p, order.P, order.s)]
+    return np.column_stack([np.ones(n - t0), *lagged])
 
 
 def _least_squares_start(
@@ -583,10 +583,10 @@ def _at_optimum(x0: np.ndarray, css, grad: np.ndarray, bounds, gtol: float):
 
 def _assemble(
     order: SarimaxOrder, params: SarimaxParams, train: AlignedFrame, scored: np.ndarray,
-    wbar: float, mean_conditioning: bool, optimizer: dict | None = None,
+    optimizer: dict | None = None,
 ) -> FittedSarimax:
     """The forecast-ready state of `params` on `train`, whose scored
-    residuals and pre-sample mean are given."""
+    residuals are given."""
     n_tail, n_resid_tail = _tail_lengths(order)
     return FittedSarimax(
         order=order,
@@ -598,43 +598,30 @@ def _assemble(
         tail_values=_tail(train.target.require_complete(), n_tail),
         tail_residuals=_tail(scored, n_resid_tail),
         css=float(scored @ scored),
-        mean_conditioning=mean_conditioning,
-        presample_mean=wbar,
         optimizer=optimizer,
     )
 
 
 def fitted_from_params(
-    order: SarimaxOrder,
-    params: SarimaxParams,
-    train: AlignedFrame,
-    *,
-    mean_conditioning: bool = True,
+    order: SarimaxOrder, params: SarimaxParams, train: AlignedFrame
 ) -> FittedSarimax:
     """Assemble the forecast-ready state for explicitly given coefficients."""
     params.check_against(order, len(train.indicators))
     w = _differenced_target(order, train.target)
     X = _regressor_matrix(order, train.target, train.indicators)
-    wbar = float(w.mean()) if mean_conditioning else 0.0
-    scored = _scored(order, params, w, X, wbar)
-    return _assemble(order, params, train, scored, wbar, mean_conditioning)
+    return _assemble(order, params, train, _scored(order, params, w, X, float(w.mean())))
 
 
-def fit(
-    train: AlignedFrame,
-    order: SarimaxOrder,
-    *,
-    mean_conditioning: bool = True,
-    max_iter: int = MAX_ITER,
-) -> FittedSarimax:
+def fit(train: AlignedFrame, order: SarimaxOrder, *, max_iter: int = MAX_ITER) -> FittedSarimax:
     """Minimise the conditional sum of squares with L-BFGS-B on the exact
     gradient, through `minimize`. For q = Q = 0 the run starts from the
     least-squares optimum (bounded in closed form when p <= 1 and P <= 1),
     which `minimize` certifies without scipy, as L-BFGS-B would at
     iteration 0; otherwise it starts from zero. Raises
-    ConvergenceFailureError when the iteration budget runs out. The result records the start and the optimizer's
-    status, iterations, evaluations and whether a coefficient sits at its
-    bound. Deterministic for identical inputs."""
+    ConvergenceFailureError when the iteration budget runs out. The result
+    records the start and the optimizer's status, iterations, evaluations
+    and whether a coefficient sits at its bound. Deterministic for identical
+    inputs."""
     k = len(train.indicators)
     if len(train) <= order.min_train_length(k):
         raise InsufficientDataError(
@@ -643,9 +630,9 @@ def fit(
         )
     w = _differenced_target(order, train.target)
     X = _regressor_matrix(order, train.target, train.indicators)
-    wbar = float(w.mean()) if mean_conditioning else 0.0
+    wbar = float(w.mean())
     t0 = order.presample
-    design = np.column_stack([_lagged_block(order, w, wbar), X])[t0:]
+    design = np.column_stack([_lagged_block(order, w), X[t0:]])
     x0, start = _least_squares_start(order, design, w[t0:])
     n_poly = order.p + order.q + order.P + order.Q
     best_x, result = _lbfgsb(x0, order, w, X, wbar, max_iter)
@@ -655,10 +642,8 @@ def fit(
             f"{order.as_tuple()}: {result.message}"
         )
     params, _ = _unpack(best_x, order, k)
-    scored = _scored(order, params, w, X, wbar)
-    sigma2 = max(float(scored @ scored) / len(scored), 1e-300)
     return _assemble(
-        order, replace(params, sigma2=sigma2), train, scored, wbar, mean_conditioning,
+        order, params, train, _scored(order, params, w, X, wbar),
         optimizer={
             "start": start,
             "status": int(result.status),
@@ -693,8 +678,7 @@ def forecast(
     normalized) scale."""
     order, params = fitted.order, fitted.params
     x = future_matrix(future_exog, horizon, fitted.regressor_ids)
-    values = _forecast_path(order, params, fitted.tail_values, fitted.tail_residuals,
-                            fitted.presample_mean, x.T, horizon)
+    values = _forecast_path(order, params, fitted.tail_values, fitted.tail_residuals, x.T, horizon)
     return MonthlySeries(fitted.target_id, fitted.train_end.shift(1), values)
 
 
@@ -703,17 +687,18 @@ def _forecast_path(
     params: SarimaxParams,
     tail: Sequence[float],
     tail_residuals: Sequence[float],
-    presample_mean: float,
     x_future: Sequence[np.ndarray],
     horizon: int,
 ) -> np.ndarray:
     """The recursion run forward `horizon` steps from `tail`, the target's
     last values, differenced by `series.difference`, then integrated back to
-    the target's scale after `tail` by `series.integrate`. `x_future` holds
-    each regressor's first `horizon` future values, in the order of
-    `params.beta`. Each step's regression term adds every
-    beta * x to 0 in that order, then the constant, as a scalar loop would;
-    with stacked coefficients (one entry per fit) every fit runs at once."""
+    the target's scale after `tail` by `series.integrate`. The differenced
+    tail holds at least max(p, P*s) values, every AR lag: `fit` takes more
+    than `min_train_length` months and `from_doc` refuses a shorter tail.
+    `x_future` holds each regressor's first `horizon` future values, in the
+    order of `params.beta`. Each step's regression term adds every beta * x
+    to 0 in that order, then the constant, as a scalar loop would; with
+    stacked coefficients (one entry per fit) every fit runs at once."""
     w_hist = difference(tail, order.d, order.D, order.s)
     eps_hist = list(tail_residuals)
     n_w = len(w_hist)
@@ -729,12 +714,7 @@ def _forecast_path(
         acc = params.c + xb[j]
         for a, lag in zip(ar, ar_lags):
             u = j - lag
-            if u >= 0:
-                acc += a * w_fc[u]
-            elif n_w + u >= 0:
-                acc += a * w_hist[n_w + u]
-            else:
-                acc += a * presample_mean
+            acc += a * (w_fc[u] if u >= 0 else w_hist[n_w + u])
         for th, lag in zip(ma, ma_lags):
             u = j - lag
             if u < 0 and n_e + u >= 0:
@@ -763,11 +743,10 @@ def round_forecaster(
     gappy = {x.id for x in train.indicators if x.has_missing}  # fail the subsets holding them
     complete = [x for x in train.indicators if x.id not in gappy]
     slot = {x.id: j for j, x in enumerate(complete)}
-    wbar = float(w.mean())
     t0 = order.presample
-    block = _lagged_block(order, w, wbar)
+    block = _lagged_block(order, w)
     width = block.shape[1]
-    design = np.column_stack([block, _regressor_matrix(order, train.target, complete)])[t0:]
+    design = np.column_stack([block, _regressor_matrix(order, train.target, complete)[t0:]])
     y = w[t0:]
     tail = _tail(train.target.require_complete(), _tail_lengths(order)[0])
     n, p, sp = len(train), order.p, order.P
@@ -829,7 +808,7 @@ def round_forecaster(
         kept = [cols[j] for j in certified]
         x_future = [futures[i][:, None] for i in current]
         x_future.append(np.array([futures[candidates[j]] for j in kept]).T)
-        out[:, kept] = _forecast_path(order, params, tail, (), wbar, x_future, horizon)
+        out[:, kept] = _forecast_path(order, params, tail, (), x_future, horizon)
         return out
 
     return forecast_round

@@ -271,15 +271,22 @@ class TestSelectFitForecast:
         assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
         (model_file,) = out.glob("*__none__sarimax*[0-9].json")
         doc = json.loads(model_file.read_text())
-        model_file.write_text(json.dumps(
-            {**doc, "schema": "exocast.sarimax.fitted/1", "normalization": None}))
-        capsys.readouterr()
-        rc = main(["forecast", "--config", str(config), "--model-file", str(model_file),
-                   "--out", str(tmp_path / "fc")])
-        assert (rc, capsys.readouterr().err) == (2, (
-            f"error: {model_file}: schema 'exocast.sarimax.fitted/1' is not "
-            "exocast.sarimax.fitted/2 or exocast.additive.fitted/3; fit the model again\n"))
-        assert not (tmp_path / "fc").exists()
+        assert doc["schema"] == "exocast.sarimax.fitted/3"
+        # A /2 document also held the pre-sample mean, whether the fit used
+        # it, and params.sigma2; a /1 document besides recorded the target's
+        # normalization.
+        second = {**doc, "schema": "exocast.sarimax.fitted/2", "mean_conditioning": True,
+                  "presample_mean": 0.0, "params": {**doc["params"], "sigma2": 1.0}}
+        first = {**second, "schema": "exocast.sarimax.fitted/1", "normalization": None}
+        for retired in (first, second):
+            model_file.write_text(json.dumps(retired))
+            capsys.readouterr()
+            rc = main(["forecast", "--config", str(config), "--model-file", str(model_file),
+                       "--out", str(tmp_path / "fc")])
+            assert (rc, capsys.readouterr().err) == (2, (
+                f"error: {model_file}: schema '{retired['schema']}' is not "
+                "exocast.sarimax.fitted/3 or exocast.additive.fitted/3; fit the model again\n"))
+            assert not (tmp_path / "fc").exists()
 
     def test_forecast_refuses_a_retired_additive_document(self, tmp_path, capsys):
         config = write_experiment_config(tmp_path, methods=["correlation"], models=(ADDITIVE,))
@@ -303,7 +310,7 @@ class TestSelectFitForecast:
                        "--out", str(tmp_path / "fc")])
             assert (rc, capsys.readouterr().err) == (2, (
                 f"error: {model_file}: schema '{retired['schema']}' is not "
-                "exocast.sarimax.fitted/2 or exocast.additive.fitted/3; fit the model again\n"))
+                "exocast.sarimax.fitted/3 or exocast.additive.fitted/3; fit the model again\n"))
             assert not (tmp_path / "fc").exists()
 
     def test_select_and_fit_name_their_files_as_the_run_names_its_cells(self, tmp_path):
@@ -420,17 +427,17 @@ class TestReportCommand:
         assert (rerun / "score_development.csv").exists()
 
     def test_report_re_emits_a_run_without_parsing_its_fitted_documents(self, tmp_path):
-        # A run written before exocast.additive.fitted/3 still reports the
-        # same table: only `forecast --model-file` checks a fitted document.
+        # A run written before exocast.sarimax.fitted/3 and
+        # exocast.additive.fitted/3 still reports the same table: only
+        # `forecast --model-file` checks a fitted document.
         out = tmp_path / "run"
         config = write_experiment_config(tmp_path, out_dir=out, models=(SARIMAX, ADDITIVE))
         assert main(["experiment", "--config", str(config)]) == 0
         doc = json.loads((out / "artifacts.json").read_text())
-        additive = [cell for cell in doc["cells"]
-                    if cell["fitted"]["schema"] == "exocast.additive.fitted/3"]
-        assert len(additive) == 2
-        for cell in additive:
-            cell["fitted"] = {"schema": "exocast.additive.fitted/2"}
+        schemas = [cell["fitted"]["schema"] for cell in doc["cells"]]
+        assert sorted(schemas) == ["exocast.additive.fitted/3"] * 2 + ["exocast.sarimax.fitted/3"] * 2
+        for cell, schema in zip(doc["cells"], schemas):
+            cell["fitted"] = {"schema": schema.replace("/3", "/2")}
         old = tmp_path / "old"
         old.mkdir()
         (old / "artifacts.json").write_text(json.dumps(doc))

@@ -695,6 +695,24 @@ class TestConfigFile:
          "dataset 's' spec n_months must be an integer, got 76.0"),
         ({"models": [{"name": "additive", "config": {"ar_lags": 2.0}}]},
          "additive config ar_lags must be an integer, got 2.0"),
+        ({"preprocessing": {"detrend": "false"}},
+         'preprocessing detrend must be true or false, got "false"'),
+        ({"models": [{"name": "additive", "auto": "false"}]},
+         'model auto must be true or false, got "false"'),
+        ({"datasets": [{"label": "d", "kind": "csv", "target": 5}]},
+         "dataset target must be a string or null, got 5"),
+        ({"datasets": [{"label": "m", "kind": "eurostat_cache", "target": "t.csv", "cache_root": 5}]},
+         "dataset cache_root must be a string or null, got 5"),
+        ({"out_dir": 5}, "config out_dir must be a string or null, got 5"),
+        ({"datasets": [{"label": "d", "kind": "csv", "target": "t.csv",
+                        "indicators": "data/ind01.csv"}]},
+         'dataset indicators must be an array of strings, got "data/ind01.csv"'),
+        ({"methods": [{"name": "manual", "ids": "ind01"}]},
+         'method ids must be an array of strings, got "ind01"'),
+        ({"datasets": [{"label": 5, "kind": "synthetic", "spec": {"n_months": 40}}]},
+         "dataset label must be a string, got 5"),
+        ({"methods": [{"name": "correlation", "target_threshold": True}]},
+         "method target_threshold must be a number, got true"),
     ])
     def test_malformed_config_names_the_file_and_the_field(self, tmp_path, changes, message):
         path = tmp_path / "config.json"
@@ -982,7 +1000,7 @@ class TestPersistedModels:
             name = experiment.file_stem(*key)
             stored = read_series_csv(tmp_path / "run" / "cells" / f"{name}.csv")
             assert predicted.values == stored.values, name
-        assert schemas == {"exocast.sarimax.fitted/2", "exocast.additive.fitted/3"}
+        assert schemas == {"exocast.sarimax.fitted/3", "exocast.additive.fitted/3"}
 
 
 class TestSharedForwardDesign:

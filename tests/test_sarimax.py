@@ -1,5 +1,6 @@
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -318,7 +319,6 @@ class TestForecast:
             SarimaxOrder(p=1),
             SarimaxParams(c=0.0, ar=(0.5,)),
             frame([0.0, 0.0, 4.0]),
-            mean_conditioning=False,
         )
         assert forecast(fitted, 3).values == pytest.approx((2.0, 1.0, 0.5), abs=1e-12)
 
@@ -547,10 +547,11 @@ def integrate_forward(history, lag, fc):
     return out
 
 
-def scalar_forecast_path(order, params, tail, tail_residuals, presample_mean, x_future):
+def scalar_forecast_path(order, params, tail, tail_residuals, x_future):
     """`_forecast_path` as a scalar loop on lists, the reference for the
     vectorised one: each row of `x_future` holds one step's regressor
-    values."""
+    values. It never reads before the differenced tail: that tail holds
+    every AR lag."""
     stages, w_hist = stage_histories(tail, order.d, order.D, order.s)
     eps_hist = list(tail_residuals)
     n_w, n_e = len(w_hist), len(eps_hist)
@@ -564,10 +565,9 @@ def scalar_forecast_path(order, params, tail, tail_residuals, presample_mean, x_
             u = j - lag
             if u >= 0:
                 acc += a * w_fc[u]
-            elif n_w + u >= 0:
-                acc += a * w_hist[n_w + u]
             else:
-                acc += a * presample_mean
+                assert n_w + u >= 0, f"lag {lag} reads before the tail of {n_w} values"
+                acc += a * w_hist[n_w + u]
         for th, lag in zip(ma, ma_lags):
             u = j - lag
             if u < 0 and n_e + u >= 0:
@@ -582,19 +582,29 @@ def scalar_forecast_path(order, params, tail, tail_residuals, presample_mean, x_
 class TestForecastPath:
     # The regression term is summed over the whole horizon one regressor at
     # a time; every value must still be that of the scalar loop, bit for bit.
+    # Each case is (order, regressors, constant, months), where months, if
+    # given, sets the tails' lengths as `from_doc` takes them.
     CASES = {
-        "no-regressors": (SarimaxOrder(p=1), 0, 0.4),
-        "c-negative-zero": (SarimaxOrder(p=1), 0, -0.0),
-        "c-negative-zero-regressors": (SarimaxOrder(), 3, -0.0),
-        "differenced": (SarimaxOrder(p=2, d=1, D=1, s=4), 3, 0.2),
-        "seasonal-ar": (SarimaxOrder(p=1, P=2, s=4), 2, -0.3),
-        "ma-tails": (SarimaxOrder(p=1, q=2, Q=1, s=4), 2, 0.1),
+        "no-regressors": (SarimaxOrder(p=1), 0, 0.4, None),
+        "c-negative-zero": (SarimaxOrder(p=1), 0, -0.0, None),
+        "c-negative-zero-regressors": (SarimaxOrder(), 3, -0.0, None),
+        "differenced": (SarimaxOrder(p=2, d=1, D=1, s=4), 3, 0.2, None),
+        "seasonal-ar": (SarimaxOrder(p=1, P=2, s=4), 2, -0.3, None),
+        "ma-tails": (SarimaxOrder(p=1, q=2, Q=1, s=4), 2, 0.1, None),
+        # The shortest frames `from_doc` accepts, of the orders of
+        # `test_tails_cut_by_a_short_frame_reload`: the differenced tail
+        # holds max(p, P*s) values, the largest AR lag, and no more.
+        "shortest-ma": (SarimaxOrder(q=4), 1, 0.1, 1),
+        "shortest-arma": (SarimaxOrder(p=2, q=5), 1, 0.1, 2),
+        "shortest-seasonal": (SarimaxOrder(p=1, d=1, D=1, Q=2, s=3), 2, 0.1, 5),
     }
 
     @staticmethod
-    def _case(seed, order, k, c, m=None):
+    def _case(seed, order, k, c, m=None, months=None):
         """Seeded coefficients, target tail, residual tail and futures: one
-        fit, or with `m` a stack of m fits whose last regressor differs."""
+        fit, or with `m` a stack of m fits whose last regressor differs.
+        With `months`, the tails are as long as `from_doc` takes them from a
+        frame of that many months."""
         rng = np.random.default_rng(seed)
         lead = () if m is None else (m,)
 
@@ -608,33 +618,47 @@ class TestForecastPath:
             seasonal_ma=coeffs(order.Q, 0.2), beta=coeffs(k, 2.0),
         )
         n_values, n_residuals = sarimax_module._tail_lengths(order)
-        tail = tuple(rng.normal(5.0, 1.0, n_values + 2).tolist())
+        if months is None:
+            n_values += 2
+        else:
+            n_values = min(n_values, months)
+            n_residuals = min(n_residuals, months - order.dropped - order.presample)
+        tail = tuple(rng.normal(5.0, 1.0, n_values).tolist())
         residuals = tuple(rng.normal(0.0, 0.5, n_residuals).tolist())
         columns = [rng.normal(0.0, 1.0, 12) for _ in range(k)]
         if m is not None and k:
             columns[-1] = rng.normal(0.0, 1.0, (12, m))
-        return params, tail, residuals, float(rng.normal()), columns
+        return params, tail, residuals, columns
 
     @pytest.mark.parametrize("name", CASES)
     def test_equals_the_scalar_loop(self, name):
-        order, k, c = self.CASES[name]
+        order, k, c, months = self.CASES[name]
         for seed in range(5):
-            params, tail, residuals, wbar, columns = self._case(seed, order, k, c)
-            got = sarimax_module._forecast_path(order, params, tail, residuals, wbar, columns, 12)
+            params, tail, residuals, columns = self._case(seed, order, k, c, months=months)
+            got = sarimax_module._forecast_path(order, params, tail, residuals, columns, 12)
             rows = [[float(x[j]) for x in columns] for j in range(12)]
-            expected = scalar_forecast_path(order, params, tail, residuals, wbar, rows)
-            assert np.asarray(got).tobytes() == np.asarray(expected, dtype=float).tobytes(), seed
+            expected = np.asarray(scalar_forecast_path(order, params, tail, residuals, rows), dtype=float)
+            assert np.asarray(got).tobytes() == expected.tobytes(), seed
+            if months:  # a document of these tails loads, and forecasts the same
+                fitted = sarimax_module.FittedSarimax(
+                    order=order, params=params, regressor_ids=tuple(f"x{i}" for i in range(k)),
+                    target_id="t", train_start=M(2016, 1), train_end=M(2016, 1).shift(months - 1),
+                    tail_values=tail, tail_residuals=residuals, css=0.0, optimizer=None,
+                )
+                loaded = models.from_doc(json.loads(json.dumps(models.to_doc(fitted))))
+                assert loaded == fitted
+                assert forecast(loaded, 12, np.column_stack(columns)).array.tobytes() == expected.tobytes()
 
     def test_stacked_fits_equal_the_scalar_loop(self):
         # A round's fits share the current regressors' values and each
         # adds its own candidate's: columns (12, 1) and (12, m). A
         # differenced order integrates the m paths from one tail.
         for order in (SarimaxOrder(p=1, P=1, s=4), SarimaxOrder(p=1, d=1, D=1, s=4)):
-            params, tail, _, wbar, columns = self._case(11, order, 3, 0.3, m=4)
+            params, tail, _, columns = self._case(11, order, 3, 0.3, m=4)
             columns = [columns[0][:, None], columns[1][:, None], columns[2]]
-            got = sarimax_module._forecast_path(order, params, tail, (), wbar, columns, 12)
+            got = sarimax_module._forecast_path(order, params, tail, (), columns, 12)
             rows = [[columns[0][j, 0], columns[1][j, 0], columns[2][j]] for j in range(12)]
-            expected = scalar_forecast_path(order, params, tail, (), wbar, rows)
+            expected = scalar_forecast_path(order, params, tail, (), rows)
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), order
 
 
@@ -820,7 +844,7 @@ class TestStartCertificate:
         X = sarimax_module._regressor_matrix(order, train.target, exog)
         wbar = float(w.mean())
         t0 = order.presample
-        design = np.column_stack([sarimax_module._lagged_block(order, w, wbar), X])[t0:]
+        design = np.column_stack([sarimax_module._lagged_block(order, w), X[t0:]])
         x0, _ = sarimax_module._least_squares_start(order, design, w[t0:])
         return x0, (order, w, X, wbar)
 
@@ -900,6 +924,27 @@ class TestStartCertificate:
             assert fitted.optimizer["nit"] > 0
         assert len(reached) == len(TestValidation.SUBSETS)
 
+    def test_an_end_point_above_the_start_keeps_the_start(self, monkeypatch):
+        # L-BFGS-B may stop above its start, as after a failed line search;
+        # the fit then keeps the start, and records what the optimizer did.
+        train = frame(simulate_ar1(9, n=80).tolist())
+        order = SarimaxOrder(p=1, q=1)
+
+        def worse(fun, x0, args=(), **kwargs):
+            x = x0 + 5.0
+            css, grad = fun(x, *args)
+            assert css > fun(x0, *args)[0]
+            return SimpleNamespace(x=x, fun=css, jac=grad, nit=7, nfev=11, njev=11, status=2,
+                                   success=False, message="ABNORMAL_TERMINATION_IN_LNSRCH")
+
+        monkeypatch.setattr(sarimax_module, "minimize", worse)
+        fitted = fit(train, order)
+        start, _ = sarimax_module._unpack(np.zeros(3), order, 0)
+        assert fitted.params == start
+        assert fitted.css == css_residuals(order, start, train.target)[1]
+        assert fitted.optimizer == {"start": "zero", "status": 2, "nit": 7, "nfev": 11,
+                                    "at_bound": False}
+
     def test_a_start_outside_the_bounds_reaches_scipy(self, monkeypatch):
         # Stationary beyond the bound: L-BFGS-B first moves x0 onto the box.
         def beyond(x):
@@ -968,15 +1013,22 @@ class TestSerialization:
     # `expected` below is the forecast the code computed from this document
     # when it was written.
     DOC = {
-        "schema": "exocast.sarimax.fitted/2", "order": [1, 1, 1, 0, 0, 0, 12],
+        "schema": "exocast.sarimax.fitted/3", "order": [1, 1, 1, 0, 0, 0, 12],
         "params": {"c": -0.5387024904566525, "ar": [-0.6836865754831113],
                    "ma": [0.9998000599800071], "seasonal_ar": [], "seasonal_ma": [],
-                   "beta": [0.45484736109984814], "sigma2": 0.42074340402095983},
+                   "beta": [0.45484736109984814]},
         "regressor_ids": ["x"], "target_id": "t", "train_start": "2016-01",
         "train_end": "2019-04", "tail_values": [1.566968804950033, 3.0935937758020198],
         "tail_residuals": [1.3124011461813367], "css": 15.988249352796473,
-        "mean_conditioning": True, "presample_mean": 0.025034751060470744,
         "optimizer": {"start": "zero", "status": 0, "nit": 38, "nfev": 45, "at_bound": True},
+    }
+    # The same model as exocast.sarimax.fitted/2 wrote it: besides, the
+    # pre-sample mean, whether the fit used it, and params.sigma2, the css
+    # over the number of scored residuals. No forecast read them.
+    DOC_2 = {
+        **DOC, "schema": "exocast.sarimax.fitted/2",
+        "params": {**DOC["params"], "sigma2": 0.42074340402095983},
+        "mean_conditioning": True, "presample_mean": 0.025034751060470744,
     }
 
     def test_a_document_forecasts_as_when_written(self):
@@ -987,15 +1039,16 @@ class TestSerialization:
         assert json.loads(json.dumps(models.to_doc(loaded))) == self.DOC
 
     def test_retired_schema_refused_by_name(self):
-        # A /1 document also recorded the target's normalization, and may
-        # lack its training start; no reader of it is kept.
-        doc = {**self.DOC, "schema": "exocast.sarimax.fitted/1", "normalization": None}
-        with pytest.raises(SchemaError) as raised:
-            models.from_doc(doc, "model.json")
-        assert str(raised.value) == (
-            "model.json: schema 'exocast.sarimax.fitted/1' is not exocast.sarimax.fitted/2 or "
-            "exocast.additive.fitted/3; fit the model again"
-        )
+        # A /1 document besides recorded the target's normalization, and may
+        # lack its training start; no reader of either version is kept.
+        first = {**self.DOC_2, "schema": "exocast.sarimax.fitted/1", "normalization": None}
+        for doc in (first, self.DOC_2):
+            with pytest.raises(SchemaError) as raised:
+                models.from_doc(doc, "model.json")
+            assert str(raised.value) == (
+                f"model.json: schema '{doc['schema']}' is not exocast.sarimax.fitted/3 or "
+                "exocast.additive.fitted/3; fit the model again"
+            )
 
     @pytest.mark.parametrize("doc, message", [
         ([], "JSON object, not list"),
