@@ -183,11 +183,10 @@ def cmd_select(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for label, rng, train, _ in training_frames(config):
         for method in config.methods:
-            forward = method.name == "forward"  # the only method that reads the model
-            for model in config.models if forward else config.models[:1]:
-                fixed = models.with_order(model, train, config.horizon) if forward else model
+            for model in config.models if method.reads_model else config.models[:1]:
+                fixed = models.with_order(model, train, config.horizon) if method.reads_model else model
                 result = select(method, fixed, train, config.horizon, config.forward_cap)
-                labels = (label, rng.label, method.label) + ((model.label,) if forward else ())
+                labels = (label, rng.label, method.label) + ((model.label,) if method.reads_model else ())
                 name = file_stem(*labels) + ".json"
                 save_result(result, out / name)
                 print(f"{name}: {len(result.selected_ids)} selected")

@@ -4,7 +4,8 @@ config entries and persisted files alike; `write_document` writes a
 persisted file in one step, and `read_document` reads it and turns whatever
 it cannot use into a SchemaError naming the file. `parse_json` is their
 parser: it refuses the non-finite constants that `json.loads` accepts, and
-numbers beyond the float range, which it would read as infinite."""
+numbers beyond the float range, which it would read as infinite.
+`check_kind` is the one rule that a config entry takes only its kind's keys."""
 
 from __future__ import annotations
 
@@ -133,6 +134,18 @@ def from_object(cls, doc, where: str, convert=None, renamed=None):
         else convert.get(key, _tuples)(v)
         for key, v in doc.items()
     })
+
+
+def check_kind(spec, kind: str, kinds: dict, what: str, label=None, renamed=None) -> None:
+    """ValueError unless `kind` is a key of `kinds` and every field of `spec`
+    with a default that `kinds[kind]` does not list still holds it, naming the
+    kind, the `what` entry's `label` if any and the key `renamed` gives it."""
+    named = "" if label is None else f" {label!r}"
+    if kind not in kinds:
+        raise ValueError(f"{what}{named} has unknown kind {kind!r}" if named else f"unknown {what} {kind!r}")
+    for f in fields(spec):
+        if f.name not in kinds[kind] and f.default is not MISSING and getattr(spec, f.name) != f.default:
+            raise ValueError(f"{kind} {what}{named} takes no {(renamed or {}).get(f.name, f.name)}")
 
 
 def _non_finite(name: str):

@@ -9,11 +9,10 @@ inverted on the forecast before scoring on the raw scale.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import shutil
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -21,7 +20,8 @@ import numpy as np
 
 from . import models
 from .errors import (
-    ConfigError, ExocastError, from_object, parse_json, read_document, to_object, write_document,
+    ConfigError, ExocastError, check_kind, from_object, parse_json, read_document, to_object,
+    write_document,
 )
 from .eurostat import list_cached_series
 from .models import ModelSpec  # re-exported: experiment configs are built from here
@@ -53,6 +53,7 @@ from .series import (
     read_series_csv,
     retrend,
     smooth,
+    write_csv,
     write_series_csv,
 )
 from .synth import SyntheticSpec, SyntheticTruth, generate_synthetic
@@ -80,8 +81,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-METHOD_NAMES = ("none", "correlation", "lasso", "forward", "manual")
 
 
 @dataclass(frozen=True)
@@ -113,22 +112,34 @@ class RangeSpec:
         return self.start.months_until(self.end) + 1
 
 
+# The MethodSpec fields each method reads besides its name; it takes no other.
+METHOD_KINDS = {"none": (), "correlation": ("target_threshold", "mutual_threshold"),
+                "lasso": (), "forward": (), "manual": ("manual_ids",)}
+METHOD_KEYS = {"manual_ids": "ids"}  # the config key of each field named otherwise
+
+
 @dataclass(frozen=True)
 class MethodSpec:
-    name: str
+    name: str  # a key of METHOD_KINDS
     manual_ids: tuple[str, ...] = ()
     target_threshold: float = TARGET_CORRELATION_THRESHOLD
     mutual_threshold: float = MUTUAL_CORRELATION_THRESHOLD
 
     def __post_init__(self):
-        if self.name not in METHOD_NAMES:
-            raise ValueError(f"unknown method {self.name!r}")
+        check_kind(self, self.name, METHOD_KINDS, "method", renamed=METHOD_KEYS)
         if self.name == "manual" and not self.manual_ids:
             raise ValueError("manual method needs ids")
+        for key in ("target_threshold", "mutual_threshold"):
+            if not 0 <= (value := getattr(self, key)) <= 1:  # NaN too
+                raise ValueError(f"{self.name} method {key} must be in [0, 1], got {value}")
 
     @property
     def label(self) -> str:
         return self.name
+
+    @property
+    def reads_model(self) -> bool:  # forward selection scores subsets by fitting the model
+        return self.name == "forward"
 
 
 # The DatasetSpec fields each dataset kind reads besides its label and kind;
@@ -152,14 +163,10 @@ class DatasetSpec:
     cache_root: str | None = None
 
     def __post_init__(self):
-        if self.kind not in DATASET_KINDS:
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
-        for f in fields(self)[2:]:
-            value, key = getattr(self, f.name), DATASET_KEYS.get(f.name, f.name)
-            if f.name not in DATASET_KINDS[self.kind] and value != f.default:
-                raise ValueError(f"{self.kind} dataset {self.label!r} takes no {key}")
-            if f.name in DATASET_KINDS[self.kind] and value is None:
-                raise ValueError(f"{self.kind} dataset {self.label!r} needs {key}")
+        check_kind(self, self.kind, DATASET_KINDS, "dataset", self.label, DATASET_KEYS)
+        for name in DATASET_KINDS[self.kind]:
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.kind} dataset {self.label!r} needs {DATASET_KEYS.get(name, name)}")
 
 
 @dataclass(frozen=True)
@@ -422,11 +429,7 @@ def select(
     if method.name == "none":
         return SelectionResult(method="none", selected_ids=())
     if method.name == "correlation":
-        return correlation_select(
-            candidates,
-            target_threshold=method.target_threshold,
-            mutual_threshold=method.mutual_threshold,
-        )
+        return correlation_select(candidates, method.target_threshold, method.mutual_threshold)
     if method.name == "lasso":
         return lasso_select(candidates)
     if method.name == "manual":
@@ -466,8 +469,7 @@ def _score_cell(config, method, model, origin, stages):
     train_raw, test_actual, _ = origin
     train, transform = _once(stages, "preprocess", _preprocess_train, train_raw, config.preprocessing)
     model = _once(stages, ("order", model.label), models.with_order, model, train, config.horizon)
-    # Only forward selection depends on the model.
-    by = (method.label, model.label if method.name == "forward" else None)
+    by = (method.label, model.label if method.reads_model else None)
     selection = _once(stages, by, select, method, model, train, config.horizon, config.forward_cap)
     model_frame = train.with_indicators(selection.selected_ids)
     fitted = models.fit(model, model_frame)
@@ -598,11 +600,7 @@ def emit_table(table: ResultsTable, fmt: str, path: str | Path) -> Path:
     header, rows, extra = render_grid(table)
     path = Path(path)
     if fmt == "csv":
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-            writer.writerows(extra)
+        write_csv(path, [header, *rows, *extra])
     elif fmt == "markdown":
         lines = ["| " + " | ".join(header) + " |",
                  "|" + "|".join([" --- "] * len(header)) + "|"]
@@ -627,47 +625,33 @@ def emit_plot_data(table: ResultsTable, out_dir: str | Path) -> list[Path]:
         stale.unlink(missing_ok=True)
     written: list[Path] = []
 
-    groups: dict[tuple[str, str], list[CellRecord]] = {}
+    groups: dict[tuple[str, str], list[CellRecord]] = {}  # the cells that did not fail
     for key, cell in table.cells.items():
-        groups.setdefault((key[0], key[1]), []).append(cell)
+        if not cell.failed:
+            groups.setdefault(key[:2], []).append(cell)
 
-    for (dataset, rng), cell_list in sorted(groups.items()):
-        ok = [c for c in cell_list if not c.failed]
-        if not ok:
-            continue
-        path = out_dir / f"forecasts_{_safe(dataset)}_{_safe(rng)}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            labels = [f"{c.key[2]} / {c.key[3]}" for c in ok]
-            writer.writerow(["period", "actual", *labels])
-            for i, month in enumerate(ok[0].months):
-                writer.writerow(
-                    [str(month), repr(ok[0].actual[i])] + [repr(c.forecast[i]) for c in ok]
-                )
-        written.append(path)
+    for (dataset, rng), ok in sorted(groups.items()):
+        labels = [f"{c.key[2]} / {c.key[3]}" for c in ok]
+        written.append(write_csv(out_dir / f"forecasts_{_safe(dataset)}_{_safe(rng)}.csv", [
+            ["period", "actual", *labels],
+            *([str(month), repr(ok[0].actual[i]), *(repr(c.forecast[i]) for c in ok)]
+              for i, month in enumerate(ok[0].months)),
+        ]))
 
     selections = (table.cells[key].selection for key in sorted(table.cells))
     traces = [s.trace for s in selections if s is not None and s.trace is not None]
     if traces:
-        path = out_dir / "score_development.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n_vars", "mean_oos_mae"])
-            for n_vars, mean_score in score_development(traces):
-                writer.writerow([n_vars, repr(mean_score)])
-        written.append(path)
+        written.append(write_csv(out_dir / "score_development.csv", [
+            ["n_vars", "mean_oos_mae"],
+            *([n_vars, repr(mean_score)] for n_vars, mean_score in score_development(traces)),
+        ]))
 
-    path = out_dir / "errors.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "range", "method", "model", "period", "abs_error"])
-        for key in sorted(table.cells):
-            cell = table.cells[key]
-            if cell.failed:
-                continue
-            for month, actual, predicted in zip(cell.months, cell.actual, cell.forecast):
-                writer.writerow([*key, str(month), repr(abs(actual - predicted))])
-    written.append(path)
+    written.append(write_csv(out_dir / "errors.csv", [
+        ["dataset", "range", "method", "model", "period", "abs_error"],
+        *([*key, str(month), repr(abs(actual - predicted))]
+          for key, cell in sorted(table.cells.items()) if not cell.failed
+          for month, actual, predicted in zip(cell.months, cell.actual, cell.forecast)),
+    ]))
     return written
 
 
@@ -777,10 +761,9 @@ def _config_from_doc(doc, seed_override: int | None) -> ExperimentConfig:
             "spec": lambda spec_doc: synthetic(entry, spec_doc),
         })
 
-    def method(entry) -> MethodSpec:
-        if isinstance(entry, str):
-            return MethodSpec(entry)
-        return from_object(MethodSpec, entry, "method", renamed={"manual_ids": "ids"})
+    def method(entry) -> MethodSpec:  # a bare name is a method with no other key
+        entry = {"name": entry} if isinstance(entry, str) else entry
+        return from_object(MethodSpec, entry, "method", renamed=METHOD_KEYS)
 
     def range_(entry) -> RangeSpec:
         return from_object(RangeSpec, entry, "range",
@@ -813,9 +796,8 @@ Experiment config (JSON object):
   ],
   "ranges": [{"start": "2016-01", "end": "2021-04"}],   // training ranges, none repeated
   "horizon": 12,                     // held-out months after each range end
-  "methods": ["none", "correlation", "lasso", "forward",
-              {"name": "manual", "ids": ["x1", "x2"]}],
-              // correlation accepts target_threshold / mutual_threshold
+  "methods": ["none", "lasso", "forward", {"name": "manual", "ids": ["x1", "x2"]},
+              {"name": "correlation", "target_threshold": 0.75, "mutual_threshold": 0.3}],
   "models": [{"name": "sarimax", "order": [1,0,0,0,0,0,12]},
              {"name": "sarimax", "grid": [[0,0,0,0,0,0,12],[1,0,0,0,0,0,12]]},
               // a grid's order is chosen once per training frame, on the target alone
@@ -828,10 +810,11 @@ Experiment config (JSON object):
   "out_dir": "runs/exp1"             // artifacts land here (optional)
 }
 "datasets", "ranges", "methods" and "models" are required. An unknown key in
-any entry (each dataset kind takes only its own), an unknown model name, a
-sarimax model with both or neither of "order" and "grid", and an additive
-model with "auto": true and a "config" are errors, as is a "spec" without
-"n_months".
+any entry, a key its dataset kind, method or model does not read ("ids" is
+manual's alone, the thresholds, in [0, 1], correlation's), an unknown model
+name, a sarimax model with both or neither of "order" and "grid", and an
+additive model with "auto": true and a "config" are errors, as is a "spec"
+without "n_months".
 Series CSV format: header "period,value"; period is YYYY-MM; empty value
 field marks a gap. One series per file; the file stem is the series id.
 """

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import additive, sarimax
 from .errors import (
-    GridSearchError, InsufficientDataError, MissingValueError, from_object, read_document,
+    GridSearchError, InsufficientDataError, MissingValueError, check_kind, from_object,
+    read_document,
 )
 from .series import AlignedFrame, MonthlySeries, mae, split_train_test
 
@@ -47,22 +48,22 @@ __all__ = [
 Fitted = Union[sarimax.FittedSarimax, additive.FittedAdditive]
 
 
+# The ModelSpec fields each model reads besides its name; it takes no other.
+MODEL_KINDS = {"sarimax": ("order", "grid"), "additive": ("additive_config",)}
+MODEL_KEYS = {"additive_config": "config"}  # the config key of each field named otherwise
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    name: str  # sarimax | additive
+    name: str  # a key of MODEL_KINDS
     order: sarimax.SarimaxOrder | None = None
     grid: tuple[sarimax.SarimaxOrder, ...] = ()
     additive_config: additive.AdditiveConfig | None = None  # None -> auto
 
     def __post_init__(self):
-        if self.name not in ("sarimax", "additive"):
-            raise ValueError(f"unknown model {self.name!r}")
+        check_kind(self, self.name, MODEL_KINDS, "model", renamed=MODEL_KEYS)
         if self.name == "sarimax" and (self.order is None) == (not self.grid):
             raise ValueError("sarimax model needs an order or a grid, not both")
-        if self.name == "sarimax" and self.additive_config is not None:
-            raise ValueError("sarimax model takes no additive config")
-        if self.name == "additive" and (self.order is not None or self.grid):
-            raise ValueError("additive model takes no order or grid")
 
     @property
     def label(self) -> str:
@@ -77,7 +78,7 @@ def spec_from_config(entry: dict) -> ModelSpec:
     is true or false and says whether an additive entry lacks a "config"."""
     doc = dict(entry) if isinstance(entry, dict) else entry
     auto = doc.pop("auto", None) if isinstance(doc, dict) else None
-    spec = from_object(ModelSpec, doc, "model", renamed={"additive_config": "config"}, convert={
+    spec = from_object(ModelSpec, doc, "model", renamed=MODEL_KEYS, convert={
         "order": sarimax.SarimaxOrder.from_list,
         "grid": lambda orders: tuple(map(sarimax.SarimaxOrder.from_list, orders)),
         "config": additive.config_from_doc,

@@ -606,10 +606,8 @@ def fitted_from_params(
     order: SarimaxOrder, params: SarimaxParams, train: AlignedFrame
 ) -> FittedSarimax:
     """Assemble the forecast-ready state for explicitly given coefficients."""
-    params.check_against(order, len(train.indicators))
-    w = _differenced_target(order, train.target)
-    X = _regressor_matrix(order, train.target, train.indicators)
-    return _assemble(order, params, train, _scored(order, params, w, X, float(w.mean())))
+    residuals, _ = css_residuals(order, params, train.target, train.indicators)
+    return _assemble(order, params, train, np.array(residuals))
 
 
 def fit(train: AlignedFrame, order: SarimaxOrder, *, max_iter: int = MAX_ITER) -> FittedSarimax:

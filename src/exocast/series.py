@@ -55,6 +55,7 @@ __all__ = [
     "future_matrix",
     "distinct_ids",
     "read_series_csv",
+    "write_csv",
     "write_series_csv",
 ]
 
@@ -575,11 +576,15 @@ def read_series_csv(path: str | Path, id: str | None = None) -> MonthlySeries:
     return MonthlySeries(id or path.stem, Month(first // 12, first % 12 + 1), values)
 
 
+def write_csv(path: str | Path, rows: Iterable[Sequence]) -> Path:
+    """Write `rows`, the header row first, to the CSV file `path`."""
+    with Path(path).open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return Path(path)
+
+
 def write_series_csv(series: MonthlySeries, path: str | Path) -> None:
     first = series.start.year * 12 + series.start.month - 1
-    rows = [(f"{k // 12:04d}-{k % 12 + 1:02d}", "" if v != v else repr(v))
-            for k, v in enumerate(series.array.tolist(), first)]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "value"])
-        writer.writerows(rows)
+    write_csv(path, [("period", "value"), *(
+        (f"{k // 12:04d}-{k % 12 + 1:02d}", "" if v != v else repr(v))
+        for k, v in enumerate(series.array.tolist(), first))])

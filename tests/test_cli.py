@@ -12,12 +12,16 @@ from exocast import models as models_module
 from exocast.cli import main
 from exocast.errors import parse_json
 from exocast.eurostat import list_cached_series
-from exocast.experiment import load_config, training_frames
+from exocast.experiment import MethodSpec, file_stem, load_config, select, training_frames
+from exocast.selection import save_result
 from exocast.series import read_series_csv, write_series_csv
 
 
 SARIMAX = {"name": "sarimax", "order": [1, 0, 0, 0, 0, 0, 12]}
 ADDITIVE = {"name": "additive", "auto": True}
+LEAN_ADDITIVE = {"name": "additive", "config": {
+    "n_changepoints": 2, "seasonalities": [[12.0, 2]], "ar_lags": 2, "regressor_lags": 8,
+    "ridge_lambda": 1.0}}
 
 
 def write_experiment_config(tmp_path, out_dir=None, methods=None, months=76, models=(SARIMAX,),
@@ -69,11 +73,8 @@ def test_import_loads_no_scipy():
 def test_experiment_loads_no_scipy(tmp_path):
     # The paper's grid fits SARIMAX(1,0,0) from certified least-squares
     # starts and the additive model by a ridge solve: neither needs scipy.
-    lean_additive = {"name": "additive", "config": {
-        "n_changepoints": 2, "seasonalities": [[12.0, 2]], "ar_lags": 2, "regressor_lags": 8,
-        "ridge_lambda": 1.0}}
     config = write_experiment_config(tmp_path, methods=["none", "forward"],
-                                     models=(SARIMAX, lean_additive))
+                                     models=(SARIMAX, LEAN_ADDITIVE))
     src = str(Path(exocast.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (
@@ -162,6 +163,27 @@ class TestSelectFitForecast:
         files = sorted(p.name for p in out.iterdir())
         assert any("correlation" in n for n in files)
         assert any("forward" in n for n in files)
+
+    def test_select_writes_one_file_per_model_for_forward_only(self, tmp_path):
+        # Forward selection reads the model, so it is run and named once per
+        # model; a method that does not read it is run once.
+        config = write_experiment_config(tmp_path, methods=["none", "forward"],
+                                         models=(SARIMAX, LEAN_ADDITIVE))
+        out = tmp_path / "sel"
+        assert main(["select", "--config", str(config), "--out", str(out)]) == 0
+        stem = "synth-0__2016-01..2021-04"
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{stem}__forward__additive.json",
+            f"{stem}__forward__sarimax_1_0_0__0_0_0__12.json",
+            f"{stem}__none.json",
+        ]
+        _, _, train, _ = next(training_frames(load_config(config)))
+        expected = tmp_path / "expected.json"
+        for model in (SARIMAX, LEAN_ADDITIVE):
+            spec = models_module.spec_from_config(model)
+            save_result(select(MethodSpec("forward"), spec, train, 12, 4), expected)
+            written = out / f"{stem}__forward__{file_stem(spec.label)}.json"
+            assert written.read_bytes() == expected.read_bytes()
 
     def test_select_and_fit_choose_a_grid_order_first(self, tmp_path):
         # Both commands turn the grid into the order `models.with_order`

@@ -713,6 +713,30 @@ class TestConfigFile:
          "dataset label must be a string, got 5"),
         ({"methods": [{"name": "correlation", "target_threshold": True}]},
          "method target_threshold must be a number, got true"),
+        ({"methods": [{"name": "forward", "ids": ["ind01"], "target_threshold": 0.9}]},
+         "forward method takes no ids"),
+        ({"methods": [{"name": "correlation", "ids": ["ind01"]}]}, "correlation method takes no ids"),
+        ({"methods": [{"name": "lasso", "mutual_threshold": 0.1}]},
+         "lasso method takes no mutual_threshold"),
+        ({"methods": [{"name": "none", "target_threshold": 0.5}]},
+         "none method takes no target_threshold"),
+        ({"methods": ["forwrd"]}, "unknown method 'forwrd'"),
+        ({"methods": [{"name": "correlation", "target_threshold": 1.5}]},
+         "correlation method target_threshold must be in [0, 1], got 1.5"),
+        ({"methods": [{"name": "correlation", "target_threshold": -1.0}]},
+         "correlation method target_threshold must be in [0, 1], got -1.0"),
+        ({"methods": [{"name": "correlation", "mutual_threshold": 7.0}]},
+         "correlation method mutual_threshold must be in [0, 1], got 7.0"),
+        ({"methods": [{"name": "correlation", "mutual_threshold": -0.2}]},
+         "correlation method mutual_threshold must be in [0, 1], got -0.2"),
+        ({"models": [{"name": "sarimax", "order": [0, 0, 0, 0, 0, 0, 12], "config": {"ar_lags": 2}}]},
+         "sarimax model takes no config"),
+        ({"models": [{"name": "additive", "order": [0, 0, 0, 0, 0, 0, 12]}]},
+         "additive model takes no order"),
+        ({"datasets": [{"label": "d", "kind": "cvs", "target": "t.csv"}]},
+         "dataset 'd' has unknown kind 'cvs'"),
+        ({"datasets": [{"label": "d", "kind": "eurostat_cache", "target": "t.csv"}]},
+         "eurostat_cache dataset 'd' needs cache_root"),
     ])
     def test_malformed_config_names_the_file_and_the_field(self, tmp_path, changes, message):
         path = tmp_path / "config.json"
@@ -1152,6 +1176,21 @@ class TestSharedForwardDesign:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("key", ["target_threshold", "mutual_threshold"])
+    def test_a_nan_threshold_is_refused(self, key):
+        with pytest.raises(ValueError, match=fr"correlation method {key} must be in \[0, 1\], got nan"):
+            MethodSpec("correlation", **{key: float("nan")})
+
+    @pytest.mark.parametrize("name", ["correlation", "forward"])
+    def test_a_threshold_at_its_default_is_taken_by_any_method(self, name):
+        # A field holding its default is a key the entry did not give.
+        assert MethodSpec(name, target_threshold=0.75) == MethodSpec(name)
+
+    def test_only_forward_selection_reads_the_model(self):
+        methods = [MethodSpec(n) for n in ("none", "correlation", "lasso", "forward")]
+        methods.append(MethodSpec("manual", manual_ids=("x",)))
+        assert [m.name for m in methods if m.reads_model] == ["forward"]
+
     def test_duplicate_method_labels_rejected(self):
         with pytest.raises(ValueError, match="method labels"):
             quick_config(
