@@ -348,7 +348,6 @@ def to_doc(fitted: FittedAdditive) -> dict:
     events = {"events": lambda v: [[eid, sorted(map(str, months))] for eid, months in v]}
     return {"schema": SCHEMA, **to_object(fitted, convert={
         "config": lambda config: to_object(config, convert=events),
-        "train_start": str,
     })}
 
 
@@ -357,7 +356,7 @@ def from_doc(doc: dict) -> FittedAdditive:
     repeated regressor id, coefficients that do not fit the design, and
     tails of other lengths than `fit` writes are refused."""
     fitted = from_object(FittedAdditive, doc, "model", convert={
-        "config": config_from_doc, "train_start": Month.parse,
+        "config": config_from_doc,
         "regressor_ids": lambda ids: distinct_ids(ids, "regressor_ids"),
     })
     n = min(_tail_length(fitted.config), fitted.train_length)

@@ -179,7 +179,7 @@ def cmd_synth(args) -> int:
 
 def cmd_select(args) -> int:
     config = _load(args)
-    out = Path(args.out or config.out_dir or "selections")
+    out = Path(config.out_dir or "selections")
     out.mkdir(parents=True, exist_ok=True)
     for label, rng, train, _ in training_frames(config):
         for method in config.methods:
@@ -203,7 +203,7 @@ def cmd_fit(args) -> int:
         choices = ", ".join(f"{i} ({m.label})" for i, m in enumerate(config.models))
         raise ExocastError(f"--model-index {args.model_index} out of range; choose from: {choices}")
     model = config.models[args.model_index]
-    out = Path(args.out or config.out_dir or "models")
+    out = Path(config.out_dir or "models")
     out.mkdir(parents=True, exist_ok=True)
     for label, rng, train, _ in training_frames(config):
         fixed = models.with_order(model, train, config.horizon)
@@ -245,7 +245,7 @@ def cmd_forecast(args) -> int:
         raise ExocastError(f"--model-file {args.model_file} is not JSON: {exc}") from exc
     fitted = models.from_doc(doc, args.model_file)
     train = _training_frame_of(fitted, config)
-    out = Path(args.out or config.out_dir or ".")
+    out = Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     predicted = models.forecast(fitted, horizon, models.regressor_forecasts(train, horizon))
     path = out / "forecast.csv"

@@ -5,10 +5,13 @@ persisted file in one step, and `read_document` reads it and turns whatever
 it cannot use into a SchemaError naming the file. `parse_json` is their
 parser: it refuses the non-finite constants that `json.loads` accepts, and
 numbers beyond the float range, which it would read as infinite.
-`check_kind` is the one rule that a config entry takes only its kind's keys."""
+The codec owns a month's JSON form: a YYYY-MM string, read by `Month.parse`
+and written by `str`. `check_kind` is the one rule that a config entry takes
+only its kind's keys."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -67,14 +70,17 @@ class SchemaError(ExocastError, ValueError):
 def to_object(obj, convert=None, renamed=None) -> dict:
     """The JSON object of the dataclass `obj` that `from_object` reads back:
     its fields in order, each under the JSON name `renamed` gives it, if any.
-    `convert[key]` maps a value that is not None, and a nested dataclass
-    is written by `to_object`; tuples become JSON arrays when dumped."""
+    `convert[key]` maps a value that is not None, a month is written by its
+    annotation's rule (see _WRITES) and a nested dataclass by `to_object`;
+    tuples become JSON arrays when dumped."""
     renamed, convert = renamed or {}, convert or {}
     doc = {}
     for f in fields(obj):
         key, value = renamed.get(f.name, f.name), getattr(obj, f.name)
         if value is not None and key in convert:
             value = convert[key](value)
+        elif value is not None and f.type in _WRITES:
+            value = _WRITES[f.type](value)
         elif is_dataclass(value):
             value = to_object(value)
         doc[key] = value
@@ -86,17 +92,66 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _array_of(item):
+    """The test that a value is a JSON array whose every item passes `item`."""
+    return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
+
+
+def _numbers(*also):
+    """The test, at C speed, that a value is an array whose items are numbers
+    or of the types `also`; true and false are not numbers."""
+    return lambda v: isinstance(v, (list, tuple)) and set(map(type, v)) <= {int, float, *also}
+
+
+def _pair(first, second):
+    """The test that a value is a two-item array whose items pass `first` and `second`."""
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and first(v[0]) and second(v[1])
+
+
+_strings = _array_of(_is_str)
+
 # What a field of each annotation takes, in words and as a test; a field
 # of any other annotation takes any value.
 _TAKES = {
     "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "tuple[str, ...]": ("an array of strings",
-                        lambda v: isinstance(v, (list, tuple)) and all(isinstance(i, str) for i in v)),
+    "str": ("a string", _is_str),
+    "str | None": ("a string or null", lambda v: v is None or _is_str(v)),
+    "tuple[str, ...]": ("an array of strings", _strings),
+    "Month": ("a YYYY-MM string", _is_str),
+    "Month | None": ("a YYYY-MM string or null", lambda v: v is None or _is_str(v)),
+    "tuple[Month, ...]": ("an array of YYYY-MM strings", _strings),
+    "tuple[float, ...]": ("an array of numbers", _numbers()),
+    "tuple[float | None, ...]": ("an array of numbers or nulls", _numbers(type(None))),
+    "tuple[tuple[float, ...], ...]": ("an array of arrays of numbers", _array_of(_numbers())),
+    # a SelectionTrace's entries and failures
+    "tuple[tuple[tuple[str, ...], float], ...]": ("an array of [ids, score] pairs",
+                                                  _array_of(_pair(_strings, _is_number))),
+    "tuple[tuple[tuple[str, ...], str], ...]": ("an array of [ids, message] pairs",
+                                                _array_of(_pair(_strings, _is_str))),
 }
+# How `to_object` writes a value of each annotation that is not None, if
+# not as it is.
+_WRITES = {"Month": str, "Month | None": str, "tuple[Month, ...]": lambda v: list(map(str, v))}
+
+
+@functools.cache
+def _reads() -> dict:
+    """How `from_object` reads a value of each annotation, if not by
+    `_tuples`, which an array of numbers needs no walk of."""
+    from .series import Month  # series imports this module, so Month is imported here, once
+    return {"Month": Month.parse, "Month | None": Month.parse,
+            "tuple[Month, ...]": lambda v: tuple(map(Month.parse, v)),
+            "tuple[float, ...]": tuple, "tuple[float | None, ...]": tuple}
 
 
 def _wrong_type(f, value) -> str | None:
@@ -109,12 +164,14 @@ def from_object(cls, doc, where: str, convert=None, renamed=None):
     """`cls` built from the JSON object `doc`. Its keys are `cls`'s fields,
     under the JSON name `renamed` gives a field, if any. A field without a
     default is required, and `convert[key]` maps that key's value first; a
-    null stays None for a field that defaults to None, and any other value
-    has its arrays read as tuples. A field annotated `int`, `float`, `bool`,
-    `str` (`str | None` also takes null) or `tuple[str, ...]` takes only a
-    value of that JSON type (see _TAKES): an integer is never a float, even
-    2.0, nor true or false, and a number is never true or false. A misspelt key is an error, never a
-    silent fallback to a default."""
+    null stays None for a field whose annotation allows None, a month is
+    read by `Month.parse` and any other value has its arrays read as tuples.
+    A field annotated `int`, `float`, `bool`, `str`, `Month`, an array of
+    these or a selection trace's pairs takes only a value of that JSON type
+    (see _TAKES; `str | None` and `Month | None` also take null): an integer
+    is never a float, even 2.0, nor true or false, and a number is never
+    true or false. A misspelt key is an error, never a silent fallback to a
+    default."""
     if not isinstance(doc, dict):
         raise TypeError(f"{where} must be a JSON object")
     renamed, convert = renamed or {}, convert or {}
@@ -130,8 +187,8 @@ def from_object(cls, doc, where: str, convert=None, renamed=None):
     if wrong:
         raise TypeError(f"{where} {wrong[0]}")
     return cls(**{
-        by_key[key].name: v if v is None and by_key[key].default is None
-        else convert.get(key, _tuples)(v)
+        by_key[key].name: v if v is None and str(by_key[key].type).endswith("| None")
+        else (convert.get(key) or _reads().get(by_key[key].type, _tuples))(v)
         for key, v in doc.items()
     })
 
@@ -159,11 +216,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    _finite_float(text)  # an integer no float holds is beyond the float range too
+    return int(text)
+
+
 def parse_json(text: str):
     """`text` parsed as JSON; Infinity, -Infinity, NaN and a number beyond
-    the float range, such as 1e999, are a ValueError, as is any other text
-    that is not JSON."""
-    return json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
+    the float range, such as 1e999 or a 1 followed by 400 zeros, are a
+    ValueError, as is any other text that is not JSON."""
+    return json.loads(text, parse_constant=_non_finite, parse_float=_finite_float,
+                      parse_int=_finite_int)
 
 
 def write_document(path: str | Path, schema: str, doc: dict, listed: str | None = None) -> Path:

@@ -112,6 +112,10 @@ class CachedSeries:
     start: Month
     values: tuple[float | None, ...]  # floats by repr, so bit-exact; None for a gap
 
+    def __post_init__(self):
+        if not self.values:
+            raise ValueError(f"series entry {self.dataset_code} holds no value")
+
     @property
     def series(self) -> MonthlySeries:
         """The series an experiment reads, under its dataset's code."""
@@ -232,6 +236,8 @@ def _parse_catalog_payload(payload: str) -> tuple[DatasetDescriptor, ...]:
         entries = doc
     else:
         raise PayloadError(f"unexpected catalog payload type: {type(doc).__name__}")
+    if not isinstance(entries, list):
+        raise PayloadError(f"catalog payload 'datasets' is not an array: {json.dumps(entries)}")
 
     descriptors: list[DatasetDescriptor] = []
     seen: set[str] = set()
@@ -239,6 +245,11 @@ def _parse_catalog_payload(payload: str) -> tuple[DatasetDescriptor, ...]:
         if not isinstance(entry, dict) or not entry.get("code"):
             raise PayloadError(f"catalog entry {i} has no dataset code")
         code = str(entry["code"])
+        for key in ("dimensions", "parameters"):
+            names = entry.get(key, [])
+            if not isinstance(names, list) or not set(map(type, names)) <= {str}:
+                raise PayloadError(f"catalog entry {i} {key} must be an array of strings, "
+                                   f"got {json.dumps(names)}")
         try:
             _check_code(code)
         except PayloadError as exc:
@@ -275,7 +286,10 @@ def fetch_catalog(
         url = endpoint or (base_url() + CATALOG_PATH)
         payload = _http_get(url, timeout)
         source = url
-    descriptors = _parse_catalog_payload(payload)
+    try:
+        descriptors = _parse_catalog_payload(payload)
+    except PayloadError as exc:
+        raise PayloadError(f"{source}: {exc}") from exc
     log.info("catalog from %s: %d datasets", source, len(descriptors))
     return CatalogSnapshot(fetched_at=_now_utc(), descriptors=descriptors)
 
@@ -441,8 +455,8 @@ def _write_cache(path: Path, cache: _Cache) -> None:
     """`cache` to `path` in one replace: the head line, then a line per series."""
     path.parent.mkdir(parents=True, exist_ok=True)
     write_document(path, CACHE_SCHEMA, to_object(cache, {
-        "datasets": lambda descriptors: [to_object(d, {"earliest_period": str}) for d in descriptors],
-        "series": lambda entries: [to_object(e, {"start": str}) for e in entries],
+        "datasets": lambda descriptors: list(map(to_object, descriptors)),
+        "series": lambda entries: list(map(to_object, entries)),
     }), listed="series")
 
 
@@ -451,20 +465,13 @@ def _read_cache(path: Path) -> _Cache | None:
     if not path.exists():
         return None
 
-    def dataset(doc) -> DatasetDescriptor:
-        return from_object(DatasetDescriptor, doc, "dataset", {
-            "earliest_period": lambda month: None if month is None else Month.parse(month),
-        })
-
     def entry(doc) -> CachedSeries:
         return from_object(CachedSeries, doc, "series entry", {
             "dimension_values": lambda pairs: tuple((name, value) for name, value in pairs),
-            "start": Month.parse,
-            "values": tuple,  # in place of the per-value walk that turns arrays into tuples
         })
 
     return read_document(path, CACHE_SCHEMA, lambda doc: from_object(_Cache, doc, "cache", {
-        "datasets": lambda docs: tuple(map(dataset, docs)),
+        "datasets": lambda docs: tuple(from_object(DatasetDescriptor, d, "dataset") for d in docs),
         "series": lambda docs: tuple(map(entry, docs)),
     }))
 

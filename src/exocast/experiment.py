@@ -254,8 +254,6 @@ class CellRecord:
             problem = f"holds {len(self.actual)} actual values for {len(self.months)} months"
         elif not self.failed and len(self.forecast) != len(self.months):
             problem = f"holds {len(self.forecast)} forecast values for {len(self.months)} months"
-        elif any(type(value) not in (int, float) for value in self.actual + self.forecast):
-            problem = "holds an actual or forecast value that is not a number"
         else:
             return
         raise ValueError(f"cell {' / '.join(self.key)} {problem}")
@@ -695,9 +693,8 @@ def persist_run(out_dir: Path, table: ResultsTable) -> None:
         if not cell.failed:
             write_series_csv(MonthlySeries("forecast", cell.months[0], cell.forecast),
                              out_dir / "cells" / f"{file_stem(*key)}.csv")
-    doc = to_object(table, {"cells": lambda cells: [to_object(cells[key], {
-        "months": lambda months: list(map(str, months)), "selection": result_object,
-    }, CELL_KEYS) for key in sorted(cells)]})
+    doc = to_object(table, {"cells": lambda cells: [
+        to_object(cells[key], {"selection": result_object}, CELL_KEYS) for key in sorted(cells)]})
     write_document(out_dir / "artifacts.json", ARTIFACTS_SCHEMA, doc, listed="cells")
 
 
@@ -712,10 +709,7 @@ def reload_run(out_dir: str | Path) -> ResultsTable:
     def cells(docs) -> dict[CellKey, CellRecord]:
         records: dict[CellKey, CellRecord] = {}
         for doc in docs:
-            record = from_object(CellRecord, doc, "cell", {
-                "months": lambda ms: tuple(map(Month.parse, ms)),
-                "selection": lambda selection: None if selection is None else result_from_object(selection),
-            }, CELL_KEYS)
+            record = from_object(CellRecord, doc, "cell", {"selection": result_from_object}, CELL_KEYS)
             if record.key in records:
                 raise ValueError(f"cell {' / '.join(record.key)} is listed twice")
             records[record.key] = record
@@ -752,8 +746,7 @@ def _config_from_doc(doc, seed_override: int | None) -> ExperimentConfig:
         doc = {key: value for key, value in doc.items() if key != "jobs"}
 
     def synthetic(entry, spec_doc) -> SyntheticSpec:
-        spec = from_object(SyntheticSpec, spec_doc, f"dataset {entry['label']!r} spec",
-                           convert={"start": Month.parse})
+        spec = from_object(SyntheticSpec, spec_doc, f"dataset {entry['label']!r} spec")
         return spec if seed_override is None else replace(spec, seed=seed_override)
 
     def dataset(entry) -> DatasetSpec:
@@ -765,16 +758,12 @@ def _config_from_doc(doc, seed_override: int | None) -> ExperimentConfig:
         entry = {"name": entry} if isinstance(entry, str) else entry
         return from_object(MethodSpec, entry, "method", renamed=METHOD_KEYS)
 
-    def range_(entry) -> RangeSpec:
-        return from_object(RangeSpec, entry, "range",
-                           convert={"start": Month.parse, "end": Month.parse})
-
     def each(build):
         return lambda entries: tuple(map(build, entries))
 
     return from_object(ExperimentConfig, doc, "config", convert={
         "datasets": each(dataset),
-        "ranges": each(range_),
+        "ranges": each(lambda entry: from_object(RangeSpec, entry, "range")),
         "methods": each(method),
         "models": each(models.spec_from_config),
         "preprocessing": lambda entry: from_object(PreprocessingSpec, entry, "preprocessing"),

@@ -816,9 +816,7 @@ def round_forecaster(
 # JSON serialization (schema documented in docs/schemas.md)
 
 def to_doc(fitted: FittedSarimax) -> dict:
-    return {"schema": SCHEMA, **to_object(fitted, convert={
-        "order": SarimaxOrder.as_tuple, "train_start": str, "train_end": str,
-    })}
+    return {"schema": SCHEMA, **to_object(fitted, convert={"order": SarimaxOrder.as_tuple})}
 
 
 def from_doc(doc: dict) -> FittedSarimax:
@@ -829,8 +827,6 @@ def from_doc(doc: dict) -> FittedSarimax:
         "order": SarimaxOrder.from_list,
         "params": lambda params: from_object(SarimaxParams, params, "params"),
         "regressor_ids": lambda ids: distinct_ids(ids, "regressor_ids"),
-        "train_start": Month.parse,
-        "train_end": Month.parse,
     })
     order = fitted.order
     fitted.params.check_against(order, len(fitted.regressor_ids))

@@ -95,6 +95,8 @@ def month_range(start: Month, length: int) -> tuple[Month, ...]:
 
 def _ordinal(text: str) -> int:
     """Months since year 0 of a 'YYYY-MM' period."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a YYYY-MM period: {text!r}")
     year, _, month = text.strip().partition("-")
     try:
         if 1 <= int(month) <= 12:

@@ -59,6 +59,8 @@ class SyntheticSpec:
             )
         if self.noise_sigma <= 0:
             raise ValueError("noise_sigma must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 TRUTH_SCHEMA = "exocast.synth.truth/1"  # `exocast synth` writes a SyntheticTruth as truth.json

@@ -14,7 +14,7 @@ from exocast.errors import parse_json
 from exocast.eurostat import list_cached_series
 from exocast.experiment import MethodSpec, file_stem, load_config, select, training_frames
 from exocast.selection import save_result
-from exocast.series import read_series_csv, write_series_csv
+from exocast.series import Month, MonthlySeries, read_series_csv, write_series_csv
 
 
 SARIMAX = {"name": "sarimax", "order": [1, 0, 0, 0, 0, 0, 12]}
@@ -489,7 +489,8 @@ class TestReportCommand:
         assert len([name for name in listing if name.startswith("forecasts_")]) == 1
 
 
-@pytest.mark.parametrize("text", ["[1e999]", "[-1e999]", '{"x": 1.0e400}', "[1.8e308]"])
+@pytest.mark.parametrize("text", ["[1e999]", "[-1e999]", '{"x": 1.0e400}', "[1.8e308]",
+                                  f"[1{'0' * 400}]", f"[-1{'0' * 400}]"])
 def test_parse_json_refuses_a_number_beyond_the_float_range(text):
     with pytest.raises(ValueError, match="beyond the float range"):
         parse_json(text)
@@ -673,13 +674,32 @@ class TestMalformedInput:
                 "--model-file", str(model_file), "--out", str(tmp_path / "fc")]
         self._fails_cleanly(capsys, argv, "JSON object")
 
-    @pytest.mark.parametrize("changes, message", [
-        ({"difference_regressors": True}, "difference_regressors"),
-        ({"params": None}, "lacks params"),
-        ({"order": [1, 0]}, "order must be [p,d,q,P,D,Q,s], got [1, 0]"),
-    ], ids=["differenced-regressors", "missing-key", "short-order"])
-    def test_forecast_with_a_malformed_model_file(self, tmp_path, capsys, changes, message):
-        config = write_experiment_config(tmp_path, methods=["correlation"])
+    @pytest.mark.parametrize("model, changes, message", [
+        (SARIMAX, {"difference_regressors": True}, "difference_regressors"),
+        (SARIMAX, {"params": None}, "lacks params"),
+        (SARIMAX, {"order": [1, 0]}, "order must be [p,d,q,P,D,Q,s], got [1, 0]"),
+        (SARIMAX, {"train_start": 2016}, "model train_start must be a YYYY-MM string, got 2016"),
+        (SARIMAX, {"train_end": 2016}, "model train_end must be a YYYY-MM string, got 2016"),
+        (SARIMAX, {"params": {"c": 0.0, "ar": ["x"]}},
+         'params ar must be an array of numbers, got ["x"]'),
+        (SARIMAX, {"params": {"c": 0.0, "beta": ["x"]}},
+         'params beta must be an array of numbers, got ["x"]'),
+        (SARIMAX, {"params": {"c": 0.0, "seasonal_ar": ""}},
+         'params seasonal_ar must be an array of numbers, got ""'),
+        (SARIMAX, {"params": {"c": 10 ** 400}}, f"the number 1{'0' * 400} is beyond the float range"),
+        (SARIMAX, {"tail_residuals": ["x"]},
+         'model tail_residuals must be an array of numbers, got ["x"]'),
+        (ADDITIVE, {"train_start": 2016}, "model train_start must be a YYYY-MM string, got 2016"),
+        (ADDITIVE, {"coefficients": ["x"]}, 'model coefficients must be an array of numbers, got ["x"]'),
+        (ADDITIVE, {"coefficients": [[]]}, "model coefficients must be an array of numbers, got [[]]"),
+        (ADDITIVE, {"regressor_tails": [["x"]]},
+         'model regressor_tails must be an array of arrays of numbers, got [["x"]]'),
+    ], ids=["differenced-regressors", "missing-key", "short-order", "sarimax-train-start-number",
+            "sarimax-train-end-number", "ar-not-numbers", "beta-not-numbers", "seasonal-ar-a-string",
+            "c-beyond-the-float-range", "tail-residuals-not-numbers", "additive-train-start-number",
+            "coefficients-not-numbers", "coefficient-an-array", "regressor-tails-not-numbers"])
+    def test_forecast_with_a_malformed_model_file(self, tmp_path, capsys, model, changes, message):
+        config = write_experiment_config(tmp_path, methods=["correlation"], models=(model,))
         assert main(["fit", "--config", str(config), "--out", str(tmp_path / "models")]) == 0
         model_file = next(p for p in (tmp_path / "models").iterdir()
                           if not p.name.endswith("selection.json"))
@@ -790,6 +810,14 @@ class TestMalformedInput:
         self._fails_cleanly(capsys, argv, f"--horizon must be at least 1, got {horizon}")
         assert not (tmp_path / "fc").exists()
 
+
+    @pytest.mark.parametrize("command", ["synth", "experiment", "select"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        argv = [command, "--seed", "-1", "--out", str(tmp_path / "out")]
+        if command != "synth":
+            argv += ["--config", str(write_experiment_config(tmp_path))]
+        self._fails_cleanly(capsys, argv, "seed must be nonnegative, got -1")
+        assert not (tmp_path / "out").exists()
 
     def test_repeated_range(self, tmp_path, capsys):
         range_ = {"start": "2016-01", "end": "2021-04"}
@@ -904,6 +932,27 @@ class TestFetchCommand:
         assert f"{cache / 'cache.json.tmp'}: Is a directory" in captured.err
         assert [p.name for p in cache.iterdir()] == ["cache.json.tmp"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(datasets=5), "catalog payload 'datasets' is not an array: 5"),
+        (lambda doc: doc["datasets"][0].update(dimensions=5),
+         "catalog entry 0 dimensions must be an array of strings, got 5"),
+        (lambda doc: doc["datasets"][0].update(parameters=5),
+         "catalog entry 0 parameters must be an array of strings, got 5"),
+        (lambda doc: doc["datasets"][0].update(parameters="business"),
+         'catalog entry 0 parameters must be an array of strings, got "business"'),
+    ], ids=["datasets", "dimensions", "parameters", "parameters-a-string"])
+    def test_catalog_array_that_is_not_an_array_exits_2(self, tmp_path, capsys, edit, message):
+        cache = tmp_path / "cache"
+        argv = fetch_argv(tmp_path, cache)
+        catalog = Path(argv[argv.index("--catalog-fixture") + 1])
+        doc = json.loads(catalog.read_text())
+        edit(doc)
+        catalog.write_text(json.dumps(doc))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {catalog}: {message}\n"
+        assert not cache.exists()
+
     def test_since_that_is_not_a_month_exits_2(self, tmp_path, capsys):
         argv = ["fetch", "--cache-dir", str(tmp_path / "cache"), "--since", "2015-13", "--offline"]
         assert main(argv) == 2
@@ -911,3 +960,107 @@ class TestFetchCommand:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "'2015-13'" in err
         assert not (tmp_path / "cache").exists()
+
+
+# Each leaf of a document the commands read is replaced in turn by each of
+# these; whatever the command makes of it, it must exit 0, 1 or 2.
+MUTANTS = (5, "x", [], {}, None, True)
+
+
+def leaves(doc, path=()):
+    """The path of each leaf of `doc`: each key's value and each of the
+    first two items of each array, and theirs in turn."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc[:2]) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from leaves(value, path + (key,))
+
+
+def mutated(doc, path, value):
+    """A copy of `doc` with `value` at `path`."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """Each document the mutation test reads, by name: the document, the
+    path of the part of it whose leaves are mutated, the file it is read
+    from and the command that reads that file."""
+    work = tmp_path_factory.mktemp("documents")
+    additive = {"name": "additive", "config": {
+        "seasonalities": [[12.0, 1]], "ar_lags": 1, "regressor_lags": 1, "ridge_lambda": 1.0,
+        "events": [["promo", ["2017-12", "2018-12"]]], "future_known": ["ind02"]}}
+    config = write_experiment_config(
+        work, methods=[{"name": "manual", "ids": ["ind01", "ind02"]}, "forward"], months=52,
+        models=({"name": "sarimax", "order": [1, 0, 1, 0, 0, 0, 12]}, additive),
+        ranges=(("2016-01", "2018-04"),))
+    found = {}
+    for index, name in enumerate(("sarimax", "additive")):
+        out = work / name
+        assert main(["fit", "--config", str(config), "--method", "manual",
+                     "--model-index", str(index), "--out", str(out)]) == 0
+        model = next(p for p in out.iterdir() if not p.name.endswith(".selection.json"))
+        found[name] = (json.loads(model.read_text()), (), model,
+                       ["forecast", "--config", str(config), "--model-file", str(model),
+                        "--out", str(work / "fc")])
+
+    run = work / "run"
+    assert main(["experiment", "--config", str(config), "--out", str(run)]) == 0
+    artifacts = json.loads((run / "artifacts.json").read_text())
+    for cell in artifacts["cells"]:  # report does not parse them; the fitted ones above cover them
+        cell["fitted"] = {"schema": cell["fitted"]["schema"]}
+    i = next(i for i, cell in enumerate(artifacts["cells"]) if cell["method"] == "forward")
+    assert artifacts["cells"][i]["selection"]["trace"]["entries"]
+    found["artifacts"] = (artifacts, ("cells", i), run / "artifacts.json",
+                          ["report", "--run-dir", str(run), "--out", str(work / "report")])
+
+    cache = work / "cache"
+    argv = fetch_argv(work, cache)
+    assert main(argv) == 0
+    catalog = Path(argv[argv.index("--catalog-fixture") + 1])
+    found["catalog"] = (json.loads(catalog.read_text()), ("datasets", 0), catalog, argv)
+
+    # The cache holds STS_A over 2016, the one indicator of a target over
+    # the same months.
+    target = work / "target.csv"
+    write_series_csv(MonthlySeries("target", Month(2016, 1), [math.sin(k) for k in range(12)]), target)
+    (work / "cached").mkdir()
+    cached = work / "cached" / "config.json"
+    cached.write_text(json.dumps({
+        "datasets": [{"label": "m", "kind": "eurostat_cache", "target": str(target),
+                      "cache_root": str(cache)}],
+        "ranges": [{"start": "2016-01", "end": "2016-09"}], "horizon": 3,
+        "methods": [{"name": "manual", "ids": ["STS_A"]}],
+        "models": [{"name": "sarimax", "order": [1, 0, 0, 0, 0, 0, 12]}]}))
+    argv = ["experiment", "--config", str(cached), "--out", str(work / "cached" / "run")]
+    assert main(argv) == 0
+    doc = json.loads((cache / "cache.json").read_text())
+    for part in ("datasets", "series"):
+        found[part] = (doc, (part, 0), cache / "cache.json", argv)
+    return found
+
+
+@pytest.mark.parametrize("value", MUTANTS, ids=json.dumps)
+@pytest.mark.parametrize("name", ["sarimax", "additive", "artifacts", "catalog", "datasets", "series"])
+def test_no_mutated_document_ends_in_a_traceback(documents, name, value, capsys):
+    doc, part, path, argv = documents[name]
+    inner = doc
+    for key in part:
+        inner = inner[key]
+    failures = []
+    for leaf in leaves(inner, part):
+        path.write_text(json.dumps(mutated(doc, leaf, value)))
+        try:
+            rc = main(argv)
+        except Exception as exc:  # noqa: BLE001 - every traceback is a failure
+            failures.append(f"{'.'.join(map(str, leaf))}: {type(exc).__name__}: {exc}")
+        else:
+            if rc not in (0, 1, 2):
+                failures.append(f"{'.'.join(map(str, leaf))}: exit {rc}")
+    capsys.readouterr()
+    assert not failures, "\n".join(failures)

@@ -673,6 +673,13 @@ class TestMalformedDocuments:
         ("cache.json", cache_doc(dataset={**DESCRIPTOR_DOC, "parameters": ["business"]}),
          "unknown dataset keys: parameters"),
         ("cache.json", cache_doc(dataset={**DESCRIPTOR_DOC, "earliest_period": "2016"}), "'2016'"),
+        ("cache.json", cache_doc({**SERIES_ENTRY, "start": 2016}),
+         "series entry start must be a YYYY-MM string, got 2016"),
+        ("cache.json", cache_doc(dataset={**DESCRIPTOR_DOC, "earliest_period": 2015}),
+         "dataset earliest_period must be a YYYY-MM string or null, got 2015"),
+        ("cache.json", cache_doc({**SERIES_ENTRY, "values": ["x", 2.0]}),
+         "series entry values must be an array of numbers or nulls"),
+        ("cache.json", cache_doc({**SERIES_ENTRY, "values": []}), "series entry STS_A holds no value"),
     ], ids=[
         "manifest", "manifest-not-json", "manifest-schema",
         "cache", "cache-not-json", "cache-schema", "cache-no-series", "cache-missing-key",
@@ -680,6 +687,8 @@ class TestMalformedDocuments:
         "series-unknown-key", "series-infinity", "series-minus-infinity", "series-nan",
         "series-overflow", "series-minus-overflow",
         "dataset-missing-key", "dataset-unknown-key", "dataset-malformed",
+        "series-start-number", "dataset-earliest-period-number", "series-value-not-a-number",
+        "series-without-values",
     ])
     @pytest.mark.parametrize("read", [
         list_cached_series,

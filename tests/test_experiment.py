@@ -569,11 +569,24 @@ class TestTableAndPlots:
         ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "mae": "1.0"}]},
          'has no error, so its mae must be a number, not "1.0"'),
         ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "forecast": [None]}]},
-         "holds an actual or forecast value that is not a number"),
+         "cell forecast must be an array of numbers"),
+        ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "months": [202105]}]},
+         "cell months must be an array of YYYY-MM strings, got"),
+        ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "selection": {
+            "method": "forward", "selected_ids": [], "trace": {"entries": ["x"]}}}]},
+         "trace entries must be an array of .ids, score. pairs"),
+        ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "selection": {
+            "method": "forward", "selected_ids": [], "trace": {"entries": [[5, 1.0]]}}}]},
+         "trace entries must be an array of .ids, score. pairs"),
+        ({**ARTIFACTS, "cells": [{**ARTIFACTS["cells"][0], "selection": {
+            "method": "forward", "selected_ids": [], "trace": {"entries": [],
+                                                               "failures": [[["ind01"], 5]]}}}]},
+         "trace failures must be an array of .ids, message. pairs"),
     ], ids=["not-an-object", "not-json", "schema", "retired-schema", "retired-schema-2",
             "missing-key", "selection-missing-key", "malformed", "unknown-key", "unknown-cell-key",
             "stored-n_exog", "repeated-cell", "extra-cell", "missing-cell", "other-horizon",
-            "mae-not-a-number", "forecast-not-a-number"])
+            "mae-not-a-number", "forecast-not-a-number", "month-not-a-string",
+            "trace-entry-not-a-pair", "trace-entry-ids-not-strings", "trace-failure-not-a-message"])
     def test_reload_of_malformed_artifacts(self, tmp_path, doc, message):
         path = tmp_path / "artifacts.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -737,6 +750,21 @@ class TestConfigFile:
          "dataset 'd' has unknown kind 'cvs'"),
         ({"datasets": [{"label": "d", "kind": "eurostat_cache", "target": "t.csv"}]},
          "eurostat_cache dataset 'd' needs cache_root"),
+        ({"ranges": [{"start": 201601, "end": "2017-04"}]},
+         "range start must be a YYYY-MM string, got 201601"),
+        ({"ranges": [{"start": "2016-01", "end": None}]}, "range end must be a YYYY-MM string, got null"),
+        ({"datasets": [{"label": "s", "kind": "synthetic", "spec": {"n_months": 40, "start": 2016}}]},
+         "dataset 's' spec start must be a YYYY-MM string, got 2016"),
+        ({"models": [{"name": "additive", "config": {"events": [["x", [201801]]]}}]},
+         "not a YYYY-MM period: 201801"),
+        ({"datasets": [{"label": "s", "kind": "synthetic", "spec": {"n_months": 40, "seed": -1}}]},
+         "seed must be nonnegative, got -1"),
+        ({"datasets": [{"label": "s", "kind": "synthetic",
+                        "spec": {"n_months": 40, "noise_sigma": 10 ** 400}}]},
+         f"the number 1{'0' * 400} is beyond the float range"),
+        ({"datasets": [{"label": "s", "kind": "synthetic",
+                        "spec": {"n_months": 40, "n_drivers": 1, "driver_betas": ["x"]}}]},
+         'dataset \'s\' spec driver_betas must be an array of numbers, got ["x"]'),
     ])
     def test_malformed_config_names_the_file_and_the_field(self, tmp_path, changes, message):
         path = tmp_path / "config.json"
